@@ -12,8 +12,10 @@ Grammar, in order, one directive per line ('#' starts a comment):
 Wire 0 is the least significant bit of basis indices.  A gate's wire list
 binds the gate's roles left to right, most significant first: `gate CNOT c t` puts the
 control on wire c and the target on wire t, whatever their order, and the
-listed wires must form a contiguous block.  Lifting tensors the bound
-matrix with the model's own identity on both sides.
+listed wires must form a contiguous block.  Simulation applies each
+step's bound matrix to its block of the state directly; lifting, which
+tensors the bound matrix with the model's own identity on both sides, is
+the reference route for composed operators and equivalence checks.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from .linalg import (
     identity,
     kron_mat,
     mat_mul,
-    mat_vec,
+    mat_vec,  # noqa: F401  unused here; perfbench's tracer test patches circuit.mat_vec
+    mat_vec_block,
     parse_matrix_text,
 )
 from .models import (
@@ -67,6 +70,7 @@ __all__ = [
 ]
 
 ModelState = Union[ClassicalState, ProbState, QuantumState, FuzzyState]
+StepPlan = Union[SMatrix, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -89,9 +93,16 @@ class CircuitProgram:
 
 @dataclass(frozen=True)
 class ValidatedCircuit:
+    """A program whose gates passed their model's membership check.
+
+    plans[k] is what step k applies to its wire block: the bound matrix,
+    or for classical programs the permutation of the block's values.
+    """
+
     program: CircuitProgram
     gates: tuple[GateDescriptor, ...]
     initial: ModelState
+    plans: tuple[StepPlan, ...]
 
 
 @dataclass(frozen=True)
@@ -111,6 +122,7 @@ class SimulationTrace:
 # --- parsing ------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"\S+")
+_UINT_RE = re.compile(r"[0-9]+")  # str.isdigit would admit '²' and '٠'
 
 
 def _tokenize(line: str) -> list[tuple[str, int]]:
@@ -149,7 +161,7 @@ def parse_circuit(text: str) -> CircuitProgram:
                 raise ParseError("model must come first", line_no, col)
             if wires is not None:
                 raise ParseError("duplicate wires directive", line_no, col)
-            if len(rest) != 1 or not rest[0][0].isdigit():
+            if len(rest) != 1 or not _UINT_RE.fullmatch(rest[0][0]):
                 raise ParseError("expected: wires <positive integer>", line_no, col)
             wires = int(rest[0][0])
             if wires < 1:
@@ -192,7 +204,7 @@ def parse_circuit(text: str) -> CircuitProgram:
             ref = rest[0][0]
             targets = []
             for tok, tok_col in rest[1:]:
-                if not tok.isdigit():
+                if not _UINT_RE.fullmatch(tok):
                     raise ParseError(f"wire index {tok!r} is not a non-negative integer",
                                      line_no, tok_col)
                 targets.append(int(tok))
@@ -202,7 +214,7 @@ def parse_circuit(text: str) -> CircuitProgram:
                 raise ParseError("measure must follow a complete program", line_no, col)
             if seed is not None:
                 raise ParseError("duplicate measure directive", line_no, col)
-            if len(rest) != 2 or rest[0][0] != "seed" or not rest[1][0].isdigit():
+            if len(rest) != 2 or rest[0][0] != "seed" or not _UINT_RE.fullmatch(rest[1][0]):
                 raise ParseError("expected: measure seed <non-negative integer>", line_no, col)
             seed = int(rest[1][0])
         else:
@@ -244,10 +256,13 @@ def _resolve_gate(program: CircuitProgram, step: GateStep, base_dir: Path) -> Ga
     if step.gate.startswith("@"):
         path = base_dir / step.gate[1:]
         try:
-            matrix = parse_matrix_text(path.read_text())
+            matrix = parse_matrix_text(path.read_text(encoding="utf-8"))
         except OSError as exc:
             raise ValidationError(f"cannot read gate file {step.gate[1:]!r}: {exc}",
                                   step.line) from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"gate file {step.gate[1:]!r} is not UTF-8: {exc.reason} "
+                             f"at byte {exc.start}", step.line) from None
         if matrix.instance != model_instance(program.model):
             raise ValidationError(
                 f"gate file {step.gate[1:]!r} uses instance {matrix.instance.name}, "
@@ -304,7 +319,7 @@ def validate(program: CircuitProgram, base_dir: str | Path = ".") -> ValidatedCi
     if program.wire_count < 1:
         raise ValidationError("wire count must be positive")
     base = Path(base_dir)
-    gates = []
+    gates, plans = [], []
     for step in program.steps:
         descriptor = _resolve_gate(program, step, base)
         k = descriptor.arity
@@ -322,16 +337,17 @@ def validate(program: CircuitProgram, base_dir: str | Path = ".") -> ValidatedCi
                 f"gate {step.gate} wires {step.wires} must form a contiguous block",
                 step.line)
         gates.append(descriptor)
+        plans.append(_step_plan(descriptor, step.wires))
     if program.measure_seed is not None and program.model != "quantum":
         raise ValidationError("measure is only defined for quantum programs")
     initial = _initial_state(program)
-    return ValidatedCircuit(program, tuple(gates), initial)
+    return ValidatedCircuit(program, tuple(gates), initial, tuple(plans))
 
 
 # --- lifting and simulation -----------------------------------------------------
 
-def _slot_tables(targets: Sequence[int], arity: int) -> tuple[list[int], list[int]]:
-    """Bit remap between the local window and the gate's own index space."""
+def _slot_table(targets: Sequence[int], arity: int) -> list[int]:
+    """Bit remap from the local window to the gate's own index space."""
     base = min(targets)
     size = 1 << arity
     rho = [0] * size
@@ -341,15 +357,12 @@ def _slot_tables(targets: Sequence[int], arity: int) -> tuple[list[int], list[in
             if (x >> (w - base)) & 1:
                 g |= 1 << (arity - 1 - i)
         rho[x] = g
-    inv = [0] * size
-    for x, g in enumerate(rho):
-        inv[g] = x
-    return rho, inv
+    return rho
 
 
 def _bound_matrix(gate: GateDescriptor, targets: Sequence[int]) -> SMatrix:
     """The gate matrix re-indexed so window bit (w - base) carries wire w."""
-    rho, _ = _slot_tables(targets, gate.arity)
+    rho = _slot_table(targets, gate.arity)
     if all(rho[x] == x for x in range(len(rho))):
         return gate.matrix
     g = gate.matrix.entries
@@ -390,15 +403,16 @@ def composed_operator(vc: ValidatedCircuit) -> SMatrix:
     return total
 
 
-def _classical_index_step(gate: GateDescriptor, targets: Sequence[int],
-                          index: int) -> int:
-    perm = permutation_from_matrix(gate.matrix)
-    rho, inv = _slot_tables(targets, gate.arity)
-    base = min(targets)
-    mask = (1 << gate.arity) - 1
-    local = (index >> base) & mask
-    new_local = inv[perm[rho[local]]]
-    return (index & ~(mask << base)) | (new_local << base)
+def _step_plan(gate: GateDescriptor, targets: Sequence[int]) -> StepPlan:
+    """The bound matrix; for classical gates, its permutation of window values.
+
+    The bound matrix re-indexes a member gate, and each model's gates are
+    closed under re-indexing and under Kronecker products with the
+    identity, so the lifted operator is a member too: simulate re-checks
+    states only, never operators.
+    """
+    bound = _bound_matrix(gate, targets)
+    return permutation_from_matrix(bound) if gate.model == "classical" else bound
 
 
 def _wrap_state(model: str, vector: SVector) -> ModelState:
@@ -423,14 +437,15 @@ def simulate(vc: ValidatedCircuit, seed_override: int | None = None,
     states = [state]
     if program.model == "classical":
         index = state.basis_index
-        for step, gate in zip(program.steps, vc.gates):
-            index = _classical_index_step(gate, step.wires, index)
-            state = ClassicalState(n, index)
-            states.append(state)
+        for step, perm in zip(program.steps, vc.plans):
+            base = min(step.wires)
+            window = (index >> base) & (len(perm) - 1)
+            index ^= (window ^ perm[window]) << base  # rewrite only the window bits
+            states.append(ClassicalState(n, index))
     else:
-        for step, gate in zip(program.steps, vc.gates):
-            op = lift_gate(gate, step.wires, n)
-            state = _wrap_state(program.model, mat_vec(op, state.vector))
+        for step, bound in zip(program.steps, vc.plans):
+            state = _wrap_state(program.model,
+                                mat_vec_block(bound, min(step.wires), state.vector))
             states.append(state)
     measured = None
     if program.model == "quantum" and (program.measure_seed is not None

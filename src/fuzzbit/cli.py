@@ -10,6 +10,7 @@ prints exact rationals.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -41,10 +42,13 @@ __all__ = ["main", "entry"]
 
 def _read_text(path: str) -> tuple[str, Path]:
     """File contents plus the directory used to resolve @file gate references."""
-    if path == "-":
-        return sys.stdin.read(), Path(".")
-    p = Path(path)
-    return p.read_text(encoding="utf-8"), (p.parent if p.parent != Path("") else Path("."))
+    try:
+        if path == "-":
+            return sys.stdin.read(), Path(".")
+        p = Path(path)
+        return p.read_text(encoding="utf-8"), (p.parent if p.parent != Path("") else Path("."))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
 def _read_matrix(path: str) -> SMatrix:
@@ -199,7 +203,9 @@ def _seed_arg(text: str) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser unchanged
     parser = argparse.ArgumentParser(
         prog="fuzzbit",
         description="Fuzzy, classical, stochastic and quantum circuit toolkit.")

@@ -34,6 +34,7 @@ __all__ = [
     "add",
     "mat_mul",
     "mat_vec",
+    "mat_vec_block",
     "kron_mat",
     "kron_vec",
     "identity",
@@ -142,6 +143,37 @@ def mat_vec(a: SMatrix, v: SVector) -> SVector:
     return SVector(s, tuple(
         _reduce(s.add, (s.mul(x, y) for x, y in zip(row, v.entries)))
         for row in a.entries))
+
+
+def mat_vec_block(a: SMatrix, base: int, v: SVector) -> SVector:
+    """mat_vec(I (x) a (x) I_{2^base}, v) without building the padded operator.
+
+    `a` acts on index bits base .. base+k-1 of `v`; each block of 2^k
+    entries that differ only in those bits is gathered, multiplied by `a`
+    and scattered back, in O(len(v) * 2^k).  Each row adds its terms in
+    increasing column order, the order of the same terms in the padded
+    operator's row; the terms left out are mul(zero, x) = zero, which add
+    absorbs, so rational instances give exactly mat_vec's result.
+    """
+    s = _require_same_instance(a, v)
+    size = a.rows
+    if a.cols != size or len(v) % (size << base):
+        raise ValueError(f"{a.rows}x{a.cols} block at bit {base} does not fit length {len(v)}")
+    add, mul, zero = s.add, s.mul, s.zero
+    rows = [(r << base, [(c << base, x) for c, x in enumerate(row) if x != zero])
+            for r, row in enumerate(a.entries)]
+    entries = v.entries
+    out = [zero] * len(entries)
+    low = 1 << base
+    for top in range(0, len(entries), size << base):
+        for i0 in range(top, top + low):
+            for out_off, terms in rows:
+                acc = zero
+                for k, (off, x) in enumerate(terms):
+                    term = mul(x, entries[i0 + off])
+                    acc = add(acc, term) if k else term
+                out[i0 + out_off] = acc
+    return SVector(s, out)
 
 
 def kron_mat(a: SMatrix, b: SMatrix) -> SMatrix:

@@ -1,10 +1,16 @@
 """Circuit language: parsing, validation, lifting, simulation, synthesis text."""
 
+import cmath
 import math
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fuzzbit.algebra import FUZZ_MV, UnitScalar
+from fuzzbit.algebra import COMPLEX, FUZZ_MV, PROBABILITY, UnitScalar
 from fuzzbit.circuit import (
     composed_operator,
     equivalence_check,
@@ -15,12 +21,13 @@ from fuzzbit.circuit import (
     simulate,
     validate,
 )
-from fuzzbit.errors import ParseError, ValidationError
-from fuzzbit.linalg import SVector, equal, mat_vec, serialize_matrix
-from fuzzbit.models import builtin_gate
+from fuzzbit.errors import InternalCheckError, ParseError, ValidationError
+from fuzzbit.linalg import SMatrix, SVector, equal, kron_mat, mat_mul, mat_vec, serialize_matrix
+from fuzzbit.models import builtin_gate, builtin_gate_names, model_instance
 from fuzzbit.models.classical import (
     ClassicalState,
     TruthTable,
+    matrix_from_permutation,
     permutation_from_matrix,
     synthesize_circuit,
 )
@@ -210,3 +217,128 @@ def test_all_ones_quietly_absorbs_through_a_program():
     text = "model fuzzy\nwires 2\ninit vec 1 1 1 1\ngate FNOT 0\ngate FID 1\n"
     trace = simulate(validate(parse_circuit(text)))
     assert all(x == U(1) for x in trace.final.vector.entries)
+
+
+# --- the local kernel against the lifted reference -----------------------------
+
+def _random_member_gate(draw, model: str, arity: int) -> SMatrix:
+    size = 1 << arity
+    if model == "classical":
+        return matrix_from_permutation(draw(st.permutations(range(size))))
+    if model == "stochastic":
+        columns = []
+        for _ in range(size):
+            weights = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+            weights[draw(st.integers(0, size - 1))] += 1
+            columns.append([Fraction(w, sum(weights)) for w in weights])
+        return SMatrix(PROBABILITY, tuple(zip(*columns)))
+    if model == "fuzzy":
+        columns = []
+        for _ in range(size):
+            column = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size))
+            column[draw(st.integers(0, size - 1))] = 0
+            columns.append([UnitScalar(x, 4) for x in column])
+        return SMatrix(FUZZ_MV, tuple(zip(*columns)))
+    angle = st.floats(0, 2 * math.pi)
+    op = None
+    for _ in range(arity):  # a product of one-wire unitaries ...
+        t, p, q = draw(angle), draw(angle), draw(angle)
+        u = SMatrix(COMPLEX, ((complex(math.cos(t)), -cmath.exp(1j * q) * math.sin(t)),
+                              (cmath.exp(1j * p) * math.sin(t),
+                               cmath.exp(1j * (p + q)) * math.cos(t))))
+        op = u if op is None else kron_mat(op, u)
+    perm = draw(st.permutations(range(size)))  # ... entangled by a permutation
+    shuffle = SMatrix(COMPLEX, tuple(tuple(complex(perm[j] == i) for j in range(size))
+                                     for i in range(size)))
+    return mat_mul(shuffle, op)
+
+
+@st.composite
+def random_programs(draw):
+    """Program text plus its random @file gates: 1- to 3-wire gates on n <= 5 wires."""
+    model = draw(st.sampled_from(("classical", "stochastic", "quantum", "fuzzy")))
+    n = draw(st.integers(1, 5))
+    bits = "".join(draw(st.sampled_from("01")) for _ in range(n))
+    lines = [f"model {model}", f"wires {n}", f"init ket {bits}"]
+    files = {}
+    for k in range(draw(st.integers(1, 6))):
+        builtins = [name for name in builtin_gate_names(model)
+                    if builtin_gate(model, name).arity <= n]
+        if draw(st.booleans()):
+            name = draw(st.sampled_from(builtins))
+            arity = builtin_gate(model, name).arity
+        else:
+            arity = draw(st.integers(1, min(3, n)))
+            name = f"@g{k}.mat"
+            files[name[1:]] = serialize_matrix(_random_member_gate(draw, model, arity))
+        base = draw(st.integers(0, n - arity))
+        wires = draw(st.permutations(range(base, base + arity)))
+        lines.append(f"gate {name} " + " ".join(map(str, wires)))
+    return "\n".join(lines) + "\n", files
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_programs())
+def test_every_step_matches_the_lifted_gate(case):
+    text, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, body in files.items():
+            (Path(tmp) / name).write_text(body, encoding="utf-8")
+        vc = validate(parse_circuit(text), base_dir=tmp)
+    program = vc.program
+    n = program.wire_count
+    instance = model_instance(program.model)
+
+    def basis(index):
+        return SVector(instance, tuple(instance.one if i == index else instance.zero
+                                       for i in range(1 << n)))
+
+    trace = simulate(vc)
+    for step, gate, before, after in zip(program.steps, vc.gates, trace.states,
+                                         trace.states[1:]):
+        lifted = lift_gate(gate, step.wires, n)
+        if program.model == "classical":
+            assert mat_vec(lifted, basis(before.basis_index)) == basis(after.basis_index)
+        elif program.model == "quantum":
+            assert equal(after.vector, mat_vec(lifted, before.vector))
+        else:
+            assert after.vector == mat_vec(lifted, before.vector)
+
+
+ONE_PROGRAM_PER_MODEL = (
+    "model classical\nwires 3\ninit ket 011\n"
+    "gate AND 2 1 0\ngate SWAP 0 1\ngate FANOUT 1 2\ngate CNOT 1 0\n",
+    "model stochastic\nwires 2\ninit vec 1/2 1/4 1/4 0\ngate NOT 1\ngate CNOT 0 1\n",
+    "model quantum\nwires 3\ninit ket 000\ngate H 2\ngate CNOT 2 1\ngate SWAP 0 1\n",
+    "model fuzzy\nwires 2\ninit vec 0 1/2 1 1\ngate FNOT 0\ngate FSWAP 1 0\ngate FZERO 1\n",
+)
+
+
+@pytest.mark.parametrize("text", ONE_PROGRAM_PER_MODEL)
+def test_simulate_neither_lifts_nor_checks_gates(monkeypatch, text):
+    vc = validate(parse_circuit(text))
+    expected = simulate(vc)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("simulate must not lift or re-check a gate")
+
+    for target in ("fuzzbit.circuit.lift_gate",
+                   "fuzzbit.models.classical.permutation_violation",
+                   "fuzzbit.models.stochastic.stochastic_violation",
+                   "fuzzbit.models.quantum.unitary_violation",
+                   "fuzzbit.models.fuzzy.fuzzy_gate_violation"):
+        monkeypatch.setattr(target, boom)
+    assert simulate(vc) == expected
+
+
+@pytest.mark.parametrize("text, bad_entry", [
+    (ONE_PROGRAM_PER_MODEL[1], Fraction(0)),
+    (ONE_PROGRAM_PER_MODEL[2], 0j),
+    (ONE_PROGRAM_PER_MODEL[3], UnitScalar(1, 2)),
+])
+def test_kept_state_check_still_fails(monkeypatch, text, bad_entry):
+    vc = validate(parse_circuit(text))
+    monkeypatch.setattr("fuzzbit.circuit.mat_vec_block",
+                        lambda a, base, v: SVector(v.instance, (bad_entry,) * len(v)))
+    with pytest.raises(InternalCheckError, match="intermediate state failed membership"):
+        simulate(vc)

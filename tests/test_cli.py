@@ -167,3 +167,53 @@ def test_usage_and_io_errors(tmp_path, capsys):
     bad = write(tmp_path, "bad.mat", "instance fuzz-mv 2 2\n0 1\nBAD 0\n")
     assert main(["check", "fuzzy", bad]) == 2
     assert "line 3" in capsys.readouterr().err
+
+
+def test_parser_reuse_after_usage_error(tmp_path, capsys):
+    from fuzzbit import cli
+
+    bell = write(tmp_path, "bell.circ", BELL_TEXT)
+    fid = write(tmp_path, "fid.mat", FID_TEXT)
+    calls = (["simulate", bell, "--trace", "--seed", "3"], ["simulate", bell],
+             ["check", "fuzzy", fid])
+
+    def run_all():
+        outputs = []
+        for argv in calls:
+            code = main(argv)
+            outputs.append((code, capsys.readouterr()))
+        return outputs
+
+    cli._build_parser.cache_clear()
+    fresh = run_all()
+    assert main(["simulate", bell, "--seed", "nine"]) == 2
+    assert main(["check"]) == 2
+    capsys.readouterr()
+    assert run_all() == fresh
+    assert fresh[1][1].out.splitlines()[-1] == "measured 0"  # no --seed carried over
+
+
+@pytest.mark.parametrize("program", [
+    "model quantum\nwires ²\ninit ket 00\n",
+    "model quantum\nwires 1\ninit ket 0\ngate H ٠\n",
+    "model quantum\nwires 1\ninit ket 0\ngate H 0\nmeasure seed ³\n",
+])
+def test_non_ascii_digits_are_parse_errors(tmp_path, capsys, program):
+    circ = tmp_path / "p.circ"
+    circ.write_text(program, encoding="utf-8")
+    assert main(["simulate", str(circ)]) == 2
+    assert capsys.readouterr().err.startswith("error: line ")
+
+
+def test_non_utf8_input_exits_2(tmp_path, capsys):
+    circ = tmp_path / "bad.circ"
+    circ.write_bytes(b"model fuzzy\nwires 1\ninit ket 0\ngate FNOT \xff\n")
+    assert main(["simulate", str(circ)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+    (tmp_path / "g.mat").write_bytes(b"instance fuzz-mv 2 2\n0 1\n1 0\xff\n")
+    uses_gate = write(tmp_path, "uses.circ",
+                      "model fuzzy\nwires 1\ninit ket 0\ngate @g.mat 0\n")
+    assert main(["simulate", uses_gate]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 4: gate file 'g.mat' is not UTF-8")

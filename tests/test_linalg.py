@@ -19,6 +19,7 @@ from fuzzbit.linalg import (
     linearly_independent,
     mat_mul,
     mat_vec,
+    mat_vec_block,
     parse_matrix_text,
     scale,
     serialize_matrix,
@@ -112,6 +113,17 @@ def test_linear_independence():
     assert not linearly_independent([fvec(1, 1)], grid)
     assert linearly_independent([fvec(0, 1), fvec(1, 0)], grid)
     assert not linearly_independent([fvec(0, 1), fvec(0, 1)], grid)
+
+
+def test_mat_vec_block_equals_the_padded_product():
+    a = fmat([[0, "1/2"], [1, 0]])
+    v = fvec(0, "1/4", 1, "3/4", "1/2", 1, "1/3", "2/3")
+    for base in range(3):
+        padded = kron_mat(identity(FUZZ_MV, 1 << (2 - base)),
+                          kron_mat(a, identity(FUZZ_MV, 1 << base)))
+        assert mat_vec_block(a, base, v) == mat_vec(padded, v)
+    with pytest.raises(ValueError):
+        mat_vec_block(a, 3, v)
 
 
 def test_equal_tolerance_is_complex_only():
