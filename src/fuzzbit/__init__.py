@@ -55,19 +55,16 @@ from .linalg import (
     identity,
     kron_mat,
     kron_vec,
-    linear_combination,
-    linearly_independent,
     mat_mul,
     mat_vec,
     parse_matrix_text,
-    scale,
     serialize_matrix,
 )
 from .models import (
     MODEL_NAMES,
+    MODELS,
     GateDescriptor,
     builtin_gate,
-    builtin_gate_names,
     gate_violation,
     model_instance,
     state_violation,
@@ -83,12 +80,11 @@ __all__ = [
     "SemiringInstance", "FUZZ_MV", "MAX_MIN", "VITERBI", "BOOLEAN",
     "PROBABILITY", "COMPLEX", "COMPLEX_TOL", "make_instance", "induced_order",
     # linalg
-    "SVector", "SMatrix", "add", "scale", "mat_mul", "mat_vec", "kron_mat",
-    "kron_vec", "identity", "linear_combination", "linearly_independent",
-    "as_vector", "parse_matrix_text", "serialize_matrix",
+    "SVector", "SMatrix", "add", "mat_mul", "mat_vec", "kron_mat", "kron_vec",
+    "identity", "as_vector", "parse_matrix_text", "serialize_matrix",
     # models
-    "MODEL_NAMES", "GateDescriptor", "model_instance", "builtin_gate",
-    "builtin_gate_names", "gate_violation", "state_violation",
+    "MODEL_NAMES", "MODELS", "GateDescriptor", "model_instance", "builtin_gate",
+    "gate_violation", "state_violation",
     # circuit
     "CircuitProgram", "ValidatedCircuit", "SimulationTrace", "parse_circuit",
     "serialize_circuit", "validate", "simulate", "lift_gate",

@@ -23,13 +23,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
-from .algebra import format_complex_exact, format_rational
 from .errors import InternalCheckError, MembershipError, ParseError, ValidationError
 from .linalg import (
     SMatrix,
     SVector,
+    entry_formatter,
     entry_parser,
     equal,
     identity,
@@ -41,17 +41,14 @@ from .linalg import (
 )
 from .models import (
     MODEL_NAMES,
-    ClassicalState,
-    FuzzyState,
     GateDescriptor,
-    ProbState,
-    QuantumState,
+    VectorState,
     builtin_gate,
     gate_descriptor_from_matrix,
     gate_violation,
     model_instance,
 )
-from .models.classical import SynthCircuit, permutation_from_matrix
+from .models.classical import ClassicalState, SynthCircuit, permutation_from_matrix
 from .models.quantum import measure
 
 __all__ = [
@@ -69,8 +66,12 @@ __all__ = [
     "reversible_circuit_text",
 ]
 
-ModelState = Union[ClassicalState, ProbState, QuantumState, FuzzyState]
+ModelState = Union[ClassicalState, VectorState]
 StepPlan = Union[SMatrix, tuple[int, ...]]
+
+# A dense state holds 2^n entries, 65,536 at this limit.  Classical programs
+# track one basis index and take any wire count.
+MAX_DENSE_WIRES = 16
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,7 @@ def parse_circuit(text: str) -> CircuitProgram:
             elif kind == "vec":
                 if len(rest) < 2:
                     raise ParseError("init vec needs at least one scalar", line_no, col)
-                parse_entry = _vec_entry_parser(model)
+                parse_entry = entry_parser(model_instance(model))
                 values = []
                 for tok, tok_col in rest[1:]:
                     try:
@@ -231,17 +232,13 @@ def parse_circuit(text: str) -> CircuitProgram:
                           init_line=init_line)
 
 
-def _vec_entry_parser(model: str) -> Callable:
-    return entry_parser(model_instance(model))
-
-
 def serialize_circuit(program: CircuitProgram) -> str:
     """Canonical text; parse(serialize(p)) == p."""
     lines = [f"model {program.model}", f"wires {program.wire_count}"]
     if program.init_kind == "ket":
         lines.append("init ket " + "".join(str(b) for b in program.init_values))
     else:
-        fmt = format_complex_exact if program.model == "quantum" else format_rational
+        fmt = entry_formatter(model_instance(program.model))
         lines.append("init vec " + " ".join(fmt(x) for x in program.init_values))
     for step in program.steps:
         lines.append(f"gate {step.gate} " + " ".join(str(w) for w in step.wires))
@@ -305,11 +302,7 @@ def _initial_state(program: CircuitProgram) -> ModelState:
                 program.init_line)
         vector = SVector(instance, program.init_values)
     try:
-        if program.model == "stochastic":
-            return ProbState(vector)
-        if program.model == "quantum":
-            return QuantumState(vector)
-        return FuzzyState(vector)
+        return VectorState(program.model, vector)
     except MembershipError as exc:
         raise ValidationError(f"initial state rejected: {exc}", program.init_line) from None
 
@@ -318,6 +311,10 @@ def validate(program: CircuitProgram, base_dir: str | Path = ".") -> ValidatedCi
     """Resolve gates, check memberships, wire ranges and the initial state."""
     if program.wire_count < 1:
         raise ValidationError("wire count must be positive")
+    if program.model != "classical" and program.wire_count > MAX_DENSE_WIRES:
+        raise ValidationError(
+            f"{program.model} programs take at most {MAX_DENSE_WIRES} wires "
+            f"(2^{MAX_DENSE_WIRES} state entries), got {program.wire_count}")
     base = Path(base_dir)
     gates, plans = [], []
     for step in program.steps:
@@ -415,13 +412,9 @@ def _step_plan(gate: GateDescriptor, targets: Sequence[int]) -> StepPlan:
     return permutation_from_matrix(bound) if gate.model == "classical" else bound
 
 
-def _wrap_state(model: str, vector: SVector) -> ModelState:
+def _wrap_state(model: str, vector: SVector) -> VectorState:
     try:
-        if model == "stochastic":
-            return ProbState(vector)
-        if model == "quantum":
-            return QuantumState(vector)
-        return FuzzyState(vector)
+        return VectorState(model, vector)
     except MembershipError as exc:
         raise InternalCheckError(
             f"intermediate state failed membership: {exc}") from None

@@ -97,6 +97,9 @@ def cmd_apply(args) -> int:
         if reason is not None:
             print(f"error: {reason}", file=sys.stderr)
             return 1
+    if gate.cols != len(state):
+        raise ValidationError(
+            f"a {gate.rows}x{gate.cols} gate cannot act on a state of length {len(state)}")
     result = mat_vec(gate, state)
     reason = state_violation(args.model, result)
     if reason is not None:

@@ -12,9 +12,8 @@ instance.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 from .algebra import (
     COMPLEX_TOL,
@@ -39,17 +38,12 @@ __all__ = [
     "kron_vec",
     "identity",
     "zeros",
-    "zero_vector",
-    "scale",
-    "linear_combination",
-    "linearly_independent",
     "equal",
     "entry_parser",
     "entry_formatter",
     "parse_matrix_text",
     "serialize_matrix",
     "as_vector",
-    "vector_to_matrix",
 ]
 
 
@@ -62,10 +56,6 @@ class SVector:
         object.__setattr__(self, "entries", tuple(self.entries))
         if not self.entries:
             raise ValueError("empty vector")
-
-    @property
-    def length(self) -> int:
-        return len(self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -202,48 +192,6 @@ def zeros(s: SemiringInstance, n: int) -> SMatrix:
     return SMatrix(s, ((s.zero,) * n,) * n)
 
 
-def zero_vector(s: SemiringInstance, n: int) -> SVector:
-    return SVector(s, (s.zero,) * n)
-
-
-def scale(r, v: SVector) -> SVector:
-    """Scalar action mul(r, -) applied entrywise."""
-    s = v.instance
-    return SVector(s, tuple(s.mul(r, x) for x in v.entries))
-
-
-def linear_combination(coeffs: Sequence, vectors: Sequence[SVector]) -> SVector:
-    if len(coeffs) != len(vectors):
-        raise ValueError("one coefficient per vector required")
-    if not vectors:
-        raise ValueError("empty combination")
-    acc = scale(coeffs[0], vectors[0])
-    for r, v in zip(coeffs[1:], vectors[1:]):
-        acc = add(acc, scale(r, v))
-    return acc
-
-
-def linearly_independent(vectors: Sequence[SVector], grid: Sequence) -> bool:
-    """Grid-bounded independence test.
-
-    True iff no two distinct coefficient tuples drawn from `grid` produce
-    the same linear combination of `vectors`.
-    """
-    if not vectors:
-        raise ValueError("empty vector set")
-    if not grid:
-        raise ValueError("empty coefficient grid")
-    s = vectors[0].instance
-    if any(v.instance != s for v in vectors) or len({len(v) for v in vectors}) != 1:
-        raise ValueError("vectors must share an instance and a length")
-    seen: dict[tuple, tuple] = {}
-    for coeffs in itertools.product(grid, repeat=len(vectors)):
-        combo = linear_combination(coeffs, vectors).entries
-        if seen.setdefault(combo, coeffs) != coeffs:
-            return False
-    return True
-
-
 def equal(a, b, tol: float = COMPLEX_TOL) -> bool:
     """Instance-aware comparison: exact, except complex within `tol`."""
     if a.instance != b.instance:
@@ -333,7 +281,3 @@ def as_vector(m: SMatrix) -> SVector:
     if m.rows == 1:
         return SVector(m.instance, m.entries[0])
     raise ValueError(f"{m.rows}x{m.cols} matrix is not a vector")
-
-
-def vector_to_matrix(v: SVector) -> SMatrix:
-    return SMatrix(v.instance, tuple((x,) for x in v.entries))

@@ -8,7 +8,8 @@ and for gates:
     quantum     complex      unit-norm vectors    unitary matrices
     fuzzy       fuzz-mv      min-0 (or all-ones)  column-min-0 (or all-ones)
 
-Named gates visible to the circuit DSL are registered here.  Classical
+Each model is one row of `MODELS`: its carrier, predicates and builtin
+gates are lookups in that row, so a new model is a new row.  Classical
 gates that are not invertible (AND, OR, XOR, NAND, NOR, FANOUT) appear
 through their reversible embedding: one extra target wire receives
 y XOR f(x), so every registered matrix passes its model's predicate.
@@ -19,89 +20,105 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable, Mapping
 
-from ..algebra import (
-    BOOLEAN,
-    COMPLEX,
-    FUZZ_MV,
-    PROBABILITY,
-    SemiringInstance,
-)
+from ..algebra import BOOLEAN, COMPLEX, FUZZ_MV, PROBABILITY, SemiringInstance
 from ..errors import MembershipError
 from ..linalg import SMatrix, SVector
 from . import classical, fuzzy, quantum, stochastic
-from .classical import (
-    ClassicalState,
-    TruthTable,
-    classical_gate,
-    is_permutation_matrix,
-    matrix_from_permutation,
-    reversible_embed,
-    synthesize_circuit,
-)
-from .fuzzy import (
-    FuzzyState,
-    fuzzy_apply,
-    fuzzy_basis_ket,
-    fuzzy_pointwise_product,
-    fuzzy_tensor,
-    is_fuzzy_gate,
-    is_fuzzy_state,
-)
-from .quantum import QuantumState, is_unitary, measure, quantum_gate
-from .stochastic import ProbState, is_stochastic, markov_step
 
 __all__ = [
+    "Model",
+    "MODELS",
     "MODEL_NAMES",
     "GateDescriptor",
+    "VectorState",
     "model_instance",
     "builtin_gate",
-    "builtin_gate_names",
     "gate_violation",
     "state_violation",
     "gate_descriptor_from_matrix",
-    "classical",
-    "stochastic",
-    "quantum",
-    "fuzzy",
-    "ClassicalState",
-    "TruthTable",
-    "classical_gate",
-    "is_permutation_matrix",
-    "matrix_from_permutation",
-    "reversible_embed",
-    "synthesize_circuit",
-    "ProbState",
-    "is_stochastic",
-    "markov_step",
-    "QuantumState",
-    "is_unitary",
-    "quantum_gate",
-    "measure",
-    "FuzzyState",
-    "is_fuzzy_state",
-    "is_fuzzy_gate",
-    "fuzzy_apply",
-    "fuzzy_pointwise_product",
-    "fuzzy_tensor",
-    "fuzzy_basis_ket",
 ]
 
-MODEL_NAMES = ("classical", "stochastic", "quantum", "fuzzy")
 
-_INSTANCE_OF = {
-    "classical": BOOLEAN,
-    "stochastic": PROBABILITY,
-    "quantum": COMPLEX,
-    "fuzzy": FUZZ_MV,
-}
+@dataclass(frozen=True)
+class Model:
+    """A model of computation: its carrier, membership predicates and named gates.
+
+    `gates` maps each builtin name to a zero-argument constructor of its
+    matrix; `builtin_gate` runs it on first lookup, not at import.
+    """
+
+    name: str
+    instance: SemiringInstance
+    state_violation: Callable[[SVector], str | None]
+    gate_violation: Callable[[SMatrix], str | None]
+    gates: Mapping[str, Callable[[], SMatrix]]
+
+
+_SWAP = (0, 2, 1, 3)  # exchanges the two bits of a 2-bit index
+
+
+def _permutation_gates(instance: SemiringInstance) -> dict[str, Callable[[], SMatrix]]:
+    perms = {"NOT": (1, 0), "CNOT": (0, 1, 3, 2), "SWAP": _SWAP}
+    return {name: functools.partial(classical.matrix_from_permutation, perm, instance)
+            for name, perm in perms.items()}
+
+
+def _embedded_gate(name: str) -> Callable[[], SMatrix]:
+    return lambda: classical.reversible_embed(classical.classical_gate(name))
+
+
+# The predicates are looked up in their module at call time, not captured
+# here, so that replacing a module attribute (as a tracer does) reaches them.
+MODELS = {m.name: m for m in (
+    Model("classical", BOOLEAN,
+          lambda v: classical.basis_vector_violation(v),
+          lambda m: classical.permutation_violation(m),
+          {**_permutation_gates(BOOLEAN),
+           **{name: _embedded_gate(name) for name in ("AND", "OR", "XOR", "NAND", "NOR")},
+           # copying onto a 0 ancilla is the embedding of the identity table
+           "FANOUT": lambda: classical.reversible_embed(classical.TruthTable(1, 1, (0, 1)))}),
+    Model("stochastic", PROBABILITY,
+          lambda v: stochastic.distribution_violation(v),
+          lambda m: stochastic.stochastic_violation(m),
+          _permutation_gates(PROBABILITY)),
+    Model("quantum", COMPLEX,
+          lambda v: quantum.state_norm_violation(v),
+          lambda m: quantum.unitary_violation(m),
+          {name: functools.partial(quantum.quantum_gate, name)
+           for name in quantum.QUANTUM_GATE_NAMES}),
+    Model("fuzzy", FUZZ_MV,
+          lambda v: fuzzy.fuzzy_state_violation(v),
+          lambda m: fuzzy.fuzzy_gate_violation(m),
+          {"FID": lambda: fuzzy.fuzzy_identity(2),
+           "FNOT": fuzzy.fuzzy_not,
+           "FZERO": lambda: fuzzy.fuzzy_zero_gate(2),
+           "FSWAP": lambda: fuzzy.fuzzy_permutation(_SWAP)}),
+)}
+
+MODEL_NAMES = tuple(MODELS)
+
+
+def _model(name: str) -> Model:
+    try:
+        return MODELS[name]
+    except KeyError:
+        raise ValueError(f"unknown model {name!r}") from None
 
 
 def model_instance(model: str) -> SemiringInstance:
-    try:
-        return _INSTANCE_OF[model]
-    except KeyError:
-        raise ValueError(f"unknown model {model!r}") from None
+    return _model(model).instance
+
+
+def gate_violation(model: str, m: SMatrix) -> str | None:
+    """The model's gate membership predicate, as a reason string or None."""
+    return _model(model).gate_violation(m)
+
+
+def state_violation(model: str, v: SVector) -> str | None:
+    """The model's state membership predicate applied to a column vector."""
+    return _model(model).state_violation(v)
 
 
 @dataclass(frozen=True)
@@ -124,109 +141,28 @@ class GateDescriptor:
             raise MembershipError(f"{self.model} gate {self.name!r}: {violation}")
 
 
-def gate_violation(model: str, m: SMatrix) -> str | None:
-    """The model's gate membership predicate, as a reason string or None."""
-    if model == "classical":
-        return classical.permutation_violation(m)
-    if model == "stochastic":
-        return stochastic.stochastic_violation(m)
-    if model == "quantum":
-        return quantum.unitary_violation(m)
-    if model == "fuzzy":
-        return fuzzy.fuzzy_gate_violation(m)
-    raise ValueError(f"unknown model {model!r}")
+@dataclass(frozen=True)
+class VectorState:
+    """A member state of a model that keeps the whole vector (all but classical)."""
 
+    model: str
+    vector: SVector
 
-def state_violation(model: str, v: SVector) -> str | None:
-    """The model's state membership predicate applied to a column vector."""
-    if model == "classical":
-        ones = [i for i, x in enumerate(v.entries) if x == 1]
-        if v.instance.name != "boolean":
-            return f"instance {v.instance.name} is not the boolean carrier"
-        if any(x != 0 and x != 1 for x in v.entries):
-            return "entries must be 0 or 1"
-        if len(ones) != 1:
-            return f"basis vector needs exactly one 1, found {len(ones)}"
-        return None
-    if model == "stochastic":
-        return stochastic.distribution_violation(v)
-    if model == "quantum":
-        return quantum.state_norm_violation(v)
-    if model == "fuzzy":
-        return fuzzy.fuzzy_state_violation(v)
-    raise ValueError(f"unknown model {model!r}")
-
-
-def _swap_permutation() -> list[int]:
-    return [0, 2, 1, 3]  # exchanges the two bits of a 2-bit index
+    def __post_init__(self):
+        violation = state_violation(self.model, self.vector)
+        if violation is not None:
+            raise MembershipError(violation)
 
 
 @functools.lru_cache(maxsize=None)
 def builtin_gate(model: str, name: str) -> GateDescriptor:
     """Look up a named gate; raises ValueError for names the model lacks."""
-    if model == "classical":
-        if name == "NOT":
-            matrix = matrix_from_permutation([1, 0])
-        elif name == "CNOT":
-            matrix = matrix_from_permutation([0, 1, 3, 2])
-        elif name == "SWAP":
-            matrix = matrix_from_permutation(_swap_permutation())
-        elif name in ("AND", "OR", "XOR", "NAND", "NOR"):
-            matrix = reversible_embed(classical_gate(name))
-        elif name == "FANOUT":
-            # copying onto a 0 ancilla is the embedding of the identity table
-            matrix = reversible_embed(TruthTable(1, 1, (0, 1)))
-        else:
-            raise ValueError(f"unknown classical gate {name!r}")
-    elif model == "stochastic":
-        if name == "NOT":
-            matrix = matrix_from_permutation([1, 0], PROBABILITY)
-        elif name == "CNOT":
-            matrix = matrix_from_permutation([0, 1, 3, 2], PROBABILITY)
-        elif name == "SWAP":
-            matrix = matrix_from_permutation(_swap_permutation(), PROBABILITY)
-        else:
-            raise ValueError(f"unknown stochastic gate {name!r}")
-    elif model == "quantum":
-        if name in quantum.QUANTUM_GATE_NAMES:
-            matrix = quantum_gate(name)
-        elif name == "SWAP":
-            perm = _swap_permutation()
-            matrix = SMatrix(COMPLEX, tuple(
-                tuple(complex(1) if perm[j] == i else complex(0) for j in range(4))
-                for i in range(4)))
-        else:
-            raise ValueError(f"unknown quantum gate {name!r}")
-    elif model == "fuzzy":
-        if name == "FID":
-            matrix = fuzzy.fuzzy_identity(2)
-        elif name == "FNOT":
-            matrix = fuzzy.fuzzy_not()
-        elif name == "FZERO":
-            matrix = fuzzy.fuzzy_zero_gate(2)
-        elif name == "FSWAP":
-            matrix = fuzzy.fuzzy_permutation(_swap_permutation())
-        else:
-            raise ValueError(f"unknown fuzzy gate {name!r}")
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    arity = int(math.log2(matrix.rows))
-    return GateDescriptor(model, name, arity, matrix)
-
-
-_BUILTIN_NAMES = {
-    "classical": ("NOT", "CNOT", "SWAP", "AND", "OR", "XOR", "NAND", "NOR", "FANOUT"),
-    "stochastic": ("NOT", "CNOT", "SWAP"),
-    "quantum": ("X", "H", "Z", "CNOT", "SWAP"),
-    "fuzzy": ("FID", "FNOT", "FZERO", "FSWAP"),
-}
-
-
-def builtin_gate_names(model: str) -> tuple[str, ...]:
     try:
-        return _BUILTIN_NAMES[model]
+        make = _model(model).gates[name]
     except KeyError:
-        raise ValueError(f"unknown model {model!r}") from None
+        raise ValueError(f"unknown {model} gate {name!r}") from None
+    matrix = make()
+    return GateDescriptor(model, name, int(math.log2(matrix.rows)), matrix)
 
 
 def gate_descriptor_from_matrix(model: str, name: str, matrix: SMatrix) -> GateDescriptor:

@@ -14,12 +14,13 @@ from typing import Sequence
 
 from ..algebra import BOOLEAN, ONE, ZERO, SemiringInstance
 from ..errors import MembershipError
-from ..linalg import SMatrix
+from ..linalg import SMatrix, SVector
 
 __all__ = [
     "ClassicalState",
     "TruthTable",
     "classical_gate",
+    "basis_vector_violation",
     "is_permutation_matrix",
     "permutation_violation",
     "permutation_from_matrix",
@@ -27,7 +28,6 @@ __all__ = [
     "SynthStep",
     "SynthCircuit",
     "synthesize_circuit",
-    "evaluate_circuit",
     "circuit_truth_table",
     "reversible_embed",
 ]
@@ -94,6 +94,18 @@ def classical_gate(name: str) -> TruthTable:
         return _GATE_TABLES[name]
     except KeyError:
         raise ValueError(f"unknown classical gate {name!r}") from None
+
+
+def basis_vector_violation(v: SVector) -> str | None:
+    """None if `v` is a boolean basis vector, else the reason it is not."""
+    if v.instance.name != "boolean":
+        return f"instance {v.instance.name} is not the boolean carrier"
+    if any(x != 0 and x != 1 for x in v.entries):
+        return "entries must be 0 or 1"
+    ones = sum(1 for x in v.entries if x == 1)
+    if ones != 1:
+        return f"basis vector needs exactly one 1, found {ones}"
+    return None
 
 
 # --- permutation matrices -----------------------------------------------------
@@ -217,27 +229,6 @@ def synthesize_circuit(table: TruthTable) -> SynthCircuit:
 
     out = build(table.outputs, tuple(range(table.n_inputs)))
     return SynthCircuit(table.n_inputs, counter[0], tuple(steps), out)
-
-
-def evaluate_circuit(circuit: SynthCircuit, input_index: int) -> int:
-    """Run the straight-line program on one input assignment."""
-    values = [0] * circuit.n_wires
-    for i in range(circuit.n_inputs):
-        values[i] = (input_index >> i) & 1
-    for step in circuit.steps:
-        if step.op == "CONST":
-            values[step.target] = step.value
-        elif step.op == "NOT":
-            values[step.target] = values[step.args[0]] ^ 1
-        elif step.op == "AND":
-            values[step.target] = values[step.args[0]] & values[step.args[1]]
-        elif step.op == "OR":
-            values[step.target] = values[step.args[0]] | values[step.args[1]]
-        elif step.op == "XOR":
-            values[step.target] = values[step.args[0]] ^ values[step.args[1]]
-        else:
-            raise ValueError(f"unknown op {step.op!r}")
-    return values[circuit.output_wire]
 
 
 def circuit_truth_table(circuit: SynthCircuit) -> TruthTable:

@@ -11,20 +11,17 @@ swap J = [[1, 0], [0, 1]] is an involution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..algebra import FUZZ_MV, ONE, ZERO, neg
-from ..errors import MembershipError
-from ..linalg import SMatrix, SVector, identity, kron_vec, mat_vec
+from ..linalg import SMatrix, SVector, identity, kron_vec
+
+if TYPE_CHECKING:
+    from . import VectorState
 
 __all__ = [
-    "FuzzyState",
     "fuzzy_state_violation",
-    "is_fuzzy_state",
     "fuzzy_gate_violation",
-    "is_fuzzy_gate",
-    "fuzzy_apply",
     "fuzzy_pointwise_product",
     "fuzzy_tensor",
     "fuzzy_basis_ket",
@@ -36,20 +33,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FuzzyState:
-    vector: SVector
-
-    def __post_init__(self):
-        violation = fuzzy_state_violation(self.vector)
-        if violation is not None:
-            raise MembershipError(violation)
-
-    @property
-    def length(self) -> int:
-        return len(self.vector)
-
-
 def fuzzy_state_violation(v: SVector) -> str | None:
     if v.instance.name != "fuzz-mv":
         return f"instance {v.instance.name} is not the fuzz-mv carrier"
@@ -57,10 +40,6 @@ def fuzzy_state_violation(v: SVector) -> str | None:
     if low == ZERO or all(x == ONE for x in v.entries):
         return None
     return f"minimum entry is {low}, expected 0 (or all entries 1)"
-
-
-def is_fuzzy_state(v: SVector) -> bool:
-    return fuzzy_state_violation(v) is None
 
 
 def fuzzy_gate_violation(m: SMatrix) -> str | None:
@@ -78,43 +57,34 @@ def fuzzy_gate_violation(m: SMatrix) -> str | None:
     return None
 
 
-def is_fuzzy_gate(m: SMatrix) -> bool:
-    return fuzzy_gate_violation(m) is None
-
-
-def fuzzy_apply(m: SMatrix, state: FuzzyState) -> FuzzyState:
-    """Left action of a fuzzy gate; membership of the result is re-checked."""
-    violation = fuzzy_gate_violation(m)
-    if violation is not None:
-        raise MembershipError(f"not a fuzzy gate: {violation}")
-    return FuzzyState(mat_vec(m, state.vector))
-
-
-def fuzzy_pointwise_product(u: FuzzyState, v: FuzzyState) -> FuzzyState:
+def fuzzy_pointwise_product(u: VectorState, v: VectorState) -> VectorState:
     """Componentwise min; the semigroup product on fuzzy states."""
-    if u.length != v.length:
+    from . import VectorState  # the package imports this module first
+    if len(u.vector) != len(v.vector):
         raise ValueError("length mismatch")
-    return FuzzyState(SVector(FUZZ_MV, tuple(
+    return VectorState("fuzzy", SVector(FUZZ_MV, tuple(
         min(x, y) for x, y in zip(u.vector.entries, v.vector.entries))))
 
 
-def fuzzy_tensor(states: Sequence[FuzzyState]) -> FuzzyState:
+def fuzzy_tensor(states: Sequence[VectorState]) -> VectorState:
     """Kronecker product of fuzzy states, first factor most significant."""
+    from . import VectorState  # the package imports this module first
     if not states:
         raise ValueError("empty tensor product")
     acc = states[0].vector
     for st in states[1:]:
         acc = kron_vec(acc, st.vector)
-    return FuzzyState(acc)
+    return VectorState("fuzzy", acc)
 
 
-def fuzzy_basis_ket(bits: Sequence[int]) -> FuzzyState:
+def fuzzy_basis_ket(bits: Sequence[int]) -> VectorState:
     """|b_{n-1} ... b_0> with |0> = (0, 1) and |1> = (1, 0), leftmost first."""
+    from . import VectorState  # the package imports this module first
     if not bits:
         raise ValueError("empty bit list")
     if any(b not in (0, 1) for b in bits):
         raise ValueError("bits must be 0 or 1")
-    singles = [FuzzyState(SVector(FUZZ_MV, (ONE, ZERO) if b else (ZERO, ONE)))
+    singles = [VectorState("fuzzy", SVector(FUZZ_MV, (ONE, ZERO) if b else (ZERO, ONE)))
                for b in bits]
     return fuzzy_tensor(singles)
 

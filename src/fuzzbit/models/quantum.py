@@ -9,14 +9,15 @@ the cumulative distribution of squared amplitude magnitudes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..algebra import COMPLEX, COMPLEX_TOL
-from ..errors import MembershipError
 from ..linalg import SMatrix, SVector
 
+if TYPE_CHECKING:
+    from . import VectorState
+
 __all__ = [
-    "QuantumState",
     "state_norm_violation",
     "is_unitary",
     "unitary_violation",
@@ -36,28 +37,13 @@ _GATES = {
              (0j, 1 + 0j, 0j, 0j),
              (0j, 0j, 0j, 1 + 0j),
              (0j, 0j, 1 + 0j, 0j)),
+    "SWAP": ((1 + 0j, 0j, 0j, 0j),
+             (0j, 0j, 1 + 0j, 0j),
+             (0j, 1 + 0j, 0j, 0j),
+             (0j, 0j, 0j, 1 + 0j)),
 }
 
 QUANTUM_GATE_NAMES = tuple(_GATES)
-
-
-@dataclass(frozen=True)
-class QuantumState:
-    """A complex amplitude vector of norm 1 (within tolerance)."""
-
-    vector: SVector
-
-    def __post_init__(self):
-        violation = state_norm_violation(self.vector)
-        if violation is not None:
-            raise MembershipError(violation)
-
-    @property
-    def length(self) -> int:
-        return len(self.vector)
-
-    def probabilities(self) -> tuple[float, ...]:
-        return tuple(abs(a) ** 2 for a in self.vector.entries)
 
 
 def state_norm_violation(v: SVector, tol: float = COMPLEX_TOL) -> str | None:
@@ -93,7 +79,7 @@ def is_unitary(m: SMatrix, tol: float = COMPLEX_TOL) -> bool:
 
 
 def quantum_gate(name: str) -> SMatrix:
-    """One of the named gates X, H, Z, CNOT as a complex matrix."""
+    """One of the named gates X, H, Z, CNOT, SWAP as a complex matrix."""
     try:
         return SMatrix(COMPLEX, _GATES[name])
     except KeyError:
@@ -111,7 +97,7 @@ def splitmix64(seed: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def measure(state: QuantumState, seed: int) -> int:
+def measure(state: VectorState, seed: int) -> int:
     """Sample a basis index from |amplitude|^2 via one seeded uniform draw.
 
     The draw is (splitmix64(seed) >> 11) / 2^53; the inverse CDF walk

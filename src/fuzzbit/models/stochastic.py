@@ -8,35 +8,15 @@ a semigroup rather than a group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from ..errors import MembershipError
-from ..linalg import SMatrix, SVector, mat_vec
+from ..linalg import SMatrix, SVector
 
 __all__ = [
-    "ProbState",
     "stochastic_violation",
     "is_stochastic",
     "distribution_violation",
-    "markov_step",
 ]
-
-
-@dataclass(frozen=True)
-class ProbState:
-    """A probability distribution over basis states."""
-
-    vector: SVector
-
-    def __post_init__(self):
-        violation = distribution_violation(self.vector)
-        if violation is not None:
-            raise MembershipError(violation)
-
-    @property
-    def length(self) -> int:
-        return len(self.vector)
 
 
 def distribution_violation(v: SVector) -> str | None:
@@ -70,11 +50,3 @@ def stochastic_violation(m: SMatrix) -> str | None:
 
 def is_stochastic(m: SMatrix) -> bool:
     return stochastic_violation(m) is None
-
-
-def markov_step(m: SMatrix, state: ProbState) -> ProbState:
-    """One exact update of the distribution; closure is re-checked."""
-    violation = stochastic_violation(m)
-    if violation is not None:
-        raise MembershipError(f"not a stochastic matrix: {violation}")
-    return ProbState(mat_vec(m, state.vector))

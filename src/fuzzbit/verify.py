@@ -420,6 +420,10 @@ def check_tensor_laws(grid) -> CheckReport:
     return report
 
 
+def _det2(m) -> Fraction:
+    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+
 def check_stochastic_semigroup(grid) -> CheckReport:
     """Product closure of column-stochastic grid matrices, plus inverse exhibits."""
     t0 = time.perf_counter()
@@ -438,13 +442,14 @@ def check_stochastic_semigroup(grid) -> CheckReport:
 
     # the uniform matrix is singular: no inverse at all
     half = Fraction(1, 2)
+    uniform = ((half, half), (half, half))
     report.cases += 1
-    if half * half - half * half != 0:
-        report.failures.append(("singular-exhibit",))
+    if _det2(uniform) != 0:
+        report.failures.append(("singular-exhibit", uniform))
 
     # an invertible stochastic matrix whose inverse leaves the family
     m = ((Fraction(9, 10), Fraction(2, 10)), (Fraction(1, 10), Fraction(8, 10)))
-    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    det = _det2(m)
     inv = ((m[1][1] / det, -m[0][1] / det), (-m[1][0] / det, m[0][0] / det))
     prod = tuple(tuple(sum(m[i][k] * inv[k][j] for k in range(2)) for j in range(2))
                  for i in range(2))

@@ -24,18 +24,17 @@ from fuzzbit.linalg import (
     mat_vec,
     serialize_matrix,
 )
-from fuzzbit.models import builtin_gate
+from fuzzbit.models import VectorState, builtin_gate
 from fuzzbit.models.classical import (
     TruthTable,
     circuit_truth_table,
-    evaluate_circuit,
     is_permutation_matrix,
     permutation_from_matrix,
     reversible_embed,
     synthesize_circuit,
 )
-from fuzzbit.models.fuzzy import FuzzyState, complement, fuzzy_basis_ket, fuzzy_state_violation
-from fuzzbit.models.quantum import QuantumState, is_unitary, measure, quantum_gate, splitmix64, state_norm_violation
+from fuzzbit.models.fuzzy import complement, fuzzy_basis_ket, fuzzy_state_violation
+from fuzzbit.models.quantum import is_unitary, measure, quantum_gate, splitmix64, state_norm_violation
 from fuzzbit.models.stochastic import stochastic_violation
 from fuzzbit.verify import check_oracle_agreement, grid_values, run_all
 
@@ -152,7 +151,7 @@ def test_criterion_5_quantum_desk_checks():
     h, z, x = quantum_gate("H"), quantum_gate("Z"), quantum_gate("X")
     assert equal(mat_mul(mat_mul(h, z), h), x)
 
-    plus = QuantumState(mat_vec(h, SVector(h.instance, (1 + 0j, 0j))))
+    plus = VectorState("quantum", mat_vec(h, SVector(h.instance, (1 + 0j, 0j))))
     zeros = sum(1 for seed in range(10000) if measure(plus, seed) == 0)
     frequency = zeros / 10000
     assert 0.485 <= frequency <= 0.515
@@ -230,7 +229,7 @@ def test_criterion_7_documented_counterexamples():
     assert nonmember == fvec(1, "1/2")
     assert fuzzy_state_violation(nonmember) is not None
     with pytest.raises(Exception):
-        FuzzyState(nonmember)
+        VectorState("fuzzy", nonmember)
 
     m = ((Fraction(9, 10), Fraction(2, 10)), (Fraction(1, 10), Fraction(8, 10)))
     det = m[0][0] * m[1][1] - m[0][1] * m[1][0]

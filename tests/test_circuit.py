@@ -23,7 +23,7 @@ from fuzzbit.circuit import (
 )
 from fuzzbit.errors import InternalCheckError, ParseError, ValidationError
 from fuzzbit.linalg import SMatrix, SVector, equal, kron_mat, mat_mul, mat_vec, serialize_matrix
-from fuzzbit.models import builtin_gate, builtin_gate_names, model_instance
+from fuzzbit.models import MODELS, builtin_gate, model_instance
 from fuzzbit.models.classical import (
     ClassicalState,
     TruthTable,
@@ -262,7 +262,7 @@ def random_programs(draw):
     lines = [f"model {model}", f"wires {n}", f"init ket {bits}"]
     files = {}
     for k in range(draw(st.integers(1, 6))):
-        builtins = [name for name in builtin_gate_names(model)
+        builtins = [name for name in MODELS[model].gates
                     if builtin_gate(model, name).arity <= n]
         if draw(st.booleans()):
             name = draw(st.sampled_from(builtins))

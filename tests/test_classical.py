@@ -10,7 +10,6 @@ from fuzzbit.models.classical import (
     TruthTable,
     circuit_truth_table,
     classical_gate,
-    evaluate_circuit,
     is_permutation_matrix,
     matrix_from_permutation,
     permutation_from_matrix,
@@ -76,15 +75,13 @@ def test_permutation_round_trip():
 
 
 def test_synthesis_matches_table_small():
-    # all 4 one-input and all 16 two-input tables; two cross-checking evaluators
+    # all 4 one-input and all 16 two-input tables
     for n in (1, 2):
         for code in range(1 << (1 << n)):
             bits = tuple((code >> i) & 1 for i in range(1 << n))
             table = TruthTable(n, 1, bits)
             circ = synthesize_circuit(table)
             assert circuit_truth_table(circ) == table
-            for x in range(1 << n):
-                assert evaluate_circuit(circ, x) == bits[x]
 
 
 def test_synthesis_gate_vocabulary():

@@ -5,6 +5,7 @@ import io
 import pytest
 
 from fuzzbit.algebra import FUZZ_MV
+from fuzzbit.circuit import MAX_DENSE_WIRES
 from fuzzbit.cli import main
 from fuzzbit.linalg import identity, parse_matrix_text
 
@@ -67,6 +68,15 @@ def test_apply_membership_failure(tmp_path, capsys):
     assert "minimum" in capsys.readouterr().err
 
 
+def test_apply_shape_mismatch_exits_1(tmp_path, capsys):
+    x = write(tmp_path, "x.mat", "instance complex 2 2\n0 1\n1 0\n")
+    state = write(tmp_path, "s.vec", "instance complex 1 4\n1 0 0 0\n")
+    assert main(["apply", "quantum", x, state]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: a 2x2 gate cannot act on a state of length 4\n"
+
+
 def test_kron_vectors_and_matrices(tmp_path, capsys):
     k0 = write(tmp_path, "k0.vec", "instance fuzz-mv 1 2\n0 1\n")
     k1 = write(tmp_path, "k1.vec", "instance fuzz-mv 1 2\n1 0\n")
@@ -104,6 +114,21 @@ def test_simulate_classical_output(tmp_path, capsys):
     assert main(["simulate", circ]) == 0
     out = capsys.readouterr().out
     assert "final index 3 ket 11" in out
+
+
+def test_dense_wire_limit(tmp_path, capsys, monkeypatch):
+    classical = write(tmp_path, "c.circ",
+                      "model classical\nwires 40\ninit ket " + "0" * 40 + "\ngate NOT 39\n")
+    assert main(["simulate", classical]) == 0
+    assert f"final index {1 << 39} ket 1" + "0" * 39 in capsys.readouterr().out
+
+    def no_dense_state(program):
+        raise AssertionError("a 2^40-entry state must not be built")
+
+    monkeypatch.setattr("fuzzbit.circuit._initial_state", no_dense_state)
+    fuzzy = write(tmp_path, "f.circ", "model fuzzy\nwires 40\ninit ket " + "0" * 40 + "\n")
+    assert main(["simulate", fuzzy]) == 1
+    assert f"at most {MAX_DENSE_WIRES} wires" in capsys.readouterr().err
 
 
 def test_simulate_seed_rules(tmp_path, capsys):

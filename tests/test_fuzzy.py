@@ -4,11 +4,10 @@ import pytest
 
 from fuzzbit.algebra import FUZZ_MV, UnitScalar
 from fuzzbit.errors import MembershipError
-from fuzzbit.linalg import SMatrix, SVector, identity, mat_mul
+from fuzzbit.linalg import SMatrix, SVector, identity, mat_mul, mat_vec
+from fuzzbit.models import VectorState, gate_descriptor_from_matrix
 from fuzzbit.models.fuzzy import (
-    FuzzyState,
     complement,
-    fuzzy_apply,
     fuzzy_basis_ket,
     fuzzy_gate_violation,
     fuzzy_identity,
@@ -38,7 +37,7 @@ def test_state_membership():
     assert "minimum" in fuzzy_state_violation(fvec("1/2", "1/2"))
     assert fuzzy_state_violation(fvec(1, "1/2")) is not None
     with pytest.raises(MembershipError):
-        FuzzyState(fvec("1/4", "3/4"))
+        VectorState("fuzzy", fvec("1/4", "3/4"))
 
 
 def test_gate_membership():
@@ -61,15 +60,17 @@ def test_identity_and_involution():
 
 
 def test_apply():
+    # the action is mat_vec; VectorState re-checks that the result is a state
     j = fuzzy_not()
-    out = fuzzy_apply(j, FuzzyState(fvec(0, "3/4")))
-    assert out.vector == fvec("3/4", 0)
     a = fmat([["3/10", 1], [0, 0]])
-    assert fuzzy_apply(a, FuzzyState(fvec(0, "1/2"))).vector == fvec("3/10", 0)
-    absorb = fuzzy_apply(fuzzy_zero_gate(2), FuzzyState(fvec(0, "2/3")))
+    assert fuzzy_gate_violation(a) is None
+    out = VectorState("fuzzy", mat_vec(j, fvec(0, "3/4")))
+    assert out.vector == fvec("3/4", 0)
+    assert VectorState("fuzzy", mat_vec(a, fvec(0, "1/2"))).vector == fvec("3/10", 0)
+    absorb = VectorState("fuzzy", mat_vec(fuzzy_zero_gate(2), fvec(0, "2/3")))
     assert absorb.vector == fvec(1, 1)
     with pytest.raises(MembershipError):
-        fuzzy_apply(fmat([[0, 1], [1, "1/2"]]), FuzzyState(fvec(0, 1)))
+        gate_descriptor_from_matrix("fuzzy", "bad", fmat([[0, 1], [1, "1/2"]]))
 
 
 def test_basis_kets_and_tensor():
@@ -79,17 +80,19 @@ def test_basis_kets_and_tensor():
     assert fuzzy_basis_ket([0, 1]).vector == fvec(1, 0, 1, 1)
     assert fuzzy_basis_ket([1, 0]).vector == fvec(1, 1, 0, 1)
     assert fuzzy_basis_ket([1, 1]).vector == fvec(1, 1, 1, 0)
-    mixed = fuzzy_tensor([FuzzyState(fvec(0, "1/2")), FuzzyState(fvec(0, "1/3"))])
+    mixed = fuzzy_tensor([VectorState("fuzzy", fvec(0, "1/2")),
+                          VectorState("fuzzy", fvec(0, "1/3"))])
     assert mixed.vector == fvec(0, "1/3", "1/2", "5/6")
     assert fuzzy_state_violation(mixed.vector) is None
     three = fuzzy_basis_ket([0, 1, 1])
-    assert three.length == 8 and three.vector.entries[3] == 0
+    assert len(three.vector) == 8 and three.vector.entries[3] == 0
     with pytest.raises(ValueError):
         fuzzy_basis_ket([0, 2])
 
 
 def test_pointwise_product():
-    p = fuzzy_pointwise_product(FuzzyState(fvec(0, "3/4")), FuzzyState(fvec(0, "1/2")))
+    p = fuzzy_pointwise_product(VectorState("fuzzy", fvec(0, "3/4")),
+                                VectorState("fuzzy", fvec(0, "1/2")))
     assert p.vector == fvec(0, "1/2")
 
 

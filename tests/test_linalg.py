@@ -15,15 +15,11 @@ from fuzzbit.linalg import (
     identity,
     kron_mat,
     kron_vec,
-    linear_combination,
-    linearly_independent,
     mat_mul,
     mat_vec,
     mat_vec_block,
     parse_matrix_text,
-    scale,
     serialize_matrix,
-    zero_vector,
     zeros,
 )
 
@@ -56,7 +52,6 @@ def test_identity_is_role_based():
     assert identity(FUZZ_MV, 2) == fmat([[0, 1], [1, 0]])
     assert identity(BOOLEAN, 2).entries == ((U(1), U(0)), (U(0), U(1)))
     assert zeros(FUZZ_MV, 2) == fmat([[1, 1], [1, 1]])
-    assert zero_vector(FUZZ_MV, 3) == fvec(1, 1, 1)
 
 
 def test_fuzzy_matrix_product():
@@ -70,11 +65,8 @@ def test_fuzzy_matrix_product():
     assert mat_vec(fmat([[1, 1], [1, 1]]), fvec(0, "3/4")) == fvec(1, 1)
 
 
-def test_add_and_scale():
+def test_add():
     assert add(fvec(0, "1/2"), fvec("1/4", 1)) == fvec(0, "1/2")
-    assert scale(U(1, 2), fvec(0, "3/4")) == fvec("1/2", 1)
-    combo = linear_combination([U(0), U(1)], [fvec(0, 1), fvec(1, 0)])
-    assert combo == fvec(0, 1)
 
 
 def test_probability_product():
@@ -103,16 +95,6 @@ def test_kron_mat():
     left = mat_mul(kron_mat(a, b), kron_mat(ident, b))
     right = kron_mat(mat_mul(a, ident), mat_mul(b, b))
     assert left == right
-
-
-def test_linear_independence():
-    grid = (U(0), U(1, 2), U(1))
-    # (0,0) is not the zero vector here; c |-> (c,c) is injective
-    assert linearly_independent([fvec(0, 0)], grid)
-    # the semimodule zero is (1,1): every coefficient gives (1,1)
-    assert not linearly_independent([fvec(1, 1)], grid)
-    assert linearly_independent([fvec(0, 1), fvec(1, 0)], grid)
-    assert not linearly_independent([fvec(0, 1), fvec(0, 1)], grid)
 
 
 def test_mat_vec_block_equals_the_padded_product():

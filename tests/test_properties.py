@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from fuzzbit.algebra import FUZZ_MV, UnitScalar, neg, odot, oplus, vee, wedge
 from fuzzbit.circuit import lift_gate
 from fuzzbit.linalg import SMatrix, SVector, kron_mat, kron_vec, mat_mul, mat_vec
-from fuzzbit.models import builtin_gate
-from fuzzbit.models.quantum import QuantumState, measure
+from fuzzbit.models import VectorState, builtin_gate
+from fuzzbit.models.quantum import measure
 
 units = st.fractions(min_value=0, max_value=1, max_denominator=60).map(UnitScalar)
 grid9 = st.sampled_from([UnitScalar(Fraction(k, 8)) for k in range(9)])
@@ -96,7 +96,7 @@ def test_mixed_product_law(a, b, c, d):
 @given(st.integers(min_value=0, max_value=2 ** 64 - 1),
        st.floats(min_value=0.0, max_value=math.pi / 2, allow_nan=False))
 def test_measure_lands_on_support(seed, theta):
-    state = QuantumState(SVector(
+    state = VectorState("quantum", SVector(
         builtin_gate("quantum", "H").matrix.instance,
         (complex(math.cos(theta)), complex(0, math.sin(theta)))))
     outcome = measure(state, seed)

@@ -7,8 +7,8 @@ import pytest
 from fuzzbit.algebra import COMPLEX, COMPLEX_TOL
 from fuzzbit.errors import MembershipError
 from fuzzbit.linalg import SMatrix, SVector, equal, kron_vec, mat_mul, mat_vec
+from fuzzbit.models import VectorState
 from fuzzbit.models.quantum import (
-    QuantumState,
     is_unitary,
     measure,
     quantum_gate,
@@ -56,15 +56,14 @@ def test_state_norm():
     assert state_norm_violation(qvec(0.6, 0.8j)) is None
     assert state_norm_violation(qvec(0.5, 0.5)) is not None
     assert state_norm_violation(qvec(float("nan"), 0)) is not None
-    s = QuantumState(qvec(0.6, 0.8j))
-    assert s.probabilities() == (pytest.approx(0.36), pytest.approx(0.64))
+    VectorState("quantum", qvec(0.6, 0.8j))
     with pytest.raises(MembershipError):
-        QuantumState(qvec(1, 1))
+        VectorState("quantum", qvec(1, 1))
 
 
 def test_kron_preserves_norm():
-    a = QuantumState(qvec(R2, R2))
-    b = QuantumState(qvec(0.6, 0.8j))
+    a = VectorState("quantum", qvec(R2, R2))
+    b = VectorState("quantum", qvec(0.6, 0.8j))
     prod = kron_vec(a.vector, b.vector)
     assert state_norm_violation(prod) is None
 
@@ -79,19 +78,19 @@ def test_splitmix64_reference_values():
 
 
 def test_measure_deterministic_and_supported():
-    plus = QuantumState(qvec(R2, R2))
+    plus = VectorState("quantum", qvec(R2, R2))
     assert measure(plus, 7) == measure(plus, 7)
-    down = QuantumState(qvec(0, 1))
+    down = VectorState("quantum", qvec(0, 1))
     assert all(measure(down, seed) == 1 for seed in range(200))
-    bell = QuantumState(qvec(R2, 0, 0, R2))
+    bell = VectorState("quantum", qvec(R2, 0, 0, R2))
     outcomes = {measure(bell, seed) for seed in range(500)}
     assert outcomes == {0, 3}
 
 
 def test_measure_frequencies():
-    plus = QuantumState(qvec(R2, R2))
+    plus = VectorState("quantum", qvec(R2, R2))
     zeros = sum(1 for seed in range(2000) if measure(plus, seed) == 0)
     assert 0.45 <= zeros / 2000 <= 0.55
-    skewed = QuantumState(qvec(0.6, 0.8j))
+    skewed = VectorState("quantum", qvec(0.6, 0.8j))
     ones = sum(1 for seed in range(10000) if measure(skewed, seed) == 1)
     assert 0.62 <= ones / 10000 <= 0.66

@@ -6,12 +6,11 @@ import pytest
 
 from fuzzbit.algebra import PROBABILITY
 from fuzzbit.errors import MembershipError
-from fuzzbit.linalg import SMatrix, SVector, mat_mul
+from fuzzbit.linalg import SMatrix, SVector, mat_mul, mat_vec
+from fuzzbit.models import VectorState, gate_descriptor_from_matrix
 from fuzzbit.models.stochastic import (
-    ProbState,
     distribution_violation,
     is_stochastic,
-    markov_step,
     stochastic_violation,
 )
 
@@ -34,9 +33,9 @@ def test_distribution_membership():
     assert distribution_violation(pvec(1, 0, 0, 0)) is None
     assert "sum" in distribution_violation(pvec("1/2", "1/3"))
     assert distribution_violation(pvec("3/2", "-1/2")) is not None
-    ProbState(pvec("2/3", "1/3"))
+    VectorState("stochastic", pvec("2/3", "1/3"))
     with pytest.raises(MembershipError):
-        ProbState(pvec("1/2", "1/3"))
+        VectorState("stochastic", pvec("1/2", "1/3"))
 
 
 def test_stochastic_violation_reasons():
@@ -51,14 +50,15 @@ def test_stochastic_violation_reasons():
 
 
 def test_markov_step_exact():
-    start = ProbState(pvec(1, 0))
-    one = markov_step(FAULTY_NOT, start)
+    # one step is mat_vec; VectorState re-checks that the result is a distribution
+    assert stochastic_violation(FAULTY_NOT) is None
+    one = VectorState("stochastic", mat_vec(FAULTY_NOT, pvec(1, 0)))
     assert one.vector.entries == (F(9, 10), F(1, 10))
-    two = markov_step(FAULTY_NOT, one)
+    two = VectorState("stochastic", mat_vec(FAULTY_NOT, one.vector))
     assert two.vector.entries == (F(83, 100), F(17, 100))
     assert sum(two.vector.entries) == 1
     with pytest.raises(MembershipError):
-        markov_step(pmat([["1/2", "1/2"], ["1/2", 0]]), start)
+        gate_descriptor_from_matrix("stochastic", "bad", pmat([["1/2", "1/2"], ["1/2", 0]]))
 
 
 def test_semigroup_not_group():

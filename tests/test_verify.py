@@ -90,6 +90,12 @@ def test_mutated_row_reduction_fails_action_laws(monkeypatch):
     assert len(report.failures) >= 1
 
 
+def test_mutated_determinant_fails_singular_exhibit(monkeypatch):
+    monkeypatch.setattr(verify, "_det2", lambda m: m[0][0] * m[1][1] + m[0][1] * m[1][0])
+    report = check_stochastic_semigroup(grid_values("coarse"))
+    assert "singular-exhibit" in {failure[0] for failure in report.failures}
+
+
 def test_tensor_and_stochastic_exhibits():
     grid = grid_values("coarse")
     tensor = check_tensor_laws(grid)
