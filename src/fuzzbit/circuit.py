@@ -44,7 +44,6 @@ from .models import (
     GateDescriptor,
     VectorState,
     builtin_gate,
-    gate_descriptor_from_matrix,
     gate_violation,
     model_instance,
 )
@@ -266,7 +265,7 @@ def _resolve_gate(program: CircuitProgram, step: GateStep, base_dir: Path) -> Ga
                 f"model {program.model} needs {model_instance(program.model).name}",
                 step.line)
         try:
-            return gate_descriptor_from_matrix(program.model, step.gate, matrix)
+            return GateDescriptor(program.model, step.gate, matrix)
         except MembershipError as exc:
             raise ValidationError(str(exc), step.line) from None
     try:
@@ -405,8 +404,8 @@ def _step_plan(gate: GateDescriptor, targets: Sequence[int]) -> StepPlan:
 
     The bound matrix re-indexes a member gate, and each model's gates are
     closed under re-indexing and under Kronecker products with the
-    identity, so the lifted operator is a member too: simulate re-checks
-    states only, never operators.
+    identity, so the bound and lifted operators are members too, checked
+    once by `GateDescriptor`: simulate re-checks states only, never operators.
     """
     bound = _bound_matrix(gate, targets)
     return permutation_from_matrix(bound) if gate.model == "classical" else bound

@@ -56,6 +56,13 @@ def _read_matrix(path: str) -> SMatrix:
     return parse_matrix_text(text)
 
 
+def _read_vector(path: str) -> SVector:
+    m = _read_matrix(path)
+    if not _is_vector_shaped(m):
+        raise ValidationError(f"{m.rows}x{m.cols} matrix is not a vector")
+    return as_vector(m)
+
+
 def _display_formatter(instance: SemiringInstance):
     # 12 significant digits for the complex carrier, exact rationals elsewhere
     return format_complex if instance.name == "complex" else format_rational
@@ -91,7 +98,7 @@ def cmd_check(args) -> int:
 
 def cmd_apply(args) -> int:
     gate = _read_matrix(args.gate)
-    state = as_vector(_read_matrix(args.state))
+    state = _read_vector(args.state)
     for reason in (gate_violation(args.model, gate),
                    state_violation(args.model, state)):
         if reason is not None:

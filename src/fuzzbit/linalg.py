@@ -13,7 +13,7 @@ instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from .algebra import (
     COMPLEX_TOL,
@@ -38,6 +38,7 @@ __all__ = [
     "kron_vec",
     "identity",
     "zeros",
+    "matrix_from_permutation",
     "equal",
     "entry_parser",
     "entry_formatter",
@@ -190,6 +191,20 @@ def identity(s: SemiringInstance, n: int) -> SMatrix:
 def zeros(s: SemiringInstance, n: int) -> SMatrix:
     """n x n matrix of `zero`; absorbing for mat_mul."""
     return SMatrix(s, ((s.zero,) * n,) * n)
+
+
+def matrix_from_permutation(perm: Sequence[int], instance: SemiringInstance) -> SMatrix:
+    """Column j holds `one` in row perm[j] and `zero` elsewhere: e_j -> e_perm[j].
+
+    Read in the roles of each carrier, this one matrix is the classical and
+    stochastic NOT, the quantum X and the fuzzy J = [[1, 0], [0, 1]].
+    """
+    n = len(perm)
+    if sorted(perm) != list(range(n)):
+        raise ValueError("not a permutation")
+    one, zero = instance.one, instance.zero
+    return SMatrix(instance, tuple(tuple(one if perm[j] == i else zero for j in range(n))
+                                   for i in range(n)))
 
 
 def equal(a, b, tol: float = COMPLEX_TOL) -> bool:

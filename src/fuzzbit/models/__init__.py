@@ -18,13 +18,12 @@ y XOR f(x), so every registered matrix passes its model's predicate.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from ..algebra import BOOLEAN, COMPLEX, FUZZ_MV, PROBABILITY, SemiringInstance
 from ..errors import MembershipError
-from ..linalg import SMatrix, SVector
+from ..linalg import SMatrix, SVector, matrix_from_permutation, zeros
 from . import classical, fuzzy, quantum, stochastic
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "builtin_gate",
     "gate_violation",
     "state_violation",
-    "gate_descriptor_from_matrix",
 ]
 
 
@@ -56,12 +54,13 @@ class Model:
     gates: Mapping[str, Callable[[], SMatrix]]
 
 
-_SWAP = (0, 2, 1, 3)  # exchanges the two bits of a 2-bit index
+# The reversible builtins as permutations of basis indices: e_j -> e_perm[j].
+_ID, _NOT, _CNOT, _SWAP = (0, 1), (1, 0), (0, 1, 3, 2), (0, 2, 1, 3)
 
 
-def _permutation_gates(instance: SemiringInstance) -> dict[str, Callable[[], SMatrix]]:
-    perms = {"NOT": (1, 0), "CNOT": (0, 1, 3, 2), "SWAP": _SWAP}
-    return {name: functools.partial(classical.matrix_from_permutation, perm, instance)
+def _permutation_gates(instance: SemiringInstance,
+                       **perms: tuple[int, ...]) -> dict[str, Callable[[], SMatrix]]:
+    return {name: functools.partial(matrix_from_permutation, perm, instance)
             for name, perm in perms.items()}
 
 
@@ -75,26 +74,25 @@ MODELS = {m.name: m for m in (
     Model("classical", BOOLEAN,
           lambda v: classical.basis_vector_violation(v),
           lambda m: classical.permutation_violation(m),
-          {**_permutation_gates(BOOLEAN),
+          {**_permutation_gates(BOOLEAN, NOT=_NOT, CNOT=_CNOT, SWAP=_SWAP),
            **{name: _embedded_gate(name) for name in ("AND", "OR", "XOR", "NAND", "NOR")},
            # copying onto a 0 ancilla is the embedding of the identity table
            "FANOUT": lambda: classical.reversible_embed(classical.TruthTable(1, 1, (0, 1)))}),
     Model("stochastic", PROBABILITY,
           lambda v: stochastic.distribution_violation(v),
           lambda m: stochastic.stochastic_violation(m),
-          _permutation_gates(PROBABILITY)),
+          _permutation_gates(PROBABILITY, NOT=_NOT, CNOT=_CNOT, SWAP=_SWAP)),
     Model("quantum", COMPLEX,
           lambda v: quantum.state_norm_violation(v),
           lambda m: quantum.unitary_violation(m),
-          {name: functools.partial(quantum.quantum_gate, name)
-           for name in quantum.QUANTUM_GATE_NAMES}),
+          {**_permutation_gates(COMPLEX, X=_NOT, CNOT=_CNOT, SWAP=_SWAP),
+           "H": functools.partial(SMatrix, COMPLEX, quantum.H),
+           "Z": functools.partial(SMatrix, COMPLEX, quantum.Z)}),
     Model("fuzzy", FUZZ_MV,
           lambda v: fuzzy.fuzzy_state_violation(v),
           lambda m: fuzzy.fuzzy_gate_violation(m),
-          {"FID": lambda: fuzzy.fuzzy_identity(2),
-           "FNOT": fuzzy.fuzzy_not,
-           "FZERO": lambda: fuzzy.fuzzy_zero_gate(2),
-           "FSWAP": lambda: fuzzy.fuzzy_permutation(_SWAP)}),
+          {**_permutation_gates(FUZZ_MV, FID=_ID, FNOT=_NOT, FSWAP=_SWAP),
+           "FZERO": functools.partial(zeros, FUZZ_MV, 2)}),
 )}
 
 MODEL_NAMES = tuple(MODELS)
@@ -123,22 +121,31 @@ def state_violation(model: str, v: SVector) -> str | None:
 
 @dataclass(frozen=True)
 class GateDescriptor:
-    """A gate usable in circuits: its model, name, wire arity and matrix."""
+    """A member gate of a model: its name and 2^k x 2^k matrix, checked here.
+
+    This is the one place a gate's shape and membership are checked, for
+    builtins and user matrices alike; code holding a descriptor relies on it.
+    """
 
     model: str
     name: str
-    arity: int
     matrix: SMatrix
 
     def __post_init__(self):
-        if self.matrix.rows != self.matrix.cols:
-            raise ValueError("gate matrix must be square")
-        if self.matrix.rows != 1 << self.arity:
-            raise ValueError(
-                f"arity {self.arity} needs a {1 << self.arity}-dimensional matrix")
+        n = self.matrix.rows
+        if self.matrix.cols != n:
+            raise MembershipError(f"gate {self.name!r}: matrix must be square")
+        if n < 2 or n & (n - 1):
+            raise MembershipError(
+                f"gate {self.name!r}: dimension {n} is not a power of two >= 2")
         violation = gate_violation(self.model, self.matrix)
         if violation is not None:
             raise MembershipError(f"{self.model} gate {self.name!r}: {violation}")
+
+    @property
+    def arity(self) -> int:
+        """The number of wires the gate acts on: log2 of its dimension."""
+        return self.matrix.rows.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -161,16 +168,4 @@ def builtin_gate(model: str, name: str) -> GateDescriptor:
         make = _model(model).gates[name]
     except KeyError:
         raise ValueError(f"unknown {model} gate {name!r}") from None
-    matrix = make()
-    return GateDescriptor(model, name, int(math.log2(matrix.rows)), matrix)
-
-
-def gate_descriptor_from_matrix(model: str, name: str, matrix: SMatrix) -> GateDescriptor:
-    """Wrap a user-supplied matrix, checking shape and membership."""
-    if matrix.rows != matrix.cols:
-        raise MembershipError(f"gate {name!r}: matrix must be square")
-    arity = matrix.rows.bit_length() - 1
-    if 1 << arity != matrix.rows or arity < 1:
-        raise MembershipError(
-            f"gate {name!r}: dimension {matrix.rows} is not a power of two >= 2")
-    return GateDescriptor(model, name, arity, matrix)
+    return GateDescriptor(model, name, make())

@@ -10,21 +10,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from ..algebra import BOOLEAN, ONE, ZERO, SemiringInstance
+from ..algebra import BOOLEAN
 from ..errors import MembershipError
-from ..linalg import SMatrix, SVector
+from ..linalg import SMatrix, SVector, matrix_from_permutation
 
 __all__ = [
     "ClassicalState",
     "TruthTable",
     "classical_gate",
     "basis_vector_violation",
-    "is_permutation_matrix",
     "permutation_violation",
     "permutation_from_matrix",
-    "matrix_from_permutation",
     "SynthStep",
     "SynthCircuit",
     "synthesize_circuit",
@@ -110,13 +107,10 @@ def basis_vector_violation(v: SVector) -> str | None:
 
 # --- permutation matrices -----------------------------------------------------
 
-_PERM_INSTANCES = ("boolean", "probability")
-
-
 def permutation_violation(m: SMatrix) -> str | None:
-    """None if `m` is a permutation matrix, else a human-readable reason."""
-    if m.instance.name not in _PERM_INSTANCES:
-        return f"instance {m.instance.name} is not a 0/1 carrier"
+    """None if `m` is a boolean permutation matrix, else a human-readable reason."""
+    if m.instance.name != "boolean":
+        return f"instance {m.instance.name} is not the boolean carrier"
     if m.rows != m.cols:
         return f"not square ({m.rows}x{m.cols})"
     zero, one = Fraction(0), Fraction(1)
@@ -134,31 +128,14 @@ def permutation_violation(m: SMatrix) -> str | None:
     return None
 
 
-def is_permutation_matrix(m: SMatrix) -> bool:
-    return permutation_violation(m) is None
-
-
 def permutation_from_matrix(m: SMatrix) -> tuple[int, ...]:
-    """perm[j] = i where column j has its single 1: the image of basis j."""
-    violation = permutation_violation(m)
-    if violation is not None:
-        raise MembershipError(f"not a permutation matrix: {violation}")
-    one = Fraction(1)
-    return tuple(next(i for i, x in enumerate(m.column(j)) if x == one)
-                 for j in range(m.cols))
+    """perm[j] = i where column j has its single `one`: the image of basis j.
 
-
-def matrix_from_permutation(perm: Sequence[int],
-                            instance: SemiringInstance = BOOLEAN) -> SMatrix:
-    n = len(perm)
-    if sorted(perm) != list(range(n)):
-        raise ValueError("not a permutation")
-    if instance.name == "probability":
-        zero, one = Fraction(0), Fraction(1)
-    else:
-        zero, one = ZERO, ONE
-    return SMatrix(instance, tuple(
-        tuple(one if perm[j] == i else zero for j in range(n)) for i in range(n)))
+    `m` must be a member permutation matrix, as the bound matrix of every
+    validated `GateDescriptor` is; nothing here checks it again.
+    """
+    one = m.instance.one
+    return tuple(m.column(j).index(one) for j in range(m.cols))
 
 
 # --- synthesis ----------------------------------------------------------------
@@ -273,4 +250,4 @@ def reversible_embed(table: TruthTable) -> SMatrix:
     for idx in range(size):
         x, y = idx >> 1, idx & 1
         perm[idx] = (x << 1) | (y ^ table.outputs[x])
-    return matrix_from_permutation(perm)
+    return matrix_from_permutation(perm, BOOLEAN)

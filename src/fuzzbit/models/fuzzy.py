@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from ..algebra import FUZZ_MV, ONE, ZERO, neg
-from ..linalg import SMatrix, SVector, identity, kron_vec
+from ..linalg import SMatrix, SVector, kron_vec
 
 if TYPE_CHECKING:
     from . import VectorState
@@ -26,10 +26,6 @@ __all__ = [
     "fuzzy_tensor",
     "fuzzy_basis_ket",
     "complement",
-    "fuzzy_identity",
-    "fuzzy_zero_gate",
-    "fuzzy_not",
-    "fuzzy_permutation",
 ]
 
 
@@ -94,27 +90,3 @@ def complement(v: SVector) -> SVector:
     if v.instance.name != "fuzz-mv":
         raise ValueError("complement is defined on the fuzz-mv carrier")
     return SVector(FUZZ_MV, tuple(neg(x) for x in v.entries))
-
-
-def fuzzy_identity(n: int) -> SMatrix:
-    """Diagonal 0, off-diagonal 1: the identity of the fuzzy gate monoid."""
-    return identity(FUZZ_MV, n)
-
-
-def fuzzy_zero_gate(n: int) -> SMatrix:
-    """The all-ones matrix; absorbing for the gate product."""
-    return SMatrix(FUZZ_MV, ((ONE,) * n,) * n)
-
-
-def fuzzy_not() -> SMatrix:
-    """J = [[1, 0], [0, 1]]: swaps the two coordinates; J o J is the identity."""
-    return SMatrix(FUZZ_MV, ((ONE, ZERO), (ZERO, ONE)))
-
-
-def fuzzy_permutation(perm: Sequence[int]) -> SMatrix:
-    """The fuzzy gate that permutes coordinates: 0 at (perm[j], j), 1 elsewhere."""
-    n = len(perm)
-    if sorted(perm) != list(range(n)):
-        raise ValueError("not a permutation")
-    return SMatrix(FUZZ_MV, tuple(
-        tuple(ZERO if perm[j] == i else ONE for j in range(n)) for i in range(n)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from ..algebra import COMPLEX, COMPLEX_TOL
+from ..algebra import COMPLEX_TOL
 from ..linalg import SMatrix, SVector
 
 if TYPE_CHECKING:
@@ -19,31 +19,19 @@ if TYPE_CHECKING:
 
 __all__ = [
     "state_norm_violation",
-    "is_unitary",
     "unitary_violation",
-    "quantum_gate",
-    "QUANTUM_GATE_NAMES",
+    "H",
+    "Z",
     "splitmix64",
     "measure",
 ]
 
 _H = 1.0 / math.sqrt(2.0)
 
-_GATES = {
-    "X": ((0j, 1 + 0j), (1 + 0j, 0j)),
-    "H": ((_H + 0j, _H + 0j), (_H + 0j, -_H + 0j)),
-    "Z": ((1 + 0j, 0j), (0j, -1 + 0j)),
-    "CNOT": ((1 + 0j, 0j, 0j, 0j),
-             (0j, 1 + 0j, 0j, 0j),
-             (0j, 0j, 0j, 1 + 0j),
-             (0j, 0j, 1 + 0j, 0j)),
-    "SWAP": ((1 + 0j, 0j, 0j, 0j),
-             (0j, 0j, 1 + 0j, 0j),
-             (0j, 1 + 0j, 0j, 0j),
-             (0j, 0j, 0j, 1 + 0j)),
-}
-
-QUANTUM_GATE_NAMES = tuple(_GATES)
+# Rows of the two builtins that are not permutation matrices; the model
+# table builds X, CNOT and SWAP from their permutations.
+H = ((_H + 0j, _H + 0j), (_H + 0j, -_H + 0j))
+Z = ((1 + 0j, 0j), (0j, -1 + 0j))
 
 
 def state_norm_violation(v: SVector, tol: float = COMPLEX_TOL) -> str | None:
@@ -72,18 +60,6 @@ def unitary_violation(m: SMatrix, tol: float = COMPLEX_TOL) -> str | None:
             if abs(acc.real - want) > tol or abs(acc.imag) > tol:
                 return f"columns {i} and {j} are not orthonormal (deviation {abs(acc - want):.3e})"
     return None
-
-
-def is_unitary(m: SMatrix, tol: float = COMPLEX_TOL) -> bool:
-    return unitary_violation(m, tol) is None
-
-
-def quantum_gate(name: str) -> SMatrix:
-    """One of the named gates X, H, Z, CNOT, SWAP as a complex matrix."""
-    try:
-        return SMatrix(COMPLEX, _GATES[name])
-    except KeyError:
-        raise ValueError(f"unknown quantum gate {name!r}") from None
 
 
 _MASK64 = (1 << 64) - 1

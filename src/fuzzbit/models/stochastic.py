@@ -14,7 +14,6 @@ from ..linalg import SMatrix, SVector
 
 __all__ = [
     "stochastic_violation",
-    "is_stochastic",
     "distribution_violation",
 ]
 
@@ -46,7 +45,3 @@ def stochastic_violation(m: SMatrix) -> str | None:
         if total != 1:
             return f"column {j} sums to {total}, expected exactly 1"
     return None
-
-
-def is_stochastic(m: SMatrix) -> bool:
-    return stochastic_violation(m) is None

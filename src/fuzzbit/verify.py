@@ -30,7 +30,7 @@ from .algebra import (
     SemiringInstance,
     UnitScalar,
 )
-from .linalg import SMatrix, SVector, mat_mul, mat_vec
+from .linalg import SMatrix, SVector, kron_mat, kron_vec, mat_mul, mat_vec, mat_vec_block
 
 __all__ = [
     "GRID_NAMES",
@@ -264,14 +264,17 @@ def check_mv_gate_laws(grid, size: int = 2) -> CheckReport:
             p = _mm(gates[i], gates[j], 4, L)
             if not _is_gate(p, 4, L):
                 report.failures.append(("closure", gates[i], gates[j], p))
+        ij = None
         for i, j, k in itertools.islice(itertools.product(range(n_g), repeat=3),
                                         triple_cap):
             a, b, c = gates[i], gates[j], gates[k]
+            if (i, j) != ij:  # ab and ba stay fixed while k runs
+                ij, ab, ba = (i, j), _mm(a, b, 4, L), _mm(b, a, 4, L)
             bc = _wedge(b, c)
             report.cases += 2
-            if _mm(a, bc, 4, L) != _wedge(_mm(a, b, 4, L), _mm(a, c, 4, L)):
+            if _mm(a, bc, 4, L) != _wedge(ab, _mm(a, c, 4, L)):
                 report.failures.append(("left-dist", a, b, c))
-            if _mm(bc, a, 4, L) != _wedge(_mm(b, a, 4, L), _mm(c, a, 4, L)):
+            if _mm(bc, a, 4, L) != _wedge(ba, _mm(c, a, 4, L)):
                 report.failures.append(("right-dist", a, b, c))
         report.note = (f"Kronecker-built gates; first {pair_cap} pairs and "
                        f"{triple_cap} triples in lexicographic order")
@@ -339,10 +342,13 @@ def check_action_laws(grid, size: int = 2) -> CheckReport:
     comp = itertools.product(range(len(gates)), range(len(gates)), range(len(states)))
     if caps is not None:
         comp = itertools.islice(comp, caps)
+    ab_index = None
     for ai, bi, si in comp:
         report.cases += 1
+        if (ai, bi) != ab_index:  # the product stays fixed while si runs
+            ab_index, ab = (ai, bi), _mm(gates[ai], gates[bi], dim, L)
         b_v = images.get((bi, si)) or _mv(gates[bi], states[si], dim, L)
-        left = _mv(_mm(gates[ai], gates[bi], dim, L), states[si], dim, L)
+        left = _mv(ab, states[si], dim, L)
         if left != _mv(gates[ai], b_v, dim, L):
             report.failures.append(("compatibility", gates[ai], gates[bi], states[si]))
     report.note = note
@@ -463,13 +469,20 @@ def check_stochastic_semigroup(grid) -> CheckReport:
 
 
 def check_oracle_agreement(grid, limit: int = 10000) -> CheckReport:
-    """Entrywise kernels versus the generic linear algebra, bit for bit."""
+    """Entrywise kernels versus the generic linear algebra, bit for bit.
+
+    Each (A, B, v) triple compares mat_mul(A, B) and mat_vec(A, v).  Once
+    per distinct operand pair it also compares kron_mat(A, B), kron_vec(v, Av)
+    and simulate's kernel mat_vec_block(A, base, v (x) Av) at base 0 and 1,
+    which must equal the products with I (x) A and A (x) I.
+    """
     t0 = time.perf_counter()
     L, levels = _scale_grid(grid)
     report = CheckReport("oracle-agreement", 0,
                          note=f"first {limit} (A, B, v) triples in lexicographic order")
     gates = _gates2(levels, L)
     states = _states2(levels, L)
+    ident = (0, L, L, 0)
 
     as_matrix: dict[int, SMatrix] = {}
     as_vec: dict[int, SVector] = {}
@@ -487,6 +500,26 @@ def check_oracle_agreement(grid, limit: int = 10000) -> CheckReport:
             as_vec[i] = SVector(FUZZ_MV, (UnitScalar(s[0], L), UnitScalar(s[1], L)))
         return as_vec[i]
 
+    def agrees(oracle, entries) -> bool:
+        return len(oracle) == len(entries) and all(
+            Fraction(o, L) == x for o, x in zip(oracle, entries))
+
+    def kron_agrees(ai: int, bi: int) -> bool:
+        lib = kron_mat(matrix_of(ai), matrix_of(bi))
+        return agrees(_kron_m(gates[ai], gates[bi], 2, 2, L),
+                      tuple(x for row in lib.entries for x in row))
+
+    def block_agrees(ai: int, si: int, oracle_av, lib_av: SVector) -> bool:
+        x = _kron_v(states[si], oracle_av, L)
+        lib_x = kron_vec(vector_of(si), lib_av)
+        if not agrees(x, lib_x.entries):
+            return False
+        padded = (_kron_m(ident, gates[ai], 2, 2, L), _kron_m(gates[ai], ident, 2, 2, L))
+        return all(agrees(_mv(op, x, 4, L), mat_vec_block(matrix_of(ai), base, lib_x).entries)
+                   for base, op in enumerate(padded))
+
+    kron_ok: dict[tuple[int, int], bool] = {}
+    block_ok: dict[tuple[int, int], bool] = {}
     triples = itertools.product(range(len(gates)), range(len(gates)),
                                 range(len(states)))
     for ai, bi, si in itertools.islice(triples, limit):
@@ -495,9 +528,13 @@ def check_oracle_agreement(grid, limit: int = 10000) -> CheckReport:
         oracle_mv = _mv(gates[ai], states[si], 2, L)
         lib_mm = mat_mul(matrix_of(ai), matrix_of(bi))
         lib_mv = mat_vec(matrix_of(ai), vector_of(si))
+        if (ai, bi) not in kron_ok:
+            kron_ok[ai, bi] = kron_agrees(ai, bi)
+        if (ai, si) not in block_ok:
+            block_ok[ai, si] = block_agrees(ai, si, oracle_mv, lib_mv)
         flat = tuple(x for row in lib_mm.entries for x in row)
-        ok = all(Fraction(o, L) == x for o, x in zip(oracle_mm, flat)) and all(
-            Fraction(o, L) == x for o, x in zip(oracle_mv, lib_mv.entries))
+        ok = (agrees(oracle_mm, flat) and agrees(oracle_mv, lib_mv.entries)
+              and kron_ok[ai, bi] and block_ok[ai, si])
         if not ok:
             report.failures.append(("agreement", gates[ai], gates[bi], states[si]))
     report.elapsed = time.perf_counter() - t0

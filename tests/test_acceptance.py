@@ -28,13 +28,13 @@ from fuzzbit.models import VectorState, builtin_gate
 from fuzzbit.models.classical import (
     TruthTable,
     circuit_truth_table,
-    is_permutation_matrix,
     permutation_from_matrix,
+    permutation_violation,
     reversible_embed,
     synthesize_circuit,
 )
 from fuzzbit.models.fuzzy import complement, fuzzy_basis_ket, fuzzy_state_violation
-from fuzzbit.models.quantum import is_unitary, measure, quantum_gate, splitmix64, state_norm_violation
+from fuzzbit.models.quantum import measure, splitmix64, state_norm_violation, unitary_violation
 from fuzzbit.models.stochastic import stochastic_violation
 from fuzzbit.verify import check_oracle_agreement, grid_values, run_all
 
@@ -43,6 +43,10 @@ U = UnitScalar
 
 def fvec(*xs):
     return SVector(FUZZ_MV, tuple(U(x) for x in xs))
+
+
+def quantum_gate(name):
+    return builtin_gate("quantum", name).matrix
 
 
 def report(n, message):
@@ -110,7 +114,7 @@ def test_criterion_4_synthesis_exhaustive():
             circ = synthesize_circuit(table)
             assert circuit_truth_table(circ) == table
             embed = reversible_embed(table)
-            assert is_permutation_matrix(embed)
+            assert permutation_violation(embed) is None
             perm = permutation_from_matrix(embed)
             assert all(perm[perm[i]] == i for i in range(len(perm)))
             for x in range(1 << n):
@@ -127,7 +131,7 @@ def test_criterion_4_synthesis_exhaustive():
 
 def test_criterion_5_quantum_desk_checks():
     for name in ("H", "X", "Z", "CNOT"):
-        assert is_unitary(quantum_gate(name), tol=1e-9)
+        assert unitary_violation(quantum_gate(name), tol=1e-9) is None
 
     count = 0
     for k in range(1000):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzbit.algebra import COMPLEX, FUZZ_MV, PROBABILITY, UnitScalar
+from fuzzbit.algebra import BOOLEAN, COMPLEX, FUZZ_MV, PROBABILITY, UnitScalar
 from fuzzbit.circuit import (
     composed_operator,
     equivalence_check,
@@ -22,12 +22,20 @@ from fuzzbit.circuit import (
     validate,
 )
 from fuzzbit.errors import InternalCheckError, ParseError, ValidationError
-from fuzzbit.linalg import SMatrix, SVector, equal, kron_mat, mat_mul, mat_vec, serialize_matrix
+from fuzzbit.linalg import (
+    SMatrix,
+    SVector,
+    equal,
+    kron_mat,
+    mat_mul,
+    mat_vec,
+    matrix_from_permutation,
+    serialize_matrix,
+)
 from fuzzbit.models import MODELS, builtin_gate, model_instance
 from fuzzbit.models.classical import (
     ClassicalState,
     TruthTable,
-    matrix_from_permutation,
     permutation_from_matrix,
     synthesize_circuit,
 )
@@ -224,7 +232,7 @@ def test_all_ones_quietly_absorbs_through_a_program():
 def _random_member_gate(draw, model: str, arity: int) -> SMatrix:
     size = 1 << arity
     if model == "classical":
-        return matrix_from_permutation(draw(st.permutations(range(size))))
+        return matrix_from_permutation(draw(st.permutations(range(size))), BOOLEAN)
     if model == "stochastic":
         columns = []
         for _ in range(size):
@@ -248,8 +256,7 @@ def _random_member_gate(draw, model: str, arity: int) -> SMatrix:
                                cmath.exp(1j * (p + q)) * math.cos(t))))
         op = u if op is None else kron_mat(op, u)
     perm = draw(st.permutations(range(size)))  # ... entangled by a permutation
-    shuffle = SMatrix(COMPLEX, tuple(tuple(complex(perm[j] == i) for j in range(size))
-                                     for i in range(size)))
+    shuffle = matrix_from_permutation(perm, COMPLEX)
     return mat_mul(shuffle, op)
 
 

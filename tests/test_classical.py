@@ -4,14 +4,12 @@ import pytest
 
 from fuzzbit.algebra import BOOLEAN, UnitScalar
 from fuzzbit.errors import MembershipError
-from fuzzbit.linalg import SMatrix, identity, mat_mul
+from fuzzbit.linalg import SMatrix, identity, mat_mul, matrix_from_permutation
 from fuzzbit.models.classical import (
     ClassicalState,
     TruthTable,
     circuit_truth_table,
     classical_gate,
-    is_permutation_matrix,
-    matrix_from_permutation,
     permutation_from_matrix,
     permutation_violation,
     reversible_embed,
@@ -62,14 +60,14 @@ def test_permutation_violation_reasons():
     assert permutation_violation(not_01) is not None
     non_square = SMatrix(BOOLEAN, ((U(1), U(0)),))
     assert permutation_violation(non_square) is not None
-    assert is_permutation_matrix(identity(BOOLEAN, 2))
-    assert not is_permutation_matrix(bad_row)
+    assert permutation_violation(identity(BOOLEAN, 2)) is None
+    assert permutation_violation(bad_row) is not None
 
 
 def test_permutation_round_trip():
-    cnot = matrix_from_permutation((0, 1, 3, 2))
+    cnot = matrix_from_permutation((0, 1, 3, 2), BOOLEAN)
     assert permutation_from_matrix(cnot) == (0, 1, 3, 2)
-    assert is_permutation_matrix(cnot)
+    assert permutation_violation(cnot) is None
     # column j holds the image of basis vector j
     assert cnot.column(2) == (U(0), U(0), U(0), U(1))
 
@@ -98,7 +96,7 @@ def test_identity_table_is_wire():
 def test_reversible_embed():
     m = reversible_embed(classical_gate("AND"))
     assert m.rows == 8
-    assert is_permutation_matrix(m)
+    assert permutation_violation(m) is None
     assert mat_mul(m, m) == identity(BOOLEAN, 8)
     perm = permutation_from_matrix(m)
     # |x, 0> -> |x, f(x)>: ancilla is the least significant bit

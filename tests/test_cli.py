@@ -1,13 +1,19 @@
 """End-to-end CLI behaviour: outputs, exit codes, stdin handling."""
 
+import contextlib
 import io
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fuzzbit.algebra import FUZZ_MV
 from fuzzbit.circuit import MAX_DENSE_WIRES
 from fuzzbit.cli import main
 from fuzzbit.linalg import identity, parse_matrix_text
+from fuzzbit.models import MODEL_NAMES, MODELS, builtin_gate
 
 FID_TEXT = "instance fuzz-mv 2 2\n0 1\n1 0\n"
 J_TEXT = "instance fuzz-mv 2 2\n1 0\n0 1\n"
@@ -77,6 +83,12 @@ def test_apply_shape_mismatch_exits_1(tmp_path, capsys):
     assert err == "error: a 2x2 gate cannot act on a state of length 4\n"
 
 
+def test_apply_to_a_matrix_exits_1(tmp_path, capsys):
+    j = write(tmp_path, "j.mat", J_TEXT)
+    assert main(["apply", "fuzzy", j, j]) == 1
+    assert capsys.readouterr() == ("", "error: 2x2 matrix is not a vector\n")
+
+
 def test_kron_vectors_and_matrices(tmp_path, capsys):
     k0 = write(tmp_path, "k0.vec", "instance fuzz-mv 1 2\n0 1\n")
     k1 = write(tmp_path, "k1.vec", "instance fuzz-mv 1 2\n1 0\n")
@@ -90,6 +102,21 @@ def test_kron_vectors_and_matrices(tmp_path, capsys):
 
     assert main(["kron", "fuzzy", fid, k0]) == 1  # mixed shapes
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_classical_gates_take_only_the_boolean_carrier(tmp_path, capsys):
+    p_not = write(tmp_path, "p.mat", "instance probability 2 2\n0 1\n1 0\n")
+    b_not = write(tmp_path, "bnot.mat", "instance boolean 2 2\n0 1\n1 0\n")
+    b_vec = write(tmp_path, "b.vec", "instance boolean 1 2\n1 0\n")
+    reason = "instance probability is not the boolean carrier"
+    assert main(["check", "classical", p_not]) == 1
+    assert capsys.readouterr().out == f"fail {reason}\n"
+    assert main(["apply", "classical", p_not, b_vec]) == 1
+    assert capsys.readouterr() == ("", f"error: {reason}\n")
+    assert main(["kron", "classical", p_not, b_not]) == 1
+    assert capsys.readouterr() == ("", f"error: {reason}\n")
+    assert main(["apply", "classical", b_not, b_vec]) == 0
+    assert capsys.readouterr().out == "0 1\n"
 
 
 def test_simulate_summary_and_trace(tmp_path, capsys):
@@ -242,3 +269,115 @@ def test_non_utf8_input_exits_2(tmp_path, capsys):
     assert main(["simulate", uses_gate]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: line 4: gate file 'g.mat' is not UTF-8")
+
+
+# --- the exit-code contract over generated input -------------------------------
+
+INSTANCE_NAMES = ("boolean", "probability", "complex", "fuzz-mv", "max-min", "viterbi")
+TOKENS = ("0", "1", "1/2", "2/3", "-1", "2", "i", "1+i", "0.5", "1e400", "x", "²", "@")
+GATE_NAMES = sorted({name for model in MODELS.values() for name in model.gates})
+
+
+@st.composite
+def matrix_texts(draw, instance="fuzz-mv"):
+    """A matrix file over `instance` or any other carrier; one in four is malformed."""
+    name = draw(st.sampled_from((instance,) * 6 + INSTANCE_NAMES))
+    rows = cols = body_rows = draw(st.sampled_from((1, 2, 4)))
+    cols = draw(st.sampled_from((rows, 1, 2, 4)))
+    tokens = st.sampled_from(("0", "1"))  # often a member of some model
+    if draw(st.integers(0, 3)) == 0:
+        rows, cols, body_rows = (draw(st.integers(0, 5)) for _ in range(3))
+        tokens = st.sampled_from(TOKENS)
+    lines = [f"instance {name} {rows} {cols}"]
+    lines += [" ".join(draw(tokens) for _ in range(cols)) for _ in range(body_rows)]
+    return "\n".join(lines) + "\n"
+
+
+CIRCUIT_LINES = st.one_of(
+    st.sampled_from(MODEL_NAMES + ("analog",)).map(lambda m: f"model {m}"),
+    st.integers(0, 6).map(lambda n: f"wires {n}"),
+    st.text("01", min_size=1, max_size=6).map(lambda bits: f"init ket {bits}"),
+    st.lists(st.sampled_from(TOKENS), min_size=1, max_size=8).map(
+        lambda tokens: "init vec " + " ".join(tokens)),
+    st.tuples(st.sampled_from(GATE_NAMES + ["@g.mat", "@missing.mat", "BOGUS"]),
+              st.lists(st.integers(0, 6), max_size=3)).map(
+        lambda g: f"gate {g[0]} " + " ".join(map(str, g[1]))),
+    st.integers(0, 1 << 64).map(lambda seed: f"measure seed {seed}"),
+    st.sampled_from(("", "# note", "wires ²", "gate", "init", "measure seed x", "@")),
+)
+
+
+@st.composite
+def circuit_texts(draw, model):
+    """A .circ program of at most 6 wires; three in four start well formed."""
+    if not draw(st.integers(0, 3)):
+        return "\n".join(draw(st.lists(CIRCUIT_LINES, max_size=6))) + "\n"
+    n = draw(st.integers(1, 6))
+    bits = draw(st.text("01", min_size=n, max_size=n))
+    lines = [f"model {model}", f"wires {n}", f"init ket {bits}"]
+    for _ in range(draw(st.integers(0, 4))):
+        name = draw(st.sampled_from(("@g.mat",) + tuple(MODELS[model].gates)))
+        arity = 1 if name == "@g.mat" else builtin_gate(model, name).arity
+        if arity <= n and draw(st.integers(0, 3)):  # a contiguous block, in any order
+            base = draw(st.integers(0, n - arity))
+            wires = draw(st.permutations(range(base, base + arity)))
+        else:
+            wires = draw(st.lists(st.integers(0, n), min_size=1, max_size=3))
+        lines.append(f"gate {name} " + " ".join(map(str, wires)))
+    if not draw(st.integers(0, 3)):
+        lines += draw(st.lists(CIRCUIT_LINES, max_size=2))
+    return "\n".join(lines) + "\n"
+
+
+TABLE_TEXTS = st.lists(st.sampled_from(("0", "1", "1", "0", "2", "x")), max_size=16).map(
+    " ".join)
+
+
+def payloads(texts):
+    """File contents: four in six structured, the rest arbitrary bytes or text."""
+    kinds = {"structured": texts.map(str.encode), "bytes": st.binary(max_size=64),
+             "text": st.text(max_size=64).map(str.encode)}
+    return st.sampled_from(("structured",) * 4 + ("bytes", "text")).flatmap(kinds.get)
+
+
+def run_main(directory: str, argv: list[str], files: dict[str, bytes]) -> int:
+    for name, body in files.items():
+        (Path(directory) / name).write_bytes(body)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(Path(directory) / arg) if arg in files else arg for arg in argv])
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+# hypothesis rejects function-scoped fixtures such as tmp_path, hence tempfile
+_CONTRACT = settings(max_examples=120, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+@_CONTRACT
+@given(command=st.sampled_from(("check", "apply", "kron")),
+       model=st.sampled_from(MODEL_NAMES), data=st.data())
+def test_matrix_commands_keep_the_exit_code_contract(command, model, data):
+    instance = MODELS[model].instance.name
+    files = {"a.mat": data.draw(payloads(matrix_texts(instance))),
+             "b.mat": data.draw(payloads(matrix_texts(instance)))}
+    argv = [command, model, "a.mat"] + ([] if command == "check" else ["b.mat"])
+    with tempfile.TemporaryDirectory() as tmp:
+        assert run_main(tmp, argv, files) in (0, 1, 2, 3)
+
+
+@_CONTRACT
+@given(command=st.sampled_from(("simulate", "sample", "synth")),
+       model=st.sampled_from(MODEL_NAMES),
+       flags=st.sampled_from(([], ["--trace"], ["--seed", "3"], ["--seed", "-1"])),
+       data=st.data())
+def test_program_commands_keep_the_exit_code_contract(command, model, flags, data):
+    if command == "synth":
+        argv, files = ["synth", "t.txt"], {"t.txt": data.draw(payloads(TABLE_TEXTS))}
+    else:
+        gate = payloads(matrix_texts(MODELS[model].instance.name))
+        argv = [command, "p.circ", *flags]
+        files = {"p.circ": data.draw(payloads(circuit_texts(model))), "g.mat": data.draw(gate)}
+    with tempfile.TemporaryDirectory() as tmp:
+        assert run_main(tmp, argv, files) in (0, 1, 2, 3)

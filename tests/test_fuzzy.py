@@ -4,19 +4,15 @@ import pytest
 
 from fuzzbit.algebra import FUZZ_MV, UnitScalar
 from fuzzbit.errors import MembershipError
-from fuzzbit.linalg import SMatrix, SVector, identity, mat_mul, mat_vec
-from fuzzbit.models import VectorState, gate_descriptor_from_matrix
+from fuzzbit.linalg import SMatrix, SVector, mat_mul, mat_vec, matrix_from_permutation
+from fuzzbit.models import GateDescriptor, VectorState, builtin_gate
 from fuzzbit.models.fuzzy import (
     complement,
     fuzzy_basis_ket,
     fuzzy_gate_violation,
-    fuzzy_identity,
-    fuzzy_not,
-    fuzzy_permutation,
     fuzzy_pointwise_product,
     fuzzy_state_violation,
     fuzzy_tensor,
-    fuzzy_zero_gate,
 )
 
 U = UnitScalar
@@ -30,6 +26,10 @@ def fmat(rows):
     return SMatrix(FUZZ_MV, tuple(tuple(U(x) for x in row) for row in rows))
 
 
+def builtin(name):
+    return builtin_gate("fuzzy", name).matrix
+
+
 def test_state_membership():
     assert fuzzy_state_violation(fvec(0, "3/4")) is None
     assert fuzzy_state_violation(fvec(1, 1)) is None
@@ -41,36 +41,35 @@ def test_state_membership():
 
 
 def test_gate_membership():
-    assert fuzzy_gate_violation(fuzzy_identity(2)) is None
-    assert fuzzy_gate_violation(fuzzy_not()) is None
-    assert fuzzy_gate_violation(fuzzy_zero_gate(2)) is None
+    assert fuzzy_gate_violation(builtin("FID")) is None
+    assert fuzzy_gate_violation(builtin("FNOT")) is None
+    assert fuzzy_gate_violation(builtin("FZERO")) is None
     bad = fmat([[0, 1], [1, "1/2"]])
     assert "column 1" in fuzzy_gate_violation(bad)
     assert fuzzy_gate_violation(fmat([[0, 1]])) is not None
 
 
 def test_identity_and_involution():
-    ident = fuzzy_identity(2)
+    ident = builtin("FID")
     assert ident == fmat([[0, 1], [1, 0]])
-    j = fuzzy_not()
+    j = builtin("FNOT")
     assert j == fmat([[1, 0], [0, 1]])
     assert mat_mul(j, j) == ident
-    assert fuzzy_permutation((1, 0)) == j
-    assert fuzzy_identity(4) == identity(FUZZ_MV, 4)
+    assert matrix_from_permutation((1, 0), FUZZ_MV) == j
 
 
 def test_apply():
     # the action is mat_vec; VectorState re-checks that the result is a state
-    j = fuzzy_not()
+    j = builtin("FNOT")
     a = fmat([["3/10", 1], [0, 0]])
     assert fuzzy_gate_violation(a) is None
     out = VectorState("fuzzy", mat_vec(j, fvec(0, "3/4")))
     assert out.vector == fvec("3/4", 0)
     assert VectorState("fuzzy", mat_vec(a, fvec(0, "1/2"))).vector == fvec("3/10", 0)
-    absorb = VectorState("fuzzy", mat_vec(fuzzy_zero_gate(2), fvec(0, "2/3")))
+    absorb = VectorState("fuzzy", mat_vec(builtin("FZERO"), fvec(0, "2/3")))
     assert absorb.vector == fvec(1, 1)
     with pytest.raises(MembershipError):
-        gate_descriptor_from_matrix("fuzzy", "bad", fmat([[0, 1], [1, "1/2"]]))
+        GateDescriptor("fuzzy", "bad", fmat([[0, 1], [1, "1/2"]]))
 
 
 def test_basis_kets_and_tensor():

@@ -7,10 +7,11 @@ import pytest
 
 from fuzzbit.algebra import COMPLEX, FUZZ_MV, PROBABILITY, UnitScalar
 from fuzzbit.errors import MembershipError
-from fuzzbit.linalg import SVector, identity
+from fuzzbit.linalg import SMatrix, SVector, identity, mat_vec
 from fuzzbit.models import (
     MODEL_NAMES,
     MODELS,
+    GateDescriptor,
     VectorState,
     builtin_gate,
     gate_violation,
@@ -32,6 +33,26 @@ PREDICATES = {
 }
 
 
+_NOT, _CNOT, _SWAP = (1, 0), (0, 1, 3, 2), (0, 2, 1, 3)
+
+
+def _embedding(outputs):
+    """(x, y) -> (x, y XOR f(x)), with the ancilla y as the low index bit."""
+    return tuple(i ^ outputs[i >> 1] for i in range(2 * len(outputs)))
+
+
+# Each reversible builtin as the permutation of basis indices it performs.
+PERMUTATIONS = {
+    "classical": {"NOT": _NOT, "CNOT": _CNOT, "SWAP": _SWAP,
+                  "AND": _embedding((0, 0, 0, 1)), "OR": _embedding((0, 1, 1, 1)),
+                  "XOR": _embedding((0, 1, 1, 0)), "NAND": _embedding((1, 1, 1, 0)),
+                  "NOR": _embedding((1, 0, 0, 0)), "FANOUT": _embedding((0, 1))},
+    "stochastic": {"NOT": _NOT, "CNOT": _CNOT, "SWAP": _SWAP},
+    "quantum": {"X": _NOT, "CNOT": _CNOT, "SWAP": _SWAP},
+    "fuzzy": {"FID": (0, 1), "FNOT": _NOT, "FSWAP": _SWAP},
+}
+
+
 def test_the_table_lists_every_model_once():
     assert MODEL_NAMES == ("classical", "stochastic", "quantum", "fuzzy")
     assert all(MODELS[name].name == name for name in MODEL_NAMES)
@@ -44,6 +65,43 @@ def test_every_builtin_gate_is_a_member(model, name):
     assert gate.matrix.instance == model_instance(model)
     assert gate_violation(model, gate.matrix) is None
     assert gate.matrix.rows == gate.matrix.cols == 1 << gate.arity
+
+
+@pytest.mark.parametrize("model, name",
+                         [(model, name) for model in PERMUTATIONS for name in PERMUTATIONS[model]])
+def test_permutation_builtins_move_basis_vectors(model, name):
+    perm = PERMUTATIONS[model][name]
+    instance = model_instance(model)
+
+    def basis(j):  # built by role: `one` at j, `zero` elsewhere
+        return SVector(instance, tuple(instance.one if i == j else instance.zero
+                                       for i in range(len(perm))))
+
+    matrix = builtin_gate(model, name).matrix
+    for j, image in enumerate(perm):
+        assert mat_vec(matrix, basis(j)) == basis(image)
+
+
+def test_only_h_z_and_fzero_are_not_permutations():
+    rest = {(m.name, g) for m in MODELS.values() for g in m.gates
+            if g not in PERMUTATIONS[m.name]}
+    assert rest == {("quantum", "H"), ("quantum", "Z"), ("fuzzy", "FZERO")}
+
+
+def test_gate_descriptor_checks_shape_then_membership():
+    half = UnitScalar(1, 2)
+    rejected = [
+        (SMatrix(FUZZ_MV, ((half, half),)), "gate 'g': matrix must be square"),
+        (identity(FUZZ_MV, 1), "gate 'g': dimension 1 is not a power of two >= 2"),
+        (identity(FUZZ_MV, 3), "gate 'g': dimension 3 is not a power of two >= 2"),
+        (SMatrix(FUZZ_MV, ((half, half), (half, half))),
+         "fuzzy gate 'g': column 0 has minimum 1/2, expected 0"),
+    ]
+    for matrix, message in rejected:
+        with pytest.raises(MembershipError) as exc:
+            GateDescriptor("fuzzy", "g", matrix)
+        assert str(exc.value) == message
+    assert GateDescriptor("fuzzy", "g", identity(FUZZ_MV, 8)).arity == 3
 
 
 @pytest.mark.parametrize("model", sorted(NON_MEMBERS))

@@ -7,11 +7,9 @@ import pytest
 from fuzzbit.algebra import COMPLEX, COMPLEX_TOL
 from fuzzbit.errors import MembershipError
 from fuzzbit.linalg import SMatrix, SVector, equal, kron_vec, mat_mul, mat_vec
-from fuzzbit.models import VectorState
+from fuzzbit.models import VectorState, builtin_gate
 from fuzzbit.models.quantum import (
-    is_unitary,
     measure,
-    quantum_gate,
     splitmix64,
     state_norm_violation,
     unitary_violation,
@@ -24,11 +22,14 @@ def qvec(*xs):
     return SVector(COMPLEX, tuple(complex(x) for x in xs))
 
 
+def quantum_gate(name):
+    return builtin_gate("quantum", name).matrix
+
+
 def test_builtin_gates_are_unitary():
     for name in ("X", "H", "Z", "CNOT"):
         gate = quantum_gate(name)
         assert unitary_violation(gate) is None
-        assert is_unitary(gate)
     h = quantum_gate("H")
     assert abs(h.entries[0][0] - R2) < COMPLEX_TOL
     assert abs(h.entries[1][1] + R2) < COMPLEX_TOL

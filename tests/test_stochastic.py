@@ -7,12 +7,8 @@ import pytest
 from fuzzbit.algebra import PROBABILITY
 from fuzzbit.errors import MembershipError
 from fuzzbit.linalg import SMatrix, SVector, mat_mul, mat_vec
-from fuzzbit.models import VectorState, gate_descriptor_from_matrix
-from fuzzbit.models.stochastic import (
-    distribution_violation,
-    is_stochastic,
-    stochastic_violation,
-)
+from fuzzbit.models import GateDescriptor, VectorState
+from fuzzbit.models.stochastic import distribution_violation, stochastic_violation
 
 F = Fraction
 
@@ -40,7 +36,6 @@ def test_distribution_membership():
 
 def test_stochastic_violation_reasons():
     assert stochastic_violation(FAULTY_NOT) is None
-    assert is_stochastic(FAULTY_NOT)
     bad_sum = pmat([["1/2", "1/2"], ["1/2", 0]])
     assert "column 1" in stochastic_violation(bad_sum)
     bad_entry = pmat([["3/2", 0], ["-1/2", 1]])
@@ -58,12 +53,12 @@ def test_markov_step_exact():
     assert two.vector.entries == (F(83, 100), F(17, 100))
     assert sum(two.vector.entries) == 1
     with pytest.raises(MembershipError):
-        gate_descriptor_from_matrix("stochastic", "bad", pmat([["1/2", "1/2"], ["1/2", 0]]))
+        GateDescriptor("stochastic", "bad", pmat([["1/2", "1/2"], ["1/2", 0]]))
 
 
 def test_semigroup_not_group():
     # products stay stochastic...
-    assert is_stochastic(mat_mul(FAULTY_NOT, FAULTY_NOT))
+    assert stochastic_violation(mat_mul(FAULTY_NOT, FAULTY_NOT)) is None
     # ...but inverses need not exist
     uniform = pmat([["1/2", "1/2"], ["1/2", "1/2"]])
     det = uniform.entries[0][0] * uniform.entries[1][1] \

@@ -8,6 +8,7 @@ from fuzzbit.verify import (
     CheckReport,
     check_action_laws,
     check_mv_gate_laws,
+    check_oracle_agreement,
     check_semiring_axioms,
     check_stochastic_semigroup,
     check_tensor_laws,
@@ -94,6 +95,21 @@ def test_mutated_determinant_fails_singular_exhibit(monkeypatch):
     monkeypatch.setattr(verify, "_det2", lambda m: m[0][0] * m[1][1] + m[0][1] * m[1][0])
     report = check_stochastic_semigroup(grid_values("coarse"))
     assert "singular-exhibit" in {failure[0] for failure in report.failures}
+
+
+KERNEL_MUTANTS = {
+    "kron_mat": lambda real: lambda a, b: real(b, a),  # factors swapped
+    "kron_vec": lambda real: lambda u, v: real(v, u),
+    "mat_vec_block": lambda real: lambda a, base, v: real(a, 1 - base, v),  # wrong bit
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNEL_MUTANTS))
+def test_mutated_kernel_fails_oracle_agreement(monkeypatch, kernel):
+    monkeypatch.setattr(verify, kernel, KERNEL_MUTANTS[kernel](getattr(verify, kernel)))
+    report = check_oracle_agreement(grid_values("coarse"))
+    assert report.cases == 4056
+    assert len(report.failures) >= 1
 
 
 def test_tensor_and_stochastic_exhibits():
