@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from pathlib import Path
 
@@ -22,7 +23,13 @@ from .circuit import (
     validate,
 )
 from .algebra import SemiringInstance, format_complex, format_rational
-from .errors import FuzzbitError, InternalCheckError, ParseError, ValidationError
+from .errors import (
+    FuzzbitError,
+    InternalCheckError,
+    MembershipError,
+    ParseError,
+    ValidationError,
+)
 from .linalg import (
     SMatrix,
     SVector,
@@ -56,11 +63,10 @@ def _read_matrix(path: str) -> SMatrix:
     return parse_matrix_text(text)
 
 
-def _read_vector(path: str) -> SVector:
+def _read_operand(path: str) -> SMatrix | SVector:
+    """A single row or column reads as a state vector, anything else as a gate."""
     m = _read_matrix(path)
-    if not _is_vector_shaped(m):
-        raise ValidationError(f"{m.rows}x{m.cols} matrix is not a vector")
-    return as_vector(m)
+    return as_vector(m) if m.rows == 1 or m.cols == 1 else m
 
 
 def _display_formatter(instance: SemiringInstance):
@@ -79,69 +85,57 @@ def _render_state(state) -> str:
     return _render_vector(state.vector)
 
 
-def _is_vector_shaped(m: SMatrix) -> bool:
-    return m.rows == 1 or m.cols == 1
+def _violation(model: str, x: SMatrix | SVector) -> str | None:
+    """The model's verdict on `x`: a vector as a state, a matrix as a gate."""
+    return (state_violation if isinstance(x, SVector) else gate_violation)(model, x)
+
+
+def _print_checked(model: str, what: str, operation, *operands: SMatrix | SVector) -> int:
+    """Print `operation(*operands)`: a non-member operand exits 1, a non-member result 3."""
+    for reason in [_violation(model, x) for x in operands]:  # all checked, first reported
+        if reason is not None:
+            raise MembershipError(reason)
+    result = operation(*operands)
+    is_state = isinstance(result, SVector)
+    reason = _violation(model, result)
+    if reason is not None:
+        raise InternalCheckError(
+            f"{what} left the {'state' if is_state else 'gate'} set: {reason}")
+    if is_state:
+        print(_render_vector(result))
+    else:
+        sys.stdout.write(serialize_matrix(result, _display_formatter(result.instance)))
+    return 0
 
 
 def cmd_check(args) -> int:
-    m = _read_matrix(args.file)
-    if _is_vector_shaped(m):
-        reason = state_violation(args.model, as_vector(m))
-    else:
-        reason = gate_violation(args.model, m)
-    if reason is None:
-        print("ok")
-        return 0
-    print(f"fail {reason}")
-    return 1
+    reason = _violation(args.model, _read_operand(args.file))
+    print("ok" if reason is None else f"fail {reason}")
+    return 0 if reason is None else 1
+
+
+def _act(gate: SMatrix, state: SVector) -> SVector:
+    if gate.cols != len(state):
+        raise ValidationError(
+            f"a {gate.rows}x{gate.cols} gate cannot act on a state of length {len(state)}")
+    return mat_vec(gate, state)
 
 
 def cmd_apply(args) -> int:
     gate = _read_matrix(args.gate)
-    state = _read_vector(args.state)
-    for reason in (gate_violation(args.model, gate),
-                   state_violation(args.model, state)):
-        if reason is not None:
-            print(f"error: {reason}", file=sys.stderr)
-            return 1
-    if gate.cols != len(state):
-        raise ValidationError(
-            f"a {gate.rows}x{gate.cols} gate cannot act on a state of length {len(state)}")
-    result = mat_vec(gate, state)
-    reason = state_violation(args.model, result)
-    if reason is not None:
-        raise InternalCheckError(f"result left the state set: {reason}")
-    print(_render_vector(result))
-    return 0
+    state = _read_operand(args.state)
+    if not isinstance(state, SVector):
+        raise ValidationError(f"{state.rows}x{state.cols} matrix is not a vector")
+    return _print_checked(args.model, "result", _act, gate, state)
 
 
 def cmd_kron(args) -> int:
-    a = _read_matrix(args.a)
-    b = _read_matrix(args.b)
-    if _is_vector_shaped(a) != _is_vector_shaped(b):
+    a = _read_operand(args.a)
+    b = _read_operand(args.b)
+    if isinstance(a, SVector) != isinstance(b, SVector):
         raise ValidationError("kron arguments must be two states or two gates")
-    if _is_vector_shaped(a):
-        u, v = as_vector(a), as_vector(b)
-        for reason in (state_violation(args.model, u), state_violation(args.model, v)):
-            if reason is not None:
-                print(f"error: {reason}", file=sys.stderr)
-                return 1
-        product = kron_vec(u, v)
-        reason = state_violation(args.model, product)
-        if reason is not None:
-            raise InternalCheckError(f"tensor left the state set: {reason}")
-        print(_render_vector(product))
-    else:
-        for reason in (gate_violation(args.model, a), gate_violation(args.model, b)):
-            if reason is not None:
-                print(f"error: {reason}", file=sys.stderr)
-                return 1
-        product = kron_mat(a, b)
-        reason = gate_violation(args.model, product)
-        if reason is not None:
-            raise InternalCheckError(f"tensor left the gate set: {reason}")
-        sys.stdout.write(serialize_matrix(product, _display_formatter(product.instance)))
-    return 0
+    kron = kron_vec if isinstance(a, SVector) else kron_mat
+    return _print_checked(args.model, "tensor", kron, a, b)
 
 
 def _print_trace(program, trace: SimulationTrace, show_steps: bool) -> None:
@@ -207,6 +201,9 @@ def cmd_verify(args) -> int:
 
 
 def _seed_arg(text: str) -> int:
+    # ASCII digits, as `measure seed` takes; int() alone reads '٣', '1_0' and ' 7'
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(text)
     value = int(text)
     if not 0 <= value < 1 << 64:
         raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")

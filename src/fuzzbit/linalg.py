@@ -184,8 +184,7 @@ def kron_vec(u: SVector, v: SVector) -> SVector:
 
 def identity(s: SemiringInstance, n: int) -> SMatrix:
     """n x n matrix with `one` on the diagonal and `zero` elsewhere."""
-    return SMatrix(s, tuple(tuple(s.one if i == j else s.zero for j in range(n))
-                            for i in range(n)))
+    return matrix_from_permutation(range(n), s)
 
 
 def zeros(s: SemiringInstance, n: int) -> SMatrix:

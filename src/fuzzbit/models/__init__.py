@@ -9,10 +9,12 @@ and for gates:
     fuzzy       fuzz-mv      min-0 (or all-ones)  column-min-0 (or all-ones)
 
 Each model is one row of `MODELS`: its carrier, predicates and builtin
-gates are lookups in that row, so a new model is a new row.  Classical
-gates that are not invertible (AND, OR, XOR, NAND, NOR, FANOUT) appear
-through their reversible embedding: one extra target wire receives
-y XOR f(x), so every registered matrix passes its model's predicate.
+gates are lookups in that row, so a new model is a new row.  The row
+checks carrier and squareness; each model module states only its own
+property.  Classical gates that are not invertible (AND, OR, XOR, NAND,
+NOR, FANOUT) appear through their reversible embedding: one extra target
+wire receives y XOR f(x), so every registered matrix passes its model's
+predicate.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ __all__ = [
 class Model:
     """A model of computation: its carrier, membership predicates and named gates.
 
+    The predicates see only values over `instance` (and square gates); the
+    lookups `state_violation` and `gate_violation` check that first.
     `gates` maps each builtin name to a zero-argument constructor of its
     matrix; `builtin_gate` runs it on first lookup, not at import.
     """
@@ -109,14 +113,25 @@ def model_instance(model: str) -> SemiringInstance:
     return _model(model).instance
 
 
+def _carrier_violation(row: Model, x: SMatrix | SVector) -> str | None:
+    if x.instance != row.instance:
+        return f"instance {x.instance.name} is not the {row.instance.name} carrier"
+    return None
+
+
 def gate_violation(model: str, m: SMatrix) -> str | None:
-    """The model's gate membership predicate, as a reason string or None."""
-    return _model(model).gate_violation(m)
+    """Why `m` is no gate of the model, or None: carrier, shape, then the row's predicate."""
+    row = _model(model)
+    reason = _carrier_violation(row, m)
+    if reason is None and m.rows != m.cols:
+        reason = f"not square ({m.rows}x{m.cols})"
+    return reason or row.gate_violation(m)
 
 
 def state_violation(model: str, v: SVector) -> str | None:
-    """The model's state membership predicate applied to a column vector."""
-    return _model(model).state_violation(v)
+    """Why `v` is no state of the model, or None: carrier, then the row's predicate."""
+    row = _model(model)
+    return _carrier_violation(row, v) or row.state_violation(v)
 
 
 @dataclass(frozen=True)

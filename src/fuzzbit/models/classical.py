@@ -94,9 +94,7 @@ def classical_gate(name: str) -> TruthTable:
 
 
 def basis_vector_violation(v: SVector) -> str | None:
-    """None if `v` is a boolean basis vector, else the reason it is not."""
-    if v.instance.name != "boolean":
-        return f"instance {v.instance.name} is not the boolean carrier"
+    """None if `v` is a basis vector, else why not; the row checked its boolean carrier."""
     if any(x != 0 and x != 1 for x in v.entries):
         return "entries must be 0 or 1"
     ones = sum(1 for x in v.entries if x == 1)
@@ -108,11 +106,10 @@ def basis_vector_violation(v: SVector) -> str | None:
 # --- permutation matrices -----------------------------------------------------
 
 def permutation_violation(m: SMatrix) -> str | None:
-    """None if `m` is a boolean permutation matrix, else a human-readable reason."""
-    if m.instance.name != "boolean":
-        return f"instance {m.instance.name} is not the boolean carrier"
-    if m.rows != m.cols:
-        return f"not square ({m.rows}x{m.cols})"
+    """None if `m` is a permutation matrix, else a human-readable reason.
+
+    `m` is square and boolean: the row (`models.gate_violation`) checks both.
+    """
     zero, one = Fraction(0), Fraction(1)
     for i, row in enumerate(m.entries):
         for j, x in enumerate(row):

@@ -22,7 +22,6 @@ if TYPE_CHECKING:
 __all__ = [
     "fuzzy_state_violation",
     "fuzzy_gate_violation",
-    "fuzzy_pointwise_product",
     "fuzzy_tensor",
     "fuzzy_basis_ket",
     "complement",
@@ -30,8 +29,7 @@ __all__ = [
 
 
 def fuzzy_state_violation(v: SVector) -> str | None:
-    if v.instance.name != "fuzz-mv":
-        return f"instance {v.instance.name} is not the fuzz-mv carrier"
+    """None for a vanishing minimum or all ones; the row checked the fuzz-mv carrier."""
     low = min(v.entries)
     if low == ZERO or all(x == ONE for x in v.entries):
         return None
@@ -39,11 +37,10 @@ def fuzzy_state_violation(v: SVector) -> str | None:
 
 
 def fuzzy_gate_violation(m: SMatrix) -> str | None:
-    """None for column-wise vanishing minima or the all-ones matrix."""
-    if m.instance.name != "fuzz-mv":
-        return f"instance {m.instance.name} is not the fuzz-mv carrier"
-    if m.rows != m.cols:
-        return f"not square ({m.rows}x{m.cols})"
+    """None for column-wise vanishing minima or the all-ones matrix.
+
+    `m` is square and fuzz-mv: the row (`models.gate_violation`) checks both.
+    """
     if all(x == ONE for row in m.entries for x in row):
         return None
     for j in range(m.cols):
@@ -51,15 +48,6 @@ def fuzzy_gate_violation(m: SMatrix) -> str | None:
         if low != ZERO:
             return f"column {j} has minimum {low}, expected 0"
     return None
-
-
-def fuzzy_pointwise_product(u: VectorState, v: VectorState) -> VectorState:
-    """Componentwise min; the semigroup product on fuzzy states."""
-    from . import VectorState  # the package imports this module first
-    if len(u.vector) != len(v.vector):
-        raise ValueError("length mismatch")
-    return VectorState("fuzzy", SVector(FUZZ_MV, tuple(
-        min(x, y) for x, y in zip(u.vector.entries, v.vector.entries))))
 
 
 def fuzzy_tensor(states: Sequence[VectorState]) -> VectorState:

@@ -35,8 +35,7 @@ Z = ((1 + 0j, 0j), (0j, -1 + 0j))
 
 
 def state_norm_violation(v: SVector, tol: float = COMPLEX_TOL) -> str | None:
-    if v.instance.name != "complex":
-        return f"instance {v.instance.name} is not the complex carrier"
+    """None if `v` is finite with unit norm within `tol`; the row checked its carrier."""
     for i, a in enumerate(v.entries):
         if not (math.isfinite(a.real) and math.isfinite(a.imag)):
             return f"entry {i} is not finite"
@@ -47,11 +46,10 @@ def state_norm_violation(v: SVector, tol: float = COMPLEX_TOL) -> str | None:
 
 
 def unitary_violation(m: SMatrix, tol: float = COMPLEX_TOL) -> str | None:
-    """None if the conjugate transpose inverts `m` within tolerance."""
-    if m.instance.name != "complex":
-        return f"instance {m.instance.name} is not the complex carrier"
-    if m.rows != m.cols:
-        return f"not square ({m.rows}x{m.cols})"
+    """None if the conjugate transpose inverts `m` within tolerance.
+
+    `m` is square and complex: the row (`models.gate_violation`) checks both.
+    """
     n = m.rows
     for i in range(n):
         for j in range(n):

@@ -19,8 +19,7 @@ __all__ = [
 
 
 def distribution_violation(v: SVector) -> str | None:
-    if v.instance.name != "probability":
-        return f"instance {v.instance.name} is not the probability carrier"
+    """None if `v` is a distribution, else why not; the row checked its carrier."""
     for i, x in enumerate(v.entries):
         if not 0 <= x <= 1:
             return f"entry {i} is {x}, outside [0, 1]"
@@ -31,11 +30,10 @@ def distribution_violation(v: SVector) -> str | None:
 
 
 def stochastic_violation(m: SMatrix) -> str | None:
-    """None if `m` is column-stochastic, else the reason it is not."""
-    if m.instance.name != "probability":
-        return f"instance {m.instance.name} is not the probability carrier"
-    if m.rows != m.cols:
-        return f"not square ({m.rows}x{m.cols})"
+    """None if `m` is column-stochastic, else the reason it is not.
+
+    `m` is square and probability: the row (`models.gate_violation`) checks both.
+    """
     for i, row in enumerate(m.entries):
         for j, x in enumerate(row):
             if not 0 <= x <= 1:

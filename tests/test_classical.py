@@ -5,6 +5,7 @@ import pytest
 from fuzzbit.algebra import BOOLEAN, UnitScalar
 from fuzzbit.errors import MembershipError
 from fuzzbit.linalg import SMatrix, identity, mat_mul, matrix_from_permutation
+from fuzzbit.models import gate_violation
 from fuzzbit.models.classical import (
     ClassicalState,
     TruthTable,
@@ -59,7 +60,7 @@ def test_permutation_violation_reasons():
     not_01 = SMatrix(BOOLEAN, ((U(1, 2), U(1, 2)), (U(1, 2), U(1, 2))))
     assert permutation_violation(not_01) is not None
     non_square = SMatrix(BOOLEAN, ((U(1), U(0)),))
-    assert permutation_violation(non_square) is not None
+    assert gate_violation("classical", non_square) == "not square (1x2)"
     assert permutation_violation(identity(BOOLEAN, 2)) is None
     assert permutation_violation(bad_row) is not None
 

@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 from fuzzbit.algebra import FUZZ_MV
 from fuzzbit.circuit import MAX_DENSE_WIRES
 from fuzzbit.cli import main
-from fuzzbit.linalg import identity, parse_matrix_text
+from fuzzbit.linalg import (
+    SMatrix,
+    identity,
+    matrix_from_permutation,
+    parse_matrix_text,
+    serialize_matrix,
+)
 from fuzzbit.models import MODEL_NAMES, MODELS, builtin_gate
 
 FID_TEXT = "instance fuzz-mv 2 2\n0 1\n1 0\n"
@@ -117,6 +123,34 @@ def test_classical_gates_take_only_the_boolean_carrier(tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: {reason}\n")
     assert main(["apply", "classical", b_not, b_vec]) == 0
     assert capsys.readouterr().out == "0 1\n"
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_each_model_takes_only_its_carrier_and_square_gates(tmp_path, capsys, model):
+    own = MODELS[model].instance
+    other = next(m.instance for m in MODELS.values() if m.instance != own)
+    carrier = f"instance {other.name} is not the {own.name} carrier"
+
+    def files(s, tag):  # a permutation gate and a basis state over `s`
+        gate = serialize_matrix(matrix_from_permutation((1, 0), s))
+        state = serialize_matrix(SMatrix(s, ((s.one,), (s.zero,))))
+        return write(tmp_path, f"{tag}.mat", gate), write(tmp_path, f"{tag}.vec", state)
+
+    gate, state = files(own, "own")
+    bad_gate, bad_state = files(other, "other")
+    wide = write(tmp_path, "wide.mat", serialize_matrix(
+        SMatrix(own, ((own.one, own.zero, own.zero), (own.zero, own.one, own.zero)))))
+    for operand, reason, apply_argv, kron_argv in (
+            (bad_gate, carrier, [bad_gate, state], [bad_gate, gate]),
+            (bad_state, carrier, [gate, bad_state], [state, bad_state]),
+            (wide, "not square (2x3)", [wide, state], [gate, wide])):
+        assert main(["check", model, operand]) == 1
+        assert capsys.readouterr() == (f"fail {reason}\n", "")
+        for command, argv in (("apply", apply_argv), ("kron", kron_argv)):
+            assert main([command, model, *argv]) == 1
+            assert capsys.readouterr() == ("", f"error: {reason}\n")
+    assert main(["apply", model, gate, state]) == 0  # the model's own operands pass
+    assert capsys.readouterr().err == ""
 
 
 def test_simulate_summary_and_trace(tmp_path, capsys):
@@ -243,6 +277,20 @@ def test_parser_reuse_after_usage_error(tmp_path, capsys):
     capsys.readouterr()
     assert run_all() == fresh
     assert fresh[1][1].out.splitlines()[-1] == "measured 0"  # no --seed carried over
+
+
+@pytest.mark.parametrize("seed, message", [
+    ("٣", "invalid _seed_arg value: '٣'"),
+    ("1_0", "invalid _seed_arg value: '1_0'"),
+    (" 7", "invalid _seed_arg value: ' 7'"),
+    ("nine", "invalid _seed_arg value: 'nine'"),
+    ("-1", "seed must fit in an unsigned 64-bit integer"),
+    (str(1 << 64), "seed must fit in an unsigned 64-bit integer"),
+])
+def test_seed_takes_only_ascii_digits(tmp_path, capsys, seed, message):
+    bell = write(tmp_path, "bell.circ", BELL_TEXT)
+    assert main(["sample", "--seed", seed, bell]) == 2
+    assert capsys.readouterr().err.endswith(f"error: argument --seed: {message}\n")
 
 
 @pytest.mark.parametrize("program", [

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fuzzbit.algebra import COMPLEX, FUZZ_MV, PROBABILITY, UnitScalar
+from fuzzbit.algebra import BOOLEAN, COMPLEX, FUZZ_MV, PROBABILITY, UnitScalar
 from fuzzbit.errors import MembershipError
 from fuzzbit.linalg import SMatrix, SVector, identity, mat_vec
 from fuzzbit.models import (
@@ -121,6 +121,26 @@ def test_predicates_are_read_from_their_module_at_call_time(monkeypatch, model):
     assert state_violation(model, SVector(instance, (instance.one, instance.zero))) \
         == "patched state"
     assert gate_violation(model, identity(instance, 2)) == "patched gate"
+
+
+# For each model, a carrier it does not use.
+FOREIGN = {"classical": PROBABILITY, "stochastic": BOOLEAN, "quantum": FUZZ_MV, "fuzzy": COMPLEX}
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_the_row_checks_carrier_and_squareness(monkeypatch, model):
+    def unreachable(x):
+        raise AssertionError("the row must answer before the model's predicate")
+
+    for target in PREDICATES[model]:
+        monkeypatch.setattr(f"fuzzbit.models.{target}", unreachable)
+    own, other = model_instance(model), FOREIGN[model]
+    carrier = f"instance {other.name} is not the {own.name} carrier"
+    assert gate_violation(model, identity(other, 2)) == carrier
+    assert state_violation(model, SVector(other, (other.one, other.zero))) == carrier
+    # the carrier is checked before the shape
+    assert gate_violation(model, SMatrix(other, ((other.one, other.zero),))) == carrier
+    assert gate_violation(model, SMatrix(own, ((own.one, own.zero),))) == "not square (1x2)"
 
 
 def test_unknown_names_raise_value_error():

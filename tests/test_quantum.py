@@ -7,7 +7,7 @@ import pytest
 from fuzzbit.algebra import COMPLEX, COMPLEX_TOL
 from fuzzbit.errors import MembershipError
 from fuzzbit.linalg import SMatrix, SVector, equal, kron_vec, mat_mul, mat_vec
-from fuzzbit.models import VectorState, builtin_gate
+from fuzzbit.models import VectorState, builtin_gate, gate_violation
 from fuzzbit.models.quantum import (
     measure,
     splitmix64,
@@ -44,7 +44,7 @@ def test_builtin_gates_are_unitary():
 def test_unitary_violation_detects():
     shear = SMatrix(COMPLEX, ((1 + 0j, 1 + 0j), (0j, 1 + 0j)))
     assert unitary_violation(shear) is not None
-    assert unitary_violation(SMatrix(COMPLEX, ((1 + 0j, 0j),))) is not None
+    assert gate_violation("quantum", SMatrix(COMPLEX, ((1 + 0j, 0j),))) == "not square (1x2)"
 
 
 def test_hzh_equals_x():

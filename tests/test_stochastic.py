@@ -7,7 +7,7 @@ import pytest
 from fuzzbit.algebra import PROBABILITY
 from fuzzbit.errors import MembershipError
 from fuzzbit.linalg import SMatrix, SVector, mat_mul, mat_vec
-from fuzzbit.models import GateDescriptor, VectorState
+from fuzzbit.models import GateDescriptor, VectorState, gate_violation
 from fuzzbit.models.stochastic import distribution_violation, stochastic_violation
 
 F = Fraction
@@ -41,7 +41,7 @@ def test_stochastic_violation_reasons():
     bad_entry = pmat([["3/2", 0], ["-1/2", 1]])
     assert stochastic_violation(bad_entry) is not None
     non_square = pmat([["1/2", "1/2"]])
-    assert stochastic_violation(non_square) is not None
+    assert gate_violation("stochastic", non_square) == "not square (1x2)"
 
 
 def test_markov_step_exact():

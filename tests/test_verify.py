@@ -97,6 +97,25 @@ def test_mutated_determinant_fails_singular_exhibit(monkeypatch):
     assert "singular-exhibit" in {failure[0] for failure in report.failures}
 
 
+def _uncapped_mm(a, b, n, L):
+    """`_mm` without the cap at L: a sum past 1 stays past 1."""
+    cols = [b[j::n] for j in range(n)]
+    return tuple(min(x + y for x, y in zip(a[i * n:i * n + n], col))
+                 for i in range(n) for col in cols)
+
+
+@pytest.mark.parametrize("check, kind", [
+    (lambda grid: check_mv_gate_laws(grid, 2), "zero-absorbs"),
+    (lambda grid: check_mv_gate_laws(grid, 4), "zero-absorbs"),
+    # swapping _kron_m's factors would not show here: both sides swap
+    (check_tensor_laws, "mixed-product"),
+], ids=["mv-gate-laws-2", "mv-gate-laws-4", "tensor-laws"])
+def test_uncapped_product_fails_gate_and_tensor_laws(monkeypatch, check, kind):
+    monkeypatch.setattr(verify, "_mm", _uncapped_mm)
+    report = check(grid_values("coarse"))
+    assert kind in {failure[0] for failure in report.failures}
+
+
 KERNEL_MUTANTS = {
     "kron_mat": lambda real: lambda a, b: real(b, a),  # factors swapped
     "kron_vec": lambda real: lambda u, v: real(v, u),
