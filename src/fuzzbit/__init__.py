@@ -19,7 +19,6 @@ from .algebra import (
     ZERO,
     SemiringInstance,
     UnitScalar,
-    induced_order,
     make_instance,
     neg,
     odot,
@@ -78,7 +77,7 @@ __all__ = [
     # algebra
     "UnitScalar", "ZERO", "ONE", "oplus", "wedge", "vee", "odot", "neg",
     "SemiringInstance", "FUZZ_MV", "MAX_MIN", "VITERBI", "BOOLEAN",
-    "PROBABILITY", "COMPLEX", "COMPLEX_TOL", "make_instance", "induced_order",
+    "PROBABILITY", "COMPLEX", "COMPLEX_TOL", "make_instance",
     # linalg
     "SVector", "SMatrix", "add", "mat_mul", "mat_vec", "kron_mat", "kron_vec",
     "identity", "as_vector", "parse_matrix_text", "serialize_matrix",

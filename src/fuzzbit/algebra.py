@@ -40,7 +40,6 @@ __all__ = [
     "PROBABILITY",
     "COMPLEX",
     "make_instance",
-    "induced_order",
     "parse_unit_scalar",
     "parse_nonneg_rational",
     "parse_complex_scalar",
@@ -148,13 +147,6 @@ def make_instance(name: str) -> SemiringInstance:
         return _INSTANCES[name]
     except KeyError:
         raise ValueError(f"unknown semiring instance {name!r}") from None
-
-
-def induced_order(s: SemiringInstance, a, b) -> bool:
-    """a <= b in the order induced by idempotent addition: add(a, b) == b."""
-    if not s.idempotent_add:
-        raise ValueError(f"instance {s.name!r} does not have idempotent addition")
-    return s.add(a, b) == b
 
 
 # --- scalar literal grammar -------------------------------------------------

@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add as _int_add
+from operator import itemgetter
 
 from .algebra import (
     BOOLEAN,
@@ -164,6 +165,26 @@ def _states2(levels, L):
     return states
 
 
+# --- interned element tables ----------------------------------------------------
+#
+# The exhaustive size-2 checks meet few distinct values many times over.  Each
+# distinct gate or vector gets a dense int id, and an operation becomes a table
+# of ids built by one kernel call per pair.  Equal ids mean equal values, so
+# comparing rows of ids is an exact comparison of every case in the row.
+
+def _intern(values, ids: dict) -> list[int]:
+    """The id of each value, adding unseen values to `ids` in order of first appearance.
+
+    Ids are dense, so `list(ids)[k]` is the value with id k.
+    """
+    return [ids.setdefault(v, len(ids)) for v in values]
+
+
+def _table(op, left, right, ids: dict) -> list[list[int]]:
+    """table[p][q] is the id of op(left[p], right[q]), one op call per pair."""
+    return [_intern([op(a, b) for b in right], ids) for a in left]
+
+
 # --- checks ---------------------------------------------------------------------
 
 def check_semiring_axioms(instance: SemiringInstance, grid) -> CheckReport:
@@ -226,20 +247,37 @@ def check_mv_gate_laws(grid, size: int = 2) -> CheckReport:
         # meet of two grid gates is again a grid gate, so products are table lookups
         meet = [[index[_wedge(gates[j], gates[k])] for k in range(n_g)]
                 for j in range(n_g)]
-        for i in range(n_g):
+
+        def distributivity(i, j):
             prow = prods[i]
+            pij = prow[j]
+            pji = prods[j][i]
+            meets_j = meet[j]
+            for k in range(n_g):
+                if prow[meets_j[k]] != _wedge(pij, prow[k]):
+                    report.failures.append(("left-dist", gates[i], gates[j], gates[k]))
+                if prods[meets_j[k]][i] != _wedge(pji, prods[k][i]):
+                    report.failures.append(("right-dist", gates[i], gates[j], gates[k]))
+
+        # For fixed (A, B) = (i, j), the left-dist cases A(B ^ C) = AB ^ AC over
+        # every C are one comparison of id rows: row i of the product ids read at
+        # B's meets, against the meet table's row for AB read at row i.
+        # Right-dist reads column i.  A pair whose rows differ is rechecked case
+        # by case, so failures keep their form and order.
+        ids: dict = {}
+        prod_id = [_intern(row, ids) for row in prods]
+        values = list(ids)
+        wedge_id = _table(_wedge, values, values, ids)
+        prod_col = list(zip(*prod_id))
+        at_meet = [itemgetter(*m) for m in meet]
+        for i in range(n_g):
+            row, col = prod_id[i], prod_col[i]
+            at_row, at_col = itemgetter(*row), itemgetter(*col)
             for j in range(n_g):
-                pij = prow[j]
-                pji = prods[j][i]
-                meets_j = meet[j]
-                for k in range(n_g):
-                    report.cases += 2
-                    if prow[meets_j[k]] != _wedge(pij, prow[k]):
-                        report.failures.append(
-                            ("left-dist", gates[i], gates[j], gates[k]))
-                    if prods[meets_j[k]][i] != _wedge(pji, prods[k][i]):
-                        report.failures.append(
-                            ("right-dist", gates[i], gates[j], gates[k]))
+                report.cases += 2 * n_g
+                if (at_meet[j](row) != at_row(wedge_id[row[j]])
+                        or at_meet[j](col) != at_col(wedge_id[col[j]])):
+                    distributivity(i, j)
         report.note = "exhaustive"
     elif size == 4:
         base = _gates2(levels, L)
@@ -290,11 +328,6 @@ def check_action_laws(grid, size: int = 2) -> CheckReport:
     L, levels = _scale_grid(grid)
     report = CheckReport(f"action-laws-{size}", 0)
     if size == 2:
-        gates = _gates2(levels, L)
-        states = _states2(levels, L)
-        dim = 2
-        note = "exhaustive"
-        caps = None
         if len(levels) > 2:
             # documented counterexample: the complement is NOT an operation on
             # the state set; (0, interior) maps to a vector with nonzero minimum
@@ -304,56 +337,103 @@ def check_action_laws(grid, size: int = 2) -> CheckReport:
             if _is_state(comp, L):
                 report.failures.append(
                     ("complement-unexpectedly-closed", (0, interior), comp))
+        _action_laws_exhaustive(report, _gates2(levels, L), _states2(levels, L), L)
+        report.note = "exhaustive"
     elif size == 4:
         base_g = _gates2(levels, L)
         base_s = _states2(levels, L)
         gates = [_kron_m(a, b, 2, 2, L) for a in base_g for b in base_g]
         states = [_kron_v(u, v, L) for u in base_s for v in base_s]
-        dim = 4
-        caps = 100000
-        note = f"Kronecker-built; first {caps} law instances in lexicographic order"
+        cap = 100000
+        _action_laws_sampled(report, gates, states, L, cap)
+        report.note = f"Kronecker-built; first {cap} law instances in lexicographic order"
     else:
         raise ValueError("size must be 2 or 4")
+    report.elapsed = time.perf_counter() - t0
+    return report
 
-    def apply_pairs():
-        return itertools.product(range(len(gates)), range(len(states)))
 
-    images: dict[tuple[int, int], tuple] = {}
-    it = apply_pairs() if caps is None else itertools.islice(apply_pairs(), caps)
-    for gi, si in it:
-        image = _mv(gates[gi], states[si], dim, L)
-        images[(gi, si)] = image
+def _action_laws_exhaustive(report: CheckReport, gates, states, L) -> None:
+    """Every instance of the three laws on 2x2 gates, over interned tables."""
+    def act(g, v):
+        return _mv(g, v, 2, L)
+
+    vids: dict = {}
+    image_id = _table(act, gates, states, vids)
+    vectors = list(vids)
+    for gi, row in enumerate(image_id):
+        for si, v in enumerate(row):
+            report.cases += 1
+            if not _is_state(vectors[v], L):
+                report.failures.append(("state-closure", gates[gi], states[si], vectors[v]))
+
+    # A(s ^ t) = As ^ At, with A(s ^ t) computed once per (gate, distinct meet)
+    meet_id = _table(_wedge, states, states, vids)
+    act_id = _table(act, gates, list(vids), vids)
+    vectors = list(vids)
+    for gi, row in enumerate(image_id):
+        act_g = act_id[gi]
+        for si, meets_s in enumerate(meet_id):
+            a_s = vectors[row[si]]
+            for ti, m in enumerate(meets_s):
+                report.cases += 1
+                if vectors[act_g[m]] != _wedge(a_s, vectors[row[ti]]):
+                    report.failures.append(("linearity", gates[gi], states[si], states[ti]))
+
+    # (AB)s = A(Bs) over all s at once: AB's row of images against A's row read
+    # at the ids of B's images.  A row that differs is rechecked case by case.
+    mids: dict = {}
+    prod_id = _table(lambda a, b: _mm(a, b, 2, L), gates, gates, mids)
+    prod_image_id = _table(act, list(mids), states, vids)
+    for ai, a in enumerate(gates):
+        act_a = act_id[ai]
+        for bi, b in enumerate(gates):
+            report.cases += len(states)
+            if prod_image_id[prod_id[ai][bi]] != [act_a[v] for v in image_id[bi]]:
+                ab = _mm(a, b, 2, L)
+                for si, s in enumerate(states):
+                    if _mv(ab, s, 2, L) != _mv(a, vectors[image_id[bi][si]], 2, L):
+                        report.failures.append(("compatibility", a, b, s))
+
+
+def _action_laws_sampled(report: CheckReport, gates, states, L, cap: int) -> None:
+    """The first `cap` instances of each law on 4x4 gates, in lexicographic order."""
+    n_s = len(states)
+    # the closure loop runs the pairs in order, so the image of (gi, si) sits at
+    # gi * n_s + si; a list holds the 10^5 images in 10 MB less than a dict on pairs
+    images: list[tuple] = []
+
+    def image(gi: int, si: int) -> tuple:
+        k = gi * n_s + si
+        return images[k] if k < len(images) else _mv(gates[gi], states[si], 4, L)
+
+    # each islice drops its product, and the product's tuples of indices, when done
+    pairs = itertools.islice(itertools.product(range(len(gates)), range(n_s)), cap)
+    for gi, si in pairs:
+        images.append(_mv(gates[gi], states[si], 4, L))
         report.cases += 1
-        if not _is_state(image, L):
-            report.failures.append(("state-closure", gates[gi], states[si], image))
+        if not _is_state(images[-1], L):
+            report.failures.append(("state-closure", gates[gi], states[si], images[-1]))
 
-    lin = itertools.product(range(len(gates)), range(len(states)), range(len(states)))
-    if caps is not None:
-        lin = itertools.islice(lin, caps)
+    lin = itertools.islice(
+        itertools.product(range(len(gates)), range(n_s), range(n_s)), cap)
     for gi, si, ti in lin:
         report.cases += 1
         meet = _wedge(states[si], states[ti])
-        left = _mv(gates[gi], meet, dim, L)
-        a_s = images.get((gi, si)) or _mv(gates[gi], states[si], dim, L)
-        a_t = images.get((gi, ti)) or _mv(gates[gi], states[ti], dim, L)
-        if left != _wedge(a_s, a_t):
+        left = _mv(gates[gi], meet, 4, L)
+        if left != _wedge(image(gi, si), image(gi, ti)):
             report.failures.append(("linearity", gates[gi], states[si], states[ti]))
 
-    comp = itertools.product(range(len(gates)), range(len(gates)), range(len(states)))
-    if caps is not None:
-        comp = itertools.islice(comp, caps)
+    comp = itertools.islice(
+        itertools.product(range(len(gates)), range(len(gates)), range(n_s)), cap)
     ab_index = None
     for ai, bi, si in comp:
         report.cases += 1
         if (ai, bi) != ab_index:  # the product stays fixed while si runs
-            ab_index, ab = (ai, bi), _mm(gates[ai], gates[bi], dim, L)
-        b_v = images.get((bi, si)) or _mv(gates[bi], states[si], dim, L)
-        left = _mv(ab, states[si], dim, L)
-        if left != _mv(gates[ai], b_v, dim, L):
+            ab_index, ab = (ai, bi), _mm(gates[ai], gates[bi], 4, L)
+        left = _mv(ab, states[si], 4, L)
+        if left != _mv(gates[ai], image(bi, si), 4, L):
             report.failures.append(("compatibility", gates[ai], gates[bi], states[si]))
-    report.note = note
-    report.elapsed = time.perf_counter() - t0
-    return report
 
 
 def check_tensor_laws(grid) -> CheckReport:
@@ -474,10 +554,11 @@ def check_stochastic_semigroup(grid) -> CheckReport:
 def check_oracle_agreement(grid, limit: int = 10000) -> CheckReport:
     """Entrywise kernels versus the generic linear algebra, bit for bit.
 
-    Each (A, B, v) triple compares mat_mul(A, B) and mat_vec(A, v).  Once
-    per distinct operand pair it also compares kron_mat(A, B), kron_vec(v, Av)
-    and simulate's kernel mat_vec_block(A, base, v (x) Av) at base 0 and 1,
-    which must equal the products with I (x) A and A (x) I.
+    Each (A, B, v) triple compares mat_mul(A, B) and kron_mat(A, B) with the
+    kernels, and mat_vec(A, v), kron_vec(v, Av) and simulate's kernel
+    mat_vec_block(A, base, v (x) Av) at base 0 and 1, which must equal the
+    products with I (x) A and A (x) I.  The triples repeat their operand
+    pairs, so each comparison runs once per distinct (A, B) or (A, v).
     """
     t0 = time.perf_counter()
     L, levels = _scale_grid(grid)
@@ -507,13 +588,20 @@ def check_oracle_agreement(grid, limit: int = 10000) -> CheckReport:
         return len(oracle) == len(entries) and all(
             Fraction(o, L) == x for o, x in zip(oracle, entries))
 
-    def kron_agrees(ai: int, bi: int) -> bool:
-        lib = kron_mat(matrix_of(ai), matrix_of(bi))
-        return agrees(_kron_m(gates[ai], gates[bi], 2, 2, L),
-                      tuple(x for row in lib.entries for x in row))
+    def flat(m: SMatrix) -> tuple:
+        return tuple(x for row in m.entries for x in row)
 
-    def block_agrees(ai: int, si: int, oracle_av, lib_av: SVector) -> bool:
-        x = _kron_v(states[si], oracle_av, L)
+    def pair_agrees(ai: int, bi: int) -> bool:
+        a, b = matrix_of(ai), matrix_of(bi)
+        return (agrees(_mm(gates[ai], gates[bi], 2, L), flat(mat_mul(a, b)))
+                and agrees(_kron_m(gates[ai], gates[bi], 2, 2, L), flat(kron_mat(a, b))))
+
+    def vector_agrees(ai: int, si: int) -> bool:
+        av = _mv(gates[ai], states[si], 2, L)
+        lib_av = mat_vec(matrix_of(ai), vector_of(si))
+        if not agrees(av, lib_av.entries):
+            return False
+        x = _kron_v(states[si], av, L)
         lib_x = kron_vec(vector_of(si), lib_av)
         if not agrees(x, lib_x.entries):
             return False
@@ -521,24 +609,17 @@ def check_oracle_agreement(grid, limit: int = 10000) -> CheckReport:
         return all(agrees(_mv(op, x, 4, L), mat_vec_block(matrix_of(ai), base, lib_x).entries)
                    for base, op in enumerate(padded))
 
-    kron_ok: dict[tuple[int, int], bool] = {}
-    block_ok: dict[tuple[int, int], bool] = {}
+    pair_ok: dict[tuple[int, int], bool] = {}
+    vector_ok: dict[tuple[int, int], bool] = {}
     triples = itertools.product(range(len(gates)), range(len(gates)),
                                 range(len(states)))
     for ai, bi, si in itertools.islice(triples, limit):
         report.cases += 1
-        oracle_mm = _mm(gates[ai], gates[bi], 2, L)
-        oracle_mv = _mv(gates[ai], states[si], 2, L)
-        lib_mm = mat_mul(matrix_of(ai), matrix_of(bi))
-        lib_mv = mat_vec(matrix_of(ai), vector_of(si))
-        if (ai, bi) not in kron_ok:
-            kron_ok[ai, bi] = kron_agrees(ai, bi)
-        if (ai, si) not in block_ok:
-            block_ok[ai, si] = block_agrees(ai, si, oracle_mv, lib_mv)
-        flat = tuple(x for row in lib_mm.entries for x in row)
-        ok = (agrees(oracle_mm, flat) and agrees(oracle_mv, lib_mv.entries)
-              and kron_ok[ai, bi] and block_ok[ai, si])
-        if not ok:
+        if (ai, bi) not in pair_ok:
+            pair_ok[ai, bi] = pair_agrees(ai, bi)
+        if (ai, si) not in vector_ok:
+            vector_ok[ai, si] = vector_agrees(ai, si)
+        if not (pair_ok[ai, bi] and vector_ok[ai, si]):
             report.failures.append(("agreement", gates[ai], gates[bi], states[si]))
     report.elapsed = time.perf_counter() - t0
     return report

@@ -9,14 +9,12 @@ from fuzzbit.algebra import (
     FUZZ_MV,
     MAX_MIN,
     ONE,
-    PROBABILITY,
     VITERBI,
     ZERO,
     UnitScalar,
     format_complex,
     format_complex_exact,
     format_rational,
-    induced_order,
     make_instance,
     neg,
     odot,
@@ -77,16 +75,6 @@ def test_instance_registry_and_equality():
     assert hash(make_instance("viterbi")) == hash(VITERBI)
     with pytest.raises(ValueError):
         make_instance("tropical")
-
-
-def test_induced_order():
-    # fuzz-mv order is reversed relative to the numeric order
-    assert induced_order(FUZZ_MV, ONE, ZERO)
-    assert not induced_order(FUZZ_MV, ZERO, ONE)
-    assert induced_order(MAX_MIN, ZERO, ONE)
-    assert induced_order(BOOLEAN, ZERO, ZERO)
-    with pytest.raises(ValueError):
-        induced_order(PROBABILITY, Fraction(0), Fraction(1))
 
 
 def test_parse_unit_scalar():

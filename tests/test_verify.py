@@ -1,9 +1,12 @@
 """The brute-force law harness: green on healthy code, red under mutation."""
 
+from collections import Counter
+
 import pytest
 
 import fuzzbit.verify as verify
 from fuzzbit.algebra import FUZZ_MV, SemiringInstance, UnitScalar, wedge
+from fuzzbit.linalg import SVector
 from fuzzbit.verify import (
     CheckReport,
     check_action_laws,
@@ -116,9 +119,42 @@ def test_uncapped_product_fails_gate_and_tensor_laws(monkeypatch, check, kind):
     assert kind in {failure[0] for failure in report.failures}
 
 
+def _capped_max_plus_mm(a, b, n, L):
+    """`_mm` with max in place of min, capped at L: the meet no longer distributes."""
+    cols = [b[j::n] for j in range(n)]
+    return tuple(min(max(x + y for x, y in zip(a[i * n:i * n + n], col)), L)
+                 for i in range(n) for col in cols)
+
+
+# Each expected failure list, by kind and by its first and last tuple, is the
+# one a per-case loop over every law instance finds under the same mutant: the
+# interned tables must find the same failures, in the same order.
+@pytest.mark.parametrize("check, name, mutant, cases, kinds, first, last", [
+    (check_mv_gate_laws, "_mm", _capped_max_plus_mm, 35881,
+     {"left-dist": 6976, "right-dist": 2464, "closure": 446, "identity": 25,
+      "involution": 1},
+     ("closure", (0, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 1)),
+     ("left-dist", (2, 2, 0, 0), (2, 2, 0, 0), (2, 0, 0, 2))),
+    (check_action_laws, "_row_reduce", max, 5149,
+     {"compatibility": 1780, "linearity": 164, "state-closure": 48},
+     ("state-closure", (0, 0, 0, 0), (0, 1), (1, 1)),
+     ("compatibility", (2, 2, 0, 0), (2, 2, 0, 0), (1, 0))),
+], ids=["mv-gate-laws-2", "action-laws-2"])
+def test_interned_tables_keep_the_per_case_failures(monkeypatch, check, name, mutant,
+                                                    cases, kinds, first, last):
+    monkeypatch.setattr(verify, name, mutant)
+    report = check(grid_values("coarse"), 2)
+    assert report.cases == cases
+    assert Counter(failure[0] for failure in report.failures) == kinds
+    assert (report.failures[0], report.failures[-1]) == (first, last)
+
+
 KERNEL_MUTANTS = {
     "kron_mat": lambda real: lambda a, b: real(b, a),  # factors swapped
     "kron_vec": lambda real: lambda u, v: real(v, u),
+    "mat_mul": lambda real: lambda a, b: real(b, a),
+    # the state's entries reversed
+    "mat_vec": lambda real: lambda a, v: real(a, SVector(v.instance, v.entries[::-1])),
     "mat_vec_block": lambda real: lambda a, base, v: real(a, 1 - base, v),  # wrong bit
 }
 
