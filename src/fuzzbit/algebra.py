@@ -39,6 +39,10 @@ __all__ = [
     "BOOLEAN",
     "PROBABILITY",
     "COMPLEX",
+    "NATURAL",
+    "mv_chain",
+    "common_denominator",
+    "numerators",
     "make_instance",
     "parse_unit_scalar",
     "parse_nonneg_rational",
@@ -139,6 +143,42 @@ COMPLEX = SemiringInstance("complex", add=operator.add, mul=operator.mul,
                            zero=complex(0), one=complex(1), idempotent_add=False)
 
 _INSTANCES = {s.name: s for s in (FUZZ_MV, MAX_MIN, VITERBI, BOOLEAN, PROBABILITY, COMPLEX)}
+
+# --- scaled-integer carriers ------------------------------------------------
+#
+# Exact rationals that share a denominator run as Python ints: the numerators
+# over that scale.  Neither instance below is a file carrier, so neither is
+# registered for `make_instance`.
+
+# probability numerators: a product of numerators over scales D and g is the
+# numerator of the product over the scale D * g
+NATURAL = SemiringInstance("natural", add=operator.add, mul=operator.mul, zero=0, one=1,
+                           idempotent_add=False)
+
+
+def mv_chain(scale: int) -> SemiringInstance:
+    """fuzz-mv on the numerators of the multiples of 1/scale.
+
+    The multiples of 1/scale in [0, 1] are closed under min and the truncated
+    sum: they form the finite MV-chain of that order.  Over numerators, add is
+    min, mul is min(a + b, scale), zero is scale and one is 0.
+    """
+    def mul(a: int, b: int) -> int:
+        s = a + b
+        return s if s < scale else scale
+
+    return SemiringInstance(f"mv-chain-{scale}", add=min, mul=mul, zero=scale, one=0,
+                            idempotent_add=True)
+
+
+def common_denominator(values) -> int:
+    """The least common multiple of the denominators of rationals (1 for none)."""
+    return math.lcm(*(x.denominator for x in values))
+
+
+def numerators(values, scale: int) -> tuple[int, ...]:
+    """x * scale for each rational x, whose denominator must divide `scale`."""
+    return tuple(x.numerator * (scale // x.denominator) for x in values)
 
 
 def make_instance(name: str) -> SemiringInstance:

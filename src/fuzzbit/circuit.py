@@ -16,19 +16,28 @@ listed wires must form a contiguous block.  Simulation applies each
 step's bound matrix to its block of the state directly; lifting, which
 tensors the bound matrix with the model's own identity on both sides, is
 the reference route for composed operators and equivalence checks.
+
+Stochastic and fuzzy programs run on Python ints: the model row's
+`ScaledCarrier` encodes the state and every step's matrix as numerators over
+a scale, and the same generic block kernel runs over an int instance.  Each
+intermediate state passes the row's integer state predicate, which holds
+exactly when the rational one holds.  The trace keeps the numerators and
+decodes a state into a checked `VectorState` only when it is read.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Any, Sequence, Union
 
 from .errors import InternalCheckError, MembershipError, ParseError, ValidationError
 from .linalg import (
     SMatrix,
     SVector,
+    basis_vector,
     entry_formatter,
     entry_parser,
     equal,
@@ -41,7 +50,9 @@ from .linalg import (
 )
 from .models import (
     MODEL_NAMES,
+    MODELS,
     GateDescriptor,
+    ScaledCarrier,
     VectorState,
     builtin_gate,
     gate_violation,
@@ -105,18 +116,46 @@ class ValidatedCircuit:
     plans: tuple[StepPlan, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationTrace:
-    """All intermediate states; states[0] is the initial one."""
+    """All intermediate states; states[0] is the initial one.
+
+    `snapshots` holds one entry per gate step: the state itself for
+    classical and quantum runs, and (numerators, scale) for stochastic and
+    fuzzy runs.  Those are decoded into checked `VectorState`s when first
+    read, each at most once: `final` decodes the last snapshot only,
+    `states` every one.  Traces are equal when their states are.
+    """
 
     model: str
     wire_count: int
-    states: tuple[ModelState, ...]
+    initial: ModelState
+    snapshots: tuple[Any, ...]
     measured: int | None = None
 
-    @property
+    def _state(self, snapshot) -> ModelState:
+        carrier = MODELS[self.model].scaled
+        return snapshot if carrier is None else _decode_state(self.model, carrier, snapshot)
+
+    @cached_property
     def final(self) -> ModelState:
-        return self.states[-1]
+        return self._state(self.snapshots[-1]) if self.snapshots else self.initial
+
+    @cached_property
+    def states(self) -> tuple[ModelState, ...]:
+        middle = tuple(map(self._state, self.snapshots[:-1]))
+        return (self.initial,) + middle + ((self.final,) if self.snapshots else ())
+
+    def _key(self) -> tuple:
+        return self.model, self.wire_count, self.states, self.measured
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SimulationTrace):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 # --- parsing ------------------------------------------------------------------
@@ -288,9 +327,7 @@ def _initial_state(program: CircuitProgram) -> ModelState:
         index = int("".join(str(b) for b in bits), 2)
         if program.model == "classical":
             return ClassicalState(n, index)
-        entries = tuple(instance.one if i == index else instance.zero
-                        for i in range(size))
-        vector = SVector(instance, entries)
+        vector = basis_vector(instance, size, index)
     else:
         if program.model == "classical":
             raise ValidationError("classical programs take ket initial states",
@@ -419,14 +456,41 @@ def _wrap_state(model: str, vector: SVector) -> VectorState:
             f"intermediate state failed membership: {exc}") from None
 
 
+def _decode_state(model: str, carrier: ScaledCarrier, snapshot) -> VectorState:
+    """The checked state that (numerators, scale) stands for."""
+    try:
+        vector = carrier.decode(*snapshot)
+    except ValueError as exc:  # a numerator outside the carrier's range
+        raise InternalCheckError(f"intermediate state failed membership: {exc}") from None
+    return _wrap_state(model, vector)
+
+
+def _scaled_run(vc: ValidatedCircuit, carrier: ScaledCarrier, state: VectorState) -> list:
+    """(numerators, scale) after each step, each passing the integer state check."""
+    scale, vector, steps = carrier.encode(state.vector, vc.plans)
+    snapshots = []
+    for step, (matrix, factor) in zip(vc.program.steps, steps):
+        vector = mat_vec_block(matrix, min(step.wires), vector)
+        scale *= factor
+        snapshot = (vector.entries, scale)
+        if not carrier.state_ok(*snapshot):
+            _decode_state(vc.program.model, carrier, snapshot)  # raises the rational reason
+            raise InternalCheckError("intermediate state failed membership: "
+                                     "the integer state check disagrees with the rational one")
+        snapshots.append(snapshot)
+    return snapshots
+
+
 def simulate(vc: ValidatedCircuit, seed_override: int | None = None,
              force_measure: bool = False,
              initial: ModelState | None = None) -> SimulationTrace:
     """Run the program, keeping one state snapshot per gate step."""
     program = vc.program
     n = program.wire_count
-    state: ModelState = vc.initial if initial is None else initial
-    states = [state]
+    start: ModelState = vc.initial if initial is None else initial
+    state = start
+    carrier = MODELS[program.model].scaled
+    states = []
     if program.model == "classical":
         index = state.basis_index
         for step, perm in zip(program.steps, vc.plans):
@@ -434,6 +498,8 @@ def simulate(vc: ValidatedCircuit, seed_override: int | None = None,
             window = (index >> base) & (len(perm) - 1)
             index ^= (window ^ perm[window]) << base  # rewrite only the window bits
             states.append(ClassicalState(n, index))
+    elif carrier is not None:
+        states = _scaled_run(vc, carrier, state)
     else:
         for step, bound in zip(program.steps, vc.plans):
             state = _wrap_state(program.model,
@@ -443,8 +509,8 @@ def simulate(vc: ValidatedCircuit, seed_override: int | None = None,
     if program.model == "quantum" and (program.measure_seed is not None
                                        or force_measure or seed_override is not None):
         seed = seed_override if seed_override is not None else program.measure_seed
-        measured = measure(states[-1], seed if seed is not None else 0)
-    return SimulationTrace(program.model, n, tuple(states), measured)
+        measured = measure(state, seed if seed is not None else 0)
+    return SimulationTrace(program.model, n, start, tuple(states), measured)
 
 
 def equivalence_check(a: ValidatedCircuit, b: ValidatedCircuit) -> bool:

@@ -39,6 +39,7 @@ __all__ = [
     "identity",
     "zeros",
     "matrix_from_permutation",
+    "basis_vector",
     "equal",
     "entry_parser",
     "entry_formatter",
@@ -204,6 +205,16 @@ def matrix_from_permutation(perm: Sequence[int], instance: SemiringInstance) -> 
     one, zero = instance.one, instance.zero
     return SMatrix(instance, tuple(tuple(one if perm[j] == i else zero for j in range(n))
                                    for i in range(n)))
+
+
+def basis_vector(s: SemiringInstance, size: int, index: int) -> SVector:
+    """`one` at `index` and `zero` elsewhere: column `index` of the identity.
+
+    Over fuzz-mv, where `one` is 0 and `zero` is 1, |0> = (0, 1) and |1> = (1, 0).
+    """
+    if not 0 <= index < size:
+        raise ValueError(f"index {index} out of range for length {size}")
+    return SVector(s, (s.zero,) * index + (s.one,) + (s.zero,) * (size - 1 - index))
 
 
 def equal(a, b, tol: float = COMPLEX_TOL) -> bool:

@@ -9,7 +9,10 @@ and for gates:
     fuzzy       fuzz-mv      min-0 (or all-ones)  column-min-0 (or all-ones)
 
 Each model is one row of `MODELS`: its carrier, predicates and builtin
-gates are lookups in that row, so a new model is a new row.  The row
+gates are lookups in that row, so a new model is a new row.  The two models
+over exact rationals, stochastic and fuzzy, also carry a `ScaledCarrier`:
+how `simulate` runs them on integer numerators over a scale, the state
+predicate on numerators, and the decoding back to the carrier.  The row
 checks carrier and squareness; each model module states only its own
 property.  Classical gates that are not invertible (AND, OR, XOR, NAND,
 NOR, FANOUT) appear through their reversible embedding: one extra target
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from ..algebra import BOOLEAN, COMPLEX, FUZZ_MV, PROBABILITY, SemiringInstance
 from ..errors import MembershipError
@@ -30,6 +33,7 @@ from . import classical, fuzzy, quantum, stochastic
 
 __all__ = [
     "Model",
+    "ScaledCarrier",
     "MODELS",
     "MODEL_NAMES",
     "GateDescriptor",
@@ -42,6 +46,23 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class ScaledCarrier:
+    """A carrier of exact rationals run as Python ints: numerators over a scale.
+
+    `encode(initial, plans)` gives the initial scale, the initial state's
+    numerators over an int instance and, for each plan, its int matrix over
+    that instance and the factor by which its step multiplies the scale.  `state_ok(entries,
+    scale)` holds exactly when `decode(entries, scale)`, the vector over the
+    row's carrier, passes the row's state predicate.
+    """
+
+    encode: Callable[[SVector, Sequence[SMatrix]],
+                     tuple[int, SVector, list[tuple[SMatrix, int]]]]
+    state_ok: Callable[[Sequence[int], int], bool]
+    decode: Callable[[Sequence[int], int], SVector]
+
+
+@dataclass(frozen=True)
 class Model:
     """A model of computation: its carrier, membership predicates and named gates.
 
@@ -49,6 +70,7 @@ class Model:
     lookups `state_violation` and `gate_violation` check that first.
     `gates` maps each builtin name to a zero-argument constructor of its
     matrix; `builtin_gate` runs it on first lookup, not at import.
+    `scaled` is set for the carriers `simulate` runs on integer numerators.
     """
 
     name: str
@@ -56,6 +78,7 @@ class Model:
     state_violation: Callable[[SVector], str | None]
     gate_violation: Callable[[SMatrix], str | None]
     gates: Mapping[str, Callable[[], SMatrix]]
+    scaled: ScaledCarrier | None = None
 
 
 # The reversible builtins as permutations of basis indices: e_j -> e_perm[j].
@@ -85,7 +108,9 @@ MODELS = {m.name: m for m in (
     Model("stochastic", PROBABILITY,
           lambda v: stochastic.distribution_violation(v),
           lambda m: stochastic.stochastic_violation(m),
-          _permutation_gates(PROBABILITY, NOT=_NOT, CNOT=_CNOT, SWAP=_SWAP)),
+          _permutation_gates(PROBABILITY, NOT=_NOT, CNOT=_CNOT, SWAP=_SWAP),
+          ScaledCarrier(stochastic.encode_run, stochastic.scaled_distribution_ok,
+                        stochastic.decode)),
     Model("quantum", COMPLEX,
           lambda v: quantum.state_norm_violation(v),
           lambda m: quantum.unitary_violation(m),
@@ -96,7 +121,8 @@ MODELS = {m.name: m for m in (
           lambda v: fuzzy.fuzzy_state_violation(v),
           lambda m: fuzzy.fuzzy_gate_violation(m),
           {**_permutation_gates(FUZZ_MV, FID=_ID, FNOT=_NOT, FSWAP=_SWAP),
-           "FZERO": functools.partial(zeros, FUZZ_MV, 2)}),
+           "FZERO": functools.partial(zeros, FUZZ_MV, 2)},
+          ScaledCarrier(fuzzy.encode_run, fuzzy.scaled_state_ok, fuzzy.decode)),
 )}
 
 MODEL_NAMES = tuple(MODELS)

@@ -7,23 +7,28 @@ every column attains 0, plus the all-ones matrix.  The matrix action
 (A v)_i = min_k (A_ik (+) v_k) uses the min/truncated-sum semiring, so the
 identity matrix has 0 on the diagonal and 1 elsewhere, and the coordinate
 swap J = [[1, 0], [0, 1]] is an involution.
+
+`simulate` runs these programs on integer numerators over one scale L for
+the whole run: the multiples of 1/L are closed under min and the truncated
+sum (the finite MV-chain of order L), so no step changes the scale.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+import itertools
+import math
+from typing import Sequence
 
-from ..algebra import FUZZ_MV, ONE, ZERO, neg
-from ..linalg import SMatrix, SVector, kron_vec
-
-if TYPE_CHECKING:
-    from . import VectorState
+from ..algebra import (
+    FUZZ_MV, ONE, ZERO, UnitScalar, common_denominator, mv_chain, neg, numerators)
+from ..linalg import SMatrix, SVector
 
 __all__ = [
     "fuzzy_state_violation",
     "fuzzy_gate_violation",
-    "fuzzy_tensor",
-    "fuzzy_basis_ket",
+    "encode_run",
+    "scaled_state_ok",
+    "decode",
     "complement",
 ]
 
@@ -50,27 +55,32 @@ def fuzzy_gate_violation(m: SMatrix) -> str | None:
     return None
 
 
-def fuzzy_tensor(states: Sequence[VectorState]) -> VectorState:
-    """Kronecker product of fuzzy states, first factor most significant."""
-    from . import VectorState  # the package imports this module first
-    if not states:
-        raise ValueError("empty tensor product")
-    acc = states[0].vector
-    for st in states[1:]:
-        acc = kron_vec(acc, st.vector)
-    return VectorState("fuzzy", acc)
+def encode_run(initial: SVector, plans: Sequence[SMatrix]):
+    """The run over the MV-chain of order L, the common denominator of the
+    state and every gate; a step keeps the scale, so each factor is 1."""
+    scale = math.lcm(common_denominator(initial.entries),
+                     *(common_denominator(itertools.chain.from_iterable(m.entries))
+                       for m in plans))
+    chain = mv_chain(scale)
+    steps = [(SMatrix(chain, [numerators(row, scale) for row in m.entries]), 1)
+             for m in plans]
+    return scale, SVector(chain, numerators(initial.entries, scale)), steps
 
 
-def fuzzy_basis_ket(bits: Sequence[int]) -> VectorState:
-    """|b_{n-1} ... b_0> with |0> = (0, 1) and |1> = (1, 0), leftmost first."""
-    from . import VectorState  # the package imports this module first
-    if not bits:
-        raise ValueError("empty bit list")
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("bits must be 0 or 1")
-    singles = [VectorState("fuzzy", SVector(FUZZ_MV, (ONE, ZERO) if b else (ZERO, ONE)))
-               for b in bits]
-    return fuzzy_tensor(singles)
+def scaled_state_ok(entries: Sequence[int], scale: int) -> bool:
+    """Whether entries/scale is a fuzzy state: every entry in [0, scale], and the
+    minimum is 0 or every entry is `scale`.
+
+    This is exactly `fuzzy_state_violation(decode(entries, scale)) is None`,
+    where `decode` rejects an entry outside [0, scale].
+    """
+    low = min(entries)
+    return (low == 0 or low == scale) and max(entries) <= scale
+
+
+def decode(entries: Sequence[int], scale: int) -> SVector:
+    """The fuzz-mv vector entries/scale; ValueError for an entry outside [0, scale]."""
+    return SVector(FUZZ_MV, tuple(UnitScalar(x, scale) for x in entries))
 
 
 def complement(v: SVector) -> SVector:

@@ -4,17 +4,27 @@ A state is a rational probability vector; dynamics are matrices whose
 columns each sum to exactly 1, acting on column vectors from the left.
 The family is closed under products but not under inverses, so it forms
 a semigroup rather than a group.
+
+`simulate` runs these programs on integer numerators: a gate G/g acting on
+a state s/D gives (G s)/(g D), so the scale of the state grows by each
+gate's common denominator.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from typing import Sequence
 
+from ..algebra import NATURAL, PROBABILITY, common_denominator, numerators
 from ..linalg import SMatrix, SVector
 
 __all__ = [
     "stochastic_violation",
     "distribution_violation",
+    "encode_run",
+    "scaled_distribution_ok",
+    "decode",
 ]
 
 
@@ -43,3 +53,29 @@ def stochastic_violation(m: SMatrix) -> str | None:
         if total != 1:
             return f"column {j} sums to {total}, expected exactly 1"
     return None
+
+
+def encode_run(initial: SVector, plans: Sequence[SMatrix]):
+    """The run over NATURAL: the state's numerators over their common
+    denominator D, and each gate's numerators over its own common denominator
+    g, which is the factor a step multiplies the scale by."""
+    steps = []
+    for m in plans:
+        g = common_denominator(itertools.chain.from_iterable(m.entries))
+        steps.append((SMatrix(NATURAL, [numerators(row, g) for row in m.entries]), g))
+    scale = common_denominator(initial.entries)
+    return scale, SVector(NATURAL, numerators(initial.entries, scale)), steps
+
+
+def scaled_distribution_ok(entries: Sequence[int], scale: int) -> bool:
+    """Whether entries/scale is a distribution: each entry in [0, scale], sum scale.
+
+    A nonnegative sum of `scale` bounds every entry by it, so this is
+    exactly `distribution_violation(decode(entries, scale)) is None`.
+    """
+    return min(entries) >= 0 and sum(entries) == scale
+
+
+def decode(entries: Sequence[int], scale: int) -> SVector:
+    """The probability vector entries/scale."""
+    return SVector(PROBABILITY, tuple(Fraction(x, scale) for x in entries))

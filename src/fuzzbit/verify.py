@@ -244,19 +244,29 @@ def check_mv_gate_laws(grid, size: int = 2) -> CheckReport:
                 report.failures.append(("identity", g))
             if prods[zi][i] != zero or prods[i][zi] != zero:
                 report.failures.append(("zero-absorbs", g))
-        # meet of two grid gates is again a grid gate, so products are table lookups
-        meet = [[index[_wedge(gates[j], gates[k])] for k in range(n_g)]
-                for j in range(n_g)]
+        # The meet of two grid gates is again a grid gate, so products with it
+        # are table lookups.  A meet outside the grid is a failure; it has no
+        # index, and the cases that need it are computed directly.
+        meet = [[index.get(_wedge(b, c)) for c in gates] for b in gates]
+        report.failures += [("meet-closure", b, c, _wedge(b, c))
+                            for b, row in zip(gates, meet)
+                            for c, m in zip(gates, row) if m is None]
 
         def distributivity(i, j):
-            prow = prods[i]
+            a, prow = gates[i], prods[i]
             pij = prow[j]
             pji = prods[j][i]
             meets_j = meet[j]
             for k in range(n_g):
-                if prow[meets_j[k]] != _wedge(pij, prow[k]):
+                m = meets_j[k]
+                if m is None:
+                    bc = _wedge(gates[j], gates[k])
+                    left, right = _mm(a, bc, 2, L), _mm(bc, a, 2, L)
+                else:
+                    left, right = prow[m], prods[m][i]
+                if left != _wedge(pij, prow[k]):
                     report.failures.append(("left-dist", gates[i], gates[j], gates[k]))
-                if prods[meets_j[k]][i] != _wedge(pji, prods[k][i]):
+                if right != _wedge(pji, prods[k][i]):
                     report.failures.append(("right-dist", gates[i], gates[j], gates[k]))
 
         # For fixed (A, B) = (i, j), the left-dist cases A(B ^ C) = AB ^ AC over
@@ -269,13 +279,14 @@ def check_mv_gate_laws(grid, size: int = 2) -> CheckReport:
         values = list(ids)
         wedge_id = _table(_wedge, values, values, ids)
         prod_col = list(zip(*prod_id))
-        at_meet = [itemgetter(*m) for m in meet]
+        at_meet = [None if None in m else itemgetter(*m) for m in meet]
         for i in range(n_g):
             row, col = prod_id[i], prod_col[i]
             at_row, at_col = itemgetter(*row), itemgetter(*col)
             for j in range(n_g):
                 report.cases += 2 * n_g
-                if (at_meet[j](row) != at_row(wedge_id[row[j]])
+                if (at_meet[j] is None
+                        or at_meet[j](row) != at_row(wedge_id[row[j]])
                         or at_meet[j](col) != at_col(wedge_id[col[j]])):
                     distributivity(i, j)
         report.note = "exhaustive"

@@ -16,6 +16,7 @@ from fuzzbit.circuit import composed_operator, parse_circuit, simulate, validate
 from fuzzbit.linalg import (
     SMatrix,
     SVector,
+    basis_vector,
     equal,
     identity,
     kron_mat,
@@ -33,7 +34,7 @@ from fuzzbit.models.classical import (
     reversible_embed,
     synthesize_circuit,
 )
-from fuzzbit.models.fuzzy import complement, fuzzy_basis_ket, fuzzy_state_violation
+from fuzzbit.models.fuzzy import complement, fuzzy_state_violation
 from fuzzbit.models.quantum import measure, splitmix64, state_norm_violation, unitary_violation
 from fuzzbit.models.stochastic import stochastic_violation
 from fuzzbit.verify import check_oracle_agreement, grid_values, run_all
@@ -55,10 +56,10 @@ def report(n, message):
 
 def test_criterion_1_golden_values():
     start = time.perf_counter()
-    assert fuzzy_basis_ket([0, 0]).vector == fvec(0, 1, 1, 1)
-    assert fuzzy_basis_ket([0, 1]).vector == fvec(1, 0, 1, 1)
-    assert fuzzy_basis_ket([1, 0]).vector == fvec(1, 1, 0, 1)
-    assert fuzzy_basis_ket([1, 1]).vector == fvec(1, 1, 1, 0)
+    assert basis_vector(FUZZ_MV, 4, 0b00) == fvec(0, 1, 1, 1)
+    assert basis_vector(FUZZ_MV, 4, 0b01) == fvec(1, 0, 1, 1)
+    assert basis_vector(FUZZ_MV, 4, 0b10) == fvec(1, 1, 0, 1)
+    assert basis_vector(FUZZ_MV, 4, 0b11) == fvec(1, 1, 1, 0)
 
     perm = permutation_from_matrix(builtin_gate("classical", "CNOT").matrix)
     assert perm[2] == 3 and perm[3] == 2

@@ -25,14 +25,16 @@ from fuzzbit.errors import InternalCheckError, ParseError, ValidationError
 from fuzzbit.linalg import (
     SMatrix,
     SVector,
+    basis_vector,
     equal,
     kron_mat,
     mat_mul,
     mat_vec,
+    mat_vec_block,
     matrix_from_permutation,
     serialize_matrix,
 )
-from fuzzbit.models import MODELS, builtin_gate, model_instance
+from fuzzbit.models import MODELS, VectorState, builtin_gate, model_instance
 from fuzzbit.models.classical import (
     ClassicalState,
     TruthTable,
@@ -229,24 +231,34 @@ def test_all_ones_quietly_absorbs_through_a_program():
 
 # --- the local kernel against the lifted reference -----------------------------
 
+# Gate denominators; the grid's 2, 3 and 4, and 7 and 9 from outside it.
+GATE_DENOMINATORS = (2, 3, 4, 7, 9)
+# Denominators no gate uses, for states the program does not contain.
+STATE_DENOMINATORS = (5, 11, 13)
+
+
+def _random_parts(draw, total: int, count: int) -> list[int]:
+    """`count` nonnegative ints that sum to `total`."""
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=count - 1,
+                                max_size=count - 1)))
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
 def _random_member_gate(draw, model: str, arity: int) -> SMatrix:
     size = 1 << arity
     if model == "classical":
         return matrix_from_permutation(draw(st.permutations(range(size))), BOOLEAN)
-    if model == "stochastic":
+    if model in ("stochastic", "fuzzy"):
+        d = draw(st.sampled_from(GATE_DENOMINATORS))
         columns = []
         for _ in range(size):
-            weights = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
-            weights[draw(st.integers(0, size - 1))] += 1
-            columns.append([Fraction(w, sum(weights)) for w in weights])
-        return SMatrix(PROBABILITY, tuple(zip(*columns)))
-    if model == "fuzzy":
-        columns = []
-        for _ in range(size):
-            column = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size))
-            column[draw(st.integers(0, size - 1))] = 0
-            columns.append([UnitScalar(x, 4) for x in column])
-        return SMatrix(FUZZ_MV, tuple(zip(*columns)))
+            if model == "stochastic":
+                columns.append([Fraction(w, d) for w in _random_parts(draw, d, size)])
+            else:
+                column = draw(st.lists(st.integers(0, d), min_size=size, max_size=size))
+                column[draw(st.integers(0, size - 1))] = 0
+                columns.append([UnitScalar(x, d) for x in column])
+        return SMatrix(model_instance(model), tuple(zip(*columns)))
     angle = st.floats(0, 2 * math.pi)
     op = None
     for _ in range(arity):  # a product of one-wire unitaries ...
@@ -260,17 +272,11 @@ def _random_member_gate(draw, model: str, arity: int) -> SMatrix:
     return mat_mul(shuffle, op)
 
 
-@st.composite
-def random_programs(draw):
-    """Program text plus its random @file gates: 1- to 3-wire gates on n <= 5 wires."""
-    model = draw(st.sampled_from(("classical", "stochastic", "quantum", "fuzzy")))
-    n = draw(st.integers(1, 5))
-    bits = "".join(draw(st.sampled_from("01")) for _ in range(n))
-    lines = [f"model {model}", f"wires {n}", f"init ket {bits}"]
-    files = {}
-    for k in range(draw(st.integers(1, 6))):
-        builtins = [name for name in MODELS[model].gates
-                    if builtin_gate(model, name).arity <= n]
+def _random_gate_lines(draw, model: str, n: int, steps: int, files: dict) -> list[str]:
+    """`gate` lines of builtins and 1- to 3-wire @file gates, whose texts go to `files`."""
+    builtins = [name for name in MODELS[model].gates if builtin_gate(model, name).arity <= n]
+    lines = []
+    for k in range(steps):
         if draw(st.booleans()):
             name = draw(st.sampled_from(builtins))
             arity = builtin_gate(model, name).arity
@@ -281,6 +287,18 @@ def random_programs(draw):
         base = draw(st.integers(0, n - arity))
         wires = draw(st.permutations(range(base, base + arity)))
         lines.append(f"gate {name} " + " ".join(map(str, wires)))
+    return lines
+
+
+@st.composite
+def random_programs(draw):
+    """Program text plus its random @file gates: 1- to 3-wire gates on n <= 5 wires."""
+    model = draw(st.sampled_from(("classical", "stochastic", "quantum", "fuzzy")))
+    n = draw(st.integers(1, 5))
+    bits = "".join(draw(st.sampled_from("01")) for _ in range(n))
+    files = {}
+    lines = [f"model {model}", f"wires {n}", f"init ket {bits}",
+             *_random_gate_lines(draw, model, n, draw(st.integers(1, 6)), files)]
     return "\n".join(lines) + "\n", files
 
 
@@ -297,8 +315,7 @@ def test_every_step_matches_the_lifted_gate(case):
     instance = model_instance(program.model)
 
     def basis(index):
-        return SVector(instance, tuple(instance.one if i == index else instance.zero
-                                       for i in range(1 << n)))
+        return basis_vector(instance, 1 << n, index)
 
     trace = simulate(vc)
     for step, gate, before, after in zip(program.steps, vc.gates, trace.states,
@@ -310,6 +327,65 @@ def test_every_step_matches_the_lifted_gate(case):
             assert equal(after.vector, mat_vec(lifted, before.vector))
         else:
             assert after.vector == mat_vec(lifted, before.vector)
+
+
+# --- the integer route against the rational route -------------------------------
+
+def _random_state(draw, model: str, size: int, denominators) -> SVector:
+    d = draw(st.sampled_from(denominators))
+    if model == "stochastic":
+        return SVector(PROBABILITY, [Fraction(x, d) for x in _random_parts(draw, d, size)])
+    if size > 1 and draw(st.integers(0, 4)) == 0:
+        return SVector(FUZZ_MV, [U(1)] * size)  # the all-ones state
+    entries = draw(st.lists(st.integers(0, d), min_size=size, max_size=size))
+    entries[draw(st.integers(0, size - 1))] = 0
+    return SVector(FUZZ_MV, [U(x, d) for x in entries])
+
+
+@st.composite
+def rational_runs(draw):
+    """A stochastic or fuzzy program on n <= 6 wires, its @file gates, and
+    None or an initial state over denominators that no gate uses."""
+    model = draw(st.sampled_from(("stochastic", "fuzzy")))
+    n = draw(st.integers(1, 6))
+    size = 1 << n
+    if draw(st.booleans()):
+        init = "init ket " + "".join(draw(st.sampled_from("01")) for _ in range(n))
+    else:
+        vec = _random_state(draw, model, size, GATE_DENOMINATORS)
+        init = "init vec " + " ".join(str(x) for x in vec.entries)
+    files = {}
+    lines = [f"model {model}", f"wires {n}", init,
+             *_random_gate_lines(draw, model, n, draw(st.integers(0, 5)), files)]
+    initial = None
+    if draw(st.booleans()):
+        initial = VectorState(model, _random_state(draw, model, size, STATE_DENOMINATORS))
+    return "\n".join(lines) + "\n", files, initial
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_runs())
+def test_integer_route_matches_the_rational_route(case):
+    text, files, initial = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, body in files.items():
+            (Path(tmp) / name).write_text(body, encoding="utf-8")
+        vc = validate(parse_circuit(text), base_dir=tmp)
+    program = vc.program
+    trace = simulate(vc, initial=initial)
+    state = vc.initial if initial is None else initial
+    assert len(trace.states) == len(program.steps) + 1
+    assert trace.states[0] is state
+    vector = state.vector
+    for k, (step, gate, plan) in enumerate(zip(program.steps, vc.gates, vc.plans), 1):
+        lifted = mat_vec(lift_gate(gate, step.wires, program.wire_count), vector)
+        vector = mat_vec_block(plan, min(step.wires), vector)  # over the rational carrier
+        assert vector == lifted
+        decoded = trace.states[k]
+        assert isinstance(decoded, VectorState) and decoded.model == program.model
+        assert decoded.vector == vector
+        assert list(map(type, decoded.vector.entries)) == list(map(type, vector.entries))
+    assert trace.final == trace.states[-1]
 
 
 ONE_PROGRAM_PER_MODEL = (

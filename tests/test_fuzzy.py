@@ -4,15 +4,18 @@ import pytest
 
 from fuzzbit.algebra import FUZZ_MV, UnitScalar
 from fuzzbit.errors import MembershipError
-from fuzzbit.linalg import SMatrix, SVector, add, mat_mul, mat_vec, matrix_from_permutation
-from fuzzbit.models import GateDescriptor, VectorState, builtin_gate, gate_violation
-from fuzzbit.models.fuzzy import (
-    complement,
-    fuzzy_basis_ket,
-    fuzzy_gate_violation,
-    fuzzy_state_violation,
-    fuzzy_tensor,
+from fuzzbit.linalg import (
+    SMatrix,
+    SVector,
+    add,
+    basis_vector,
+    kron_vec,
+    mat_mul,
+    mat_vec,
+    matrix_from_permutation,
 )
+from fuzzbit.models import GateDescriptor, VectorState, builtin_gate, gate_violation
+from fuzzbit.models.fuzzy import complement, fuzzy_gate_violation, fuzzy_state_violation
 
 U = UnitScalar
 
@@ -72,20 +75,23 @@ def test_apply():
 
 
 def test_basis_kets_and_tensor():
-    assert fuzzy_basis_ket([0]).vector == fvec(0, 1)
-    assert fuzzy_basis_ket([1]).vector == fvec(1, 0)
-    assert fuzzy_basis_ket([0, 0]).vector == fvec(0, 1, 1, 1)
-    assert fuzzy_basis_ket([0, 1]).vector == fvec(1, 0, 1, 1)
-    assert fuzzy_basis_ket([1, 0]).vector == fvec(1, 1, 0, 1)
-    assert fuzzy_basis_ket([1, 1]).vector == fvec(1, 1, 1, 0)
-    mixed = fuzzy_tensor([VectorState("fuzzy", fvec(0, "1/2")),
-                          VectorState("fuzzy", fvec(0, "1/3"))])
-    assert mixed.vector == fvec(0, "1/3", "1/2", "5/6")
-    assert fuzzy_state_violation(mixed.vector) is None
-    three = fuzzy_basis_ket([0, 1, 1])
-    assert len(three.vector) == 8 and three.vector.entries[3] == 0
+    assert basis_vector(FUZZ_MV, 2, 0) == fvec(0, 1)
+    assert basis_vector(FUZZ_MV, 2, 1) == fvec(1, 0)
+    assert basis_vector(FUZZ_MV, 4, 0b00) == fvec(0, 1, 1, 1)
+    assert basis_vector(FUZZ_MV, 4, 0b01) == fvec(1, 0, 1, 1)
+    assert basis_vector(FUZZ_MV, 4, 0b10) == fvec(1, 1, 0, 1)
+    assert basis_vector(FUZZ_MV, 4, 0b11) == fvec(1, 1, 1, 0)
+    # a basis ket is the tensor of its one-wire kets, leftmost bit first
+    for index in range(4):
+        high, low = (basis_vector(FUZZ_MV, 2, (index >> k) & 1) for k in (1, 0))
+        assert kron_vec(high, low) == basis_vector(FUZZ_MV, 4, index)
+    mixed = kron_vec(fvec(0, "1/2"), fvec(0, "1/3"))
+    assert mixed == fvec(0, "1/3", "1/2", "5/6")
+    assert fuzzy_state_violation(mixed) is None
+    three = basis_vector(FUZZ_MV, 8, 0b011)
+    assert len(three) == 8 and three.entries[3] == 0
     with pytest.raises(ValueError):
-        fuzzy_basis_ket([0, 2])
+        basis_vector(FUZZ_MV, 2, 2)
 
 
 def test_pointwise_product():

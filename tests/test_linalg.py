@@ -11,6 +11,7 @@ from fuzzbit.linalg import (
     SVector,
     add,
     as_vector,
+    basis_vector,
     equal,
     identity,
     kron_mat,
@@ -52,6 +53,15 @@ def test_identity_is_role_based():
     assert identity(FUZZ_MV, 2) == fmat([[0, 1], [1, 0]])
     assert identity(BOOLEAN, 2).entries == ((U(1), U(0)), (U(0), U(1)))
     assert zeros(FUZZ_MV, 2) == fmat([[1, 1], [1, 1]])
+
+
+@pytest.mark.parametrize("s", [FUZZ_MV, BOOLEAN, PROBABILITY, COMPLEX], ids=lambda s: s.name)
+def test_basis_vector_is_the_identity_column(s):
+    for j in range(4):
+        assert basis_vector(s, 4, j) == SVector(s, identity(s, 4).column(j))
+    for index in (-1, 4):
+        with pytest.raises(ValueError):
+            basis_vector(s, 4, index)
 
 
 def test_fuzzy_matrix_product():

@@ -1,5 +1,6 @@
 """The brute-force law harness: green on healthy code, red under mutation."""
 
+import itertools
 from collections import Counter
 
 import pytest
@@ -44,10 +45,15 @@ def test_grid_values():
         grid_values("galactic")
 
 
-def test_run_all_coarse_green():
-    reports = run_all("coarse")
-    assert [r.name for r in reports] == EXPECTED_NAMES
-    for r in reports:
+@pytest.fixture(scope="module")
+def coarse_reports():
+    """One healthy `run_all("coarse")`, shared: its size-4 checks take seconds."""
+    return {r.name: r for r in run_all("coarse")}
+
+
+def test_run_all_coarse_green(coarse_reports):
+    assert list(coarse_reports) == EXPECTED_NAMES
+    for r in coarse_reports.values():
         assert r.failures == [], f"{r.name}: {r.failures[:3]}"
         assert r.passed
         assert r.cases > 0
@@ -61,11 +67,10 @@ def test_reports_are_deterministic():
     assert (a.name, a.cases, a.failures) == (b.name, b.cases, b.failures)
 
 
-def test_sampled_checks_say_so():
-    grid = grid_values("coarse")
-    assert "lexicographic" in check_mv_gate_laws(grid, 4).note
-    assert "lexicographic" in check_action_laws(grid, 4).note
-    assert check_mv_gate_laws(grid, 2).note == "exhaustive"
+def test_sampled_checks_say_so(coarse_reports):
+    assert "lexicographic" in coarse_reports["mv-gate-laws-4"].note
+    assert "lexicographic" in coarse_reports["action-laws-4"].note
+    assert coarse_reports["mv-gate-laws-2"].note == "exhaustive"
 
 
 def test_size_argument_is_checked():
@@ -147,6 +152,29 @@ def test_interned_tables_keep_the_per_case_failures(monkeypatch, check, name, mu
     assert report.cases == cases
     assert Counter(failure[0] for failure in report.failures) == kinds
     assert (report.failures[0], report.failures[-1]) == (first, last)
+
+
+def test_meet_outside_the_grid_is_a_failure(monkeypatch):
+    # an entrywise max in place of the meet leaves the gate set: no KeyError,
+    # a meet-closure failure, and each case that needs such a meet decided
+    # by direct products, as a per-case loop decides it
+    monkeypatch.setattr(verify, "_wedge", lambda a, b: tuple(map(max, a, b)))
+    grid = grid_values("coarse")
+    report = check_mv_gate_laws(grid, 2)
+    assert report.cases == 35881
+    assert Counter(failure[0] for failure in report.failures) == {
+        "meet-closure": 332, "left-dist": 6976, "right-dist": 2464}
+    L, levels = verify._scale_grid(grid)
+    gates = verify._gates2(levels, L)
+    mm, meet = verify._mm, verify._wedge
+    per_case = []
+    for a, b, c in itertools.product(gates, repeat=3):
+        bc = meet(b, c)
+        if mm(a, bc, 2, L) != meet(mm(a, b, 2, L), mm(a, c, 2, L)):
+            per_case.append(("left-dist", a, b, c))
+        if mm(bc, a, 2, L) != meet(mm(b, a, 2, L), mm(c, a, 2, L)):
+            per_case.append(("right-dist", a, b, c))
+    assert [f for f in report.failures if f[0] != "meet-closure"] == per_case
 
 
 KERNEL_MUTANTS = {
