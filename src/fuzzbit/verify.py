@@ -11,6 +11,16 @@ Exhaustion caps follow the harness contract: size-2 enumerations are
 exhaustive; size-4 objects are built as Kronecker products of size-2 grid
 objects and law instances are sampled in lexicographic order, which every
 report states in its note.
+
+The checks run over interned tables.  Size-2 checks give each distinct 2x2
+gate or 2-vector an int id and build product, meet and action tables on the
+ids.  Size-4 checks work on columns and rows: column j of AB is A applied to
+column j of B, row i of AB is row i of A times B, and entry i of As is row i
+of A against s.  Each distinct column, row and state gets an id, a gate is
+the ids of its columns and rows, and an action table comes from one kernel
+call per four vectors packed into a matrix.  Every case is still counted and
+decided by an exact comparison of ids; a case that differs is rechecked with
+direct kernel calls, so the failures are those of a per-case loop, in order.
 """
 
 from __future__ import annotations
@@ -185,6 +195,103 @@ def _table(op, left, right, ids: dict) -> list[list[int]]:
     return [_intern([op(a, b) for b in right], ids) for a in left]
 
 
+# --- size-4 column and row tables -----------------------------------------------
+#
+# The size-4 checks sample Kronecker-built gates, which share few distinct
+# columns and rows: 170 and 834 among the 28,900 gates of the standard grid.
+# Products and the action work column by column and row by row (see the
+# module docstring), so a table on those ids takes the place of a kernel call
+# per case.
+
+def _blocks(vectors):
+    """`vectors` four at a time, each block padded to four with its first vector."""
+    for k in range(0, len(vectors), 4):
+        block = vectors[k:k + 4]
+        yield len(block), block + block[:1] * (4 - len(block))
+
+
+def _left_images(a, columns, L) -> list[tuple]:
+    """a applied to each 4-vector of `columns`: one `_mm(a, packed)` per four."""
+    out = []
+    for n, block in _blocks(columns):
+        p = _mm(a, tuple(itertools.chain(*zip(*block))), 4, L)
+        out += [p[j::4] for j in range(n)]
+    return out
+
+
+def _right_images(a, rows, L) -> list[tuple]:
+    """Each 4-vector of `rows` times a: one `_mm(packed, a)` per four."""
+    out = []
+    for n, block in _blocks(rows):
+        p = _mm(tuple(itertools.chain(*block)), a, 4, L)
+        out += [p[i:i + 4] for i in range(0, 4 * n, 4)]
+    return out
+
+
+def _dot_table(rows, vectors, L) -> list[tuple]:
+    """table[q][v] is row q against vector v, as `_mv` reduces it: one
+    `_mv(packed, v)` per vector for each four rows."""
+    table = []
+    for n, block in _blocks(rows):
+        packed = tuple(itertools.chain(*block))
+        table += list(zip(*(_mv(packed, v, 4, L) for v in vectors)))[:n]
+    return table
+
+
+def _lex_rows(outer, inner: int, cap: int):
+    """The first `cap` tuples of the product of `outer` ranges and range(`inner`)
+    in lexicographic order, a row at a time: (prefix, count) stands for the
+    tuples prefix + (k,) with k < count."""
+    for prefix in itertools.product(*map(range, outer)):
+        if cap <= 0:
+            return
+        yield prefix, min(inner, cap)
+        cap -= inner
+
+
+class _KronGates:
+    """The gates a (x) b for a, b in a size-2 base, in lexicographic order.
+
+    Gate k is built by `_kron_m` when it is indexed.  Column (j, l) of a (x) b
+    is column j of a (x) column l of b, and row (i, k) is row i of a (x) row k
+    of b, so `columns[k]` and `rows[k]`, the ids in `col_ids` and `row_ids` of
+    gate k's columns and rows, come from Kronecker tables on the base's
+    columns and rows.  A check may add the vectors it derives to the two id
+    dicts.
+    """
+
+    def __init__(self, base, L):
+        self.base, self.L = base, L
+        self.col_ids: dict = {}
+        self.row_ids: dict = {}
+        self.columns = self._ids([(g[0::2], g[1::2]) for g in base], self.col_ids)
+        self.rows = self._ids([(g[0:2], g[2:4]) for g in base], self.row_ids)
+
+    def _ids(self, pairs, ids) -> list[tuple]:
+        """Per gate a (x) b, the ids in `ids` of u (x) v for u in a's pair of
+        2-vectors and v in b's, `pairs` holding each base gate's pair."""
+        factor: dict = {}
+        pair_ids = [_intern(p, factor) for p in pairs]
+        values = list(factor)
+        table = _table(lambda u, v: _kron_v(u, v, self.L), values, values, ids)
+        return [(table[x0][y0], table[x0][y1], table[x1][y0], table[x1][y1])
+                for x0, x1 in pair_ids for y0, y1 in pair_ids]
+
+    def __len__(self) -> int:
+        return len(self.base) ** 2
+
+    def __getitem__(self, k: int) -> tuple:
+        a, b = divmod(k, len(self.base))
+        return _kron_m(self.base[a], self.base[b], 2, 2, self.L)
+
+
+def _kron4(levels, L):
+    """The size-4 gates and states: Kronecker products of the size-2 grid
+    gates and of the size-2 grid states, in lexicographic order."""
+    base_s = _states2(levels, L)
+    return _KronGates(_gates2(levels, L), L), [_kron_v(u, v, L) for u in base_s for v in base_s]
+
+
 # --- checks ---------------------------------------------------------------------
 
 def check_semiring_axioms(instance: SemiringInstance, grid) -> CheckReport:
@@ -291,46 +398,107 @@ def check_mv_gate_laws(grid, size: int = 2) -> CheckReport:
                     distributivity(i, j)
         report.note = "exhaustive"
     elif size == 4:
-        base = _gates2(levels, L)
-        gates = [_kron_m(a, b, 2, 2, L) for a in base for b in base]
-        n_g = len(gates)
-        ident = _kron_m((0, L, L, 0), (0, L, L, 0), 2, 2, L)
-        zero = (L,) * 16
-        jmat = _kron_m((L, 0, 0, L), (L, 0, 0, L), 2, 2, L)
-        jj = _mm(jmat, jmat, 4, L)
-        report.cases += 1
-        if jj != ident:
-            report.failures.append(("involution", jmat, jj))
-        for g in gates:
-            report.cases += 2
-            if _mm(ident, g, 4, L) != g or _mm(g, ident, 4, L) != g:
-                report.failures.append(("identity", g))
-            if _mm(zero, g, 4, L) != zero or _mm(g, zero, 4, L) != zero:
-                report.failures.append(("zero-absorbs", g))
+        gates, _ = _kron4(levels, L)
         pair_cap, triple_cap = 100000, 20000
-        for i, j in itertools.islice(itertools.product(range(n_g), repeat=2), pair_cap):
-            report.cases += 1
-            p = _mm(gates[i], gates[j], 4, L)
-            if not _is_gate(p, 4, L):
-                report.failures.append(("closure", gates[i], gates[j], p))
-        ij = None
-        for i, j, k in itertools.islice(itertools.product(range(n_g), repeat=3),
-                                        triple_cap):
-            a, b, c = gates[i], gates[j], gates[k]
-            if (i, j) != ij:  # ab and ba stay fixed while k runs
-                ij, ab, ba = (i, j), _mm(a, b, 4, L), _mm(b, a, 4, L)
-            bc = _wedge(b, c)
-            report.cases += 2
-            if _mm(a, bc, 4, L) != _wedge(ab, _mm(a, c, 4, L)):
-                report.failures.append(("left-dist", a, b, c))
-            if _mm(bc, a, 4, L) != _wedge(ba, _mm(c, a, 4, L)):
-                report.failures.append(("right-dist", a, b, c))
+        _mv_gate_laws_sampled(report, gates, L, pair_cap, triple_cap)
         report.note = (f"Kronecker-built gates; first {pair_cap} pairs and "
                        f"{triple_cap} triples in lexicographic order")
     else:
         raise ValueError("size must be 2 or 4")
     report.elapsed = time.perf_counter() - t0
     return report
+
+
+def _mv_gate_laws_sampled(report: CheckReport, gates, L, pair_cap: int,
+                          triple_cap: int) -> None:
+    """The size-4 gate laws: the involution, identity and zero on every gate,
+    closure on the first `pair_cap` pairs and distributivity on the first
+    `triple_cap` triples, in lexicographic order.
+
+    Each law is decided on column and row ids; a case whose ids differ is
+    rechecked with direct products, so failures keep their form and order.
+    """
+    n_g = len(gates)
+    ident = _kron_m((0, L, L, 0), (0, L, L, 0), 2, 2, L)
+    zero = (L,) * 16
+    line = (L,) * 4
+    jmat = _kron_m((L, 0, 0, L), (L, 0, 0, L), 2, 2, L)
+    jj = _mm(jmat, jmat, 4, L)
+    report.cases += 1
+    if jj != ident:
+        report.failures.append(("involution", jmat, jj))
+
+    def identity_and_zero(g):
+        if _mm(ident, g, 4, L) != g or _mm(g, ident, 4, L) != g:
+            report.failures.append(("identity", g))
+        if _mm(zero, g, 4, L) != zero or _mm(g, zero, 4, L) != zero:
+            report.failures.append(("zero-absorbs", g))
+
+    def distributivity(a, b, c):
+        bc = _wedge(b, c)
+        if _mm(a, bc, 4, L) != _wedge(_mm(a, b, 4, L), _mm(a, c, 4, L)):
+            report.failures.append(("left-dist", a, b, c))
+        if _mm(bc, a, 4, L) != _wedge(_mm(b, a, 4, L), _mm(c, a, 4, L)):
+            report.failures.append(("right-dist", a, b, c))
+
+    # ident and zero fix or absorb a gate exactly when they fix or absorb
+    # each of its columns (on the left) and each of its rows (on the right);
+    # only a gate with a column or row that they do not is rechecked
+    cols, rows = list(gates.col_ids), list(gates.row_ids)
+    bad_cols = {c for c, (v, iv, zv) in enumerate(zip(
+        cols, _left_images(ident, cols, L), _left_images(zero, cols, L)))
+        if iv != v or zv != line}
+    bad_rows = {r for r, (v, iv, zv) in enumerate(zip(
+        rows, _right_images(ident, rows, L), _right_images(zero, rows, L)))
+        if iv != v or zv != line}
+    report.cases += 2 * n_g
+    if bad_cols or bad_rows:
+        for k in range(n_g):
+            if not (bad_cols.isdisjoint(gates.columns[k])
+                    and bad_rows.isdisjoint(gates.rows[k])):
+                identity_and_zero(gates[k])
+
+    # flags[c] has bit 1 when A maps column c to a column of minimum 0, and
+    # bit 2 when to all L: AB is a gate when B's four columns share a bit
+    for (i,), count in _lex_rows((n_g,), n_g, pair_cap):
+        a = gates[i]
+        flags = [(min(v) == 0) | 2 * (v == line) for v in _left_images(a, cols, L)]
+        report.cases += count
+        for j, (c0, c1, c2, c3) in zip(range(count), gates.columns):
+            if not flags[c0] & flags[c1] & flags[c2] & flags[c3]:
+                b = gates[j]
+                p = _mm(a, b, 4, L)
+                if not _is_gate(p, 4, L):
+                    report.failures.append(("closure", a, b, p))
+
+    def meet_tables(a, b_ids, ids, images, act):
+        """Id rows, for fixed A and B: each of B's vectors met with every
+        vector, and A's image of it met with every vector.  `images`, A's
+        image of each id, is extended to the meets."""
+        values = list(ids)
+        meet_b = _table(_wedge, [values[x] for x in b_ids], values, ids)
+        images += _intern(act(a, list(ids)[len(images):], L), ids)
+        values = list(ids)
+        meet_ab = _table(_wedge, [values[images[x]] for x in b_ids], values, ids)
+        return meet_b, meet_ab
+
+    # Column q of A(B ^ C) is A applied to column q of B met with column q
+    # of C, and column q of AB ^ AC is the meet of their images; rows decide
+    # (B ^ C)A = BA ^ CA the same way.
+    a_index = None
+    for (i, j), count in _lex_rows((n_g, n_g), n_g, triple_cap):
+        a, b = gates[i], gates[j]
+        if i != a_index:
+            a_index, col_img, row_img = i, [], []
+        cm, ca = meet_tables(a, gates.columns[j], gates.col_ids, col_img, _left_images)
+        rm, ra = meet_tables(a, gates.rows[j], gates.row_ids, row_img, _right_images)
+        report.cases += 2 * count
+        for k, cs, rs in zip(range(count), gates.columns, gates.rows):
+            if ([col_img[m[c]] for m, c in zip(cm, cs)]
+                    != [t[col_img[c]] for t, c in zip(ca, cs)]
+                    or [row_img[m[r]] for m, r in zip(rm, rs)]
+                    != [t[row_img[r]] for t, r in zip(ra, rs)]):
+                distributivity(a, b, gates[k])
 
 
 def check_action_laws(grid, size: int = 2) -> CheckReport:
@@ -351,10 +519,7 @@ def check_action_laws(grid, size: int = 2) -> CheckReport:
         _action_laws_exhaustive(report, _gates2(levels, L), _states2(levels, L), L)
         report.note = "exhaustive"
     elif size == 4:
-        base_g = _gates2(levels, L)
-        base_s = _states2(levels, L)
-        gates = [_kron_m(a, b, 2, 2, L) for a in base_g for b in base_g]
-        states = [_kron_v(u, v, L) for u in base_s for v in base_s]
+        gates, states = _kron4(levels, L)
         cap = 100000
         _action_laws_sampled(report, gates, states, L, cap)
         report.note = f"Kronecker-built; first {cap} law instances in lexicographic order"
@@ -408,43 +573,79 @@ def _action_laws_exhaustive(report: CheckReport, gates, states, L) -> None:
 
 
 def _action_laws_sampled(report: CheckReport, gates, states, L, cap: int) -> None:
-    """The first `cap` instances of each law on 4x4 gates, in lexicographic order."""
-    n_s = len(states)
-    # the closure loop runs the pairs in order, so the image of (gi, si) sits at
-    # gi * n_s + si; a list holds the 10^5 images in 10 MB less than a dict on pairs
-    images: list[tuple] = []
+    """The first `cap` instances of each law on 4x4 gates, in lexicographic order.
 
-    def image(gi: int, si: int) -> tuple:
-        k = gi * n_s + si
-        return images[k] if k < len(images) else _mv(gates[gi], states[si], 4, L)
+    Entry i of As is row i of A against s.  The gates these instances reach
+    share few rows (143 among the first 511 on the standard grid), so images
+    are read from a table of rows against states, not stored per pair.  A
+    row of cases that differs is rechecked case by case with direct kernel
+    calls, so failures keep their form and order.
+    """
+    n_g, n_s = len(gates), len(states)
+    vids: dict = {}
+    sid = _intern(states, vids)
+    at_states = itemgetter(*sid)
+    distinct_states = list(vids)
+    dots: dict = {}  # row id -> that row against each distinct state
 
-    # each islice drops its product, and the product's tuples of indices, when done
-    pairs = itertools.islice(itertools.product(range(len(gates)), range(n_s)), cap)
-    for gi, si in pairs:
-        images.append(_mv(gates[gi], states[si], 4, L))
-        report.cases += 1
-        if not _is_state(images[-1], L):
-            report.failures.append(("state-closure", gates[gi], states[si], images[-1]))
+    def add_dots(row_ids):
+        new = [r for r in dict.fromkeys(row_ids) if r not in dots]
+        if new:
+            rows = list(gates.row_ids)
+            dots.update(zip(new, _dot_table([rows[r] for r in new], distinct_states, L)))
 
-    lin = itertools.islice(
-        itertools.product(range(len(gates)), range(n_s), range(n_s)), cap)
-    for gi, si, ti in lin:
-        report.cases += 1
-        meet = _wedge(states[si], states[ti])
-        left = _mv(gates[gi], meet, 4, L)
-        if left != _wedge(image(gi, si), image(gi, ti)):
-            report.failures.append(("linearity", gates[gi], states[si], states[ti]))
+    def images(gi):
+        """As for each state s, in order."""
+        return zip(*(at_states(dots[r]) for r in gates.rows[gi]))
 
-    comp = itertools.islice(
-        itertools.product(range(len(gates)), range(len(gates)), range(n_s)), cap)
-    ab_index = None
-    for ai, bi, si in comp:
-        report.cases += 1
-        if (ai, bi) != ab_index:  # the product stays fixed while si runs
-            ab_index, ab = (ai, bi), _mm(gates[ai], gates[bi], 4, L)
-        left = _mv(ab, states[si], 4, L)
-        if left != _mv(gates[ai], image(bi, si), 4, L):
-            report.failures.append(("compatibility", gates[ai], gates[bi], states[si]))
+    # the linearity and compatibility instances reach no gate past these
+    add_dots([r for gi in range(min(n_g, -(-cap // n_s))) for r in gates.rows[gi]])
+    for (gi,), count in _lex_rows((n_g,), n_s, cap):
+        report.cases += count
+        for si, image in zip(range(count), images(gi)):
+            if not _is_state(image, L):
+                report.failures.append(("state-closure", gates[gi], states[si], image))
+
+    # A(s ^ t) = As ^ At over a row of states t at once, with A's image of
+    # each distinct state and meet, and the meets of A's images of states.
+    # The states come first in `vectors`, so their images take the first ids.
+    meet_id = _table(_wedge, distinct_states, distinct_states, vids)
+    vectors = list(vids)
+    a_index = None
+    for (gi, si), count in _lex_rows((n_g, n_s), n_s, cap):
+        if gi != a_index:
+            a_index, a, image_ids = gi, gates[gi], {}
+            a_image = _intern([_mv(a, v, 4, L) for v in vectors], image_ids)
+            a_states = at_states(a_image)
+            state_images = list(image_ids)[:max(a_states) + 1]
+            image_meet = _table(_wedge, state_images, state_images, image_ids)
+        report.cases += count
+        meets, x = meet_id[sid[si]], image_meet[a_states[si]]
+        if [a_image[meets[t]] for t in sid[:count]] != [x[y] for y in a_states[:count]]:
+            s = states[si]
+            for t in states[:count]:
+                if _mv(a, _wedge(s, t), 4, L) != _wedge(_mv(a, s, 4, L), _mv(a, t, 4, L)):
+                    report.failures.append(("linearity", a, s, t))
+
+    # (AB)s = A(Bs) over a row of states at once: the rows of AB against the
+    # states, and A's image of each distinct Bs
+    image_ids: dict = {}
+    a_index = None
+    for (ai, bi), count in _lex_rows((n_g, n_g), n_s, cap):
+        if ai != a_index:
+            a_index, a, a_image = ai, gates[ai], []
+        b_image = _intern(itertools.islice(images(bi), count), image_ids)
+        a_image += [_mv(a, v, 4, L) for v in itertools.islice(image_ids, len(a_image), None)]
+        b = gates[bi]
+        ab = _mm(a, b, 4, L)
+        ab_rows = _intern([ab[i:i + 4] for i in range(0, 16, 4)], gates.row_ids)
+        add_dots(ab_rows)
+        report.cases += count
+        if (list(itertools.islice(zip(*(at_states(dots[r]) for r in ab_rows)), count))
+                != [a_image[v] for v in b_image]):
+            for s in states[:count]:
+                if _mv(ab, s, 4, L) != _mv(a, _mv(b, s, 4, L), 4, L):
+                    report.failures.append(("compatibility", a, b, s))
 
 
 def check_tensor_laws(grid) -> CheckReport:

@@ -88,6 +88,9 @@ def test_criterion_2_law_suite_budgets():
             "semiring-axioms-viterbi", "semiring-axioms-boolean",
             "mv-gate-laws-2", "action-laws-2", "tensor-laws",
             "stochastic-semigroup"} <= names
+    # `verify --grid standard` prints these case counts, in run_all's order
+    assert [r.cases for r in standard] == [1449, 1449, 1449, 44, 9855241, 197801,
+                                           440301, 300000, 24672, 2404, 10000]
     assert standard_elapsed < 300.0
 
     start = time.perf_counter()

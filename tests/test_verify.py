@@ -131,34 +131,92 @@ def _capped_max_plus_mm(a, b, n, L):
                  for i in range(n) for col in cols)
 
 
+def _entrywise_max(a, b):
+    """`_wedge` with max in place of min: the meet of two gates may leave the set."""
+    return tuple(map(max, a, b))
+
+
 # Each expected failure list, by kind and by its first and last tuple, is the
-# one a per-case loop over every law instance finds under the same mutant: the
-# interned tables must find the same failures, in the same order.
-@pytest.mark.parametrize("check, name, mutant, cases, kinds, first, last", [
-    (check_mv_gate_laws, "_mm", _capped_max_plus_mm, 35881,
+# one a per-case loop over the law instances finds under the same mutant
+# (every instance at size 2, the sampled ones at size 4): the interned tables
+# must find the same failures, in the same order.
+@pytest.mark.parametrize("check, size, name, mutant, cases, kinds, first, last", [
+    (check_mv_gate_laws, 2, "_mm", _capped_max_plus_mm, 35881,
      {"left-dist": 6976, "right-dist": 2464, "closure": 446, "identity": 25,
       "involution": 1},
      ("closure", (0, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 1)),
      ("left-dist", (2, 2, 0, 0), (2, 2, 0, 0), (2, 0, 0, 2))),
-    (check_action_laws, "_row_reduce", max, 5149,
+    (check_action_laws, 2, "_row_reduce", max, 5149,
      {"compatibility": 1780, "linearity": 164, "state-closure": 48},
      ("state-closure", (0, 0, 0, 0), (0, 1), (1, 1)),
      ("compatibility", (2, 2, 0, 0), (2, 2, 0, 0), (1, 0))),
-], ids=["mv-gate-laws-2", "action-laws-2"])
-def test_interned_tables_keep_the_per_case_failures(monkeypatch, check, name, mutant,
+    (check_mv_gate_laws, 4, "_mm", _capped_max_plus_mm, 141353,
+     {"involution": 1, "identity": 625, "closure": 34292, "left-dist": 6011,
+      "right-dist": 3648},
+     ("involution", (2, 2, 2, 0, 2, 2, 0, 2, 2, 0, 2, 2, 0, 2, 2, 2), (2,) * 16),
+     ("left-dist", (0,) * 16, (0, 1, 0, 1, 0, 0, 0, 0, 0, 1, 1, 2, 0, 0, 1, 1),
+      (1, 1, 0, 0, 1, 2, 0, 2, 0, 0, 0, 0, 0, 2, 0, 2))),
+    (check_action_laws, 4, "_row_reduce", max, 224336,
+     {"state-closure": 1632, "linearity": 7780, "compatibility": 12847},
+     ("state-closure", (0,) * 16, (0, 1, 0, 1), (1, 1, 1, 1)),
+     ("compatibility", (0, 2, 0, 2, 0, 0, 0, 0, 0, 2, 0, 2, 0, 0, 0, 0),
+      (2, 0, 2, 0, 0, 1, 0, 1, 2, 0, 2, 2, 0, 1, 2, 2), (1, 1, 0, 0))),
+    (check_mv_gate_laws, 4, "_wedge", _entrywise_max, 141353,
+     {"left-dist": 9692, "right-dist": 4473},
+     ("left-dist", (0,) * 16, (0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1, 0, 1),
+      (0, 1, 0, 1, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0)),
+     ("left-dist", (0,) * 16, (0, 1, 0, 1, 0, 0, 0, 0, 0, 1, 1, 2, 0, 0, 1, 1),
+      (1, 1, 0, 0, 1, 2, 0, 2, 0, 0, 0, 0, 0, 2, 0, 2))),
+    (check_action_laws, 4, "_wedge", _entrywise_max, 224336,
+     {"linearity": 23148},
+     ("linearity", (0,) * 16, (0, 1, 0, 1), (1, 0, 1, 0)),
+     ("linearity", (2, 2, 2, 2, 0, 0, 0, 0, 2, 2, 2, 2, 0, 0, 2, 2), (2, 2, 2, 0),
+      (2, 2, 0, 2))),
+], ids=["mv-gate-laws-2", "action-laws-2", "mv-gate-laws-4", "action-laws-4",
+        "mv-gate-laws-4-max-meet", "action-laws-4-max-meet"])
+def test_interned_tables_keep_the_per_case_failures(monkeypatch, check, size, name, mutant,
                                                     cases, kinds, first, last):
     monkeypatch.setattr(verify, name, mutant)
-    report = check(grid_values("coarse"), 2)
+    report = check(grid_values("coarse"), size)
     assert report.cases == cases
     assert Counter(failure[0] for failure in report.failures) == kinds
     assert (report.failures[0], report.failures[-1]) == (first, last)
+
+
+@pytest.mark.parametrize("check, kernel, budget", [
+    (check_mv_gate_laws, "_mm", 18000),  # 182,765 calls case by case
+    (check_action_laws, "_mv", 32000),  # 324,336 calls case by case
+], ids=["mv-gate-laws-4", "action-laws-4"])
+def test_size4_checks_call_the_kernel_per_distinct_vector(monkeypatch, check, kernel, budget):
+    real, calls = getattr(verify, kernel), []
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(verify, kernel, counted)
+    assert check(grid_values("coarse"), 4).passed
+    assert 0 < len(calls) < budget
+
+
+def test_kron_gates_read_columns_and_rows_off_their_factors():
+    L, levels = verify._scale_grid(grid_values("coarse"))
+    base = verify._gates2(levels, L)
+    gates, _ = verify._kron4(levels, L)
+    cols, rows = list(gates.col_ids), list(gates.row_ids)
+    assert len(gates) == len(base) ** 2
+    for k, (a, b) in enumerate(itertools.product(base, repeat=2)):
+        g = verify._kron_m(a, b, 2, 2, L)
+        assert gates[k] == g
+        assert [cols[c] for c in gates.columns[k]] == [g[j::4] for j in range(4)]
+        assert [rows[r] for r in gates.rows[k]] == [g[i:i + 4] for i in range(0, 16, 4)]
 
 
 def test_meet_outside_the_grid_is_a_failure(monkeypatch):
     # an entrywise max in place of the meet leaves the gate set: no KeyError,
     # a meet-closure failure, and each case that needs such a meet decided
     # by direct products, as a per-case loop decides it
-    monkeypatch.setattr(verify, "_wedge", lambda a, b: tuple(map(max, a, b)))
+    monkeypatch.setattr(verify, "_wedge", _entrywise_max)
     grid = grid_values("coarse")
     report = check_mv_gate_laws(grid, 2)
     assert report.cases == 35881
