@@ -19,6 +19,7 @@ from .algebra import (
     ZERO,
     SemiringInstance,
     UnitScalar,
+    grid_values,
     make_instance,
     neg,
     odot,
@@ -68,7 +69,6 @@ from .models import (
     model_instance,
     state_violation,
 )
-from .verify import CheckReport, grid_values, run_all
 
 __version__ = "0.1.0"
 
@@ -94,3 +94,13 @@ __all__ = [
     "FuzzbitError", "ParseError", "MembershipError", "ValidationError",
     "InternalCheckError",
 ]
+
+
+def __getattr__(name: str):
+    # `verify` is loaded on first use, so that importing the package or the
+    # CLI for any other command does not compile and load it
+    if name in ("CheckReport", "run_all"):
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

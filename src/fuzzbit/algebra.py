@@ -44,6 +44,8 @@ __all__ = [
     "common_denominator",
     "numerators",
     "make_instance",
+    "GRID_NAMES",
+    "grid_values",
     "parse_unit_scalar",
     "parse_nonneg_rational",
     "parse_complex_scalar",
@@ -187,6 +189,28 @@ def make_instance(name: str) -> SemiringInstance:
         return _INSTANCES[name]
     except KeyError:
         raise ValueError(f"unknown semiring instance {name!r}") from None
+
+
+# --- grids --------------------------------------------------------------------
+#
+# The finite grids of [0, 1] that `verify` checks its laws on.  They live here,
+# not in `verify`, so that the CLI can offer their names without loading it.
+
+GRID_NAMES = ("coarse", "standard", "fine")
+
+_GRIDS = {
+    "coarse": (Fraction(0), Fraction(1, 2), Fraction(1)),
+    "standard": (Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
+                 Fraction(2, 3), Fraction(3, 4), Fraction(1)),
+    "fine": tuple(Fraction(k, 6) for k in range(7)),
+}
+
+
+def grid_values(name: str) -> tuple[UnitScalar, ...]:
+    try:
+        return tuple(UnitScalar(f) for f in _GRIDS[name])
+    except KeyError:
+        raise ValueError(f"unknown grid {name!r}; choose from {GRID_NAMES}") from None
 
 
 # --- scalar literal grammar -------------------------------------------------

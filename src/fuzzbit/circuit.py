@@ -17,6 +17,11 @@ step's bound matrix to its block of the state directly; lifting, which
 tensors the bound matrix with the model's own identity on both sides, is
 the reference route for composed operators and equivalence checks.
 
+Classical programs never build a bound matrix: a step's plan is the gate's
+permutation of basis indices composed with the block's bit remap, and the
+run rewrites one basis index.  The trace keeps that index per step and
+builds a `ClassicalState` only when a state is read.
+
 Stochastic and fuzzy programs run on Python ints: the model row's
 `ScaledCarrier` encodes the state and every step's matrix as numerators over
 a scale, and the same generic block kernel runs over an int instance.  Each
@@ -58,7 +63,7 @@ from .models import (
     gate_violation,
     model_instance,
 )
-from .models.classical import ClassicalState, SynthCircuit, permutation_from_matrix
+from .models.classical import ClassicalState, SynthCircuit
 from .models.quantum import measure
 
 __all__ = [
@@ -120,11 +125,12 @@ class ValidatedCircuit:
 class SimulationTrace:
     """All intermediate states; states[0] is the initial one.
 
-    `snapshots` holds one entry per gate step: the state itself for
-    classical and quantum runs, and (numerators, scale) for stochastic and
-    fuzzy runs.  Those are decoded into checked `VectorState`s when first
-    read, each at most once: `final` decodes the last snapshot only,
-    `states` every one.  Traces are equal when their states are.
+    `snapshots` holds one entry per gate step: the basis index for
+    classical runs, the state itself for quantum runs, and (numerators,
+    scale) for stochastic and fuzzy runs.  Indices become checked
+    `ClassicalState`s and numerators checked `VectorState`s when first
+    read, each at most once: `final` builds the last state only, `states`
+    every one.  Traces are equal when their states are.
     """
 
     model: str
@@ -134,6 +140,8 @@ class SimulationTrace:
     measured: int | None = None
 
     def _state(self, snapshot) -> ModelState:
+        if self.model == "classical":
+            return ClassicalState(self.wire_count, snapshot)
         carrier = MODELS[self.model].scaled
         return snapshot if carrier is None else _decode_state(self.model, carrier, snapshot)
 
@@ -443,9 +451,17 @@ def _step_plan(gate: GateDescriptor, targets: Sequence[int]) -> StepPlan:
     closed under re-indexing and under Kronecker products with the
     identity, so the bound and lifted operators are members too, checked
     once by `GateDescriptor`: simulate re-checks states only, never operators.
+    A classical plan is rho^-1 . perm . rho for the slot table rho: the
+    permutation of the bound matrix, without building it.
     """
-    bound = _bound_matrix(gate, targets)
-    return permutation_from_matrix(bound) if gate.model == "classical" else bound
+    if gate.model != "classical":
+        return _bound_matrix(gate, targets)
+    rho = _slot_table(targets, gate.arity)
+    inverse = [0] * len(rho)
+    for x, g in enumerate(rho):
+        inverse[g] = x
+    perm = gate.permutation
+    return tuple(inverse[perm[g]] for g in rho)
 
 
 def _wrap_state(model: str, vector: SVector) -> VectorState:
@@ -497,7 +513,7 @@ def simulate(vc: ValidatedCircuit, seed_override: int | None = None,
             base = min(step.wires)
             window = (index >> base) & (len(perm) - 1)
             index ^= (window ^ perm[window]) << base  # rewrite only the window bits
-            states.append(ClassicalState(n, index))
+            states.append(index)
     elif carrier is not None:
         states = _scaled_run(vc, carrier, state)
     else:

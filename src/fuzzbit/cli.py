@@ -22,7 +22,7 @@ from .circuit import (
     simulate,
     validate,
 )
-from .algebra import SemiringInstance, format_complex, format_rational
+from .algebra import GRID_NAMES, SemiringInstance, format_complex, format_rational
 from .errors import (
     FuzzbitError,
     InternalCheckError,
@@ -42,9 +42,13 @@ from .linalg import (
 )
 from .models import MODEL_NAMES, gate_violation, state_violation
 from .models.classical import ClassicalState, TruthTable, synthesize_circuit
-from .verify import GRID_NAMES, run_all
 
 __all__ = ["main", "entry"]
+
+# The emitted program has O(4^n) lines and the self-check runs it on all 2^n
+# inputs, so the work grows about 8x per input: a table of 8 inputs gives
+# 231,012 lines and takes about a minute.
+MAX_SYNTH_INPUTS = 8
 
 
 def _read_text(path: str) -> tuple[str, Path]:
@@ -179,6 +183,10 @@ def cmd_synth(args) -> int:
     n = size.bit_length() - 1
     if size < 2 or (1 << n) != size:
         raise ParseError(f"table length {size} is not a power of two (at least 2)")
+    if n > MAX_SYNTH_INPUTS:
+        raise ValidationError(
+            f"synth takes tables of at most {MAX_SYNTH_INPUTS} inputs "
+            f"({1 << MAX_SYNTH_INPUTS} entries), got {n}")
     bits = tuple(int(t) for t in tokens)
     circuit_text = reversible_circuit_text(synthesize_circuit(TruthTable(n, 1, bits)))
     vc = validate(parse_circuit(circuit_text))
@@ -193,6 +201,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_all  # loaded for this command only
+
     failures = 0
     for report in run_all(args.grid):
         print(f"{report.name} cases {report.cases} failures {len(report.failures)}")

@@ -18,7 +18,8 @@ ids.  Size-4 checks work on columns and rows: column j of AB is A applied to
 column j of B, row i of AB is row i of A times B, and entry i of As is row i
 of A against s.  Each distinct column, row and state gets an id, a gate is
 the ids of its columns and rows, and an action table comes from one kernel
-call per four vectors packed into a matrix.  Every case is still counted and
+call per four vectors packed into a matrix; `tensor-laws` compares its mixed
+products column by column the same way.  Every case is still counted and
 decided by an exact comparison of ids; a case that differs is rechecked with
 direct kernel calls, so the failures are those of a per-case loop, in order.
 """
@@ -36,10 +37,12 @@ from operator import itemgetter
 from .algebra import (
     BOOLEAN,
     FUZZ_MV,
+    GRID_NAMES,
     MAX_MIN,
     VITERBI,
     SemiringInstance,
     UnitScalar,
+    grid_values,
 )
 from .linalg import SMatrix, SVector, kron_mat, kron_vec, mat_mul, mat_vec, mat_vec_block
 
@@ -55,23 +58,6 @@ __all__ = [
     "check_oracle_agreement",
     "run_all",
 ]
-
-GRID_NAMES = ("coarse", "standard", "fine")
-
-_GRIDS = {
-    "coarse": (Fraction(0), Fraction(1, 2), Fraction(1)),
-    "standard": (Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
-                 Fraction(2, 3), Fraction(3, 4), Fraction(1)),
-    "fine": tuple(Fraction(k, 6) for k in range(7)),
-}
-
-
-def grid_values(name: str) -> tuple[UnitScalar, ...]:
-    try:
-        return tuple(UnitScalar(f) for f in _GRIDS[name])
-    except KeyError:
-        raise ValueError(f"unknown grid {name!r}; choose from {GRID_NAMES}") from None
-
 
 @dataclass
 class CheckReport:
@@ -699,18 +685,47 @@ def check_tensor_laws(grid) -> CheckReport:
         if _kron_v(_kron_v(u, v, L), w, L) != _kron_v(u, _kron_v(v, w, L), L):
             report.failures.append(("associativity", u, v, w))
 
+    # Mixed product (a (x) b)(c (x) d) = ac (x) bd, compared column by column:
+    # column (j, l) of the left side is a (x) b applied to column (j, l) of
+    # c (x) d, and of the right side column j of ac (x) column l of bd.  A row
+    # of d whose column ids differ is rechecked with direct kernel calls.
     quad_cap = 20000
-    ab_index = None
-    for ai, bi, ci, di in itertools.islice(
-            itertools.product(range(len(gates)), repeat=4), quad_cap):
-        a, b, c, d = gates[ai], gates[bi], gates[ci], gates[di]
-        report.cases += 1
-        if (ai, bi) != ab_index:  # a (x) b stays fixed while (c, d) run
-            ab_index, ab = (ai, bi), _kron_m(a, b, 2, 2, L)
-        left = _mm(ab, _kron_m(c, d, 2, 2, L), 4, L)
-        right = _kron_m(_mm(a, c, 2, L), _mm(b, d, 2, L), 2, 2, L)
+    n_gates = len(gates)
+    kron = _KronGates(gates, L)  # c (x) d is kron gate ci * n_gates + di
+    targets = list(kron.col_ids)  # every column of every c (x) d
+    images: dict = {}  # (ai, bi) -> the id of each target's image under a (x) b
+    gate_products: dict = {}  # (i, j) -> the two columns of gates[i] gates[j]
+    kron_ids: dict = {}  # (u, v) -> the id of u (x) v
+
+    def columns(i: int, j: int) -> tuple:
+        if (i, j) not in gate_products:
+            p = _mm(gates[i], gates[j], 2, L)
+            gate_products[i, j] = p[0::2], p[1::2]
+        return gate_products[i, j]
+
+    def kron_id(u, v) -> int:
+        if (u, v) not in kron_ids:
+            kron_ids[u, v] = _intern([_kron_v(u, v, L)], kron.col_ids)[0]
+        return kron_ids[u, v]
+
+    for (ai, bi, ci), count in _lex_rows((n_gates,) * 3, n_gates, quad_cap):
+        report.cases += count
+        if (ai, bi) not in images:
+            ab = _kron_m(gates[ai], gates[bi], 2, 2, L)
+            images[ai, bi] = _intern(_left_images(ab, targets, L), kron.col_ids)
+        image = images[ai, bi].__getitem__
+        first = ci * n_gates
+        left = [tuple(map(image, ids)) for ids in kron.columns[first:first + count]]
+        u0, u1 = columns(ai, ci)
+        right = [(kron_id(u0, v0), kron_id(u0, v1), kron_id(u1, v0), kron_id(u1, v1))
+                 for v0, v1 in (columns(bi, di) for di in range(count))]
         if left != right:
-            report.failures.append(("mixed-product", a, b, c, d))
+            a, b, c = gates[ai], gates[bi], gates[ci]
+            ab = _kron_m(a, b, 2, 2, L)
+            for d in gates[:count]:
+                product = _mm(ab, _kron_m(c, d, 2, 2, L), 4, L)
+                if product != _kron_m(_mm(a, c, 2, L), _mm(b, d, 2, L), 2, 2, L):
+                    report.failures.append(("mixed-product", a, b, c, d))
     for i, a in enumerate(gates):
         for b in gates[i:i + 8]:  # gate Kronecker closure, strided sample
             report.cases += 1

@@ -1,6 +1,7 @@
 """Circuit language: parsing, validation, lifting, simulation, synthesis text."""
 
 import cmath
+import itertools
 import math
 import tempfile
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzbit.algebra import BOOLEAN, COMPLEX, FUZZ_MV, PROBABILITY, UnitScalar
+import fuzzbit.circuit as circuit
 from fuzzbit.circuit import (
     composed_operator,
     equivalence_check,
@@ -34,7 +36,7 @@ from fuzzbit.linalg import (
     matrix_from_permutation,
     serialize_matrix,
 )
-from fuzzbit.models import MODELS, VectorState, builtin_gate, model_instance
+from fuzzbit.models import MODELS, GateDescriptor, VectorState, builtin_gate, model_instance
 from fuzzbit.models.classical import (
     ClassicalState,
     TruthTable,
@@ -175,6 +177,61 @@ def test_classical_index_path_matches_matrix_path():
     image = mat_vec(op, indicator)
     assert image.entries[final.basis_index] == op.instance.one
     assert sum(1 for x in image.entries if x == op.instance.one) == 1
+
+
+# a 3-wire permutation that is no builtin: a 3-cycle on the high bits, then a flip
+ROTATE3 = matrix_from_permutation((1, 0, 4, 5, 2, 3, 7, 6), BOOLEAN)
+
+
+@pytest.mark.parametrize("gate", [
+    *(builtin_gate("classical", name) for name in MODELS["classical"].gates),
+    GateDescriptor("classical", "@rotate3.mat", ROTATE3),
+], ids=lambda gate: gate.name)
+def test_classical_plan_is_the_bound_permutation(gate):
+    k = gate.arity
+    for base in (0, 2):
+        for wires in itertools.permutations(range(base, base + k)):
+            assert circuit._step_plan(gate, wires) == \
+                permutation_from_matrix(circuit._bound_matrix(gate, wires))
+
+
+def test_classical_programs_build_no_bound_matrix(tmp_path, monkeypatch):
+    (tmp_path / "rotate3.mat").write_text(serialize_matrix(ROTATE3))
+    text = ("model classical\nwires 5\ninit ket 01101\n"
+            "gate @rotate3.mat 4 2 3\ngate CNOT 1 0\ngate CNOT 0 1\ngate AND 2 1 0\n"
+            "gate @rotate3.mat 0 1 2\ngate SWAP 4 3\ngate NOT 2\ngate CNOT 1 0\n")
+    expected = simulate(validate(parse_circuit(text), base_dir=tmp_path))
+
+    def no_bound_matrix(*args):
+        raise AssertionError("a classical step must not build its bound matrix")
+
+    reads = []
+    real = permutation_from_matrix
+    monkeypatch.setattr("fuzzbit.circuit._bound_matrix", no_bound_matrix)
+    monkeypatch.setattr("fuzzbit.models.classical.permutation_from_matrix",
+                        lambda m: reads.append(m) or real(m))
+    builtin_gate.cache_clear()  # so that each builtin descriptor is read afresh
+    vc = validate(parse_circuit(text), base_dir=tmp_path)
+    assert simulate(vc) == expected
+    assert len(reads) == len({id(gate) for gate in vc.gates}) == 6
+
+
+def test_classical_trace_builds_states_on_read():
+    text = ("model classical\nwires 4\ninit ket 0110\n"
+            "gate AND 3 2 1\ngate SWAP 0 1\ngate FANOUT 2 1\ngate NOT 3\ngate CNOT 0 1\n")
+    vc = validate(parse_circuit(text))
+    n = vc.program.wire_count
+    index, expected = vc.initial.basis_index, [vc.initial]
+    for step, gate in zip(vc.program.steps, vc.gates):
+        index = permutation_from_matrix(lift_gate(gate, step.wires, n))[index]
+        expected.append(ClassicalState(n, index))
+    trace = simulate(vc)
+    assert trace.final == expected[-1] and isinstance(trace.final, ClassicalState)
+    assert list(trace.states) == expected
+    assert all(isinstance(state, ClassicalState) for state in trace.states)
+    again = simulate(vc)
+    assert again == trace and hash(again) == hash(trace)
+    assert simulate(vc, initial=ClassicalState(n, 0)) != trace
 
 
 def test_gate_from_file(tmp_path):

@@ -2,6 +2,9 @@
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 
 from fuzzbit.algebra import FUZZ_MV
 from fuzzbit.circuit import MAX_DENSE_WIRES
-from fuzzbit.cli import main
+from fuzzbit.cli import MAX_SYNTH_INPUTS, main
 from fuzzbit.linalg import (
     SMatrix,
     identity,
@@ -233,6 +236,42 @@ def test_synth_round_trip(tmp_path, capsys):
     capsys.readouterr()
     bad2 = write(tmp_path, "bad2.tbl", "0 2\n")
     assert main(["synth", bad2]) == 2
+
+
+def test_synth_input_limit(tmp_path, capsys, monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def no_synthesis(table):
+        raise Reached(table.n_inputs)
+
+    monkeypatch.setattr("fuzzbit.cli.synthesize_circuit", no_synthesis)
+    widest = write(tmp_path, "widest.tbl", "0 1 " * (1 << (MAX_SYNTH_INPUTS - 1)))
+    with pytest.raises(Reached):  # the widest table allowed reaches synthesis
+        main(["synth", widest])
+    wide = write(tmp_path, "wide.tbl", "0 1 " * (1 << MAX_SYNTH_INPUTS))
+    assert main(["synth", wide]) == 1
+    assert capsys.readouterr().err == (
+        f"error: synth takes tables of at most {MAX_SYNTH_INPUTS} inputs "
+        f"({1 << MAX_SYNTH_INPUTS} entries), got {MAX_SYNTH_INPUTS + 1}\n")
+
+
+def test_only_the_verify_command_loads_verify(tmp_path):
+    circ = write(tmp_path, "cnot.circ",
+                 "model classical\nwires 2\ninit ket 10\ngate CNOT 1 0\n")
+    script = ("import contextlib, io, sys\n"
+              "import fuzzbit.cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    assert fuzzbit.cli.main(['simulate', sys.argv[1]]) == 0\n"
+              "assert 'fuzzbit.verify' not in sys.modules\n"
+              "from fuzzbit import CheckReport, grid_values, run_all\n"
+              "assert 'fuzzbit.verify' in sys.modules\n"
+              "assert run_all.__module__ == CheckReport.__module__ == 'fuzzbit.verify'\n"
+              "assert len(grid_values('coarse')) == 3\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", script, circ], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
 
 
 def test_verify_coarse(capsys):

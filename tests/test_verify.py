@@ -136,6 +136,11 @@ def _entrywise_max(a, b):
     return tuple(map(max, a, b))
 
 
+def _tensor_laws(grid, size):
+    """`check_tensor_laws`, whose mixed products are size-4 cases."""
+    return check_tensor_laws(grid)
+
+
 # Each expected failure list, by kind and by its first and last tuple, is the
 # one a per-case loop over the law instances finds under the same mutant
 # (every instance at size 2, the sampled ones at size 4): the interned tables
@@ -172,8 +177,12 @@ def _entrywise_max(a, b):
      ("linearity", (0,) * 16, (0, 1, 0, 1), (1, 0, 1, 0)),
      ("linearity", (2, 2, 2, 2, 0, 0, 0, 0, 2, 2, 2, 2, 0, 0, 2, 2), (2, 2, 2, 0),
       (2, 2, 0, 2))),
+    (_tensor_laws, 4, "_mm", _uncapped_mm, 20512,
+     {"mixed-product": 459},
+     ("mixed-product", (0, 0, 0, 0), (0, 0, 1, 1), (0, 0, 0, 0), (2, 2, 2, 2)),
+     ("mixed-product", (0, 0, 0, 0), (2, 2, 2, 2), (2, 2, 2, 2), (2, 2, 2, 2))),
 ], ids=["mv-gate-laws-2", "action-laws-2", "mv-gate-laws-4", "action-laws-4",
-        "mv-gate-laws-4-max-meet", "action-laws-4-max-meet"])
+        "mv-gate-laws-4-max-meet", "action-laws-4-max-meet", "tensor-laws"])
 def test_interned_tables_keep_the_per_case_failures(monkeypatch, check, size, name, mutant,
                                                     cases, kinds, first, last):
     monkeypatch.setattr(verify, name, mutant)
@@ -186,7 +195,8 @@ def test_interned_tables_keep_the_per_case_failures(monkeypatch, check, size, na
 @pytest.mark.parametrize("check, kernel, budget", [
     (check_mv_gate_laws, "_mm", 18000),  # 182,765 calls case by case
     (check_action_laws, "_mv", 32000),  # 324,336 calls case by case
-], ids=["mv-gate-laws-4", "action-laws-4"])
+    (_tensor_laws, "_mm", 6000),  # 60,000 calls case by case
+], ids=["mv-gate-laws-4", "action-laws-4", "tensor-laws"])
 def test_size4_checks_call_the_kernel_per_distinct_vector(monkeypatch, check, kernel, budget):
     real, calls = getattr(verify, kernel), []
 
