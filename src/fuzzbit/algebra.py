@@ -219,8 +219,9 @@ def grid_values(name: str) -> tuple[UnitScalar, ...]:
 # Decimals are read exactly ("0.3" is 3/10).  Complex literals extend this with
 # an optional sign, an optional exponent and an "i" suffix: 1, -0.5, 2i, 1-2i.
 
-_RATIONAL_RE = re.compile(r"(?:(\d+)/(\d+)|(\d+(?:\.\d+)?))\Z")
-_NUM = r"[+-]?(?:\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
+# [0-9], not \d: \d would admit '١' and '٠', which int() and float() then read
+_RATIONAL_RE = re.compile(r"(?:([0-9]+)/([0-9]+)|([0-9]+(?:\.[0-9]+)?))\Z")
+_NUM = r"[+-]?(?:[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
 _COMPLEX_RE = re.compile(rf"({_NUM})(?:(?=[+-])({_NUM})i)?\Z")
 _IMAG_RE = re.compile(rf"({_NUM})i\Z")
 
@@ -229,11 +230,15 @@ def _parse_rational(token: str) -> Fraction:
     m = _RATIONAL_RE.match(token)
     if m is None:
         raise ParseError(f"malformed scalar {token!r}")
-    if m.group(1) is not None:
-        if int(m.group(2)) == 0:
-            raise ParseError(f"zero denominator in {token!r}")
-        return Fraction(int(m.group(1)), int(m.group(2)))
-    return Fraction(m.group(3))
+    try:
+        if m.group(1) is None:
+            return Fraction(m.group(3))
+        numerator, denominator = int(m.group(1)), int(m.group(2))
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ParseError(f"scalar literal of {len(token)} characters is too long") from None
+    if denominator == 0:
+        raise ParseError(f"zero denominator in {token!r}")
+    return Fraction(numerator, denominator)
 
 
 def parse_unit_scalar(token: str) -> UnitScalar:

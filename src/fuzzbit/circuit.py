@@ -17,10 +17,17 @@ step's bound matrix to its block of the state directly; lifting, which
 tensors the bound matrix with the model's own identity on both sides, is
 the reference route for composed operators and equivalence checks.
 
-Classical programs never build a bound matrix: a step's plan is the gate's
-permutation of basis indices composed with the block's bit remap, and the
-run rewrites one basis index.  The trace keeps that index per step and
-builds a `ClassicalState` only when a state is read.
+Classical programs never build a bound matrix: a step's plan is
+(base, mask, perm), the block's lowest wire, the window mask 2^k - 1 and
+the gate's permutation of basis indices composed with the block's bit
+remap, and the run rewrites the window bits of one basis index.  The trace
+keeps that index per step and builds a `ClassicalState` only when a state
+is read.
+
+Validation resolves, checks and plans each distinct (gate, wires) pair of
+a program once; a repeated step reuses the first occurrence's descriptor
+and plan.  Synthesized programs, whose SWAP chains repeat the same few
+steps, are built as `CircuitProgram`s directly and never go through text.
 
 Stochastic and fuzzy programs run on Python ints: the model row's
 `ScaledCarrier` encodes the state and every step's matrix as numerators over
@@ -34,7 +41,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Any, Sequence, Union
 
@@ -82,7 +89,9 @@ __all__ = [
 ]
 
 ModelState = Union[ClassicalState, VectorState]
-StepPlan = Union[SMatrix, tuple[int, ...]]
+# The bound matrix, or for a classical step (base, mask, perm): the block's
+# lowest wire, 2^k - 1, and the permutation of the block's window values.
+StepPlan = Union[SMatrix, tuple[int, int, tuple[int, ...]]]
 
 # A dense state holds 2^n entries, 65,536 at this limit.  Classical programs
 # track one basis index and take any wire count.
@@ -112,7 +121,9 @@ class ValidatedCircuit:
     """A program whose gates passed their model's membership check.
 
     plans[k] is what step k applies to its wire block: the bound matrix,
-    or for classical programs the permutation of the block's values.
+    or for classical programs (base, mask, perm), the permutation of the
+    window values (index >> base) & mask.  Steps with the same (gate,
+    wires) share one descriptor and one plan.
     """
 
     program: CircuitProgram
@@ -180,6 +191,16 @@ def _tokenize(line: str) -> list[tuple[str, int]]:
     return [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
 
 
+def _uint(token: str, line: int, col: int) -> int:
+    """An ASCII-digit token as an int; one longer than Python's int-string limit
+    is a ParseError at (line, col), not a ValueError."""
+    try:
+        return int(token)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ParseError(f"integer literal of {len(token)} digits is too long",
+                         line, col) from None
+
+
 def parse_circuit(text: str) -> CircuitProgram:
     """Build the program AST; lengths, ranges and memberships wait for validate."""
     model: str | None = None
@@ -210,7 +231,7 @@ def parse_circuit(text: str) -> CircuitProgram:
                 raise ParseError("duplicate wires directive", line_no, col)
             if len(rest) != 1 or not _UINT_RE.fullmatch(rest[0][0]):
                 raise ParseError("expected: wires <positive integer>", line_no, col)
-            wires = int(rest[0][0])
+            wires = _uint(rest[0][0], line_no, rest[0][1])
             if wires < 1:
                 raise ParseError("wire count must be positive", line_no, rest[0][1])
         elif word == "init":
@@ -254,7 +275,7 @@ def parse_circuit(text: str) -> CircuitProgram:
                 if not _UINT_RE.fullmatch(tok):
                     raise ParseError(f"wire index {tok!r} is not a non-negative integer",
                                      line_no, tok_col)
-                targets.append(int(tok))
+                targets.append(_uint(tok, line_no, tok_col))
             steps.append(GateStep(ref, tuple(targets), line=line_no))
         elif word == "measure":
             if model is None or wires is None or init is None:
@@ -263,7 +284,7 @@ def parse_circuit(text: str) -> CircuitProgram:
                 raise ParseError("duplicate measure directive", line_no, col)
             if len(rest) != 2 or rest[0][0] != "seed" or not _UINT_RE.fullmatch(rest[1][0]):
                 raise ParseError("expected: measure seed <non-negative integer>", line_no, col)
-            seed = int(rest[1][0])
+            seed = _uint(rest[1][0], line_no, rest[1][1])
         else:
             raise ParseError(f"unknown directive {word!r}", line_no, col)
 
@@ -287,7 +308,7 @@ def serialize_circuit(program: CircuitProgram) -> str:
         fmt = entry_formatter(model_instance(program.model))
         lines.append("init vec " + " ".join(fmt(x) for x in program.init_values))
     for step in program.steps:
-        lines.append(f"gate {step.gate} " + " ".join(str(w) for w in step.wires))
+        lines.append(f"gate {step.gate} " + " ".join(map(str, step.wires)))
     if program.measure_seed is not None:
         lines.append(f"measure seed {program.measure_seed}")
     return "\n".join(lines) + "\n"
@@ -351,8 +372,33 @@ def _initial_state(program: CircuitProgram) -> ModelState:
         raise ValidationError(f"initial state rejected: {exc}", program.init_line) from None
 
 
+def _checked_step(program: CircuitProgram, step: GateStep,
+                  base_dir: Path) -> tuple[GateDescriptor, StepPlan]:
+    """The step's checked gate and its plan; errors carry the step's line."""
+    descriptor = _resolve_gate(program, step, base_dir)
+    k = descriptor.arity
+    if len(step.wires) != k:
+        raise ValidationError(
+            f"gate {step.gate} expects {k} wires, got {len(step.wires)}", step.line)
+    if len(set(step.wires)) != k:
+        raise ValidationError(f"gate {step.gate} lists a wire twice", step.line)
+    if max(step.wires) >= program.wire_count:
+        raise ValidationError(
+            f"wire {max(step.wires)} out of range for {program.wire_count} wires",
+            step.line)
+    if max(step.wires) - min(step.wires) + 1 != k:
+        raise ValidationError(
+            f"gate {step.gate} wires {step.wires} must form a contiguous block",
+            step.line)
+    return descriptor, _step_plan(descriptor, step.wires)
+
+
 def validate(program: CircuitProgram, base_dir: str | Path = ".") -> ValidatedCircuit:
-    """Resolve gates, check memberships, wire ranges and the initial state."""
+    """Resolve gates, check memberships, wire ranges and the initial state.
+
+    Each distinct (gate, wires) pair is checked and planned once, at its
+    first step, so an error names the first failing step's line.
+    """
     if program.wire_count < 1:
         raise ValidationError("wire count must be positive")
     if program.model != "classical" and program.wire_count > MAX_DENSE_WIRES:
@@ -360,25 +406,15 @@ def validate(program: CircuitProgram, base_dir: str | Path = ".") -> ValidatedCi
             f"{program.model} programs take at most {MAX_DENSE_WIRES} wires "
             f"(2^{MAX_DENSE_WIRES} state entries), got {program.wire_count}")
     base = Path(base_dir)
+    checked: dict[tuple[str, tuple[int, ...]], tuple[GateDescriptor, StepPlan]] = {}
     gates, plans = [], []
     for step in program.steps:
-        descriptor = _resolve_gate(program, step, base)
-        k = descriptor.arity
-        if len(step.wires) != k:
-            raise ValidationError(
-                f"gate {step.gate} expects {k} wires, got {len(step.wires)}", step.line)
-        if len(set(step.wires)) != k:
-            raise ValidationError(f"gate {step.gate} lists a wire twice", step.line)
-        if max(step.wires) >= program.wire_count:
-            raise ValidationError(
-                f"wire {max(step.wires)} out of range for {program.wire_count} wires",
-                step.line)
-        if max(step.wires) - min(step.wires) + 1 != k:
-            raise ValidationError(
-                f"gate {step.gate} wires {step.wires} must form a contiguous block",
-                step.line)
-        gates.append(descriptor)
-        plans.append(_step_plan(descriptor, step.wires))
+        key = (step.gate, step.wires)
+        entry = checked.get(key)
+        if entry is None:
+            entry = checked[key] = _checked_step(program, step, base)
+        gates.append(entry[0])
+        plans.append(entry[1])
     if program.measure_seed is not None and program.model != "quantum":
         raise ValidationError("measure is only defined for quantum programs")
     initial = _initial_state(program)
@@ -445,14 +481,15 @@ def composed_operator(vc: ValidatedCircuit) -> SMatrix:
 
 
 def _step_plan(gate: GateDescriptor, targets: Sequence[int]) -> StepPlan:
-    """The bound matrix; for classical gates, its permutation of window values.
+    """The bound matrix; for classical gates, (base, mask, perm) of the window.
 
     The bound matrix re-indexes a member gate, and each model's gates are
     closed under re-indexing and under Kronecker products with the
     identity, so the bound and lifted operators are members too, checked
     once by `GateDescriptor`: simulate re-checks states only, never operators.
-    A classical plan is rho^-1 . perm . rho for the slot table rho: the
-    permutation of the bound matrix, without building it.
+    A classical plan's perm is rho^-1 . perm . rho for the slot table rho:
+    the permutation of the bound matrix, without building it.  base is the
+    block's lowest wire and mask 2^k - 1 selects its k window bits.
     """
     if gate.model != "classical":
         return _bound_matrix(gate, targets)
@@ -461,7 +498,7 @@ def _step_plan(gate: GateDescriptor, targets: Sequence[int]) -> StepPlan:
     for x, g in enumerate(rho):
         inverse[g] = x
     perm = gate.permutation
-    return tuple(inverse[perm[g]] for g in rho)
+    return min(targets), len(rho) - 1, tuple(inverse[perm[g]] for g in rho)
 
 
 def _wrap_state(model: str, vector: SVector) -> VectorState:
@@ -509,9 +546,8 @@ def simulate(vc: ValidatedCircuit, seed_override: int | None = None,
     states = []
     if program.model == "classical":
         index = state.basis_index
-        for step, perm in zip(program.steps, vc.plans):
-            base = min(step.wires)
-            window = (index >> base) & (len(perm) - 1)
+        for base, mask, perm in vc.plans:
+            window = (index >> base) & mask
             index ^= (window ^ perm[window]) << base  # rewrite only the window bits
             states.append(index)
     elif carrier is not None:
@@ -540,28 +576,26 @@ def equivalence_check(a: ValidatedCircuit, b: ValidatedCircuit) -> bool:
 
 # --- reversible emission of synthesized circuits --------------------------------
 
-def reversible_circuit_text(circ: SynthCircuit) -> str:
-    """Render a straight-line synthesis as a classical circuit program.
+def reversible_circuit_text(circ: SynthCircuit) -> CircuitProgram:
+    """A straight-line synthesis as a classical circuit program.
 
     Every assignment becomes its reversible embedding on a fresh zero wire,
     with SWAP chains routing operands into a contiguous block.  The function
     value ends on wire 0; inputs are wires 0..n-1 of the initial ket.
+    Steps with the same (gate, wires) share one `GateStep`; the program's
+    text is `serialize_circuit` of it.
     """
     total = circ.n_wires
     pos = list(range(total))  # pos[value] = wire currently holding it
     at = list(range(total))  # at[wire] = value currently on it
-    lines = [
-        "# synthesized circuit: inputs on wires 0..%d, result on wire 0" % (circ.n_inputs - 1),
-        "model classical",
-        f"wires {total}",
-        "init ket " + "0" * total,
-    ]
+    steps: list[GateStep] = []
+    gate_step = cache(GateStep)  # one object per distinct (gate, wires)
 
     def swap(p: int) -> None:
         u, v = at[p], at[p + 1]
         at[p], at[p + 1] = v, u
         pos[u], pos[v] = p + 1, p
-        lines.append(f"gate SWAP {p} {p + 1}")
+        steps.append(gate_step("SWAP", (p, p + 1)))
 
     def bubble(value: int, target: int) -> None:
         while pos[value] > target:
@@ -572,16 +606,16 @@ def reversible_circuit_text(circ: SynthCircuit) -> str:
     for step in circ.steps:
         if step.op == "CONST":
             if step.value:
-                lines.append(f"gate NOT {pos[step.target]}")
+                steps.append(gate_step("NOT", (pos[step.target],)))
         elif step.op == "NOT":
             bubble(step.target, 0)
             bubble(step.args[0], 1)
-            lines.append("gate FANOUT 1 0")
-            lines.append("gate NOT 0")
+            steps.append(gate_step("FANOUT", (1, 0)))
+            steps.append(gate_step("NOT", (0,)))
         else:
             bubble(step.target, 0)
             bubble(step.args[0], 1)
             bubble(step.args[1], 2)
-            lines.append(f"gate {step.op} 1 2 0")
+            steps.append(gate_step(step.op, (1, 2, 0)))
     bubble(circ.output_wire, 0)
-    return "\n".join(lines) + "\n"
+    return CircuitProgram("classical", total, "ket", (0,) * total, tuple(steps))

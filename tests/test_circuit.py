@@ -191,8 +191,9 @@ def test_classical_plan_is_the_bound_permutation(gate):
     k = gate.arity
     for base in (0, 2):
         for wires in itertools.permutations(range(base, base + k)):
-            assert circuit._step_plan(gate, wires) == \
-                permutation_from_matrix(circuit._bound_matrix(gate, wires))
+            low, mask, perm = circuit._step_plan(gate, wires)
+            assert perm == permutation_from_matrix(circuit._bound_matrix(gate, wires))
+            assert low == min(wires) and mask == (1 << k) - 1
 
 
 def test_classical_programs_build_no_bound_matrix(tmp_path, monkeypatch):
@@ -214,6 +215,30 @@ def test_classical_programs_build_no_bound_matrix(tmp_path, monkeypatch):
     vc = validate(parse_circuit(text), base_dir=tmp_path)
     assert simulate(vc) == expected
     assert len(reads) == len({id(gate) for gate in vc.gates}) == 6
+
+
+def test_each_distinct_step_is_validated_once(tmp_path, monkeypatch):
+    (tmp_path / "rotate3.mat").write_text(serialize_matrix(ROTATE3))
+    text = ("model classical\nwires 4\ninit ket 0110\n"
+            "gate @rotate3.mat 0 1 2\ngate CNOT 3 2\ngate @rotate3.mat 0 1 2\n")
+    reads = []
+    real = circuit.parse_matrix_text
+    monkeypatch.setattr("fuzzbit.circuit.parse_matrix_text",
+                        lambda text: reads.append(text) or real(text))
+    vc = validate(parse_circuit(text), base_dir=tmp_path)
+    assert len(reads) == 1
+    assert vc.gates[0] is vc.gates[2] and vc.plans[0] is vc.plans[2]
+    lifted = mat_vec(composed_operator(vc), basis_vector(BOOLEAN, 16, 0b0110))
+    assert simulate(vc).final.basis_index == lifted.entries.index(BOOLEAN.one)
+
+
+def test_a_repeated_step_reports_the_first_failing_line():
+    # the repeated good pair is reused, the same gate on new wires is checked
+    # again, and a repeated bad pair fails at its first line
+    text = ("model quantum\nwires 2\ninit ket 00\n"
+            "gate CNOT 0 1\ngate CNOT 0 1\ngate CNOT 1 2\ngate CNOT 1 2\n")
+    with pytest.raises(ValidationError, match=r"^line 6: wire 2 out of range for 2 wires$"):
+        validate(parse_circuit(text))
 
 
 def test_classical_trace_builds_states_on_read():
@@ -274,7 +299,9 @@ def test_reversible_circuit_text_self_checks():
     for bits in ((0, 1, 1, 0), (1, 1), (0, 1), (1, 0, 0, 0, 0, 0, 0, 1)):
         n = len(bits).bit_length() - 1
         circ = synthesize_circuit(TruthTable(n, 1, bits))
-        vc = validate(parse_circuit(reversible_circuit_text(circ)))
+        program = reversible_circuit_text(circ)
+        assert parse_circuit(serialize_circuit(program)) == program
+        vc = validate(program)
         for x in range(len(bits)):
             final = simulate(vc, initial=ClassicalState(vc.program.wire_count, x)).final
             assert final.basis_index & 1 == bits[x]

@@ -1,8 +1,11 @@
 """End-to-end CLI behaviour: outputs, exit codes, stdin handling."""
 
 import contextlib
+import hashlib
 import io
+import itertools
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -12,8 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fuzzbit.cli as cli
 from fuzzbit.algebra import FUZZ_MV
-from fuzzbit.circuit import MAX_DENSE_WIRES
+from fuzzbit.circuit import MAX_DENSE_WIRES, parse_circuit
 from fuzzbit.cli import MAX_SYNTH_INPUTS, main
 from fuzzbit.linalg import (
     SMatrix,
@@ -238,6 +242,30 @@ def test_synth_round_trip(tmp_path, capsys):
     assert main(["synth", bad2]) == 2
 
 
+# Every table of 2 and 3 inputs, and seeded ones of 4.
+SYNTH_TABLES = [bits for n in (2, 3) for bits in itertools.product((0, 1), repeat=1 << n)]
+SYNTH_TABLES += [tuple(random.Random(seed).choices((0, 1), k=16)) for seed in range(6)]
+# sha256 of the concatenated `synth` output over SYNTH_TABLES, as printed when
+# the emitter still rendered text line by line
+SYNTH_OUTPUT_SHA256 = "5c60f975831384daa31740816238132891d02aaf0b5bfae6a667143512fdd33e"
+
+
+def test_synth_prints_the_program_it_checked(tmp_path, capsys, monkeypatch):
+    checked = []
+    real = cli.validate
+    monkeypatch.setattr("fuzzbit.cli.validate",
+                        lambda program: checked.append(program) or real(program))
+    digest = hashlib.sha256()
+    for bits in SYNTH_TABLES:
+        table = write(tmp_path, "t.tbl", " ".join(map(str, bits)))
+        assert main(["synth", table]) == 0
+        out = capsys.readouterr().out
+        assert [parse_circuit(out)] == checked
+        checked.clear()
+        digest.update(out.encode())
+    assert digest.hexdigest() == SYNTH_OUTPUT_SHA256
+
+
 def test_synth_input_limit(tmp_path, capsys, monkeypatch):
     class Reached(Exception):
         pass
@@ -295,8 +323,6 @@ def test_usage_and_io_errors(tmp_path, capsys):
 
 
 def test_parser_reuse_after_usage_error(tmp_path, capsys):
-    from fuzzbit import cli
-
     bell = write(tmp_path, "bell.circ", BELL_TEXT)
     fid = write(tmp_path, "fid.mat", FID_TEXT)
     calls = (["simulate", bell, "--trace", "--seed", "3"], ["simulate", bell],
@@ -336,12 +362,46 @@ def test_seed_takes_only_ascii_digits(tmp_path, capsys, seed, message):
     "model quantum\nwires ²\ninit ket 00\n",
     "model quantum\nwires 1\ninit ket 0\ngate H ٠\n",
     "model quantum\nwires 1\ninit ket 0\ngate H 0\nmeasure seed ³\n",
+    "model fuzzy\nwires 1\ninit vec ١/2 1\n",
+    "model stochastic\nwires 1\ninit vec ٠.5 1/2\n",
+    "model quantum\nwires 1\ninit vec ١i 0\n",
 ])
 def test_non_ascii_digits_are_parse_errors(tmp_path, capsys, program):
     circ = tmp_path / "p.circ"
     circ.write_text(program, encoding="utf-8")
     assert main(["simulate", str(circ)]) == 2
     assert capsys.readouterr().err.startswith("error: line ")
+
+
+# One digit past the interpreter's int-string limit (0 where there is none).
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+TOO_LONG = "9" * (DIGIT_LIMIT + 1)
+
+
+@pytest.mark.skipif(DIGIT_LIMIT == 0, reason="this interpreter has no int-string limit")
+@pytest.mark.parametrize("command, name, text, position", [
+    ("simulate", "p.circ", f"model classical\nwires {TOO_LONG}\ninit ket 0\n",
+     "line 2, column 7"),
+    ("simulate", "p.circ", f"model classical\nwires 1\ninit ket 0\ngate NOT {TOO_LONG}\n",
+     "line 4, column 10"),
+    ("simulate", "p.circ",
+     f"model quantum\nwires 1\ninit ket 0\ngate H 0\nmeasure seed {TOO_LONG}\n",
+     "line 5, column 14"),
+    ("simulate", "p.circ", f"model fuzzy\nwires 1\ninit vec 1/{TOO_LONG} 1\n",
+     "line 3, column 10"),
+    ("simulate", "p.circ", f"model stochastic\nwires 1\ninit vec 0 {TOO_LONG}/1\n",
+     "line 3, column 12"),
+    ("simulate", "p.circ", f"model stochastic\nwires 1\ninit vec 0.{TOO_LONG} 1\n",
+     "line 3, column 10"),
+    ("check fuzzy", "g.mat", f"instance fuzz-mv 1 2\n1/{TOO_LONG} 1\n", "line 2"),
+], ids=["wires", "wire-index", "measure-seed", "denominator", "numerator", "decimal",
+        "matrix-entry"])
+def test_oversized_integer_literals_are_parse_errors(tmp_path, capsys, command, name, text,
+                                                     position):
+    path = write(tmp_path, name, text)
+    assert main([*command.split(), path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {position}: ") and err.endswith(" is too long\n")
 
 
 def test_non_utf8_input_exits_2(tmp_path, capsys):
