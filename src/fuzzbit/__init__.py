@@ -32,7 +32,6 @@ from .circuit import (
     SimulationTrace,
     ValidatedCircuit,
     composed_operator,
-    equivalence_check,
     lift_gate,
     parse_circuit,
     reversible_circuit_text,
@@ -50,7 +49,6 @@ from .errors import (
 from .linalg import (
     SMatrix,
     SVector,
-    add,
     as_vector,
     identity,
     kron_mat,
@@ -79,7 +77,7 @@ __all__ = [
     "SemiringInstance", "FUZZ_MV", "MAX_MIN", "VITERBI", "BOOLEAN",
     "PROBABILITY", "COMPLEX", "COMPLEX_TOL", "make_instance",
     # linalg
-    "SVector", "SMatrix", "add", "mat_mul", "mat_vec", "kron_mat", "kron_vec",
+    "SVector", "SMatrix", "mat_mul", "mat_vec", "kron_mat", "kron_vec",
     "identity", "as_vector", "parse_matrix_text", "serialize_matrix",
     # models
     "MODEL_NAMES", "MODELS", "GateDescriptor", "model_instance", "builtin_gate",
@@ -87,7 +85,7 @@ __all__ = [
     # circuit
     "CircuitProgram", "ValidatedCircuit", "SimulationTrace", "parse_circuit",
     "serialize_circuit", "validate", "simulate", "lift_gate",
-    "composed_operator", "equivalence_check", "reversible_circuit_text",
+    "composed_operator", "reversible_circuit_text",
     # verify
     "CheckReport", "grid_values", "run_all",
     # errors

@@ -8,7 +8,10 @@ scalar layer every other module is generic over.
 
 A semiring instance names its identities by role, not by numeral: in the
 fuzz-mv instance addition is min with identity 1 and multiplication is the
-truncated sum with identity 0.
+truncated sum with identity 0.  It also carries its carrier's text format
+and comparison: the literal grammar it parses, the exact literal it writes
+to files, the rendering the CLI displays and the tolerance of `equal`.  No
+other module decides how a carrier's scalars look as text.
 """
 
 from __future__ import annotations
@@ -16,11 +19,12 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
 
-from .errors import ParseError
+from .errors import FuzzbitError, ParseError
 
 __all__ = [
     "COMPLEX_TOL",
@@ -101,6 +105,116 @@ def neg(x: UnitScalar) -> UnitScalar:
     return UnitScalar(1 - x)
 
 
+# --- scalar literal grammar -------------------------------------------------
+#
+# Rational literals (all file formats): INTEGER "/" INTEGER | DECIMAL | INTEGER.
+# Decimals are read exactly ("0.3" is 3/10).  Complex literals extend this with
+# an optional sign, an optional exponent and an "i" suffix: 1, -0.5, 2i, 1-2i.
+
+# [0-9], not \d: \d would admit '١' and '٠', which int() and float() then read
+_RATIONAL_RE = re.compile(r"(?:([0-9]+)/([0-9]+)|([0-9]+(?:\.[0-9]+)?))\Z")
+_NUM = r"[+-]?(?:[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
+_COMPLEX_RE = re.compile(rf"({_NUM})(?:(?=[+-])({_NUM})i)?\Z")
+_IMAG_RE = re.compile(rf"({_NUM})i\Z")
+# unsigned integers (matrix dimensions, circuit wires and seeds); str.isdigit
+# would admit '²' and '٠'
+_UINT_RE = re.compile(r"[0-9]+")
+
+
+def _uint(token: str, line: int, col: int | None = None) -> int:
+    """A `_UINT_RE` token as an int; one longer than Python's int-string limit
+    is a ParseError at (line, col), not a ValueError."""
+    try:
+        return int(token)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ParseError(f"integer literal of {len(token)} digits is too long",
+                         line, col) from None
+
+
+def _parse_rational(token: str) -> Fraction:
+    m = _RATIONAL_RE.match(token)
+    if m is None:
+        raise ParseError(f"malformed scalar {token!r}")
+    try:
+        if m.group(1) is None:
+            return Fraction(m.group(3))
+        numerator, denominator = int(m.group(1)), int(m.group(2))
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ParseError(f"scalar literal of {len(token)} characters is too long") from None
+    if denominator == 0:
+        raise ParseError(f"zero denominator in {token!r}")
+    return Fraction(numerator, denominator)
+
+
+def parse_unit_scalar(token: str) -> UnitScalar:
+    """Parse a rational literal that must lie in [0, 1]."""
+    value = _parse_rational(token)
+    if value > 1:
+        raise ParseError(f"scalar {token!r} outside [0, 1]")
+    return UnitScalar(value)
+
+
+def parse_nonneg_rational(token: str) -> Fraction:
+    """Parse a rational literal with no upper bound (probability carrier)."""
+    return _parse_rational(token)
+
+
+def parse_complex_scalar(token: str) -> complex:
+    """Parse a complex literal: a, bi, or a+bi with decimal parts."""
+    m = _IMAG_RE.match(token)
+    if m is not None:
+        z = complex(0.0, float(m.group(1)))
+    else:
+        m = _COMPLEX_RE.match(token)
+        if m is None:
+            raise ParseError(f"malformed scalar {token!r}")
+        z = complex(float(m.group(1)), float(m.group(2)) if m.group(2) else 0.0)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ParseError(f"non-finite scalar {token!r}")
+    return z
+
+
+def format_rational(x: Fraction) -> str:
+    """Exact literal that re-parses to the same value ("3/4", "0", "1").
+
+    A numerator or denominator past the int-string digit limit is a
+    FuzzbitError (exit 1), not a ValueError: the parser rejects such a
+    literal, so it could not be read back, and `sys.set_int_max_str_digits`
+    would change the limit for the whole process.
+    """
+    try:
+        return str(Fraction(x))
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise FuzzbitError(f"result scalar has a numerator or denominator of more than "
+                           f"{sys.get_int_max_str_digits()} digits") from None
+
+
+def _format_float(v: float, spec: str | None) -> str:
+    # spec None means shortest round-trip (repr)
+    text = repr(v) if spec is None else format(v, spec)
+    return "0" if text in ("-0", "0.0", "-0.0") else text
+
+
+def _format_complex_with(z: complex, spec: str | None) -> str:
+    if abs(z.imag) == 0.0:
+        return _format_float(z.real, spec)
+    if abs(z.real) == 0.0:
+        return _format_float(z.imag, spec) + "i"
+    im = _format_float(z.imag, spec)
+    sign = "" if im.startswith("-") else "+"
+    return f"{_format_float(z.real, spec)}{sign}{im}i"
+
+
+def format_complex(z: complex, sig: int = 12) -> str:
+    """Render to `sig` significant digits; pure reals drop the imaginary part."""
+    return _format_complex_with(z, f".{sig}g")
+
+
+def format_complex_exact(z: complex) -> str:
+    """Shortest literal that round-trips to the same double (for files)."""
+    return _format_complex_with(z, None)
+
+
 def _times(x: UnitScalar, y: UnitScalar) -> UnitScalar:
     # ordinary product; [0, 1] is closed under it
     return UnitScalar(Fraction(x) * Fraction(y))
@@ -108,10 +222,14 @@ def _times(x: UnitScalar, y: UnitScalar) -> UnitScalar:
 
 @dataclass(frozen=True, eq=False)
 class SemiringInstance:
-    """A named (carrier, add, mul, zero, one) bundle.
+    """A named (carrier, add, mul, zero, one) bundle with its text format.
 
     `zero` and `one` are the identities of `add` and `mul` in their roles;
-    generic code must never assume they are the numbers 0 and 1.
+    generic code must never assume they are the numbers 0 and 1.  `parse`
+    reads a scalar literal, `format` writes the exact literal that `parse`
+    reads back, `display` renders a scalar for the CLI, and `tolerance` is
+    the componentwise bound within which `linalg.equal` takes two entries as
+    equal (0 for exact carriers).
     """
 
     name: str
@@ -120,6 +238,10 @@ class SemiringInstance:
     zero: Any
     one: Any
     idempotent_add: bool
+    parse: Callable[[str], Any] = parse_unit_scalar
+    format: Callable[[Any], str] = format_rational
+    display: Callable[[Any], str] = format_rational
+    tolerance: float = 0.0
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SemiringInstance) and other.name == self.name
@@ -140,9 +262,12 @@ VITERBI = SemiringInstance("viterbi", add=vee, mul=_times, zero=ZERO, one=ONE,
 BOOLEAN = SemiringInstance("boolean", add=vee, mul=wedge, zero=ZERO, one=ONE,
                            idempotent_add=True)
 PROBABILITY = SemiringInstance("probability", add=operator.add, mul=operator.mul,
-                               zero=Fraction(0), one=Fraction(1), idempotent_add=False)
+                               zero=Fraction(0), one=Fraction(1), idempotent_add=False,
+                               parse=parse_nonneg_rational)
 COMPLEX = SemiringInstance("complex", add=operator.add, mul=operator.mul,
-                           zero=complex(0), one=complex(1), idempotent_add=False)
+                           zero=complex(0), one=complex(1), idempotent_add=False,
+                           parse=parse_complex_scalar, format=format_complex_exact,
+                           display=format_complex, tolerance=COMPLEX_TOL)
 
 _INSTANCES = {s.name: s for s in (FUZZ_MV, MAX_MIN, VITERBI, BOOLEAN, PROBABILITY, COMPLEX)}
 
@@ -211,90 +336,3 @@ def grid_values(name: str) -> tuple[UnitScalar, ...]:
         return tuple(UnitScalar(f) for f in _GRIDS[name])
     except KeyError:
         raise ValueError(f"unknown grid {name!r}; choose from {GRID_NAMES}") from None
-
-
-# --- scalar literal grammar -------------------------------------------------
-#
-# Rational literals (all file formats): INTEGER "/" INTEGER | DECIMAL | INTEGER.
-# Decimals are read exactly ("0.3" is 3/10).  Complex literals extend this with
-# an optional sign, an optional exponent and an "i" suffix: 1, -0.5, 2i, 1-2i.
-
-# [0-9], not \d: \d would admit '١' and '٠', which int() and float() then read
-_RATIONAL_RE = re.compile(r"(?:([0-9]+)/([0-9]+)|([0-9]+(?:\.[0-9]+)?))\Z")
-_NUM = r"[+-]?(?:[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
-_COMPLEX_RE = re.compile(rf"({_NUM})(?:(?=[+-])({_NUM})i)?\Z")
-_IMAG_RE = re.compile(rf"({_NUM})i\Z")
-
-
-def _parse_rational(token: str) -> Fraction:
-    m = _RATIONAL_RE.match(token)
-    if m is None:
-        raise ParseError(f"malformed scalar {token!r}")
-    try:
-        if m.group(1) is None:
-            return Fraction(m.group(3))
-        numerator, denominator = int(m.group(1)), int(m.group(2))
-    except ValueError:  # more digits than sys.get_int_max_str_digits()
-        raise ParseError(f"scalar literal of {len(token)} characters is too long") from None
-    if denominator == 0:
-        raise ParseError(f"zero denominator in {token!r}")
-    return Fraction(numerator, denominator)
-
-
-def parse_unit_scalar(token: str) -> UnitScalar:
-    """Parse a rational literal that must lie in [0, 1]."""
-    value = _parse_rational(token)
-    if value > 1:
-        raise ParseError(f"scalar {token!r} outside [0, 1]")
-    return UnitScalar(value)
-
-
-def parse_nonneg_rational(token: str) -> Fraction:
-    """Parse a rational literal with no upper bound (probability carrier)."""
-    return _parse_rational(token)
-
-
-def parse_complex_scalar(token: str) -> complex:
-    """Parse a complex literal: a, bi, or a+bi with decimal parts."""
-    m = _IMAG_RE.match(token)
-    if m is not None:
-        z = complex(0.0, float(m.group(1)))
-    else:
-        m = _COMPLEX_RE.match(token)
-        if m is None:
-            raise ParseError(f"malformed scalar {token!r}")
-        z = complex(float(m.group(1)), float(m.group(2)) if m.group(2) else 0.0)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ParseError(f"non-finite scalar {token!r}")
-    return z
-
-
-def format_rational(x: Fraction) -> str:
-    """Exact literal that re-parses to the same value ("3/4", "0", "1")."""
-    return str(Fraction(x))
-
-
-def _format_float(v: float, spec: str | None) -> str:
-    # spec None means shortest round-trip (repr)
-    text = repr(v) if spec is None else format(v, spec)
-    return "0" if text in ("-0", "0.0", "-0.0") else text
-
-
-def _format_complex_with(z: complex, spec: str | None) -> str:
-    if abs(z.imag) == 0.0:
-        return _format_float(z.real, spec)
-    if abs(z.real) == 0.0:
-        return _format_float(z.imag, spec) + "i"
-    im = _format_float(z.imag, spec)
-    sign = "" if im.startswith("-") else "+"
-    return f"{_format_float(z.real, spec)}{sign}{im}i"
-
-
-def format_complex(z: complex, sig: int = 12) -> str:
-    """Render to `sig` significant digits; pure reals drop the imaginary part."""
-    return _format_complex_with(z, f".{sig}g")
-
-
-def format_complex_exact(z: complex) -> str:
-    """Shortest literal that round-trips to the same double (for files)."""
-    return _format_complex_with(z, None)

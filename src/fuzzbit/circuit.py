@@ -15,7 +15,7 @@ control on wire c and the target on wire t, whatever their order, and the
 listed wires must form a contiguous block.  Simulation applies each
 step's bound matrix to its block of the state directly; lifting, which
 tensors the bound matrix with the model's own identity on both sides, is
-the reference route for composed operators and equivalence checks.
+the reference route for composed operators.
 
 Classical programs never build a bound matrix: a step's plan is
 (base, mask, perm), the block's lowest wire, the window mask 2^k - 1 and
@@ -45,14 +45,12 @@ from functools import cache, cached_property
 from pathlib import Path
 from typing import Any, Sequence, Union
 
+from .algebra import _UINT_RE, _uint
 from .errors import InternalCheckError, MembershipError, ParseError, ValidationError
 from .linalg import (
     SMatrix,
     SVector,
     basis_vector,
-    entry_formatter,
-    entry_parser,
-    equal,
     identity,
     kron_mat,
     mat_mul,
@@ -84,7 +82,6 @@ __all__ = [
     "lift_gate",
     "composed_operator",
     "simulate",
-    "equivalence_check",
     "reversible_circuit_text",
 ]
 
@@ -180,7 +177,6 @@ class SimulationTrace:
 # --- parsing ------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"\S+")
-_UINT_RE = re.compile(r"[0-9]+")  # str.isdigit would admit '²' and '٠'
 
 
 def _tokenize(line: str) -> list[tuple[str, int]]:
@@ -189,16 +185,6 @@ def _tokenize(line: str) -> list[tuple[str, int]]:
     if cut >= 0:
         line = line[:cut]
     return [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
-
-
-def _uint(token: str, line: int, col: int) -> int:
-    """An ASCII-digit token as an int; one longer than Python's int-string limit
-    is a ParseError at (line, col), not a ValueError."""
-    try:
-        return int(token)
-    except ValueError:  # more digits than sys.get_int_max_str_digits()
-        raise ParseError(f"integer literal of {len(token)} digits is too long",
-                         line, col) from None
 
 
 def parse_circuit(text: str) -> CircuitProgram:
@@ -252,7 +238,7 @@ def parse_circuit(text: str) -> CircuitProgram:
             elif kind == "vec":
                 if len(rest) < 2:
                     raise ParseError("init vec needs at least one scalar", line_no, col)
-                parse_entry = entry_parser(model_instance(model))
+                parse_entry = model_instance(model).parse
                 values = []
                 for tok, tok_col in rest[1:]:
                     try:
@@ -305,7 +291,7 @@ def serialize_circuit(program: CircuitProgram) -> str:
     if program.init_kind == "ket":
         lines.append("init ket " + "".join(str(b) for b in program.init_values))
     else:
-        fmt = entry_formatter(model_instance(program.model))
+        fmt = model_instance(program.model).format
         lines.append("init vec " + " ".join(fmt(x) for x in program.init_values))
     for step in program.steps:
         lines.append(f"gate {step.gate} " + " ".join(map(str, step.wires)))
@@ -563,15 +549,6 @@ def simulate(vc: ValidatedCircuit, seed_override: int | None = None,
         seed = seed_override if seed_override is not None else program.measure_seed
         measured = measure(state, seed if seed is not None else 0)
     return SimulationTrace(program.model, n, start, tuple(states), measured)
-
-
-def equivalence_check(a: ValidatedCircuit, b: ValidatedCircuit) -> bool:
-    """Exact operator equality (tolerance 1e-9 for quantum programs)."""
-    if a.program.model != b.program.model:
-        raise ValidationError("model mismatch between programs")
-    if a.program.wire_count != b.program.wire_count:
-        raise ValidationError("wire count mismatch between programs")
-    return equal(composed_operator(a), composed_operator(b))
 
 
 # --- reversible emission of synthesized circuits --------------------------------

@@ -23,7 +23,7 @@ from .circuit import (
     simulate,
     validate,
 )
-from .algebra import GRID_NAMES, SemiringInstance, format_complex, format_rational
+from .algebra import GRID_NAMES
 from .errors import (
     FuzzbitError,
     InternalCheckError,
@@ -74,14 +74,8 @@ def _read_operand(path: str) -> SMatrix | SVector:
     return as_vector(m) if m.rows == 1 or m.cols == 1 else m
 
 
-def _display_formatter(instance: SemiringInstance):
-    # 12 significant digits for the complex carrier, exact rationals elsewhere
-    return format_complex if instance.name == "complex" else format_rational
-
-
 def _render_vector(v: SVector) -> str:
-    fmt = _display_formatter(v.instance)
-    return " ".join(fmt(x) for x in v.entries)
+    return " ".join(map(v.instance.display, v.entries))
 
 
 def _render_state(state) -> str:
@@ -109,7 +103,7 @@ def _print_checked(model: str, what: str, operation, *operands: SMatrix | SVecto
     if is_state:
         print(_render_vector(result))
     else:
-        sys.stdout.write(serialize_matrix(result, _display_formatter(result.instance)))
+        sys.stdout.write(serialize_matrix(result, result.instance.display))
     return 0
 
 

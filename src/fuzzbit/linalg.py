@@ -6,8 +6,9 @@ owns the most significant part of the combined index.
 
 Matrix/vector text format (shared with the CLI): a header line
 ``instance <name> <rows> <cols>`` followed by one whitespace-separated
-row per line.  Entries follow the scalar literal grammar of the header's
-instance.
+row per line.  The dimensions are ASCII digits.  Entries are read and
+written by the header instance's own `parse` and `format`; this module
+does not know which carriers exist.
 """
 
 from __future__ import annotations
@@ -15,22 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
-from .algebra import (
-    COMPLEX_TOL,
-    SemiringInstance,
-    format_complex_exact,
-    format_rational,
-    make_instance,
-    parse_complex_scalar,
-    parse_nonneg_rational,
-    parse_unit_scalar,
-)
+from .algebra import _UINT_RE, SemiringInstance, _uint, make_instance
 from .errors import ParseError
 
 __all__ = [
     "SVector",
     "SMatrix",
-    "add",
     "mat_mul",
     "mat_vec",
     "mat_vec_block",
@@ -41,8 +32,6 @@ __all__ = [
     "matrix_from_permutation",
     "basis_vector",
     "equal",
-    "entry_parser",
-    "entry_formatter",
     "parse_matrix_text",
     "serialize_matrix",
     "as_vector",
@@ -100,21 +89,6 @@ def _reduce(add: Callable, terms: Iterable) -> Any:
     for t in it:
         acc = add(acc, t)
     return acc
-
-
-def add(a, b):
-    """Entrywise semiring addition of two vectors or two matrices."""
-    s = _require_same_instance(a, b)
-    if isinstance(a, SVector) and isinstance(b, SVector):
-        if len(a) != len(b):
-            raise ValueError("length mismatch")
-        return SVector(s, tuple(s.add(x, y) for x, y in zip(a.entries, b.entries)))
-    if isinstance(a, SMatrix) and isinstance(b, SMatrix):
-        if a.rows != b.rows or a.cols != b.cols:
-            raise ValueError("shape mismatch")
-        return SMatrix(s, tuple(tuple(s.add(x, y) for x, y in zip(ra, rb))
-                                for ra, rb in zip(a.entries, b.entries)))
-    raise TypeError("add expects two vectors or two matrices")
 
 
 def mat_mul(a: SMatrix, b: SMatrix) -> SMatrix:
@@ -217,8 +191,9 @@ def basis_vector(s: SemiringInstance, size: int, index: int) -> SVector:
     return SVector(s, (s.zero,) * index + (s.one,) + (s.zero,) * (size - 1 - index))
 
 
-def equal(a, b, tol: float = COMPLEX_TOL) -> bool:
-    """Instance-aware comparison: exact, except complex within `tol`."""
+def equal(a, b) -> bool:
+    """Same instance and shape, entries within the instance's `tolerance`
+    componentwise (exact where it is 0)."""
     if a.instance != b.instance:
         return False
     if isinstance(a, SVector) != isinstance(b, SVector):
@@ -232,27 +207,12 @@ def equal(a, b, tol: float = COMPLEX_TOL) -> bool:
             return False
         flat_a = tuple(x for row in a.entries for x in row)
         flat_b = tuple(x for row in b.entries for x in row)
-    if a.instance.name == "complex":
-        return all(abs(x.real - y.real) <= tol and abs(x.imag - y.imag) <= tol
-                   for x, y in zip(flat_a, flat_b))
-    return flat_a == flat_b
+    tol = a.instance.tolerance
+    return all(abs(x.real - y.real) <= tol and abs(x.imag - y.imag) <= tol
+               for x, y in zip(flat_a, flat_b))
 
 
 # --- text format --------------------------------------------------------------
-
-def entry_parser(s: SemiringInstance) -> Callable[[str], Any]:
-    if s.name == "complex":
-        return parse_complex_scalar
-    if s.name == "probability":
-        return parse_nonneg_rational
-    return parse_unit_scalar
-
-
-def entry_formatter(s: SemiringInstance) -> Callable[[Any], str]:
-    if s.name == "complex":
-        return format_complex_exact
-    return format_rational
-
 
 def parse_matrix_text(text: str) -> SMatrix:
     lines = [(i + 1, line.strip()) for i, line in enumerate(text.splitlines())]
@@ -267,16 +227,15 @@ def parse_matrix_text(text: str) -> SMatrix:
         s = make_instance(fields[1])
     except ValueError as exc:
         raise ParseError(str(exc), line=header_no) from None
-    try:
-        rows, cols = int(fields[2]), int(fields[3])
-    except ValueError:
-        raise ParseError("non-integer dimensions in header", line=header_no) from None
+    if not (_UINT_RE.fullmatch(fields[2]) and _UINT_RE.fullmatch(fields[3])):
+        raise ParseError("non-integer dimensions in header", line=header_no)
+    rows, cols = _uint(fields[2], header_no), _uint(fields[3], header_no)
     if rows < 1 or cols < 1:
         raise ParseError("dimensions must be positive", line=header_no)
     body = lines[1:]
     if len(body) != rows:
         raise ParseError(f"expected {rows} rows, found {len(body)}", line=header_no)
-    parse_entry = entry_parser(s)
+    parse_entry = s.parse
     grid = []
     for line_no, line in body:
         tokens = line.split()
@@ -293,7 +252,7 @@ def parse_matrix_text(text: str) -> SMatrix:
 
 
 def serialize_matrix(m: SMatrix, fmt: Callable[[Any], str] | None = None) -> str:
-    fmt = entry_formatter(m.instance) if fmt is None else fmt
+    fmt = m.instance.format if fmt is None else fmt
     lines = [f"instance {m.instance.name} {m.rows} {m.cols}"]
     lines.extend(" ".join(fmt(x) for x in row) for row in m.entries)
     return "\n".join(lines) + "\n"

@@ -85,6 +85,6 @@ def decode(entries: Sequence[int], scale: int) -> SVector:
 
 def complement(v: SVector) -> SVector:
     """Entrywise 1 - x.  Not closed on fuzzy states: (0, 1/2) maps to (1, 1/2)."""
-    if v.instance.name != "fuzz-mv":
+    if v.instance != FUZZ_MV:
         raise ValueError("complement is defined on the fuzz-mv carrier")
     return SVector(FUZZ_MV, tuple(neg(x) for x in v.entries))

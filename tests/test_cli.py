@@ -358,18 +358,23 @@ def test_seed_takes_only_ascii_digits(tmp_path, capsys, seed, message):
     assert capsys.readouterr().err.endswith(f"error: argument --seed: {message}\n")
 
 
-@pytest.mark.parametrize("program", [
-    "model quantum\nwires ²\ninit ket 00\n",
-    "model quantum\nwires 1\ninit ket 0\ngate H ٠\n",
-    "model quantum\nwires 1\ninit ket 0\ngate H 0\nmeasure seed ³\n",
-    "model fuzzy\nwires 1\ninit vec ١/2 1\n",
-    "model stochastic\nwires 1\ninit vec ٠.5 1/2\n",
-    "model quantum\nwires 1\ninit vec ١i 0\n",
-])
-def test_non_ascii_digits_are_parse_errors(tmp_path, capsys, program):
-    circ = tmp_path / "p.circ"
-    circ.write_text(program, encoding="utf-8")
-    assert main(["simulate", str(circ)]) == 2
+@pytest.mark.parametrize("command, name, text", [
+    pytest.param("simulate", "p.circ", text, id=text) for text in (
+        "model quantum\nwires ²\ninit ket 00\n",
+        "model quantum\nwires 1\ninit ket 0\ngate H ٠\n",
+        "model quantum\nwires 1\ninit ket 0\ngate H 0\nmeasure seed ³\n",
+        "model fuzzy\nwires 1\ninit vec ١/2 1\n",
+        "model stochastic\nwires 1\ninit vec ٠.5 1/2\n",
+        "model quantum\nwires 1\ninit vec ١i 0\n",
+    )] + [
+    pytest.param("check fuzzy", "g.mat", text, id=text) for text in (
+        "instance fuzz-mv ٢ ٢\n0 1\n1 0\n",
+        "instance fuzz-mv 1_0 2\n" + "0 1\n" * 10,
+    )])
+def test_non_ascii_digits_are_parse_errors(tmp_path, capsys, command, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    assert main([*command.split(), str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: line ")
 
 
@@ -394,14 +399,38 @@ TOO_LONG = "9" * (DIGIT_LIMIT + 1)
     ("simulate", "p.circ", f"model stochastic\nwires 1\ninit vec 0.{TOO_LONG} 1\n",
      "line 3, column 10"),
     ("check fuzzy", "g.mat", f"instance fuzz-mv 1 2\n1/{TOO_LONG} 1\n", "line 2"),
+    ("check fuzzy", "g.mat", f"instance fuzz-mv {TOO_LONG} 2\n0 1\n", "line 1"),
 ], ids=["wires", "wire-index", "measure-seed", "denominator", "numerator", "decimal",
-        "matrix-entry"])
+        "matrix-entry", "matrix-header"])
 def test_oversized_integer_literals_are_parse_errors(tmp_path, capsys, command, name, text,
                                                      position):
     path = write(tmp_path, name, text)
     assert main([*command.split(), path]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {position}: ") and err.endswith(" is too long\n")
+
+
+# D has fewer digits than the limit, so 1/D and (D-1)/D are readable literals,
+# but D^2 has more, so a product of two such entries cannot be printed.
+BIG_D = 10 ** (DIGIT_LIMIT * 2 // 3) + 1
+BIG_V = f"instance probability 2 1\n1/{BIG_D}\n{BIG_D - 1}/{BIG_D}\n"
+BIG_G = (f"instance probability 2 2\n1/{BIG_D} {BIG_D - 1}/{BIG_D}\n"
+         f"{BIG_D - 1}/{BIG_D} 1/{BIG_D}\n")
+
+
+@pytest.mark.skipif(DIGIT_LIMIT == 0, reason="this interpreter has no int-string limit")
+@pytest.mark.parametrize("command, files", [
+    ("kron stochastic v.mat v.mat", {"v.mat": BIG_V}),
+    ("simulate p.circ", {"g.mat": BIG_G, "p.circ": "model stochastic\nwires 1\ninit ket 0\n"
+                                                   "gate @g.mat 0\ngate @g.mat 0\n"}),
+], ids=["kron", "simulate"])
+def test_oversized_result_literals_are_domain_errors(tmp_path, capsys, command, files):
+    for name, text in files.items():
+        write(tmp_path, name, text)
+    assert main([str(tmp_path / a) if a in files else a for a in command.split()]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_non_utf8_input_exits_2(tmp_path, capsys):

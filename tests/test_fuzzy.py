@@ -7,7 +7,6 @@ from fuzzbit.errors import MembershipError
 from fuzzbit.linalg import (
     SMatrix,
     SVector,
-    add,
     basis_vector,
     kron_vec,
     mat_mul,
@@ -96,7 +95,8 @@ def test_basis_kets_and_tensor():
 
 def test_pointwise_product():
     # componentwise min is the fuzz-mv addition
-    p = VectorState("fuzzy", add(fvec(0, "3/4"), fvec(0, "1/2")))
+    u, v = fvec(0, "3/4"), fvec(0, "1/2")
+    p = VectorState("fuzzy", SVector(FUZZ_MV, tuple(map(FUZZ_MV.add, u.entries, v.entries))))
     assert p.vector == fvec(0, "1/2")
 
 

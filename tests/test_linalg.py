@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from fuzzbit.algebra import BOOLEAN, COMPLEX, FUZZ_MV, PROBABILITY, UnitScalar
+from fuzzbit.algebra import (
+    BOOLEAN, COMPLEX, FUZZ_MV, MAX_MIN, PROBABILITY, VITERBI, UnitScalar)
 from fuzzbit.errors import ParseError
 from fuzzbit.linalg import (
     SMatrix,
     SVector,
-    add,
     as_vector,
     basis_vector,
     equal,
@@ -73,10 +73,6 @@ def test_fuzzy_matrix_product():
     # entries recomputed by hand: min over k of (a_ik + b_kj), capped at 1
     assert mat_vec(a, fvec(0, "1/2")) == fvec("3/10", 0)
     assert mat_vec(fmat([[1, 1], [1, 1]]), fvec(0, "3/4")) == fvec(1, 1)
-
-
-def test_add():
-    assert add(fvec(0, "1/2"), fvec("1/4", 1)) == fvec(0, "1/2")
 
 
 def test_probability_product():
@@ -146,8 +142,14 @@ def test_parse_matrix_text():
 
 
 def test_serialize_round_trip():
+    # one matrix per carrier; 7/2 is a probability literal but no unit scalar
     for m in (identity(FUZZ_MV, 2),
               fmat([[0, "1/2", 1], ["2/3", 0, "3/4"]]),
+              identity(BOOLEAN, 2),
+              SMatrix(MAX_MIN, ((U(1, 3), U(1)), (U(0), U(5, 7)))),
+              SMatrix(VITERBI, ((U(9, 10), U(1, 10)),)),
+              SMatrix(PROBABILITY, ((Fraction(7, 2), Fraction(0)),
+                                    (Fraction(1, 3), Fraction(12)))),
               SMatrix(COMPLEX, ((0.1 + 0.2j, complex(2 ** 0.5) / 2),
                                 (complex(-0.0), 1e-17 - 1j)))):
         again = parse_matrix_text(serialize_matrix(m))
