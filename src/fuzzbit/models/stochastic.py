@@ -16,7 +16,7 @@ import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from ..algebra import NATURAL, PROBABILITY, common_denominator, numerators
+from ..algebra import NATURAL, PROBABILITY, common_denominator, format_rational, numerators
 from ..linalg import SMatrix, SVector
 
 __all__ = [
@@ -35,7 +35,7 @@ def distribution_violation(v: SVector) -> str | None:
             return f"entry {i} is {x}, outside [0, 1]"
     total = sum(v.entries, Fraction(0))
     if total != 1:
-        return f"entries sum to {total}, expected exactly 1"
+        return f"entries sum to {format_rational(total)}, expected exactly 1"
     return None
 
 
@@ -51,7 +51,7 @@ def stochastic_violation(m: SMatrix) -> str | None:
     for j in range(m.cols):
         total = sum(m.column(j), Fraction(0))
         if total != 1:
-            return f"column {j} sums to {total}, expected exactly 1"
+            return f"column {j} sums to {format_rational(total)}, expected exactly 1"
     return None
 
 

@@ -10,18 +10,21 @@ arithmetic is exact.
 Exhaustion caps follow the harness contract: size-2 enumerations are
 exhaustive; size-4 objects are built as Kronecker products of size-2 grid
 objects and law instances are sampled in lexicographic order, which every
-report states in its note.
+report states in its note.  Both sizes run the same code: an exhaustive
+check is the lexicographic walk with caps of at least its case count.
 
-The checks run over interned tables.  Size-2 checks give each distinct 2x2
-gate or 2-vector an int id and build product, meet and action tables on the
-ids.  Size-4 checks work on columns and rows: column j of AB is A applied to
-column j of B, row i of AB is row i of A times B, and entry i of As is row i
-of A against s.  Each distinct column, row and state gets an id, a gate is
-the ids of its columns and rows, and an action table comes from one kernel
-call per four vectors packed into a matrix; `tensor-laws` compares its mixed
-products column by column the same way.  Every case is still counted and
-decided by an exact comparison of ids; a case that differs is rechecked with
-direct kernel calls, so the failures are those of a per-case loop, in order.
+The gate and action checks work on columns and rows: column j of AB is A
+applied to column j of B, row i of AB is row i of A times B, and entry i of
+As is row i of A against s.  Each distinct column, row and state gets an id,
+a gate is the ids of its columns and rows, and a table of images comes from
+one kernel call per n vectors packed into an n x n matrix.  A law of the
+form f_A(x ^ y) = f_A(x) ^ f_A(y) (distributivity by columns and by rows,
+linearity by states) holds on a case when it holds on the pair of ids in
+each slot, so a fixed A decides it once per distinct pair of ids, not once
+per case.  `tensor-laws` compares its mixed products column by column.
+Every case is still counted; a case that meets a bad pair or differing ids
+is rechecked with direct kernel calls, so the failures are those of a
+per-case loop, in order.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add as _int_add
-from operator import itemgetter
+from operator import itemgetter, ne
 
 from .algebra import (
     BOOLEAN,
@@ -161,12 +164,13 @@ def _states2(levels, L):
     return states
 
 
-# --- interned element tables ----------------------------------------------------
+# --- interned column and row tables ---------------------------------------------
 #
-# The exhaustive size-2 checks meet few distinct values many times over.  Each
-# distinct gate or vector gets a dense int id, and an operation becomes a table
-# of ids built by one kernel call per pair.  Equal ids mean equal values, so
-# comparing rows of ids is an exact comparison of every case in the row.
+# The gate checks meet few distinct columns and rows many times over: 14 and 49
+# among the 170 gates of the standard size-2 grid, 170 and 834 among its 28,900
+# Kronecker-built size-4 gates.  Products and the action work column by column
+# and row by row (see the module docstring), so a table on those ids takes the
+# place of a kernel call per case.
 
 def _intern(values, ids: dict) -> list[int]:
     """The id of each value, adding unseen values to `ids` in order of first appearance.
@@ -176,51 +180,38 @@ def _intern(values, ids: dict) -> list[int]:
     return [ids.setdefault(v, len(ids)) for v in values]
 
 
-def _table(op, left, right, ids: dict) -> list[list[int]]:
-    """table[p][q] is the id of op(left[p], right[q]), one op call per pair."""
-    return [_intern([op(a, b) for b in right], ids) for a in left]
+def _blocks(vectors, n):
+    """`vectors` n at a time, each block padded to n with its first vector."""
+    for k in range(0, len(vectors), n):
+        block = vectors[k:k + n]
+        yield len(block), block + block[:1] * (n - len(block))
 
 
-# --- size-4 column and row tables -----------------------------------------------
-#
-# The size-4 checks sample Kronecker-built gates, which share few distinct
-# columns and rows: 170 and 834 among the 28,900 gates of the standard grid.
-# Products and the action work column by column and row by row (see the
-# module docstring), so a table on those ids takes the place of a kernel call
-# per case.
-
-def _blocks(vectors):
-    """`vectors` four at a time, each block padded to four with its first vector."""
-    for k in range(0, len(vectors), 4):
-        block = vectors[k:k + 4]
-        yield len(block), block + block[:1] * (4 - len(block))
-
-
-def _left_images(a, columns, L) -> list[tuple]:
-    """a applied to each 4-vector of `columns`: one `_mm(a, packed)` per four."""
+def _left_images(a, columns, n, L) -> list[tuple]:
+    """a applied to each n-vector of `columns`: one `_mm(a, packed)` per n."""
     out = []
-    for n, block in _blocks(columns):
-        p = _mm(a, tuple(itertools.chain(*zip(*block))), 4, L)
-        out += [p[j::4] for j in range(n)]
+    for m, block in _blocks(columns, n):
+        p = _mm(a, tuple(itertools.chain(*zip(*block))), n, L)
+        out += [p[j::n] for j in range(m)]
     return out
 
 
-def _right_images(a, rows, L) -> list[tuple]:
-    """Each 4-vector of `rows` times a: one `_mm(packed, a)` per four."""
+def _right_images(a, rows, n, L) -> list[tuple]:
+    """Each n-vector of `rows` times a: one `_mm(packed, a)` per n."""
     out = []
-    for n, block in _blocks(rows):
-        p = _mm(tuple(itertools.chain(*block)), a, 4, L)
-        out += [p[i:i + 4] for i in range(0, 4 * n, 4)]
+    for m, block in _blocks(rows, n):
+        p = _mm(tuple(itertools.chain(*block)), a, n, L)
+        out += [p[i:i + n] for i in range(0, n * m, n)]
     return out
 
 
-def _dot_table(rows, vectors, L) -> list[tuple]:
+def _dot_table(rows, vectors, n, L) -> list[tuple]:
     """table[q][v] is row q against vector v, as `_mv` reduces it: one
-    `_mv(packed, v)` per vector for each four rows."""
+    `_mv(packed, v)` per vector for each n rows."""
     table = []
-    for n, block in _blocks(rows):
+    for m, block in _blocks(rows, n):
         packed = tuple(itertools.chain(*block))
-        table += list(zip(*(_mv(packed, v, 4, L) for v in vectors)))[:n]
+        table += list(zip(*(_mv(packed, v, n, L) for v in vectors)))[:m]
     return table
 
 
@@ -235,31 +226,44 @@ def _lex_rows(outer, inner: int, cap: int):
         cap -= inner
 
 
+class _Gates(list):
+    """n x n gates in order, with the ids in `col_ids` and `row_ids` of gate
+    k's columns and rows in `columns[k]` and `rows[k]`.  A check may add the
+    vectors it derives to the two id dicts."""
+
+    def __init__(self, gates, n):
+        super().__init__(gates)
+        self.col_ids: dict = {}
+        self.row_ids: dict = {}
+        self.columns = [tuple(_intern([g[j::n] for j in range(n)], self.col_ids))
+                        for g in gates]
+        self.rows = [tuple(_intern([g[i:i + n] for i in range(0, n * n, n)], self.row_ids))
+                     for g in gates]
+
+
 class _KronGates:
-    """The gates a (x) b for a, b in a size-2 base, in lexicographic order.
+    """The gates a (x) b for a, b in a size-2 `_Gates` base, in lexicographic
+    order, with the attributes of `_Gates`.
 
     Gate k is built by `_kron_m` when it is indexed.  Column (j, l) of a (x) b
     is column j of a (x) column l of b, and row (i, k) is row i of a (x) row k
-    of b, so `columns[k]` and `rows[k]`, the ids in `col_ids` and `row_ids` of
-    gate k's columns and rows, come from Kronecker tables on the base's
-    columns and rows.  A check may add the vectors it derives to the two id
-    dicts.
+    of b, so `columns` and `rows` come from Kronecker tables on the base's
+    columns and rows.
     """
 
-    def __init__(self, base, L):
+    def __init__(self, base: _Gates, L):
         self.base, self.L = base, L
         self.col_ids: dict = {}
         self.row_ids: dict = {}
-        self.columns = self._ids([(g[0::2], g[1::2]) for g in base], self.col_ids)
-        self.rows = self._ids([(g[0:2], g[2:4]) for g in base], self.row_ids)
+        self.columns = self._ids(base.columns, base.col_ids, self.col_ids)
+        self.rows = self._ids(base.rows, base.row_ids, self.row_ids)
 
-    def _ids(self, pairs, ids) -> list[tuple]:
+    def _ids(self, pair_ids, factor_ids, ids) -> list[tuple]:
         """Per gate a (x) b, the ids in `ids` of u (x) v for u in a's pair of
-        2-vectors and v in b's, `pairs` holding each base gate's pair."""
-        factor: dict = {}
-        pair_ids = [_intern(p, factor) for p in pairs]
-        values = list(factor)
-        table = _table(lambda u, v: _kron_v(u, v, self.L), values, values, ids)
+        2-vectors and v in b's, `pair_ids` holding each base gate's pair as
+        ids in `factor_ids`."""
+        values = list(factor_ids)
+        table = [_intern([_kron_v(u, v, self.L) for v in values], ids) for u in values]
         return [(table[x0][y0], table[x0][y1], table[x1][y0], table[x1][y1])
                 for x0, x1 in pair_ids for y0, y1 in pair_ids]
 
@@ -275,7 +279,8 @@ def _kron4(levels, L):
     """The size-4 gates and states: Kronecker products of the size-2 grid
     gates and of the size-2 grid states, in lexicographic order."""
     base_s = _states2(levels, L)
-    return _KronGates(_gates2(levels, L), L), [_kron_v(u, v, L) for u in base_s for v in base_s]
+    return (_KronGates(_Gates(_gates2(levels, L), 2), L),
+            [_kron_v(u, v, L) for u in base_s for v in base_s])
 
 
 # --- checks ---------------------------------------------------------------------
@@ -310,185 +315,152 @@ def check_semiring_axioms(instance: SemiringInstance, grid) -> CheckReport:
 
 
 def check_mv_gate_laws(grid, size: int = 2) -> CheckReport:
-    """Closure, identity/zero behaviour, the J involution and distributivity."""
+    """Closure, identity/zero behaviour, the J involution and distributivity.
+
+    Size 2 walks every pair and triple of 2x2 grid gates, and checks that the
+    meet of two of them is again one; size 4 walks the first pairs and
+    triples of Kronecker-built gates.  Each size reports its laws in its own
+    order.
+    """
     t0 = time.perf_counter()
     L, levels = _scale_grid(grid)
     report = CheckReport(f"mv-gate-laws-{size}", 0)
     if size == 2:
-        gates = _gates2(levels, L)
-        n_g = len(gates)
-        ident = (0, L, L, 0)
-        zero = (L, L, L, L)
-        jmat = (L, 0, 0, L)
-        index = {g: i for i, g in enumerate(gates)}
-        prods = [[_mm(a, b, 2, L) for b in gates] for a in gates]
-        report.cases += n_g * n_g
-        for i in range(n_g):
-            for j in range(n_g):
-                if not _is_gate(prods[i][j], 2, L):
-                    report.failures.append(("closure", gates[i], gates[j], prods[i][j]))
-        ii, zi, ji = index[ident], index[zero], index[jmat]
-        report.cases += 1
-        if prods[ji][ji] != ident:
-            report.failures.append(("involution", jmat, prods[ji][ji]))
-        for i, g in enumerate(gates):
-            report.cases += 2
-            if prods[ii][i] != g or prods[i][ii] != g:
-                report.failures.append(("identity", g))
-            if prods[zi][i] != zero or prods[i][zi] != zero:
-                report.failures.append(("zero-absorbs", g))
-        # The meet of two grid gates is again a grid gate, so products with it
-        # are table lookups.  A meet outside the grid is a failure; it has no
-        # index, and the cases that need it are computed directly.
-        meet = [[index.get(_wedge(b, c)) for c in gates] for b in gates]
-        report.failures += [("meet-closure", b, c, _wedge(b, c))
-                            for b, row in zip(gates, meet)
-                            for c, m in zip(gates, row) if m is None]
-
-        def distributivity(i, j):
-            a, prow = gates[i], prods[i]
-            pij = prow[j]
-            pji = prods[j][i]
-            meets_j = meet[j]
-            for k in range(n_g):
-                m = meets_j[k]
-                if m is None:
-                    bc = _wedge(gates[j], gates[k])
-                    left, right = _mm(a, bc, 2, L), _mm(bc, a, 2, L)
-                else:
-                    left, right = prow[m], prods[m][i]
-                if left != _wedge(pij, prow[k]):
-                    report.failures.append(("left-dist", gates[i], gates[j], gates[k]))
-                if right != _wedge(pji, prods[k][i]):
-                    report.failures.append(("right-dist", gates[i], gates[j], gates[k]))
-
-        # For fixed (A, B) = (i, j), the left-dist cases A(B ^ C) = AB ^ AC over
-        # every C are one comparison of id rows: row i of the product ids read at
-        # B's meets, against the meet table's row for AB read at row i.
-        # Right-dist reads column i.  A pair whose rows differ is rechecked case
-        # by case, so failures keep their form and order.
-        ids: dict = {}
-        prod_id = [_intern(row, ids) for row in prods]
-        values = list(ids)
-        wedge_id = _table(_wedge, values, values, ids)
-        prod_col = list(zip(*prod_id))
-        at_meet = [None if None in m else itemgetter(*m) for m in meet]
-        for i in range(n_g):
-            row, col = prod_id[i], prod_col[i]
-            at_row, at_col = itemgetter(*row), itemgetter(*col)
-            for j in range(n_g):
-                report.cases += 2 * n_g
-                if (at_meet[j] is None
-                        or at_meet[j](row) != at_row(wedge_id[row[j]])
-                        or at_meet[j](col) != at_col(wedge_id[col[j]])):
-                    distributivity(i, j)
+        n, gates = 2, _Gates(_gates2(levels, L), 2)
+        pair_cap, triple_cap = len(gates) ** 2, len(gates) ** 3
+        order = ("closure", "involution", "identity", "meet-closure", "distributivity")
         report.note = "exhaustive"
     elif size == 4:
-        gates, _ = _kron4(levels, L)
+        n, (gates, _) = 4, _kron4(levels, L)
         pair_cap, triple_cap = 100000, 20000
-        _mv_gate_laws_sampled(report, gates, L, pair_cap, triple_cap)
+        order = ("involution", "identity", "closure", "distributivity")
         report.note = (f"Kronecker-built gates; first {pair_cap} pairs and "
                        f"{triple_cap} triples in lexicographic order")
     else:
         raise ValueError("size must be 2 or 4")
-    report.elapsed = time.perf_counter() - t0
-    return report
-
-
-def _mv_gate_laws_sampled(report: CheckReport, gates, L, pair_cap: int,
-                          triple_cap: int) -> None:
-    """The size-4 gate laws: the involution, identity and zero on every gate,
-    closure on the first `pair_cap` pairs and distributivity on the first
-    `triple_cap` triples, in lexicographic order.
-
-    Each law is decided on column and row ids; a case whose ids differ is
-    rechecked with direct products, so failures keep their form and order.
-    """
-    n_g = len(gates)
-    ident = _kron_m((0, L, L, 0), (0, L, L, 0), 2, 2, L)
-    zero = (L,) * 16
-    line = (L,) * 4
-    jmat = _kron_m((L, 0, 0, L), (L, 0, 0, L), 2, 2, L)
-    jj = _mm(jmat, jmat, 4, L)
+    n_g, found = len(gates), {law: [] for law in order}
+    ident = tuple(0 if i == j else L for i in range(n) for j in range(n))
+    jmat = tuple(0 if i + j == n - 1 else L for i in range(n) for j in range(n))
+    zero, line = (L,) * (n * n), (L,) * n
+    jj = _mm(jmat, jmat, n, L)
     report.cases += 1
     if jj != ident:
-        report.failures.append(("involution", jmat, jj))
-
-    def identity_and_zero(g):
-        if _mm(ident, g, 4, L) != g or _mm(g, ident, 4, L) != g:
-            report.failures.append(("identity", g))
-        if _mm(zero, g, 4, L) != zero or _mm(g, zero, 4, L) != zero:
-            report.failures.append(("zero-absorbs", g))
-
-    def distributivity(a, b, c):
-        bc = _wedge(b, c)
-        if _mm(a, bc, 4, L) != _wedge(_mm(a, b, 4, L), _mm(a, c, 4, L)):
-            report.failures.append(("left-dist", a, b, c))
-        if _mm(bc, a, 4, L) != _wedge(_mm(b, a, 4, L), _mm(c, a, 4, L)):
-            report.failures.append(("right-dist", a, b, c))
+        found["involution"].append(("involution", jmat, jj))
 
     # ident and zero fix or absorb a gate exactly when they fix or absorb
     # each of its columns (on the left) and each of its rows (on the right);
     # only a gate with a column or row that they do not is rechecked
     cols, rows = list(gates.col_ids), list(gates.row_ids)
     bad_cols = {c for c, (v, iv, zv) in enumerate(zip(
-        cols, _left_images(ident, cols, L), _left_images(zero, cols, L)))
+        cols, _left_images(ident, cols, n, L), _left_images(zero, cols, n, L)))
         if iv != v or zv != line}
     bad_rows = {r for r, (v, iv, zv) in enumerate(zip(
-        rows, _right_images(ident, rows, L), _right_images(zero, rows, L)))
+        rows, _right_images(ident, rows, n, L), _right_images(zero, rows, n, L)))
         if iv != v or zv != line}
     report.cases += 2 * n_g
     if bad_cols or bad_rows:
         for k in range(n_g):
             if not (bad_cols.isdisjoint(gates.columns[k])
                     and bad_rows.isdisjoint(gates.rows[k])):
-                identity_and_zero(gates[k])
+                g = gates[k]
+                if _mm(ident, g, n, L) != g or _mm(g, ident, n, L) != g:
+                    found["identity"].append(("identity", g))
+                if _mm(zero, g, n, L) != zero or _mm(g, zero, n, L) != zero:
+                    found["identity"].append(("zero-absorbs", g))
 
-    # flags[c] has bit 1 when A maps column c to a column of minimum 0, and
-    # bit 2 when to all L: AB is a gate when B's four columns share a bit
+    # AB is a gate when A maps each of B's columns to a column of minimum 0,
+    # or each to the all-L column
     for (i,), count in _lex_rows((n_g,), n_g, pair_cap):
         a = gates[i]
-        flags = [(min(v) == 0) | 2 * (v == line) for v in _left_images(a, cols, L)]
+        images = _left_images(a, cols, n, L)
+        to_gate = {c for c, v in enumerate(images) if min(v) == 0}
+        to_zero = {c for c, v in enumerate(images) if v == line}
         report.cases += count
-        for j, (c0, c1, c2, c3) in zip(range(count), gates.columns):
-            if not flags[c0] & flags[c1] & flags[c2] & flags[c3]:
+        for j, cs in zip(range(count), gates.columns):
+            if not (to_gate.issuperset(cs) or to_zero.issuperset(cs)):
                 b = gates[j]
-                p = _mm(a, b, 4, L)
-                if not _is_gate(p, 4, L):
-                    report.failures.append(("closure", a, b, p))
+                p = _mm(a, b, n, L)
+                if not _is_gate(p, n, L):
+                    found["closure"].append(("closure", a, b, p))
 
-    def meet_tables(a, b_ids, ids, images, act):
-        """Id rows, for fixed A and B: each of B's vectors met with every
-        vector, and A's image of it met with every vector.  `images`, A's
-        image of each id, is extended to the meets."""
-        values = list(ids)
-        meet_b = _table(_wedge, [values[x] for x in b_ids], values, ids)
-        images += _intern(act(a, list(ids)[len(images):], L), ids)
-        values = list(ids)
-        meet_ab = _table(_wedge, [values[images[x]] for x in b_ids], values, ids)
-        return meet_b, meet_ab
+    if "meet-closure" in found:  # counts no cases
+        members = set(gates)
+        found["meet-closure"] = [("meet-closure", b, c, m) for b in gates for c in gates
+                                 if (m := _wedge(b, c)) not in members]
 
-    # Column q of A(B ^ C) is A applied to column q of B met with column q
-    # of C, and column q of AB ^ AC is the meet of their images; rows decide
+    # Column q of A(B ^ C) is A applied to column q of B met with column q of
+    # C, and column q of AB ^ AC is the meet of their images; rows decide
     # (B ^ C)A = BA ^ CA the same way.
-    a_index = None
-    for (i, j), count in _lex_rows((n_g, n_g), n_g, triple_cap):
-        a, b = gates[i], gates[j]
-        if i != a_index:
-            a_index, col_img, row_img = i, [], []
-        cm, ca = meet_tables(a, gates.columns[j], gates.col_ids, col_img, _left_images)
-        rm, ra = meet_tables(a, gates.rows[j], gates.row_ids, row_img, _right_images)
-        report.cases += 2 * count
-        for k, cs, rs in zip(range(count), gates.columns, gates.rows):
-            if ([col_img[m[c]] for m, c in zip(cm, cs)]
-                    != [t[col_img[c]] for t, c in zip(ca, cs)]
-                    or [row_img[m[r]] for m, r in zip(rm, rs)]
-                    != [t[row_img[r]] for t, r in zip(ra, rs)]):
-                distributivity(a, b, gates[k])
+    def distributivity(a, j, k):
+        b, c = gates[j], gates[k]
+        bc = _wedge(b, c)
+        if _mm(a, bc, n, L) != _wedge(_mm(a, b, n, L), _mm(a, c, n, L)):
+            found["distributivity"].append(("left-dist", a, b, c))
+        if _mm(bc, a, n, L) != _wedge(_mm(b, a, n, L), _mm(c, a, n, L)):
+            found["distributivity"].append(("right-dist", a, b, c))
+
+    _meet_law(report, gates, n_g, triple_cap, distributivity, (
+        (gates.columns, gates.col_ids, lambda a, vs: _left_images(a, vs, n, L)),
+        (gates.rows, gates.row_ids, lambda a, vs: _right_images(a, vs, n, L))))
+    for law in order:
+        report.failures += found[law]
+    report.elapsed = time.perf_counter() - t0
+    return report
+
+
+def _meet_law(report: CheckReport, gates, n_b: int, cap: int, recheck, sides) -> None:
+    """A law f_A(x ^ y) = f_A(x) ^ f_A(y) on the first `cap` triples (A, B, C)
+    in lexicographic order, B and C in range(`n_b`).
+
+    Each side (slots, ids, act) has `slots[k]` the ids in `ids` of vectors,
+    each in its slot, that stand for B or C = k, and `act(a, vectors)` the
+    f_A of each.  The law holds on a triple when, for each side, it holds on
+    the ids (x, y) of B and C in each slot.  A decides each such pair that
+    the cap reaches once; only a triple that meets a bad pair goes to
+    `recheck(a, j, k)`, which decides it with direct kernel calls, so
+    failures keep their form and order.  A triple counts once per side.
+    """
+    bs, cs = range(min(n_b, -(-cap // n_b))), range(min(n_b, cap))
+    tables = []
+    for slots, ids, act in sides:
+        partners: dict = {}  # x -> the ids y that x meets in some slot
+        for q in range(len(slots[0])):
+            met = {slots[k][q] for k in cs}
+            for x in {slots[j][q] for j in bs}:
+                partners[x] = partners[x] | met if x in partners else met
+        xs = [x for x, met in partners.items() for _ in met]
+        ys = [y for met in partners.values() for y in met]
+        vectors = list(ids).__getitem__
+        meets = _intern(map(_wedge, map(vectors, xs), map(vectors, ys)), ids)
+        tables.append((slots, ids, act, xs, ys, meets, {}, {}))
+    for i, a_rows in itertools.groupby(_lex_rows((len(gates), n_b), n_b, cap),
+                                       key=lambda row: row[0][0]):
+        a = gates[i]
+        bad = []  # per side, the pairs (x, y) with f_A(x ^ y) != f_A(x) ^ f_A(y)
+        for slots, ids, act, xs, ys, meets, image_ids, image_meets in tables:
+            image = _intern(act(a, list(ids)), image_ids).__getitem__
+            values = list(image_ids)
+            for u, v in set(zip(map(image, xs), map(image, ys))).difference(image_meets):
+                image_meets[u, v] = _intern([_wedge(values[u], values[v])], image_ids)[0]
+            wants = map(image_meets.__getitem__, zip(map(image, xs), map(image, ys)))
+            bad.append(set(itertools.compress(zip(xs, ys), map(ne, wants, map(image, meets)))))
+        a_rows = list(a_rows)
+        report.cases += len(sides) * sum(count for _, count in a_rows)
+        for (_, j), count in a_rows if any(bad) else ():
+            for k in range(count):
+                if any(pair in pairs for (slots, *_), pairs in zip(tables, bad)
+                       for pair in zip(slots[j], slots[k])):
+                    recheck(a, j, k)
 
 
 def check_action_laws(grid, size: int = 2) -> CheckReport:
-    """State closure, linearity over the meet, and action/product compatibility."""
+    """State closure, linearity over the meet, and action/product compatibility.
+
+    Size 2 walks every instance of each law on 2x2 grid gates and states;
+    size 4 walks the first `cap` instances on Kronecker-built ones.  Entry i
+    of As is row i of A against s, so images are read from a table of the
+    rows the gates share against the states.
+    """
     t0 = time.perf_counter()
     L, levels = _scale_grid(grid)
     report = CheckReport(f"action-laws-{size}", 0)
@@ -502,136 +474,73 @@ def check_action_laws(grid, size: int = 2) -> CheckReport:
             if _is_state(comp, L):
                 report.failures.append(
                     ("complement-unexpectedly-closed", (0, interior), comp))
-        _action_laws_exhaustive(report, _gates2(levels, L), _states2(levels, L), L)
+        n, gates, states = 2, _Gates(_gates2(levels, L), 2), _states2(levels, L)
+        cap = len(gates) ** 2 * len(states) ** 2
         report.note = "exhaustive"
     elif size == 4:
-        gates, states = _kron4(levels, L)
+        n, (gates, states) = 4, _kron4(levels, L)
         cap = 100000
-        _action_laws_sampled(report, gates, states, L, cap)
         report.note = f"Kronecker-built; first {cap} law instances in lexicographic order"
     else:
         raise ValueError("size must be 2 or 4")
-    report.elapsed = time.perf_counter() - t0
-    return report
-
-
-def _action_laws_exhaustive(report: CheckReport, gates, states, L) -> None:
-    """Every instance of the three laws on 2x2 gates, over interned tables."""
-    def act(g, v):
-        return _mv(g, v, 2, L)
-
-    vids: dict = {}
-    image_id = _table(act, gates, states, vids)
-    vectors = list(vids)
-    for gi, row in enumerate(image_id):
-        for si, v in enumerate(row):
-            report.cases += 1
-            if not _is_state(vectors[v], L):
-                report.failures.append(("state-closure", gates[gi], states[si], vectors[v]))
-
-    # A(s ^ t) = As ^ At, with A(s ^ t) computed once per (gate, distinct meet)
-    meet_id = _table(_wedge, states, states, vids)
-    act_id = _table(act, gates, list(vids), vids)
-    vectors = list(vids)
-    for gi, row in enumerate(image_id):
-        act_g = act_id[gi]
-        for si, meets_s in enumerate(meet_id):
-            a_s = vectors[row[si]]
-            for ti, m in enumerate(meets_s):
-                report.cases += 1
-                if vectors[act_g[m]] != _wedge(a_s, vectors[row[ti]]):
-                    report.failures.append(("linearity", gates[gi], states[si], states[ti]))
-
-    # (AB)s = A(Bs) over all s at once: AB's row of images against A's row read
-    # at the ids of B's images.  A row that differs is rechecked case by case.
-    mids: dict = {}
-    prod_id = _table(lambda a, b: _mm(a, b, 2, L), gates, gates, mids)
-    prod_image_id = _table(act, list(mids), states, vids)
-    for ai, a in enumerate(gates):
-        act_a = act_id[ai]
-        for bi, b in enumerate(gates):
-            report.cases += len(states)
-            if prod_image_id[prod_id[ai][bi]] != [act_a[v] for v in image_id[bi]]:
-                ab = _mm(a, b, 2, L)
-                for si, s in enumerate(states):
-                    if _mv(ab, s, 2, L) != _mv(a, vectors[image_id[bi][si]], 2, L):
-                        report.failures.append(("compatibility", a, b, s))
-
-
-def _action_laws_sampled(report: CheckReport, gates, states, L, cap: int) -> None:
-    """The first `cap` instances of each law on 4x4 gates, in lexicographic order.
-
-    Entry i of As is row i of A against s.  The gates these instances reach
-    share few rows (143 among the first 511 on the standard grid), so images
-    are read from a table of rows against states, not stored per pair.  A
-    row of cases that differs is rechecked case by case with direct kernel
-    calls, so failures keep their form and order.
-    """
     n_g, n_s = len(gates), len(states)
     vids: dict = {}
     sid = _intern(states, vids)
     at_states = itemgetter(*sid)
-    distinct_states = list(vids)
-    dots: dict = {}  # row id -> that row against each distinct state
+    # The state-closure and compatibility instances reach the gates in
+    # `reach`, and as A of (AB)s only those in `range(n_a)`.  Entry i of
+    # (AB)s is (row i of A)B against s, so each row r of those A is taken
+    # times each B in `reach`: rb[bi] holds the ids of those rows rB.
+    reach, n_a = range(min(n_g, -(-cap // n_s))), min(n_g, -(-cap // (n_g * n_s)))
+    rows = list(gates.row_ids)
+    a_rows = sorted({r for ai in range(n_a) for r in gates.rows[ai]})
+    rb = [_intern(_right_images(gates[bi], [rows[r] for r in a_rows], n, L), gates.row_ids)
+          for bi in reach]
+    used = list(dict.fromkeys(itertools.chain(*(gates.rows[gi] for gi in reach), *rb)))
+    rows = list(gates.row_ids)  # now with the rows rB
+    # row id -> that row against each distinct state
+    dots = dict(zip(used, _dot_table([rows[r] for r in used], list(vids), n, L)))
 
-    def add_dots(row_ids):
-        new = [r for r in dict.fromkeys(row_ids) if r not in dots]
-        if new:
-            rows = list(gates.row_ids)
-            dots.update(zip(new, _dot_table([rows[r] for r in new], distinct_states, L)))
-
-    def images(gi):
-        """As for each state s, in order."""
-        return zip(*(at_states(dots[r]) for r in gates.rows[gi]))
-
-    # the linearity and compatibility instances reach no gate past these
-    add_dots([r for gi in range(min(n_g, -(-cap // n_s))) for r in gates.rows[gi]])
+    # As for each state s, as ids in `image_ids`, for each gate A in `reach`
+    image_ids: dict = {}
+    images = [_intern(zip(*(at_states(dots[r]) for r in gates.rows[gi])), image_ids)
+              for gi in reach]
+    vectors = list(image_ids)
+    not_states = {v for v, x in enumerate(vectors) if not _is_state(x, L)}
     for (gi,), count in _lex_rows((n_g,), n_s, cap):
         report.cases += count
-        for si, image in zip(range(count), images(gi)):
-            if not _is_state(image, L):
-                report.failures.append(("state-closure", gates[gi], states[si], image))
+        for si, v in zip(range(count), images[gi]):
+            if v in not_states:
+                report.failures.append(("state-closure", gates[gi], states[si], vectors[v]))
 
-    # A(s ^ t) = As ^ At over a row of states t at once, with A's image of
-    # each distinct state and meet, and the meets of A's images of states.
-    # The states come first in `vectors`, so their images take the first ids.
-    meet_id = _table(_wedge, distinct_states, distinct_states, vids)
-    vectors = list(vids)
-    a_index = None
-    for (gi, si), count in _lex_rows((n_g, n_s), n_s, cap):
-        if gi != a_index:
-            a_index, a, image_ids = gi, gates[gi], {}
-            a_image = _intern([_mv(a, v, 4, L) for v in vectors], image_ids)
-            a_states = at_states(a_image)
-            state_images = list(image_ids)[:max(a_states) + 1]
-            image_meet = _table(_wedge, state_images, state_images, image_ids)
-        report.cases += count
-        meets, x = meet_id[sid[si]], image_meet[a_states[si]]
-        if [a_image[meets[t]] for t in sid[:count]] != [x[y] for y in a_states[:count]]:
-            s = states[si]
-            for t in states[:count]:
-                if _mv(a, _wedge(s, t), 4, L) != _wedge(_mv(a, s, 4, L), _mv(a, t, 4, L)):
-                    report.failures.append(("linearity", a, s, t))
+    def linearity(a, si, ti):  # A(s ^ t) = As ^ At, a state being one slot
+        s, t = states[si], states[ti]
+        if _mv(a, _wedge(s, t), n, L) != _wedge(_mv(a, s, n, L), _mv(a, t, n, L)):
+            report.failures.append(("linearity", a, s, t))
 
-    # (AB)s = A(Bs) over a row of states at once: the rows of AB against the
-    # states, and A's image of each distinct Bs
-    image_ids: dict = {}
-    a_index = None
+    _meet_law(report, gates, n_s, cap, linearity, (
+        ([(x,) for x in sid], vids, lambda a, vs: [_mv(a, v, n, L) for v in vs]),))
+
+    # (AB)s = A(Bs) entry by entry: entry i of A(Bs) is row i of A against Bs.
+    # So each B decides every state at once for each row r of the A: rB
+    # against s, and r against Bs.  An (A, B) with a row that differs is
+    # rechecked state by state.
+    against = dict(zip(a_rows, _dot_table([rows[r] for r in a_rows], vectors, n, L)))
+    ok = set()
+    for bi in reach:
+        at_b = itemgetter(*images[bi])
+        ok.update((r, bi) for r, x in zip(a_rows, rb[bi])
+                  if at_states(dots[x]) == at_b(against[r]))
     for (ai, bi), count in _lex_rows((n_g, n_g), n_s, cap):
-        if ai != a_index:
-            a_index, a, a_image = ai, gates[ai], []
-        b_image = _intern(itertools.islice(images(bi), count), image_ids)
-        a_image += [_mv(a, v, 4, L) for v in itertools.islice(image_ids, len(a_image), None)]
-        b = gates[bi]
-        ab = _mm(a, b, 4, L)
-        ab_rows = _intern([ab[i:i + 4] for i in range(0, 16, 4)], gates.row_ids)
-        add_dots(ab_rows)
         report.cases += count
-        if (list(itertools.islice(zip(*(at_states(dots[r]) for r in ab_rows)), count))
-                != [a_image[v] for v in b_image]):
+        if not all((r, bi) in ok for r in gates.rows[ai]):
+            a, b = gates[ai], gates[bi]
+            ab = _mm(a, b, n, L)
             for s in states[:count]:
-                if _mv(ab, s, 4, L) != _mv(a, _mv(b, s, 4, L), 4, L):
+                if _mv(ab, s, n, L) != _mv(a, _mv(b, s, n, L), n, L):
                     report.failures.append(("compatibility", a, b, s))
+    report.elapsed = time.perf_counter() - t0
+    return report
 
 
 def check_tensor_laws(grid) -> CheckReport:
@@ -691,7 +600,7 @@ def check_tensor_laws(grid) -> CheckReport:
     # of d whose column ids differ is rechecked with direct kernel calls.
     quad_cap = 20000
     n_gates = len(gates)
-    kron = _KronGates(gates, L)  # c (x) d is kron gate ci * n_gates + di
+    kron = _KronGates(_Gates(gates, 2), L)  # c (x) d is kron gate ci * n_gates + di
     targets = list(kron.col_ids)  # every column of every c (x) d
     images: dict = {}  # (ai, bi) -> the id of each target's image under a (x) b
     gate_products: dict = {}  # (i, j) -> the two columns of gates[i] gates[j]
@@ -712,7 +621,7 @@ def check_tensor_laws(grid) -> CheckReport:
         report.cases += count
         if (ai, bi) not in images:
             ab = _kron_m(gates[ai], gates[bi], 2, 2, L)
-            images[ai, bi] = _intern(_left_images(ab, targets, L), kron.col_ids)
+            images[ai, bi] = _intern(_left_images(ab, targets, 4, L), kron.col_ids)
         image = images[ai, bi].__getitem__
         first = ci * n_gates
         left = [tuple(map(image, ids)) for ids in kron.columns[first:first + count]]

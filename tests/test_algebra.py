@@ -101,7 +101,7 @@ def test_parse_complex_scalar():
     assert parse_complex_scalar("1-2i") == 1 - 2j
     assert parse_complex_scalar("-1.5e-3") == complex(-0.0015)
     assert parse_complex_scalar("0.5+0.5i") == 0.5 + 0.5j
-    for bad in ("i", "1+", "1+i", "2j", "1 + 2i", ""):
+    for bad in ("i", "-i", "1+", "1+i", "2j", "1 + 2i", ""):
         with pytest.raises(ParseError):
             parse_complex_scalar(bad)
 

@@ -433,6 +433,20 @@ def test_oversized_result_literals_are_domain_errors(tmp_path, capsys, command, 
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# 1/D + 1/(D+2) has a denominator of about twice D's digits: a membership
+# message that printed that sum could not be formatted.
+@pytest.mark.skipif(DIGIT_LIMIT == 0, reason="this interpreter has no int-string limit")
+@pytest.mark.parametrize("text", [
+    f"instance probability 2 1\n1/{BIG_D}\n1/{BIG_D + 2}\n",
+    f"instance probability 2 2\n1/{BIG_D} 1\n1/{BIG_D + 2} 0\n",
+], ids=["state", "gate"])
+def test_oversized_sums_in_membership_messages_are_domain_errors(tmp_path, capsys, text):
+    assert main(["check", "stochastic", write(tmp_path, "s.mat", text)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_non_utf8_input_exits_2(tmp_path, capsys):
     circ = tmp_path / "bad.circ"
     circ.write_bytes(b"model fuzzy\nwires 1\ninit ket 0\ngate FNOT \xff\n")

@@ -155,6 +155,14 @@ def _tensor_laws(grid, size):
      {"compatibility": 1780, "linearity": 164, "state-closure": 48},
      ("state-closure", (0, 0, 0, 0), (0, 1), (1, 1)),
      ("compatibility", (2, 2, 0, 0), (2, 2, 0, 0), (1, 0))),
+    (check_mv_gate_laws, 2, "_mm", _uncapped_mm, 35881,
+     {"closure": 9, "zero-absorbs": 9},
+     ("closure", (0, 0, 1, 1), (2, 2, 2, 2), (2, 2, 3, 3)),
+     ("zero-absorbs", (2, 2, 2, 2))),
+    (check_action_laws, 2, "_wedge", _entrywise_max, 5149,
+     {"linearity": 164},
+     ("linearity", (0, 0, 0, 0), (0, 1), (1, 0)),
+     ("linearity", (2, 2, 0, 0), (2, 0), (0, 2))),
     (check_mv_gate_laws, 4, "_mm", _capped_max_plus_mm, 141353,
      {"involution": 1, "identity": 625, "closure": 34292, "left-dist": 6011,
       "right-dist": 3648},
@@ -181,7 +189,8 @@ def _tensor_laws(grid, size):
      {"mixed-product": 459},
      ("mixed-product", (0, 0, 0, 0), (0, 0, 1, 1), (0, 0, 0, 0), (2, 2, 2, 2)),
      ("mixed-product", (0, 0, 0, 0), (2, 2, 2, 2), (2, 2, 2, 2), (2, 2, 2, 2))),
-], ids=["mv-gate-laws-2", "action-laws-2", "mv-gate-laws-4", "action-laws-4",
+], ids=["mv-gate-laws-2", "action-laws-2", "mv-gate-laws-2-uncapped",
+        "action-laws-2-max-meet", "mv-gate-laws-4", "action-laws-4",
         "mv-gate-laws-4-max-meet", "action-laws-4-max-meet", "tensor-laws"])
 def test_interned_tables_keep_the_per_case_failures(monkeypatch, check, size, name, mutant,
                                                     cases, kinds, first, last):
