@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: outputs, exit codes, stdin handling."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -21,6 +22,7 @@ from fuzzbit.circuit import MAX_DENSE_WIRES, parse_circuit
 from fuzzbit.cli import MAX_SYNTH_INPUTS, main
 from fuzzbit.linalg import (
     SMatrix,
+    SVector,
     identity,
     matrix_from_permutation,
     parse_matrix_text,
@@ -571,3 +573,110 @@ def test_program_commands_keep_the_exit_code_contract(command, model, flags, dat
         files = {"p.circ": data.draw(payloads(circuit_texts(model))), "g.mat": data.draw(gate)}
     with tempfile.TemporaryDirectory() as tmp:
         assert run_main(tmp, argv, files) in (0, 1, 2, 3)
+
+
+# --- error paths that no generated input is sure to reach ------------------------
+
+# One program per `parse_circuit` error, with the exact message `simulate` prints.
+PARSE_ERRORS = [
+    ("model fuzzy\nmodel fuzzy\n", "line 2, column 1: duplicate model directive"),
+    ("model\n", "line 1, column 1: expected: model <tag>"),
+    ("model pastel\n", "line 1, column 7: unknown model 'pastel'"),
+    ("wires 2\n", "line 1, column 1: model must come first"),
+    ("model fuzzy\nwires 1\nwires 1\n", "line 3, column 1: duplicate wires directive"),
+    ("model fuzzy\nwires x\n", "line 2, column 1: expected: wires <positive integer>"),
+    ("model fuzzy\nwires 0\n", "line 2, column 7: wire count must be positive"),
+    ("model fuzzy\ninit ket 0\n", "line 2, column 1: model and wires must come before init"),
+    ("model fuzzy\nwires 1\ninit ket 0\ninit ket 1\n",
+     "line 4, column 1: duplicate init directive"),
+    # a gate line needs an init line before it, so an init after a gate is a second init
+    ("model fuzzy\nwires 1\ninit ket 0\ngate FNOT 0\ninit ket 1\n",
+     "line 5, column 1: duplicate init directive"),
+    ("model fuzzy\nwires 1\ninit\n",
+     "line 3, column 1: expected: init ket <bits> | init vec <scalars>"),
+    ("model fuzzy\nwires 1\ninit ket 0 1\n", "line 3, column 1: expected: init ket <bits>"),
+    ("model fuzzy\nwires 1\ninit vec\n", "line 3, column 1: init vec needs at least one scalar"),
+    ("model fuzzy\nwires 1\ninit vec 0 x\n", "line 3, column 12: malformed scalar 'x'"),
+    ("model fuzzy\nwires 1\ninit bra 0\n", "line 3, column 6: unknown init kind 'bra'"),
+    ("model fuzzy\nwires 1\ngate FNOT 0\n",
+     "line 3, column 1: model, wires and init must come before gates"),
+    ("model quantum\nwires 1\ninit ket 0\nmeasure seed 1\ngate H 0\n",
+     "line 5, column 1: measure must be the final directive"),
+    ("model fuzzy\nwires 1\ninit ket 0\ngate FNOT\n",
+     "line 4, column 1: expected: gate <name|@file> <wires...>"),
+    ("model fuzzy\nwires 1\ninit ket 0\ngate FNOT -1\n",
+     "line 4, column 11: wire index '-1' is not a non-negative integer"),
+    ("model quantum\nwires 1\nmeasure seed 1\n",
+     "line 3, column 1: measure must follow a complete program"),
+    ("model quantum\nwires 1\ninit ket 0\nmeasure seed 1\nmeasure seed 2\n",
+     "line 5, column 1: duplicate measure directive"),
+    ("model quantum\nwires 1\ninit ket 0\nmeasure seed\n",
+     "line 4, column 1: expected: measure seed <non-negative integer>"),
+    ("model fuzzy\nwigs 1\n", "line 2, column 1: unknown directive 'wigs'"),
+    ("# nothing\n", "missing model directive"),
+    ("model fuzzy\n", "missing wires directive"),
+    ("model fuzzy\nwires 1\n", "missing init directive"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS, ids=[m for _, m in PARSE_ERRORS])
+def test_each_circuit_parse_error(tmp_path, capsys, text, message):
+    assert main(["simulate", write(tmp_path, "p.circ", text)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def _break_the_run(monkeypatch, how):
+    """Make the scaled run of a dense program fail one of its two self-checks."""
+    if how == "numerator-out-of-range":
+        # numerators 0 and L + 1 over the scale L pass no state check and decode to no state
+        monkeypatch.setattr("fuzzbit.circuit.mat_vec_block", lambda a, base, v: SVector(
+            v.instance, (0,) + (v.instance.zero + 1,) * (len(v) - 1)))
+    else:
+        # an integer check that rejects every state, over states the rational check takes
+        row = MODELS["stochastic"]
+        monkeypatch.setitem(MODELS, "stochastic", dataclasses.replace(
+            row, scaled=dataclasses.replace(row.scaled, state_ok=lambda entries, scale: False)))
+
+
+@pytest.mark.parametrize("how, text, message", [
+    ("numerator-out-of-range", "model fuzzy\nwires 1\ninit vec 0 1/2\ngate FNOT 0\n",
+     "intermediate state failed membership: scalar 3/2 outside [0, 1]"),
+    ("checks-disagree", "model stochastic\nwires 1\ninit vec 1/3 2/3\ngate NOT 0\n",
+     "intermediate state failed membership: "
+     "the integer state check disagrees with the rational one"),
+], ids=["numerator-out-of-range", "checks-disagree"])
+def test_scaled_run_self_checks_exit_3(tmp_path, capsys, monkeypatch, how, text, message):
+    circ = write(tmp_path, "p.circ", text)
+    _break_the_run(monkeypatch, how)
+    assert main(["simulate", circ]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_synth_self_check_exits_3(tmp_path, capsys, monkeypatch):
+    real = cli.validate
+    # drop the last step's plan: the run no longer computes the table
+    monkeypatch.setattr("fuzzbit.cli.validate", lambda program: dataclasses.replace(
+        real(program), plans=real(program).plans[:-1]))
+    assert main(["synth", write(tmp_path, "t.tbl", "0 1 1 0\n")]) == 3
+    assert capsys.readouterr() == (
+        "", "error: synthesized circuit disagrees with the table at input 1\n")
+
+
+@pytest.mark.parametrize("argv, kernel, message", [
+    ("apply fuzzy fid.mat v.mat", "mat_vec",
+     "result left the state set: minimum entry is 1/2, expected 0 (or all entries 1)"),
+    ("kron fuzzy fid.mat fid.mat", "kron_mat",
+     "tensor left the gate set: column 0 has minimum 1/2, expected 0"),
+], ids=["apply", "kron"])
+def test_a_non_member_result_exits_3(tmp_path, capsys, monkeypatch, argv, kernel, message):
+    files = {"fid.mat": FID_TEXT, "v.mat": "instance fuzz-mv 2 1\n0\n1\n"}
+    for name, text in files.items():
+        write(tmp_path, name, text)
+    half = FUZZ_MV.parse("1/2")
+    if kernel == "mat_vec":
+        monkeypatch.setattr("fuzzbit.cli.mat_vec", lambda g, v: SVector(FUZZ_MV, (half, half)))
+    else:
+        monkeypatch.setattr("fuzzbit.cli.kron_mat",
+                            lambda a, b: SMatrix(FUZZ_MV, ((half, half), (half, half))))
+    assert main([str(tmp_path / a) if a in files else a for a in argv.split()]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
