@@ -64,7 +64,6 @@ from .models import (
     GateDescriptor,
     builtin_gate,
     gate_violation,
-    model_instance,
     state_violation,
 )
 
@@ -80,7 +79,7 @@ __all__ = [
     "SVector", "SMatrix", "mat_mul", "mat_vec", "kron_mat", "kron_vec",
     "identity", "as_vector", "parse_matrix_text", "serialize_matrix",
     # models
-    "MODEL_NAMES", "MODELS", "GateDescriptor", "model_instance", "builtin_gate",
+    "MODEL_NAMES", "MODELS", "GateDescriptor", "builtin_gate",
     "gate_violation", "state_violation",
     # circuit
     "CircuitProgram", "ValidatedCircuit", "SimulationTrace", "parse_circuit",

@@ -174,18 +174,18 @@ def parse_complex_scalar(token: str) -> complex:
     return z
 
 
-def format_rational(x: Fraction) -> str:
+def format_rational(x: Fraction, what: str = "result scalar") -> str:
     """Exact literal that re-parses to the same value ("3/4", "0", "1").
 
     A numerator or denominator past the int-string digit limit is a
-    FuzzbitError (exit 1), not a ValueError: the parser rejects such a
-    literal, so it could not be read back, and `sys.set_int_max_str_digits`
-    would change the limit for the whole process.
+    FuzzbitError (exit 1) that names `what` was printed, not a ValueError:
+    the parser rejects such a literal, so it could not be read back, and
+    `sys.set_int_max_str_digits` would change the limit for the whole process.
     """
     try:
         return str(Fraction(x))
     except ValueError:  # more digits than sys.get_int_max_str_digits()
-        raise FuzzbitError(f"result scalar has a numerator or denominator of more than "
+        raise FuzzbitError(f"{what} has a numerator or denominator of more than "
                            f"{sys.get_int_max_str_digits()} digits") from None
 
 
@@ -205,9 +205,9 @@ def _format_complex_with(z: complex, spec: str | None) -> str:
     return f"{_format_float(z.real, spec)}{sign}{im}i"
 
 
-def format_complex(z: complex, sig: int = 12) -> str:
-    """Render to `sig` significant digits; pure reals drop the imaginary part."""
-    return _format_complex_with(z, f".{sig}g")
+def format_complex(z: complex) -> str:
+    """Render to 12 significant digits; pure reals drop the imaginary part."""
+    return _format_complex_with(z, ".12g")
 
 
 def format_complex_exact(z: complex) -> str:

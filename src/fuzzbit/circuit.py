@@ -17,24 +17,24 @@ step's bound matrix to its block of the state directly; lifting, which
 tensors the bound matrix with the model's own identity on both sides, is
 the reference route for composed operators.
 
-Classical programs never build a bound matrix: a step's plan is
-(base, mask, perm), the block's lowest wire, the window mask 2^k - 1 and
-the gate's permutation of basis indices composed with the block's bit
-remap, and the run rewrites the window bits of one basis index.  The trace
-keeps that index per step and builds a `ClassicalState` only when a state
-is read.
+`simulate` has two routes, and the model row, never a model name, picks
+one.  A row with no dense run (classical) tracks one basis index: a step's
+plan is (base, mask, perm), the block's lowest wire, the window mask 2^k - 1
+and the gate's permutation of basis indices composed with the block's bit
+remap, and the run rewrites the window bits of that index.  Every other row
+runs its `ScaledCarrier`: the state and each step's bound matrix become
+entries over a scale (int numerators for stochastic and fuzzy, the complex
+entries themselves at scale 1 for quantum), one generic block kernel runs
+them, and each intermediate state passes the row's check on that encoding,
+which holds exactly when the carrier's check holds.  The trace keeps the
+indices or entries and builds a checked state only when one is read.
+`simulate(vc, seed)` measures where the row measures, with the program's
+`measure seed` when `seed` is None; to start elsewhere, replace `vc.initial`.
 
 Validation resolves, checks and plans each distinct (gate, wires) pair of
 a program once; a repeated step reuses the first occurrence's descriptor
 and plan.  Synthesized programs, whose SWAP chains repeat the same few
 steps, are built as `CircuitProgram`s directly and never go through text.
-
-Stochastic and fuzzy programs run on Python ints: the model row's
-`ScaledCarrier` encodes the state and every step's matrix as numerators over
-a scale, and the same generic block kernel runs over an int instance.  Each
-intermediate state passes the row's integer state predicate, which holds
-exactly when the rational one holds.  The trace keeps the numerators and
-decodes a state into a checked `VectorState` only when it is read.
 """
 
 from __future__ import annotations
@@ -66,10 +66,8 @@ from .models import (
     VectorState,
     builtin_gate,
     gate_violation,
-    model_instance,
 )
 from .models.classical import ClassicalState, SynthCircuit
-from .models.quantum import measure
 
 __all__ = [
     "GateStep",
@@ -134,24 +132,24 @@ class SimulationTrace:
     """All intermediate states; states[0] is the initial one.
 
     `snapshots` holds one entry per gate step: the basis index for
-    classical runs, the state itself for quantum runs, and (numerators,
-    scale) for stochastic and fuzzy runs.  Indices become checked
-    `ClassicalState`s and numerators checked `VectorState`s when first
+    classical runs, and (entries, scale) for dense runs.  Indices become
+    checked `ClassicalState`s and entries checked `VectorState`s when first
     read, each at most once: `final` builds the last state only, `states`
-    every one.  Traces are equal when their states are.
+    every one.  `measured` is what the row's `measure` draws from `final`
+    with `seed`, or None.  Traces are equal when their states and outcomes are.
     """
 
     model: str
     wire_count: int
     initial: ModelState
     snapshots: tuple[Any, ...]
-    measured: int | None = None
+    seed: int | None = None
 
     def _state(self, snapshot) -> ModelState:
-        if self.model == "classical":
-            return ClassicalState(self.wire_count, snapshot)
         carrier = MODELS[self.model].scaled
-        return snapshot if carrier is None else _decode_state(self.model, carrier, snapshot)
+        if carrier is None:
+            return ClassicalState(self.wire_count, snapshot)
+        return _decode_state(self.model, carrier, snapshot)
 
     @cached_property
     def final(self) -> ModelState:
@@ -161,6 +159,11 @@ class SimulationTrace:
     def states(self) -> tuple[ModelState, ...]:
         middle = tuple(map(self._state, self.snapshots[:-1]))
         return (self.initial,) + middle + ((self.final,) if self.snapshots else ())
+
+    @cached_property
+    def measured(self) -> int | None:
+        measure = MODELS[self.model].measure
+        return None if measure is None or self.seed is None else measure(self.final, self.seed)
 
     def _key(self) -> tuple:
         return self.model, self.wire_count, self.states, self.measured
@@ -223,10 +226,8 @@ def parse_circuit(text: str) -> CircuitProgram:
         elif word == "init":
             if model is None or wires is None:
                 raise ParseError("model and wires must come before init", line_no, col)
-            if init is not None:
+            if init is not None:  # also an init after a gate, which needs one before it
                 raise ParseError("duplicate init directive", line_no, col)
-            if steps:
-                raise ParseError("init must come before gate lines", line_no, col)
             if not rest:
                 raise ParseError("expected: init ket <bits> | init vec <scalars>", line_no, col)
             kind = rest[0][0]
@@ -238,7 +239,7 @@ def parse_circuit(text: str) -> CircuitProgram:
             elif kind == "vec":
                 if len(rest) < 2:
                     raise ParseError("init vec needs at least one scalar", line_no, col)
-                parse_entry = model_instance(model).parse
+                parse_entry = MODELS[model].instance.parse
                 values = []
                 for tok, tok_col in rest[1:]:
                     try:
@@ -291,7 +292,7 @@ def serialize_circuit(program: CircuitProgram) -> str:
     if program.init_kind == "ket":
         lines.append("init ket " + "".join(str(b) for b in program.init_values))
     else:
-        fmt = model_instance(program.model).format
+        fmt = MODELS[program.model].instance.format
         lines.append("init vec " + " ".join(fmt(x) for x in program.init_values))
     for step in program.steps:
         lines.append(f"gate {step.gate} " + " ".join(map(str, step.wires)))
@@ -313,11 +314,11 @@ def _resolve_gate(program: CircuitProgram, step: GateStep, base_dir: Path) -> Ga
         except UnicodeDecodeError as exc:
             raise ParseError(f"gate file {step.gate[1:]!r} is not UTF-8: {exc.reason} "
                              f"at byte {exc.start}", step.line) from None
-        if matrix.instance != model_instance(program.model):
+        instance = MODELS[program.model].instance
+        if matrix.instance != instance:
             raise ValidationError(
                 f"gate file {step.gate[1:]!r} uses instance {matrix.instance.name}, "
-                f"model {program.model} needs {model_instance(program.model).name}",
-                step.line)
+                f"model {program.model} needs {instance.name}", step.line)
         try:
             return GateDescriptor(program.model, step.gate, matrix)
         except MembershipError as exc:
@@ -332,7 +333,7 @@ def _resolve_gate(program: CircuitProgram, step: GateStep, base_dir: Path) -> Ga
 def _initial_state(program: CircuitProgram) -> ModelState:
     n = program.wire_count
     size = 1 << n
-    instance = model_instance(program.model)
+    row = MODELS[program.model]
     if program.init_kind == "ket":
         bits = program.init_values
         if len(bits) != n:
@@ -340,18 +341,18 @@ def _initial_state(program: CircuitProgram) -> ModelState:
                 f"init ket has {len(bits)} bits, program has {n} wires",
                 program.init_line)
         index = int("".join(str(b) for b in bits), 2)
-        if program.model == "classical":
+        if row.scaled is None:
             return ClassicalState(n, index)
-        vector = basis_vector(instance, size, index)
+        vector = basis_vector(row.instance, size, index)
     else:
-        if program.model == "classical":
+        if row.scaled is None:
             raise ValidationError("classical programs take ket initial states",
                                   program.init_line)
         if len(program.init_values) != size:
             raise ValidationError(
                 f"init vec has {len(program.init_values)} entries, expected {size}",
                 program.init_line)
-        vector = SVector(instance, program.init_values)
+        vector = SVector(row.instance, program.init_values)
     try:
         return VectorState(program.model, vector)
     except MembershipError as exc:
@@ -362,20 +363,10 @@ def _checked_step(program: CircuitProgram, step: GateStep,
                   base_dir: Path) -> tuple[GateDescriptor, StepPlan]:
     """The step's checked gate and its plan; errors carry the step's line."""
     descriptor = _resolve_gate(program, step, base_dir)
-    k = descriptor.arity
-    if len(step.wires) != k:
-        raise ValidationError(
-            f"gate {step.gate} expects {k} wires, got {len(step.wires)}", step.line)
-    if len(set(step.wires)) != k:
-        raise ValidationError(f"gate {step.gate} lists a wire twice", step.line)
-    if max(step.wires) >= program.wire_count:
-        raise ValidationError(
-            f"wire {max(step.wires)} out of range for {program.wire_count} wires",
-            step.line)
-    if max(step.wires) - min(step.wires) + 1 != k:
-        raise ValidationError(
-            f"gate {step.gate} wires {step.wires} must form a contiguous block",
-            step.line)
+    reason = _wire_block_violation(step.gate, step.wires, descriptor.arity,
+                                   program.wire_count)
+    if reason is not None:
+        raise ValidationError(reason, step.line)
     return descriptor, _step_plan(descriptor, step.wires)
 
 
@@ -385,9 +376,10 @@ def validate(program: CircuitProgram, base_dir: str | Path = ".") -> ValidatedCi
     Each distinct (gate, wires) pair is checked and planned once, at its
     first step, so an error names the first failing step's line.
     """
+    row = MODELS[program.model]
     if program.wire_count < 1:
         raise ValidationError("wire count must be positive")
-    if program.model != "classical" and program.wire_count > MAX_DENSE_WIRES:
+    if row.scaled is not None and program.wire_count > MAX_DENSE_WIRES:
         raise ValidationError(
             f"{program.model} programs take at most {MAX_DENSE_WIRES} wires "
             f"(2^{MAX_DENSE_WIRES} state entries), got {program.wire_count}")
@@ -401,13 +393,27 @@ def validate(program: CircuitProgram, base_dir: str | Path = ".") -> ValidatedCi
             entry = checked[key] = _checked_step(program, step, base)
         gates.append(entry[0])
         plans.append(entry[1])
-    if program.measure_seed is not None and program.model != "quantum":
+    if program.measure_seed is not None and row.measure is None:
         raise ValidationError("measure is only defined for quantum programs")
     initial = _initial_state(program)
     return ValidatedCircuit(program, tuple(gates), initial, tuple(plans))
 
 
 # --- lifting and simulation -----------------------------------------------------
+
+def _wire_block_violation(gate: str, wires: Sequence[int], arity: int, n: int) -> str | None:
+    """Why `wires` cannot carry an `arity`-wire gate on n wires, or None."""
+    if len(wires) != arity:
+        return f"gate {gate} expects {arity} wires, got {len(wires)}"
+    if len(set(wires)) != arity:
+        return f"gate {gate} lists a wire twice"
+    low, high = min(wires), max(wires)
+    if high >= n or low < 0:
+        return f"wire {high if high >= n else low} out of range for {n} wires"
+    if high - low + 1 != arity:
+        return f"gate {gate} wires {tuple(wires)} must form a contiguous block"
+    return None
+
 
 def _slot_table(targets: Sequence[int], arity: int) -> list[int]:
     """Bit remap from the local window to the gate's own index space."""
@@ -436,14 +442,11 @@ def _bound_matrix(gate: GateDescriptor, targets: Sequence[int]) -> SMatrix:
 
 def lift_gate(gate: GateDescriptor, targets: Sequence[int], n: int) -> SMatrix:
     """Embed a gate on a contiguous wire block into the full n-wire operator."""
+    reason = _wire_block_violation(gate.name, targets, gate.arity, n)
+    if reason is not None:
+        raise ValueError(reason)
     k = gate.arity
-    if len(targets) != k or len(set(targets)) != k:
-        raise ValueError("target list must name each gate wire exactly once")
     base = min(targets)
-    if max(targets) - base + 1 != k:
-        raise ValueError(f"targets {tuple(targets)} must form a contiguous block")
-    if base < 0 or max(targets) >= n:
-        raise ValueError(f"targets {tuple(targets)} out of range for {n} wires")
     instance = gate.matrix.instance
     op = _bound_matrix(gate, targets)
     high = n - base - k
@@ -460,7 +463,7 @@ def lift_gate(gate: GateDescriptor, targets: Sequence[int], n: int) -> SMatrix:
 def composed_operator(vc: ValidatedCircuit) -> SMatrix:
     """Product of all lifted steps, later gates applied on the left."""
     n = vc.program.wire_count
-    total = identity(model_instance(vc.program.model), 1 << n)
+    total = identity(MODELS[vc.program.model].instance, 1 << n)
     for step, gate in zip(vc.program.steps, vc.gates):
         total = mat_mul(lift_gate(gate, step.wires, n), total)
     return total
@@ -477,7 +480,7 @@ def _step_plan(gate: GateDescriptor, targets: Sequence[int]) -> StepPlan:
     the permutation of the bound matrix, without building it.  base is the
     block's lowest wire and mask 2^k - 1 selects its k window bits.
     """
-    if gate.model != "classical":
+    if MODELS[gate.model].scaled is not None:
         return _bound_matrix(gate, targets)
     rho = _slot_table(targets, gate.arity)
     inverse = [0] * len(rho)
@@ -487,68 +490,49 @@ def _step_plan(gate: GateDescriptor, targets: Sequence[int]) -> StepPlan:
     return min(targets), len(rho) - 1, tuple(inverse[perm[g]] for g in rho)
 
 
-def _wrap_state(model: str, vector: SVector) -> VectorState:
-    try:
-        return VectorState(model, vector)
-    except MembershipError as exc:
-        raise InternalCheckError(
-            f"intermediate state failed membership: {exc}") from None
-
-
 def _decode_state(model: str, carrier: ScaledCarrier, snapshot) -> VectorState:
-    """The checked state that (numerators, scale) stands for."""
+    """The checked state that (entries, scale) stands for."""
     try:
-        vector = carrier.decode(*snapshot)
-    except ValueError as exc:  # a numerator outside the carrier's range
+        return VectorState(model, carrier.decode(*snapshot))
+    except (ValueError, MembershipError) as exc:  # an entry out of range, or a non-member
         raise InternalCheckError(f"intermediate state failed membership: {exc}") from None
-    return _wrap_state(model, vector)
 
 
-def _scaled_run(vc: ValidatedCircuit, carrier: ScaledCarrier, state: VectorState) -> list:
-    """(numerators, scale) after each step, each passing the integer state check."""
-    scale, vector, steps = carrier.encode(state.vector, vc.plans)
+def _scaled_run(vc: ValidatedCircuit, carrier: ScaledCarrier) -> list:
+    """(entries, scale) after each step, each passing the encoded state check."""
+    scale, vector, steps = carrier.encode(vc.initial.vector, vc.plans)
     snapshots = []
     for step, (matrix, factor) in zip(vc.program.steps, steps):
         vector = mat_vec_block(matrix, min(step.wires), vector)
         scale *= factor
         snapshot = (vector.entries, scale)
         if not carrier.state_ok(*snapshot):
-            _decode_state(vc.program.model, carrier, snapshot)  # raises the rational reason
+            _decode_state(vc.program.model, carrier, snapshot)  # raises the carrier's reason
             raise InternalCheckError("intermediate state failed membership: "
                                      "the integer state check disagrees with the rational one")
         snapshots.append(snapshot)
     return snapshots
 
 
-def simulate(vc: ValidatedCircuit, seed_override: int | None = None,
-             force_measure: bool = False,
-             initial: ModelState | None = None) -> SimulationTrace:
-    """Run the program, keeping one state snapshot per gate step."""
+def simulate(vc: ValidatedCircuit, seed: int | None = None) -> SimulationTrace:
+    """Run the program from `vc.initial`, keeping one state snapshot per gate step.
+
+    `seed` measures the final state where the row measures; None takes the
+    program's `measure seed`.
+    """
     program = vc.program
-    n = program.wire_count
-    start: ModelState = vc.initial if initial is None else initial
-    state = start
     carrier = MODELS[program.model].scaled
-    states = []
-    if program.model == "classical":
-        index = state.basis_index
+    if carrier is None:
+        index = vc.initial.basis_index
+        snapshots = []
         for base, mask, perm in vc.plans:
             window = (index >> base) & mask
             index ^= (window ^ perm[window]) << base  # rewrite only the window bits
-            states.append(index)
-    elif carrier is not None:
-        states = _scaled_run(vc, carrier, state)
+            snapshots.append(index)
     else:
-        for step, bound in zip(program.steps, vc.plans):
-            state = _wrap_state(program.model,
-                                mat_vec_block(bound, min(step.wires), state.vector))
-            states.append(state)
-    measured = None
-    if program.model == "quantum" and (program.measure_seed is not None
-                                       or force_measure or seed_override is not None):
-        seed = seed_override if seed_override is not None else program.measure_seed
-        measured = measure(state, seed if seed is not None else 0)
-    return SimulationTrace(program.model, n, start, tuple(states), measured)
+        snapshots = _scaled_run(vc, carrier)
+    return SimulationTrace(program.model, program.wire_count, vc.initial, tuple(snapshots),
+                           program.measure_seed if seed is None else seed)
 
 
 # --- reversible emission of synthesized circuits --------------------------------

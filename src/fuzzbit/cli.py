@@ -10,6 +10,7 @@ prints exact rationals.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import re
 import sys
@@ -41,7 +42,7 @@ from .linalg import (
     parse_matrix_text,
     serialize_matrix,
 )
-from .models import MODEL_NAMES, gate_violation, state_violation
+from .models import MODEL_NAMES, MODELS, gate_violation, state_violation
 from .models.classical import ClassicalState, TruthTable, synthesize_circuit
 
 __all__ = ["main", "entry"]
@@ -154,13 +155,16 @@ def _print_trace(program, trace: SimulationTrace, show_steps: bool) -> None:
 def cmd_simulate(args, force_measure: bool = False) -> int:
     text, base = _read_text(args.circuit)
     program = parse_circuit(text)
-    if program.model != "quantum":
+    if MODELS[program.model].measure is None:
         if args.seed is not None:
             raise ValidationError("--seed applies to quantum circuits only")
         if force_measure:
             raise ValidationError("sample requires a quantum circuit")
     vc = validate(program, base_dir=base)
-    trace = simulate(vc, seed_override=args.seed, force_measure=force_measure)
+    seed = args.seed
+    if seed is None and force_measure:
+        seed = program.measure_seed or 0  # the program's seed, else 0
+    trace = simulate(vc, seed)
     _print_trace(program, trace, getattr(args, "trace", False))
     return 0
 
@@ -186,7 +190,8 @@ def cmd_synth(args) -> int:
     program = reversible_circuit_text(synthesize_circuit(TruthTable(n, 1, bits)))
     vc = validate(program)
     for x in range(size):
-        final = simulate(vc, initial=ClassicalState(program.wire_count, x)).final
+        final = simulate(dataclasses.replace(
+            vc, initial=ClassicalState(program.wire_count, x))).final
         if final.basis_index & 1 != bits[x]:
             raise InternalCheckError(
                 f"synthesized circuit disagrees with the table at input {x}")

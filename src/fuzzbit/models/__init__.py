@@ -8,16 +8,16 @@ and for gates:
     quantum     complex      unit-norm vectors    unitary matrices
     fuzzy       fuzz-mv      min-0 (or all-ones)  column-min-0 (or all-ones)
 
-Each model is one row of `MODELS`: its carrier, predicates and builtin
-gates are lookups in that row, so a new model is a new row.  The two models
-over exact rationals, stochastic and fuzzy, also carry a `ScaledCarrier`:
-how `simulate` runs them on integer numerators over a scale, the state
-predicate on numerators, and the decoding back to the carrier.  The row
-checks carrier and squareness; each model module states only its own
-property.  Classical gates that are not invertible (AND, OR, XOR, NAND,
-NOR, FANOUT) appear through their reversible embedding: one extra target
-wire receives y XOR f(x), so every registered matrix passes its model's
-predicate.
+Each model is one row of `MODELS`: its carrier, predicates, builtin gates,
+dense run and measurement are lookups in that row, so a new model is a new
+row.  A dense run (`ScaledCarrier`) is how `simulate` encodes, checks and
+decodes states: stochastic and fuzzy as integer numerators over a scale,
+quantum as its complex entries at scale 1.  Classical has none and runs on
+a basis index; only quantum measures.  The row checks carrier and
+squareness; each model module states only its own property.  Classical
+gates that are not invertible (AND, OR, XOR, NAND, NOR, FANOUT) appear
+through their reversible embedding: one extra target wire receives
+y XOR f(x), so every registered matrix passes its model's predicate.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "MODEL_NAMES",
     "GateDescriptor",
     "VectorState",
-    "model_instance",
     "builtin_gate",
     "gate_violation",
     "state_violation",
@@ -47,10 +46,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScaledCarrier:
-    """A carrier of exact rationals run as Python ints: numerators over a scale.
+    """How `simulate` runs a dense model's states: entries over a scale.
 
     `encode(initial, plans)` gives the initial scale, the initial state's
-    numerators over an int instance and, for each plan, its int matrix over
+    entries over the run's instance and, for each plan, its matrix over
     that instance and the factor by which its step multiplies the scale.  `state_ok(entries,
     scale)` holds exactly when `decode(entries, scale)`, the vector over the
     row's carrier, passes the row's state predicate.
@@ -70,7 +69,8 @@ class Model:
     lookups `state_violation` and `gate_violation` check that first.
     `gates` maps each builtin name to a zero-argument constructor of its
     matrix; `builtin_gate` runs it on first lookup, not at import.
-    `scaled` is set for the carriers `simulate` runs on integer numerators.
+    `scaled` is the dense run (None: a basis-index run); `measure(state,
+    seed)` draws a basis index from a state (None: no measurement).
     """
 
     name: str
@@ -79,6 +79,7 @@ class Model:
     gate_violation: Callable[[SMatrix], str | None]
     gates: Mapping[str, Callable[[], SMatrix]]
     scaled: ScaledCarrier | None = None
+    measure: Callable[[VectorState, int], int] | None = None
 
 
 # The reversible builtins as permutations of basis indices: e_j -> e_perm[j].
@@ -95,7 +96,7 @@ def _embedded_gate(name: str) -> Callable[[], SMatrix]:
     return lambda: classical.reversible_embed(classical.classical_gate(name))
 
 
-# The predicates are looked up in their module at call time, not captured
+# Row callables are looked up in their module at call time, not captured
 # here, so that replacing a module attribute (as a tracer does) reaches them.
 MODELS = {m.name: m for m in (
     Model("classical", BOOLEAN,
@@ -116,7 +117,13 @@ MODELS = {m.name: m for m in (
           lambda m: quantum.unitary_violation(m),
           {**_permutation_gates(COMPLEX, X=_NOT, CNOT=_CNOT, SWAP=_SWAP),
            "H": functools.partial(SMatrix, COMPLEX, quantum.H),
-           "Z": functools.partial(SMatrix, COMPLEX, quantum.Z)}),
+           "Z": functools.partial(SMatrix, COMPLEX, quantum.Z)},
+          # the identity encoding at scale 1: states run as complex vectors
+          ScaledCarrier(lambda initial, plans: (1, initial, [(m, 1) for m in plans]),
+                        lambda entries, scale: quantum.state_norm_violation(
+                            SVector(COMPLEX, entries)) is None,
+                        lambda entries, scale: SVector(COMPLEX, entries)),
+          lambda state, seed: quantum.measure(state, seed)),
     Model("fuzzy", FUZZ_MV,
           lambda v: fuzzy.fuzzy_state_violation(v),
           lambda m: fuzzy.fuzzy_gate_violation(m),
@@ -133,10 +140,6 @@ def _model(name: str) -> Model:
         return MODELS[name]
     except KeyError:
         raise ValueError(f"unknown model {name!r}") from None
-
-
-def model_instance(model: str) -> SemiringInstance:
-    return _model(model).instance
 
 
 def _carrier_violation(row: Model, x: SMatrix | SVector) -> str | None:

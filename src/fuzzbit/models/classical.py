@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..algebra import BOOLEAN
+from ..algebra import BOOLEAN, format_rational
 from ..errors import MembershipError
 from ..linalg import SMatrix, SVector, matrix_from_permutation
 
@@ -114,7 +114,7 @@ def permutation_violation(m: SMatrix) -> str | None:
     for i, row in enumerate(m.entries):
         for j, x in enumerate(row):
             if x != zero and x != one:
-                return f"entry ({i}, {j}) is {x}, expected 0 or 1"
+                return f"entry ({i}, {j}) is {format_rational(x, 'an entry')}, expected 0 or 1"
         ones = sum(1 for x in row if x == one)
         if ones != 1:
             return f"row {i} has {ones} ones, expected exactly 1"

@@ -20,7 +20,8 @@ import math
 from typing import Sequence
 
 from ..algebra import (
-    FUZZ_MV, ONE, ZERO, UnitScalar, common_denominator, mv_chain, neg, numerators)
+    FUZZ_MV, ONE, ZERO, UnitScalar, common_denominator, format_rational, mv_chain, neg,
+    numerators)
 from ..linalg import SMatrix, SVector
 
 __all__ = [
@@ -38,7 +39,8 @@ def fuzzy_state_violation(v: SVector) -> str | None:
     low = min(v.entries)
     if low == ZERO or all(x == ONE for x in v.entries):
         return None
-    return f"minimum entry is {low}, expected 0 (or all entries 1)"
+    return (f"minimum entry is {format_rational(low, 'the minimum entry')}, "
+            "expected 0 (or all entries 1)")
 
 
 def fuzzy_gate_violation(m: SMatrix) -> str | None:
@@ -51,7 +53,7 @@ def fuzzy_gate_violation(m: SMatrix) -> str | None:
     for j in range(m.cols):
         low = min(m.column(j))
         if low != ZERO:
-            return f"column {j} has minimum {low}, expected 0"
+            return f"column {j} has minimum {format_rational(low, 'a column minimum')}, expected 0"
     return None
 
 

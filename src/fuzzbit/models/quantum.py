@@ -34,19 +34,19 @@ H = ((_H + 0j, _H + 0j), (_H + 0j, -_H + 0j))
 Z = ((1 + 0j, 0j), (0j, -1 + 0j))
 
 
-def state_norm_violation(v: SVector, tol: float = COMPLEX_TOL) -> str | None:
-    """None if `v` is finite with unit norm within `tol`; the row checked its carrier."""
+def state_norm_violation(v: SVector) -> str | None:
+    """None if `v` is finite with unit norm within `COMPLEX_TOL`; the row checked its carrier."""
     for i, a in enumerate(v.entries):
         if not (math.isfinite(a.real) and math.isfinite(a.imag)):
             return f"entry {i} is not finite"
     norm_sq = sum(abs(a) ** 2 for a in v.entries)
-    if abs(norm_sq - 1.0) > tol:
-        return f"squared norm is {norm_sq!r}, expected 1 within {tol}"
+    if abs(norm_sq - 1.0) > COMPLEX_TOL:
+        return f"squared norm is {norm_sq!r}, expected 1 within {COMPLEX_TOL}"
     return None
 
 
-def unitary_violation(m: SMatrix, tol: float = COMPLEX_TOL) -> str | None:
-    """None if the conjugate transpose inverts `m` within tolerance.
+def unitary_violation(m: SMatrix) -> str | None:
+    """None if the conjugate transpose inverts `m` within `COMPLEX_TOL`.
 
     `m` is square and complex: the row (`models.gate_violation`) checks both.
     """
@@ -55,7 +55,7 @@ def unitary_violation(m: SMatrix, tol: float = COMPLEX_TOL) -> str | None:
         for j in range(n):
             acc = sum(m.entries[k][i].conjugate() * m.entries[k][j] for k in range(n))
             want = 1.0 if i == j else 0.0
-            if abs(acc.real - want) > tol or abs(acc.imag) > tol:
+            if abs(acc.real - want) > COMPLEX_TOL or abs(acc.imag) > COMPLEX_TOL:
                 return f"columns {i} and {j} are not orthonormal (deviation {abs(acc - want):.3e})"
     return None
 

@@ -32,10 +32,11 @@ def distribution_violation(v: SVector) -> str | None:
     """None if `v` is a distribution, else why not; the row checked its carrier."""
     for i, x in enumerate(v.entries):
         if not 0 <= x <= 1:
-            return f"entry {i} is {x}, outside [0, 1]"
+            return f"entry {i} is {format_rational(x, 'an entry')}, outside [0, 1]"
     total = sum(v.entries, Fraction(0))
     if total != 1:
-        return f"entries sum to {format_rational(total)}, expected exactly 1"
+        return (f"entries sum to {format_rational(total, 'the sum of the entries')}, "
+                "expected exactly 1")
     return None
 
 
@@ -47,11 +48,12 @@ def stochastic_violation(m: SMatrix) -> str | None:
     for i, row in enumerate(m.entries):
         for j, x in enumerate(row):
             if not 0 <= x <= 1:
-                return f"entry ({i}, {j}) is {x}, outside [0, 1]"
+                return f"entry ({i}, {j}) is {format_rational(x, 'an entry')}, outside [0, 1]"
     for j in range(m.cols):
         total = sum(m.column(j), Fraction(0))
         if total != 1:
-            return f"column {j} sums to {format_rational(total)}, expected exactly 1"
+            return (f"column {j} sums to {format_rational(total, f'the sum of column {j}')}, "
+                    "expected exactly 1")
     return None
 
 

@@ -135,7 +135,7 @@ def test_criterion_4_synthesis_exhaustive():
 
 def test_criterion_5_quantum_desk_checks():
     for name in ("H", "X", "Z", "CNOT"):
-        assert unitary_violation(quantum_gate(name), tol=1e-9) is None
+        assert unitary_violation(quantum_gate(name)) is None
 
     count = 0
     for k in range(1000):

@@ -1,6 +1,7 @@
 """Circuit language: parsing, validation, lifting, simulation, synthesis text."""
 
 import cmath
+import dataclasses
 import itertools
 import math
 import tempfile
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 from fuzzbit.algebra import BOOLEAN, COMPLEX, FUZZ_MV, PROBABILITY, UnitScalar
 import fuzzbit.circuit as circuit
 from fuzzbit.circuit import (
+    CircuitProgram,
+    GateStep,
     composed_operator,
     lift_gate,
     parse_circuit,
@@ -35,7 +38,7 @@ from fuzzbit.linalg import (
     matrix_from_permutation,
     serialize_matrix,
 )
-from fuzzbit.models import MODELS, GateDescriptor, VectorState, builtin_gate, model_instance
+from fuzzbit.models import MODELS, GateDescriptor, VectorState, builtin_gate
 from fuzzbit.models.classical import (
     ClassicalState,
     TruthTable,
@@ -110,6 +113,12 @@ def test_validation_errors():
         validate(parse_circuit("model fuzzy\nwires 1\ninit vec 1/2 1/2\n"))
     with pytest.raises(ValidationError):  # measure is quantum-only
         validate(parse_circuit("model fuzzy\nwires 1\ninit ket 0\nmeasure seed 1\n"))
+    for model, row in MODELS.items():  # a negative wire, which only the API can give
+        gate = next(name for name in row.gates if builtin_gate(model, name).arity == 1)
+        with pytest.raises(ValidationError, match=r"wire -1 out of range for 2 wires$"):
+            validate(CircuitProgram(model, 2, "ket", (0, 0), (GateStep(gate, (-1,)),)))
+        with pytest.raises(ValueError, match=r"^wire -1 out of range for 2 wires$"):
+            lift_gate(builtin_gate(model, gate), (-1,), 2)
 
 
 def test_ket_init_orientation():
@@ -148,11 +157,11 @@ def test_bell_simulation():
 def test_measure_seed_override_and_force():
     prog = parse_circuit(BELL)
     vc = validate(prog)
-    outcomes = {simulate(vc, seed_override=s).measured for s in range(50)}
+    outcomes = {simulate(vc, seed=s).measured for s in range(50)}
     assert outcomes == {0, 3}
     no_measure = validate(parse_circuit("model quantum\nwires 1\ninit ket 0\ngate H 0\n"))
     assert simulate(no_measure).measured is None
-    assert simulate(no_measure, force_measure=True).measured in (0, 1)
+    assert simulate(no_measure, seed=0).measured in (0, 1)
 
 
 def test_fuzzy_simulation_matches_composed_operator():
@@ -255,7 +264,7 @@ def test_classical_trace_builds_states_on_read():
     assert all(isinstance(state, ClassicalState) for state in trace.states)
     again = simulate(vc)
     assert again == trace and hash(again) == hash(trace)
-    assert simulate(vc, initial=ClassicalState(n, 0)) != trace
+    assert simulate(dataclasses.replace(vc, initial=ClassicalState(n, 0))) != trace
 
 
 def test_gate_from_file(tmp_path):
@@ -300,7 +309,8 @@ def test_reversible_circuit_text_self_checks():
         assert parse_circuit(serialize_circuit(program)) == program
         vc = validate(program)
         for x in range(len(bits)):
-            final = simulate(vc, initial=ClassicalState(vc.program.wire_count, x)).final
+            final = simulate(dataclasses.replace(
+                vc, initial=ClassicalState(vc.program.wire_count, x))).final
             assert final.basis_index & 1 == bits[x]
 
 
@@ -339,7 +349,7 @@ def _random_member_gate(draw, model: str, arity: int) -> SMatrix:
                 column = draw(st.lists(st.integers(0, d), min_size=size, max_size=size))
                 column[draw(st.integers(0, size - 1))] = 0
                 columns.append([UnitScalar(x, d) for x in column])
-        return SMatrix(model_instance(model), tuple(zip(*columns)))
+        return SMatrix(MODELS[model].instance, tuple(zip(*columns)))
     angle = st.floats(0, 2 * math.pi)
     op = None
     for _ in range(arity):  # a product of one-wire unitaries ...
@@ -393,7 +403,7 @@ def test_every_step_matches_the_lifted_gate(case):
         vc = validate(parse_circuit(text), base_dir=tmp)
     program = vc.program
     n = program.wire_count
-    instance = model_instance(program.model)
+    instance = MODELS[program.model].instance
 
     def basis(index):
         return basis_vector(instance, 1 << n, index)
@@ -453,8 +463,10 @@ def test_integer_route_matches_the_rational_route(case):
             (Path(tmp) / name).write_text(body, encoding="utf-8")
         vc = validate(parse_circuit(text), base_dir=tmp)
     program = vc.program
-    trace = simulate(vc, initial=initial)
-    state = vc.initial if initial is None else initial
+    if initial is not None:
+        vc = dataclasses.replace(vc, initial=initial)
+    trace = simulate(vc)
+    state = vc.initial
     assert len(trace.states) == len(program.steps) + 1
     assert trace.states[0] is state
     vector = state.vector

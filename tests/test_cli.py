@@ -230,7 +230,8 @@ def test_synth_round_trip(tmp_path, capsys):
     from fuzzbit.models.classical import ClassicalState
     vc = validate(parse_circuit(text))
     for x in range(4):
-        final = simulate(vc, initial=ClassicalState(vc.program.wire_count, x)).final
+        final = simulate(dataclasses.replace(
+            vc, initial=ClassicalState(vc.program.wire_count, x))).final
         assert final.basis_index & 1 == (0, 1, 1, 0)[x]
 
     ident = write(tmp_path, "id.tbl", "0 1\n")
@@ -430,23 +431,21 @@ def test_oversized_result_literals_are_domain_errors(tmp_path, capsys, command, 
     for name, text in files.items():
         write(tmp_path, name, text)
     assert main([str(tmp_path / a) if a in files else a for a in command.split()]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert capsys.readouterr() == ("", "error: result scalar has a numerator or denominator "
+                                       f"of more than {DIGIT_LIMIT} digits\n")
 
 
 # 1/D + 1/(D+2) has a denominator of about twice D's digits: a membership
 # message that printed that sum could not be formatted.
 @pytest.mark.skipif(DIGIT_LIMIT == 0, reason="this interpreter has no int-string limit")
-@pytest.mark.parametrize("text", [
-    f"instance probability 2 1\n1/{BIG_D}\n1/{BIG_D + 2}\n",
-    f"instance probability 2 2\n1/{BIG_D} 1\n1/{BIG_D + 2} 0\n",
+@pytest.mark.parametrize("text, what", [
+    (f"instance probability 2 1\n1/{BIG_D}\n1/{BIG_D + 2}\n", "the sum of the entries"),
+    (f"instance probability 2 2\n1/{BIG_D} 1\n1/{BIG_D + 2} 0\n", "the sum of column 0"),
 ], ids=["state", "gate"])
-def test_oversized_sums_in_membership_messages_are_domain_errors(tmp_path, capsys, text):
+def test_oversized_sums_in_membership_messages_are_domain_errors(tmp_path, capsys, text, what):
     assert main(["check", "stochastic", write(tmp_path, "s.mat", text)]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert capsys.readouterr() == ("", f"error: {what} has a numerator or denominator "
+                                       f"of more than {DIGIT_LIMIT} digits\n")
 
 
 def test_non_utf8_input_exits_2(tmp_path, capsys):

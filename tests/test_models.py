@@ -15,7 +15,6 @@ from fuzzbit.models import (
     VectorState,
     builtin_gate,
     gate_violation,
-    model_instance,
     state_violation,
 )
 
@@ -62,7 +61,7 @@ def test_the_table_lists_every_model_once():
 def test_every_builtin_gate_is_a_member(model, name):
     gate = builtin_gate(model, name)
     assert (gate.model, gate.name) == (model, name)
-    assert gate.matrix.instance == model_instance(model)
+    assert gate.matrix.instance == MODELS[model].instance
     assert gate_violation(model, gate.matrix) is None
     assert gate.matrix.rows == gate.matrix.cols == 1 << gate.arity
 
@@ -71,7 +70,7 @@ def test_every_builtin_gate_is_a_member(model, name):
                          [(model, name) for model in PERMUTATIONS for name in PERMUTATIONS[model]])
 def test_permutation_builtins_move_basis_vectors(model, name):
     perm = PERMUTATIONS[model][name]
-    instance = model_instance(model)
+    instance = MODELS[model].instance
 
     def basis(j):  # built by role: `one` at j, `zero` elsewhere
         return SVector(instance, tuple(instance.one if i == j else instance.zero
@@ -117,7 +116,7 @@ def test_predicates_are_read_from_their_module_at_call_time(monkeypatch, model):
     state_target, gate_target = PREDICATES[model]
     monkeypatch.setattr(f"fuzzbit.models.{state_target}", lambda v: "patched state")
     monkeypatch.setattr(f"fuzzbit.models.{gate_target}", lambda m: "patched gate")
-    instance = model_instance(model)
+    instance = MODELS[model].instance
     assert state_violation(model, SVector(instance, (instance.one, instance.zero))) \
         == "patched state"
     assert gate_violation(model, identity(instance, 2)) == "patched gate"
@@ -134,7 +133,7 @@ def test_the_row_checks_carrier_and_squareness(monkeypatch, model):
 
     for target in PREDICATES[model]:
         monkeypatch.setattr(f"fuzzbit.models.{target}", unreachable)
-    own, other = model_instance(model), FOREIGN[model]
+    own, other = MODELS[model].instance, FOREIGN[model]
     carrier = f"instance {other.name} is not the {own.name} carrier"
     assert gate_violation(model, identity(other, 2)) == carrier
     assert state_violation(model, SVector(other, (other.one, other.zero))) == carrier
@@ -145,8 +144,7 @@ def test_the_row_checks_carrier_and_squareness(monkeypatch, model):
 
 def test_unknown_names_raise_value_error():
     v = SVector(FUZZ_MV, (UnitScalar(0), UnitScalar(1)))
-    for call in (lambda: model_instance("analog"),
-                 lambda: gate_violation("analog", identity(FUZZ_MV, 2)),
+    for call in (lambda: gate_violation("analog", identity(FUZZ_MV, 2)),
                  lambda: state_violation("analog", v),
                  lambda: builtin_gate("analog", "NOT"),
                  lambda: builtin_gate("fuzzy", "NOT"),

@@ -272,6 +272,36 @@ def test_mutated_kernel_fails_oracle_agreement(monkeypatch, kernel):
     assert len(report.failures) >= 1
 
 
+# One kernel or predicate mutant per `tensor-laws` family, each named by the
+# family it must make fail; a mutant may make others fail too.
+TENSOR_MUTANTS = [
+    # the factors swapped: a basis ket lands on the mirrored index
+    ("basis-ket", "_kron_v", lambda real: lambda u, v, L: real(v, u, L)),
+    ("basis-enumeration", "_kron_v", lambda real: lambda u, v, L: real(v, u, L)),
+    # one entry too many
+    ("dimension", "_kron_v", lambda real: lambda u, v, L: real(u, v, L) + (L,)),
+    # a zero demanded in the first entry, not in any entry
+    ("state-closure", "_is_state", lambda real: lambda v, L: v[0] == 0 or min(v) == L),
+    # the first factor counted twice: u (x) v and v (x) u no longer mirror
+    ("symmetry", "_kron_v",
+     lambda real: lambda u, v, L: tuple(min(2 * x + y, L) for x in u for y in v)),
+    # a truncated difference in place of the truncated sum, which is not associative
+    ("associativity", "_kron_v",
+     lambda real: lambda u, v, L: tuple(max(x - y, 0) for x in u for y in v)),
+    # a zero demanded in every row, not in every column
+    ("gate-closure", "_is_gate", lambda real: lambda m, n, L: min(m) == L or all(
+        min(m[i * n:i * n + n]) == 0 for i in range(n))),
+]
+
+
+@pytest.mark.parametrize("family, name, mutant", TENSOR_MUTANTS,
+                         ids=[family for family, _, _ in TENSOR_MUTANTS])
+def test_each_tensor_law_family_can_fail(monkeypatch, family, name, mutant):
+    monkeypatch.setattr(verify, name, mutant(getattr(verify, name)))
+    report = check_tensor_laws(grid_values("coarse"))
+    assert family in {failure[0] for failure in report.failures}
+
+
 def test_tensor_and_stochastic_exhibits():
     grid = grid_values("coarse")
     tensor = check_tensor_laws(grid)
