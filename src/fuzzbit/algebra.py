@@ -178,7 +178,7 @@ def format_rational(x: Fraction, what: str = "result scalar") -> str:
     """Exact literal that re-parses to the same value ("3/4", "0", "1").
 
     A numerator or denominator past the int-string digit limit is a
-    FuzzbitError (exit 1) that names `what` was printed, not a ValueError:
+    FuzzbitError (exit 1) that names `what` overflowed, not a ValueError:
     the parser rejects such a literal, so it could not be read back, and
     `sys.set_int_max_str_digits` would change the limit for the whole process.
     """

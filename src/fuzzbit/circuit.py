@@ -64,6 +64,7 @@ from .models import (
     GateDescriptor,
     ScaledCarrier,
     VectorState,
+    _model,
     builtin_gate,
     gate_violation,
 )
@@ -292,7 +293,7 @@ def serialize_circuit(program: CircuitProgram) -> str:
     if program.init_kind == "ket":
         lines.append("init ket " + "".join(str(b) for b in program.init_values))
     else:
-        fmt = MODELS[program.model].instance.format
+        fmt = _model(program.model).instance.format
         lines.append("init vec " + " ".join(fmt(x) for x in program.init_values))
     for step in program.steps:
         lines.append(f"gate {step.gate} " + " ".join(map(str, step.wires)))
@@ -376,9 +377,9 @@ def validate(program: CircuitProgram, base_dir: str | Path = ".") -> ValidatedCi
     Each distinct (gate, wires) pair is checked and planned once, at its
     first step, so an error names the first failing step's line.
     """
-    row = MODELS[program.model]
     if program.wire_count < 1:
         raise ValidationError("wire count must be positive")
+    row = _model(program.model)  # ValueError for a name no row has
     if row.scaled is not None and program.wire_count > MAX_DENSE_WIRES:
         raise ValidationError(
             f"{program.model} programs take at most {MAX_DENSE_WIRES} wires "

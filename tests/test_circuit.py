@@ -119,6 +119,8 @@ def test_validation_errors():
             validate(CircuitProgram(model, 2, "ket", (0, 0), (GateStep(gate, (-1,)),)))
         with pytest.raises(ValueError, match=r"^wire -1 out of range for 2 wires$"):
             lift_gate(builtin_gate(model, gate), (-1,), 2)
+    with pytest.raises(ValueError, match="unknown model 'analog'"):  # a name no row has
+        validate(CircuitProgram("analog", 1, "ket", (0,), ()))
 
 
 def test_ket_init_orientation():
