@@ -50,9 +50,12 @@ __all__ = [
     "make_instance",
     "GRID_NAMES",
     "grid_values",
+    "parse_nonneg_ratio",
+    "parse_unit_ratio",
     "parse_unit_scalar",
     "parse_nonneg_rational",
     "parse_complex_scalar",
+    "format_ratio",
     "format_rational",
     "format_complex",
     "format_complex_exact",
@@ -131,32 +134,43 @@ def _uint(token: str, line: int, col: int | None = None) -> int:
                          line, col) from None
 
 
-def _parse_rational(token: str) -> Fraction:
+def parse_nonneg_ratio(token: str) -> tuple[int, int]:
+    """A rational literal, with no upper bound, as (numerator, denominator)
+    ints in lowest terms; the one rational grammar every parser below reads."""
     m = _RATIONAL_RE.match(token)
     if m is None:
         raise ParseError(f"malformed scalar {token!r}")
     try:
         if m.group(1) is None:
-            return Fraction(m.group(3))
-        numerator, denominator = int(m.group(1)), int(m.group(2))
+            whole, _, digits = m.group(3).partition(".")
+            denominator = 10 ** len(digits)
+            numerator = int(whole) * denominator + (int(digits) if digits else 0)
+        else:
+            numerator, denominator = int(m.group(1)), int(m.group(2))
     except ValueError:  # more digits than sys.get_int_max_str_digits()
         raise ParseError(f"scalar literal of {len(token)} characters is too long") from None
     if denominator == 0:
         raise ParseError(f"zero denominator in {token!r}")
-    return Fraction(numerator, denominator)
+    g = math.gcd(numerator, denominator)
+    return numerator // g, denominator // g
+
+
+def parse_unit_ratio(token: str) -> tuple[int, int]:
+    """A rational literal that must lie in [0, 1], as (numerator, denominator)."""
+    numerator, denominator = parse_nonneg_ratio(token)
+    if numerator > denominator:
+        raise ParseError(f"scalar {token!r} outside [0, 1]")
+    return numerator, denominator
 
 
 def parse_unit_scalar(token: str) -> UnitScalar:
     """Parse a rational literal that must lie in [0, 1]."""
-    value = _parse_rational(token)
-    if value > 1:
-        raise ParseError(f"scalar {token!r} outside [0, 1]")
-    return UnitScalar(value)
+    return UnitScalar(*parse_unit_ratio(token))
 
 
 def parse_nonneg_rational(token: str) -> Fraction:
     """Parse a rational literal with no upper bound (probability carrier)."""
-    return _parse_rational(token)
+    return Fraction(*parse_nonneg_ratio(token))
 
 
 def parse_complex_scalar(token: str) -> complex:
@@ -174,19 +188,26 @@ def parse_complex_scalar(token: str) -> complex:
     return z
 
 
-def format_rational(x: Fraction, what: str = "result scalar") -> str:
-    """Exact literal that re-parses to the same value ("3/4", "0", "1").
+def format_ratio(numerator: int, denominator: int, what: str = "result scalar") -> str:
+    """Exact literal of numerator/denominator in lowest terms ("3/4", "0", "1").
 
     A numerator or denominator past the int-string digit limit is a
     FuzzbitError (exit 1) that names `what` overflowed, not a ValueError:
     the parser rejects such a literal, so it could not be read back, and
     `sys.set_int_max_str_digits` would change the limit for the whole process.
     """
+    g = math.gcd(numerator, denominator)
+    numerator, denominator = numerator // g, denominator // g
     try:
-        return str(Fraction(x))
+        return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
     except ValueError:  # more digits than sys.get_int_max_str_digits()
         raise FuzzbitError(f"{what} has a numerator or denominator of more than "
                            f"{sys.get_int_max_str_digits()} digits") from None
+
+
+def format_rational(x: Fraction, what: str = "result scalar") -> str:
+    """Exact literal that re-parses to the same value; see `format_ratio`."""
+    return format_ratio(x.numerator, x.denominator, what)
 
 
 def _format_float(v: float, spec: str | None) -> str:
@@ -230,6 +251,12 @@ class SemiringInstance:
     reads back, `display` renders a scalar for the CLI, and `tolerance` is
     the componentwise bound within which `linalg.equal` takes two entries as
     equal (0 for exact carriers).
+
+    The carriers of the dense exact models (probability and fuzz-mv) also
+    read a literal as a (numerator, denominator) pair with `parse_ratio`,
+    the same grammar and errors as `parse`, and build the scalar n/d with
+    `from_ratio`; `linalg` keeps their file matrices and vectors as integer
+    numerators over one scale and builds scalars only when they are read.
     """
 
     name: str
@@ -242,6 +269,8 @@ class SemiringInstance:
     format: Callable[[Any], str] = format_rational
     display: Callable[[Any], str] = format_rational
     tolerance: float = 0.0
+    parse_ratio: Callable[[str], tuple[int, int]] | None = None
+    from_ratio: Callable[[int, int], Any] | None = None
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SemiringInstance) and other.name == self.name
@@ -254,7 +283,8 @@ class SemiringInstance:
 
 
 FUZZ_MV = SemiringInstance("fuzz-mv", add=wedge, mul=oplus, zero=ONE, one=ZERO,
-                           idempotent_add=True)
+                           idempotent_add=True, parse_ratio=parse_unit_ratio,
+                           from_ratio=UnitScalar)
 MAX_MIN = SemiringInstance("max-min", add=vee, mul=wedge, zero=ZERO, one=ONE,
                            idempotent_add=True)
 VITERBI = SemiringInstance("viterbi", add=vee, mul=_times, zero=ZERO, one=ONE,
@@ -263,7 +293,8 @@ BOOLEAN = SemiringInstance("boolean", add=vee, mul=wedge, zero=ZERO, one=ONE,
                            idempotent_add=True)
 PROBABILITY = SemiringInstance("probability", add=operator.add, mul=operator.mul,
                                zero=Fraction(0), one=Fraction(1), idempotent_add=False,
-                               parse=parse_nonneg_rational)
+                               parse=parse_nonneg_rational, parse_ratio=parse_nonneg_ratio,
+                               from_ratio=Fraction)
 COMPLEX = SemiringInstance("complex", add=operator.add, mul=operator.mul,
                            zero=complex(0), one=complex(1), idempotent_add=False,
                            parse=parse_complex_scalar, format=format_complex_exact,

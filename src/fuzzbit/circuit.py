@@ -26,8 +26,20 @@ runs its `ScaledCarrier`: the state and each step's bound matrix become
 entries over a scale (int numerators for stochastic and fuzzy, the complex
 entries themselves at scale 1 for quantum), one generic block kernel runs
 them, and each intermediate state passes the row's check on that encoding,
-which holds exactly when the carrier's check holds.  The trace keeps the
-indices or entries and builds a checked state only when one is read.
+which holds exactly when the carrier's check holds.  A step that multiplies
+the scale by more than 1 then divides the entries and the scale by their
+gcd, so a stochastic scale stays the least common denominator of the
+state.  The trace keeps the indices or entries and builds a state only when
+one is read, without checking it a second time.
+
+Stochastic and fuzzy requests build no rational scalar from the literal to
+the printed line: `init vec` literals and `@file` matrices parse to integer
+numerators over a common scale (`ScaledVector`, `ScaledMatrix`), builtins
+are built that way, gates and the initial state pass the row's integer
+predicates, plans are bound numerator matrices, and the trace's states
+keep their numerators for the CLI to print.  Rationals are built only when
+the public API reads an entry (`SVector.entries`, `GateDescriptor.matrix`)
+and to word a rejection.
 `simulate(vc, seed)` measures where the row measures, with the program's
 `measure seed` when `seed` is None; to start elsewhere, replace `vc.initial`.
 
@@ -39,6 +51,7 @@ steps, are built as `CircuitProgram`s directly and never go through text.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -48,6 +61,8 @@ from typing import Any, Sequence, Union
 from .algebra import _UINT_RE, _uint
 from .errors import InternalCheckError, MembershipError, ParseError, ValidationError
 from .linalg import (
+    ScaledMatrix,
+    ScaledVector,
     SMatrix,
     SVector,
     basis_vector,
@@ -85,8 +100,9 @@ __all__ = [
 ]
 
 ModelState = Union[ClassicalState, VectorState]
-# The bound matrix, or for a classical step (base, mask, perm): the block's
-# lowest wire, 2^k - 1, and the permutation of the block's window values.
+# The bound matrix (a `ScaledMatrix` for stochastic and fuzzy), or for a
+# classical step (base, mask, perm): the block's lowest wire, 2^k - 1, and
+# the permutation of the block's window values.
 StepPlan = Union[SMatrix, tuple[int, int, tuple[int, ...]]]
 
 # A dense state holds 2^n entries, 65,536 at this limit.  Classical programs
@@ -106,7 +122,7 @@ class CircuitProgram:
     model: str
     wire_count: int
     init_kind: str  # "ket" | "vec"
-    init_values: tuple  # bits for ket, carrier scalars for vec
+    init_values: tuple | SVector  # bits for ket, the state vector for vec
     steps: tuple[GateStep, ...]
     measure_seed: int | None = None
     init_line: int = field(default=0, compare=False)
@@ -116,7 +132,8 @@ class CircuitProgram:
 class ValidatedCircuit:
     """A program whose gates passed their model's membership check.
 
-    plans[k] is what step k applies to its wire block: the bound matrix,
+    plans[k] is what step k applies to its wire block: the bound matrix
+    (numerators over a scale, a `ScaledMatrix`, for stochastic and fuzzy),
     or for classical programs (base, mask, perm), the permutation of the
     window values (index >> base) & mask.  Steps with the same (gate,
     wires) share one descriptor and one plan.
@@ -133,11 +150,12 @@ class SimulationTrace:
     """All intermediate states; states[0] is the initial one.
 
     `snapshots` holds one entry per gate step: the basis index for
-    classical runs, and (entries, scale) for dense runs.  Indices become
-    checked `ClassicalState`s and entries checked `VectorState`s when first
-    read, each at most once: `final` builds the last state only, `states`
-    every one.  `measured` is what the row's `measure` draws from `final`
-    with `seed`, or None.  Traces are equal when their states and outcomes are.
+    classical runs, and (entries, scale) for dense runs, each checked by
+    the run.  Indices become `ClassicalState`s and entries `VectorState`s
+    when first read, each at most once and without a second membership
+    check: `final` builds the last state only, `states` every one.
+    `measured` is what the row's `measure` draws from `final` with `seed`,
+    or None.  Traces are equal when their states and outcomes are.
     """
 
     model: str
@@ -150,7 +168,8 @@ class SimulationTrace:
         carrier = MODELS[self.model].scaled
         if carrier is None:
             return ClassicalState(self.wire_count, snapshot)
-        return _decode_state(self.model, carrier, snapshot)
+        # the run checked this snapshot; a ScaledVector builds its rationals on first read
+        return VectorState.known_member(self.model, carrier.decode(*snapshot))
 
     @cached_property
     def final(self) -> ModelState:
@@ -240,14 +259,17 @@ def parse_circuit(text: str) -> CircuitProgram:
             elif kind == "vec":
                 if len(rest) < 2:
                     raise ParseError("init vec needs at least one scalar", line_no, col)
-                parse_entry = MODELS[model].instance.parse
+                instance = MODELS[model].instance
+                parse_entry = instance.parse_ratio or instance.parse
                 values = []
                 for tok, tok_col in rest[1:]:
                     try:
                         values.append(parse_entry(tok))
                     except ParseError as exc:
                         raise ParseError(str(exc), line_no, tok_col) from None
-                init = ("vec", tuple(values), line_no)
+                vector = (SVector(instance, values) if instance.parse_ratio is None
+                          else ScaledVector.from_ratios(instance, values))
+                init = ("vec", vector, line_no)
             else:
                 raise ParseError(f"unknown init kind {kind!r}", line_no, rest[0][1])
         elif word == "gate":
@@ -294,7 +316,7 @@ def serialize_circuit(program: CircuitProgram) -> str:
         lines.append("init ket " + "".join(str(b) for b in program.init_values))
     else:
         fmt = _model(program.model).instance.format
-        lines.append("init vec " + " ".join(fmt(x) for x in program.init_values))
+        lines.append("init vec " + " ".join(fmt(x) for x in program.init_values.entries))
     for step in program.steps:
         lines.append(f"gate {step.gate} " + " ".join(map(str, step.wires)))
     if program.measure_seed is not None:
@@ -344,16 +366,15 @@ def _initial_state(program: CircuitProgram) -> ModelState:
         index = int("".join(str(b) for b in bits), 2)
         if row.scaled is None:
             return ClassicalState(n, index)
-        vector = basis_vector(row.instance, size, index)
+        vector = row.scaled.decode(basis_vector(row.scaled.unit, size, index).entries, 1)
     else:
         if row.scaled is None:
             raise ValidationError("classical programs take ket initial states",
                                   program.init_line)
-        if len(program.init_values) != size:
+        vector = program.init_values
+        if len(vector) != size:
             raise ValidationError(
-                f"init vec has {len(program.init_values)} entries, expected {size}",
-                program.init_line)
-        vector = SVector(row.instance, program.init_values)
+                f"init vec has {len(vector)} entries, expected {size}", program.init_line)
     try:
         return VectorState(program.model, vector)
     except MembershipError as exc:
@@ -431,14 +452,19 @@ def _slot_table(targets: Sequence[int], arity: int) -> list[int]:
 
 
 def _bound_matrix(gate: GateDescriptor, targets: Sequence[int]) -> SMatrix:
-    """The gate matrix re-indexed so window bit (w - base) carries wire w."""
+    """The gate matrix re-indexed so window bit (w - base) carries wire w;
+    a `ScaledMatrix` is re-indexed on its numerators."""
     rho = _slot_table(targets, gate.arity)
+    m = gate.matrix
     if all(rho[x] == x for x in range(len(rho))):
-        return gate.matrix
-    g = gate.matrix.entries
-    size = len(rho)
-    return SMatrix(gate.matrix.instance, tuple(
-        tuple(g[rho[r]][rho[c]] for c in range(size)) for r in range(size)))
+        return m
+
+    def reindexed(g):
+        return tuple(tuple(g[r][c] for c in rho) for r in rho)
+
+    if isinstance(m, ScaledMatrix):
+        return ScaledMatrix(m.instance, reindexed(m.numerators), m.scale)
+    return SMatrix(m.instance, reindexed(m.entries))
 
 
 def lift_gate(gate: GateDescriptor, targets: Sequence[int], n: int) -> SMatrix:
@@ -492,7 +518,8 @@ def _step_plan(gate: GateDescriptor, targets: Sequence[int]) -> StepPlan:
 
 
 def _decode_state(model: str, carrier: ScaledCarrier, snapshot) -> VectorState:
-    """The checked state that (entries, scale) stands for."""
+    """The checked state that (entries, scale) stands for; on a snapshot that
+    failed the run's check, this raises the carrier's reason."""
     try:
         return VectorState(model, carrier.decode(*snapshot))
     except (ValueError, MembershipError) as exc:  # an entry out of range, or a non-member
@@ -500,7 +527,12 @@ def _decode_state(model: str, carrier: ScaledCarrier, snapshot) -> VectorState:
 
 
 def _scaled_run(vc: ValidatedCircuit, carrier: ScaledCarrier) -> list:
-    """(entries, scale) after each step, each passing the encoded state check."""
+    """(entries, scale) after each step, each passing the encoded state check.
+
+    A step whose factor is more than 1 divides the entries and the scale by
+    their gcd, so a scale that grows by each gate's denominator stays the
+    state's least common denominator.
+    """
     scale, vector, steps = carrier.encode(vc.initial.vector, vc.plans)
     snapshots = []
     for step, (matrix, factor) in zip(vc.program.steps, steps):
@@ -511,6 +543,12 @@ def _scaled_run(vc: ValidatedCircuit, carrier: ScaledCarrier) -> list:
             _decode_state(vc.program.model, carrier, snapshot)  # raises the carrier's reason
             raise InternalCheckError("intermediate state failed membership: "
                                      "the integer state check disagrees with the rational one")
+        if factor > 1:
+            g = math.gcd(scale, *vector.entries)
+            if g > 1:
+                scale //= g
+                vector = SVector(vector.instance, tuple(x // g for x in vector.entries))
+                snapshot = (vector.entries, scale)
         snapshots.append(snapshot)
     return snapshots
 

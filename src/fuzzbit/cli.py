@@ -24,7 +24,7 @@ from .circuit import (
     simulate,
     validate,
 )
-from .algebra import GRID_NAMES
+from .algebra import GRID_NAMES, format_ratio
 from .errors import (
     FuzzbitError,
     InternalCheckError,
@@ -33,6 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
+    ScaledVector,
     SMatrix,
     SVector,
     as_vector,
@@ -76,6 +77,8 @@ def _read_operand(path: str) -> SMatrix | SVector:
 
 
 def _render_vector(v: SVector) -> str:
+    if isinstance(v, ScaledVector):  # exact entries print from their numerators
+        return " ".join(format_ratio(x, v.scale) for x in v.numerators)
     return " ".join(map(v.instance.display, v.entries))
 
 

@@ -9,19 +9,33 @@ Matrix/vector text format (shared with the CLI): a header line
 row per line.  The dimensions are ASCII digits.  Entries are read and
 written by the header instance's own `parse` and `format`; this module
 does not know which carriers exist.
+
+A carrier that reads literals as (numerator, denominator) pairs (its
+`parse_ratio`) is parsed into a `ScaledMatrix`: the entries' integer
+numerators over their least common denominator, the scale.  A
+`ScaledMatrix` or `ScaledVector` is an `SMatrix` or `SVector` whose entries
+are built from the numerators on first read, so code that needs only the
+integers (membership checks, `simulate`, the CLI's printing) builds no
+rational scalar.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Iterable, Sequence
 
-from .algebra import _UINT_RE, SemiringInstance, _uint, make_instance
+from .algebra import (
+    _UINT_RE, SemiringInstance, _uint, common_denominator, make_instance, numerators)
 from .errors import ParseError
 
 __all__ = [
     "SVector",
     "SMatrix",
+    "ScaledVector",
+    "ScaledMatrix",
     "mat_mul",
     "mat_vec",
     "mat_vec_block",
@@ -75,6 +89,100 @@ class SMatrix:
 
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.entries)
+
+
+class ScaledVector(SVector):
+    """A vector over an exact carrier held as integer numerators over one scale.
+
+    Entry i is `instance.from_ratio(numerators[i], scale)`, built on first
+    read; the length, equality with any `SVector` and the hash are the
+    vector's.
+    """
+
+    def __init__(self, instance: SemiringInstance, numerators: Sequence[int], scale: int):
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "numerators", tuple(numerators))
+        object.__setattr__(self, "scale", scale)
+
+    @classmethod
+    def from_ratios(cls, instance: SemiringInstance,
+                    ratios: Sequence[tuple[int, int]]) -> ScaledVector:
+        """The vector of the ratios n/d, over the lcm of their denominators."""
+        scale = math.lcm(*(d for _, d in ratios))
+        return cls(instance, [n * (scale // d) for n, d in ratios], scale)
+
+    @classmethod
+    def of(cls, v: SVector) -> ScaledVector:
+        """`v` itself, or its exact rational entries over their common denominator."""
+        if isinstance(v, ScaledVector):
+            return v
+        scale = common_denominator(v.entries)
+        return cls(v.instance, numerators(v.entries, scale), scale)
+
+    @cached_property
+    def entries(self) -> tuple:
+        ratio, scale = self.instance.from_ratio, self.scale
+        return tuple(ratio(x, scale) for x in self.numerators)
+
+    def __len__(self) -> int:
+        return len(self.numerators)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SVector):
+            return NotImplemented
+        return self.instance == other.instance and self.entries == other.entries
+
+    __hash__ = SVector.__hash__
+
+
+class ScaledMatrix(SMatrix):
+    """A matrix over an exact carrier held as integer numerator rows over one scale.
+
+    Entry (i, j) is `instance.from_ratio(numerators[i][j], scale)`, built on
+    first read; the shape, equality with any `SMatrix` and the hash are the
+    matrix's.
+    """
+
+    def __init__(self, instance: SemiringInstance, numerators: Sequence[Sequence[int]],
+                 scale: int):
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "numerators", tuple(map(tuple, numerators)))
+        object.__setattr__(self, "scale", scale)
+
+    @classmethod
+    def from_ratios(cls, instance: SemiringInstance,
+                    rows: Sequence[Sequence[tuple[int, int]]]) -> ScaledMatrix:
+        """The matrix of the ratios n/d, over the lcm of all their denominators."""
+        scale = math.lcm(*(d for row in rows for _, d in row))
+        return cls(instance, [[n * (scale // d) for n, d in row] for row in rows], scale)
+
+    @classmethod
+    def of(cls, m: SMatrix) -> ScaledMatrix:
+        """`m` itself, or its exact rational entries over their common denominator."""
+        if isinstance(m, ScaledMatrix):
+            return m
+        scale = common_denominator(itertools.chain.from_iterable(m.entries))
+        return cls(m.instance, [numerators(row, scale) for row in m.entries], scale)
+
+    @cached_property
+    def entries(self) -> tuple:
+        ratio, scale = self.instance.from_ratio, self.scale
+        return tuple(tuple(ratio(x, scale) for x in row) for row in self.numerators)
+
+    @property
+    def rows(self) -> int:
+        return len(self.numerators)
+
+    @property
+    def cols(self) -> int:
+        return len(self.numerators[0])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SMatrix):
+            return NotImplemented
+        return self.instance == other.instance and self.entries == other.entries
+
+    __hash__ = SMatrix.__hash__
 
 
 def _require_same_instance(a, b) -> SemiringInstance:
@@ -235,7 +343,7 @@ def parse_matrix_text(text: str) -> SMatrix:
     body = lines[1:]
     if len(body) != rows:
         raise ParseError(f"expected {rows} rows, found {len(body)}", line=header_no)
-    parse_entry = s.parse
+    parse_entry = s.parse_ratio or s.parse
     grid = []
     for line_no, line in body:
         tokens = line.split()
@@ -248,6 +356,8 @@ def parse_matrix_text(text: str) -> SMatrix:
             except ParseError as exc:
                 raise ParseError(str(exc), line=line_no) from None
         grid.append(tuple(row))
+    if s.parse_ratio is not None:
+        return ScaledMatrix.from_ratios(s, grid)
     return SMatrix(s, tuple(grid))
 
 
@@ -259,9 +369,15 @@ def serialize_matrix(m: SMatrix, fmt: Callable[[Any], str] | None = None) -> str
 
 
 def as_vector(m: SMatrix) -> SVector:
-    """Read a 1-column (or 1-row) matrix as a vector."""
+    """Read a 1-column (or 1-row) matrix as a vector; a scaled one stays scaled."""
     if m.cols == 1:
-        return SVector(m.instance, m.column(0))
-    if m.rows == 1:
-        return SVector(m.instance, m.entries[0])
-    raise ValueError(f"{m.rows}x{m.cols} matrix is not a vector")
+        def pick(rows):
+            return tuple(row[0] for row in rows)
+    elif m.rows == 1:
+        def pick(rows):
+            return rows[0]
+    else:
+        raise ValueError(f"{m.rows}x{m.cols} matrix is not a vector")
+    if isinstance(m, ScaledMatrix):
+        return ScaledVector(m.instance, pick(m.numerators), m.scale)
+    return SVector(m.instance, pick(m.entries))

@@ -14,7 +14,11 @@ row.  A dense run (`ScaledCarrier`) is how `simulate` encodes, checks and
 decodes states: stochastic and fuzzy as integer numerators over a scale,
 quantum as its complex entries at scale 1.  Classical has none and runs on
 a basis index; only quantum measures.  The row checks carrier and
-squareness; each model module states only its own property.  Classical
+squareness; each model module states only its own property.  Stochastic
+and fuzzy builtins are `ScaledMatrix`es, like their file gates, and a
+`ScaledMatrix` gate or `ScaledVector` state passes its row's integer
+predicate without building a rational; the rational predicate words a
+rejection.  Classical
 gates that are not invertible (AND, OR, XOR, NAND, NOR, FANOUT) appear
 through their reversible embedding: one extra target wire receives
 y XOR f(x), so every registered matrix passes its model's predicate.
@@ -26,9 +30,11 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from ..algebra import BOOLEAN, COMPLEX, FUZZ_MV, PROBABILITY, SemiringInstance
+from ..algebra import (
+    BOOLEAN, COMPLEX, FUZZ_MV, NATURAL, PROBABILITY, SemiringInstance, mv_chain)
 from ..errors import MembershipError
-from ..linalg import SMatrix, SVector, matrix_from_permutation, zeros
+from ..linalg import (
+    ScaledMatrix, ScaledVector, SMatrix, SVector, matrix_from_permutation, zeros)
 from . import classical, fuzzy, quantum, stochastic
 
 __all__ = [
@@ -50,15 +56,21 @@ class ScaledCarrier:
 
     `encode(initial, plans)` gives the initial scale, the initial state's
     entries over the run's instance and, for each plan, its matrix over
-    that instance and the factor by which its step multiplies the scale.  `state_ok(entries,
-    scale)` holds exactly when `decode(entries, scale)`, the vector over the
-    row's carrier, passes the row's state predicate.
+    that instance and the factor by which its step multiplies the scale.
+    `state_ok(entries, scale)` holds exactly when `decode(entries, scale)`,
+    the vector over the row's carrier, passes the row's state predicate.
+    `unit` is the instance of the entries at scale 1, over which the row
+    builds its basis kets and permutation builtins.  `gate_ok(rows, scale)`,
+    for a carrier whose gates are `ScaledMatrix`es, is the gate predicate on
+    numerator rows over a scale.
     """
 
     encode: Callable[[SVector, Sequence[SMatrix]],
                      tuple[int, SVector, list[tuple[SMatrix, int]]]]
     state_ok: Callable[[Sequence[int], int], bool]
     decode: Callable[[Sequence[int], int], SVector]
+    unit: SemiringInstance
+    gate_ok: Callable[[Sequence[Sequence[int]], int], bool] | None = None
 
 
 @dataclass(frozen=True)
@@ -92,9 +104,19 @@ def _permutation_gates(instance: SemiringInstance,
             for name, perm in perms.items()}
 
 
+def _scaled(instance: SemiringInstance,
+            gates: Mapping[str, Callable[[], SMatrix]]) -> dict[str, Callable[[], SMatrix]]:
+    """Gates built over the carrier's numerators at scale 1, held as `ScaledMatrix`es."""
+    return {name: lambda make=make: ScaledMatrix(instance, make().entries, 1)
+            for name, make in gates.items()}
+
+
 def _embedded_gate(name: str) -> Callable[[], SMatrix]:
     return lambda: classical.reversible_embed(classical.classical_gate(name))
 
+
+# fuzz-mv numerators at scale 1: one (0) and zero (1) are the ints 0 and 1
+_MV_UNIT = mv_chain(1)
 
 # Row callables are looked up in their module at call time, not captured
 # here, so that replacing a module attribute (as a tracer does) reaches them.
@@ -109,9 +131,9 @@ MODELS = {m.name: m for m in (
     Model("stochastic", PROBABILITY,
           lambda v: stochastic.distribution_violation(v),
           lambda m: stochastic.stochastic_violation(m),
-          _permutation_gates(PROBABILITY, NOT=_NOT, CNOT=_CNOT, SWAP=_SWAP),
+          _scaled(PROBABILITY, _permutation_gates(NATURAL, NOT=_NOT, CNOT=_CNOT, SWAP=_SWAP)),
           ScaledCarrier(stochastic.encode_run, stochastic.scaled_distribution_ok,
-                        stochastic.decode)),
+                        stochastic.decode, NATURAL, stochastic.scaled_stochastic_ok)),
     Model("quantum", COMPLEX,
           lambda v: quantum.state_norm_violation(v),
           lambda m: quantum.unitary_violation(m),
@@ -122,14 +144,15 @@ MODELS = {m.name: m for m in (
           ScaledCarrier(lambda initial, plans: (1, initial, [(m, 1) for m in plans]),
                         lambda entries, scale: quantum.state_norm_violation(
                             SVector(COMPLEX, entries)) is None,
-                        lambda entries, scale: SVector(COMPLEX, entries)),
+                        lambda entries, scale: SVector(COMPLEX, entries), COMPLEX),
           lambda state, seed: quantum.measure(state, seed)),
     Model("fuzzy", FUZZ_MV,
           lambda v: fuzzy.fuzzy_state_violation(v),
           lambda m: fuzzy.fuzzy_gate_violation(m),
-          {**_permutation_gates(FUZZ_MV, FID=_ID, FNOT=_NOT, FSWAP=_SWAP),
-           "FZERO": functools.partial(zeros, FUZZ_MV, 2)},
-          ScaledCarrier(fuzzy.encode_run, fuzzy.scaled_state_ok, fuzzy.decode)),
+          _scaled(FUZZ_MV, {**_permutation_gates(_MV_UNIT, FID=_ID, FNOT=_NOT, FSWAP=_SWAP),
+                            "FZERO": functools.partial(zeros, _MV_UNIT, 2)}),
+          ScaledCarrier(fuzzy.encode_run, fuzzy.scaled_state_ok, fuzzy.decode, _MV_UNIT,
+                        fuzzy.scaled_gate_ok)),
 )}
 
 MODEL_NAMES = tuple(MODELS)
@@ -149,18 +172,33 @@ def _carrier_violation(row: Model, x: SMatrix | SVector) -> str | None:
 
 
 def gate_violation(model: str, m: SMatrix) -> str | None:
-    """Why `m` is no gate of the model, or None: carrier, shape, then the row's predicate."""
+    """Why `m` is no gate of the model, or None: carrier, shape, then the row's predicate.
+
+    A `ScaledMatrix` that passes the row's integer gate predicate is a
+    member; any other verdict comes from the rational predicate.
+    """
     row = _model(model)
     reason = _carrier_violation(row, m)
     if reason is None and m.rows != m.cols:
         reason = f"not square ({m.rows}x{m.cols})"
+    if reason is None and isinstance(m, ScaledMatrix) and row.scaled.gate_ok(m.numerators,
+                                                                             m.scale):
+        return None
     return reason or row.gate_violation(m)
 
 
 def state_violation(model: str, v: SVector) -> str | None:
-    """Why `v` is no state of the model, or None: carrier, then the row's predicate."""
+    """Why `v` is no state of the model, or None: carrier, then the row's predicate.
+
+    A `ScaledVector` that passes the row's integer state predicate is a
+    member; any other verdict comes from the rational predicate.
+    """
     row = _model(model)
-    return _carrier_violation(row, v) or row.state_violation(v)
+    reason = _carrier_violation(row, v)
+    if reason is None and isinstance(v, ScaledVector) and row.scaled.state_ok(v.numerators,
+                                                                               v.scale):
+        return None
+    return reason or row.state_violation(v)
 
 
 @dataclass(frozen=True)
@@ -208,6 +246,14 @@ class VectorState:
         violation = state_violation(self.model, self.vector)
         if violation is not None:
             raise MembershipError(violation)
+
+    @classmethod
+    def known_member(cls, model: str, vector: SVector) -> VectorState:
+        """The state of a vector its caller has already checked, without a second check."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "model", model)
+        object.__setattr__(state, "vector", vector)
+        return state
 
 
 @functools.lru_cache(maxsize=None)

@@ -8,27 +8,30 @@ every column attains 0, plus the all-ones matrix.  The matrix action
 identity matrix has 0 on the diagonal and 1 elsewhere, and the coordinate
 swap J = [[1, 0], [0, 1]] is an involution.
 
-`simulate` runs these programs on integer numerators over one scale L for
-the whole run: the multiples of 1/L are closed under min and the truncated
-sum (the finite MV-chain of order L), so no step changes the scale.
+A request runs these programs on integers from the literal to the printed
+line: literals parse to numerators over a common denominator (see
+`linalg.ScaledMatrix`), gates and states are checked by the integer
+predicates below, and `simulate` runs over one scale L for the whole run,
+the lcm of the state's and every gate's scale: the multiples of 1/L are
+closed under min and the truncated sum (the finite MV-chain of order L), so
+no step changes the scale.  A rejection is worded by the rational
+predicate, which the integer one equals.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Sequence
 
-from ..algebra import (
-    FUZZ_MV, ONE, ZERO, UnitScalar, common_denominator, format_rational, mv_chain, neg,
-    numerators)
-from ..linalg import SMatrix, SVector
+from ..algebra import FUZZ_MV, ONE, ZERO, format_rational, mv_chain, neg
+from ..linalg import ScaledMatrix, ScaledVector, SMatrix, SVector
 
 __all__ = [
     "fuzzy_state_violation",
     "fuzzy_gate_violation",
     "encode_run",
     "scaled_state_ok",
+    "scaled_gate_ok",
     "decode",
     "complement",
 ]
@@ -58,15 +61,20 @@ def fuzzy_gate_violation(m: SMatrix) -> str | None:
 
 
 def encode_run(initial: SVector, plans: Sequence[SMatrix]):
-    """The run over the MV-chain of order L, the common denominator of the
+    """The run over the MV-chain of order L, the lcm of the scales of the
     state and every gate; a step keeps the scale, so each factor is 1."""
-    scale = math.lcm(common_denominator(initial.entries),
-                     *(common_denominator(itertools.chain.from_iterable(m.entries))
-                       for m in plans))
+    state = ScaledVector.of(initial)
+    plans = [ScaledMatrix.of(m) for m in plans]
+    scale = math.lcm(state.scale, *(m.scale for m in plans))
     chain = mv_chain(scale)
-    steps = [(SMatrix(chain, [numerators(row, scale) for row in m.entries]), 1)
+
+    def rescaled(values: Sequence[int], own: int) -> Sequence[int]:
+        k = scale // own
+        return values if k == 1 else tuple(x * k for x in values)
+
+    steps = [(SMatrix(chain, [rescaled(row, m.scale) for row in m.numerators]), 1)
              for m in plans]
-    return scale, SVector(chain, numerators(initial.entries, scale)), steps
+    return scale, SVector(chain, rescaled(state.numerators, state.scale)), steps
 
 
 def scaled_state_ok(entries: Sequence[int], scale: int) -> bool:
@@ -74,15 +82,29 @@ def scaled_state_ok(entries: Sequence[int], scale: int) -> bool:
     minimum is 0 or every entry is `scale`.
 
     This is exactly `fuzzy_state_violation(decode(entries, scale)) is None`,
-    where `decode` rejects an entry outside [0, scale].
+    where reading the decoded entries rejects one outside [0, scale].
     """
     low = min(entries)
     return (low == 0 or low == scale) and max(entries) <= scale
 
 
+def scaled_gate_ok(rows: Sequence[Sequence[int]], scale: int) -> bool:
+    """Whether rows/scale is a fuzzy gate: every entry in [0, scale], and every
+    column's minimum 0 or every entry `scale` (the all-ones matrix).
+
+    This is exactly `fuzzy_gate_violation` of the matrix rows/scale
+    returning None, where building that matrix rejects an entry outside
+    [0, scale].
+    """
+    if max(map(max, rows)) > scale:
+        return False
+    return min(map(min, rows)) == scale or all(min(column) == 0 for column in zip(*rows))
+
+
 def decode(entries: Sequence[int], scale: int) -> SVector:
-    """The fuzz-mv vector entries/scale; ValueError for an entry outside [0, scale]."""
-    return SVector(FUZZ_MV, tuple(UnitScalar(x, scale) for x in entries))
+    """The fuzz-mv vector entries/scale, whose scalars are built on first read;
+    reading them raises ValueError for an entry outside [0, scale]."""
+    return ScaledVector(FUZZ_MV, entries, scale)
 
 
 def complement(v: SVector) -> SVector:

@@ -5,25 +5,30 @@ columns each sum to exactly 1, acting on column vectors from the left.
 The family is closed under products but not under inverses, so it forms
 a semigroup rather than a group.
 
-`simulate` runs these programs on integer numerators: a gate G/g acting on
-a state s/D gives (G s)/(g D), so the scale of the state grows by each
-gate's common denominator.
+A request runs these programs on integers from the literal to the printed
+line: literals parse to numerators over a common denominator (see
+`linalg.ScaledMatrix`), gates and states are checked by the integer
+predicates below, and a gate G/g acting on a state s/D gives (G s)/(g D).
+The scale of the state grows by each gate's common denominator; `simulate`
+then divides the numerators and the scale by their gcd, so the scale stays
+the least common denominator of the state's entries.  A rejection is worded
+by the rational predicate, which the integer one equals.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from ..algebra import NATURAL, PROBABILITY, common_denominator, format_rational, numerators
-from ..linalg import SMatrix, SVector
+from ..algebra import NATURAL, PROBABILITY, format_rational
+from ..linalg import ScaledMatrix, ScaledVector, SMatrix, SVector
 
 __all__ = [
     "stochastic_violation",
     "distribution_violation",
     "encode_run",
     "scaled_distribution_ok",
+    "scaled_stochastic_ok",
     "decode",
 ]
 
@@ -58,15 +63,12 @@ def stochastic_violation(m: SMatrix) -> str | None:
 
 
 def encode_run(initial: SVector, plans: Sequence[SMatrix]):
-    """The run over NATURAL: the state's numerators over their common
-    denominator D, and each gate's numerators over its own common denominator
-    g, which is the factor a step multiplies the scale by."""
-    steps = []
-    for m in plans:
-        g = common_denominator(itertools.chain.from_iterable(m.entries))
-        steps.append((SMatrix(NATURAL, [numerators(row, g) for row in m.entries]), g))
-    scale = common_denominator(initial.entries)
-    return scale, SVector(NATURAL, numerators(initial.entries, scale)), steps
+    """The run over NATURAL: the state's numerators over their scale D, and
+    each gate's numerators over its own scale g, which is the factor a step
+    multiplies the scale by."""
+    state = ScaledVector.of(initial)
+    steps = [(SMatrix(NATURAL, m.numerators), m.scale) for m in map(ScaledMatrix.of, plans)]
+    return state.scale, SVector(NATURAL, state.numerators), steps
 
 
 def scaled_distribution_ok(entries: Sequence[int], scale: int) -> bool:
@@ -78,6 +80,16 @@ def scaled_distribution_ok(entries: Sequence[int], scale: int) -> bool:
     return min(entries) >= 0 and sum(entries) == scale
 
 
+def scaled_stochastic_ok(rows: Sequence[Sequence[int]], scale: int) -> bool:
+    """Whether rows/scale is column-stochastic: entries nonnegative, columns sum to scale.
+
+    As for states, a nonnegative column sum of `scale` bounds each entry of
+    the column by it, so this is exactly `stochastic_violation` of the
+    matrix rows/scale returning None.
+    """
+    return min(map(min, rows)) >= 0 and all(sum(column) == scale for column in zip(*rows))
+
+
 def decode(entries: Sequence[int], scale: int) -> SVector:
-    """The probability vector entries/scale."""
-    return SVector(PROBABILITY, tuple(Fraction(x, scale) for x in entries))
+    """The probability vector entries/scale, whose rationals are built on first read."""
+    return ScaledVector(PROBABILITY, entries, scale)

@@ -649,6 +649,18 @@ def _det2(m) -> Fraction:
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
+def _mm2(a, b) -> tuple:
+    """The ordinary product of two 2x2 rational matrices (row tuples)."""
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
+                 for i in range(2))
+
+
+def _is_stochastic2(m) -> bool:
+    """Whether a 2x2 rational matrix is column-stochastic: entries in [0, 1], columns sum to 1."""
+    return all(0 <= m[i][j] <= 1 for i in range(2) for j in range(2)) and all(
+        m[0][j] + m[1][j] == 1 for j in range(2))
+
+
 def check_stochastic_semigroup(grid) -> CheckReport:
     """Product closure of column-stochastic grid matrices, plus inverse exhibits."""
     t0 = time.perf_counter()
@@ -658,11 +670,8 @@ def check_stochastic_semigroup(grid) -> CheckReport:
     mats = [((c0[0], c1[0]), (c0[1], c1[1])) for c0 in columns for c1 in columns]
     for m, n in itertools.product(mats, repeat=2):
         report.cases += 1
-        prod = tuple(tuple(sum(m[i][k] * n[k][j] for k in range(2)) for j in range(2))
-                     for i in range(2))
-        ok = all(0 <= prod[i][j] <= 1 for i in range(2) for j in range(2)) and all(
-            prod[0][j] + prod[1][j] == 1 for j in range(2))
-        if not ok:
+        prod = _mm2(m, n)
+        if not _is_stochastic2(prod):
             report.failures.append(("closure", m, n, prod))
 
     # the uniform matrix is singular: no inverse at all
@@ -672,16 +681,16 @@ def check_stochastic_semigroup(grid) -> CheckReport:
     if _det2(uniform) != 0:
         report.failures.append(("singular-exhibit", uniform))
 
-    # an invertible stochastic matrix whose inverse leaves the family
+    # an invertible stochastic matrix whose inverse leaves the family: its
+    # columns still sum to 1, but it has negative entries
     m = ((Fraction(9, 10), Fraction(2, 10)), (Fraction(1, 10), Fraction(8, 10)))
     det = _det2(m)
     inv = ((m[1][1] / det, -m[0][1] / det), (-m[1][0] / det, m[0][0] / det))
-    prod = tuple(tuple(sum(m[i][k] * inv[k][j] for k in range(2)) for j in range(2))
-                 for i in range(2))
+    prod = _mm2(m, inv)
     report.cases += 2
     if prod != ((1, 0), (0, 1)):
         report.failures.append(("inverse-arithmetic", m, inv, prod))
-    if all(0 <= inv[i][j] <= 1 for i in range(2) for j in range(2)):
+    if _is_stochastic2(inv):
         report.failures.append(("inverse-unexpectedly-stochastic", m, inv))
     report.elapsed = time.perf_counter() - t0
     return report

@@ -25,6 +25,7 @@ from fuzzbit.circuit import (
     simulate,
     validate,
 )
+from fuzzbit.cli import main
 from fuzzbit.errors import InternalCheckError, ParseError, ValidationError
 from fuzzbit.linalg import (
     SMatrix,
@@ -38,7 +39,7 @@ from fuzzbit.linalg import (
     matrix_from_permutation,
     serialize_matrix,
 )
-from fuzzbit.models import MODELS, GateDescriptor, VectorState, builtin_gate
+from fuzzbit.models import MODELS, GateDescriptor, VectorState, builtin_gate, quantum
 from fuzzbit.models.classical import (
     ClassicalState,
     TruthTable,
@@ -520,3 +521,48 @@ def test_kept_state_check_still_fails(monkeypatch, text, bad_entry):
                         lambda a, base, v: SVector(v.instance, (bad_entry,) * len(v)))
     with pytest.raises(InternalCheckError, match="intermediate state failed membership"):
         simulate(vc)
+
+
+def test_a_trace_checks_each_quantum_state_once(monkeypatch):
+    calls = []
+    real = quantum.state_norm_violation
+    monkeypatch.setattr("fuzzbit.models.quantum.state_norm_violation",
+                        lambda v: calls.append(v) or real(v))
+    vc = validate(parse_circuit(ONE_PROGRAM_PER_MODEL[2]))
+    assert len(calls) == 1  # the initial state
+    trace = simulate(vc)
+    steps = len(vc.program.steps)
+    assert len(calls) == 1 + steps  # one per step
+    assert len(trace.states) == steps + 1 and trace.final is trace.states[-1]
+    assert len(calls) == 1 + steps  # none on read
+    VectorState("quantum", trace.final.vector)  # the public constructor still checks
+    assert len(calls) == 2 + steps
+
+
+# A stochastic gate of denominator 97 with equal columns: every state it makes
+# has denominator 97, while the product of the gates' denominators grows by
+# 97 per step.
+RESET97 = "instance probability 2 2\n30/97 30/97\n67/97 67/97\n"
+
+
+def test_a_long_stochastic_run_keeps_a_small_scale(tmp_path, capsys):
+    (tmp_path / "g.mat").write_text(RESET97)
+    steps = 200
+    text = ("model stochastic\nwires 1\ninit vec 1/3 2/3\n"
+            + "gate @g.mat 0\ngate NOT 0\n" * (steps // 2))
+    (tmp_path / "p.circ").write_text(text)
+    trace = simulate(validate(parse_circuit(text), base_dir=tmp_path))
+    gate = [[Fraction(30, 97)] * 2, [Fraction(67, 97)] * 2]
+    state = [Fraction(1, 3), Fraction(2, 3)]
+    lines = ["step 0 init 1/3 2/3"]
+    for k, snapshot in enumerate(trace.snapshots):
+        state = ([sum(g * x for g, x in zip(row, state)) for row in gate] if k % 2 == 0
+                 else state[::-1])
+        assert trace.states[k + 1].vector.entries == tuple(state)
+        lines.append(f"step {k + 1} {('@g.mat', 'NOT')[k % 2]} {state[0]} {state[1]}")
+        # the entries' least common denominator, 97, where the product of the
+        # gates' denominators would reach 3 * 97^100
+        assert snapshot[1].bit_length() <= (97).bit_length()
+    lines += ["model stochastic", "wires 1", f"final {state[0]} {state[1]}"]
+    assert main(["simulate", "--trace", str(tmp_path / "p.circ")]) == 0
+    assert capsys.readouterr() == ("\n".join(lines) + "\n", "")

@@ -679,3 +679,146 @@ def test_a_non_member_result_exits_3(tmp_path, capsys, monkeypatch, argv, kernel
                             lambda a, b: SMatrix(FUZZ_MV, ((half, half), (half, half))))
     assert main([str(tmp_path / a) if a in files else a for a in argv.split()]) == 3
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# --- stochastic and fuzzy requests on integers ------------------------------------
+
+# A stochastic and a fuzzy program, each with an `init vec` of the literals
+# 2/4, 0.25 and 1 and an @file gate, and the exact text `simulate --trace`
+# prints for them.
+RATIONAL_REQUESTS = {
+    "stochastic": (
+        {"p.circ": "model stochastic\nwires 2\ninit vec 2/4 0.25 0 0.25\n"
+                   "gate @g.mat 1\ngate CNOT 1 0\ngate @g.mat 0\n",
+         "g.mat": "instance probability 2 2\n1/3 1\n2/3 0\n"},
+        "step 0 init 1/2 1/4 0 1/4\nstep 1 @g.mat 1/6 1/3 1/3 1/6\n"
+        "step 2 CNOT 1/6 1/3 1/6 1/3\nstep 3 @g.mat 7/18 1/9 7/18 1/9\n"
+        "model stochastic\nwires 2\nfinal 7/18 1/9 7/18 1/9\n"),
+    "fuzzy": (
+        {"p.circ": "model fuzzy\nwires 2\ninit vec 2/4 0.25 0 1\n"
+                   "gate @g.mat 1\ngate FSWAP 1 0\ngate @g.mat 0\n",
+         "g.mat": "instance fuzz-mv 2 2\n0 1/3\n1/2 0\n"},
+        "step 0 init 1/2 1/4 0 1\nstep 1 @g.mat 1/3 1/4 0 3/4\n"
+        "step 2 FSWAP 1/3 0 1/4 3/4\nstep 3 @g.mat 1/3 0 1/4 3/4\n"
+        "model fuzzy\nwires 2\nfinal 1/3 0 1/4 3/4\n"),
+}
+
+
+@pytest.mark.parametrize("model", sorted(RATIONAL_REQUESTS))
+def test_rational_requests_enter_no_fraction_code(tmp_path, capsys, model):
+    import fractions
+
+    files, expected = RATIONAL_REQUESTS[model]
+    for name, text in files.items():
+        write(tmp_path, name, text)
+    builtin_gate.cache_clear()  # so that the builtins are built inside the request
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            entered.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        code = main(["simulate", "--trace", str(tmp_path / "p.circ")])
+    finally:
+        sys.setprofile(None)
+    assert (code, capsys.readouterr()) == (0, (expected, ""))
+    assert entered == []
+
+
+_DIGITS = sys.get_int_max_str_digits()
+_PAST_LIMIT = "1" + "0" * _DIGITS  # one digit past the int-string limit
+_HUGE = 10 ** (_DIGITS * 2 // 3) + 1  # fits in a literal; its square does not print
+_ONE_WIRE = "model {}\nwires 1\ninit {}\ngate {} 0\n"
+
+# Rejected requests and the exit code and stderr the rational route gives
+# them: cli-mix's rejections, a bad @file gate and a bad `init vec` per
+# model, and malformed, out-of-range and overlong literals.  Nothing is
+# printed on stdout.
+REJECTIONS = [
+    ("header", {"a.mat": "instance fuzz-mv 2\n0 1\n1 0\n"}, ["check", "fuzzy", "a.mat"],
+     2, "line 1: expected header 'instance <name> <rows> <cols>'"),
+    *[(f"scalar-{bad}", {"a.mat": f"instance probability 2 2\n1/2 {bad}\n1/2 1/2\n"},
+       ["check", "stochastic", "a.mat"], 2, message) for bad, message in (
+        ("abc", "line 2: malformed scalar 'abc'"),
+        ("1/0", "line 2: zero denominator in '1/0'"),
+        ("0.5.5", "line 2: malformed scalar '0.5.5'"),
+        ("--1", "line 2: malformed scalar '--1'"))],
+    ("directive", {"p.circ": "model fuzzy\nwires 2\ninit ket 01\nflip 0\n"},
+     ["simulate", "p.circ"], 2, "line 4, column 1: unknown directive 'flip'"),
+    ("wire", {"p.circ": "model quantum\nwires 2\ninit ket 00\ngate H a\n"},
+     ["simulate", "p.circ"], 2, "line 4, column 8: wire index 'a' is not a non-negative integer"),
+    ("table", {"t.txt": "0 1 1\n"}, ["synth", "t.txt"],
+     2, "table length 3 is not a power of two (at least 2)"),
+    ("cli-mix-gate", {"p.circ": "model fuzzy\nwires 2\ninit ket 10\ngate @b.mat 0\n",
+                      "b.mat": "instance fuzz-mv 2 2\n1/2 0\n1/4 1\n"}, ["simulate", "p.circ"],
+     1, "line 4: fuzzy gate '@b.mat': column 0 has minimum 1/4, expected 0"),
+    ("cli-mix-init", {"p.circ": "model stochastic\nwires 1\ninit vec 1/2 1/4\ngate NOT 0\n"},
+     ["simulate", "p.circ"],
+     1, "line 3: initial state rejected: entries sum to 3/4, expected exactly 1"),
+    ("sample-fuzzy", {"p.circ": "model fuzzy\nwires 2\ninit ket 01\ngate FNOT 0\n"},
+     ["sample", "p.circ"], 1, "sample requires a quantum circuit"),
+    ("seed-stochastic", {"p.circ": "model stochastic\nwires 2\ninit ket 01\ngate NOT 0\n"},
+     ["simulate", "--seed", "42", "p.circ"], 1, "--seed applies to quantum circuits only"),
+    *[(f"gate-{name}", {"p.circ": _ONE_WIRE.format(model, "ket 0", "@b.mat"), "b.mat": matrix},
+       ["simulate", "p.circ"], 1, message) for name, model, matrix, message in (
+        ("classical", "classical", "instance boolean 2 2\n1 1\n0 1\n",
+         "line 4: classical gate '@b.mat': row 0 has 2 ones, expected exactly 1"),
+        ("stochastic-sum", "stochastic", "instance probability 2 2\n1/4 1/2\n1/2 1/2\n",
+         "line 4: stochastic gate '@b.mat': column 0 sums to 3/4, expected exactly 1"),
+        ("stochastic-range", "stochastic", "instance probability 2 2\n5/4 0\n0 1\n",
+         "line 4: stochastic gate '@b.mat': entry (0, 0) is 5/4, outside [0, 1]"),
+        ("quantum", "quantum", "instance complex 2 2\n1 2\n0 1\n",
+         "line 4: quantum gate '@b.mat': columns 0 and 1 are not orthonormal "
+         "(deviation 2.000e+00)"),
+        ("fuzzy", "fuzzy", "instance fuzz-mv 2 2\n0 1\n1 1/2\n",
+         "line 4: fuzzy gate '@b.mat': column 1 has minimum 1/2, expected 0"),
+        ("fuzzy-carrier", "fuzzy", "instance probability 2 2\n0 1\n1 0\n",
+         "line 4: gate file 'b.mat' uses instance probability, model fuzzy needs fuzz-mv"),
+        ("fuzzy-square", "fuzzy", "instance fuzz-mv 2 3\n0 1 1\n1 0 1\n",
+         "line 4: gate '@b.mat': matrix must be square"))],
+    *[(f"init-{name}", {"p.circ": _ONE_WIRE.format(model, f"vec {vec}", gate)},
+       ["simulate", "p.circ"], 1, message) for name, model, vec, gate, message in (
+        ("classical", "classical", "1 0", "NOT",
+         "line 3: classical programs take ket initial states"),
+        ("stochastic", "stochastic", "1/2 1/4", "NOT",
+         "line 3: initial state rejected: entries sum to 3/4, expected exactly 1"),
+        ("stochastic-length", "stochastic", "1/2 1/4 1/4", "NOT",
+         "line 3: init vec has 3 entries, expected 2"),
+        ("quantum", "quantum", "1 1", "X",
+         "line 3: initial state rejected: squared norm is 2.0, expected 1 within 1e-09"),
+        ("fuzzy", "fuzzy", "1/4 3/4", "FNOT",
+         "line 3: initial state rejected: minimum entry is 1/4, expected 0 (or all entries 1)"))],
+    ("zero-denominator-init", {"p.circ": _ONE_WIRE.format("stochastic", "vec 1/0 1", "NOT")},
+     ["simulate", "p.circ"], 2, "line 3, column 10: zero denominator in '1/0'"),
+    ("zero-denominator-gate", {"p.circ": _ONE_WIRE.format("fuzzy", "ket 0", "@b.mat"),
+                               "b.mat": "instance fuzz-mv 2 2\n0 1/0\n1 0\n"},
+     ["simulate", "p.circ"], 2, "line 2: zero denominator in '1/0'"),
+    ("fuzzy-above-one-init", {"p.circ": _ONE_WIRE.format("fuzzy", "vec 0 5/4", "FNOT")},
+     ["simulate", "p.circ"], 2, "line 3, column 12: scalar '5/4' outside [0, 1]"),
+    ("fuzzy-above-one-gate", {"p.circ": _ONE_WIRE.format("fuzzy", "ket 0", "@b.mat"),
+                              "b.mat": "instance fuzz-mv 2 2\n0 1.25\n1 0\n"},
+     ["simulate", "p.circ"], 2, "line 2: scalar '1.25' outside [0, 1]"),
+    ("long-literal-init", {"p.circ": _ONE_WIRE.format(
+        "stochastic", f"vec {_PAST_LIMIT}/{_PAST_LIMIT} 0", "NOT")}, ["simulate", "p.circ"],
+     2, f"line 3, column 10: scalar literal of {2 * _DIGITS + 3} characters is too long"),
+    ("long-decimal-gate", {"p.circ": _ONE_WIRE.format("fuzzy", "ket 0", "@b.mat"),
+                           "b.mat": f"instance fuzz-mv 2 2\n0 0.{_PAST_LIMIT}\n1 0\n"},
+     ["simulate", "p.circ"], 2, f"line 2: scalar literal of {_DIGITS + 3} characters is too long"),
+    ("long-result", {"p.circ": _ONE_WIRE.format(
+        "stochastic", f"vec 1/{_HUGE} {_HUGE - 1}/{_HUGE}", "@b.mat"),
+        "b.mat": f"instance probability 2 2\n1/{_HUGE + 2} 0\n{_HUGE + 1}/{_HUGE + 2} 1\n"},
+     ["simulate", "--trace", "p.circ"],
+     1, f"result scalar has a numerator or denominator of more than {_DIGITS} digits"),
+]
+
+
+@pytest.mark.parametrize("files, argv, code, message", [case[1:] for case in REJECTIONS],
+                         ids=[case[0] for case in REJECTIONS])
+def test_each_rejection_prints_what_the_rational_route_printed(tmp_path, capsys, files, argv,
+                                                               code, message):
+    for name, text in files.items():
+        write(tmp_path, name, text)
+    assert main([str(tmp_path / a) if a in files else a for a in argv]) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -1,6 +1,9 @@
 """The model table: every row's gates, states and lookups, and the exported names."""
 
 import importlib
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -162,3 +165,57 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+# --- the integer predicates against the rational ones -------------------------------
+
+# The standard grid, 5/4, which lies outside the fuzz-mv carrier, and -1/4,
+# which no literal writes but which makes each range check needed.
+GRID = tuple(Fraction(x) for x in ("0", "1/4", "1/3", "1/2", "2/3", "3/4", "1", "5/4", "-1/4"))
+
+
+def _verdicts(model, vectors, as_gate):
+    """Pairs (integer verdict, rational verdict) for each state or gate (a tuple of columns)."""
+    row = MODELS[model]
+    pairs = []
+    for columns in vectors:
+        rows = tuple(zip(*columns)) if as_gate else (columns,)
+        flat = [x for r in rows for x in r]
+        scale = math.lcm(*(x.denominator for x in flat))
+        numerators = [tuple(x.numerator * (scale // x.denominator) for x in r) for r in rows]
+        if as_gate:
+            integer = row.scaled.gate_ok(numerators, scale)
+        else:
+            integer = row.scaled.state_ok(numerators[0], scale)
+        try:
+            values = [tuple(row.instance.from_ratio(x.numerator, x.denominator) for x in r)
+                      for r in rows]
+        except ValueError:  # outside the carrier: no member
+            rational = False
+        else:
+            if as_gate:
+                rational = gate_violation(model, SMatrix(row.instance, values)) is None
+            else:
+                rational = state_violation(model, SVector(row.instance, values[0])) is None
+        pairs.append((integer, rational))
+    return pairs
+
+
+@pytest.mark.parametrize("model", ["stochastic", "fuzzy"])
+def test_integer_predicates_equal_the_rational_ones(model):
+    rng = random.Random(f"predicates/{model}")
+    twos, fours = list(itertools.product(GRID, repeat=2)), list(itertools.product(GRID, repeat=4))
+    members = [v for v in fours if max(v) <= 1
+               and state_violation(model, SVector(MODELS[model].instance, v)) is None]
+    ones = (Fraction(1),) * 4
+    gates2 = list(itertools.product(twos, repeat=2))  # every 2x2 matrix, all-ones included
+    # 4x4 gates: the all-ones one, and columns mostly drawn from member states,
+    # so that members occur
+    gates4 = [(ones,) * 4] + [
+        tuple(rng.choice(members if rng.random() < 0.8 else fours) for _ in range(4))
+        for _ in range(3000)]
+    for vectors, as_gate in ((twos, False), (fours + [ones], False), (gates2, True),
+                             (gates4, True)):
+        verdicts = _verdicts(model, vectors, as_gate)
+        assert all(integer == rational for integer, rational in verdicts)
+        assert {rational for _, rational in verdicts} == {True, False}  # both occur

@@ -105,6 +105,28 @@ def test_mutated_determinant_fails_singular_exhibit(monkeypatch):
     assert "singular-exhibit" in {failure[0] for failure in report.failures}
 
 
+# One mutant per remaining `stochastic-semigroup` check, each named by the
+# check it must make fail.
+SEMIGROUP_MUTANTS = [
+    # the product transposed: a product of column-stochastic matrices is
+    # then row-stochastic, which it need not be
+    ("closure", "_mm2", lambda real: lambda a, b: tuple(zip(*real(a, b)))),
+    # the range check dropped: the inverse's columns sum to 1 too
+    ("inverse-unexpectedly-stochastic", "_is_stochastic2",
+     lambda real: lambda m: all(m[0][j] + m[1][j] == 1 for j in range(2))),
+]
+
+
+@pytest.mark.parametrize("check, name, mutant", SEMIGROUP_MUTANTS,
+                         ids=[check for check, _, _ in SEMIGROUP_MUTANTS])
+def test_each_stochastic_semigroup_check_can_fail(monkeypatch, check, name, mutant):
+    healthy = check_stochastic_semigroup(grid_values("coarse"))
+    monkeypatch.setattr(verify, name, mutant(getattr(verify, name)))
+    report = check_stochastic_semigroup(grid_values("coarse"))
+    assert report.cases == healthy.cases
+    assert check in {failure[0] for failure in report.failures}
+
+
 def _uncapped_mm(a, b, n, L):
     """`_mm` without the cap at L: a sum past 1 stays past 1."""
     cols = [b[j::n] for j in range(n)]
