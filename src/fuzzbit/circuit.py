@@ -25,8 +25,8 @@ remap, and the run rewrites the window bits of that index.  Every other row
 runs its `ScaledCarrier`: the state and each step's bound matrix become
 entries over a scale (int numerators for stochastic and fuzzy, the complex
 entries themselves at scale 1 for quantum), one generic block kernel runs
-them, and each intermediate state passes the row's check on that encoding,
-which holds exactly when the carrier's check holds.  A step that multiplies
+them, and each intermediate state, decoded without building a scalar,
+passes the row's state predicate.  A step that multiplies
 the scale by more than 1 then divides the entries and the scale by their
 gcd, so a stochastic scale stays the least common denominator of the
 state.  The trace keeps the indices or entries and builds a state only when
@@ -35,11 +35,10 @@ one is read, without checking it a second time.
 Stochastic and fuzzy requests build no rational scalar from the literal to
 the printed line: `init vec` literals and `@file` matrices parse to integer
 numerators over a common scale (`ScaledVector`, `ScaledMatrix`), builtins
-are built that way, gates and the initial state pass the row's integer
-predicates, plans are bound numerator matrices, and the trace's states
+are built that way, the row's predicates read gates and states as
+numerators, plans are bound numerator matrices, and the trace's states
 keep their numerators for the CLI to print.  Rationals are built only when
-the public API reads an entry (`SVector.entries`, `GateDescriptor.matrix`)
-and to word a rejection.
+the public API reads an entry (`SVector.entries`, `GateDescriptor.matrix`).
 `simulate(vc, seed)` measures where the row measures, with the program's
 `measure seed` when `seed` is None; to start elsewhere, replace `vc.initial`.
 
@@ -77,7 +76,7 @@ from .models import (
     MODEL_NAMES,
     MODELS,
     GateDescriptor,
-    ScaledCarrier,
+    Model,
     VectorState,
     _model,
     builtin_gate,
@@ -517,39 +516,28 @@ def _step_plan(gate: GateDescriptor, targets: Sequence[int]) -> StepPlan:
     return min(targets), len(rho) - 1, tuple(inverse[perm[g]] for g in rho)
 
 
-def _decode_state(model: str, carrier: ScaledCarrier, snapshot) -> VectorState:
-    """The checked state that (entries, scale) stands for; on a snapshot that
-    failed the run's check, this raises the carrier's reason."""
-    try:
-        return VectorState(model, carrier.decode(*snapshot))
-    except (ValueError, MembershipError) as exc:  # an entry out of range, or a non-member
-        raise InternalCheckError(f"intermediate state failed membership: {exc}") from None
-
-
-def _scaled_run(vc: ValidatedCircuit, carrier: ScaledCarrier) -> list:
-    """(entries, scale) after each step, each passing the encoded state check.
+def _scaled_run(vc: ValidatedCircuit, row: Model) -> list:
+    """(entries, scale) after each step, each decoding to a state the row takes.
 
     A step whose factor is more than 1 divides the entries and the scale by
     their gcd, so a scale that grows by each gate's denominator stays the
     state's least common denominator.
     """
+    carrier = row.scaled
     scale, vector, steps = carrier.encode(vc.initial.vector, vc.plans)
     snapshots = []
     for step, (matrix, factor) in zip(vc.program.steps, steps):
         vector = mat_vec_block(matrix, min(step.wires), vector)
         scale *= factor
-        snapshot = (vector.entries, scale)
-        if not carrier.state_ok(*snapshot):
-            _decode_state(vc.program.model, carrier, snapshot)  # raises the carrier's reason
-            raise InternalCheckError("intermediate state failed membership: "
-                                     "the integer state check disagrees with the rational one")
+        reason = row.state_violation(carrier.decode(vector.entries, scale))
+        if reason is not None:
+            raise InternalCheckError(f"intermediate state failed membership: {reason}")
         if factor > 1:
             g = math.gcd(scale, *vector.entries)
             if g > 1:
                 scale //= g
                 vector = SVector(vector.instance, tuple(x // g for x in vector.entries))
-                snapshot = (vector.entries, scale)
-        snapshots.append(snapshot)
+        snapshots.append((vector.entries, scale))
     return snapshots
 
 
@@ -560,8 +548,8 @@ def simulate(vc: ValidatedCircuit, seed: int | None = None) -> SimulationTrace:
     program's `measure seed`.
     """
     program = vc.program
-    carrier = MODELS[program.model].scaled
-    if carrier is None:
+    row = MODELS[program.model]
+    if row.scaled is None:
         index = vc.initial.basis_index
         snapshots = []
         for base, mask, perm in vc.plans:
@@ -569,7 +557,7 @@ def simulate(vc: ValidatedCircuit, seed: int | None = None) -> SimulationTrace:
             index ^= (window ^ perm[window]) << base  # rewrite only the window bits
             snapshots.append(index)
     else:
-        snapshots = _scaled_run(vc, carrier)
+        snapshots = _scaled_run(vc, row)
     return SimulationTrace(program.model, program.wire_count, vc.initial, tuple(snapshots),
                            program.measure_seed if seed is None else seed)
 

@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from .circuit import (
+    MAX_DENSE_WIRES,
     SimulationTrace,
     parse_circuit,
     reversible_circuit_text,
@@ -132,13 +133,22 @@ def cmd_apply(args) -> int:
     return _print_checked(args.model, "result", _act, gate, state)
 
 
+def _tensor(a: SMatrix | SVector, b: SMatrix | SVector) -> SMatrix | SVector:
+    # the product has |a| * |b| entries: bound it by the dense-state ceiling
+    vectors = isinstance(a, SVector)
+    size = len(a) * len(b) if vectors else a.rows * a.cols * b.rows * b.cols
+    if size > 1 << MAX_DENSE_WIRES:
+        raise ValidationError(
+            f"kron results take at most {1 << MAX_DENSE_WIRES} entries, got {size}")
+    return (kron_vec if vectors else kron_mat)(a, b)
+
+
 def cmd_kron(args) -> int:
     a = _read_operand(args.a)
     b = _read_operand(args.b)
     if isinstance(a, SVector) != isinstance(b, SVector):
         raise ValidationError("kron arguments must be two states or two gates")
-    kron = kron_vec if isinstance(a, SVector) else kron_mat
-    return _print_checked(args.model, "tensor", kron, a, b)
+    return _print_checked(args.model, "tensor", _tensor, a, b)
 
 
 def _print_trace(program, trace: SimulationTrace, show_steps: bool) -> None:

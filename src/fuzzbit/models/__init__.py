@@ -14,11 +14,10 @@ row.  A dense run (`ScaledCarrier`) is how `simulate` encodes, checks and
 decodes states: stochastic and fuzzy as integer numerators over a scale,
 quantum as its complex entries at scale 1.  Classical has none and runs on
 a basis index; only quantum measures.  The row checks carrier and
-squareness; each model module states only its own property.  Stochastic
-and fuzzy builtins are `ScaledMatrix`es, like their file gates, and a
-`ScaledMatrix` gate or `ScaledVector` state passes its row's integer
-predicate without building a rational; the rational predicate words a
-rejection.  Classical
+squareness; each model module states only its own property, one
+predicate per set.  Stochastic and fuzzy builtins are `ScaledMatrix`es,
+like their file gates, and their predicates read numerators over a scale,
+so a member builds no rational.  Classical
 gates that are not invertible (AND, OR, XOR, NAND, NOR, FANOUT) appear
 through their reversible embedding: one extra target wire receives
 y XOR f(x), so every registered matrix passes its model's predicate.
@@ -33,8 +32,7 @@ from typing import Callable, Mapping, Sequence
 from ..algebra import (
     BOOLEAN, COMPLEX, FUZZ_MV, NATURAL, PROBABILITY, SemiringInstance, mv_chain)
 from ..errors import MembershipError
-from ..linalg import (
-    ScaledMatrix, ScaledVector, SMatrix, SVector, matrix_from_permutation, zeros)
+from ..linalg import ScaledMatrix, SMatrix, SVector, matrix_from_permutation, zeros
 from . import classical, fuzzy, quantum, stochastic
 
 __all__ = [
@@ -57,20 +55,16 @@ class ScaledCarrier:
     `encode(initial, plans)` gives the initial scale, the initial state's
     entries over the run's instance and, for each plan, its matrix over
     that instance and the factor by which its step multiplies the scale.
-    `state_ok(entries, scale)` holds exactly when `decode(entries, scale)`,
-    the vector over the row's carrier, passes the row's state predicate.
-    `unit` is the instance of the entries at scale 1, over which the row
-    builds its basis kets and permutation builtins.  `gate_ok(rows, scale)`,
-    for a carrier whose gates are `ScaledMatrix`es, is the gate predicate on
-    numerator rows over a scale.
+    `decode(entries, scale)` is the vector over the row's carrier, which
+    the row's state predicate checks.  `unit` is the instance of the
+    entries at scale 1, over which the row builds its basis kets and
+    permutation builtins.
     """
 
     encode: Callable[[SVector, Sequence[SMatrix]],
                      tuple[int, SVector, list[tuple[SMatrix, int]]]]
-    state_ok: Callable[[Sequence[int], int], bool]
     decode: Callable[[Sequence[int], int], SVector]
     unit: SemiringInstance
-    gate_ok: Callable[[Sequence[Sequence[int]], int], bool] | None = None
 
 
 @dataclass(frozen=True)
@@ -132,8 +126,7 @@ MODELS = {m.name: m for m in (
           lambda v: stochastic.distribution_violation(v),
           lambda m: stochastic.stochastic_violation(m),
           _scaled(PROBABILITY, _permutation_gates(NATURAL, NOT=_NOT, CNOT=_CNOT, SWAP=_SWAP)),
-          ScaledCarrier(stochastic.encode_run, stochastic.scaled_distribution_ok,
-                        stochastic.decode, NATURAL, stochastic.scaled_stochastic_ok)),
+          ScaledCarrier(stochastic.encode_run, stochastic.decode, NATURAL)),
     Model("quantum", COMPLEX,
           lambda v: quantum.state_norm_violation(v),
           lambda m: quantum.unitary_violation(m),
@@ -142,8 +135,6 @@ MODELS = {m.name: m for m in (
            "Z": functools.partial(SMatrix, COMPLEX, quantum.Z)},
           # the identity encoding at scale 1: states run as complex vectors
           ScaledCarrier(lambda initial, plans: (1, initial, [(m, 1) for m in plans]),
-                        lambda entries, scale: quantum.state_norm_violation(
-                            SVector(COMPLEX, entries)) is None,
                         lambda entries, scale: SVector(COMPLEX, entries), COMPLEX),
           lambda state, seed: quantum.measure(state, seed)),
     Model("fuzzy", FUZZ_MV,
@@ -151,8 +142,7 @@ MODELS = {m.name: m for m in (
           lambda m: fuzzy.fuzzy_gate_violation(m),
           _scaled(FUZZ_MV, {**_permutation_gates(_MV_UNIT, FID=_ID, FNOT=_NOT, FSWAP=_SWAP),
                             "FZERO": functools.partial(zeros, _MV_UNIT, 2)}),
-          ScaledCarrier(fuzzy.encode_run, fuzzy.scaled_state_ok, fuzzy.decode, _MV_UNIT,
-                        fuzzy.scaled_gate_ok)),
+          ScaledCarrier(fuzzy.encode_run, fuzzy.decode, _MV_UNIT)),
 )}
 
 MODEL_NAMES = tuple(MODELS)
@@ -172,33 +162,18 @@ def _carrier_violation(row: Model, x: SMatrix | SVector) -> str | None:
 
 
 def gate_violation(model: str, m: SMatrix) -> str | None:
-    """Why `m` is no gate of the model, or None: carrier, shape, then the row's predicate.
-
-    A `ScaledMatrix` that passes the row's integer gate predicate is a
-    member; any other verdict comes from the rational predicate.
-    """
+    """Why `m` is no gate of the model, or None: carrier, shape, then the row's predicate."""
     row = _model(model)
     reason = _carrier_violation(row, m)
     if reason is None and m.rows != m.cols:
         reason = f"not square ({m.rows}x{m.cols})"
-    if reason is None and isinstance(m, ScaledMatrix) and row.scaled.gate_ok(m.numerators,
-                                                                             m.scale):
-        return None
     return reason or row.gate_violation(m)
 
 
 def state_violation(model: str, v: SVector) -> str | None:
-    """Why `v` is no state of the model, or None: carrier, then the row's predicate.
-
-    A `ScaledVector` that passes the row's integer state predicate is a
-    member; any other verdict comes from the rational predicate.
-    """
+    """Why `v` is no state of the model, or None: carrier, then the row's predicate."""
     row = _model(model)
-    reason = _carrier_violation(row, v)
-    if reason is None and isinstance(v, ScaledVector) and row.scaled.state_ok(v.numerators,
-                                                                               v.scale):
-        return None
-    return reason or row.state_violation(v)
+    return _carrier_violation(row, v) or row.state_violation(v)
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,12 @@ swap J = [[1, 0], [0, 1]] is an involution.
 
 A request runs these programs on integers from the literal to the printed
 line: literals parse to numerators over a common denominator (see
-`linalg.ScaledMatrix`), gates and states are checked by the integer
-predicates below, and `simulate` runs over one scale L for the whole run,
-the lcm of the state's and every gate's scale: the multiples of 1/L are
-closed under min and the truncated sum (the finite MV-chain of order L), so
-no step changes the scale.  A rejection is worded by the rational
-predicate, which the integer one equals.
+`linalg.ScaledMatrix`), and `simulate` runs over one scale L for the whole
+run, the lcm of the state's and every gate's scale: the multiples of 1/L
+are closed under min and the truncated sum (the finite MV-chain of order
+L), so no step changes the scale.  Each predicate below reads its
+operand's numerators over their scale: a member builds no rational, and a
+rejection prints its values through `format_ratio`.
 """
 
 from __future__ import annotations
@@ -23,15 +23,13 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from ..algebra import FUZZ_MV, ONE, ZERO, format_rational, mv_chain, neg
+from ..algebra import FUZZ_MV, format_ratio, mv_chain, neg
 from ..linalg import ScaledMatrix, ScaledVector, SMatrix, SVector
 
 __all__ = [
     "fuzzy_state_violation",
     "fuzzy_gate_violation",
     "encode_run",
-    "scaled_state_ok",
-    "scaled_gate_ok",
     "decode",
     "complement",
 ]
@@ -39,10 +37,15 @@ __all__ = [
 
 def fuzzy_state_violation(v: SVector) -> str | None:
     """None for a vanishing minimum or all ones; the row checked the fuzz-mv carrier."""
-    low = min(v.entries)
-    if low == ZERO or all(x == ONE for x in v.entries):
+    s = ScaledVector.of(v)
+    entries, scale = s.numerators, s.scale
+    low = min(entries)
+    if (low == 0 or low == scale) and max(entries) <= scale:
         return None
-    return (f"minimum entry is {format_rational(low, 'the minimum entry')}, "
+    for i, x in enumerate(entries):
+        if not 0 <= x <= scale:  # only a faulty kernel gives one
+            return f"entry {i} is {format_ratio(x, scale, 'an entry')}, outside [0, 1]"
+    return (f"minimum entry is {format_ratio(low, scale, 'the minimum entry')}, "
             "expected 0 (or all entries 1)")
 
 
@@ -51,12 +54,19 @@ def fuzzy_gate_violation(m: SMatrix) -> str | None:
 
     `m` is square and fuzz-mv: the row (`models.gate_violation`) checks both.
     """
-    if all(x == ONE for row in m.entries for x in row):
+    s = ScaledMatrix.of(m)
+    rows, scale = s.numerators, s.scale
+    lows = [min(column) for column in zip(*rows)]
+    if max(map(max, rows)) <= scale and (min(lows) == scale or not any(lows)):
         return None
-    for j in range(m.cols):
-        low = min(m.column(j))
-        if low != ZERO:
-            return f"column {j} has minimum {format_rational(low, 'a column minimum')}, expected 0"
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if not 0 <= x <= scale:  # only a faulty kernel gives one
+                return f"entry ({i}, {j}) is {format_ratio(x, scale, 'an entry')}, outside [0, 1]"
+    for j, low in enumerate(lows):
+        if low != 0:
+            return (f"column {j} has minimum {format_ratio(low, scale, 'a column minimum')}, "
+                    "expected 0")
     return None
 
 
@@ -75,30 +85,6 @@ def encode_run(initial: SVector, plans: Sequence[SMatrix]):
     steps = [(SMatrix(chain, [rescaled(row, m.scale) for row in m.numerators]), 1)
              for m in plans]
     return scale, SVector(chain, rescaled(state.numerators, state.scale)), steps
-
-
-def scaled_state_ok(entries: Sequence[int], scale: int) -> bool:
-    """Whether entries/scale is a fuzzy state: every entry in [0, scale], and the
-    minimum is 0 or every entry is `scale`.
-
-    This is exactly `fuzzy_state_violation(decode(entries, scale)) is None`,
-    where reading the decoded entries rejects one outside [0, scale].
-    """
-    low = min(entries)
-    return (low == 0 or low == scale) and max(entries) <= scale
-
-
-def scaled_gate_ok(rows: Sequence[Sequence[int]], scale: int) -> bool:
-    """Whether rows/scale is a fuzzy gate: every entry in [0, scale], and every
-    column's minimum 0 or every entry `scale` (the all-ones matrix).
-
-    This is exactly `fuzzy_gate_violation` of the matrix rows/scale
-    returning None, where building that matrix rejects an entry outside
-    [0, scale].
-    """
-    if max(map(max, rows)) > scale:
-        return False
-    return min(map(min, rows)) == scale or all(min(column) == 0 for column in zip(*rows))
 
 
 def decode(entries: Sequence[int], scale: int) -> SVector:

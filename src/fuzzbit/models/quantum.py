@@ -39,7 +39,10 @@ def state_norm_violation(v: SVector) -> str | None:
     for i, a in enumerate(v.entries):
         if not (math.isfinite(a.real) and math.isfinite(a.imag)):
             return f"entry {i} is not finite"
-    norm_sq = sum(abs(a) ** 2 for a in v.entries)
+    try:
+        norm_sq = sum(abs(a) ** 2 for a in v.entries)
+    except OverflowError:  # a finite entry such as 1e200: the norm is past any double
+        norm_sq = math.inf
     if abs(norm_sq - 1.0) > COMPLEX_TOL:
         return f"squared norm is {norm_sq!r}, expected 1 within {COMPLEX_TOL}"
     return None

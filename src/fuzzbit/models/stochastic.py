@@ -7,57 +7,67 @@ a semigroup rather than a group.
 
 A request runs these programs on integers from the literal to the printed
 line: literals parse to numerators over a common denominator (see
-`linalg.ScaledMatrix`), gates and states are checked by the integer
-predicates below, and a gate G/g acting on a state s/D gives (G s)/(g D).
-The scale of the state grows by each gate's common denominator; `simulate`
-then divides the numerators and the scale by their gcd, so the scale stays
-the least common denominator of the state's entries.  A rejection is worded
-by the rational predicate, which the integer one equals.
+`linalg.ScaledMatrix`), and a gate G/g acting on a state s/D gives
+(G s)/(g D).  The scale of the state grows by each gate's common
+denominator; `simulate` then divides the numerators and the scale by their
+gcd, so the scale stays the least common denominator of the state's
+entries.  Each predicate below reads its operand's numerators over their
+scale: a member builds no rational, and a rejection prints its values
+through `format_ratio`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
-from ..algebra import NATURAL, PROBABILITY, format_rational
+from ..algebra import NATURAL, PROBABILITY, format_ratio
 from ..linalg import ScaledMatrix, ScaledVector, SMatrix, SVector
 
 __all__ = [
     "stochastic_violation",
     "distribution_violation",
     "encode_run",
-    "scaled_distribution_ok",
-    "scaled_stochastic_ok",
     "decode",
 ]
 
 
 def distribution_violation(v: SVector) -> str | None:
-    """None if `v` is a distribution, else why not; the row checked its carrier."""
-    for i, x in enumerate(v.entries):
-        if not 0 <= x <= 1:
-            return f"entry {i} is {format_rational(x, 'an entry')}, outside [0, 1]"
-    total = sum(v.entries, Fraction(0))
-    if total != 1:
-        return (f"entries sum to {format_rational(total, 'the sum of the entries')}, "
-                "expected exactly 1")
-    return None
+    """None if `v` is a distribution, else why not; the row checked its carrier.
+
+    Read as numerators over a scale: a nonnegative sum equal to the scale
+    bounds every entry by it, so a member is decided without a rational.
+    """
+    s = ScaledVector.of(v)
+    entries, scale = s.numerators, s.scale
+    if min(entries) >= 0 and sum(entries) == scale:
+        return None
+    for i, x in enumerate(entries):
+        if not 0 <= x <= scale:
+            return f"entry {i} is {format_ratio(x, scale, 'an entry')}, outside [0, 1]"
+    return (f"entries sum to {format_ratio(sum(entries), scale, 'the sum of the entries')}, "
+            "expected exactly 1")
 
 
 def stochastic_violation(m: SMatrix) -> str | None:
     """None if `m` is column-stochastic, else the reason it is not.
 
-    `m` is square and probability: the row (`models.gate_violation`) checks both.
+    `m` is square and probability: the row (`models.gate_violation`) checks
+    both.  As for states, nonnegative numerators whose every column sums to
+    the scale decide a member without a rational.
     """
-    for i, row in enumerate(m.entries):
+    s = ScaledMatrix.of(m)
+    rows, scale = s.numerators, s.scale
+    columns = list(zip(*rows))
+    if min(map(min, rows)) >= 0 and all(sum(column) == scale for column in columns):
+        return None
+    for i, row in enumerate(rows):
         for j, x in enumerate(row):
-            if not 0 <= x <= 1:
-                return f"entry ({i}, {j}) is {format_rational(x, 'an entry')}, outside [0, 1]"
-    for j in range(m.cols):
-        total = sum(m.column(j), Fraction(0))
-        if total != 1:
-            return (f"column {j} sums to {format_rational(total, f'the sum of column {j}')}, "
+            if not 0 <= x <= scale:
+                return f"entry ({i}, {j}) is {format_ratio(x, scale, 'an entry')}, outside [0, 1]"
+    for j, column in enumerate(columns):
+        total = sum(column)
+        if total != scale:
+            return (f"column {j} sums to {format_ratio(total, scale, f'the sum of column {j}')}, "
                     "expected exactly 1")
     return None
 
@@ -69,25 +79,6 @@ def encode_run(initial: SVector, plans: Sequence[SMatrix]):
     state = ScaledVector.of(initial)
     steps = [(SMatrix(NATURAL, m.numerators), m.scale) for m in map(ScaledMatrix.of, plans)]
     return state.scale, SVector(NATURAL, state.numerators), steps
-
-
-def scaled_distribution_ok(entries: Sequence[int], scale: int) -> bool:
-    """Whether entries/scale is a distribution: each entry in [0, scale], sum scale.
-
-    A nonnegative sum of `scale` bounds every entry by it, so this is
-    exactly `distribution_violation(decode(entries, scale)) is None`.
-    """
-    return min(entries) >= 0 and sum(entries) == scale
-
-
-def scaled_stochastic_ok(rows: Sequence[Sequence[int]], scale: int) -> bool:
-    """Whether rows/scale is column-stochastic: entries nonnegative, columns sum to scale.
-
-    As for states, a nonnegative column sum of `scale` bounds each entry of
-    the column by it, so this is exactly `stochastic_violation` of the
-    matrix rows/scale returning None.
-    """
-    return min(map(min, rows)) >= 0 and all(sum(column) == scale for column in zip(*rows))
 
 
 def decode(entries: Sequence[int], scale: int) -> SVector:

@@ -201,6 +201,43 @@ def test_dense_wire_limit(tmp_path, capsys, monkeypatch):
     assert f"at most {MAX_DENSE_WIRES} wires" in capsys.readouterr().err
 
 
+def test_kron_result_limit(tmp_path, capsys, monkeypatch):
+    limit = 1 << MAX_DENSE_WIRES
+    column = write(tmp_path, "c.mat", "instance probability 256 1\n" + "1/256\n" * 256)
+    assert main(["kron", "stochastic", column, column]) == 0  # exactly the limit
+    assert capsys.readouterr() == (" ".join(["1/65536"] * limit) + "\n", "")
+
+    def no_product(a, b):
+        raise AssertionError("a result past the limit must not be built")
+
+    monkeypatch.setattr("fuzzbit.cli.kron_vec", no_product)
+    monkeypatch.setattr("fuzzbit.cli.kron_mat", no_product)
+    longer = write(tmp_path, "d.mat", "instance probability 257 1\n" + "1/257\n" * 257)
+    assert main(["kron", "stochastic", column, longer]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: kron results take at most {limit} entries, got {256 * 257}\n")
+    gate = write(tmp_path, "g.mat", serialize_matrix(identity(FUZZ_MV, 32), FUZZ_MV.format))
+    assert main(["kron", "fuzzy", gate, gate]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: kron results take at most {limit} entries, got {32 ** 4}\n")
+
+
+# A finite amplitude whose square is past the largest double: the squared
+# norm is inf, not an OverflowError.
+@pytest.mark.parametrize("argv, files, output", [
+    ("check quantum q.mat", {"q.mat": "instance complex 2 1\n1e200\n0\n"},
+     ("fail squared norm is inf, expected 1 within 1e-09\n", "")),
+    ("simulate q.circ", {"q.circ": "model quantum\nwires 1\ninit vec 1e200 0\ngate H 0\n"},
+     ("", "error: line 3: initial state rejected: "
+          "squared norm is inf, expected 1 within 1e-09\n")),
+], ids=["check", "simulate"])
+def test_an_overflowing_quantum_norm_is_a_domain_error(tmp_path, capsys, argv, files, output):
+    for name, text in files.items():
+        write(tmp_path, name, text)
+    assert main([str(tmp_path / a) if a in files else a for a in argv.split()]) == 1
+    assert capsys.readouterr() == output
+
+
 def test_simulate_seed_rules(tmp_path, capsys):
     fuzzy = write(tmp_path, "f.circ", "model fuzzy\nwires 1\ninit ket 0\ngate FNOT 0\n")
     assert main(["simulate", fuzzy, "--seed", "4"]) == 1
@@ -624,29 +661,18 @@ def test_each_circuit_parse_error(tmp_path, capsys, text, message):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
-def _break_the_run(monkeypatch, how):
-    """Make the scaled run of a dense program fail one of its two self-checks."""
-    if how == "numerator-out-of-range":
-        # numerators 0 and L + 1 over the scale L pass no state check and decode to no state
-        monkeypatch.setattr("fuzzbit.circuit.mat_vec_block", lambda a, base, v: SVector(
-            v.instance, (0,) + (v.instance.zero + 1,) * (len(v) - 1)))
-    else:
-        # an integer check that rejects every state, over states the rational check takes
-        row = MODELS["stochastic"]
-        monkeypatch.setitem(MODELS, "stochastic", dataclasses.replace(
-            row, scaled=dataclasses.replace(row.scaled, state_ok=lambda entries, scale: False)))
-
-
-@pytest.mark.parametrize("how, text, message", [
-    ("numerator-out-of-range", "model fuzzy\nwires 1\ninit vec 0 1/2\ngate FNOT 0\n",
-     "intermediate state failed membership: scalar 3/2 outside [0, 1]"),
-    ("checks-disagree", "model stochastic\nwires 1\ninit vec 1/3 2/3\ngate NOT 0\n",
-     "intermediate state failed membership: "
-     "the integer state check disagrees with the rational one"),
-], ids=["numerator-out-of-range", "checks-disagree"])
-def test_scaled_run_self_checks_exit_3(tmp_path, capsys, monkeypatch, how, text, message):
+@pytest.mark.parametrize("text, message", [
+    ("model fuzzy\nwires 1\ninit vec 0 1/2\ngate FNOT 0\n",
+     "intermediate state failed membership: entry 1 is 3/2, outside [0, 1]"),
+    ("model stochastic\nwires 1\ninit vec 1/3 2/3\ngate NOT 0\n",
+     "intermediate state failed membership: entries sum to 1/3, expected exactly 1"),
+], ids=["numerator-out-of-range", "stochastic-kernel"])
+def test_scaled_run_self_checks_exit_3(tmp_path, capsys, monkeypatch, text, message):
     circ = write(tmp_path, "p.circ", text)
-    _break_the_run(monkeypatch, how)
+    # numerators 0 and zero + 1: L + 1 over the fuzzy scale L (zero is L), and
+    # 1 over the stochastic scale 3, a sum that is not the scale
+    monkeypatch.setattr("fuzzbit.circuit.mat_vec_block", lambda a, base, v: SVector(
+        v.instance, (0,) + (v.instance.zero + 1,) * (len(v) - 1)))
     assert main(["simulate", circ]) == 3
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
@@ -735,10 +761,13 @@ _ONE_WIRE = "model {}\nwires 1\ninit {}\ngate {} 0\n"
 # Rejected requests and the exit code and stderr the rational route gives
 # them: cli-mix's rejections, a bad @file gate and a bad `init vec` per
 # model, and malformed, out-of-range and overlong literals.  Nothing is
-# printed on stdout.
+# printed on stdout, except by `check`, whose verdict ("fail ...") is its
+# only output.
 REJECTIONS = [
     ("header", {"a.mat": "instance fuzz-mv 2\n0 1\n1 0\n"}, ["check", "fuzzy", "a.mat"],
      2, "line 1: expected header 'instance <name> <rows> <cols>'"),
+    ("check-stochastic-range", {"a.mat": "instance probability 2 1\n5/4\n0\n"},
+     ["check", "stochastic", "a.mat"], 1, "fail entry 0 is 5/4, outside [0, 1]"),
     *[(f"scalar-{bad}", {"a.mat": f"instance probability 2 2\n1/2 {bad}\n1/2 1/2\n"},
        ["check", "stochastic", "a.mat"], 2, message) for bad, message in (
         ("abc", "line 2: malformed scalar 'abc'"),
@@ -821,4 +850,7 @@ def test_each_rejection_prints_what_the_rational_route_printed(tmp_path, capsys,
     for name, text in files.items():
         write(tmp_path, name, text)
     assert main([str(tmp_path / a) if a in files else a for a in argv]) == code
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    if message.startswith("fail "):
+        assert capsys.readouterr() == (f"{message}\n", "")
+    else:
+        assert capsys.readouterr() == ("", f"error: {message}\n")

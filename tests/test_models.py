@@ -10,7 +10,7 @@ import pytest
 
 from fuzzbit.algebra import BOOLEAN, COMPLEX, FUZZ_MV, PROBABILITY, UnitScalar
 from fuzzbit.errors import MembershipError
-from fuzzbit.linalg import SMatrix, SVector, identity, mat_vec
+from fuzzbit.linalg import ScaledMatrix, ScaledVector, SMatrix, SVector, identity, mat_vec
 from fuzzbit.models import (
     MODEL_NAMES,
     MODELS,
@@ -167,46 +167,55 @@ def test_every_exported_name_resolves(module):
     assert missing == []
 
 
-# --- the integer predicates against the rational ones -------------------------------
+# --- the integer predicates against the rational definitions ----------------------
 
 # The standard grid, 5/4, which lies outside the fuzz-mv carrier, and -1/4,
 # which no literal writes but which makes each range check needed.
 GRID = tuple(Fraction(x) for x in ("0", "1/4", "1/3", "1/2", "2/3", "3/4", "1", "5/4", "-1/4"))
 
 
+def _in_range(values):
+    return all(0 <= x <= 1 for x in values)
+
+
+# Each set's definition over `Fraction`s, for a state (its entries) or a
+# gate (a tuple of columns): stochastic entries in [0, 1] summing to 1 per
+# state or column; fuzzy entries in [0, 1] with minimum 0, per state or
+# column, or all ones.
+ORACLES = {
+    "stochastic": (lambda v: _in_range(v) and sum(v) == 1,
+                   lambda columns: all(_in_range(c) and sum(c) == 1 for c in columns)),
+    "fuzzy": (lambda v: _in_range(v) and (min(v) == 0 or min(v) == 1),
+              lambda columns: all(map(_in_range, columns)) and (
+                  all(min(c) == 1 for c in columns) or all(min(c) == 0 for c in columns))),
+}
+
+
 def _verdicts(model, vectors, as_gate):
-    """Pairs (integer verdict, rational verdict) for each state or gate (a tuple of columns)."""
+    """Pairs (predicate verdict, definition's verdict) for each state or gate
+    (a tuple of columns), given to the predicate as numerators over a scale."""
     row = MODELS[model]
+    state_oracle, gate_oracle = ORACLES[model]
     pairs = []
     for columns in vectors:
         rows = tuple(zip(*columns)) if as_gate else (columns,)
-        flat = [x for r in rows for x in r]
-        scale = math.lcm(*(x.denominator for x in flat))
-        numerators = [tuple(x.numerator * (scale // x.denominator) for x in r) for r in rows]
+        scale = math.lcm(*(x.denominator for r in rows for x in r))
+        numerators = [[x.numerator * (scale // x.denominator) for x in r] for r in rows]
         if as_gate:
-            integer = row.scaled.gate_ok(numerators, scale)
+            verdict = row.gate_violation(ScaledMatrix(row.instance, numerators, scale))
+            pairs.append((verdict is None, gate_oracle(columns)))
         else:
-            integer = row.scaled.state_ok(numerators[0], scale)
-        try:
-            values = [tuple(row.instance.from_ratio(x.numerator, x.denominator) for x in r)
-                      for r in rows]
-        except ValueError:  # outside the carrier: no member
-            rational = False
-        else:
-            if as_gate:
-                rational = gate_violation(model, SMatrix(row.instance, values)) is None
-            else:
-                rational = state_violation(model, SVector(row.instance, values[0])) is None
-        pairs.append((integer, rational))
+            verdict = row.state_violation(ScaledVector(row.instance, numerators[0], scale))
+            pairs.append((verdict is None, state_oracle(columns)))
     return pairs
 
 
 @pytest.mark.parametrize("model", ["stochastic", "fuzzy"])
 def test_integer_predicates_equal_the_rational_ones(model):
     rng = random.Random(f"predicates/{model}")
+    state_oracle = ORACLES[model][0]
     twos, fours = list(itertools.product(GRID, repeat=2)), list(itertools.product(GRID, repeat=4))
-    members = [v for v in fours if max(v) <= 1
-               and state_violation(model, SVector(MODELS[model].instance, v)) is None]
+    members = [v for v in fours if state_oracle(v)]
     ones = (Fraction(1),) * 4
     gates2 = list(itertools.product(twos, repeat=2))  # every 2x2 matrix, all-ones included
     # 4x4 gates: the all-ones one, and columns mostly drawn from member states,
@@ -217,5 +226,5 @@ def test_integer_predicates_equal_the_rational_ones(model):
     for vectors, as_gate in ((twos, False), (fours + [ones], False), (gates2, True),
                              (gates4, True)):
         verdicts = _verdicts(model, vectors, as_gate)
-        assert all(integer == rational for integer, rational in verdicts)
-        assert {rational for _, rational in verdicts} == {True, False}  # both occur
+        assert all(verdict == definition for verdict, definition in verdicts)
+        assert {definition for _, definition in verdicts} == {True, False}  # both occur
