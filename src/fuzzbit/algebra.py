@@ -52,8 +52,6 @@ __all__ = [
     "grid_values",
     "parse_nonneg_ratio",
     "parse_unit_ratio",
-    "parse_unit_scalar",
-    "parse_nonneg_rational",
     "parse_complex_scalar",
     "format_ratio",
     "format_rational",
@@ -163,16 +161,6 @@ def parse_unit_ratio(token: str) -> tuple[int, int]:
     return numerator, denominator
 
 
-def parse_unit_scalar(token: str) -> UnitScalar:
-    """Parse a rational literal that must lie in [0, 1]."""
-    return UnitScalar(*parse_unit_ratio(token))
-
-
-def parse_nonneg_rational(token: str) -> Fraction:
-    """Parse a rational literal with no upper bound (probability carrier)."""
-    return Fraction(*parse_nonneg_ratio(token))
-
-
 def parse_complex_scalar(token: str) -> complex:
     """Parse a complex literal: a, bi, or a+bi with decimal parts."""
     m = _IMAG_RE.match(token)
@@ -252,11 +240,12 @@ class SemiringInstance:
     the componentwise bound within which `linalg.equal` takes two entries as
     equal (0 for exact carriers).
 
-    The carriers of the dense exact models (probability and fuzz-mv) also
-    read a literal as a (numerator, denominator) pair with `parse_ratio`,
-    the same grammar and errors as `parse`, and build the scalar n/d with
-    `from_ratio`; `linalg` keeps their file matrices and vectors as integer
-    numerators over one scale and builds scalars only when they are read.
+    An exact carrier (every registered one but complex) has a `from_ratio`
+    that builds the scalar n/d, and its `parse` reads a literal as the
+    (numerator, denominator) pair in lowest terms; `linalg` holds its file
+    matrices and vectors as integer numerators over one scale and builds
+    scalars only when they are read.  Where `from_ratio` is None, `parse`
+    returns the scalar itself.
     """
 
     name: str
@@ -265,12 +254,11 @@ class SemiringInstance:
     zero: Any
     one: Any
     idempotent_add: bool
-    parse: Callable[[str], Any] = parse_unit_scalar
+    parse: Callable[[str], Any] = parse_unit_ratio
     format: Callable[[Any], str] = format_rational
     display: Callable[[Any], str] = format_rational
     tolerance: float = 0.0
-    parse_ratio: Callable[[str], tuple[int, int]] | None = None
-    from_ratio: Callable[[int, int], Any] | None = None
+    from_ratio: Callable[[int, int], Any] | None = UnitScalar
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SemiringInstance) and other.name == self.name
@@ -283,8 +271,7 @@ class SemiringInstance:
 
 
 FUZZ_MV = SemiringInstance("fuzz-mv", add=wedge, mul=oplus, zero=ONE, one=ZERO,
-                           idempotent_add=True, parse_ratio=parse_unit_ratio,
-                           from_ratio=UnitScalar)
+                           idempotent_add=True)
 MAX_MIN = SemiringInstance("max-min", add=vee, mul=wedge, zero=ZERO, one=ONE,
                            idempotent_add=True)
 VITERBI = SemiringInstance("viterbi", add=vee, mul=_times, zero=ZERO, one=ONE,
@@ -293,12 +280,11 @@ BOOLEAN = SemiringInstance("boolean", add=vee, mul=wedge, zero=ZERO, one=ONE,
                            idempotent_add=True)
 PROBABILITY = SemiringInstance("probability", add=operator.add, mul=operator.mul,
                                zero=Fraction(0), one=Fraction(1), idempotent_add=False,
-                               parse=parse_nonneg_rational, parse_ratio=parse_nonneg_ratio,
-                               from_ratio=Fraction)
+                               parse=parse_nonneg_ratio, from_ratio=Fraction)
 COMPLEX = SemiringInstance("complex", add=operator.add, mul=operator.mul,
                            zero=complex(0), one=complex(1), idempotent_add=False,
                            parse=parse_complex_scalar, format=format_complex_exact,
-                           display=format_complex, tolerance=COMPLEX_TOL)
+                           display=format_complex, tolerance=COMPLEX_TOL, from_ratio=None)
 
 _INSTANCES = {s.name: s for s in (FUZZ_MV, MAX_MIN, VITERBI, BOOLEAN, PROBABILITY, COMPLEX)}
 

@@ -34,7 +34,7 @@ one is read, without checking it a second time.
 
 Stochastic and fuzzy requests build no rational scalar from the literal to
 the printed line: `init vec` literals and `@file` matrices parse to integer
-numerators over a common scale (`ScaledVector`, `ScaledMatrix`), builtins
+numerators over a common scale (`linalg.literal_matrix`), builtins
 are built that way, the row's predicates read gates and states as
 numerators, plans are bound numerator matrices, and the trace's states
 keep their numerators for the CLI to print.  Rationals are built only when
@@ -61,12 +61,13 @@ from .algebra import _UINT_RE, _uint
 from .errors import InternalCheckError, MembershipError, ParseError, ValidationError
 from .linalg import (
     ScaledMatrix,
-    ScaledVector,
     SMatrix,
     SVector,
+    as_vector,
     basis_vector,
     identity,
     kron_mat,
+    literal_matrix,
     mat_mul,
     mat_vec,  # noqa: F401  unused here; perfbench's tracer test patches circuit.mat_vec
     mat_vec_block,
@@ -259,16 +260,13 @@ def parse_circuit(text: str) -> CircuitProgram:
                 if len(rest) < 2:
                     raise ParseError("init vec needs at least one scalar", line_no, col)
                 instance = MODELS[model].instance
-                parse_entry = instance.parse_ratio or instance.parse
                 values = []
                 for tok, tok_col in rest[1:]:
                     try:
-                        values.append(parse_entry(tok))
+                        values.append(instance.parse(tok))
                     except ParseError as exc:
                         raise ParseError(str(exc), line_no, tok_col) from None
-                vector = (SVector(instance, values) if instance.parse_ratio is None
-                          else ScaledVector.from_ratios(instance, values))
-                init = ("vec", vector, line_no)
+                init = ("vec", as_vector(literal_matrix(instance, [values], line_no)), line_no)
             else:
                 raise ParseError(f"unknown init kind {kind!r}", line_no, rest[0][1])
         elif word == "gate":

@@ -10,8 +10,9 @@ row per line.  The dimensions are ASCII digits.  Entries are read and
 written by the header instance's own `parse` and `format`; this module
 does not know which carriers exist.
 
-A carrier that reads literals as (numerator, denominator) pairs (its
-`parse_ratio`) is parsed into a `ScaledMatrix`: the entries' integer
+An exact carrier (one with a `from_ratio`) parses literals as (numerator,
+denominator) pairs, which `literal_matrix`, the one builder for files and
+`init vec`, bounds and holds as a `ScaledMatrix`: the entries' integer
 numerators over their least common denominator, the scale.  A
 `ScaledMatrix` or `ScaledVector` is an `SMatrix` or `SVector` whose entries
 are built from the numerators on first read, so code that needs only the
@@ -29,7 +30,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from .algebra import (
     _UINT_RE, SemiringInstance, _uint, common_denominator, make_instance, numerators)
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 
 __all__ = [
     "SVector",
@@ -46,6 +47,7 @@ __all__ = [
     "matrix_from_permutation",
     "basis_vector",
     "equal",
+    "literal_matrix",
     "parse_matrix_text",
     "serialize_matrix",
     "as_vector",
@@ -105,13 +107,6 @@ class ScaledVector(SVector):
         object.__setattr__(self, "scale", scale)
 
     @classmethod
-    def from_ratios(cls, instance: SemiringInstance,
-                    ratios: Sequence[tuple[int, int]]) -> ScaledVector:
-        """The vector of the ratios n/d, over the lcm of their denominators."""
-        scale = math.lcm(*(d for _, d in ratios))
-        return cls(instance, [n * (scale // d) for n, d in ratios], scale)
-
-    @classmethod
     def of(cls, v: SVector) -> ScaledVector:
         """`v` itself, or its exact rational entries over their common denominator."""
         if isinstance(v, ScaledVector):
@@ -151,9 +146,8 @@ class ScaledMatrix(SMatrix):
 
     @classmethod
     def from_ratios(cls, instance: SemiringInstance,
-                    rows: Sequence[Sequence[tuple[int, int]]]) -> ScaledMatrix:
-        """The matrix of the ratios n/d, over the lcm of all their denominators."""
-        scale = math.lcm(*(d for row in rows for _, d in row))
+                    rows: Sequence[Sequence[tuple[int, int]]], scale: int) -> ScaledMatrix:
+        """The matrix of the ratios n/d over `scale`, a multiple of every d."""
         return cls(instance, [[n * (scale // d) for n, d in row] for row in rows], scale)
 
     @classmethod
@@ -322,6 +316,30 @@ def equal(a, b) -> bool:
 
 # --- text format --------------------------------------------------------------
 
+def literal_matrix(s: SemiringInstance, rows: Sequence[Sequence],
+                   line: int | None = None) -> SMatrix:
+    """The matrix of the literals `s.parse` read: the entries themselves, or,
+    for an exact carrier, (n, d) pairs held over the lcm of every d.
+
+    The entry count times that scale's bits may be at most 64 times the bits
+    of all n, d and one separator each; past that, a ValidationError (at
+    `line`) stops the lcm, which grows one distinct d at a time, before any
+    numerator is multiplied out.
+    """
+    if s.from_ratio is None:
+        return SMatrix(s, rows)
+    numerators, denominators = zip(*itertools.chain.from_iterable(rows))
+    count = len(denominators)
+    limit = 64 * (sum(map(int.bit_length, numerators + denominators)) + count) // count
+    scale = 1
+    for d in set(denominators):
+        scale = math.lcm(scale, d)
+        if scale.bit_length() > limit:
+            raise ValidationError(f"the common denominator of {count} exact literals "
+                                  f"passes {limit} bits, 64 times their mean size", line)
+    return ScaledMatrix.from_ratios(s, rows, scale)
+
+
 def parse_matrix_text(text: str) -> SMatrix:
     lines = [(i + 1, line.strip()) for i, line in enumerate(text.splitlines())]
     lines = [(n, line) for n, line in lines if line]
@@ -343,7 +361,6 @@ def parse_matrix_text(text: str) -> SMatrix:
     body = lines[1:]
     if len(body) != rows:
         raise ParseError(f"expected {rows} rows, found {len(body)}", line=header_no)
-    parse_entry = s.parse_ratio or s.parse
     grid = []
     for line_no, line in body:
         tokens = line.split()
@@ -352,13 +369,11 @@ def parse_matrix_text(text: str) -> SMatrix:
         row = []
         for tok in tokens:
             try:
-                row.append(parse_entry(tok))
+                row.append(s.parse(tok))
             except ParseError as exc:
                 raise ParseError(str(exc), line=line_no) from None
-        grid.append(tuple(row))
-    if s.parse_ratio is not None:
-        return ScaledMatrix.from_ratios(s, grid)
-    return SMatrix(s, tuple(grid))
+        grid.append(row)
+    return literal_matrix(s, grid)
 
 
 def serialize_matrix(m: SMatrix, fmt: Callable[[Any], str] | None = None) -> str:

@@ -20,8 +20,8 @@ from fuzzbit.algebra import (
     odot,
     oplus,
     parse_complex_scalar,
-    parse_nonneg_rational,
-    parse_unit_scalar,
+    parse_nonneg_ratio,
+    parse_unit_ratio,
     vee,
     wedge,
 )
@@ -77,21 +77,21 @@ def test_instance_registry_and_equality():
         make_instance("tropical")
 
 
-def test_parse_unit_scalar():
-    assert parse_unit_scalar("3/4") == U(3, 4)
-    assert parse_unit_scalar("0.25") == U(1, 4)
-    assert parse_unit_scalar("1") == 1
-    assert parse_unit_scalar("0") == 0
+def test_parse_unit_ratio():
+    assert parse_unit_ratio("3/4") == (3, 4)
+    assert parse_unit_ratio("0.25") == (1, 4)
+    assert parse_unit_ratio("1") == (1, 1)
+    assert parse_unit_ratio("0") == (0, 1)
     for bad in ("5/4", "1/0", "-1/4", "abc", "0.2.3", "1 /2", ""):
         with pytest.raises(ParseError):
-            parse_unit_scalar(bad)
+            parse_unit_ratio(bad)
 
 
-def test_parse_nonneg_rational():
-    assert parse_nonneg_rational("7/2") == Fraction(7, 2)
-    assert parse_nonneg_rational("2.5") == Fraction(5, 2)
+def test_parse_nonneg_ratio():
+    assert parse_nonneg_ratio("7/2") == (7, 2)
+    assert parse_nonneg_ratio("2.5") == (5, 2)
     with pytest.raises(ParseError):
-        parse_nonneg_rational("-1")
+        parse_nonneg_ratio("-1")
 
 
 def test_parse_complex_scalar():
@@ -108,7 +108,7 @@ def test_parse_complex_scalar():
 
 def test_format_rational_round_trip():
     for x in GRID:
-        assert parse_unit_scalar(format_rational(x)) == x
+        assert U(*parse_unit_ratio(format_rational(x))) == x
 
 
 def test_format_complex_significant_digits():

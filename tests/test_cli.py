@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import io
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -21,6 +22,7 @@ from fuzzbit.algebra import FUZZ_MV
 from fuzzbit.circuit import MAX_DENSE_WIRES, parse_circuit
 from fuzzbit.cli import MAX_SYNTH_INPUTS, main
 from fuzzbit.linalg import (
+    ScaledMatrix,
     SMatrix,
     SVector,
     identity,
@@ -485,6 +487,79 @@ def test_oversized_sums_in_membership_messages_are_domain_errors(tmp_path, capsy
                                        f"of more than {DIGIT_LIMIT} digits\n")
 
 
+# Exact literals with distinct prime denominators: their common denominator
+# grows with the entry count, so the numerators held over it grow with its
+# square.  The bound: the entry count times the scale's bits is at most 64
+# times the bits of all the literals' (n, d) pairs, one more bit each.
+def _primes_above(low: int, count: int) -> list[int]:
+    high = low + 40 * count  # the prime gaps near 1,000 average about 7
+    sieve = bytearray([1]) * (high + 1)
+    for k in range(2, math.isqrt(high) + 1):
+        if sieve[k]:
+            sieve[k * k::k] = bytes(len(range(k * k, high + 1, k)))
+    return [k for k in range(low + 1, high + 1) if sieve[k]][:count]
+
+
+PRIMES = _primes_above(1000, 256)
+
+
+def _bound_bits(ratios) -> int:
+    """The most bits the common denominator of the (n, d) pairs may take."""
+    return 64 * sum(n.bit_length() + d.bit_length() + 1 for n, d in ratios) // len(ratios)
+
+
+def _column(instance: str, tokens) -> str:
+    return f"instance {instance} {len(tokens)} 1\n" + "".join(f"{t}\n" for t in tokens)
+
+
+_PAST_BOUND = [f"1/{p}" for p in PRIMES]
+
+
+@pytest.mark.parametrize("argv, files, prefix", [
+    ("check stochastic a.mat",
+     {"a.mat": "instance probability 16 16\n" + "".join(
+         " ".join(_PAST_BOUND[16 * i:16 * i + 16]) + "\n" for i in range(16))}, ""),
+    ("check classical a.mat", {"a.mat": _column("boolean", _PAST_BOUND)}, ""),
+    ("simulate p.circ",
+     {"p.circ": "model stochastic\nwires 8\ninit vec " + " ".join(_PAST_BOUND) + "\n"},
+     "line 3: "),
+], ids=["probability-matrix", "boolean-column", "init-vec"])
+def test_an_exact_scale_past_the_bound_is_a_domain_error(tmp_path, capsys, monkeypatch, argv,
+                                                         files, prefix):
+    def multiplied_out(*args):
+        pytest.fail("numerators multiplied out past the bound")
+
+    monkeypatch.setattr(ScaledMatrix, "from_ratios", classmethod(multiplied_out))
+    for name, text in files.items():
+        write(tmp_path, name, text)
+    assert main([str(tmp_path / a) if a in files else a for a in argv.split()]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(
+        f"error: {prefix}the common denominator of 256 exact literals passes ")
+    assert err.endswith(" bits, 64 times their mean size\n")
+
+
+def test_an_exact_scale_just_inside_the_bound_still_works(tmp_path, capsys):
+    def state(k):  # a fuzzy state: 0, then 1/p for each of the first k primes
+        return ["0"] + [f"1/{p}" for p in PRIMES[:k]]
+
+    def ratios(k):
+        return [(0, 1)] + [(1, p) for p in PRIMES[:k]]
+
+    k = next(k for k in range(len(PRIMES))
+             if math.prod(PRIMES[:k + 1]).bit_length() > _bound_bits(ratios(k + 1)))
+    assert k > 40  # the bound is far from the first few literals
+    inside = write(tmp_path, "inside.mat", _column("fuzz-mv", state(k)))
+    assert main(["check", "fuzzy", inside]) == 0
+    assert capsys.readouterr() == ("ok\n", "")
+    past = write(tmp_path, "past.mat", _column("fuzz-mv", state(k + 1)))
+    assert main(["check", "fuzzy", past]) == 1
+    assert capsys.readouterr() == ("", f"error: the common denominator of {k + 2} exact "
+                                       f"literals passes {_bound_bits(ratios(k + 1))} "
+                                       "bits, 64 times their mean size\n")
+
+
 def test_non_utf8_input_exits_2(tmp_path, capsys):
     circ = tmp_path / "bad.circ"
     circ.write_bytes(b"model fuzzy\nwires 1\ninit ket 0\ngate FNOT \xff\n")
@@ -697,7 +772,7 @@ def test_a_non_member_result_exits_3(tmp_path, capsys, monkeypatch, argv, kernel
     files = {"fid.mat": FID_TEXT, "v.mat": "instance fuzz-mv 2 1\n0\n1\n"}
     for name, text in files.items():
         write(tmp_path, name, text)
-    half = FUZZ_MV.parse("1/2")
+    half = FUZZ_MV.from_ratio(1, 2)
     if kernel == "mat_vec":
         monkeypatch.setattr("fuzzbit.cli.mat_vec", lambda g, v: SVector(FUZZ_MV, (half, half)))
     else:
@@ -760,14 +835,30 @@ _ONE_WIRE = "model {}\nwires 1\ninit {}\ngate {} 0\n"
 
 # Rejected requests and the exit code and stderr the rational route gives
 # them: cli-mix's rejections, a bad @file gate and a bad `init vec` per
-# model, and malformed, out-of-range and overlong literals.  Nothing is
-# printed on stdout, except by `check`, whose verdict ("fail ...") is its
-# only output.
+# model, and malformed, out-of-range and overlong literals; and boolean
+# files, rejected and accepted, which parse to numerators like the others.
+# Nothing is printed on stdout, except by `check`, whose verdict ("fail
+# ...") is its only output, and by an accepted request (exit 0).
+_CNOT_TEXT = "instance boolean 4 4\n1 0 0 0\n0 1 0 0\n0 0 0 1\n0 0 1 0\n"
 REJECTIONS = [
     ("header", {"a.mat": "instance fuzz-mv 2\n0 1\n1 0\n"}, ["check", "fuzzy", "a.mat"],
      2, "line 1: expected header 'instance <name> <rows> <cols>'"),
     ("check-stochastic-range", {"a.mat": "instance probability 2 1\n5/4\n0\n"},
      ["check", "stochastic", "a.mat"], 1, "fail entry 0 is 5/4, outside [0, 1]"),
+    ("check-classical-half", {"a.mat": "instance boolean 2 2\n1/2 0\n0 1\n"},
+     ["check", "classical", "a.mat"], 1, "fail entry (0, 0) is 1/2, expected 0 or 1"),
+    ("check-classical-range", {"a.mat": "instance boolean 2 1\n5/4\n0\n"},
+     ["check", "classical", "a.mat"], 2, "line 2: scalar '5/4' outside [0, 1]"),
+    ("check-classical-ones", {"a.mat": "instance boolean 2 1\n1\n1\n"},
+     ["check", "classical", "a.mat"], 1, "fail basis vector needs exactly one 1, found 2"),
+    ("apply-classical", {"g.mat": "instance boolean 2 2\n0 1\n1 0\n",
+                         "v.mat": "instance boolean 2 1\n1\n0\n"},
+     ["apply", "classical", "g.mat", "v.mat"], 0, "0 1"),
+    ("kron-classical", {"a.mat": "instance boolean 2 2\n0 1\n1 0\n", "b.mat": _CNOT_TEXT},
+     ["kron", "classical", "a.mat", "b.mat"], 0,
+     "instance boolean 8 8\n0 0 0 0 1 0 0 0\n0 0 0 0 0 1 0 0\n0 0 0 0 0 0 0 1\n"
+     "0 0 0 0 0 0 1 0\n1 0 0 0 0 0 0 0\n0 1 0 0 0 0 0 0\n0 0 0 1 0 0 0 0\n"
+     "0 0 1 0 0 0 0 0"),
     *[(f"scalar-{bad}", {"a.mat": f"instance probability 2 2\n1/2 {bad}\n1/2 1/2\n"},
        ["check", "stochastic", "a.mat"], 2, message) for bad, message in (
         ("abc", "line 2: malformed scalar 'abc'"),
@@ -850,7 +941,7 @@ def test_each_rejection_prints_what_the_rational_route_printed(tmp_path, capsys,
     for name, text in files.items():
         write(tmp_path, name, text)
     assert main([str(tmp_path / a) if a in files else a for a in argv]) == code
-    if message.startswith("fail "):
+    if code == 0 or message.startswith("fail "):
         assert capsys.readouterr() == (f"{message}\n", "")
     else:
         assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -1,13 +1,18 @@
 """Generic semiring vectors/matrices and the matrix text format."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from fuzzbit.algebra import (
-    BOOLEAN, COMPLEX, FUZZ_MV, MAX_MIN, PROBABILITY, VITERBI, UnitScalar)
+    BOOLEAN, COMPLEX, FUZZ_MV, MAX_MIN, PROBABILITY, VITERBI, UnitScalar, make_instance)
+from fuzzbit.circuit import parse_circuit
+from fuzzbit.models import MODELS
 from fuzzbit.errors import ParseError
 from fuzzbit.linalg import (
+    ScaledMatrix,
+    ScaledVector,
     SMatrix,
     SVector,
     as_vector,
@@ -163,3 +168,38 @@ def test_as_vector():
     assert as_vector(row) == as_vector(col) == fvec(0, 1, 1)
     with pytest.raises(ValueError):
         as_vector(identity(FUZZ_MV, 2))
+
+
+
+# Every registered carrier's literals through the one literal route: a matrix
+# file and, for a model's carrier, an `init vec`.  The oracle reads each token
+# with `Fraction` or `complex`, not with the package's grammar.
+_EXACT_LITERALS = ("0", "1", "1/2", "2/4", "0.25", "3/3")
+_LITERALS = {"probability": _EXACT_LITERALS + ("7/2",),
+             "complex": ("0", "1", "0.25", "0.5-1.5i")}
+
+
+@pytest.mark.parametrize("name", ["fuzz-mv", "max-min", "viterbi", "boolean", "probability",
+                                  "complex"])
+def test_each_carrier_reads_its_literals_through_one_route(name):
+    s = make_instance(name)
+    tokens = _LITERALS.get(name, _EXACT_LITERALS)
+    exact = name != "complex"
+    expected = tuple(Fraction(t) if exact else complex(t.replace("i", "j")) for t in tokens)
+    text = " ".join(tokens)
+    m = parse_matrix_text(f"instance {name} 2 {len(tokens)}\n{text}\n"
+                          f"{' '.join(reversed(tokens))}\n")
+    assert m.instance == s and m.entries == (expected, expected[::-1])
+    vectors = [parse_circuit(f"model {row.name}\nwires 1\ninit vec {text}\n").init_values
+               for row in MODELS.values() if row.instance == s]
+    for v in vectors:
+        assert v.instance == s and v.entries == expected
+    if exact:
+        scale = math.lcm(*(x.denominator for x in expected))
+        assert isinstance(m, ScaledMatrix) and m.scale == scale
+        assert m.numerators[0] == tuple(x * scale for x in expected)
+        for v in vectors:
+            assert isinstance(v, ScaledVector) and v.scale == scale
+            assert v.numerators == m.numerators[0]
+    else:
+        assert type(m) is SMatrix and all(type(v) is SVector for v in vectors)
