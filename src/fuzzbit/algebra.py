@@ -45,8 +45,6 @@ __all__ = [
     "COMPLEX",
     "NATURAL",
     "mv_chain",
-    "common_denominator",
-    "numerators",
     "make_instance",
     "GRID_NAMES",
     "grid_values",
@@ -244,8 +242,10 @@ class SemiringInstance:
     that builds the scalar n/d, and its `parse` reads a literal as the
     (numerator, denominator) pair in lowest terms; `linalg` holds its file
     matrices and vectors as integer numerators over one scale and builds
-    scalars only when they are read.  Where `from_ratio` is None, `parse`
-    returns the scalar itself.
+    scalars only when they are read.  Where `from_ratio` is None, a
+    vector's numerators are its entries, at scale 1: complex, whose `parse`
+    returns the scalar itself, and the run instances below, which no file
+    holds.
     """
 
     name: str
@@ -292,12 +292,13 @@ _INSTANCES = {s.name: s for s in (FUZZ_MV, MAX_MIN, VITERBI, BOOLEAN, PROBABILIT
 #
 # Exact rationals that share a denominator run as Python ints: the numerators
 # over that scale.  Neither instance below is a file carrier, so neither is
-# registered for `make_instance`.
+# registered for `make_instance`, and neither has a `from_ratio`: a run's
+# entries are its ints, at scale 1.
 
 # probability numerators: a product of numerators over scales D and g is the
 # numerator of the product over the scale D * g
 NATURAL = SemiringInstance("natural", add=operator.add, mul=operator.mul, zero=0, one=1,
-                           idempotent_add=False)
+                           idempotent_add=False, from_ratio=None)
 
 
 def mv_chain(scale: int) -> SemiringInstance:
@@ -312,17 +313,7 @@ def mv_chain(scale: int) -> SemiringInstance:
         return s if s < scale else scale
 
     return SemiringInstance(f"mv-chain-{scale}", add=min, mul=mul, zero=scale, one=0,
-                            idempotent_add=True)
-
-
-def common_denominator(values) -> int:
-    """The least common multiple of the denominators of rationals (1 for none)."""
-    return math.lcm(*(x.denominator for x in values))
-
-
-def numerators(values, scale: int) -> tuple[int, ...]:
-    """x * scale for each rational x, whose denominator must divide `scale`."""
-    return tuple(x.numerator * (scale // x.denominator) for x in values)
+                            idempotent_add=True, from_ratio=None)
 
 
 def make_instance(name: str) -> SemiringInstance:

@@ -7,7 +7,7 @@ Grammar, in order, one directive per line ('#' starts a comment):
     init ket <bits>            (leftmost bit is the highest wire)
     init vec <scalars...>      (full state vector, length 2^n)
     gate <NAME|@file> <w...>   (repeated)
-    measure seed <int>         (quantum only, optional)
+    measure seed <int>         (quantum only, optional; below 2^64)
 
 Wire 0 is the least significant bit of basis indices.  A gate's wire list
 binds the gate's roles left to right, most significant first: `gate CNOT c t` puts the
@@ -37,8 +37,10 @@ the printed line: `init vec` literals and `@file` matrices parse to integer
 numerators over a common scale (`linalg.literal_matrix`), builtins
 are built that way, the row's predicates read gates and states as
 numerators, plans are bound numerator matrices, and the trace's states
-keep their numerators for the CLI to print.  Rationals are built only when
-the public API reads an entry (`SVector.entries`, `GateDescriptor.matrix`).
+keep their numerators for the CLI to print.  Each is an `SVector` or
+`SMatrix` held over its numerators, whose rationals are built only when
+the public API reads its `entries`.  An error inside an `@file` gate is
+raised at the step's line and names the file.
 `simulate(vc, seed)` measures where the row measures, with the program's
 `measure seed` when `seed` is None; to start elsewhere, replace `vc.initial`.
 
@@ -60,7 +62,6 @@ from typing import Any, Sequence, Union
 from .algebra import _UINT_RE, _uint
 from .errors import InternalCheckError, MembershipError, ParseError, ValidationError
 from .linalg import (
-    ScaledMatrix,
     SMatrix,
     SVector,
     as_vector,
@@ -100,9 +101,9 @@ __all__ = [
 ]
 
 ModelState = Union[ClassicalState, VectorState]
-# The bound matrix (a `ScaledMatrix` for stochastic and fuzzy), or for a
-# classical step (base, mask, perm): the block's lowest wire, 2^k - 1, and
-# the permutation of the block's window values.
+# The bound matrix (held as numerators over a scale), or for a classical step
+# (base, mask, perm): the block's lowest wire, 2^k - 1, and the permutation of
+# the block's window values.
 StepPlan = Union[SMatrix, tuple[int, int, tuple[int, ...]]]
 
 # A dense state holds 2^n entries, 65,536 at this limit.  Classical programs
@@ -133,10 +134,11 @@ class ValidatedCircuit:
     """A program whose gates passed their model's membership check.
 
     plans[k] is what step k applies to its wire block: the bound matrix
-    (numerators over a scale, a `ScaledMatrix`, for stochastic and fuzzy),
-    or for classical programs (base, mask, perm), the permutation of the
-    window values (index >> base) & mask.  Steps with the same (gate,
-    wires) share one descriptor and one plan.
+    (held as numerators over a scale: integers for stochastic and fuzzy,
+    the complex entries at scale 1 for quantum), or for classical programs
+    (base, mask, perm), the permutation of the window values
+    (index >> base) & mask.  Steps with the same (gate, wires) share one
+    descriptor and one plan.
     """
 
     program: CircuitProgram
@@ -168,7 +170,7 @@ class SimulationTrace:
         carrier = MODELS[self.model].scaled
         if carrier is None:
             return ClassicalState(self.wire_count, snapshot)
-        # the run checked this snapshot; a ScaledVector builds its rationals on first read
+        # the run checked this snapshot; its rationals are built on first read
         return VectorState.known_member(self.model, carrier.decode(*snapshot))
 
     @cached_property
@@ -292,6 +294,9 @@ def parse_circuit(text: str) -> CircuitProgram:
             if len(rest) != 2 or rest[0][0] != "seed" or not _UINT_RE.fullmatch(rest[1][0]):
                 raise ParseError("expected: measure seed <non-negative integer>", line_no, col)
             seed = _uint(rest[1][0], line_no, rest[1][1])
+            if seed >> 64:
+                raise ParseError("seed must fit in an unsigned 64-bit integer",
+                                 line_no, rest[1][1])
         else:
             raise ParseError(f"unknown directive {word!r}", line_no, col)
 
@@ -334,6 +339,8 @@ def _resolve_gate(program: CircuitProgram, step: GateStep, base_dir: Path) -> Ga
         except UnicodeDecodeError as exc:
             raise ParseError(f"gate file {step.gate[1:]!r} is not UTF-8: {exc.reason} "
                              f"at byte {exc.start}", step.line) from None
+        except (ParseError, ValidationError) as exc:  # each keeps its exit code
+            raise type(exc)(f"gate file {step.gate[1:]!r}: {exc}", step.line) from None
         instance = MODELS[program.model].instance
         if matrix.instance != instance:
             raise ValidationError(
@@ -449,19 +456,14 @@ def _slot_table(targets: Sequence[int], arity: int) -> list[int]:
 
 
 def _bound_matrix(gate: GateDescriptor, targets: Sequence[int]) -> SMatrix:
-    """The gate matrix re-indexed so window bit (w - base) carries wire w;
-    a `ScaledMatrix` is re-indexed on its numerators."""
+    """The gate matrix re-indexed so window bit (w - base) carries wire w,
+    on its numerators over its scale."""
     rho = _slot_table(targets, gate.arity)
     m = gate.matrix
     if all(rho[x] == x for x in range(len(rho))):
         return m
-
-    def reindexed(g):
-        return tuple(tuple(g[r][c] for c in rho) for r in rho)
-
-    if isinstance(m, ScaledMatrix):
-        return ScaledMatrix(m.instance, reindexed(m.numerators), m.scale)
-    return SMatrix(m.instance, reindexed(m.entries))
+    g = m.numerators
+    return SMatrix.over(m.instance, [[g[r][c] for c in rho] for r in rho], m.scale)
 
 
 def lift_gate(gate: GateDescriptor, targets: Sequence[int], n: int) -> SMatrix:

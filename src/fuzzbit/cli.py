@@ -34,7 +34,6 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
-    ScaledVector,
     SMatrix,
     SVector,
     as_vector,
@@ -78,9 +77,9 @@ def _read_operand(path: str) -> SMatrix | SVector:
 
 
 def _render_vector(v: SVector) -> str:
-    if isinstance(v, ScaledVector):  # exact entries print from their numerators
-        return " ".join(format_ratio(x, v.scale) for x in v.numerators)
-    return " ".join(map(v.instance.display, v.entries))
+    if v.instance.from_ratio is None:  # an inexact carrier renders its scalars
+        return " ".join(map(v.instance.display, v.entries))
+    return " ".join(format_ratio(x, v.scale) for x in v.numerators)
 
 
 def _render_state(state) -> str:

@@ -10,33 +10,29 @@ row per line.  The dimensions are ASCII digits.  Entries are read and
 written by the header instance's own `parse` and `format`; this module
 does not know which carriers exist.
 
+An `SVector` or `SMatrix` holds the form it was built from: its entries,
+or, through `over`, the integer numerators of exact entries over one
+scale.  It builds the other form once, on first read, so code that needs
+only the integers (membership checks, `simulate`, the CLI's printing)
+builds no rational scalar, and code that reads entries gets the scalars.
 An exact carrier (one with a `from_ratio`) parses literals as (numerator,
 denominator) pairs, which `literal_matrix`, the one builder for files and
-`init vec`, bounds and holds as a `ScaledMatrix`: the entries' integer
-numerators over their least common denominator, the scale.  A
-`ScaledMatrix` or `ScaledVector` is an `SMatrix` or `SVector` whose entries
-are built from the numerators on first read, so code that needs only the
-integers (membership checks, `simulate`, the CLI's printing) builds no
-rational scalar.
+`init vec`, bounds and holds over their least common denominator.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Iterable, Sequence
 
-from .algebra import (
-    _UINT_RE, SemiringInstance, _uint, common_denominator, make_instance, numerators)
+from .algebra import _UINT_RE, SemiringInstance, _uint, make_instance
 from .errors import ParseError, ValidationError
 
 __all__ = [
     "SVector",
     "SMatrix",
-    "ScaledVector",
-    "ScaledMatrix",
     "mat_mul",
     "mat_vec",
     "mat_vec_block",
@@ -54,129 +50,123 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SVector:
-    instance: SemiringInstance
-    entries: tuple
+class _Dense:
+    """Equality, hash and repr of an `SVector` or `SMatrix`: its instance and entries."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if not self.entries:
-            raise ValueError("empty vector")
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.instance == other.instance and self.entries == other.entries
 
-    def __len__(self) -> int:
-        return len(self.entries)
+    def __hash__(self) -> int:
+        return hash((self.instance, self.entries))
 
-
-@dataclass(frozen=True)
-class SMatrix:
-    instance: SemiringInstance
-    entries: tuple  # row-major tuple of row tuples
-
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
-        if not rows or not rows[0]:
-            raise ValueError("empty matrix")
-        if any(len(row) != len(rows[0]) for row in rows):
-            raise ValueError("ragged matrix")
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
-
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.entries)
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.instance!r}, {self.entries!r})"
 
 
-class ScaledVector(SVector):
-    """A vector over an exact carrier held as integer numerators over one scale.
+def _common_denominator(s: SemiringInstance, values: Iterable) -> int:
+    """The lcm of the denominators of exact scalars; 1 over an inexact carrier."""
+    return 1 if s.from_ratio is None else math.lcm(*(x.denominator for x in values))
 
-    Entry i is `instance.from_ratio(numerators[i], scale)`, built on first
-    read; the length, equality with any `SVector` and the hash are the
-    vector's.
+
+def _numerators(s: SemiringInstance, values: Iterable, scale: int) -> tuple:
+    """x * scale for each exact scalar x, whose denominator divides `scale`;
+    over an inexact carrier, the scalars themselves."""
+    if s.from_ratio is None:
+        return tuple(values)
+    return tuple(x.numerator * (scale // x.denominator) for x in values)
+
+
+class SVector(_Dense):
+    """A vector over `instance`, held as its entries or as numerators over a scale.
+
+    `SVector(instance, entries)` holds the entries; `SVector.over(instance,
+    numerators, scale)` holds the integer numerators of the entries
+    n/scale.  The other form is built once, on first read: entries through
+    `instance.from_ratio`, numerators over the lcm of the entries'
+    denominators.  Over an inexact carrier (no `from_ratio`) the numerators
+    are the entries themselves, at scale 1.
     """
 
-    def __init__(self, instance: SemiringInstance, numerators: Sequence[int], scale: int):
-        object.__setattr__(self, "instance", instance)
-        object.__setattr__(self, "numerators", tuple(numerators))
-        object.__setattr__(self, "scale", scale)
+    def __init__(self, instance: SemiringInstance, entries: Iterable):
+        self.instance = instance
+        self.entries = tuple(entries)
+        self._length = len(self.entries)
+        if not self._length:
+            raise ValueError("empty vector")
 
     @classmethod
-    def of(cls, v: SVector) -> ScaledVector:
-        """`v` itself, or its exact rational entries over their common denominator."""
-        if isinstance(v, ScaledVector):
-            return v
-        scale = common_denominator(v.entries)
-        return cls(v.instance, numerators(v.entries, scale), scale)
+    def over(cls, instance: SemiringInstance, numerators: Iterable[int],
+             scale: int) -> SVector:
+        if instance.from_ratio is None:  # its numerators are its entries
+            return cls(instance, numerators)
+        v = cls.__new__(cls)
+        v.instance, v.numerators, v.scale = instance, tuple(numerators), scale
+        v._length = len(v.numerators)
+        return v
 
     @cached_property
     def entries(self) -> tuple:
         ratio, scale = self.instance.from_ratio, self.scale
         return tuple(ratio(x, scale) for x in self.numerators)
 
+    @cached_property
+    def scale(self) -> int:
+        return _common_denominator(self.instance, self.entries)
+
+    @cached_property
+    def numerators(self) -> tuple:
+        return _numerators(self.instance, self.entries, self.scale)
+
     def __len__(self) -> int:
-        return len(self.numerators)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SVector):
-            return NotImplemented
-        return self.instance == other.instance and self.entries == other.entries
-
-    __hash__ = SVector.__hash__
+        return self._length
 
 
-class ScaledMatrix(SMatrix):
-    """A matrix over an exact carrier held as integer numerator rows over one scale.
+class SMatrix(_Dense):
+    """A matrix over `instance`, held as its rows of entries or of numerators
+    over a scale; `SMatrix.over` and the derived forms are `SVector`'s, row
+    by row."""
 
-    Entry (i, j) is `instance.from_ratio(numerators[i][j], scale)`, built on
-    first read; the shape, equality with any `SMatrix` and the hash are the
-    matrix's.
-    """
-
-    def __init__(self, instance: SemiringInstance, numerators: Sequence[Sequence[int]],
-                 scale: int):
-        object.__setattr__(self, "instance", instance)
-        object.__setattr__(self, "numerators", tuple(map(tuple, numerators)))
-        object.__setattr__(self, "scale", scale)
+    def __init__(self, instance: SemiringInstance, entries: Iterable[Iterable]):
+        self.instance = instance
+        self.entries = tuple(map(tuple, entries))  # row-major tuple of row tuples
+        self.rows, self.cols = _shape(self.entries)
 
     @classmethod
-    def from_ratios(cls, instance: SemiringInstance,
-                    rows: Sequence[Sequence[tuple[int, int]]], scale: int) -> ScaledMatrix:
-        """The matrix of the ratios n/d over `scale`, a multiple of every d."""
-        return cls(instance, [[n * (scale // d) for n, d in row] for row in rows], scale)
-
-    @classmethod
-    def of(cls, m: SMatrix) -> ScaledMatrix:
-        """`m` itself, or its exact rational entries over their common denominator."""
-        if isinstance(m, ScaledMatrix):
-            return m
-        scale = common_denominator(itertools.chain.from_iterable(m.entries))
-        return cls(m.instance, [numerators(row, scale) for row in m.entries], scale)
+    def over(cls, instance: SemiringInstance, numerators: Iterable[Iterable[int]],
+             scale: int) -> SMatrix:
+        if instance.from_ratio is None:
+            return cls(instance, numerators)
+        m = cls.__new__(cls)
+        m.instance, m.numerators, m.scale = instance, tuple(map(tuple, numerators)), scale
+        m.rows, m.cols = _shape(m.numerators)
+        return m
 
     @cached_property
     def entries(self) -> tuple:
         ratio, scale = self.instance.from_ratio, self.scale
         return tuple(tuple(ratio(x, scale) for x in row) for row in self.numerators)
 
-    @property
-    def rows(self) -> int:
-        return len(self.numerators)
+    @cached_property
+    def scale(self) -> int:
+        return _common_denominator(self.instance, itertools.chain.from_iterable(self.entries))
 
-    @property
-    def cols(self) -> int:
-        return len(self.numerators[0])
+    @cached_property
+    def numerators(self) -> tuple:
+        scale = self.scale
+        return tuple(_numerators(self.instance, row, scale) for row in self.entries)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SMatrix):
-            return NotImplemented
-        return self.instance == other.instance and self.entries == other.entries
+    def column(self, j: int) -> tuple:
+        return tuple(row[j] for row in self.entries)
 
-    __hash__ = SMatrix.__hash__
+
+def _shape(rows: tuple) -> tuple[int, int]:
+    if not rows or not rows[0]:
+        raise ValueError("empty matrix")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("ragged matrix")
+    return len(rows), len(rows[0])
 
 
 def _require_same_instance(a, b) -> SemiringInstance:
@@ -337,7 +327,8 @@ def literal_matrix(s: SemiringInstance, rows: Sequence[Sequence],
         if scale.bit_length() > limit:
             raise ValidationError(f"the common denominator of {count} exact literals "
                                   f"passes {limit} bits, 64 times their mean size", line)
-    return ScaledMatrix.from_ratios(s, rows, scale)
+    # multiplied out as `over` reads them
+    return SMatrix.over(s, ((n * (scale // d) for n, d in row) for row in rows), scale)
 
 
 def parse_matrix_text(text: str) -> SMatrix:
@@ -384,15 +375,11 @@ def serialize_matrix(m: SMatrix, fmt: Callable[[Any], str] | None = None) -> str
 
 
 def as_vector(m: SMatrix) -> SVector:
-    """Read a 1-column (or 1-row) matrix as a vector; a scaled one stays scaled."""
+    """Read a 1-column (or 1-row) matrix as a vector, over the matrix's scale."""
     if m.cols == 1:
-        def pick(rows):
-            return tuple(row[0] for row in rows)
+        numerators = tuple(row[0] for row in m.numerators)
     elif m.rows == 1:
-        def pick(rows):
-            return rows[0]
+        numerators = m.numerators[0]
     else:
         raise ValueError(f"{m.rows}x{m.cols} matrix is not a vector")
-    if isinstance(m, ScaledMatrix):
-        return ScaledVector(m.instance, pick(m.numerators), m.scale)
-    return SVector(m.instance, pick(m.entries))
+    return SVector.over(m.instance, numerators, m.scale)

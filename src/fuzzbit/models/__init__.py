@@ -15,8 +15,9 @@ decodes states: stochastic and fuzzy as integer numerators over a scale,
 quantum as its complex entries at scale 1.  Classical has none and runs on
 a basis index; only quantum measures.  The row checks carrier and
 squareness; each model module states only its own property, one
-predicate per set.  Stochastic and fuzzy builtins are `ScaledMatrix`es,
-like their file gates, and their predicates read numerators over a scale,
+predicate per set.  Stochastic and fuzzy builtins are held as numerators
+at scale 1 (`SMatrix.over`), like their file gates over theirs, and the
+classical, stochastic and fuzzy predicates read numerators over a scale,
 so a member builds no rational.  Classical
 gates that are not invertible (AND, OR, XOR, NAND, NOR, FANOUT) appear
 through their reversible embedding: one extra target wire receives
@@ -32,7 +33,7 @@ from typing import Callable, Mapping, Sequence
 from ..algebra import (
     BOOLEAN, COMPLEX, FUZZ_MV, NATURAL, PROBABILITY, SemiringInstance, mv_chain)
 from ..errors import MembershipError
-from ..linalg import ScaledMatrix, SMatrix, SVector, matrix_from_permutation, zeros
+from ..linalg import SMatrix, SVector, matrix_from_permutation, zeros
 from . import classical, fuzzy, quantum, stochastic
 
 __all__ = [
@@ -100,8 +101,8 @@ def _permutation_gates(instance: SemiringInstance,
 
 def _scaled(instance: SemiringInstance,
             gates: Mapping[str, Callable[[], SMatrix]]) -> dict[str, Callable[[], SMatrix]]:
-    """Gates built over the carrier's numerators at scale 1, held as `ScaledMatrix`es."""
-    return {name: lambda make=make: ScaledMatrix(instance, make().entries, 1)
+    """Gates built over the carrier's numerators, held over `instance` at scale 1."""
+    return {name: lambda make=make: SMatrix.over(instance, make().entries, 1)
             for name, make in gates.items()}
 
 

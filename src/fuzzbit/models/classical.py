@@ -9,9 +9,8 @@ first.  Deterministic reversible dynamics on n bits are exactly the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from ..algebra import BOOLEAN, format_rational
+from ..algebra import BOOLEAN, format_ratio
 from ..errors import MembershipError
 from ..linalg import SMatrix, SVector, matrix_from_permutation
 
@@ -94,10 +93,14 @@ def classical_gate(name: str) -> TruthTable:
 
 
 def basis_vector_violation(v: SVector) -> str | None:
-    """None if `v` is a basis vector, else why not; the row checked its boolean carrier."""
-    if any(x != 0 and x != 1 for x in v.entries):
+    """None if `v` is a basis vector, else why not; the row checked its boolean carrier.
+
+    Read as numerators over a scale, where 1 is the scale itself.
+    """
+    entries, scale = v.numerators, v.scale
+    if any(x != 0 and x != scale for x in entries):
         return "entries must be 0 or 1"
-    ones = sum(1 for x in v.entries if x == 1)
+    ones = entries.count(scale)
     if ones != 1:
         return f"basis vector needs exactly one 1, found {ones}"
     return None
@@ -109,17 +112,18 @@ def permutation_violation(m: SMatrix) -> str | None:
     """None if `m` is a permutation matrix, else a human-readable reason.
 
     `m` is square and boolean: the row (`models.gate_violation`) checks both.
+    As for states, it is read as numerators over a scale.
     """
-    zero, one = Fraction(0), Fraction(1)
-    for i, row in enumerate(m.entries):
+    rows, scale = m.numerators, m.scale
+    for i, row in enumerate(rows):
         for j, x in enumerate(row):
-            if x != zero and x != one:
-                return f"entry ({i}, {j}) is {format_rational(x, 'an entry')}, expected 0 or 1"
-        ones = sum(1 for x in row if x == one)
+            if x != 0 and x != scale:
+                return f"entry ({i}, {j}) is {format_ratio(x, scale, 'an entry')}, expected 0 or 1"
+        ones = row.count(scale)
         if ones != 1:
             return f"row {i} has {ones} ones, expected exactly 1"
-    for j in range(m.cols):
-        ones = sum(1 for x in m.column(j) if x == one)
+    for j, column in enumerate(zip(*rows)):
+        ones = column.count(scale)
         if ones != 1:
             return f"column {j} has {ones} ones, expected exactly 1"
     return None
@@ -129,10 +133,11 @@ def permutation_from_matrix(m: SMatrix) -> tuple[int, ...]:
     """perm[j] = i where column j has its single `one`: the image of basis j.
 
     `m` must be a member permutation matrix, as the bound matrix of every
-    validated `GateDescriptor` is; nothing here checks it again.
+    validated `GateDescriptor` is; nothing here checks it again.  The
+    `one` of the boolean carrier is the numerator equal to the scale.
     """
-    one = m.instance.one
-    return tuple(m.column(j).index(one) for j in range(m.cols))
+    scale = m.scale
+    return tuple(column.index(scale) for column in zip(*m.numerators))
 
 
 # --- synthesis ----------------------------------------------------------------

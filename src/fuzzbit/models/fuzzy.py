@@ -10,7 +10,7 @@ swap J = [[1, 0], [0, 1]] is an involution.
 
 A request runs these programs on integers from the literal to the printed
 line: literals parse to numerators over a common denominator (see
-`linalg.ScaledMatrix`), and `simulate` runs over one scale L for the whole
+`linalg.literal_matrix`), and `simulate` runs over one scale L for the whole
 run, the lcm of the state's and every gate's scale: the multiples of 1/L
 are closed under min and the truncated sum (the finite MV-chain of order
 L), so no step changes the scale.  Each predicate below reads its
@@ -24,7 +24,7 @@ import math
 from typing import Sequence
 
 from ..algebra import FUZZ_MV, format_ratio, mv_chain, neg
-from ..linalg import ScaledMatrix, ScaledVector, SMatrix, SVector
+from ..linalg import SMatrix, SVector
 
 __all__ = [
     "fuzzy_state_violation",
@@ -37,8 +37,7 @@ __all__ = [
 
 def fuzzy_state_violation(v: SVector) -> str | None:
     """None for a vanishing minimum or all ones; the row checked the fuzz-mv carrier."""
-    s = ScaledVector.of(v)
-    entries, scale = s.numerators, s.scale
+    entries, scale = v.numerators, v.scale
     low = min(entries)
     if (low == 0 or low == scale) and max(entries) <= scale:
         return None
@@ -54,8 +53,7 @@ def fuzzy_gate_violation(m: SMatrix) -> str | None:
 
     `m` is square and fuzz-mv: the row (`models.gate_violation`) checks both.
     """
-    s = ScaledMatrix.of(m)
-    rows, scale = s.numerators, s.scale
+    rows, scale = m.numerators, m.scale
     lows = [min(column) for column in zip(*rows)]
     if max(map(max, rows)) <= scale and (min(lows) == scale or not any(lows)):
         return None
@@ -73,9 +71,7 @@ def fuzzy_gate_violation(m: SMatrix) -> str | None:
 def encode_run(initial: SVector, plans: Sequence[SMatrix]):
     """The run over the MV-chain of order L, the lcm of the scales of the
     state and every gate; a step keeps the scale, so each factor is 1."""
-    state = ScaledVector.of(initial)
-    plans = [ScaledMatrix.of(m) for m in plans]
-    scale = math.lcm(state.scale, *(m.scale for m in plans))
+    scale = math.lcm(initial.scale, *(m.scale for m in plans))
     chain = mv_chain(scale)
 
     def rescaled(values: Sequence[int], own: int) -> Sequence[int]:
@@ -84,13 +80,13 @@ def encode_run(initial: SVector, plans: Sequence[SMatrix]):
 
     steps = [(SMatrix(chain, [rescaled(row, m.scale) for row in m.numerators]), 1)
              for m in plans]
-    return scale, SVector(chain, rescaled(state.numerators, state.scale)), steps
+    return scale, SVector(chain, rescaled(initial.numerators, initial.scale)), steps
 
 
 def decode(entries: Sequence[int], scale: int) -> SVector:
     """The fuzz-mv vector entries/scale, whose scalars are built on first read;
     reading them raises ValueError for an entry outside [0, scale]."""
-    return ScaledVector(FUZZ_MV, entries, scale)
+    return SVector.over(FUZZ_MV, entries, scale)
 
 
 def complement(v: SVector) -> SVector:

@@ -7,7 +7,7 @@ a semigroup rather than a group.
 
 A request runs these programs on integers from the literal to the printed
 line: literals parse to numerators over a common denominator (see
-`linalg.ScaledMatrix`), and a gate G/g acting on a state s/D gives
+`linalg.literal_matrix`), and a gate G/g acting on a state s/D gives
 (G s)/(g D).  The scale of the state grows by each gate's common
 denominator; `simulate` then divides the numerators and the scale by their
 gcd, so the scale stays the least common denominator of the state's
@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..algebra import NATURAL, PROBABILITY, format_ratio
-from ..linalg import ScaledMatrix, ScaledVector, SMatrix, SVector
+from ..linalg import SMatrix, SVector
 
 __all__ = [
     "stochastic_violation",
@@ -37,8 +37,7 @@ def distribution_violation(v: SVector) -> str | None:
     Read as numerators over a scale: a nonnegative sum equal to the scale
     bounds every entry by it, so a member is decided without a rational.
     """
-    s = ScaledVector.of(v)
-    entries, scale = s.numerators, s.scale
+    entries, scale = v.numerators, v.scale
     if min(entries) >= 0 and sum(entries) == scale:
         return None
     for i, x in enumerate(entries):
@@ -55,8 +54,7 @@ def stochastic_violation(m: SMatrix) -> str | None:
     both.  As for states, nonnegative numerators whose every column sums to
     the scale decide a member without a rational.
     """
-    s = ScaledMatrix.of(m)
-    rows, scale = s.numerators, s.scale
+    rows, scale = m.numerators, m.scale
     columns = list(zip(*rows))
     if min(map(min, rows)) >= 0 and all(sum(column) == scale for column in columns):
         return None
@@ -76,11 +74,10 @@ def encode_run(initial: SVector, plans: Sequence[SMatrix]):
     """The run over NATURAL: the state's numerators over their scale D, and
     each gate's numerators over its own scale g, which is the factor a step
     multiplies the scale by."""
-    state = ScaledVector.of(initial)
-    steps = [(SMatrix(NATURAL, m.numerators), m.scale) for m in map(ScaledMatrix.of, plans)]
-    return state.scale, SVector(NATURAL, state.numerators), steps
+    steps = [(SMatrix(NATURAL, m.numerators), m.scale) for m in plans]
+    return initial.scale, SVector(NATURAL, initial.numerators), steps
 
 
 def decode(entries: Sequence[int], scale: int) -> SVector:
     """The probability vector entries/scale, whose rationals are built on first read."""
-    return ScaledVector(PROBABILITY, entries, scale)
+    return SVector.over(PROBABILITY, entries, scale)

@@ -696,7 +696,11 @@ def check_stochastic_semigroup(grid) -> CheckReport:
     return report
 
 
-def check_oracle_agreement(grid, limit: int = 10000) -> CheckReport:
+# The (A, B, v) triples `check_oracle_agreement` compares, in lexicographic order.
+ORACLE_TRIPLES = 10000
+
+
+def check_oracle_agreement(grid) -> CheckReport:
     """Entrywise kernels versus the generic linear algebra, bit for bit.
 
     Each (A, B, v) triple compares mat_mul(A, B) and kron_mat(A, B) with the
@@ -708,7 +712,7 @@ def check_oracle_agreement(grid, limit: int = 10000) -> CheckReport:
     t0 = time.perf_counter()
     L, levels = _scale_grid(grid)
     report = CheckReport("oracle-agreement", 0,
-                         note=f"first {limit} (A, B, v) triples in lexicographic order")
+                         note=f"first {ORACLE_TRIPLES} (A, B, v) triples in lexicographic order")
     gates = _gates2(levels, L)
     states = _states2(levels, L)
     ident = (0, L, L, 0)
@@ -758,7 +762,7 @@ def check_oracle_agreement(grid, limit: int = 10000) -> CheckReport:
     vector_ok: dict[tuple[int, int], bool] = {}
     triples = itertools.product(range(len(gates)), range(len(gates)),
                                 range(len(states)))
-    for ai, bi, si in itertools.islice(triples, limit):
+    for ai, bi, si in itertools.islice(triples, ORACLE_TRIPLES):
         report.cases += 1
         if (ai, bi) not in pair_ok:
             pair_ok[ai, bi] = pair_agrees(ai, bi)

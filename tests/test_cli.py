@@ -22,7 +22,6 @@ from fuzzbit.algebra import FUZZ_MV
 from fuzzbit.circuit import MAX_DENSE_WIRES, parse_circuit
 from fuzzbit.cli import MAX_SYNTH_INPUTS, main
 from fuzzbit.linalg import (
-    ScaledMatrix,
     SMatrix,
     SVector,
     identity,
@@ -400,6 +399,23 @@ def test_seed_takes_only_ascii_digits(tmp_path, capsys, seed, message):
     assert capsys.readouterr().err.endswith(f"error: argument --seed: {message}\n")
 
 
+# A program's `measure seed` takes the range `--seed` takes: one past it is a
+# parse error at the seed, not a seed drawn modulo 2^64.
+@pytest.mark.parametrize("seed", [(1 << 64) - 1, 1 << 64])
+def test_a_program_seed_fits_in_64_bits(tmp_path, capsys, seed):
+    circ = write(tmp_path, "p.circ", f"model quantum\nwires 1\ninit ket 0\ngate H 0\n"
+                                     f"measure seed {seed}\n")
+    code = main(["simulate", circ])
+    out, err = capsys.readouterr()
+    if seed >> 64:
+        assert (code, out, err) == (2, "", "error: line 5, column 14: seed must fit in an "
+                                           "unsigned 64-bit integer\n")
+    else:
+        assert (code, err) == (0, "")
+        assert main(["simulate", "--seed", str(seed), circ]) == 0
+        assert capsys.readouterr() == (out, "")
+
+
 @pytest.mark.parametrize("command, name, text", [
     pytest.param("simulate", "p.circ", text, id=text) for text in (
         "model quantum\nwires ²\ninit ket 00\n",
@@ -529,7 +545,8 @@ def test_an_exact_scale_past_the_bound_is_a_domain_error(tmp_path, capsys, monke
     def multiplied_out(*args):
         pytest.fail("numerators multiplied out past the bound")
 
-    monkeypatch.setattr(ScaledMatrix, "from_ratios", classmethod(multiplied_out))
+    # `over` multiplies the numerators out as it reads them
+    monkeypatch.setattr(SMatrix, "over", classmethod(multiplied_out))
     for name, text in files.items():
         write(tmp_path, name, text)
     assert main([str(tmp_path / a) if a in files else a for a in argv.split()]) == 1
@@ -782,34 +799,40 @@ def test_a_non_member_result_exits_3(tmp_path, capsys, monkeypatch, argv, kernel
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
-# --- stochastic and fuzzy requests on integers ------------------------------------
+# --- requests on integers ----------------------------------------------------------
 
 # A stochastic and a fuzzy program, each with an `init vec` of the literals
 # 2/4, 0.25 and 1 and an @file gate, and the exact text `simulate --trace`
-# prints for them.
+# prints for them; and `check classical` of a member gate file and a member
+# state file.
+_TRACE = ["simulate", "--trace", "p.circ"]
+_CNOT_TEXT = "instance boolean 4 4\n1 0 0 0\n0 1 0 0\n0 0 0 1\n0 0 1 0\n"
 RATIONAL_REQUESTS = {
     "stochastic": (
         {"p.circ": "model stochastic\nwires 2\ninit vec 2/4 0.25 0 0.25\n"
                    "gate @g.mat 1\ngate CNOT 1 0\ngate @g.mat 0\n",
-         "g.mat": "instance probability 2 2\n1/3 1\n2/3 0\n"},
+         "g.mat": "instance probability 2 2\n1/3 1\n2/3 0\n"}, _TRACE,
         "step 0 init 1/2 1/4 0 1/4\nstep 1 @g.mat 1/6 1/3 1/3 1/6\n"
         "step 2 CNOT 1/6 1/3 1/6 1/3\nstep 3 @g.mat 7/18 1/9 7/18 1/9\n"
         "model stochastic\nwires 2\nfinal 7/18 1/9 7/18 1/9\n"),
     "fuzzy": (
         {"p.circ": "model fuzzy\nwires 2\ninit vec 2/4 0.25 0 1\n"
                    "gate @g.mat 1\ngate FSWAP 1 0\ngate @g.mat 0\n",
-         "g.mat": "instance fuzz-mv 2 2\n0 1/3\n1/2 0\n"},
+         "g.mat": "instance fuzz-mv 2 2\n0 1/3\n1/2 0\n"}, _TRACE,
         "step 0 init 1/2 1/4 0 1\nstep 1 @g.mat 1/3 1/4 0 3/4\n"
         "step 2 FSWAP 1/3 0 1/4 3/4\nstep 3 @g.mat 1/3 0 1/4 3/4\n"
         "model fuzzy\nwires 2\nfinal 1/3 0 1/4 3/4\n"),
+    "classical-gate": ({"g.mat": _CNOT_TEXT}, ["check", "classical", "g.mat"], "ok\n"),
+    "classical-state": ({"v.mat": "instance boolean 4 1\n0\n0\n1\n0\n"},
+                        ["check", "classical", "v.mat"], "ok\n"),
 }
 
 
-@pytest.mark.parametrize("model", sorted(RATIONAL_REQUESTS))
-def test_rational_requests_enter_no_fraction_code(tmp_path, capsys, model):
+@pytest.mark.parametrize("name", sorted(RATIONAL_REQUESTS))
+def test_rational_requests_enter_no_fraction_code(tmp_path, capsys, name):
     import fractions
 
-    files, expected = RATIONAL_REQUESTS[model]
+    files, argv, expected = RATIONAL_REQUESTS[name]
     for name, text in files.items():
         write(tmp_path, name, text)
     builtin_gate.cache_clear()  # so that the builtins are built inside the request
@@ -821,7 +844,7 @@ def test_rational_requests_enter_no_fraction_code(tmp_path, capsys, model):
 
     sys.setprofile(profile)
     try:
-        code = main(["simulate", "--trace", str(tmp_path / "p.circ")])
+        code = main([str(tmp_path / a) if a in files else a for a in argv])
     finally:
         sys.setprofile(None)
     assert (code, capsys.readouterr()) == (0, (expected, ""))
@@ -837,9 +860,9 @@ _ONE_WIRE = "model {}\nwires 1\ninit {}\ngate {} 0\n"
 # them: cli-mix's rejections, a bad @file gate and a bad `init vec` per
 # model, and malformed, out-of-range and overlong literals; and boolean
 # files, rejected and accepted, which parse to numerators like the others.
-# Nothing is printed on stdout, except by `check`, whose verdict ("fail
+# An error inside an @file gate names the step's line and the file, then
+# the file's own line.  Nothing is printed on stdout, except by `check`, whose verdict ("fail
 # ...") is its only output, and by an accepted request (exit 0).
-_CNOT_TEXT = "instance boolean 4 4\n1 0 0 0\n0 1 0 0\n0 0 0 1\n0 0 1 0\n"
 REJECTIONS = [
     ("header", {"a.mat": "instance fuzz-mv 2\n0 1\n1 0\n"}, ["check", "fuzzy", "a.mat"],
      2, "line 1: expected header 'instance <name> <rows> <cols>'"),
@@ -914,18 +937,23 @@ REJECTIONS = [
      ["simulate", "p.circ"], 2, "line 3, column 10: zero denominator in '1/0'"),
     ("zero-denominator-gate", {"p.circ": _ONE_WIRE.format("fuzzy", "ket 0", "@b.mat"),
                                "b.mat": "instance fuzz-mv 2 2\n0 1/0\n1 0\n"},
-     ["simulate", "p.circ"], 2, "line 2: zero denominator in '1/0'"),
+     ["simulate", "p.circ"], 2, "line 4: gate file 'b.mat': line 2: zero denominator in '1/0'"),
     ("fuzzy-above-one-init", {"p.circ": _ONE_WIRE.format("fuzzy", "vec 0 5/4", "FNOT")},
      ["simulate", "p.circ"], 2, "line 3, column 12: scalar '5/4' outside [0, 1]"),
     ("fuzzy-above-one-gate", {"p.circ": _ONE_WIRE.format("fuzzy", "ket 0", "@b.mat"),
                               "b.mat": "instance fuzz-mv 2 2\n0 1.25\n1 0\n"},
-     ["simulate", "p.circ"], 2, "line 2: scalar '1.25' outside [0, 1]"),
+     ["simulate", "p.circ"], 2, "line 4: gate file 'b.mat': line 2: scalar '1.25' outside [0, 1]"),
     ("long-literal-init", {"p.circ": _ONE_WIRE.format(
         "stochastic", f"vec {_PAST_LIMIT}/{_PAST_LIMIT} 0", "NOT")}, ["simulate", "p.circ"],
      2, f"line 3, column 10: scalar literal of {2 * _DIGITS + 3} characters is too long"),
     ("long-decimal-gate", {"p.circ": _ONE_WIRE.format("fuzzy", "ket 0", "@b.mat"),
                            "b.mat": f"instance fuzz-mv 2 2\n0 0.{_PAST_LIMIT}\n1 0\n"},
-     ["simulate", "p.circ"], 2, f"line 2: scalar literal of {_DIGITS + 3} characters is too long"),
+     ["simulate", "p.circ"], 2,
+     f"line 4: gate file 'b.mat': line 2: scalar literal of {_DIGITS + 3} characters is too long"),
+    ("past-bound-gate", {"p.circ": _ONE_WIRE.format("fuzzy", "ket 0", "@b.mat"),
+                         "b.mat": _column("fuzz-mv", _PAST_BOUND)}, ["simulate", "p.circ"],
+     1, "line 4: gate file 'b.mat': the common denominator of 256 exact literals passes "
+        f"{_bound_bits([(1, p) for p in PRIMES])} bits, 64 times their mean size"),
     ("long-result", {"p.circ": _ONE_WIRE.format(
         "stochastic", f"vec 1/{_HUGE} {_HUGE - 1}/{_HUGE}", "@b.mat"),
         "b.mat": f"instance probability 2 2\n1/{_HUGE + 2} 0\n{_HUGE + 1}/{_HUGE + 2} 1\n"},

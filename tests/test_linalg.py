@@ -2,17 +2,19 @@
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzbit.algebra import (
-    BOOLEAN, COMPLEX, FUZZ_MV, MAX_MIN, PROBABILITY, VITERBI, UnitScalar, make_instance)
-from fuzzbit.circuit import parse_circuit
+    BOOLEAN, COMPLEX, FUZZ_MV, MAX_MIN, NATURAL, PROBABILITY, VITERBI, UnitScalar,
+    make_instance, mv_chain)
+from fuzzbit.circuit import _bound_matrix, parse_circuit
 from fuzzbit.models import MODELS
 from fuzzbit.errors import ParseError
 from fuzzbit.linalg import (
-    ScaledMatrix,
-    ScaledVector,
     SMatrix,
     SVector,
     as_vector,
@@ -194,12 +196,89 @@ def test_each_carrier_reads_its_literals_through_one_route(name):
                for row in MODELS.values() if row.instance == s]
     for v in vectors:
         assert v.instance == s and v.entries == expected
-    if exact:
+    if exact:  # held over the lcm of the denominators
         scale = math.lcm(*(x.denominator for x in expected))
-        assert isinstance(m, ScaledMatrix) and m.scale == scale
+        assert m.scale == scale
         assert m.numerators[0] == tuple(x * scale for x in expected)
         for v in vectors:
-            assert isinstance(v, ScaledVector) and v.scale == scale
-            assert v.numerators == m.numerators[0]
+            assert v.scale == scale and v.numerators == m.numerators[0]
+    else:  # complex: its numerators are its entries, at scale 1
+        assert m.scale == 1 and m.numerators == m.entries
+        assert all(v.scale == 1 and v.numerators == v.entries for v in vectors)
+
+
+# One class per shape holds either form.  The oracle is the `Fraction` of
+# each entry; the scale is the lcm of their denominators.
+_EXACT_INSTANCES = [FUZZ_MV, MAX_MIN, VITERBI, BOOLEAN, PROBABILITY]
+
+
+def _reindexed(rows, targets):
+    """rows[rho(r)][rho(c)], where gate bit k - 1 - i reads window bit targets[i]."""
+    k = len(targets)
+    rho = [sum(((x >> w) & 1) << (k - 1 - i) for i, w in enumerate(targets))
+           for x in range(1 << k)]
+    return tuple(tuple(rows[r][c] for c in rho) for r in rho)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), instance=st.sampled_from(_EXACT_INSTANCES),
+       targets=st.permutations(range(2)))
+def test_an_exact_value_is_one_value_from_either_form(data, instance, targets):
+    top = 3 if instance == PROBABILITY else 1
+    rows = data.draw(st.lists(st.lists(
+        st.fractions(min_value=0, max_value=top, max_denominator=40), min_size=4, max_size=4),
+        min_size=4, max_size=4))
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    numerators = tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows)
+    oracle = tuple(map(tuple, rows))
+
+    def from_entries():
+        return SMatrix(instance, [[instance.from_ratio(x.numerator, x.denominator) for x in row]
+                                  for row in rows])
+
+    def held():
+        return SMatrix.over(instance, numerators, scale)
+
+    a, b = from_entries(), held()
+    assert a == b and b == a and hash(a) == hash(b)
+    assert from_entries().numerators == numerators and from_entries().scale == scale
+    assert held().entries == oracle
+    assert all(type(x) is type(instance.one) for row in held().entries for x in row)
+    assert (a.rows, a.cols) == (b.rows, b.cols) == (4, 4)
+
+    row_scale = math.lcm(*(x.denominator for x in rows[0]))
+    column = [[x.numerator * (row_scale // x.denominator)] for x in rows[0]]
+    for v in (as_vector(SMatrix(instance, [[x] for x in from_entries().entries[0]])),
+              as_vector(SMatrix.over(instance, column, row_scale))):
+        assert v == SVector(instance, from_entries().entries[0]) and len(v) == 4
+        assert v.entries == oracle[0]
+        assert (v.numerators, v.scale) == (tuple(x for x, in column), row_scale)
+
+    bound = [_bound_matrix(SimpleNamespace(arity=2, matrix=m), targets)
+             for m in (from_entries(), held())]
+    assert bound[0] == bound[1]
+    assert bound[0].entries == bound[1].entries == _reindexed(oracle, targets)
+    assert bound[1].numerators == _reindexed(numerators, targets) and bound[1].scale == scale
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), which=st.sampled_from(["complex", "natural", "mv-chain"]))
+def test_an_inexact_value_is_its_own_numerators_at_scale_1(data, which):
+    if which == "complex":
+        instance = COMPLEX
+        scalars = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False)
+    elif which == "natural":
+        instance, scalars = NATURAL, st.integers(0, 10 ** 6)
     else:
-        assert type(m) is SMatrix and all(type(v) is SVector for v in vectors)
+        order = data.draw(st.integers(1, 60))
+        instance, scalars = mv_chain(order), st.integers(0, order)
+    values = tuple(tuple(data.draw(st.lists(scalars, min_size=4, max_size=4)))
+                   for _ in range(4))
+    v, m = SVector(instance, values[0]), SMatrix(instance, values)
+    assert (v.scale, v.numerators) == (1, values[0])
+    assert (m.scale, m.numerators) == (1, values)
+    assert SVector.over(instance, values[0], 1) == v
+    assert SMatrix.over(instance, values, 1) == m
+    assert as_vector(SMatrix(instance, [[x] for x in values[0]])) == v
+    bound = _bound_matrix(SimpleNamespace(arity=2, matrix=m), (1, 0))
+    assert bound.scale == 1 and bound.entries == bound.numerators == _reindexed(values, (1, 0))

@@ -10,7 +10,7 @@ import pytest
 
 from fuzzbit.algebra import BOOLEAN, COMPLEX, FUZZ_MV, PROBABILITY, UnitScalar
 from fuzzbit.errors import MembershipError
-from fuzzbit.linalg import ScaledMatrix, ScaledVector, SMatrix, SVector, identity, mat_vec
+from fuzzbit.linalg import SMatrix, SVector, identity, mat_vec
 from fuzzbit.models import (
     MODEL_NAMES,
     MODELS,
@@ -202,10 +202,10 @@ def _verdicts(model, vectors, as_gate):
         scale = math.lcm(*(x.denominator for r in rows for x in r))
         numerators = [[x.numerator * (scale // x.denominator) for x in r] for r in rows]
         if as_gate:
-            verdict = row.gate_violation(ScaledMatrix(row.instance, numerators, scale))
+            verdict = row.gate_violation(SMatrix.over(row.instance, numerators, scale))
             pairs.append((verdict is None, gate_oracle(columns)))
         else:
-            verdict = row.state_violation(ScaledVector(row.instance, numerators[0], scale))
+            verdict = row.state_violation(SVector.over(row.instance, numerators[0], scale))
             pairs.append((verdict is None, state_oracle(columns)))
     return pairs
 
