@@ -20,7 +20,7 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable
 
@@ -246,6 +246,11 @@ class SemiringInstance:
     vector's numerators are its entries, at scale 1: complex, whose `parse`
     returns the scalar itself, and the run instances below, which no file
     holds.
+
+    `one_numerator` and `zero_numerator` are `one` and `zero` at scale 1
+    (for an inexact carrier, the scalars themselves), read once when the
+    instance is built, so that `linalg`'s role-based constructors read no
+    scalar at request time.
     """
 
     name: str
@@ -259,6 +264,13 @@ class SemiringInstance:
     display: Callable[[Any], str] = format_rational
     tolerance: float = 0.0
     from_ratio: Callable[[int, int], Any] | None = UnitScalar
+    one_numerator: Any = field(init=False, repr=False)
+    zero_numerator: Any = field(init=False, repr=False)
+
+    def __post_init__(self):
+        exact = self.from_ratio is not None
+        object.__setattr__(self, "one_numerator", self.one.numerator if exact else self.one)
+        object.__setattr__(self, "zero_numerator", self.zero.numerator if exact else self.zero)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SemiringInstance) and other.name == self.name

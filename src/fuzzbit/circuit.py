@@ -22,27 +22,28 @@ one.  A row with no dense run (classical) tracks one basis index: a step's
 plan is (base, mask, perm), the block's lowest wire, the window mask 2^k - 1
 and the gate's permutation of basis indices composed with the block's bit
 remap, and the run rewrites the window bits of that index.  Every other row
-runs its `ScaledCarrier`: the state and each step's bound matrix become
-entries over a scale (int numerators for stochastic and fuzzy, the complex
-entries themselves at scale 1 for quantum), one generic block kernel runs
-them, and each intermediate state, decoded without building a scalar,
-passes the row's state predicate.  A step that multiplies
-the scale by more than 1 then divides the entries and the scale by their
-gcd, so a stochastic scale stays the least common denominator of the
-state.  The trace keeps the indices or entries and builds a state only when
-one is read, without checking it a second time.
+runs its `encode`: the state and each step's bound matrix become entries
+over a scale (int numerators for stochastic and fuzzy, the complex entries
+themselves at scale 1 for quantum), and one generic block kernel runs
+them.  A step that multiplies the scale by more than 1 then divides the
+entries and the scale by their gcd, so a stochastic scale stays the least
+common denominator of the state.  Each intermediate state is held over the
+row's carrier (`SVector.over`, which builds no scalar) and passes the row's
+state predicate.  The trace keeps the indices or those vectors and builds a
+state only when one is read, without checking it a second time.
 
 Stochastic and fuzzy requests build no rational scalar from the literal to
 the printed line: `init vec` literals and `@file` matrices parse to integer
-numerators over a common scale (`linalg.literal_matrix`), builtins
-are built that way, the row's predicates read gates and states as
-numerators, plans are bound numerator matrices, and the trace's states
-keep their numerators for the CLI to print.  Each is an `SVector` or
+numerators over a common scale (`linalg.literal_matrix`), builtins and
+basis kets are numerators at scale 1, the row's predicates read gates and
+states as numerators, plans are bound numerator matrices, and the trace's
+states keep their numerators for the CLI to print.  Each is an `SVector` or
 `SMatrix` held over its numerators, whose rationals are built only when
 the public API reads its `entries`.  An error inside an `@file` gate is
 raised at the step's line and names the file.
 `simulate(vc, seed)` measures where the row measures, with the program's
-`measure seed` when `seed` is None; to start elsewhere, replace `vc.initial`.
+`measure seed` when `seed` is None, and rejects a seed outside [0, 2^64);
+to start elsewhere, replace `vc.initial`.
 
 Validation resolves, checks and plans each distinct (gate, wires) pair of
 a program once; a repeated step reuses the first occurrence's descriptor
@@ -85,6 +86,7 @@ from .models import (
     gate_violation,
 )
 from .models.classical import ClassicalState, SynthCircuit
+from .models.quantum import checked_seed
 
 __all__ = [
     "GateStep",
@@ -152,10 +154,10 @@ class SimulationTrace:
     """All intermediate states; states[0] is the initial one.
 
     `snapshots` holds one entry per gate step: the basis index for
-    classical runs, and (entries, scale) for dense runs, each checked by
-    the run.  Indices become `ClassicalState`s and entries `VectorState`s
-    when first read, each at most once and without a second membership
-    check: `final` builds the last state only, `states` every one.
+    classical runs, and the vector over the row's carrier for dense runs,
+    each checked by the run.  Indices become `ClassicalState`s and vectors
+    `VectorState`s when first read, each at most once and without a second
+    membership check: `final` builds the last state only, `states` every one.
     `measured` is what the row's `measure` draws from `final` with `seed`,
     or None.  Traces are equal when their states and outcomes are.
     """
@@ -167,11 +169,10 @@ class SimulationTrace:
     seed: int | None = None
 
     def _state(self, snapshot) -> ModelState:
-        carrier = MODELS[self.model].scaled
-        if carrier is None:
+        if MODELS[self.model].encode is None:
             return ClassicalState(self.wire_count, snapshot)
         # the run checked this snapshot; its rationals are built on first read
-        return VectorState.known_member(self.model, carrier.decode(*snapshot))
+        return VectorState.known_member(self.model, snapshot)
 
     @cached_property
     def final(self) -> ModelState:
@@ -368,11 +369,11 @@ def _initial_state(program: CircuitProgram) -> ModelState:
                 f"init ket has {len(bits)} bits, program has {n} wires",
                 program.init_line)
         index = int("".join(str(b) for b in bits), 2)
-        if row.scaled is None:
+        if row.encode is None:
             return ClassicalState(n, index)
-        vector = row.scaled.decode(basis_vector(row.scaled.unit, size, index).entries, 1)
+        vector = basis_vector(row.instance, size, index)
     else:
-        if row.scaled is None:
+        if row.encode is None:
             raise ValidationError("classical programs take ket initial states",
                                   program.init_line)
         vector = program.init_values
@@ -405,7 +406,7 @@ def validate(program: CircuitProgram, base_dir: str | Path = ".") -> ValidatedCi
     if program.wire_count < 1:
         raise ValidationError("wire count must be positive")
     row = _model(program.model)  # ValueError for a name no row has
-    if row.scaled is not None and program.wire_count > MAX_DENSE_WIRES:
+    if row.encode is not None and program.wire_count > MAX_DENSE_WIRES:
         raise ValidationError(
             f"{program.model} programs take at most {MAX_DENSE_WIRES} wires "
             f"(2^{MAX_DENSE_WIRES} state entries), got {program.wire_count}")
@@ -506,7 +507,7 @@ def _step_plan(gate: GateDescriptor, targets: Sequence[int]) -> StepPlan:
     the permutation of the bound matrix, without building it.  base is the
     block's lowest wire and mask 2^k - 1 selects its k window bits.
     """
-    if MODELS[gate.model].scaled is not None:
+    if MODELS[gate.model].encode is not None:
         return _bound_matrix(gate, targets)
     rho = _slot_table(targets, gate.arity)
     inverse = [0] * len(rho)
@@ -516,28 +517,28 @@ def _step_plan(gate: GateDescriptor, targets: Sequence[int]) -> StepPlan:
     return min(targets), len(rho) - 1, tuple(inverse[perm[g]] for g in rho)
 
 
-def _scaled_run(vc: ValidatedCircuit, row: Model) -> list:
-    """(entries, scale) after each step, each decoding to a state the row takes.
+def _scaled_run(vc: ValidatedCircuit, row: Model) -> list[SVector]:
+    """The state after each step over the row's carrier, each one the row takes.
 
     A step whose factor is more than 1 divides the entries and the scale by
     their gcd, so a scale that grows by each gate's denominator stays the
     state's least common denominator.
     """
-    carrier = row.scaled
-    scale, vector, steps = carrier.encode(vc.initial.vector, vc.plans)
+    scale, vector, steps = row.encode(vc.initial.vector, vc.plans)
     snapshots = []
     for step, (matrix, factor) in zip(vc.program.steps, steps):
         vector = mat_vec_block(matrix, min(step.wires), vector)
         scale *= factor
-        reason = row.state_violation(carrier.decode(vector.entries, scale))
-        if reason is not None:
-            raise InternalCheckError(f"intermediate state failed membership: {reason}")
         if factor > 1:
             g = math.gcd(scale, *vector.entries)
             if g > 1:
                 scale //= g
                 vector = SVector(vector.instance, tuple(x // g for x in vector.entries))
-        snapshots.append((vector.entries, scale))
+        state = SVector.over(row.instance, vector.entries, scale)
+        reason = row.state_violation(state)
+        if reason is not None:
+            raise InternalCheckError(f"intermediate state failed membership: {reason}")
+        snapshots.append(state)
     return snapshots
 
 
@@ -545,11 +546,15 @@ def simulate(vc: ValidatedCircuit, seed: int | None = None) -> SimulationTrace:
     """Run the program from `vc.initial`, keeping one state snapshot per gate step.
 
     `seed` measures the final state where the row measures; None takes the
-    program's `measure seed`.
+    program's `measure seed`.  Where the row measures, a seed outside
+    [0, 2^64) is a ValueError here, before the run.
     """
     program = vc.program
     row = MODELS[program.model]
-    if row.scaled is None:
+    seed = program.measure_seed if seed is None else seed
+    if row.measure is not None and seed is not None:
+        checked_seed(seed)
+    if row.encode is None:
         index = vc.initial.basis_index
         snapshots = []
         for base, mask, perm in vc.plans:
@@ -559,7 +564,7 @@ def simulate(vc: ValidatedCircuit, seed: int | None = None) -> SimulationTrace:
     else:
         snapshots = _scaled_run(vc, row)
     return SimulationTrace(program.model, program.wire_count, vc.initial, tuple(snapshots),
-                           program.measure_seed if seed is None else seed)
+                           seed)
 
 
 # --- reversible emission of synthesized circuits --------------------------------

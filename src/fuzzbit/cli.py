@@ -50,7 +50,7 @@ __all__ = ["main", "entry"]
 
 # The emitted program has O(4^n) lines and the self-check runs it on all 2^n
 # inputs, so the work grows about 8x per input: a table of 8 inputs gives
-# 231,012 lines and takes about 20 s.
+# about 240,000 lines and takes about 7.5 s on a shared 2-vCPU host.
 MAX_SYNTH_INPUTS = 8
 
 

@@ -15,6 +15,9 @@ or, through `over`, the integer numerators of exact entries over one
 scale.  It builds the other form once, on first read, so code that needs
 only the integers (membership checks, `simulate`, the CLI's printing)
 builds no rational scalar, and code that reads entries gets the scalars.
+The role-based constructors (`identity`, `zeros`, `matrix_from_permutation`,
+`basis_vector`) build over the instance's `one_numerator` and
+`zero_numerator` at scale 1.
 An exact carrier (one with a `from_ratio`) parses literals as (numerator,
 denominator) pairs, which `literal_matrix`, the one builder for files and
 `init vec`, bounds and holds over their least common denominator.
@@ -256,7 +259,7 @@ def identity(s: SemiringInstance, n: int) -> SMatrix:
 
 def zeros(s: SemiringInstance, n: int) -> SMatrix:
     """n x n matrix of `zero`; absorbing for mat_mul."""
-    return SMatrix(s, ((s.zero,) * n,) * n)
+    return SMatrix.over(s, ((s.zero_numerator,) * n,) * n, 1)
 
 
 def matrix_from_permutation(perm: Sequence[int], instance: SemiringInstance) -> SMatrix:
@@ -268,9 +271,9 @@ def matrix_from_permutation(perm: Sequence[int], instance: SemiringInstance) -> 
     n = len(perm)
     if sorted(perm) != list(range(n)):
         raise ValueError("not a permutation")
-    one, zero = instance.one, instance.zero
-    return SMatrix(instance, tuple(tuple(one if perm[j] == i else zero for j in range(n))
-                                   for i in range(n)))
+    one, zero = instance.one_numerator, instance.zero_numerator
+    return SMatrix.over(instance, (tuple(one if perm[j] == i else zero for j in range(n))
+                                   for i in range(n)), 1)
 
 
 def basis_vector(s: SemiringInstance, size: int, index: int) -> SVector:
@@ -280,7 +283,8 @@ def basis_vector(s: SemiringInstance, size: int, index: int) -> SVector:
     """
     if not 0 <= index < size:
         raise ValueError(f"index {index} out of range for length {size}")
-    return SVector(s, (s.zero,) * index + (s.one,) + (s.zero,) * (size - 1 - index))
+    one, zero = s.one_numerator, s.zero_numerator
+    return SVector.over(s, (zero,) * index + (one,) + (zero,) * (size - 1 - index), 1)
 
 
 def equal(a, b) -> bool:

@@ -10,18 +10,18 @@ and for gates:
 
 Each model is one row of `MODELS`: its carrier, predicates, builtin gates,
 dense run and measurement are lookups in that row, so a new model is a new
-row.  A dense run (`ScaledCarrier`) is how `simulate` encodes, checks and
-decodes states: stochastic and fuzzy as integer numerators over a scale,
-quantum as its complex entries at scale 1.  Classical has none and runs on
-a basis index; only quantum measures.  The row checks carrier and
-squareness; each model module states only its own property, one
-predicate per set.  Stochastic and fuzzy builtins are held as numerators
-at scale 1 (`SMatrix.over`), like their file gates over theirs, and the
-classical, stochastic and fuzzy predicates read numerators over a scale,
-so a member builds no rational.  Classical
-gates that are not invertible (AND, OR, XOR, NAND, NOR, FANOUT) appear
-through their reversible embedding: one extra target wire receives
-y XOR f(x), so every registered matrix passes its model's predicate.
+row.  A row's `encode` is how `simulate` runs its states densely:
+stochastic and fuzzy as integer numerators over a scale, quantum as its
+complex entries at scale 1.  Classical has none and runs on a basis index;
+only quantum measures.  The row checks carrier and squareness; each model
+module states only its own property, one predicate per set.  Every row
+builds its builtins over its own carrier, which `linalg` holds as
+numerators at scale 1, like file gates over theirs, and the classical,
+stochastic and fuzzy predicates read numerators over a scale, so a member
+builds no rational.  Classical gates that are not invertible (AND, OR,
+XOR, NAND, NOR, FANOUT) appear through their reversible embedding: one
+extra target wire receives y XOR f(x), so every registered matrix passes
+its model's predicate.
 """
 
 from __future__ import annotations
@@ -30,15 +30,13 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from ..algebra import (
-    BOOLEAN, COMPLEX, FUZZ_MV, NATURAL, PROBABILITY, SemiringInstance, mv_chain)
+from ..algebra import BOOLEAN, COMPLEX, FUZZ_MV, PROBABILITY, SemiringInstance
 from ..errors import MembershipError
 from ..linalg import SMatrix, SVector, matrix_from_permutation, zeros
 from . import classical, fuzzy, quantum, stochastic
 
 __all__ = [
     "Model",
-    "ScaledCarrier",
     "MODELS",
     "MODEL_NAMES",
     "GateDescriptor",
@@ -50,25 +48,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ScaledCarrier:
-    """How `simulate` runs a dense model's states: entries over a scale.
-
-    `encode(initial, plans)` gives the initial scale, the initial state's
-    entries over the run's instance and, for each plan, its matrix over
-    that instance and the factor by which its step multiplies the scale.
-    `decode(entries, scale)` is the vector over the row's carrier, which
-    the row's state predicate checks.  `unit` is the instance of the
-    entries at scale 1, over which the row builds its basis kets and
-    permutation builtins.
-    """
-
-    encode: Callable[[SVector, Sequence[SMatrix]],
-                     tuple[int, SVector, list[tuple[SMatrix, int]]]]
-    decode: Callable[[Sequence[int], int], SVector]
-    unit: SemiringInstance
-
-
-@dataclass(frozen=True)
 class Model:
     """A model of computation: its carrier, membership predicates and named gates.
 
@@ -76,8 +55,12 @@ class Model:
     lookups `state_violation` and `gate_violation` check that first.
     `gates` maps each builtin name to a zero-argument constructor of its
     matrix; `builtin_gate` runs it on first lookup, not at import.
-    `scaled` is the dense run (None: a basis-index run); `measure(state,
-    seed)` draws a basis index from a state (None: no measurement).
+    `encode(initial, plans)` is the dense run (None: a basis-index run): the
+    initial scale, the initial state's numerators over the run's instance
+    and, for each plan, its numerators over that instance and the factor by
+    which its step multiplies the scale; `simulate` holds each state it
+    reaches over `instance` again.  `measure(state, seed)` draws a basis
+    index from a state and a seed in [0, 2^64) (None: no measurement).
     """
 
     name: str
@@ -85,7 +68,8 @@ class Model:
     state_violation: Callable[[SVector], str | None]
     gate_violation: Callable[[SMatrix], str | None]
     gates: Mapping[str, Callable[[], SMatrix]]
-    scaled: ScaledCarrier | None = None
+    encode: Callable[[SVector, Sequence[SMatrix]],
+                     tuple[int, SVector, list[tuple[SMatrix, int]]]] | None = None
     measure: Callable[[VectorState, int], int] | None = None
 
 
@@ -99,19 +83,9 @@ def _permutation_gates(instance: SemiringInstance,
             for name, perm in perms.items()}
 
 
-def _scaled(instance: SemiringInstance,
-            gates: Mapping[str, Callable[[], SMatrix]]) -> dict[str, Callable[[], SMatrix]]:
-    """Gates built over the carrier's numerators, held over `instance` at scale 1."""
-    return {name: lambda make=make: SMatrix.over(instance, make().entries, 1)
-            for name, make in gates.items()}
-
-
 def _embedded_gate(name: str) -> Callable[[], SMatrix]:
     return lambda: classical.reversible_embed(classical.classical_gate(name))
 
-
-# fuzz-mv numerators at scale 1: one (0) and zero (1) are the ints 0 and 1
-_MV_UNIT = mv_chain(1)
 
 # Row callables are looked up in their module at call time, not captured
 # here, so that replacing a module attribute (as a tracer does) reaches them.
@@ -126,8 +100,8 @@ MODELS = {m.name: m for m in (
     Model("stochastic", PROBABILITY,
           lambda v: stochastic.distribution_violation(v),
           lambda m: stochastic.stochastic_violation(m),
-          _scaled(PROBABILITY, _permutation_gates(NATURAL, NOT=_NOT, CNOT=_CNOT, SWAP=_SWAP)),
-          ScaledCarrier(stochastic.encode_run, stochastic.decode, NATURAL)),
+          _permutation_gates(PROBABILITY, NOT=_NOT, CNOT=_CNOT, SWAP=_SWAP),
+          stochastic.encode_run),
     Model("quantum", COMPLEX,
           lambda v: quantum.state_norm_violation(v),
           lambda m: quantum.unitary_violation(m),
@@ -135,15 +109,14 @@ MODELS = {m.name: m for m in (
            "H": functools.partial(SMatrix, COMPLEX, quantum.H),
            "Z": functools.partial(SMatrix, COMPLEX, quantum.Z)},
           # the identity encoding at scale 1: states run as complex vectors
-          ScaledCarrier(lambda initial, plans: (1, initial, [(m, 1) for m in plans]),
-                        lambda entries, scale: SVector(COMPLEX, entries), COMPLEX),
+          lambda initial, plans: (1, initial, [(m, 1) for m in plans]),
           lambda state, seed: quantum.measure(state, seed)),
     Model("fuzzy", FUZZ_MV,
           lambda v: fuzzy.fuzzy_state_violation(v),
           lambda m: fuzzy.fuzzy_gate_violation(m),
-          _scaled(FUZZ_MV, {**_permutation_gates(_MV_UNIT, FID=_ID, FNOT=_NOT, FSWAP=_SWAP),
-                            "FZERO": functools.partial(zeros, _MV_UNIT, 2)}),
-          ScaledCarrier(fuzzy.encode_run, fuzzy.decode, _MV_UNIT)),
+          {**_permutation_gates(FUZZ_MV, FID=_ID, FNOT=_NOT, FSWAP=_SWAP),
+           "FZERO": functools.partial(zeros, FUZZ_MV, 2)},
+          fuzzy.encode_run),
 )}
 
 MODEL_NAMES = tuple(MODELS)

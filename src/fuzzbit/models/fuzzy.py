@@ -10,12 +10,14 @@ swap J = [[1, 0], [0, 1]] is an involution.
 
 A request runs these programs on integers from the literal to the printed
 line: literals parse to numerators over a common denominator (see
-`linalg.literal_matrix`), and `simulate` runs over one scale L for the whole
-run, the lcm of the state's and every gate's scale: the multiples of 1/L
-are closed under min and the truncated sum (the finite MV-chain of order
-L), so no step changes the scale.  Each predicate below reads its
-operand's numerators over their scale: a member builds no rational, and a
-rejection prints its values through `format_ratio`.
+`linalg.literal_matrix`), builtins and basis kets are numerators at scale
+1, and `encode_run` runs over one scale L for the whole run, the lcm of
+the state's and every gate's scale: the multiples of 1/L are closed under
+min and the truncated sum (the finite MV-chain of order L), so no step
+changes the scale, and `simulate` holds each state over fuzz-mv again.
+Each predicate below reads its operand's numerators over their scale: a
+member builds no rational, and a rejection prints its values through
+`format_ratio`.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "fuzzy_state_violation",
     "fuzzy_gate_violation",
     "encode_run",
-    "decode",
     "complement",
 ]
 
@@ -81,12 +82,6 @@ def encode_run(initial: SVector, plans: Sequence[SMatrix]):
     steps = [(SMatrix(chain, [rescaled(row, m.scale) for row in m.numerators]), 1)
              for m in plans]
     return scale, SVector(chain, rescaled(initial.numerators, initial.scale)), steps
-
-
-def decode(entries: Sequence[int], scale: int) -> SVector:
-    """The fuzz-mv vector entries/scale, whose scalars are built on first read;
-    reading them raises ValueError for an entry outside [0, scale]."""
-    return SVector.over(FUZZ_MV, entries, scale)
 
 
 def complement(v: SVector) -> SVector:

@@ -23,6 +23,7 @@ __all__ = [
     "H",
     "Z",
     "splitmix64",
+    "checked_seed",
     "measure",
 ]
 
@@ -74,13 +75,21 @@ def splitmix64(seed: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+def checked_seed(seed: int) -> int:
+    """`seed` itself if it fits in an unsigned 64-bit integer, else ValueError."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    return seed
+
+
 def measure(state: VectorState, seed: int) -> int:
     """Sample a basis index from |amplitude|^2 via one seeded uniform draw.
 
     The draw is (splitmix64(seed) >> 11) / 2^53; the inverse CDF walk
-    resolves a draw landing exactly on a boundary to the lower index.
+    resolves a draw landing exactly on a boundary to the lower index.  A
+    seed outside [0, 2^64) is a ValueError, not a draw modulo 2^64.
     """
-    u = (splitmix64(seed & _MASK64) >> 11) * 2.0 ** -53
+    u = (splitmix64(checked_seed(seed)) >> 11) * 2.0 ** -53
     acc = 0.0
     fallback = 0
     for i, a in enumerate(state.vector.entries):

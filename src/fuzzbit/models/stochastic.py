@@ -7,11 +7,13 @@ a semigroup rather than a group.
 
 A request runs these programs on integers from the literal to the printed
 line: literals parse to numerators over a common denominator (see
-`linalg.literal_matrix`), and a gate G/g acting on a state s/D gives
-(G s)/(g D).  The scale of the state grows by each gate's common
-denominator; `simulate` then divides the numerators and the scale by their
-gcd, so the scale stays the least common denominator of the state's
-entries.  Each predicate below reads its operand's numerators over their
+`linalg.literal_matrix`), builtins and basis kets are numerators at scale
+1, and a gate G/g acting on a state s/D gives (G s)/(g D).  `encode_run`
+runs the numerators as plain integers.  The scale of the state grows by
+each gate's common denominator; `simulate` divides the numerators and the
+scale by their gcd, so the scale stays the least common denominator of
+the state's entries, and then holds the state over the probability
+carrier again.  Each predicate below reads its operand's numerators over their
 scale: a member builds no rational, and a rejection prints its values
 through `format_ratio`.
 """
@@ -20,14 +22,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..algebra import NATURAL, PROBABILITY, format_ratio
+from ..algebra import NATURAL, format_ratio
 from ..linalg import SMatrix, SVector
 
 __all__ = [
     "stochastic_violation",
     "distribution_violation",
     "encode_run",
-    "decode",
 ]
 
 
@@ -77,7 +78,3 @@ def encode_run(initial: SVector, plans: Sequence[SMatrix]):
     steps = [(SMatrix(NATURAL, m.numerators), m.scale) for m in plans]
     return initial.scale, SVector(NATURAL, initial.numerators), steps
 
-
-def decode(entries: Sequence[int], scale: int) -> SVector:
-    """The probability vector entries/scale, whose rationals are built on first read."""
-    return SVector.over(PROBABILITY, entries, scale)

@@ -167,6 +167,25 @@ def test_measure_seed_override_and_force():
     assert simulate(no_measure, seed=0).measured in (0, 1)
 
 
+# A library seed takes the range `--seed` and `measure seed` take: 2^64 - 1
+# draws, and one past either end raises at the call instead of drawing the
+# seed modulo 2^64 (2^64 would draw as 0, and -1 as 2^64 - 1).
+def test_a_library_seed_fits_in_64_bits():
+    plus = validate(parse_circuit("model quantum\nwires 2\ninit ket 00\ngate H 0\n"
+                                  "gate CNOT 0 1\n"))
+    last = simulate(plus, seed=(1 << 64) - 1)
+    assert last.measured == quantum.measure(last.final, (1 << 64) - 1) == 3
+    message = "seed must fit in an unsigned 64-bit integer"
+    for seed in (1 << 64, -1):
+        with pytest.raises(ValueError, match=message):
+            simulate(plus, seed=seed)
+        with pytest.raises(ValueError, match=message):
+            quantum.measure(last.final, seed)
+        built = dataclasses.replace(plus.program, measure_seed=seed)  # not through the parser
+        with pytest.raises(ValueError, match=message):
+            simulate(dataclasses.replace(plus, program=built))
+
+
 def test_fuzzy_simulation_matches_composed_operator():
     text = ("model fuzzy\nwires 2\ninit vec 0 1/2 1 1\n"
             "gate FNOT 0\ngate FSWAP 0 1\ngate FZERO 1\n")
@@ -565,7 +584,7 @@ def test_a_long_stochastic_run_keeps_a_small_scale(tmp_path, capsys):
         lines.append(f"step {k + 1} {('@g.mat', 'NOT')[k % 2]} {state[0]} {state[1]}")
         # the entries' least common denominator, 97, where the product of the
         # gates' denominators would reach 3 * 97^100
-        assert snapshot[1].bit_length() <= (97).bit_length()
+        assert snapshot.scale.bit_length() <= (97).bit_length()
     lines += ["model stochastic", "wires 1", f"final {state[0]} {state[1]}"]
     assert main(["simulate", "--trace", str(tmp_path / "p.circ")]) == 0
     assert capsys.readouterr() == ("\n".join(lines) + "\n", "")

@@ -822,6 +822,17 @@ RATIONAL_REQUESTS = {
         "step 0 init 1/2 1/4 0 1\nstep 1 @g.mat 1/3 1/4 0 3/4\n"
         "step 2 FSWAP 1/3 0 1/4 3/4\nstep 3 @g.mat 1/3 0 1/4 3/4\n"
         "model fuzzy\nwires 2\nfinal 1/3 0 1/4 3/4\n"),
+    # basis kets and every stochastic and fuzzy builtin
+    "stochastic-ket": (
+        {"p.circ": "model stochastic\nwires 2\ninit ket 01\n"
+                   "gate NOT 1\ngate CNOT 1 0\ngate SWAP 0 1\n"}, _TRACE,
+        "step 0 init 0 1 0 0\nstep 1 NOT 0 0 0 1\nstep 2 CNOT 0 0 1 0\n"
+        "step 3 SWAP 0 1 0 0\nmodel stochastic\nwires 2\nfinal 0 1 0 0\n"),
+    "fuzzy-ket": (
+        {"p.circ": "model fuzzy\nwires 2\ninit ket 10\n"
+                   "gate FSWAP 1 0\ngate FNOT 1\ngate FID 0\ngate FZERO 0\n"}, _TRACE,
+        "step 0 init 1 1 0 1\nstep 1 FSWAP 1 0 1 1\nstep 2 FNOT 1 1 1 0\n"
+        "step 3 FID 1 1 1 0\nstep 4 FZERO 1 1 1 1\nmodel fuzzy\nwires 2\nfinal 1 1 1 1\n"),
     "classical-gate": ({"g.mat": _CNOT_TEXT}, ["check", "classical", "g.mat"], "ok\n"),
     "classical-state": ({"v.mat": "instance boolean 4 1\n0\n0\n1\n0\n"},
                         ["check", "classical", "v.mat"], "ok\n"),

@@ -1,6 +1,8 @@
 """Generic semiring vectors/matrices and the matrix text format."""
 
+import fractions
 import math
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -26,6 +28,7 @@ from fuzzbit.linalg import (
     mat_mul,
     mat_vec,
     mat_vec_block,
+    matrix_from_permutation,
     parse_matrix_text,
     serialize_matrix,
     zeros,
@@ -69,6 +72,41 @@ def test_basis_vector_is_the_identity_column(s):
     for index in (-1, 4):
         with pytest.raises(ValueError):
             basis_vector(s, 4, index)
+
+
+# Every registered carrier and both run instances.  The role-based
+# constructors build over the numerators of `one` and `zero` at scale 1, read
+# when the instance was built, so building one and reading its numerators
+# and scale enters no `fractions.py` code, and its entries are the roles.
+@pytest.mark.parametrize("s", [FUZZ_MV, MAX_MIN, VITERBI, BOOLEAN, PROBABILITY, COMPLEX,
+                               NATURAL, mv_chain(3)], ids=lambda s: s.name)
+def test_role_constructors_build_over_numerators_at_scale_1(s):
+    one, zero = s.one, s.zero
+    perm = (2, 0, 3, 1)
+    cases = [
+        (lambda: matrix_from_permutation(perm, s),
+         SMatrix(s, [[one if perm[j] == i else zero for j in range(4)] for i in range(4)])),
+        (lambda: identity(s, 4),
+         SMatrix(s, [[one if i == j else zero for j in range(4)] for i in range(4)])),
+        (lambda: zeros(s, 3), SMatrix(s, [[zero] * 3] * 3)),
+        (lambda: basis_vector(s, 4, 2), SVector(s, [zero, zero, one, zero])),
+    ]
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            entered.append(frame.f_code.co_name)
+
+    for make, expected in cases:
+        sys.setprofile(profile)
+        try:
+            value = make()
+            numerators, scale = value.numerators, value.scale
+        finally:
+            sys.setprofile(None)
+        assert entered == [] and scale == 1
+        assert value == expected and hash(value) == hash(expected)
+        assert numerators == expected.numerators
 
 
 def test_fuzzy_matrix_product():
