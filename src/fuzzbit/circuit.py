@@ -47,8 +47,8 @@ to start elsewhere, replace `vc.initial`.
 
 Validation resolves, checks and plans each distinct (gate, wires) pair of
 a program once; a repeated step reuses the first occurrence's descriptor
-and plan.  Synthesized programs, whose SWAP chains repeat the same few
-steps, are built as `CircuitProgram`s directly and never go through text.
+and plan.  Synthesized programs are built as `CircuitProgram`s directly,
+one `GateStep` per distinct (gate, wires), and never go through text.
 """
 
 from __future__ import annotations
@@ -294,10 +294,10 @@ def parse_circuit(text: str) -> CircuitProgram:
                 raise ParseError("duplicate measure directive", line_no, col)
             if len(rest) != 2 or rest[0][0] != "seed" or not _UINT_RE.fullmatch(rest[1][0]):
                 raise ParseError("expected: measure seed <non-negative integer>", line_no, col)
-            seed = _uint(rest[1][0], line_no, rest[1][1])
-            if seed >> 64:
-                raise ParseError("seed must fit in an unsigned 64-bit integer",
-                                 line_no, rest[1][1])
+            try:
+                seed = checked_seed(_uint(rest[1][0], line_no, rest[1][1]))
+            except ValueError as exc:
+                raise ParseError(str(exc), line_no, rest[1][1]) from None
         else:
             raise ParseError(f"unknown directive {word!r}", line_no, col)
 
@@ -572,43 +572,70 @@ def simulate(vc: ValidatedCircuit, seed: int | None = None) -> SimulationTrace:
 def reversible_circuit_text(circ: SynthCircuit) -> CircuitProgram:
     """A straight-line synthesis as a classical circuit program.
 
-    Every assignment becomes its reversible embedding on a fresh zero wire,
-    with SWAP chains routing operands into a contiguous block.  The function
-    value ends on wire 0; inputs are wires 0..n-1 of the initial ket.
-    Steps with the same (gate, wires) share one `GateStep`; the program's
-    text is `serialize_circuit` of it.
+    Every assignment becomes its reversible embedding on a zero wire.  A
+    wire that no assignment has taken still holds 0, so the free zero wire
+    nearest the operands stands for the fresh target: relabelling it costs
+    no gate.  SWAPs then carry the operands to the wires next to it, nearest
+    first; a gate's wires need only form a contiguous set, in any order.
+    The target stays where it stands, so results and the values they read
+    gather where the free wires begin, and values no step reads again are
+    left behind.  The function value moves to wire 0 once, at the end;
+    inputs are wires 0..n-1 of the initial ket.  Steps with the same (gate,
+    wires) share one `GateStep`; the program's text is `serialize_circuit`
+    of it.
     """
     total = circ.n_wires
-    pos = list(range(total))  # pos[value] = wire currently holding it
-    at = list(range(total))  # at[wire] = value currently on it
+    # at[wire] = the value on it, None while it is free; pos[value] = its wire
+    at: list[int | None] = [*range(circ.n_inputs), *[None] * (total - circ.n_inputs)]
+    pos = list(range(total))
     steps: list[GateStep] = []
     gate_step = cache(GateStep)  # one object per distinct (gate, wires)
 
-    def swap(p: int) -> None:
-        u, v = at[p], at[p + 1]
-        at[p], at[p + 1] = v, u
-        pos[u], pos[v] = p + 1, p
-        steps.append(gate_step("SWAP", (p, p + 1)))
+    def move(value: int, target: int) -> None:
+        """SWAP `value` wire by wire to `target`; the wires it passes shift one back."""
+        wire = pos[value]
+        if wire < target:
+            at[wire:target + 1] = at[wire + 1:target + 1] + [value]
+            steps.extend(gate_step("SWAP", (w, w + 1)) for w in range(wire, target))
+        else:
+            at[target:wire + 1] = [value] + at[target:wire]
+            steps.extend(gate_step("SWAP", (w - 1, w)) for w in range(wire, target, -1))
+        for w in range(min(wire, target), max(wire, target) + 1):
+            if at[w] is not None:
+                pos[at[w]] = w
 
-    def bubble(value: int, target: int) -> None:
-        while pos[value] > target:
-            swap(pos[value] - 1)
-        while pos[value] < target:
-            swap(pos[value])
+    def free_wire(low: int, high: int) -> int:
+        """The free wire nearest the wires low..high, the higher one on a tie."""
+        for w in range(low, high + 1):
+            if at[w] is None:
+                return w
+        for d in range(1, total):
+            for w in (high + d, low - d):
+                if 0 <= w < total and at[w] is None:
+                    return w
+        raise AssertionError("every wire is taken")
 
     for step in circ.steps:
+        span = [pos[a] for a in step.args] or [0]
+        target = free_wire(min(span), max(span))
+        at[target] = step.target
+        pos[step.target] = target
+        below = above = target  # the block gathered so far
+        for a in sorted(step.args, key=lambda a: abs(pos[a] - target)):
+            if pos[a] < target:
+                below -= 1
+                move(a, below)
+            else:
+                above += 1
+                move(a, above)
+        wires = tuple(pos[a] for a in step.args) + (target,)
         if step.op == "CONST":
             if step.value:
-                steps.append(gate_step("NOT", (pos[step.target],)))
+                steps.append(gate_step("NOT", wires))
         elif step.op == "NOT":
-            bubble(step.target, 0)
-            bubble(step.args[0], 1)
-            steps.append(gate_step("FANOUT", (1, 0)))
-            steps.append(gate_step("NOT", (0,)))
+            steps.append(gate_step("FANOUT", wires))
+            steps.append(gate_step("NOT", (target,)))
         else:
-            bubble(step.target, 0)
-            bubble(step.args[0], 1)
-            bubble(step.args[1], 2)
-            steps.append(gate_step(step.op, (1, 2, 0)))
-    bubble(circ.output_wire, 0)
+            steps.append(gate_step(step.op, wires))
+    move(circ.output_wire, 0)
     return CircuitProgram("classical", total, "ket", (0,) * total, tuple(steps))

@@ -169,45 +169,58 @@ class SynthCircuit:
 def synthesize_circuit(table: TruthTable) -> SynthCircuit:
     """Cofactor decomposition of a single-output table into basic gates.
 
-    Splitting on the most significant input x gives
-    f = (NOT x AND f0) XOR (x AND f1); base cases on one input are the
-    identity wire, a NOT, an AND with a 0 ancilla, or an OR with a 1 ancilla.
+    Splitting on the most significant input x of a sub-table gives
+    f = (NOT x AND f0) XOR (x AND f1).  As in a reduced ordered BDD (Bryant
+    1986), equal sub-tables share one wire, a split whose halves are equal is
+    skipped, and each input is negated at most once.  A constant or
+    complementary half shortens the split to one gate: x AND f1, NOT x OR f1,
+    NOT x AND f0, x OR f0, or x XOR f0.  Only a constant table emits a CONST.
     """
     if table.n_outputs != 1:
         raise ValueError("synthesis is defined for single-output tables")
     steps: list[SynthStep] = []
-    counter = [table.n_inputs]
-
-    def fresh() -> int:
-        counter[0] += 1
-        return counter[0] - 1
+    wires: dict[tuple[int, ...], int] = {}  # sub-table -> the wire holding it
+    negated: dict[int, int] = {}  # input -> the wire holding its NOT
 
     def emit(op: str, args: tuple[int, ...] = (), value: int = 0) -> int:
-        w = fresh()
+        w = table.n_inputs + len(steps)
         steps.append(SynthStep(op, w, args, value))
         return w
 
-    def build(outputs: tuple[int, ...], inputs: tuple[int, ...]) -> int:
-        if len(inputs) == 1:
-            x = inputs[0]
-            if outputs == (0, 1):
-                return x
-            if outputs == (1, 0):
-                return emit("NOT", (x,))
-            if outputs == (0, 0):
-                return emit("AND", (x, emit("CONST", value=0)))
-            return emit("OR", (x, emit("CONST", value=1)))
-        split = inputs[-1]
-        half = 1 << (len(inputs) - 1)
-        w0 = build(outputs[:half], inputs[:-1])
-        w1 = build(outputs[half:], inputs[:-1])
-        ns = emit("NOT", (split,))
-        t0 = emit("AND", (ns, w0))
-        t1 = emit("AND", (split, w1))
-        return emit("XOR", (t0, t1))
+    def negation(x: int) -> int:
+        if x not in negated:
+            negated[x] = emit("NOT", (x,))
+        return negated[x]
 
-    out = build(table.outputs, tuple(range(table.n_inputs)))
-    return SynthCircuit(table.n_inputs, counter[0], tuple(steps), out)
+    def build(outputs: tuple[int, ...]) -> int:
+        # a sub-table's length fixes its inputs, so the table alone is the key
+        if outputs not in wires:
+            wires[outputs] = split(outputs)
+        return wires[outputs]
+
+    def split(outputs: tuple[int, ...]) -> int:
+        if len(outputs) == 1:
+            return emit("CONST", value=outputs[0])
+        half = len(outputs) // 2
+        f0, f1 = outputs[:half], outputs[half:]
+        if f0 == f1:
+            return build(f0)
+        x = half.bit_length() - 1
+        c0 = f0[0] if f0.count(f0[0]) == half else None  # None: not constant
+        c1 = f1[0] if f1.count(f1[0]) == half else None
+        if c0 is not None and c1 is not None:
+            return x if c1 else negation(x)
+        if c0 is not None:
+            return emit("OR", (build(f1), negation(x))) if c0 else emit("AND", (build(f1), x))
+        if c1 is not None:
+            return emit("OR", (build(f0), x)) if c1 else emit("AND", (build(f0), negation(x)))
+        if all(a != b for a, b in zip(f0, f1)):
+            return emit("XOR", (build(f0), x))
+        t0 = emit("AND", (build(f0), negation(x)))
+        return emit("XOR", (t0, emit("AND", (build(f1), x))))
+
+    out = build(table.outputs)
+    return SynthCircuit(table.n_inputs, table.n_inputs + len(steps), tuple(steps), out)
 
 
 def circuit_truth_table(circuit: SynthCircuit) -> TruthTable:

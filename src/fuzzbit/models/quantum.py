@@ -76,7 +76,11 @@ def splitmix64(seed: int) -> int:
 
 
 def checked_seed(seed: int) -> int:
-    """`seed` itself if it fits in an unsigned 64-bit integer, else ValueError."""
+    """`seed` itself if it fits in an unsigned 64-bit integer, else ValueError.
+
+    The one range check of a seed: a program's `measure seed` and the CLI's
+    `--seed` raise its message as their own parse errors.
+    """
     if not 0 <= seed <= _MASK64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     return seed

@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import itertools
 import math
+import random
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -334,6 +335,20 @@ def test_reversible_circuit_text_self_checks():
             final = simulate(dataclasses.replace(
                 vc, initial=ClassicalState(vc.program.wire_count, x))).final
             assert final.basis_index & 1 == bits[x]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_synthesized_programs_route_locally(seed):
+    # routing every operation through wires 0-2 took about 240,000 steps
+    rng = random.Random(seed)
+    table = TruthTable(8, 1, tuple(rng.randint(0, 1) for _ in range(256)))
+    circ = synthesize_circuit(table)
+    program = reversible_circuit_text(circ)
+    assert len(program.steps) < 15_000
+    assert program.wire_count == circ.n_wires
+    # one computing gate per operation, FANOUT and NOT for a NOT; the rest is routing
+    computing = [step for step in program.steps if step.gate != "SWAP"]
+    assert len(computing) == len(circ.steps) + sum(step.op == "NOT" for step in circ.steps)
 
 
 def test_all_ones_quietly_absorbs_through_a_program():

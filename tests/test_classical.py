@@ -1,5 +1,7 @@
 """Classical bits: truth tables, permutation matrices, synthesis, embedding."""
 
+import random
+
 import pytest
 
 from fuzzbit.algebra import BOOLEAN, UnitScalar
@@ -74,13 +76,58 @@ def test_permutation_round_trip():
 
 
 def test_synthesis_matches_table_small():
-    # all 4 one-input and all 16 two-input tables
-    for n in (1, 2):
+    # all 4 one-input, 16 two-input and 256 three-input tables
+    for n in (1, 2, 3):
         for code in range(1 << (1 << n)):
             bits = tuple((code >> i) & 1 for i in range(1 << n))
             table = TruthTable(n, 1, bits)
             circ = synthesize_circuit(table)
             assert circuit_truth_table(circ) == table
+
+
+def seeded_table(n, seed=3):
+    """One `randint(0, 1)` per entry from `random.Random(seed)`."""
+    rng = random.Random(seed)
+    return TruthTable(n, 1, tuple(rng.randint(0, 1) for _ in range(1 << n)))
+
+
+def parity(n):
+    return TruthTable(n, 1, tuple(bin(x).count("1") & 1 for x in range(1 << n)))
+
+
+def majority(n):
+    return TruthTable(n, 1, tuple(int(2 * bin(x).count("1") > n) for x in range(1 << n)))
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_synthesis_matches_seeded_tables(n):
+    for seed in range(4):
+        table = seeded_table(n, seed)
+        assert circuit_truth_table(synthesize_circuit(table)) == table
+    for table in (parity(n), majority(n)):
+        assert circuit_truth_table(synthesize_circuit(table)) == table
+
+
+@pytest.mark.parametrize("table, ops", [
+    # one wire per distinct sub-table; a tree of cofactors took 670, 572 and 694
+    (seeded_table(8), 172),
+    (parity(8), 7),
+    (majority(8), 49),
+])
+def test_synthesis_shares_equal_cofactors(table, ops):
+    circ = synthesize_circuit(table)
+    assert len(circ.steps) == ops
+    assert circ.n_wires == table.n_inputs + ops
+    # each input is negated at most once
+    negated = [step.args for step in circ.steps if step.op == "NOT"]
+    assert len(negated) == len(set(negated))
+
+
+def test_a_constant_table_is_one_const():
+    for value in (0, 1):
+        circ = synthesize_circuit(TruthTable(3, 1, (value,) * 8))
+        assert [(step.op, step.value) for step in circ.steps] == [("CONST", value)]
+        assert circuit_truth_table(circ) == TruthTable(3, 1, (value,) * 8)
 
 
 def test_synthesis_gate_vocabulary():

@@ -286,9 +286,8 @@ def test_synth_round_trip(tmp_path, capsys):
 # Every table of 2 and 3 inputs, and seeded ones of 4.
 SYNTH_TABLES = [bits for n in (2, 3) for bits in itertools.product((0, 1), repeat=1 << n)]
 SYNTH_TABLES += [tuple(random.Random(seed).choices((0, 1), k=16)) for seed in range(6)]
-# sha256 of the concatenated `synth` output over SYNTH_TABLES, as printed when
-# the emitter still rendered text line by line
-SYNTH_OUTPUT_SHA256 = "5c60f975831384daa31740816238132891d02aaf0b5bfae6a667143512fdd33e"
+# sha256 of the concatenated `synth` output over SYNTH_TABLES
+SYNTH_OUTPUT_SHA256 = "32922e7b52b0993fee196e1c0d65f285449afb6eea1324ca20b3dfd6cbfc41a1"
 
 
 def test_synth_prints_the_program_it_checked(tmp_path, capsys, monkeypatch):
@@ -297,14 +296,53 @@ def test_synth_prints_the_program_it_checked(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("fuzzbit.cli.validate",
                         lambda program: checked.append(program) or real(program))
     digest = hashlib.sha256()
-    for bits in SYNTH_TABLES:
-        table = write(tmp_path, "t.tbl", " ".join(map(str, bits)))
+    for i, bits in enumerate(SYNTH_TABLES):
+        # a new file each time: rewriting one file costs more than the synthesis
+        table = write(tmp_path, f"t{i}.tbl", " ".join(map(str, bits)))
         assert main(["synth", table]) == 0
         out = capsys.readouterr().out
         assert [parse_circuit(out)] == checked
         checked.clear()
         digest.update(out.encode())
     assert digest.hexdigest() == SYNTH_OUTPUT_SHA256
+
+
+def masks_run(program, n):
+    """Wire 0 after `program`, on all 2^n inputs at once: bit x of a wire's
+    mask is its value on input x, and inputs start on wires 0..n-1."""
+    width = 1 << n
+    full = (1 << width) - 1
+    masks = [0] * program.wire_count
+    for i in range(n):
+        masks[i] = sum(1 << x for x in range(width) if x >> i & 1)
+    for step in program.steps:
+        w = step.wires
+        if step.gate == "SWAP":
+            masks[w[0]], masks[w[1]] = masks[w[1]], masks[w[0]]
+        elif step.gate == "NOT":
+            masks[w[0]] ^= full
+        elif step.gate == "FANOUT":
+            masks[w[1]] ^= masks[w[0]]
+        else:
+            a, b = masks[w[0]], masks[w[1]]
+            masks[w[2]] ^= {"AND": a & b, "OR": a | b, "XOR": a ^ b}[step.gate]
+    return masks[0]
+
+
+def test_synth_output_computes_the_table(tmp_path, capsys):
+    # every table of up to 3 inputs, and seeded ones of 4 to 8, each checked
+    # on the printed text and without `synth`'s own per-input check
+    tables = [bits for n in (1, 2, 3) for bits in itertools.product((0, 1), repeat=1 << n)]
+    assert len(tables) == 276
+    for n in range(4, MAX_SYNTH_INPUTS + 1):
+        tables += [tuple(random.Random(seed).choices((0, 1), k=1 << n)) for seed in range(2)]
+    for i, bits in enumerate(tables):
+        n = len(bits).bit_length() - 1
+        assert main(["synth", write(tmp_path, f"t{i}.tbl", " ".join(map(str, bits)))]) == 0
+        program = parse_circuit(capsys.readouterr().out)
+        assert (program.model, program.init_kind) == ("classical", "ket")
+        assert set(program.init_values) == {0}
+        assert masks_run(program, n) == sum(bit << x for x, bit in enumerate(bits))
 
 
 def test_synth_input_limit(tmp_path, capsys, monkeypatch):
@@ -771,12 +809,13 @@ def test_scaled_run_self_checks_exit_3(tmp_path, capsys, monkeypatch, text, mess
 
 def test_synth_self_check_exits_3(tmp_path, capsys, monkeypatch):
     real = cli.validate
-    # drop the last step's plan: the run no longer computes the table
+    # drop the last step's plan, the SWAP that brings the result to wire 0:
+    # wire 0 then holds input bit 0, which differs from x0 XOR x1 first at input 2
     monkeypatch.setattr("fuzzbit.cli.validate", lambda program: dataclasses.replace(
         real(program), plans=real(program).plans[:-1]))
     assert main(["synth", write(tmp_path, "t.tbl", "0 1 1 0\n")]) == 3
     assert capsys.readouterr() == (
-        "", "error: synthesized circuit disagrees with the table at input 1\n")
+        "", "error: synthesized circuit disagrees with the table at input 2\n")
 
 
 @pytest.mark.parametrize("argv, kernel, message", [
