@@ -12,6 +12,10 @@ truncated sum with identity 0.  It also carries its carrier's text format
 and comparison: the literal grammar it parses, the exact literal it writes
 to files, the rendering the CLI displays and the tolerance of `equal`.  No
 other module decides how a carrier's scalars look as text.
+Its `scaled` states how the integer numerators of two operands over scales
+combine, which is all that `linalg`'s kernels compute with: the scales
+multiply (probability, viterbi, complex) or meet at their lcm (fuzz-mv,
+max-min, boolean).
 """
 
 from __future__ import annotations
@@ -43,8 +47,6 @@ __all__ = [
     "BOOLEAN",
     "PROBABILITY",
     "COMPLEX",
-    "NATURAL",
-    "mv_chain",
     "make_instance",
     "GRID_NAMES",
     "grid_values",
@@ -227,6 +229,30 @@ def _times(x: UnitScalar, y: UnitScalar) -> UnitScalar:
     return UnitScalar(Fraction(x) * Fraction(y))
 
 
+def _product_rule(add: Callable, mul: Callable) -> Callable:
+    """n/a and m/b combine at the scale a * b, where n * m is their product."""
+    def scaled(a: int, b: int):
+        return 1, 1, a * b, add, mul
+    return scaled
+
+
+def _shared_rule(add: Callable, mul_at: Callable[[int], Callable]) -> Callable:
+    """n/a and m/b combine at l = lcm(a, b), where `mul_at(l)` is their mul."""
+    def scaled(a: int, b: int):
+        scale = math.lcm(a, b)
+        return scale // a, scale // b, scale, add, mul_at(scale)
+    return scaled
+
+
+def _truncated_sum_at(scale: int) -> Callable[[int, int], int]:
+    # the multiples of 1/scale in [0, 1] (the MV-chain of that order) are
+    # closed under min and the truncated sum
+    def mul(x: int, y: int) -> int:
+        s = x + y
+        return s if s < scale else scale
+    return mul
+
+
 @dataclass(frozen=True, eq=False)
 class SemiringInstance:
     """A named (carrier, add, mul, zero, one) bundle with its text format.
@@ -242,15 +268,19 @@ class SemiringInstance:
     that builds the scalar n/d, and its `parse` reads a literal as the
     (numerator, denominator) pair in lowest terms; `linalg` holds its file
     matrices and vectors as integer numerators over one scale and builds
-    scalars only when they are read.  Where `from_ratio` is None, a
-    vector's numerators are its entries, at scale 1: complex, whose `parse`
-    returns the scalar itself, and the run instances below, which no file
-    holds.
+    scalars only when they are read.  Complex has no `from_ratio`: its
+    `parse` returns the scalar itself, and a vector's numerators are its
+    entries, at scale 1.
 
+    `scaled(a, b)` is how numerators over the scales a and b combine: it
+    returns (ka, kb, scale, add, mul), the factors that bring each operand
+    to the scale they combine at, the result's scale, and the add and mul
+    of numerators over it.  Where the scales multiply, `zero_numerator` is
+    0, so `zero_numerator * scale` is `zero` over any result's scale.
     `one_numerator` and `zero_numerator` are `one` and `zero` at scale 1
-    (for an inexact carrier, the scalars themselves), read once when the
-    instance is built, so that `linalg`'s role-based constructors read no
-    scalar at request time.
+    (complex's are the scalars themselves), read once when the instance is
+    built, so that `linalg`'s role-based constructors read no scalar at
+    request time.
     """
 
     name: str
@@ -259,6 +289,7 @@ class SemiringInstance:
     zero: Any
     one: Any
     idempotent_add: bool
+    scaled: Callable[[int, int], tuple[int, int, int, Callable, Callable]]
     parse: Callable[[str], Any] = parse_unit_ratio
     format: Callable[[Any], str] = format_rational
     display: Callable[[Any], str] = format_rational
@@ -282,50 +313,27 @@ class SemiringInstance:
         return f"SemiringInstance({self.name!r})"
 
 
+_MAX_MIN_RULE = _shared_rule(max, lambda scale: min)
+
 FUZZ_MV = SemiringInstance("fuzz-mv", add=wedge, mul=oplus, zero=ONE, one=ZERO,
-                           idempotent_add=True)
+                           idempotent_add=True, scaled=_shared_rule(min, _truncated_sum_at))
 MAX_MIN = SemiringInstance("max-min", add=vee, mul=wedge, zero=ZERO, one=ONE,
-                           idempotent_add=True)
+                           idempotent_add=True, scaled=_MAX_MIN_RULE)
 VITERBI = SemiringInstance("viterbi", add=vee, mul=_times, zero=ZERO, one=ONE,
-                           idempotent_add=True)
+                           idempotent_add=True, scaled=_product_rule(max, operator.mul))
 BOOLEAN = SemiringInstance("boolean", add=vee, mul=wedge, zero=ZERO, one=ONE,
-                           idempotent_add=True)
+                           idempotent_add=True, scaled=_MAX_MIN_RULE)
 PROBABILITY = SemiringInstance("probability", add=operator.add, mul=operator.mul,
                                zero=Fraction(0), one=Fraction(1), idempotent_add=False,
+                               scaled=_product_rule(operator.add, operator.mul),
                                parse=parse_nonneg_ratio, from_ratio=Fraction)
 COMPLEX = SemiringInstance("complex", add=operator.add, mul=operator.mul,
                            zero=complex(0), one=complex(1), idempotent_add=False,
+                           scaled=_product_rule(operator.add, operator.mul),
                            parse=parse_complex_scalar, format=format_complex_exact,
                            display=format_complex, tolerance=COMPLEX_TOL, from_ratio=None)
 
 _INSTANCES = {s.name: s for s in (FUZZ_MV, MAX_MIN, VITERBI, BOOLEAN, PROBABILITY, COMPLEX)}
-
-# --- scaled-integer carriers ------------------------------------------------
-#
-# Exact rationals that share a denominator run as Python ints: the numerators
-# over that scale.  Neither instance below is a file carrier, so neither is
-# registered for `make_instance`, and neither has a `from_ratio`: a run's
-# entries are its ints, at scale 1.
-
-# probability numerators: a product of numerators over scales D and g is the
-# numerator of the product over the scale D * g
-NATURAL = SemiringInstance("natural", add=operator.add, mul=operator.mul, zero=0, one=1,
-                           idempotent_add=False, from_ratio=None)
-
-
-def mv_chain(scale: int) -> SemiringInstance:
-    """fuzz-mv on the numerators of the multiples of 1/scale.
-
-    The multiples of 1/scale in [0, 1] are closed under min and the truncated
-    sum: they form the finite MV-chain of that order.  Over numerators, add is
-    min, mul is min(a + b, scale), zero is scale and one is 0.
-    """
-    def mul(a: int, b: int) -> int:
-        s = a + b
-        return s if s < scale else scale
-
-    return SemiringInstance(f"mv-chain-{scale}", add=min, mul=mul, zero=scale, one=0,
-                            idempotent_add=True, from_ratio=None)
 
 
 def make_instance(name: str) -> SemiringInstance:

@@ -18,18 +18,17 @@ tensors the bound matrix with the model's own identity on both sides, is
 the reference route for composed operators.
 
 `simulate` has two routes, and the model row, never a model name, picks
-one.  A row with no dense run (classical) tracks one basis index: a step's
+one.  A row that is not `dense` (classical) tracks one basis index: a step's
 plan is (base, mask, perm), the block's lowest wire, the window mask 2^k - 1
 and the gate's permutation of basis indices composed with the block's bit
-remap, and the run rewrites the window bits of that index.  Every other row
-runs its `encode`: the state and each step's bound matrix become entries
-over a scale (int numerators for stochastic and fuzzy, the complex entries
-themselves at scale 1 for quantum), and one generic block kernel runs
-them.  A step that multiplies the scale by more than 1 then divides the
-entries and the scale by their gcd, so a stochastic scale stays the least
-common denominator of the state.  Each intermediate state is held over the
-row's carrier (`SVector.over`, which builds no scalar) and passes the row's
-state predicate.  The trace keeps the indices or those vectors and builds a
+remap, and the run rewrites the window bits of that index.  Every dense row
+runs its own vectors: one generic block kernel applies each step's bound
+matrix to the state on their numerators (ints for stochastic and fuzzy,
+the complex entries at scale 1 for quantum).  A step that grows the scale
+then divides the numerators and the scale by their gcd, so the scale stays
+the least common denominator of the state.  Each intermediate state is the
+kernel's own vector, which builds no scalar, and passes the row's state
+predicate.  The trace keeps the indices or those vectors and builds a
 state only when one is read, without checking it a second time.
 
 Stochastic and fuzzy requests build no rational scalar from the literal to
@@ -169,7 +168,7 @@ class SimulationTrace:
     seed: int | None = None
 
     def _state(self, snapshot) -> ModelState:
-        if MODELS[self.model].encode is None:
+        if not MODELS[self.model].dense:
             return ClassicalState(self.wire_count, snapshot)
         # the run checked this snapshot; its rationals are built on first read
         return VectorState.known_member(self.model, snapshot)
@@ -369,11 +368,11 @@ def _initial_state(program: CircuitProgram) -> ModelState:
                 f"init ket has {len(bits)} bits, program has {n} wires",
                 program.init_line)
         index = int("".join(str(b) for b in bits), 2)
-        if row.encode is None:
+        if not row.dense:
             return ClassicalState(n, index)
         vector = basis_vector(row.instance, size, index)
     else:
-        if row.encode is None:
+        if not row.dense:
             raise ValidationError("classical programs take ket initial states",
                                   program.init_line)
         vector = program.init_values
@@ -406,7 +405,7 @@ def validate(program: CircuitProgram, base_dir: str | Path = ".") -> ValidatedCi
     if program.wire_count < 1:
         raise ValidationError("wire count must be positive")
     row = _model(program.model)  # ValueError for a name no row has
-    if row.encode is not None and program.wire_count > MAX_DENSE_WIRES:
+    if row.dense and program.wire_count > MAX_DENSE_WIRES:
         raise ValidationError(
             f"{program.model} programs take at most {MAX_DENSE_WIRES} wires "
             f"(2^{MAX_DENSE_WIRES} state entries), got {program.wire_count}")
@@ -507,7 +506,7 @@ def _step_plan(gate: GateDescriptor, targets: Sequence[int]) -> StepPlan:
     the permutation of the bound matrix, without building it.  base is the
     block's lowest wire and mask 2^k - 1 selects its k window bits.
     """
-    if MODELS[gate.model].encode is not None:
+    if MODELS[gate.model].dense:
         return _bound_matrix(gate, targets)
     rho = _slot_table(targets, gate.arity)
     inverse = [0] * len(rho)
@@ -520,25 +519,24 @@ def _step_plan(gate: GateDescriptor, targets: Sequence[int]) -> StepPlan:
 def _scaled_run(vc: ValidatedCircuit, row: Model) -> list[SVector]:
     """The state after each step over the row's carrier, each one the row takes.
 
-    A step whose factor is more than 1 divides the entries and the scale by
-    their gcd, so a scale that grows by each gate's denominator stays the
-    state's least common denominator.
+    A step that grows the scale divides the numerators and the scale by
+    their gcd, so a scale that grows by each gate's denominator (or to the
+    lcm with it) stays the state's least common denominator.
     """
-    scale, vector, steps = row.encode(vc.initial.vector, vc.plans)
+    vector = vc.initial.vector
     snapshots = []
-    for step, (matrix, factor) in zip(vc.program.steps, steps):
-        vector = mat_vec_block(matrix, min(step.wires), vector)
-        scale *= factor
-        if factor > 1:
-            g = math.gcd(scale, *vector.entries)
+    for step, plan in zip(vc.program.steps, vc.plans):
+        scale = vector.scale
+        vector = mat_vec_block(plan, min(step.wires), vector)
+        if vector.scale > scale:
+            g = math.gcd(vector.scale, *vector.numerators)
             if g > 1:
-                scale //= g
-                vector = SVector(vector.instance, tuple(x // g for x in vector.entries))
-        state = SVector.over(row.instance, vector.entries, scale)
-        reason = row.state_violation(state)
+                vector = SVector.over(row.instance, (x // g for x in vector.numerators),
+                                      vector.scale // g)
+        reason = row.state_violation(vector)
         if reason is not None:
             raise InternalCheckError(f"intermediate state failed membership: {reason}")
-        snapshots.append(state)
+        snapshots.append(vector)
     return snapshots
 
 
@@ -554,7 +552,7 @@ def simulate(vc: ValidatedCircuit, seed: int | None = None) -> SimulationTrace:
     seed = program.measure_seed if seed is None else seed
     if row.measure is not None and seed is not None:
         checked_seed(seed)
-    if row.encode is None:
+    if not row.dense:
         index = vc.initial.basis_index
         snapshots = []
         for base, mask, perm in vc.plans:

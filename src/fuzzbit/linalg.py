@@ -13,8 +13,11 @@ does not know which carriers exist.
 An `SVector` or `SMatrix` holds the form it was built from: its entries,
 or, through `over`, the integer numerators of exact entries over one
 scale.  It builds the other form once, on first read, so code that needs
-only the integers (membership checks, `simulate`, the CLI's printing)
+only the integers (membership checks, the kernels, the CLI's printing)
 builds no rational scalar, and code that reads entries gets the scalars.
+Over complex the numerators are the entries, at scale 1.  The kernels
+read only numerators and scales, combined by the instance's `scaled`, and
+hold their result `over` its scale.
 The role-based constructors (`identity`, `zeros`, `matrix_from_permutation`,
 `basis_vector`) build over the instance's `one_numerator` and
 `zero_numerator` at scale 1.
@@ -68,17 +71,15 @@ class _Dense:
         return f"{type(self).__name__}({self.instance!r}, {self.entries!r})"
 
 
-def _common_denominator(s: SemiringInstance, values: Iterable) -> int:
-    """The lcm of the denominators of exact scalars; 1 over an inexact carrier."""
-    return 1 if s.from_ratio is None else math.lcm(*(x.denominator for x in values))
-
-
-def _numerators(s: SemiringInstance, values: Iterable, scale: int) -> tuple:
-    """x * scale for each exact scalar x, whose denominator divides `scale`;
-    over an inexact carrier, the scalars themselves."""
-    if s.from_ratio is None:
-        return tuple(values)
+def _numerators(values: Iterable, scale: int) -> tuple:
+    """x * scale for each exact scalar x, whose denominator divides `scale`."""
     return tuple(x.numerator * (scale // x.denominator) for x in values)
+
+
+def _length(values: tuple) -> int:
+    if not values:
+        raise ValueError("empty vector")
+    return len(values)
 
 
 class SVector(_Dense):
@@ -86,27 +87,27 @@ class SVector(_Dense):
 
     `SVector(instance, entries)` holds the entries; `SVector.over(instance,
     numerators, scale)` holds the integer numerators of the entries
-    n/scale.  The other form is built once, on first read: entries through
-    `instance.from_ratio`, numerators over the lcm of the entries'
-    denominators.  Over an inexact carrier (no `from_ratio`) the numerators
-    are the entries themselves, at scale 1.
+    n/scale.  Over an exact carrier the other form is built once, on first
+    read: entries through `instance.from_ratio`, numerators over the lcm of
+    the entries' denominators.  Over an inexact carrier (no `from_ratio`)
+    the numerators are the entries themselves, at scale 1, from the start.
     """
 
     def __init__(self, instance: SemiringInstance, entries: Iterable):
         self.instance = instance
         self.entries = tuple(entries)
-        self._length = len(self.entries)
-        if not self._length:
-            raise ValueError("empty vector")
+        self._length = _length(self.entries)
+        if instance.from_ratio is None:  # its entries are its numerators
+            self.numerators, self.scale = self.entries, 1
 
     @classmethod
     def over(cls, instance: SemiringInstance, numerators: Iterable[int],
              scale: int) -> SVector:
-        if instance.from_ratio is None:  # its numerators are its entries
+        if instance.from_ratio is None:
             return cls(instance, numerators)
         v = cls.__new__(cls)
         v.instance, v.numerators, v.scale = instance, tuple(numerators), scale
-        v._length = len(v.numerators)
+        v._length = _length(v.numerators)
         return v
 
     @cached_property
@@ -116,11 +117,14 @@ class SVector(_Dense):
 
     @cached_property
     def scale(self) -> int:
-        return _common_denominator(self.instance, self.entries)
+        return math.lcm(*(x.denominator for x in self.entries))
 
     @cached_property
     def numerators(self) -> tuple:
-        return _numerators(self.instance, self.entries, self.scale)
+        return _numerators(self.entries, self.scale)
+
+    def _numerators_times(self, k: int) -> tuple:
+        return self.numerators if k == 1 else tuple(x * k for x in self.numerators)
 
     def __len__(self) -> int:
         return self._length
@@ -135,6 +139,8 @@ class SMatrix(_Dense):
         self.instance = instance
         self.entries = tuple(map(tuple, entries))  # row-major tuple of row tuples
         self.rows, self.cols = _shape(self.entries)
+        if instance.from_ratio is None:
+            self.numerators, self.scale = self.entries, 1
 
     @classmethod
     def over(cls, instance: SemiringInstance, numerators: Iterable[Iterable[int]],
@@ -153,12 +159,17 @@ class SMatrix(_Dense):
 
     @cached_property
     def scale(self) -> int:
-        return _common_denominator(self.instance, itertools.chain.from_iterable(self.entries))
+        return math.lcm(*(x.denominator for row in self.entries for x in row))
 
     @cached_property
     def numerators(self) -> tuple:
         scale = self.scale
-        return tuple(_numerators(self.instance, row, scale) for row in self.entries)
+        return tuple(_numerators(row, scale) for row in self.entries)
+
+    def _numerators_times(self, k: int) -> tuple:
+        if k == 1:
+            return self.numerators
+        return tuple(tuple(x * k for x in row) for row in self.numerators)
 
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.entries)
@@ -178,6 +189,15 @@ def _require_same_instance(a, b) -> SemiringInstance:
     return a.instance
 
 
+def _combined(a, b) -> tuple:
+    """(instance, scale, add, mul, numerators of a, numerators of b): both
+    operands' numerators brought to the scale at which their instance's
+    `scaled` combines them, and its add and mul over that scale."""
+    s = _require_same_instance(a, b)
+    ka, kb, scale, add, mul = s.scaled(a.scale, b.scale)
+    return s, scale, add, mul, a._numerators_times(ka), b._numerators_times(kb)
+
+
 def _reduce(add: Callable, terms: Iterable) -> Any:
     it = iter(terms)
     acc = next(it)
@@ -188,22 +208,19 @@ def _reduce(add: Callable, terms: Iterable) -> Any:
 
 def mat_mul(a: SMatrix, b: SMatrix) -> SMatrix:
     """Semiring matrix product: entry (i, j) is the add-reduction of mul terms."""
-    s = _require_same_instance(a, b)
+    s, scale, add, mul, rows, b_rows = _combined(a, b)
     if a.cols != b.rows:
         raise ValueError(f"inner dimension mismatch: {a.cols} vs {b.rows}")
-    bt = tuple(zip(*b.entries))  # columns of b
-    return SMatrix(s, tuple(
-        tuple(_reduce(s.add, (s.mul(x, y) for x, y in zip(row, col))) for col in bt)
-        for row in a.entries))
+    columns = tuple(zip(*b_rows))
+    return SMatrix.over(s, (tuple(_reduce(add, map(mul, row, col)) for col in columns)
+                            for row in rows), scale)
 
 
 def mat_vec(a: SMatrix, v: SVector) -> SVector:
-    s = _require_same_instance(a, v)
+    s, scale, add, mul, rows, values = _combined(a, v)
     if a.cols != len(v):
         raise ValueError(f"dimension mismatch: {a.cols} vs {len(v)}")
-    return SVector(s, tuple(
-        _reduce(s.add, (s.mul(x, y) for x, y in zip(row, v.entries)))
-        for row in a.entries))
+    return SVector.over(s, (_reduce(add, map(mul, row, values)) for row in rows), scale)
 
 
 def mat_vec_block(a: SMatrix, base: int, v: SVector) -> SVector:
@@ -214,42 +231,38 @@ def mat_vec_block(a: SMatrix, base: int, v: SVector) -> SVector:
     and scattered back, in O(len(v) * 2^k).  Each row adds its terms in
     increasing column order, the order of the same terms in the padded
     operator's row; the terms left out are mul(zero, x) = zero, which add
-    absorbs, so rational instances give exactly mat_vec's result.
+    absorbs, so exact instances give exactly mat_vec's result.
     """
-    s = _require_same_instance(a, v)
+    s, scale, add, mul, a_rows, values = _combined(a, v)
     size = a.rows
     if a.cols != size or len(v) % (size << base):
         raise ValueError(f"{a.rows}x{a.cols} block at bit {base} does not fit length {len(v)}")
-    add, mul, zero = s.add, s.mul, s.zero
+    zero = s.zero_numerator * scale
     rows = [(r << base, [(c << base, x) for c, x in enumerate(row) if x != zero])
-            for r, row in enumerate(a.entries)]
-    entries = v.entries
-    out = [zero] * len(entries)
+            for r, row in enumerate(a_rows)]
+    out = [zero] * len(values)
     low = 1 << base
-    for top in range(0, len(entries), size << base):
+    for top in range(0, len(values), size << base):
         for i0 in range(top, top + low):
             for out_off, terms in rows:
                 acc = zero
                 for k, (off, x) in enumerate(terms):
-                    term = mul(x, entries[i0 + off])
+                    term = mul(x, values[i0 + off])
                     acc = add(acc, term) if k else term
                 out[i0 + out_off] = acc
-    return SVector(s, out)
+    return SVector.over(s, out, scale)
 
 
 def kron_mat(a: SMatrix, b: SMatrix) -> SMatrix:
     """Kronecker product; block (i, j) is mul(a[i, j], -) applied to b."""
-    s = _require_same_instance(a, b)
-    rows = []
-    for arow in a.entries:
-        for brow in b.entries:
-            rows.append(tuple(s.mul(x, y) for x in arow for y in brow))
-    return SMatrix(s, tuple(rows))
+    s, scale, add, mul, a_rows, b_rows = _combined(a, b)
+    return SMatrix.over(s, (tuple(mul(x, y) for x in arow for y in brow)
+                            for arow in a_rows for brow in b_rows), scale)
 
 
 def kron_vec(u: SVector, v: SVector) -> SVector:
-    s = _require_same_instance(u, v)
-    return SVector(s, tuple(s.mul(x, y) for x in u.entries for y in v.entries))
+    s, scale, add, mul, u_values, v_values = _combined(u, v)
+    return SVector.over(s, (mul(x, y) for x in u_values for y in v_values), scale)
 
 
 def identity(s: SemiringInstance, n: int) -> SMatrix:

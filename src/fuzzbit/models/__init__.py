@@ -10,11 +10,12 @@ and for gates:
 
 Each model is one row of `MODELS`: its carrier, predicates, builtin gates,
 dense run and measurement are lookups in that row, so a new model is a new
-row.  A row's `encode` is how `simulate` runs its states densely:
-stochastic and fuzzy as integer numerators over a scale, quantum as its
-complex entries at scale 1.  Classical has none and runs on a basis index;
-only quantum measures.  The row checks carrier and squareness; each model
-module states only its own property, one predicate per set.  Every row
+row.  A `dense` row's states run as vectors over its own carrier, through
+`linalg`'s kernels on numerators: stochastic and fuzzy as integers over a
+scale, quantum as its complex entries at scale 1.  Classical runs on a
+basis index; only quantum measures.  The row checks carrier and
+squareness; each model module states only its own property, one
+predicate per set.  Every row
 builds its builtins over its own carrier, which `linalg` holds as
 numerators at scale 1, like file gates over theirs, and the classical,
 stochastic and fuzzy predicates read numerators over a scale, so a member
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from ..algebra import BOOLEAN, COMPLEX, FUZZ_MV, PROBABILITY, SemiringInstance
 from ..errors import MembershipError
@@ -55,12 +56,9 @@ class Model:
     lookups `state_violation` and `gate_violation` check that first.
     `gates` maps each builtin name to a zero-argument constructor of its
     matrix; `builtin_gate` runs it on first lookup, not at import.
-    `encode(initial, plans)` is the dense run (None: a basis-index run): the
-    initial scale, the initial state's numerators over the run's instance
-    and, for each plan, its numerators over that instance and the factor by
-    which its step multiplies the scale; `simulate` holds each state it
-    reaches over `instance` again.  `measure(state, seed)` draws a basis
-    index from a state and a seed in [0, 2^64) (None: no measurement).
+    `dense` says that `simulate` runs the model's states as vectors over
+    `instance` (False: a basis-index run).  `measure(state, seed)` draws a
+    basis index from a state and a seed in [0, 2^64) (None: no measurement).
     """
 
     name: str
@@ -68,8 +66,7 @@ class Model:
     state_violation: Callable[[SVector], str | None]
     gate_violation: Callable[[SMatrix], str | None]
     gates: Mapping[str, Callable[[], SMatrix]]
-    encode: Callable[[SVector, Sequence[SMatrix]],
-                     tuple[int, SVector, list[tuple[SMatrix, int]]]] | None = None
+    dense: bool = True
     measure: Callable[[VectorState, int], int] | None = None
 
 
@@ -96,27 +93,24 @@ MODELS = {m.name: m for m in (
           {**_permutation_gates(BOOLEAN, NOT=_NOT, CNOT=_CNOT, SWAP=_SWAP),
            **{name: _embedded_gate(name) for name in ("AND", "OR", "XOR", "NAND", "NOR")},
            # copying onto a 0 ancilla is the embedding of the identity table
-           "FANOUT": lambda: classical.reversible_embed(classical.TruthTable(1, 1, (0, 1)))}),
+           "FANOUT": lambda: classical.reversible_embed(classical.TruthTable(1, 1, (0, 1)))},
+          dense=False),
     Model("stochastic", PROBABILITY,
           lambda v: stochastic.distribution_violation(v),
           lambda m: stochastic.stochastic_violation(m),
-          _permutation_gates(PROBABILITY, NOT=_NOT, CNOT=_CNOT, SWAP=_SWAP),
-          stochastic.encode_run),
+          _permutation_gates(PROBABILITY, NOT=_NOT, CNOT=_CNOT, SWAP=_SWAP)),
     Model("quantum", COMPLEX,
           lambda v: quantum.state_norm_violation(v),
           lambda m: quantum.unitary_violation(m),
           {**_permutation_gates(COMPLEX, X=_NOT, CNOT=_CNOT, SWAP=_SWAP),
            "H": functools.partial(SMatrix, COMPLEX, quantum.H),
            "Z": functools.partial(SMatrix, COMPLEX, quantum.Z)},
-          # the identity encoding at scale 1: states run as complex vectors
-          lambda initial, plans: (1, initial, [(m, 1) for m in plans]),
-          lambda state, seed: quantum.measure(state, seed)),
+          measure=lambda state, seed: quantum.measure(state, seed)),
     Model("fuzzy", FUZZ_MV,
           lambda v: fuzzy.fuzzy_state_violation(v),
           lambda m: fuzzy.fuzzy_gate_violation(m),
           {**_permutation_gates(FUZZ_MV, FID=_ID, FNOT=_NOT, FSWAP=_SWAP),
-           "FZERO": functools.partial(zeros, FUZZ_MV, 2)},
-          fuzzy.encode_run),
+           "FZERO": functools.partial(zeros, FUZZ_MV, 2)}),
 )}
 
 MODEL_NAMES = tuple(MODELS)

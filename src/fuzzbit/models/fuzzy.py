@@ -11,27 +11,21 @@ swap J = [[1, 0], [0, 1]] is an involution.
 A request runs these programs on integers from the literal to the printed
 line: literals parse to numerators over a common denominator (see
 `linalg.literal_matrix`), builtins and basis kets are numerators at scale
-1, and `encode_run` runs over one scale L for the whole run, the lcm of
-the state's and every gate's scale: the multiples of 1/L are closed under
-min and the truncated sum (the finite MV-chain of order L), so no step
-changes the scale, and `simulate` holds each state over fuzz-mv again.
-Each predicate below reads its operand's numerators over their scale: a
-member builds no rational, and a rejection prints its values through
-`format_ratio`.
+1, and a gate over the scale g acts on a state over D at L = lcm(g, D)
+(`algebra.FUZZ_MV.scaled`): the multiples of 1/L are closed under min and
+the truncated sum (the finite MV-chain of order L).  Each predicate below
+reads its operand's numerators over their scale: a member builds no
+rational, and a rejection prints its values through `format_ratio`.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Sequence
-
-from ..algebra import FUZZ_MV, format_ratio, mv_chain, neg
+from ..algebra import FUZZ_MV, format_ratio, neg
 from ..linalg import SMatrix, SVector
 
 __all__ = [
     "fuzzy_state_violation",
     "fuzzy_gate_violation",
-    "encode_run",
     "complement",
 ]
 
@@ -67,21 +61,6 @@ def fuzzy_gate_violation(m: SMatrix) -> str | None:
             return (f"column {j} has minimum {format_ratio(low, scale, 'a column minimum')}, "
                     "expected 0")
     return None
-
-
-def encode_run(initial: SVector, plans: Sequence[SMatrix]):
-    """The run over the MV-chain of order L, the lcm of the scales of the
-    state and every gate; a step keeps the scale, so each factor is 1."""
-    scale = math.lcm(initial.scale, *(m.scale for m in plans))
-    chain = mv_chain(scale)
-
-    def rescaled(values: Sequence[int], own: int) -> Sequence[int]:
-        k = scale // own
-        return values if k == 1 else tuple(x * k for x in values)
-
-    steps = [(SMatrix(chain, [rescaled(row, m.scale) for row in m.numerators]), 1)
-             for m in plans]
-    return scale, SVector(chain, rescaled(initial.numerators, initial.scale)), steps
 
 
 def complement(v: SVector) -> SVector:

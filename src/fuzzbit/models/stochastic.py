@@ -8,27 +8,23 @@ a semigroup rather than a group.
 A request runs these programs on integers from the literal to the printed
 line: literals parse to numerators over a common denominator (see
 `linalg.literal_matrix`), builtins and basis kets are numerators at scale
-1, and a gate G/g acting on a state s/D gives (G s)/(g D).  `encode_run`
-runs the numerators as plain integers.  The scale of the state grows by
-each gate's common denominator; `simulate` divides the numerators and the
-scale by their gcd, so the scale stays the least common denominator of
-the state's entries, and then holds the state over the probability
-carrier again.  Each predicate below reads its operand's numerators over their
-scale: a member builds no rational, and a rejection prints its values
-through `format_ratio`.
+1, and a gate G/g acting on a state s/D gives (G s)/(g D): the probability
+carrier multiplies the scales (`algebra.PROBABILITY.scaled`).  The scale
+of a run's state grows by each gate's common denominator; `simulate`
+divides the numerators and the scale by their gcd, so the scale stays the
+least common denominator of the state's entries.  Each predicate below
+reads its operand's numerators over their scale: a member builds no
+rational, and a rejection prints its values through `format_ratio`.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from ..algebra import NATURAL, format_ratio
+from ..algebra import format_ratio
 from ..linalg import SMatrix, SVector
 
 __all__ = [
     "stochastic_violation",
     "distribution_violation",
-    "encode_run",
 ]
 
 
@@ -69,12 +65,4 @@ def stochastic_violation(m: SMatrix) -> str | None:
             return (f"column {j} sums to {format_ratio(total, scale, f'the sum of column {j}')}, "
                     "expected exactly 1")
     return None
-
-
-def encode_run(initial: SVector, plans: Sequence[SMatrix]):
-    """The run over NATURAL: the state's numerators over their scale D, and
-    each gate's numerators over its own scale g, which is the factor a step
-    multiplies the scale by."""
-    steps = [(SMatrix(NATURAL, m.numerators), m.scale) for m in plans]
-    return initial.scale, SVector(NATURAL, initial.numerators), steps
 

@@ -36,7 +36,6 @@ from fuzzbit.linalg import (
     kron_mat,
     mat_mul,
     mat_vec,
-    mat_vec_block,
     matrix_from_permutation,
     serialize_matrix,
 )
@@ -47,6 +46,7 @@ from fuzzbit.models.classical import (
     permutation_from_matrix,
     synthesize_circuit,
 )
+from test_linalg import entrywise_block
 
 U = UnitScalar
 
@@ -457,7 +457,7 @@ def test_every_step_matches_the_lifted_gate(case):
             assert after.vector == mat_vec(lifted, before.vector)
 
 
-# --- the integer route against the rational route -------------------------------
+# --- the integer run against the entrywise reference ----------------------------
 
 def _random_state(draw, model: str, size: int, denominators) -> SVector:
     d = draw(st.sampled_from(denominators))
@@ -494,6 +494,8 @@ def rational_runs(draw):
 @settings(max_examples=100, deadline=None)
 @given(rational_runs())
 def test_integer_route_matches_the_rational_route(case):
+    """Each run state against the lifted operator's mat_vec and against
+    `entrywise_block`, which folds the carrier's add and mul over entries."""
     text, files, initial = case
     with tempfile.TemporaryDirectory() as tmp:
         for name, body in files.items():
@@ -507,9 +509,10 @@ def test_integer_route_matches_the_rational_route(case):
     assert len(trace.states) == len(program.steps) + 1
     assert trace.states[0] is state
     vector = state.vector
+    s = vector.instance
     for k, (step, gate, plan) in enumerate(zip(program.steps, vc.gates, vc.plans), 1):
         lifted = mat_vec(lift_gate(gate, step.wires, program.wire_count), vector)
-        vector = mat_vec_block(plan, min(step.wires), vector)  # over the rational carrier
+        vector = SVector(s, entrywise_block(s, plan.entries, min(step.wires), vector.entries))
         assert vector == lifted
         decoded = trace.states[k]
         assert isinstance(decoded, VectorState) and decoded.model == program.model
@@ -544,9 +547,9 @@ def test_simulate_neither_lifts_nor_checks_gates(monkeypatch, text):
     assert simulate(vc) == expected
 
 
-# A kernel mutant's entries have the type the run carries: int numerators
-# for stochastic (all 0: the sum is not the scale) and fuzzy (all 1 at the
-# program's scale 2: the minimum is 1/2), complex for quantum.
+# A kernel mutant returns numerators over the state's own carrier and scale:
+# int numerators for stochastic (all 0: the sum is not the scale) and fuzzy
+# (all 1 at the program's scale 2: the minimum is 1/2), complex for quantum.
 @pytest.mark.parametrize("text, bad_entry", [
     (ONE_PROGRAM_PER_MODEL[1], 0),
     (ONE_PROGRAM_PER_MODEL[2], 0j),
@@ -554,8 +557,8 @@ def test_simulate_neither_lifts_nor_checks_gates(monkeypatch, text):
 ])
 def test_kept_state_check_still_fails(monkeypatch, text, bad_entry):
     vc = validate(parse_circuit(text))
-    monkeypatch.setattr("fuzzbit.circuit.mat_vec_block",
-                        lambda a, base, v: SVector(v.instance, (bad_entry,) * len(v)))
+    monkeypatch.setattr("fuzzbit.circuit.mat_vec_block", lambda a, base, v: SVector.over(
+        v.instance, (bad_entry,) * len(v), v.scale))
     with pytest.raises(InternalCheckError, match="intermediate state failed membership"):
         simulate(vc)
 

@@ -799,10 +799,12 @@ def test_each_circuit_parse_error(tmp_path, capsys, text, message):
 ], ids=["numerator-out-of-range", "stochastic-kernel"])
 def test_scaled_run_self_checks_exit_3(tmp_path, capsys, monkeypatch, text, message):
     circ = write(tmp_path, "p.circ", text)
-    # numerators 0 and zero + 1: L + 1 over the fuzzy scale L (zero is L), and
-    # 1 over the stochastic scale 3, a sum that is not the scale
-    monkeypatch.setattr("fuzzbit.circuit.mat_vec_block", lambda a, base, v: SVector(
-        v.instance, (0,) + (v.instance.zero + 1,) * (len(v) - 1)))
+    # numerators 0 and zero + 1 over the state's scale: 3 over the fuzzy
+    # scale 2, where zero is 2, and 1 over the stochastic scale 3, a sum that
+    # is not the scale
+    monkeypatch.setattr("fuzzbit.circuit.mat_vec_block", lambda a, base, v: SVector.over(
+        v.instance, (0,) + (v.instance.zero_numerator * v.scale + 1,) * (len(v) - 1),
+        v.scale))
     assert main(["simulate", circ]) == 3
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
@@ -842,8 +844,9 @@ def test_a_non_member_result_exits_3(tmp_path, capsys, monkeypatch, argv, kernel
 
 # A stochastic and a fuzzy program, each with an `init vec` of the literals
 # 2/4, 0.25 and 1 and an @file gate, and the exact text `simulate --trace`
-# prints for them; and `check classical` of a member gate file and a member
-# state file.
+# prints for them; `check classical` of a member gate file and a member
+# state file; and `apply` and state `kron` per rational model.  Gate `kron`
+# is left out: it prints its matrix through the entries.
 _TRACE = ["simulate", "--trace", "p.circ"]
 _CNOT_TEXT = "instance boolean 4 4\n1 0 0 0\n0 1 0 0\n0 0 0 1\n0 0 1 0\n"
 RATIONAL_REQUESTS = {
@@ -875,6 +878,22 @@ RATIONAL_REQUESTS = {
     "classical-gate": ({"g.mat": _CNOT_TEXT}, ["check", "classical", "g.mat"], "ok\n"),
     "classical-state": ({"v.mat": "instance boolean 4 1\n0\n0\n1\n0\n"},
                         ["check", "classical", "v.mat"], "ok\n"),
+    "apply-stochastic": (
+        {"g.mat": "instance probability 2 2\n1/3 1\n2/3 0\n",
+         "v.mat": "instance probability 2 1\n1/4\n3/4\n"},
+        ["apply", "stochastic", "g.mat", "v.mat"], "5/6 1/6\n"),
+    "apply-fuzzy": (
+        {"g.mat": "instance fuzz-mv 2 2\n0 1/3\n1/2 0\n",
+         "v.mat": "instance fuzz-mv 2 1\n1/4\n0\n"},
+        ["apply", "fuzzy", "g.mat", "v.mat"], "1/4 0\n"),
+    "kron-stochastic": (
+        {"u.mat": "instance probability 2 1\n1/4\n3/4\n",
+         "v.mat": "instance probability 2 1\n1/3\n2/3\n"},
+        ["kron", "stochastic", "u.mat", "v.mat"], "1/12 1/6 1/4 1/2\n"),
+    "kron-fuzzy": (
+        {"u.mat": "instance fuzz-mv 2 1\n1/4\n0\n",
+         "v.mat": "instance fuzz-mv 2 1\n0\n1/3\n"},
+        ["kron", "fuzzy", "u.mat", "v.mat"], "1/4 7/12 0 1/3\n"),
 }
 
 

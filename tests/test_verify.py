@@ -87,7 +87,8 @@ def test_corrupted_instance_fails_axioms():
         return U(d) if d > 0 else U(0)
 
     corrupt = SemiringInstance("corrupt", add=wedge, mul=clamped_sub,
-                               zero=U(1), one=U(0), idempotent_add=True)
+                               zero=U(1), one=U(0), idempotent_add=True,
+                               scaled=FUZZ_MV.scaled)
     report = check_semiring_axioms(corrupt, grid_values("coarse"))
     assert len(report.failures) >= 1
     assert not report.passed
