@@ -3,8 +3,8 @@
 Rational carriers are exact (`fractions.Fraction` underneath); the complex
 carrier used by the quantum model is double precision with a fixed
 comparison tolerance.  The many-valued connectives on [0, 1] -- truncated
-sum, min, max, the Lukasiewicz product and the complement -- form the
-scalar layer every other module is generic over.
+sum, min, max, the Lukasiewicz product and the complement -- are the
+paper's scalar operations on `UnitScalar`s.
 
 A semiring instance names its identities by role, not by numeral: in the
 fuzz-mv instance addition is min with identity 1 and multiplication is the
@@ -15,7 +15,7 @@ other module decides how a carrier's scalars look as text.
 Its `scaled` states how the integer numerators of two operands over scales
 combine, which is all that `linalg`'s kernels compute with: the scales
 multiply (probability, viterbi, complex) or meet at their lcm (fuzz-mv,
-max-min, boolean).
+max-min, boolean).  It is the instance's only add and mul, which `verify` checks.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ __all__ = [
     "parse_unit_ratio",
     "parse_complex_scalar",
     "format_ratio",
-    "format_rational",
     "format_complex",
     "format_complex_exact",
 ]
@@ -193,11 +192,6 @@ def format_ratio(numerator: int, denominator: int, what: str = "result scalar") 
                            f"{sys.get_int_max_str_digits()} digits") from None
 
 
-def format_rational(x: Fraction, what: str = "result scalar") -> str:
-    """Exact literal that re-parses to the same value; see `format_ratio`."""
-    return format_ratio(x.numerator, x.denominator, what)
-
-
 def _format_float(v: float, spec: str | None) -> str:
     # spec None means shortest round-trip (repr)
     text = repr(v) if spec is None else format(v, spec)
@@ -222,11 +216,6 @@ def format_complex(z: complex) -> str:
 def format_complex_exact(z: complex) -> str:
     """Shortest literal that round-trips to the same double (for files)."""
     return _format_complex_with(z, None)
-
-
-def _times(x: UnitScalar, y: UnitScalar) -> UnitScalar:
-    # ordinary product; [0, 1] is closed under it
-    return UnitScalar(Fraction(x) * Fraction(y))
 
 
 def _product_rule(add: Callable, mul: Callable) -> Callable:
@@ -255,44 +244,36 @@ def _truncated_sum_at(scale: int) -> Callable[[int, int], int]:
 
 @dataclass(frozen=True, eq=False)
 class SemiringInstance:
-    """A named (carrier, add, mul, zero, one) bundle with its text format.
+    """A named carrier: its identities, how its numerators combine, and its text format.
 
-    `zero` and `one` are the identities of `add` and `mul` in their roles;
-    generic code must never assume they are the numbers 0 and 1.  `parse`
-    reads a scalar literal, `format` writes the exact literal that `parse`
-    reads back, `display` renders a scalar for the CLI, and `tolerance` is
-    the componentwise bound within which `linalg.equal` takes two entries as
-    equal (0 for exact carriers).
-
-    An exact carrier (every registered one but complex) has a `from_ratio`
-    that builds the scalar n/d, and its `parse` reads a literal as the
-    (numerator, denominator) pair in lowest terms; `linalg` holds its file
-    matrices and vectors as integer numerators over one scale and builds
-    scalars only when they are read.  Complex has no `from_ratio`: its
-    `parse` returns the scalar itself, and a vector's numerators are its
-    entries, at scale 1.
+    `zero` and `one` are the identities, in their roles, of the add and mul
+    that `scaled` returns; there is no scalar add or mul beside them, and
+    generic code must never assume they are the numbers 0 and 1.
 
     `scaled(a, b)` is how numerators over the scales a and b combine: it
     returns (ka, kb, scale, add, mul), the factors that bring each operand
     to the scale they combine at, the result's scale, and the add and mul
     of numerators over it.  Where the scales multiply, `zero_numerator` is
     0, so `zero_numerator * scale` is `zero` over any result's scale.
-    `one_numerator` and `zero_numerator` are `one` and `zero` at scale 1
-    (complex's are the scalars themselves), read once when the instance is
-    built, so that `linalg`'s role-based constructors read no scalar at
-    request time.
+    `one_numerator` and `zero_numerator` are `one` and `zero` at scale 1,
+    read once when the instance is built.
+
+    An exact carrier (every registered one but complex) has a `from_ratio`
+    that builds the scalar n/d; `parse` reads a literal as the pair (n, d)
+    in lowest terms, and `format(n, scale)` and `display(n, scale)` write a
+    numerator over a scale, for files and for the CLI.  Complex has no
+    `from_ratio`: its numerators are its scalars, at scale 1, which `parse`
+    returns and `format` and `display` write.  `tolerance` is the
+    componentwise bound of `linalg.equal` (0 for exact carriers).
     """
 
     name: str
-    add: Callable[[Any, Any], Any]
-    mul: Callable[[Any, Any], Any]
     zero: Any
     one: Any
-    idempotent_add: bool
     scaled: Callable[[int, int], tuple[int, int, int, Callable, Callable]]
     parse: Callable[[str], Any] = parse_unit_ratio
-    format: Callable[[Any], str] = format_rational
-    display: Callable[[Any], str] = format_rational
+    format: Callable[[Any, int], str] = format_ratio
+    display: Callable[[Any, int], str] = format_ratio
     tolerance: float = 0.0
     from_ratio: Callable[[int, int], Any] | None = UnitScalar
     one_numerator: Any = field(init=False, repr=False)
@@ -315,23 +296,21 @@ class SemiringInstance:
 
 _MAX_MIN_RULE = _shared_rule(max, lambda scale: min)
 
-FUZZ_MV = SemiringInstance("fuzz-mv", add=wedge, mul=oplus, zero=ONE, one=ZERO,
-                           idempotent_add=True, scaled=_shared_rule(min, _truncated_sum_at))
-MAX_MIN = SemiringInstance("max-min", add=vee, mul=wedge, zero=ZERO, one=ONE,
-                           idempotent_add=True, scaled=_MAX_MIN_RULE)
-VITERBI = SemiringInstance("viterbi", add=vee, mul=_times, zero=ZERO, one=ONE,
-                           idempotent_add=True, scaled=_product_rule(max, operator.mul))
-BOOLEAN = SemiringInstance("boolean", add=vee, mul=wedge, zero=ZERO, one=ONE,
-                           idempotent_add=True, scaled=_MAX_MIN_RULE)
-PROBABILITY = SemiringInstance("probability", add=operator.add, mul=operator.mul,
-                               zero=Fraction(0), one=Fraction(1), idempotent_add=False,
+FUZZ_MV = SemiringInstance("fuzz-mv", zero=ONE, one=ZERO,
+                           scaled=_shared_rule(min, _truncated_sum_at))
+MAX_MIN = SemiringInstance("max-min", zero=ZERO, one=ONE, scaled=_MAX_MIN_RULE)
+VITERBI = SemiringInstance("viterbi", zero=ZERO, one=ONE,
+                           scaled=_product_rule(max, operator.mul))
+BOOLEAN = SemiringInstance("boolean", zero=ZERO, one=ONE, scaled=_MAX_MIN_RULE)
+PROBABILITY = SemiringInstance("probability", zero=Fraction(0), one=Fraction(1),
                                scaled=_product_rule(operator.add, operator.mul),
                                parse=parse_nonneg_ratio, from_ratio=Fraction)
-COMPLEX = SemiringInstance("complex", add=operator.add, mul=operator.mul,
-                           zero=complex(0), one=complex(1), idempotent_add=False,
+COMPLEX = SemiringInstance("complex", zero=complex(0), one=complex(1),
                            scaled=_product_rule(operator.add, operator.mul),
-                           parse=parse_complex_scalar, format=format_complex_exact,
-                           display=format_complex, tolerance=COMPLEX_TOL, from_ratio=None)
+                           parse=parse_complex_scalar,
+                           format=lambda z, scale: format_complex_exact(z),
+                           display=lambda z, scale: format_complex(z),
+                           tolerance=COMPLEX_TOL, from_ratio=None)
 
 _INSTANCES = {s.name: s for s in (FUZZ_MV, MAX_MIN, VITERBI, BOOLEAN, PROBABILITY, COMPLEX)}
 

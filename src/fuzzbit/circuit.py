@@ -66,6 +66,7 @@ from .linalg import (
     SVector,
     as_vector,
     basis_vector,
+    format_row,
     identity,
     kron_mat,
     literal_matrix,
@@ -317,8 +318,8 @@ def serialize_circuit(program: CircuitProgram) -> str:
     if program.init_kind == "ket":
         lines.append("init ket " + "".join(str(b) for b in program.init_values))
     else:
-        fmt = _model(program.model).instance.format
-        lines.append("init vec " + " ".join(fmt(x) for x in program.init_values.entries))
+        fmt, v = _model(program.model).instance.format, program.init_values
+        lines.append("init vec " + format_row(fmt, v.numerators, v.scale))
     for step in program.steps:
         lines.append(f"gate {step.gate} " + " ".join(map(str, step.wires)))
     if program.measure_seed is not None:
@@ -525,16 +526,19 @@ def _scaled_run(vc: ValidatedCircuit, row: Model) -> list[SVector]:
     """
     vector = vc.initial.vector
     snapshots = []
-    for step, plan in zip(vc.program.steps, vc.plans):
-        scale = vector.scale
-        vector = mat_vec_block(plan, min(step.wires), vector)
-        if vector.scale > scale:
+    for k, (step, plan) in enumerate(zip(vc.program.steps, vc.plans), 1):
+        before = vector
+        vector = mat_vec_block(plan, min(step.wires), before)
+        if vector.scale > before.scale:
             g = math.gcd(vector.scale, *vector.numerators)
             if g > 1:
                 vector = SVector.over(row.instance, (x // g for x in vector.numerators),
                                       vector.scale // g)
         reason = row.state_violation(vector)
         if reason is not None:
+            if row.compounded(vector, (plan, before)):
+                raise ValidationError(f"step {k} ({step.gate}) left the state set within "
+                                      f"its operands' accepted deviations: {reason}", step.line)
             raise InternalCheckError(f"intermediate state failed membership: {reason}")
         snapshots.append(vector)
     return snapshots

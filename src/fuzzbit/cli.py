@@ -25,7 +25,7 @@ from .circuit import (
     simulate,
     validate,
 )
-from .algebra import GRID_NAMES, format_ratio
+from .algebra import GRID_NAMES
 from .errors import (
     FuzzbitError,
     InternalCheckError,
@@ -37,6 +37,7 @@ from .linalg import (
     SMatrix,
     SVector,
     as_vector,
+    format_row,
     kron_mat,
     kron_vec,
     mat_vec,
@@ -78,9 +79,7 @@ def _read_operand(path: str) -> SMatrix | SVector:
 
 
 def _render_vector(v: SVector) -> str:
-    if v.instance.from_ratio is None:  # an inexact carrier renders its scalars
-        return " ".join(map(v.instance.display, v.entries))
-    return " ".join(format_ratio(x, v.scale) for x in v.numerators)
+    return format_row(v.instance.display, v.numerators, v.scale)
 
 
 def _render_state(state) -> str:
@@ -95,7 +94,8 @@ def _violation(model: str, x: SMatrix | SVector) -> str | None:
 
 
 def _print_checked(model: str, what: str, operation, *operands: SMatrix | SVector) -> int:
-    """Print `operation(*operands)`: a non-member operand exits 1, a non-member result 3."""
+    """Print `operation(*operands)`: a non-member operand exits 1, a non-member
+    result 3, or 1 where the row finds it `compounded` from the operands."""
     for reason in [_violation(model, x) for x in operands]:  # all checked, first reported
         if reason is not None:
             raise MembershipError(reason)
@@ -103,8 +103,10 @@ def _print_checked(model: str, what: str, operation, *operands: SMatrix | SVecto
     is_state = isinstance(result, SVector)
     reason = _violation(model, result)
     if reason is not None:
-        raise InternalCheckError(
-            f"{what} left the {'state' if is_state else 'gate'} set: {reason}")
+        left = f"{what} left the {'state' if is_state else 'gate'} set"
+        if MODELS[model].compounded(result, operands):
+            raise MembershipError(f"{left} within its operands' accepted deviations: {reason}")
+        raise InternalCheckError(f"{left}: {reason}")
     if is_state:
         print(_render_vector(result))
     else:

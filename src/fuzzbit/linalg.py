@@ -23,7 +23,8 @@ The role-based constructors (`identity`, `zeros`, `matrix_from_permutation`,
 `zero_numerator` at scale 1.
 An exact carrier (one with a `from_ratio`) parses literals as (numerator,
 denominator) pairs, which `literal_matrix`, the one builder for files and
-`init vec`, bounds and holds over their least common denominator.
+`init vec`, bounds and holds over their least common denominator.  Text
+is written from the numerators too, by the instance's `format` or `display`.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ __all__ = [
     "equal",
     "literal_matrix",
     "parse_matrix_text",
+    "format_row",
     "serialize_matrix",
     "as_vector",
 ]
@@ -384,10 +386,16 @@ def parse_matrix_text(text: str) -> SMatrix:
     return literal_matrix(s, grid)
 
 
-def serialize_matrix(m: SMatrix, fmt: Callable[[Any], str] | None = None) -> str:
+def format_row(fmt: Callable[[Any, int], str], numerators: Iterable, scale: int) -> str:
+    """Numerators over `scale` as one line of literals, each `fmt(n, scale)`,
+    an instance's `format` or `display`; an exact carrier's builds no scalar."""
+    return " ".join(fmt(x, scale) for x in numerators)
+
+
+def serialize_matrix(m: SMatrix, fmt: Callable[[Any, int], str] | None = None) -> str:
     fmt = m.instance.format if fmt is None else fmt
     lines = [f"instance {m.instance.name} {m.rows} {m.cols}"]
-    lines.extend(" ".join(fmt(x) for x in row) for row in m.entries)
+    lines.extend(format_row(fmt, row, m.scale) for row in m.numerators)
     return "\n".join(lines) + "\n"
 
 

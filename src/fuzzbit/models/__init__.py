@@ -59,6 +59,8 @@ class Model:
     `dense` says that `simulate` runs the model's states as vectors over
     `instance` (False: a basis-index run).  `measure(state, seed)` draws a
     basis index from a state and a seed in [0, 2^64) (None: no measurement).
+    `compounded(result, operands)`: whether a non-member product of members
+    fails only as far as their accepted tolerance allows (exact rows: never).
     """
 
     name: str
@@ -68,6 +70,7 @@ class Model:
     gates: Mapping[str, Callable[[], SMatrix]]
     dense: bool = True
     measure: Callable[[VectorState, int], int] | None = None
+    compounded: Callable[[SVector | SMatrix, tuple], bool] = lambda result, operands: False
 
 
 # The reversible builtins as permutations of basis indices: e_j -> e_perm[j].
@@ -105,7 +108,8 @@ MODELS = {m.name: m for m in (
           {**_permutation_gates(COMPLEX, X=_NOT, CNOT=_CNOT, SWAP=_SWAP),
            "H": functools.partial(SMatrix, COMPLEX, quantum.H),
            "Z": functools.partial(SMatrix, COMPLEX, quantum.Z)},
-          measure=lambda state, seed: quantum.measure(state, seed)),
+          measure=lambda state, seed: quantum.measure(state, seed),
+          compounded=lambda result, operands: quantum.compounded(result, operands)),
     Model("fuzzy", FUZZ_MV,
           lambda v: fuzzy.fuzzy_state_violation(v),
           lambda m: fuzzy.fuzzy_gate_violation(m),

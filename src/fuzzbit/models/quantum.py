@@ -1,7 +1,8 @@
 """Qubits: unit-norm complex state vectors, unitary gates, seeded measurement.
 
 All comparisons use the package-wide absolute tolerance of 1e-9 per
-component.  Measurement is reproducible: a 64-bit seed is mixed by the
+component; `compounded` bounds how far products of accepted values may
+fail it.  Measurement is reproducible: a 64-bit seed is mixed by the
 splitmix64 finalizer into one uniform double, which is inverted through
 the cumulative distribution of squared amplitude magnitudes.
 """
@@ -20,6 +21,7 @@ if TYPE_CHECKING:
 __all__ = [
     "state_norm_violation",
     "unitary_violation",
+    "compounded",
     "H",
     "Z",
     "splitmix64",
@@ -62,6 +64,28 @@ def unitary_violation(m: SMatrix) -> str | None:
             if abs(acc.real - want) > COMPLEX_TOL or abs(acc.imag) > COMPLEX_TOL:
                 return f"columns {i} and {j} are not orthonormal (deviation {abs(acc - want):.3e})"
     return None
+
+
+def _deviation(x: SVector | SMatrix) -> float:
+    """|‖v‖² − 1| for a state.  For a gate, the largest row sum of |U†U − I|,
+    real and imaginary parts taken apart, which bounds its spectral norm.
+    NaN or inf where an entry is not finite."""
+    if isinstance(x, SVector):
+        return abs(sum(a.real * a.real + a.imag * a.imag for a in x.entries) - 1.0)
+    e, n = x.entries, x.rows
+    gram = [[sum(e[k][i].conjugate() * e[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+    return max(sum(abs(z.real - (i == j)) + abs(z.imag) for j, z in enumerate(row))
+               for i, row in enumerate(gram))
+
+
+def compounded(result: SVector | SMatrix, operands: tuple) -> bool:
+    """Whether `result`, a product of the accepted `operands` (U v, a block step,
+    u ⊗ v or A ⊗ B), deviates no further than their deviations d and e allow:
+    (1 + d)(1 + e) − 1, and 2^-48 per entry for double rounding."""
+    entries = len(result) if isinstance(result, SVector) else result.rows * result.cols
+    allowed = math.prod(1.0 + _deviation(x) for x in operands) - 1.0 + entries * 2.0 ** -48
+    return _deviation(result) <= allowed
 
 
 _MASK64 = (1 << 64) - 1

@@ -1,11 +1,13 @@
-"""Brute-force law checking on rational grids, independent of the main code.
+"""Brute-force law checking on rational grids.
 
-Every check re-derives matrix entries from the scalar definitions
-(min / truncated sum) instead of calling the generic linear algebra; an
-explicit agreement check compares the two routes bit for bit.  Grid values
-are mapped to integers over the grid's common denominator: min, max and
-the truncated sum of multiples of 1/L stay multiples of 1/L, so integer
-arithmetic is exact.
+The semiring axioms are checked on each carrier's `scaled` rule, through
+`linalg.mat_vec`, the route every kernel runs.  The other checks re-derive
+matrix entries from the scalar definitions (min / truncated sum) instead
+of calling the generic linear algebra; an explicit agreement check
+compares the two routes bit for bit.  Their grid values are mapped to
+integers over the grid's common denominator: min, max and the truncated
+sum of multiples of 1/L stay multiples of 1/L, so integer arithmetic is
+exact.
 
 Exhaustion caps follow the harness contract: size-2 enumerations are
 exhaustive; size-4 objects are built as Kronecker products of size-2 grid
@@ -29,6 +31,7 @@ per-case loop, in order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -118,20 +121,6 @@ def _wedge(a, b):
     return tuple(map(min, a, b))
 
 
-def _kron_m(a, b, na, nb, L):
-    n = na * nb
-    out = [0] * (n * n)
-    for i in range(na):
-        for j in range(na):
-            x = a[i * na + j]
-            for k in range(nb):
-                base = (i * nb + k) * n + j * nb
-                for l in range(nb):
-                    s = x + b[k * nb + l]
-                    out[base + l] = L if s > L else s
-    return tuple(out)
-
-
 def _kron_v(u, v, L):
     out = []
     for x in u:
@@ -139,6 +128,13 @@ def _kron_v(u, v, L):
             s = x + y
             out.append(L if s > L else s)
     return tuple(out)
+
+
+def _kron_m(a, b, na, nb, L):
+    """Row (i, k) of a (x) b is row i of a (x) row k of b."""
+    return tuple(itertools.chain.from_iterable(
+        _kron_v(a[i:i + na], b[k:k + nb], L)
+        for i in range(0, na * na, na) for k in range(0, nb * nb, nb)))
 
 
 def _is_gate(m, n, L):
@@ -151,17 +147,14 @@ def _is_state(v, L):
     return min(v) == 0 or all(x == L for x in v)
 
 
-def _gates2(levels, L):
-    cols = [(a, b) for a in levels for b in levels if a == 0 or b == 0]
-    gates = [(c0[0], c1[0], c0[1], c1[1]) for c0 in cols for c1 in cols]
-    gates.append((L, L, L, L))
-    return gates
-
-
 def _states2(levels, L):
-    states = [(a, b) for a in levels for b in levels if a == 0 or b == 0]
-    states.append((L, L))
-    return states
+    return [(a, b) for a in levels for b in levels if a == 0 or b == 0] + [(L, L)]
+
+
+def _gates2(levels, L):
+    """Two columns of minimum 0 each, or all L."""
+    cols = _states2(levels, L)[:-1]
+    return [(c0[0], c1[0], c0[1], c1[1]) for c0 in cols for c1 in cols] + [(L,) * 4]
 
 
 # --- interned column and row tables ---------------------------------------------
@@ -286,11 +279,25 @@ def _kron4(levels, L):
 # --- checks ---------------------------------------------------------------------
 
 def check_semiring_axioms(instance: SemiringInstance, grid) -> CheckReport:
-    """Both monoid laws, commutativity, distributivity, absorbing zero."""
+    """Both monoid laws, commutativity, idempotence, distributivity and an
+    absorbing zero, on the `scaled` rule the kernels run: mul(x, y) is the
+    1x1 `mat_vec` of x by y, add(x, y) the row (x, y) against (one, one),
+    each held over the lcm of its entries' denominators, as `SMatrix` holds it.
+    """
     t0 = time.perf_counter()
     report = CheckReport(f"semiring-axioms-{instance.name}", 0)
-    add, mul = instance.add, instance.mul
     zero, one = instance.zero, instance.one
+
+    @functools.cache  # each operation once per operand pair
+    def act(row: tuple, vector: tuple) -> Fraction:
+        v = mat_vec(SMatrix(instance, (row,)), SVector(instance, vector))
+        return Fraction(v.numerators[0], v.scale)
+
+    def mul(x, y):
+        return act((x,), (y,))
+
+    def add(x, y):
+        return act((x, y), (one, one))
 
     def law(name, ok, ops):
         report.cases += 1
@@ -301,8 +308,7 @@ def check_semiring_axioms(instance: SemiringInstance, grid) -> CheckReport:
         law("add-zero", add(zero, a) == a and add(a, zero) == a, (a,))
         law("mul-one", mul(one, a) == a and mul(a, one) == a, (a,))
         law("mul-zero-absorbs", mul(zero, a) == zero and mul(a, zero) == zero, (a,))
-        if instance.idempotent_add:
-            law("add-idempotent", add(a, a) == a, (a,))
+        law("add-idempotent", add(a, a) == a, (a,))
     for a, b in itertools.product(grid, repeat=2):
         law("add-commutes", add(a, b) == add(b, a), (a, b))
     for a, b, c in itertools.product(grid, repeat=3):
@@ -602,27 +608,24 @@ def check_tensor_laws(grid) -> CheckReport:
     n_gates = len(gates)
     kron = _KronGates(_Gates(gates, 2), L)  # c (x) d is kron gate ci * n_gates + di
     targets = list(kron.col_ids)  # every column of every c (x) d
-    images: dict = {}  # (ai, bi) -> the id of each target's image under a (x) b
-    gate_products: dict = {}  # (i, j) -> the two columns of gates[i] gates[j]
-    kron_ids: dict = {}  # (u, v) -> the id of u (x) v
 
-    def columns(i: int, j: int) -> tuple:
-        if (i, j) not in gate_products:
-            p = _mm(gates[i], gates[j], 2, L)
-            gate_products[i, j] = p[0::2], p[1::2]
-        return gate_products[i, j]
+    @functools.cache
+    def images(ai: int, bi: int) -> list:  # the id of each target's image under a (x) b
+        ab = _kron_m(gates[ai], gates[bi], 2, 2, L)
+        return _intern(_left_images(ab, targets, 4, L), kron.col_ids)
 
-    def kron_id(u, v) -> int:
-        if (u, v) not in kron_ids:
-            kron_ids[u, v] = _intern([_kron_v(u, v, L)], kron.col_ids)[0]
-        return kron_ids[u, v]
+    @functools.cache
+    def columns(i: int, j: int) -> tuple:  # the two columns of gates[i] gates[j]
+        p = _mm(gates[i], gates[j], 2, L)
+        return p[0::2], p[1::2]
+
+    @functools.cache
+    def kron_id(u, v) -> int:  # the id of u (x) v
+        return _intern([_kron_v(u, v, L)], kron.col_ids)[0]
 
     for (ai, bi, ci), count in _lex_rows((n_gates,) * 3, n_gates, quad_cap):
         report.cases += count
-        if (ai, bi) not in images:
-            ab = _kron_m(gates[ai], gates[bi], 2, 2, L)
-            images[ai, bi] = _intern(_left_images(ab, targets, 4, L), kron.col_ids)
-        image = images[ai, bi].__getitem__
+        image = images(ai, bi).__getitem__
         first = ci * n_gates
         left = [tuple(map(image, ids)) for ids in kron.columns[first:first + count]]
         u0, u1 = columns(ai, ci)
@@ -717,58 +720,41 @@ def check_oracle_agreement(grid) -> CheckReport:
     states = _states2(levels, L)
     ident = (0, L, L, 0)
 
-    as_matrix: dict[int, SMatrix] = {}
-    as_vec: dict[int, SVector] = {}
+    matrices = [SMatrix(FUZZ_MV, ([UnitScalar(x, L) for x in g[:2]],
+                                  [UnitScalar(x, L) for x in g[2:]])) for g in gates]
+    vectors = [SVector(FUZZ_MV, [UnitScalar(x, L) for x in s]) for s in states]
 
-    def matrix_of(i: int) -> SMatrix:
-        if i not in as_matrix:
-            g = gates[i]
-            as_matrix[i] = SMatrix(FUZZ_MV, ((UnitScalar(g[0], L), UnitScalar(g[1], L)),
-                                             (UnitScalar(g[2], L), UnitScalar(g[3], L))))
-        return as_matrix[i]
+    def agrees(oracle, value: SMatrix | SVector) -> bool:
+        # on numerators, as rationals: an entry past 1 disagrees, and builds no scalar
+        held = value.numerators if isinstance(value, SVector) else sum(value.numerators, ())
+        return len(oracle) == len(held) and all(
+            o * value.scale == x * L for o, x in zip(oracle, held))
 
-    def vector_of(i: int) -> SVector:
-        if i not in as_vec:
-            s = states[i]
-            as_vec[i] = SVector(FUZZ_MV, (UnitScalar(s[0], L), UnitScalar(s[1], L)))
-        return as_vec[i]
-
-    def agrees(oracle, entries) -> bool:
-        return len(oracle) == len(entries) and all(
-            Fraction(o, L) == x for o, x in zip(oracle, entries))
-
-    def flat(m: SMatrix) -> tuple:
-        return tuple(x for row in m.entries for x in row)
-
+    @functools.cache
     def pair_agrees(ai: int, bi: int) -> bool:
-        a, b = matrix_of(ai), matrix_of(bi)
-        return (agrees(_mm(gates[ai], gates[bi], 2, L), flat(mat_mul(a, b)))
-                and agrees(_kron_m(gates[ai], gates[bi], 2, 2, L), flat(kron_mat(a, b))))
+        a, b = matrices[ai], matrices[bi]
+        return (agrees(_mm(gates[ai], gates[bi], 2, L), mat_mul(a, b))
+                and agrees(_kron_m(gates[ai], gates[bi], 2, 2, L), kron_mat(a, b)))
 
+    @functools.cache
     def vector_agrees(ai: int, si: int) -> bool:
         av = _mv(gates[ai], states[si], 2, L)
-        lib_av = mat_vec(matrix_of(ai), vector_of(si))
-        if not agrees(av, lib_av.entries):
+        lib_av = mat_vec(matrices[ai], vectors[si])
+        if not agrees(av, lib_av):
             return False
         x = _kron_v(states[si], av, L)
-        lib_x = kron_vec(vector_of(si), lib_av)
-        if not agrees(x, lib_x.entries):
+        lib_x = kron_vec(vectors[si], lib_av)
+        if not agrees(x, lib_x):
             return False
         padded = (_kron_m(ident, gates[ai], 2, 2, L), _kron_m(gates[ai], ident, 2, 2, L))
-        return all(agrees(_mv(op, x, 4, L), mat_vec_block(matrix_of(ai), base, lib_x).entries)
+        return all(agrees(_mv(op, x, 4, L), mat_vec_block(matrices[ai], base, lib_x))
                    for base, op in enumerate(padded))
 
-    pair_ok: dict[tuple[int, int], bool] = {}
-    vector_ok: dict[tuple[int, int], bool] = {}
     triples = itertools.product(range(len(gates)), range(len(gates)),
                                 range(len(states)))
     for ai, bi, si in itertools.islice(triples, ORACLE_TRIPLES):
         report.cases += 1
-        if (ai, bi) not in pair_ok:
-            pair_ok[ai, bi] = pair_agrees(ai, bi)
-        if (ai, si) not in vector_ok:
-            vector_ok[ai, si] = vector_agrees(ai, si)
-        if not (pair_ok[ai, bi] and vector_ok[ai, si]):
+        if not (pair_agrees(ai, bi) and vector_agrees(ai, si)):
             report.failures.append(("agreement", gates[ai], gates[bi], states[si]))
     report.elapsed = time.perf_counter() - t0
     return report

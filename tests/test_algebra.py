@@ -14,7 +14,7 @@ from fuzzbit.algebra import (
     UnitScalar,
     format_complex,
     format_complex_exact,
-    format_rational,
+    format_ratio,
     make_instance,
     neg,
     odot,
@@ -26,6 +26,7 @@ from fuzzbit.algebra import (
     wedge,
 )
 from fuzzbit.errors import ParseError
+from test_linalg import SCALAR_OPS
 
 U = UnitScalar
 GRID = [U(0), U(1, 4), U(1, 3), U(1, 2), U(2, 3), U(3, 4), U(1)]
@@ -62,11 +63,16 @@ def test_mv_interplay_on_grid():
 
 def test_instance_identities_by_role():
     assert FUZZ_MV.zero == ONE and FUZZ_MV.one == ZERO
-    assert FUZZ_MV.add(U(1, 2), U(3, 4)) == U(1, 2)
-    assert FUZZ_MV.mul(U(1, 2), U(3, 4)) == 1
     assert MAX_MIN.zero == ZERO and MAX_MIN.one == ONE
-    assert VITERBI.mul(U(1, 2), U(1, 2)) == U(1, 4)
-    assert BOOLEAN.add(ZERO, ONE) == ONE
+    for s in (FUZZ_MV, MAX_MIN, VITERBI, BOOLEAN):
+        add, mul = SCALAR_OPS[s.name]
+        for x in GRID:
+            assert add(s.zero, x) == x and mul(s.one, x) == x and mul(s.zero, x) == s.zero
+    fuzz_add, fuzz_mul = SCALAR_OPS["fuzz-mv"]
+    assert fuzz_add(U(1, 2), U(3, 4)) == U(1, 2)
+    assert fuzz_mul(U(1, 2), U(3, 4)) == 1
+    assert SCALAR_OPS["viterbi"][1](U(1, 2), U(1, 2)) == U(1, 4)
+    assert SCALAR_OPS["boolean"][0](ZERO, ONE) == ONE
 
 
 def test_instance_registry_and_equality():
@@ -106,9 +112,13 @@ def test_parse_complex_scalar():
             parse_complex_scalar(bad)
 
 
-def test_format_rational_round_trip():
+def test_format_ratio_round_trip():
+    # a numerator over any multiple of its denominator writes the value's literal
     for x in GRID:
-        assert U(*parse_unit_ratio(format_rational(x))) == x
+        for k in (1, 6):
+            n, d = x.numerator * k, x.denominator * k
+            assert U(*parse_unit_ratio(format_ratio(n, d))) == x
+            assert FUZZ_MV.format(n, d) == format_ratio(n, d)
 
 
 def test_format_complex_significant_digits():

@@ -517,9 +517,10 @@ BIG_G = (f"instance probability 2 2\n1/{BIG_D} {BIG_D - 1}/{BIG_D}\n"
 @pytest.mark.skipif(DIGIT_LIMIT == 0, reason="this interpreter has no int-string limit")
 @pytest.mark.parametrize("command, files", [
     ("kron stochastic v.mat v.mat", {"v.mat": BIG_V}),
+    ("kron stochastic g.mat g.mat", {"g.mat": BIG_G}),
     ("simulate p.circ", {"g.mat": BIG_G, "p.circ": "model stochastic\nwires 1\ninit ket 0\n"
                                                    "gate @g.mat 0\ngate @g.mat 0\n"}),
-], ids=["kron", "simulate"])
+], ids=["kron", "kron-gates", "simulate"])
 def test_oversized_result_literals_are_domain_errors(tmp_path, capsys, command, files):
     for name, text in files.items():
         write(tmp_path, name, text)
@@ -633,6 +634,9 @@ def test_non_utf8_input_exits_2(tmp_path, capsys):
 
 INSTANCE_NAMES = ("boolean", "probability", "complex", "fuzz-mv", "max-min", "viterbi")
 TOKENS = ("0", "1", "1/2", "2/3", "-1", "2", "i", "1+i", "0.5", "1e400", "x", "²", "@")
+# Complex literals within the quantum tolerance of 1: `check` accepts a gate
+# or state of them, and their products can fail that tolerance.
+NEAR_UNIT = ("1.0000000004", "0.9999999996")
 GATE_NAMES = sorted({name for model in MODELS.values() for name in model.gates})
 
 
@@ -642,7 +646,8 @@ def matrix_texts(draw, instance="fuzz-mv"):
     name = draw(st.sampled_from((instance,) * 6 + INSTANCE_NAMES))
     rows = cols = body_rows = draw(st.sampled_from((1, 2, 4)))
     cols = draw(st.sampled_from((rows, 1, 2, 4)))
-    tokens = st.sampled_from(("0", "1"))  # often a member of some model
+    # often a member of some model
+    tokens = st.sampled_from(("0", "1") + (NEAR_UNIT if name == "complex" else ()))
     if draw(st.integers(0, 3)) == 0:
         rows, cols, body_rows = (draw(st.integers(0, 5)) for _ in range(3))
         tokens = st.sampled_from(TOKENS)
@@ -840,13 +845,58 @@ def test_a_non_member_result_exits_3(tmp_path, capsys, monkeypatch, argv, kernel
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+# A quantum gate and state that `check` accepts, each 8e-10 from unit norm,
+# and a program that applies the gate twice: each product of them fails the
+# 1e-9 tolerance only as far as the operands' own deviations carry it, a
+# domain error that names the step or the request, not an internal one.
+NEAR_UNIT_FILES = {
+    "g.mat": "instance complex 2 2\n1.0000000004 0\n0 1\n",
+    "s.mat": "instance complex 2 1\n1.0000000004\n0\n",
+    "p.circ": "model quantum\nwires 1\ninit ket 0\ngate @g.mat 0\ngate @g.mat 0\n",
+}
+_WITHIN = "within its operands' accepted deviations"
+_NORM = "squared norm is 1.0000000016000001, expected 1 within 1e-09"
+NEAR_UNIT_REQUESTS = [
+    ("check quantum g.mat", 0, "ok\n", ""),
+    ("check quantum s.mat", 0, "ok\n", ""),
+    ("simulate p.circ", 1, "",
+     f"error: line 5: step 2 (@g.mat) left the state set {_WITHIN}: {_NORM}\n"),
+    ("kron quantum g.mat g.mat", 1, "",
+     f"error: tensor left the gate set {_WITHIN}: "
+     "columns 0 and 0 are not orthonormal (deviation 1.600e-09)\n"),
+    ("kron quantum s.mat s.mat", 1, "", f"error: tensor left the state set {_WITHIN}: {_NORM}\n"),
+    ("apply quantum g.mat s.mat", 1, "", f"error: result left the state set {_WITHIN}: {_NORM}\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", NEAR_UNIT_REQUESTS,
+                         ids=[argv for argv, *_ in NEAR_UNIT_REQUESTS])
+def test_products_of_near_unit_quantum_operands_are_domain_errors(tmp_path, capsys, argv, code,
+                                                                  out, err):
+    for name, text in NEAR_UNIT_FILES.items():
+        write(tmp_path, name, text)
+    argv = [str(tmp_path / a) if a in NEAR_UNIT_FILES else a for a in argv.split()]
+    assert main(argv) == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_a_kernel_fault_on_near_unit_operands_still_exits_3(tmp_path, capsys, monkeypatch):
+    # the true product, 1e-6 too long: far past what the operands' deviations allow
+    for name, text in NEAR_UNIT_FILES.items():
+        write(tmp_path, name, text)
+    real = cli.mat_vec
+    monkeypatch.setattr("fuzzbit.cli.mat_vec", lambda g, v: SVector(
+        v.instance, [x * (1 + 1e-6) for x in real(g, v).entries]))
+    assert main(["apply", "quantum", str(tmp_path / "g.mat"), str(tmp_path / "s.mat")]) == 3
+    assert capsys.readouterr().err.startswith("error: result left the state set: squared norm")
+
+
 # --- requests on integers ----------------------------------------------------------
 
 # A stochastic and a fuzzy program, each with an `init vec` of the literals
 # 2/4, 0.25 and 1 and an @file gate, and the exact text `simulate --trace`
 # prints for them; `check classical` of a member gate file and a member
-# state file; and `apply` and state `kron` per rational model.  Gate `kron`
-# is left out: it prints its matrix through the entries.
+# state file; and `apply`, state `kron` and gate `kron` per rational model.
 _TRACE = ["simulate", "--trace", "p.circ"]
 _CNOT_TEXT = "instance boolean 4 4\n1 0 0 0\n0 1 0 0\n0 0 0 1\n0 0 1 0\n"
 RATIONAL_REQUESTS = {
@@ -894,6 +944,18 @@ RATIONAL_REQUESTS = {
         {"u.mat": "instance fuzz-mv 2 1\n1/4\n0\n",
          "v.mat": "instance fuzz-mv 2 1\n0\n1/3\n"},
         ["kron", "fuzzy", "u.mat", "v.mat"], "1/4 7/12 0 1/3\n"),
+    "kron-gates-stochastic": (
+        {"a.mat": "instance probability 2 2\n1/3 1\n2/3 0\n",
+         "b.mat": "instance probability 2 2\n1/4 1/2\n3/4 1/2\n"},
+        ["kron", "stochastic", "a.mat", "b.mat"],
+        "instance probability 4 4\n1/12 1/6 1/4 1/2\n1/4 1/6 3/4 1/2\n"
+        "1/6 1/3 0 0\n1/2 1/3 0 0\n"),
+    "kron-gates-fuzzy": (
+        {"a.mat": "instance fuzz-mv 2 2\n0 1/3\n1/2 0\n",
+         "b.mat": "instance fuzz-mv 2 2\n1/4 0\n0 2/3\n"},
+        ["kron", "fuzzy", "a.mat", "b.mat"],
+        "instance fuzz-mv 4 4\n1/4 0 7/12 1/3\n0 2/3 1/3 1\n"
+        "3/4 1/2 1/4 0\n1/2 1 0 2/3\n"),
 }
 
 

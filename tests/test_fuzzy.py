@@ -15,6 +15,7 @@ from fuzzbit.linalg import (
 )
 from fuzzbit.models import GateDescriptor, VectorState, builtin_gate, gate_violation
 from fuzzbit.models.fuzzy import complement, fuzzy_gate_violation, fuzzy_state_violation
+from test_linalg import SCALAR_OPS
 
 U = UnitScalar
 
@@ -95,8 +96,9 @@ def test_basis_kets_and_tensor():
 
 def test_pointwise_product():
     # componentwise min is the fuzz-mv addition
+    add = SCALAR_OPS["fuzz-mv"][0]
     u, v = fvec(0, "3/4"), fvec(0, "1/2")
-    p = VectorState("fuzzy", SVector(FUZZ_MV, tuple(map(FUZZ_MV.add, u.entries, v.entries))))
+    p = VectorState("fuzzy", SVector(FUZZ_MV, tuple(map(add, u.entries, v.entries))))
     assert p.vector == fvec(0, "1/2")
 
 

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzbit.algebra import (
-    BOOLEAN, COMPLEX, FUZZ_MV, MAX_MIN, PROBABILITY, VITERBI, UnitScalar, make_instance)
+    BOOLEAN, COMPLEX, FUZZ_MV, MAX_MIN, PROBABILITY, VITERBI, UnitScalar, make_instance, oplus,
+    vee, wedge)
 from fuzzbit.circuit import _bound_matrix, parse_circuit
 from fuzzbit.models import MODELS
 from fuzzbit.errors import ParseError
@@ -331,10 +332,22 @@ def test_an_inexact_value_is_its_own_numerators_at_scale_1(data):
 # --- the kernels against an entrywise reference ---------------------------------
 #
 # The kernels compute on numerators under each carrier's `scaled` rule.  The
-# reference below folds the instance's own add and mul over entries instead.
+# reference below folds each carrier's scalar add and mul over entries
+# instead, from this table by instance name, not from the instance it checks.
+
+SCALAR_OPS = {
+    "fuzz-mv": (wedge, oplus),
+    "max-min": (vee, wedge),
+    "boolean": (vee, wedge),
+    "viterbi": (vee, operator.mul),
+    "probability": (operator.add, operator.mul),
+    "complex": (operator.add, operator.mul),
+}
+
 
 def _fold(s, pairs):
-    return functools.reduce(s.add, (s.mul(x, y) for x, y in pairs))
+    add, mul = SCALAR_OPS[s.name]
+    return functools.reduce(add, (mul(x, y) for x, y in pairs))
 
 
 def entrywise_mat_mul(s, a, b):
@@ -346,7 +359,8 @@ def entrywise_mat_vec(s, a, v):
 
 
 def entrywise_kron_vec(s, u, v):
-    return tuple(s.mul(x, y) for x in u for y in v)
+    mul = SCALAR_OPS[s.name][1]
+    return tuple(mul(x, y) for x in u for y in v)
 
 
 def entrywise_kron_mat(s, a, b):

@@ -1,14 +1,19 @@
 """State vectors, the four builtin unitaries, and seeded measurement."""
 
+import cmath
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fuzzbit.algebra import COMPLEX, COMPLEX_TOL
 from fuzzbit.errors import MembershipError
-from fuzzbit.linalg import SMatrix, SVector, equal, kron_vec, mat_mul, mat_vec
+from fuzzbit.linalg import (
+    SMatrix, SVector, equal, kron_mat, kron_vec, mat_mul, mat_vec, mat_vec_block)
 from fuzzbit.models import VectorState, builtin_gate, gate_violation
 from fuzzbit.models.quantum import (
+    compounded,
     measure,
     splitmix64,
     state_norm_violation,
@@ -95,3 +100,47 @@ def test_measure_frequencies():
     skewed = VectorState("quantum", qvec(0.6, 0.8j))
     ones = sum(1 for seed in range(10000) if measure(skewed, seed) == 1)
     assert 0.62 <= ones / 10000 <= 0.66
+
+
+# --- products of operands accepted within the tolerance ---------------------------
+
+def _stretched_gate(theta, phi, stretch):
+    """A rotation by theta with the phase phi on its second column, each
+    column j lengthened by the factor 1 + stretch[j]."""
+    c, s, p = math.cos(theta), math.sin(theta), cmath.exp(1j * phi)
+    columns = ((c, s), (-s * p, c * p))
+    return SMatrix(COMPLEX, [[columns[j][i] * (1 + stretch[j]) for j in range(2)]
+                             for i in range(2)])
+
+
+def _stretched_state(theta, stretch):
+    return qvec(math.cos(theta) * (1 + stretch), math.sin(theta) * (1 + stretch))
+
+
+@settings(max_examples=300, deadline=None)
+@given(angles=st.lists(st.floats(0, 2 * math.pi), min_size=6, max_size=6),
+       stretch=st.lists(st.floats(-4.9e-10, 4.9e-10), min_size=6, max_size=6))
+def test_accepted_operands_fail_only_as_far_as_their_deviations_compound(angles, stretch):
+    # every operand is accepted, and a product may still fail the tolerance:
+    # then `compounded` must say that the operands' deviations explain it
+    a = _stretched_gate(angles[0], angles[1], stretch[0:2])
+    b = _stretched_gate(angles[2], angles[3], stretch[2:4])
+    u, v = _stretched_state(angles[4], stretch[4]), _stretched_state(angles[5], stretch[5])
+    uv = kron_vec(u, v)
+    assume(all(unitary_violation(g) is None for g in (a, b)))
+    assume(all(state_norm_violation(x) is None for x in (u, v, uv)))
+    products = [(mat_vec(a, u), (a, u)), (kron_vec(u, v), (u, v)), (kron_mat(a, b), (a, b)),
+                *((mat_vec_block(a, base, uv), (a, uv)) for base in (0, 1))]
+    for result, operands in products:
+        check = state_norm_violation if isinstance(result, SVector) else unitary_violation
+        assert check(result) is None or compounded(result, operands)
+
+
+def test_a_product_far_past_its_operands_deviations_is_not_compounded():
+    a = _stretched_gate(0.3, 0.0, (4e-10, 4e-10))
+    u = _stretched_state(0.0, 4e-10)
+    good = mat_vec(a, u)
+    assert compounded(good, (a, u))
+    for bad in (qvec(0, 0), SVector(COMPLEX, [x * (1 + 1e-6) for x in good.entries]),
+                qvec(math.inf, 0), qvec(math.nan, 0)):
+        assert not compounded(bad, (a, u))

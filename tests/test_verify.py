@@ -1,12 +1,16 @@
 """The brute-force law harness: green on healthy code, red under mutation."""
 
+import dataclasses
 import itertools
+import operator
 from collections import Counter
 
 import pytest
 
 import fuzzbit.verify as verify
-from fuzzbit.algebra import FUZZ_MV, SemiringInstance, UnitScalar, wedge
+from fuzzbit.algebra import (
+    FUZZ_MV, SemiringInstance, UnitScalar, _product_rule, _shared_rule)
+from fuzzbit.cli import main
 from fuzzbit.linalg import SVector
 from fuzzbit.verify import (
     CheckReport,
@@ -82,16 +86,34 @@ def test_size_argument_is_checked():
 
 
 def test_corrupted_instance_fails_axioms():
-    def clamped_sub(a, b):
-        d = a - b
-        return U(d) if d > 0 else U(0)
-
-    corrupt = SemiringInstance("corrupt", add=wedge, mul=clamped_sub,
-                               zero=U(1), one=U(0), idempotent_add=True,
-                               scaled=FUZZ_MV.scaled)
+    # fuzz-mv's rule with the truncated sum replaced by a clamped difference
+    corrupt = SemiringInstance("corrupt", zero=U(1), one=U(0), scaled=_shared_rule(
+        min, lambda scale: lambda x, y: max(x - y, 0)))
     report = check_semiring_axioms(corrupt, grid_values("coarse"))
     assert len(report.failures) >= 1
     assert not report.passed
+
+
+# One broken `scaled` rule per instance that `verify` checks: max-min and
+# boolean adding by min, viterbi adding by +, and fuzz-mv's truncated sum
+# left uncapped.
+SCALED_MUTANTS = {
+    "max-min": ("MAX_MIN", _shared_rule(min, lambda scale: min)),
+    "boolean": ("BOOLEAN", _shared_rule(min, lambda scale: min)),
+    "viterbi": ("VITERBI", _product_rule(operator.add, operator.mul)),
+    "fuzz-mv": ("FUZZ_MV", _shared_rule(min, lambda scale: operator.add)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALED_MUTANTS))
+def test_verify_fails_a_broken_scaled_rule(monkeypatch, capsys, name):
+    attribute, rule = SCALED_MUTANTS[name]
+    broken = dataclasses.replace(getattr(verify, attribute), scaled=rule)
+    monkeypatch.setattr(verify, attribute, broken)
+    assert main(["verify", "--grid", "coarse"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    [line] = [x for x in lines if x.startswith(f"semiring-axioms-{name} cases ")]
+    assert not line.endswith(" failures 0")
 
 
 def test_mutated_row_reduction_fails_action_laws(monkeypatch):
