@@ -113,22 +113,22 @@ def neg(x: UnitScalar) -> UnitScalar:
 
 # [0-9], not \d: \d would admit '١' and '٠', which int() and float() then read
 _RATIONAL_RE = re.compile(r"(?:([0-9]+)/([0-9]+)|([0-9]+(?:\.[0-9]+)?))\Z")
-_NUM = r"[+-]?(?:[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
-_COMPLEX_RE = re.compile(rf"({_NUM})(?:(?=[+-])({_NUM})i)?\Z")
-_IMAG_RE = re.compile(rf"({_NUM})i\Z")
+_NUM = r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
+# a, bi or a+bi; the second part of a+bi carries its sign, and `complex`
+# splits a+bj at that sign too, the one sign that follows a digit
+_COMPLEX_LITERAL_RE = re.compile(rf"[+-]?{_NUM}(?:(?:[+-]{_NUM})?i)?\Z")
 # unsigned integers (matrix dimensions, circuit wires and seeds); str.isdigit
 # would admit '²' and '٠'
 _UINT_RE = re.compile(r"[0-9]+")
 
 
-def _uint(token: str, line: int, col: int | None = None) -> int:
+def _uint(token: str, line: int | None = None) -> int:
     """A `_UINT_RE` token as an int; one longer than Python's int-string limit
-    is a ParseError at (line, col), not a ValueError."""
+    is a ParseError at `line`, not a ValueError."""
     try:
         return int(token)
     except ValueError:  # more digits than sys.get_int_max_str_digits()
-        raise ParseError(f"integer literal of {len(token)} digits is too long",
-                         line, col) from None
+        raise ParseError(f"integer literal of {len(token)} digits is too long", line) from None
 
 
 def parse_nonneg_ratio(token: str) -> tuple[int, int]:
@@ -161,15 +161,15 @@ def parse_unit_ratio(token: str) -> tuple[int, int]:
 
 
 def parse_complex_scalar(token: str) -> complex:
-    """Parse a complex literal: a, bi, or a+bi with decimal parts."""
-    m = _IMAG_RE.match(token)
-    if m is not None:
-        z = complex(0.0, float(m.group(1)))
-    else:
-        m = _COMPLEX_RE.match(token)
-        if m is None:
-            raise ParseError(f"malformed scalar {token!r}")
-        z = complex(float(m.group(1)), float(m.group(2)) if m.group(2) else 0.0)
+    """Parse a complex literal: a, bi, or a+bi with decimal parts.
+
+    `_COMPLEX_LITERAL_RE` checks the grammar; `complex` then reads an i-form
+    with j for i, and `float` a real, as the same correctly rounded doubles
+    (signed zeros included: "-0i" is complex(0.0, -0.0)).
+    """
+    if _COMPLEX_LITERAL_RE.match(token) is None:
+        raise ParseError(f"malformed scalar {token!r}")
+    z = complex(token[:-1] + "j") if token[-1] == "i" else complex(float(token), 0.0)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ParseError(f"non-finite scalar {token!r}")
     return z
@@ -192,30 +192,20 @@ def format_ratio(numerator: int, denominator: int, what: str = "result scalar") 
                            f"{sys.get_int_max_str_digits()} digits") from None
 
 
-def _format_float(v: float, spec: str | None) -> str:
-    # spec None means shortest round-trip (repr)
-    text = repr(v) if spec is None else format(v, spec)
-    return "0" if text in ("-0", "0.0", "-0.0") else text
-
-
-def _format_complex_with(z: complex, spec: str | None) -> str:
-    if abs(z.imag) == 0.0:
-        return _format_float(z.real, spec)
-    if abs(z.real) == 0.0:
-        return _format_float(z.imag, spec) + "i"
-    im = _format_float(z.imag, spec)
-    sign = "" if im.startswith("-") else "+"
-    return f"{_format_float(z.real, spec)}{sign}{im}i"
-
-
-def format_complex(z: complex) -> str:
-    """Render to 12 significant digits; pure reals drop the imaginary part."""
-    return _format_complex_with(z, ".12g")
+def format_complex(z: complex, spec: str = ".12g") -> str:
+    """Render each part in the float format `spec`, 12 significant digits by
+    default; a zero part is dropped, and zero, of either sign, is "0"."""
+    x, y = z.real, z.imag
+    if y == 0.0:
+        return "0" if x == 0.0 else f"{x:{spec}}"
+    if x == 0.0:
+        return f"{y:{spec}}i"
+    return f"{x:{spec}}{y:+{spec}}i"
 
 
 def format_complex_exact(z: complex) -> str:
     """Shortest literal that round-trips to the same double (for files)."""
-    return _format_complex_with(z, None)
+    return format_complex(z, "")
 
 
 def _product_rule(add: Callable, mul: Callable) -> Callable:
@@ -308,7 +298,7 @@ PROBABILITY = SemiringInstance("probability", zero=Fraction(0), one=Fraction(1),
 COMPLEX = SemiringInstance("complex", zero=complex(0), one=complex(1),
                            scaled=_product_rule(operator.add, operator.mul),
                            parse=parse_complex_scalar,
-                           format=lambda z, scale: format_complex_exact(z),
+                           format=lambda z, scale: format_complex(z, ""),
                            display=lambda z, scale: format_complex(z),
                            tolerance=COMPLEX_TOL, from_ratio=None)
 

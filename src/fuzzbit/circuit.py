@@ -52,6 +52,7 @@ one `GateStep` per distinct (gate, wires), and never go through text.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -205,101 +206,110 @@ class SimulationTrace:
 _TOKEN_RE = re.compile(r"\S+")
 
 
-def _tokenize(line: str) -> list[tuple[str, int]]:
-    """(token, 1-based column) pairs with comments stripped."""
-    cut = line.find("#")
-    if cut >= 0:
-        line = line[:cut]
-    return [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
+def _column(line: str, k: int) -> int:
+    """The 1-based column of token k of `line`, cut at its comment.
+    `str.split()` and `\\S+` split at the same whitespace."""
+    return next(itertools.islice(_TOKEN_RE.finditer(line), k, None)).start() + 1
 
 
 def parse_circuit(text: str) -> CircuitProgram:
-    """Build the program AST; lengths, ranges and memberships wait for validate."""
+    """Build the program AST; lengths, ranges and memberships wait for validate.
+
+    Each line, cut at '#', is split with `str.split()`; a token's column is
+    found only for an error raised at it.
+    """
     model: str | None = None
     wires: int | None = None
     init: tuple[str, tuple, int] | None = None
     steps: list[GateStep] = []
     seed: int | None = None
 
+    def error(message: str, k: int = 0) -> ParseError:
+        # at token k of the line being read; 0 is its directive
+        return ParseError(message, line_no, _column(line, k))
+
+    def uint(k: int) -> int:
+        try:
+            return _uint(tokens[k])
+        except ParseError as exc:  # too long
+            raise error(str(exc), k) from None
+
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(raw)
+        line = raw.partition("#")[0]
+        tokens = line.split()
         if not tokens:
             continue
-        word, col = tokens[0]
-        rest = tokens[1:]
+        word, n = tokens[0], len(tokens)
         if word == "model":
             if model is not None:
-                raise ParseError("duplicate model directive", line_no, col)
-            if len(rest) != 1:
-                raise ParseError("expected: model <tag>", line_no, col)
-            tag = rest[0][0]
-            if tag not in MODEL_NAMES:
-                raise ParseError(f"unknown model {tag!r}", line_no, rest[0][1])
-            model = tag
+                raise error("duplicate model directive")
+            if n != 2:
+                raise error("expected: model <tag>")
+            if tokens[1] not in MODEL_NAMES:
+                raise error(f"unknown model {tokens[1]!r}", 1)
+            model = tokens[1]
         elif word == "wires":
             if model is None:
-                raise ParseError("model must come first", line_no, col)
+                raise error("model must come first")
             if wires is not None:
-                raise ParseError("duplicate wires directive", line_no, col)
-            if len(rest) != 1 or not _UINT_RE.fullmatch(rest[0][0]):
-                raise ParseError("expected: wires <positive integer>", line_no, col)
-            wires = _uint(rest[0][0], line_no, rest[0][1])
+                raise error("duplicate wires directive")
+            if n != 2 or not _UINT_RE.fullmatch(tokens[1]):
+                raise error("expected: wires <positive integer>")
+            wires = uint(1)
             if wires < 1:
-                raise ParseError("wire count must be positive", line_no, rest[0][1])
+                raise error("wire count must be positive", 1)
         elif word == "init":
             if model is None or wires is None:
-                raise ParseError("model and wires must come before init", line_no, col)
+                raise error("model and wires must come before init")
             if init is not None:  # also an init after a gate, which needs one before it
-                raise ParseError("duplicate init directive", line_no, col)
-            if not rest:
-                raise ParseError("expected: init ket <bits> | init vec <scalars>", line_no, col)
-            kind = rest[0][0]
+                raise error("duplicate init directive")
+            if n == 1:
+                raise error("expected: init ket <bits> | init vec <scalars>")
+            kind = tokens[1]
             if kind == "ket":
-                if len(rest) != 2 or not re.fullmatch(r"[01]+", rest[1][0]):
-                    raise ParseError("expected: init ket <bits>", line_no, col)
-                bits = tuple(int(c) for c in rest[1][0])
+                if n != 3 or not re.fullmatch(r"[01]+", tokens[2]):
+                    raise error("expected: init ket <bits>")
+                bits = tuple(int(c) for c in tokens[2])
                 init = ("ket", bits, line_no)
             elif kind == "vec":
-                if len(rest) < 2:
-                    raise ParseError("init vec needs at least one scalar", line_no, col)
+                if n < 3:
+                    raise error("init vec needs at least one scalar")
                 instance = MODELS[model].instance
                 values = []
-                for tok, tok_col in rest[1:]:
+                for k in range(2, n):
                     try:
-                        values.append(instance.parse(tok))
+                        values.append(instance.parse(tokens[k]))
                     except ParseError as exc:
-                        raise ParseError(str(exc), line_no, tok_col) from None
+                        raise error(str(exc), k) from None
                 init = ("vec", as_vector(literal_matrix(instance, [values], line_no)), line_no)
             else:
-                raise ParseError(f"unknown init kind {kind!r}", line_no, rest[0][1])
+                raise error(f"unknown init kind {kind!r}", 1)
         elif word == "gate":
             if model is None or wires is None or init is None:
-                raise ParseError("model, wires and init must come before gates", line_no, col)
+                raise error("model, wires and init must come before gates")
             if seed is not None:
-                raise ParseError("measure must be the final directive", line_no, col)
-            if len(rest) < 2:
-                raise ParseError("expected: gate <name|@file> <wires...>", line_no, col)
-            ref = rest[0][0]
+                raise error("measure must be the final directive")
+            if n < 3:
+                raise error("expected: gate <name|@file> <wires...>")
             targets = []
-            for tok, tok_col in rest[1:]:
-                if not _UINT_RE.fullmatch(tok):
-                    raise ParseError(f"wire index {tok!r} is not a non-negative integer",
-                                     line_no, tok_col)
-                targets.append(_uint(tok, line_no, tok_col))
-            steps.append(GateStep(ref, tuple(targets), line=line_no))
+            for k in range(2, n):
+                if not _UINT_RE.fullmatch(tokens[k]):
+                    raise error(f"wire index {tokens[k]!r} is not a non-negative integer", k)
+                targets.append(uint(k))
+            steps.append(GateStep(tokens[1], tuple(targets), line=line_no))
         elif word == "measure":
             if model is None or wires is None or init is None:
-                raise ParseError("measure must follow a complete program", line_no, col)
+                raise error("measure must follow a complete program")
             if seed is not None:
-                raise ParseError("duplicate measure directive", line_no, col)
-            if len(rest) != 2 or rest[0][0] != "seed" or not _UINT_RE.fullmatch(rest[1][0]):
-                raise ParseError("expected: measure seed <non-negative integer>", line_no, col)
+                raise error("duplicate measure directive")
+            if n != 3 or tokens[1] != "seed" or not _UINT_RE.fullmatch(tokens[2]):
+                raise error("expected: measure seed <non-negative integer>")
             try:
-                seed = checked_seed(_uint(rest[1][0], line_no, rest[1][1]))
+                seed = checked_seed(uint(2))
             except ValueError as exc:
-                raise ParseError(str(exc), line_no, rest[1][1]) from None
+                raise error(str(exc), 2) from None
         else:
-            raise ParseError(f"unknown directive {word!r}", line_no, col)
+            raise error(f"unknown directive {word!r}")
 
     if model is None:
         raise ParseError("missing model directive")

@@ -10,6 +10,8 @@ the cumulative distribution of squared amplitude magnitudes.
 from __future__ import annotations
 
 import math
+import operator
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 from ..algebra import COMPLEX_TOL
@@ -38,28 +40,34 @@ Z = ((1 + 0j, 0j), (0j, -1 + 0j))
 
 
 def state_norm_violation(v: SVector) -> str | None:
-    """None if `v` is finite with unit norm within `COMPLEX_TOL`; the row checked its carrier."""
+    """None if `v` is finite with unit norm within `COMPLEX_TOL`; the row checked its carrier.
+
+    A non-finite entry makes the squared norm inf or NaN, which fails the
+    bound, so only a rejection looks for one to name.
+    """
+    try:
+        norm_sq = sum(map(pow, map(abs, v.entries), repeat(2)))
+    except OverflowError:  # a finite entry such as 1e200: the norm is past any double
+        norm_sq = math.inf
+    if abs(norm_sq - 1.0) <= COMPLEX_TOL:
+        return None
     for i, a in enumerate(v.entries):
         if not (math.isfinite(a.real) and math.isfinite(a.imag)):
             return f"entry {i} is not finite"
-    try:
-        norm_sq = sum(abs(a) ** 2 for a in v.entries)
-    except OverflowError:  # a finite entry such as 1e200: the norm is past any double
-        norm_sq = math.inf
-    if abs(norm_sq - 1.0) > COMPLEX_TOL:
-        return f"squared norm is {norm_sq!r}, expected 1 within {COMPLEX_TOL}"
-    return None
+    return f"squared norm is {norm_sq!r}, expected 1 within {COMPLEX_TOL}"
 
 
 def unitary_violation(m: SMatrix) -> str | None:
     """None if the conjugate transpose inverts `m` within `COMPLEX_TOL`.
 
     `m` is square and complex: the row (`models.gate_violation`) checks both.
+    Entry (i, j) of the Gram matrix sums conj(m[k][i]) * m[k][j] over k in order.
     """
-    n = m.rows
-    for i in range(n):
-        for j in range(n):
-            acc = sum(m.entries[k][i].conjugate() * m.entries[k][j] for k in range(n))
+    columns = tuple(zip(*m.entries))
+    conjugates = [[x.conjugate() for x in column] for column in columns]
+    for i, left in enumerate(conjugates):
+        for j, right in enumerate(columns):
+            acc = sum(map(operator.mul, left, right))
             want = 1.0 if i == j else 0.0
             if abs(acc.real - want) > COMPLEX_TOL or abs(acc.imag) > COMPLEX_TOL:
                 return f"columns {i} and {j} are not orthonormal (deviation {abs(acc - want):.3e})"

@@ -1,8 +1,12 @@
 """Scalar connectives, semiring instances, and the literal grammar."""
 
+import math
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzbit.algebra import (
     BOOLEAN,
@@ -131,3 +135,86 @@ def test_format_complex_significant_digits():
 def test_format_complex_exact_round_trip():
     for z in (0.1 + 0.2j, complex(2 ** -52, -(2 ** 0.5)), 1e-300 + 0j, -0.0 + 1j):
         assert parse_complex_scalar(format_complex_exact(z)) == z
+
+
+# --- independent references: the regex-group parser and the helper-per-part
+# printers that `parse_complex_scalar` and `format_complex` replaced ---------
+
+_REF_NUM = r"[+-]?(?:[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
+_REF_COMPLEX_RE = re.compile(rf"({_REF_NUM})(?:(?=[+-])({_REF_NUM})i)?\Z")
+_REF_IMAG_RE = re.compile(rf"({_REF_NUM})i\Z")
+
+
+def reference_parse_complex(token):
+    m = _REF_IMAG_RE.match(token)
+    if m is not None:
+        z = complex(0.0, float(m.group(1)))
+    else:
+        m = _REF_COMPLEX_RE.match(token)
+        if m is None:
+            raise ParseError(f"malformed scalar {token!r}")
+        z = complex(float(m.group(1)), float(m.group(2)) if m.group(2) else 0.0)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ParseError(f"non-finite scalar {token!r}")
+    return z
+
+
+def _reference_float(v, spec):
+    text = repr(v) if spec is None else format(v, spec)
+    return "0" if text in ("-0", "0.0", "-0.0") else text
+
+
+def reference_format_complex(z, spec):
+    if abs(z.imag) == 0.0:
+        return _reference_float(z.real, spec)
+    if abs(z.real) == 0.0:
+        return _reference_float(z.imag, spec) + "i"
+    im = _reference_float(z.imag, spec)
+    sign = "" if im.startswith("-") else "+"
+    return f"{_reference_float(z.real, spec)}{sign}{im}i"
+
+
+def _outcome(parse, token):
+    try:
+        z = parse(token)
+    except Exception as exc:  # noqa: BLE001  the type and text are compared
+        return type(exc), str(exc)
+    return repr(z.real), repr(z.imag)
+
+
+EDGE_TOKENS = ("i", "-i", "1+i", "-0i", "-0", "-0-0i", "0-0i", "1e400i", "1e400", "1-1e400i",
+               "nan", "inf", "-inf", "infi", "1_0", "\u0663", "1+\u0663i", "+-1", "1+-1i",
+               ".5", "5.", " 1", "1 ", "1e5+2i", "1e+5i", "1E-5-2.5e3i", "+1+1i", "2j", "",
+               "1e-400", "4.9e-324i", "1.7976931348623157e308", "0.1+0.2i")
+_PART = st.builds("".join, st.lists(st.sampled_from(
+    ("0", "1", "9", "00", "5", ".", ".5", "e", "E", "e-", "e+3", "+", "-", "400", "_",
+     "\u0663", " ")), max_size=5))
+COMPLEX_TOKENS = st.one_of(
+    st.sampled_from(EDGE_TOKENS),
+    st.builds(lambda a, b, i: a + b + i, _PART, _PART, st.sampled_from(("", "i", "j"))),
+    st.text(alphabet="0123456789.eE+-ij_ \u0663\u00a0", max_size=12))
+
+
+@settings(max_examples=600, deadline=None)
+@given(COMPLEX_TOKENS)
+def test_parse_complex_scalar_matches_the_reference(token):
+    assert _outcome(parse_complex_scalar, token) == _outcome(reference_parse_complex, token)
+
+
+@pytest.mark.parametrize("token", EDGE_TOKENS)
+def test_parse_complex_scalar_edge_tokens(token):
+    assert _outcome(parse_complex_scalar, token) == _outcome(reference_parse_complex, token)
+
+
+PARTS = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+                     1.0, -1.0, 0.1, 1 / 3, math.inf, -math.inf, math.nan)),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=600, deadline=None)
+@given(PARTS, PARTS)
+def test_format_complex_matches_the_reference(x, y):
+    z = complex(x, y)
+    assert format_complex(z) == reference_format_complex(z, ".12g")
+    assert format_complex_exact(z) == reference_format_complex(z, None)

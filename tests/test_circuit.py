@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import math
 import random
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -94,6 +95,55 @@ def test_parse_error_positions():
         parse_circuit("model fuzzy\nwires 1\ninit ket 0\ngate FNOT zero\n")
     with pytest.raises(ParseError):
         parse_circuit("model pastel\nwires 1\ninit ket 0\n")
+
+
+_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_LONG = "9" * (_LIMIT + 1)
+_FUZZY = ("model fuzzy", "wires 1", "init ket 0")
+_QUANTUM = ("model quantum", "wires 1", "init ket 0")
+# (the lines before the faulty one, its tokens, the faulty token's index, the message)
+TOKEN_FAULTS = [
+    ((), ("model", "pastel"), 1, "unknown model 'pastel'"),
+    (("model fuzzy",), ("model", "fuzzy"), 0, "duplicate model directive"),
+    (("model fuzzy",), ("wires", "0"), 1, "wire count must be positive"),
+    (("model quantum", "wires 1"), ("init", "vec", "1", "1+i"), 3, "malformed scalar '1+i'"),
+    (("model quantum", "wires 1"), ("init", "vec", "0.6", "1e400i"), 3,
+     "non-finite scalar '1e400i'"),
+    (("model fuzzy", "wires 2"), ("init", "vec", "0", "1", "1/0", "1"), 4,
+     "zero denominator in '1/0'"),
+    (("model fuzzy", "wires 1"), ("init", "bra", "0"), 1, "unknown init kind 'bra'"),
+    (_FUZZY, ("gate", "FSWAP", "0", "x"), 3, "wire index 'x' is not a non-negative integer"),
+    (_QUANTUM, ("measure", "seed", str(1 << 64)), 2,
+     "seed must fit in an unsigned 64-bit integer"),
+    (_FUZZY, ("wigs", "1"), 0, "unknown directive 'wigs'"),
+] + ([] if _LIMIT == 0 else [
+    (("model fuzzy",), ("wires", _LONG), 1, f"integer literal of {len(_LONG)} digits is too long"),
+    (_FUZZY, ("gate", "FSWAP", "0", _LONG), 3,
+     f"integer literal of {len(_LONG)} digits is too long"),
+    (_QUANTUM, ("measure", "seed", _LONG), 2,
+     f"integer literal of {len(_LONG)} digits is too long"),
+])
+# whitespace to `str.split()` and to `\S+` alike; U+001F is one that `splitlines` keeps
+SPACES = st.lists(st.sampled_from((" ", "   ", "\t", " \t", "\u00a0", "\u3000", "\u2003",
+                                   "\x1f")), min_size=1, max_size=3).map("".join)
+COMMENTS = st.sampled_from(("", "#", "# a comment", " # 1 2\tgate", "#\u3000x # y"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fault=st.sampled_from(TOKEN_FAULTS), data=st.data())
+def test_a_token_error_names_the_token_column(fault, data):
+    before, tokens, bad, message = fault
+    lines = [line + data.draw(COMMENTS) for line in before]
+    lead = data.draw(st.one_of(st.just(""), SPACES))
+    gaps = [data.draw(SPACES) for _ in tokens[1:]]
+    line = lead + tokens[0] + "".join(g + t for g, t in zip(gaps, tokens[1:]))
+    # the column counted from the pieces the line was built of
+    col = len(lead) + sum(len(t) + len(g) for t, g in zip(tokens[:bad], gaps)) + 1
+    text = "\n".join(lines + [line + data.draw(COMMENTS)]) + "\n"
+    with pytest.raises(ParseError) as caught:
+        parse_circuit(text)
+    assert str(caught.value) == f"line {len(lines) + 1}, column {col}: {message}"
+    assert (caught.value.line, caught.value.col) == (len(lines) + 1, col)
 
 
 def test_validation_errors():

@@ -1104,3 +1104,110 @@ def test_each_rejection_prints_what_the_rational_route_printed(tmp_path, capsys,
         assert capsys.readouterr() == (f"{message}\n", "")
     else:
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# --- quantum stdout, pinned ----------------------------------------------------------
+
+def _literal(z):
+    # fixed-point parts: every text this writes is in the complex literal grammar
+    return f"{z.real:.15f}{z.imag:+.15f}i"
+
+
+def _unitary_2(rng):
+    t, p, q = (rng.uniform(0, 2 * math.pi) for _ in range(3))
+    c, s = math.cos(t), math.sin(t)
+    a, b = complex(math.cos(p), math.sin(p)), complex(math.cos(q), math.sin(q))
+    return [[c, -a * s], [b * s, a * b * c]]
+
+
+def _gate_text(rows):
+    return (f"instance complex {len(rows)} {len(rows)}\n"
+            + "".join(" ".join(_literal(complex(x)) for x in row) + "\n" for row in rows))
+
+
+def quantum_programs(seed=2022):
+    """Six seeded quantum programs of 3 to 6 wires, each from `init vec`, with
+    builtin, 2x2 and 4x4 `@file` gates; the file texts by name, and the programs' names."""
+    rng = random.Random(seed)
+    files, names = {}, []
+    for k, wires in enumerate((3, 3, 4, 5, 6, 6)):
+        amplitudes = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(1 << wires)]
+        norm = math.sqrt(sum(abs(a) ** 2 for a in amplitudes))
+        lines = ["model quantum", f"wires {wires}",
+                 "init vec " + " ".join(_literal(a / norm) for a in amplitudes)]
+        for j in range(8):
+            w = rng.randrange(wires - 1)
+            pair = (w + 1, w) if rng.random() < 0.5 else (w, w + 1)
+            if j % 3 == 1:
+                a, b = _unitary_2(rng), _unitary_2(rng)
+                rows = [[x * y for x in ra for y in rb] for ra in a for rb in b]
+                files[f"g{k}-{j}.mat"] = _gate_text(rows)
+                lines.append(f"gate @g{k}-{j}.mat {pair[0]} {pair[1]}")
+            elif j % 3 == 2:
+                files[f"g{k}-{j}.mat"] = _gate_text(_unitary_2(rng))
+                lines.append(f"gate @g{k}-{j}.mat {rng.randrange(wires)}")
+            else:
+                name = rng.choice(("H", "X", "Z", "CNOT", "SWAP"))
+                targets = pair if name in ("CNOT", "SWAP") else (rng.randrange(wires),)
+                lines.append(f"gate {name} " + " ".join(map(str, targets)))
+        if k % 2:
+            lines.append(f"measure seed {rng.randrange(1 << 64)}")
+        files[f"q{k}.circ"] = "\n".join(lines) + "\n"
+        names.append(f"q{k}.circ")
+    return files, names
+
+
+QUANTUM_COMMANDS = (["simulate"], ["simulate", "--trace"], ["sample", "--seed", "11"])
+# sha256 of each stdout, as the entry-by-entry readers and printers wrote it
+QUANTUM_STDOUT = {
+    "q0.circ simulate":
+        "9dba219d65f145e0ce7113be2bdcbb487de94911660ff1ef0588009e72729600",  # 285 bytes
+    "q0.circ simulate --trace":
+        "e35adade25f5d94e1a4e159cc953408da3466ad6a37ec5555f20099bade1db51",  # 2720 bytes
+    "q0.circ sample --seed 11":
+        "039df3c841e7b29cb5d47e038a6b606678ce239935fad2a67e677a8cb8447189",  # 296 bytes
+    "q1.circ simulate":
+        "b0df1ccacef52eaada4cdc4f4f9e7f8e3fee2e7888fea8397b3d13f975ac8621",  # 294 bytes
+    "q1.circ simulate --trace":
+        "c1b09fc55e68603bd88060056f7a95d25c3ab5d53dc3016000ab250fb6c5c001",  # 2730 bytes
+    "q1.circ sample --seed 11":
+        "b0df1ccacef52eaada4cdc4f4f9e7f8e3fee2e7888fea8397b3d13f975ac8621",  # 294 bytes
+    "q2.circ simulate":
+        "5a893037716a4bd542f02eb7695d31e639c48d7c127bd870a8005e5d77dd8a93",  # 545 bytes
+    "q2.circ simulate --trace":
+        "71981d0808cbcbf319c2243a70a601a3749e675ba2993607e305179a07eb116e",  # 5321 bytes
+    "q2.circ sample --seed 11":
+        "94610787e7a0202e7b2d308e4e635ff4d3e0eb7e436bb5fd1c3f68f015f08711",  # 556 bytes
+    "q3.circ simulate":
+        "a3c386c56adef46da723f16208bb5dcf31951d61029b346c47107b8a939ce012",  # 1081 bytes
+    "q3.circ simulate --trace":
+        "43b7d73e84c4f7086af115eab6dd73e5745f3592dba18d7e726cec004061c0ac",  # 10568 bytes
+    "q3.circ sample --seed 11":
+        "dd7937bd2d367dd43647f165668b9013d40aa2aa2f2bb65e74b73f80313300d6",  # 1082 bytes
+    "q4.circ simulate":
+        "cd69eda7f0a1cbf8a1390c9b6b7d22aa4fd562cd8ebac35119bbaf2d883ad196",  # 2140 bytes
+    "q4.circ simulate --trace":
+        "fb7b550d723415fc83d7e496ca2b98e8f57dbb71bdafddfa4a306af97ca6924d",  # 21226 bytes
+    "q4.circ sample --seed 11":
+        "6fed75a6570c77c90aa346a2073472aa445d73b8f08a5b02b5974e06d140e9d1",  # 2152 bytes
+    "q5.circ simulate":
+        "c5a8e1173a712a53a311823791bcf45fe01d5459ea6d48048787f8b749e66414",  # 2147 bytes
+    "q5.circ simulate --trace":
+        "b2a2b87f998f2d2584da6e3eac4db882ce4347678ff702c11ebd581e09a5ff28",  # 21280 bytes
+    "q5.circ sample --seed 11":
+        "468316e8cbf8b04bdfd64be027da21aec522b6ee8fa29a30ac960373a51f4bd3",  # 2147 bytes
+}
+
+
+def test_quantum_stdout_is_pinned(tmp_path, capsys):
+    files, names = quantum_programs()
+    for name, text in files.items():
+        write(tmp_path, name, text)
+    got = {}
+    for name in names:
+        for command in QUANTUM_COMMANDS:
+            assert main([*command, str(tmp_path / name)]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            got[f"{name} {' '.join(command)}"] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == QUANTUM_STDOUT

@@ -144,3 +144,83 @@ def test_a_product_far_past_its_operands_deviations_is_not_compounded():
     for bad in (qvec(0, 0), SVector(COMPLEX, [x * (1 + 1e-6) for x in good.entries]),
                 qvec(math.inf, 0), qvec(math.nan, 0)):
         assert not compounded(bad, (a, u))
+
+
+# --- independent references: the entry-by-entry predicates that
+# `state_norm_violation` and `unitary_violation` replaced ----------------------
+
+def reference_state_norm_violation(v):
+    for i, a in enumerate(v.entries):
+        if not (math.isfinite(a.real) and math.isfinite(a.imag)):
+            return f"entry {i} is not finite"
+    try:
+        norm_sq = sum(abs(a) ** 2 for a in v.entries)
+    except OverflowError:
+        norm_sq = math.inf
+    if abs(norm_sq - 1.0) > COMPLEX_TOL:
+        return f"squared norm is {norm_sq!r}, expected 1 within {COMPLEX_TOL}"
+    return None
+
+
+def reference_unitary_violation(m):
+    n = m.rows
+    for i in range(n):
+        for j in range(n):
+            acc = sum(m.entries[k][i].conjugate() * m.entries[k][j] for k in range(n))
+            want = 1.0 if i == j else 0.0
+            if abs(acc.real - want) > COMPLEX_TOL or abs(acc.imag) > COMPLEX_TOL:
+                return f"columns {i} and {j} are not orthonormal (deviation {abs(acc - want):.3e})"
+    return None
+
+
+ODD_ENTRIES = (math.nan, math.inf, -math.inf, complex(math.nan, math.inf),
+               complex(math.inf, math.nan), complex(0, math.nan), 1e200, -1e200j, 1e154)
+
+
+@settings(max_examples=400, deadline=None)
+@given(angles=st.lists(st.floats(0, 2 * math.pi), min_size=1, max_size=16),
+       stretch=st.sampled_from((0.0, 4.9e-10, -4.9e-10, 5.1e-10, -5.1e-10, 1e-9, 1e-3)),
+       odd=st.lists(st.tuples(st.integers(0, 15), st.sampled_from(ODD_ENTRIES)), max_size=2))
+def test_state_norm_violation_matches_the_reference(angles, stretch, odd):
+    # a unit vector of 2 to 32 entries, stretched to near the bound, with
+    # perhaps a non-finite or overflowing entry in it
+    entries = [cmath.rect(math.cos(t), 3 * t) for t in angles] + [
+        cmath.rect(math.sin(t), t) for t in angles]
+    norm = math.sqrt(sum(abs(a) ** 2 for a in entries)) or 1.0
+    entries = [a / norm * (1 + stretch) for a in entries]
+    for index, value in odd:
+        entries[index % len(entries)] = complex(value)
+    v = qvec(*entries)
+    assert state_norm_violation(v) == reference_state_norm_violation(v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(angles=st.lists(st.floats(0, 2 * math.pi), min_size=4, max_size=4),
+       size=st.sampled_from((2, 4)),
+       stretch=st.sampled_from((0.0, 2e-10, -2e-10, 6e-10, 1e-9, 1e-6)),
+       at=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+       odd=st.sampled_from((None, math.nan, math.inf, complex(math.nan, math.inf))))
+def test_unitary_violation_matches_the_reference(angles, size, stretch, at, odd):
+    a = _stretched_gate(angles[0], angles[1], (0.0, 0.0)).entries
+    b = _stretched_gate(angles[2], angles[3], (0.0, 0.0)).entries
+    rows = [list(row) for row in a] if size == 2 else [
+        [x * y for x in ra for y in rb] for ra in a for rb in b]
+    i, j = at[0] % size, at[1] % size
+    rows[i][j] = rows[i][j] * (1 + stretch) if odd is None else complex(odd)
+    m = SMatrix(COMPLEX, rows)
+    assert unitary_violation(m) == reference_unitary_violation(m)
+
+
+@pytest.mark.parametrize("rows", [
+    ((1.0, 0.0), (0.0, 1.0)),
+    ((0, 1), (1, 0)),
+    ((1, 1), (0, 1)),
+    ((0.6, -0.8), (0.8, 0.6)),
+    ((0.6, 0.8), (0.8, 0.6)),
+    ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)),
+    ((R2, R2), (R2, -R2)),
+    ((R2, 1j * R2), (1, -1j * R2)),
+])
+def test_unitary_violation_takes_float_and_int_entries(rows):
+    m = SMatrix(COMPLEX, rows)
+    assert unitary_violation(m) == reference_unitary_violation(m)
