@@ -62,7 +62,7 @@ def _read_text(path: str) -> tuple[str, Path]:
         if path == "-":
             return sys.stdin.read(), Path(".")
         p = Path(path)
-        return p.read_text(encoding="utf-8"), (p.parent if p.parent != Path("") else Path("."))
+        return p.read_text(encoding="utf-8"), p.parent
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
 
