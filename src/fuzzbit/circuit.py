@@ -20,16 +20,16 @@ the reference route for composed operators.
 `simulate` has two routes, and the model row, never a model name, picks
 one.  A row that is not `dense` (classical) tracks one basis index: a step's
 plan is (base, mask, perm), the block's lowest wire, the window mask 2^k - 1
-and the gate's permutation of basis indices composed with the block's bit
-remap, and the run rewrites the window bits of that index.  Every dense row
-runs its own vectors: one generic block kernel applies each step's bound
-matrix to the state on their numerators (ints for stochastic and fuzzy,
-the complex entries at scale 1 for quantum).  A step that grows the scale
-then divides the numerators and the scale by their gcd, so the scale stays
-the least common denominator of the state.  Each intermediate state is the
-kernel's own vector, which builds no scalar, and passes the row's state
-predicate.  The trace keeps the indices or those vectors and builds a
-state only when one is read, without checking it a second time.
+and the permutation of the step's bound matrix, and the run rewrites the
+window bits of that index.  Every dense row runs its own vectors: one
+generic block kernel applies each step's bound matrix to the state on
+their numerators (ints for stochastic and fuzzy, the complex entries at
+scale 1 for quantum).  A step that grows the scale then divides the
+numerators and the scale by their gcd, so the scale stays the least
+common denominator of the state.  Each intermediate state is the kernel's
+own vector, which builds no scalar, and passes the row's state predicate.
+The trace keeps the indices or those vectors and builds a state only when
+one is read, without checking it a second time.
 
 Stochastic and fuzzy requests build no rational scalar from the literal to
 the printed line: `init vec` literals and `@file` matrices parse to integer
@@ -57,6 +57,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Sequence, Union
 
@@ -86,7 +87,7 @@ from .models import (
     builtin_gate,
     gate_violation,
 )
-from .models.classical import ClassicalState, SynthCircuit
+from .models.classical import ClassicalState, SynthCircuit, permutation_from_matrix
 from .models.quantum import checked_seed
 
 __all__ = [
@@ -452,29 +453,19 @@ def _wire_block_violation(gate: str, wires: Sequence[int], arity: int, n: int) -
     return None
 
 
-def _slot_table(targets: Sequence[int], arity: int) -> list[int]:
-    """Bit remap from the local window to the gate's own index space."""
-    base = min(targets)
-    size = 1 << arity
-    rho = [0] * size
-    for x in range(size):
-        g = 0
-        for i, w in enumerate(targets):
-            if (x >> (w - base)) & 1:
-                g |= 1 << (arity - 1 - i)
-        rho[x] = g
-    return rho
-
-
 def _bound_matrix(gate: GateDescriptor, targets: Sequence[int]) -> SMatrix:
     """The gate matrix re-indexed so window bit (w - base) carries wire w,
     on its numerators over its scale."""
-    rho = _slot_table(targets, gate.arity)
+    # rho[x] is the gate's own index of window value x, built one window bit at a time
+    rho, k = [0], len(targets)
+    for w in sorted(targets):
+        bit = 1 << (k - 1 - targets.index(w))
+        rho += [g | bit for g in rho]
     m = gate.matrix
-    if all(rho[x] == x for x in range(len(rho))):
+    if rho == sorted(rho):
         return m
-    g = m.numerators
-    return SMatrix.over(m.instance, [[g[r][c] for c in rho] for r in rho], m.scale)
+    pick = itemgetter(*rho)  # pick(seq) is (seq[rho[0]], seq[rho[1]], ...)
+    return SMatrix.over(m.instance, map(pick, pick(m.numerators)), m.scale)
 
 
 def lift_gate(gate: GateDescriptor, targets: Sequence[int], n: int) -> SMatrix:
@@ -513,18 +504,13 @@ def _step_plan(gate: GateDescriptor, targets: Sequence[int]) -> StepPlan:
     closed under re-indexing and under Kronecker products with the
     identity, so the bound and lifted operators are members too, checked
     once by `GateDescriptor`: simulate re-checks states only, never operators.
-    A classical plan's perm is rho^-1 . perm . rho for the slot table rho:
-    the permutation of the bound matrix, without building it.  base is the
-    block's lowest wire and mask 2^k - 1 selects its k window bits.
+    A classical plan's perm is the permutation of the bound matrix, base is
+    the block's lowest wire and mask 2^k - 1 selects its k window bits.
     """
+    bound = _bound_matrix(gate, targets)
     if MODELS[gate.model].dense:
-        return _bound_matrix(gate, targets)
-    rho = _slot_table(targets, gate.arity)
-    inverse = [0] * len(rho)
-    for x, g in enumerate(rho):
-        inverse[g] = x
-    perm = gate.permutation
-    return min(targets), len(rho) - 1, tuple(inverse[perm[g]] for g in rho)
+        return bound
+    return min(targets), bound.rows - 1, permutation_from_matrix(bound)
 
 
 def _scaled_run(vc: ValidatedCircuit, row: Model) -> list[SVector]:

@@ -10,14 +10,14 @@ row per line.  The dimensions are ASCII digits.  Entries are read and
 written by the header instance's own `parse` and `format`; this module
 does not know which carriers exist.
 
-An `SVector` or `SMatrix` holds the form it was built from: its entries,
-or, through `over`, the integer numerators of exact entries over one
-scale.  It builds the other form once, on first read, so code that needs
-only the integers (membership checks, the kernels, the CLI's printing)
-builds no rational scalar, and code that reads entries gets the scalars.
-Over complex the numerators are the entries, at scale 1.  The kernels
-read only numerators and scales, combined by the instance's `scaled`, and
-hold their result `over` its scale.
+An `SVector` or `SMatrix` holds one form: the integer numerators of its
+entries over one scale, the lcm of their denominators when it is built
+from entries, or as given to `over`.  Its entries are the one view built
+from them, once, on first read, so code that needs only the integers
+(membership checks, the kernels, the CLI's printing) builds no rational
+scalar.  Over complex the numerators are the entries, at scale 1.  The
+kernels read only numerators and scales, combined by the instance's
+`scaled`, and hold their result `over` its scale.
 The role-based constructors (`identity`, `zeros`, `matrix_from_permutation`,
 `basis_vector`) build over the instance's `one_numerator` and
 `zero_numerator` at scale 1.
@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
+import operator
+from functools import cached_property, partial
 from typing import Any, Callable, Iterable, Sequence
 
 from .algebra import _UINT_RE, SemiringInstance, _uint, make_instance
@@ -59,7 +60,36 @@ __all__ = [
 
 
 class _Dense:
-    """Equality, hash and repr of an `SVector` or `SMatrix`: its instance and entries."""
+    """The body an `SVector` and an `SMatrix` share: numerators over a scale,
+    entries built from them through `instance.from_ratio`, and equality,
+    hash and repr on the instance and entries.  Each subclass gives its
+    shape: `_hold` checks and stores its values, `_map` maps a function
+    over them and `_flat` yields them in row-major order.
+    """
+
+    def __init__(self, instance: SemiringInstance, entries: Iterable):
+        entries = self._hold(entries)
+        self.instance, self.numerators, self.scale = instance, entries, 1
+        if instance.from_ratio is not None:  # over the lcm of the denominators
+            self.scale = scale = math.lcm(*(x.denominator for x in self._flat(entries)))
+            self.numerators = self._map(lambda x: x.numerator * (scale // x.denominator),
+                                        entries)
+
+    @classmethod
+    def over(cls, instance: SemiringInstance, numerators: Iterable, scale: int):
+        value = cls.__new__(cls)
+        value.instance, value.numerators, value.scale = instance, value._hold(numerators), scale
+        return value
+
+    @cached_property
+    def entries(self) -> tuple:
+        ratio, scale = self.instance.from_ratio, self.scale
+        if ratio is None:  # its numerators are its entries
+            return self.numerators
+        return self._map(lambda x: ratio(x, scale), self.numerators)
+
+    def _numerators_times(self, k: int) -> tuple:
+        return self.numerators if k == 1 else self._map(partial(operator.mul, k), self.numerators)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -73,116 +103,49 @@ class _Dense:
         return f"{type(self).__name__}({self.instance!r}, {self.entries!r})"
 
 
-def _numerators(values: Iterable, scale: int) -> tuple:
-    """x * scale for each exact scalar x, whose denominator divides `scale`."""
-    return tuple(x.numerator * (scale // x.denominator) for x in values)
-
-
-def _length(values: tuple) -> int:
-    if not values:
-        raise ValueError("empty vector")
-    return len(values)
-
-
 class SVector(_Dense):
-    """A vector over `instance`, held as its entries or as numerators over a scale.
+    """A vector over `instance`: a flat tuple of values."""
 
-    `SVector(instance, entries)` holds the entries; `SVector.over(instance,
-    numerators, scale)` holds the integer numerators of the entries
-    n/scale.  Over an exact carrier the other form is built once, on first
-    read: entries through `instance.from_ratio`, numerators over the lcm of
-    the entries' denominators.  Over an inexact carrier (no `from_ratio`)
-    the numerators are the entries themselves, at scale 1, from the start.
-    """
+    def _hold(self, values: Iterable) -> tuple:
+        values = tuple(values)
+        if not values:
+            raise ValueError("empty vector")
+        return values
 
-    def __init__(self, instance: SemiringInstance, entries: Iterable):
-        self.instance = instance
-        self.entries = tuple(entries)
-        self._length = _length(self.entries)
-        if instance.from_ratio is None:  # its entries are its numerators
-            self.numerators, self.scale = self.entries, 1
+    @staticmethod
+    def _map(f: Callable, values: tuple) -> tuple:
+        return tuple(map(f, values))
 
-    @classmethod
-    def over(cls, instance: SemiringInstance, numerators: Iterable[int],
-             scale: int) -> SVector:
-        if instance.from_ratio is None:
-            return cls(instance, numerators)
-        v = cls.__new__(cls)
-        v.instance, v.numerators, v.scale = instance, tuple(numerators), scale
-        v._length = _length(v.numerators)
-        return v
-
-    @cached_property
-    def entries(self) -> tuple:
-        ratio, scale = self.instance.from_ratio, self.scale
-        return tuple(ratio(x, scale) for x in self.numerators)
-
-    @cached_property
-    def scale(self) -> int:
-        return math.lcm(*(x.denominator for x in self.entries))
-
-    @cached_property
-    def numerators(self) -> tuple:
-        return _numerators(self.entries, self.scale)
-
-    def _numerators_times(self, k: int) -> tuple:
-        return self.numerators if k == 1 else tuple(x * k for x in self.numerators)
+    @staticmethod
+    def _flat(values: tuple) -> Iterable:
+        return values
 
     def __len__(self) -> int:
-        return self._length
+        return len(self.numerators)
 
 
 class SMatrix(_Dense):
-    """A matrix over `instance`, held as its rows of entries or of numerators
-    over a scale; `SMatrix.over` and the derived forms are `SVector`'s, row
-    by row."""
+    """A matrix over `instance`: a row-major tuple of equally long row tuples."""
 
-    def __init__(self, instance: SemiringInstance, entries: Iterable[Iterable]):
-        self.instance = instance
-        self.entries = tuple(map(tuple, entries))  # row-major tuple of row tuples
-        self.rows, self.cols = _shape(self.entries)
-        if instance.from_ratio is None:
-            self.numerators, self.scale = self.entries, 1
+    def _hold(self, rows: Iterable[Iterable]) -> tuple:
+        rows = tuple(map(tuple, rows))
+        if not rows or not rows[0]:
+            raise ValueError("empty matrix")
+        if len(set(map(len, rows))) > 1:
+            raise ValueError("ragged matrix")
+        self.rows, self.cols = len(rows), len(rows[0])
+        return rows
 
-    @classmethod
-    def over(cls, instance: SemiringInstance, numerators: Iterable[Iterable[int]],
-             scale: int) -> SMatrix:
-        if instance.from_ratio is None:
-            return cls(instance, numerators)
-        m = cls.__new__(cls)
-        m.instance, m.numerators, m.scale = instance, tuple(map(tuple, numerators)), scale
-        m.rows, m.cols = _shape(m.numerators)
-        return m
+    @staticmethod
+    def _map(f: Callable, rows: tuple) -> tuple:
+        return tuple(tuple(map(f, row)) for row in rows)
 
-    @cached_property
-    def entries(self) -> tuple:
-        ratio, scale = self.instance.from_ratio, self.scale
-        return tuple(tuple(ratio(x, scale) for x in row) for row in self.numerators)
-
-    @cached_property
-    def scale(self) -> int:
-        return math.lcm(*(x.denominator for row in self.entries for x in row))
-
-    @cached_property
-    def numerators(self) -> tuple:
-        scale = self.scale
-        return tuple(_numerators(row, scale) for row in self.entries)
-
-    def _numerators_times(self, k: int) -> tuple:
-        if k == 1:
-            return self.numerators
-        return tuple(tuple(x * k for x in row) for row in self.numerators)
+    @staticmethod
+    def _flat(rows: tuple) -> Iterable:
+        return itertools.chain.from_iterable(rows)
 
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.entries)
-
-
-def _shape(rows: tuple) -> tuple[int, int]:
-    if not rows or not rows[0]:
-        raise ValueError("empty matrix")
-    if any(len(row) != len(rows[0]) for row in rows):
-        raise ValueError("ragged matrix")
-    return len(rows), len(rows[0])
 
 
 def _require_same_instance(a, b) -> SemiringInstance:
@@ -305,22 +268,13 @@ def basis_vector(s: SemiringInstance, size: int, index: int) -> SVector:
 def equal(a, b) -> bool:
     """Same instance and shape, entries within the instance's `tolerance`
     componentwise (exact where it is 0)."""
-    if a.instance != b.instance:
+    if a.instance != b.instance or type(a) is not type(b):
         return False
-    if isinstance(a, SVector) != isinstance(b, SVector):
+    if (len(a) != len(b)) if isinstance(a, SVector) else (a.rows, a.cols) != (b.rows, b.cols):
         return False
-    if isinstance(a, SVector):
-        flat_a, flat_b = a.entries, b.entries
-        if len(flat_a) != len(flat_b):
-            return False
-    else:
-        if a.rows != b.rows or a.cols != b.cols:
-            return False
-        flat_a = tuple(x for row in a.entries for x in row)
-        flat_b = tuple(x for row in b.entries for x in row)
     tol = a.instance.tolerance
     return all(abs(x.real - y.real) <= tol and abs(x.imag - y.imag) <= tol
-               for x, y in zip(flat_a, flat_b))
+               for x, y in zip(a._flat(a.entries), b._flat(b.entries)))
 
 
 # --- text format --------------------------------------------------------------

@@ -176,11 +176,6 @@ class GateDescriptor:
         """The number of wires the gate acts on: log2 of its dimension."""
         return self.matrix.rows.bit_length() - 1
 
-    @functools.cached_property
-    def permutation(self) -> tuple[int, ...]:
-        """A classical gate's permutation of basis indices, read once per descriptor."""
-        return classical.permutation_from_matrix(self.matrix)
-
 
 @dataclass(frozen=True)
 class VectorState:

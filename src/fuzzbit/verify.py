@@ -92,11 +92,6 @@ def _scale_grid(grid) -> tuple[int, tuple[int, ...]]:
     return L, levels
 
 
-def _row_reduce(terms):
-    # row aggregation of the matrix action; min is the fuzz-mv addition
-    return min(terms)
-
-
 def _mm(a, b, n, L):
     """Entrywise product: out[i,j] = min over k of (a[i,k] + b[k,j]), capped at L."""
     cols = [b[j::n] for j in range(n)]
@@ -112,7 +107,7 @@ def _mm(a, b, n, L):
 def _mv(a, v, n, L):
     out = []
     for i in range(n):
-        r = _row_reduce(list(map(_int_add, a[i * n:i * n + n], v)))
+        r = min(map(_int_add, a[i * n:i * n + n], v))
         out.append(r if r < L else L)
     return tuple(out)
 

@@ -269,33 +269,17 @@ ROTATE3 = matrix_from_permutation((1, 0, 4, 5, 2, 3, 7, 6), BOOLEAN)
     GateDescriptor("classical", "@rotate3.mat", ROTATE3),
 ], ids=lambda gate: gate.name)
 def test_classical_plan_is_the_bound_permutation(gate):
+    # the oracle is the permutation of the lifted operator on one wire more
     k = gate.arity
     for base in (0, 2):
+        n = base + k + 1
         for wires in itertools.permutations(range(base, base + k)):
             low, mask, perm = circuit._step_plan(gate, wires)
-            assert perm == permutation_from_matrix(circuit._bound_matrix(gate, wires))
             assert low == min(wires) and mask == (1 << k) - 1
-
-
-def test_classical_programs_build_no_bound_matrix(tmp_path, monkeypatch):
-    (tmp_path / "rotate3.mat").write_text(serialize_matrix(ROTATE3))
-    text = ("model classical\nwires 5\ninit ket 01101\n"
-            "gate @rotate3.mat 4 2 3\ngate CNOT 1 0\ngate CNOT 0 1\ngate AND 2 1 0\n"
-            "gate @rotate3.mat 0 1 2\ngate SWAP 4 3\ngate NOT 2\ngate CNOT 1 0\n")
-    expected = simulate(validate(parse_circuit(text), base_dir=tmp_path))
-
-    def no_bound_matrix(*args):
-        raise AssertionError("a classical step must not build its bound matrix")
-
-    reads = []
-    real = permutation_from_matrix
-    monkeypatch.setattr("fuzzbit.circuit._bound_matrix", no_bound_matrix)
-    monkeypatch.setattr("fuzzbit.models.classical.permutation_from_matrix",
-                        lambda m: reads.append(m) or real(m))
-    builtin_gate.cache_clear()  # so that each builtin descriptor is read afresh
-    vc = validate(parse_circuit(text), base_dir=tmp_path)
-    assert simulate(vc) == expected
-    assert len(reads) == len({id(gate) for gate in vc.gates}) == 6
+            lifted = permutation_from_matrix(lift_gate(gate, wires, n))
+            for i in range(1 << n):
+                w = (i >> base) & mask
+                assert i ^ ((w ^ perm[w]) << base) == lifted[i]
 
 
 def test_each_distinct_step_is_validated_once(tmp_path, monkeypatch):

@@ -258,8 +258,9 @@ def test_each_carrier_reads_its_literals_through_one_route(name):
         assert all(v.scale == 1 and v.numerators == v.entries for v in vectors)
 
 
-# One class per shape holds either form.  The oracle is the `Fraction` of
-# each entry; the scale is the lcm of their denominators.
+# Each class builds one value from its entries or from numerators over a
+# scale.  The oracle is the `Fraction` of each entry; the scale is the lcm of
+# their denominators.
 _EXACT_INSTANCES = [FUZZ_MV, MAX_MIN, VITERBI, BOOLEAN, PROBABILITY]
 
 
