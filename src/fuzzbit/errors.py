@@ -9,13 +9,10 @@ from __future__ import annotations
 
 
 class FuzzbitError(Exception):
+    """Carries the input position, when one is known, as `line L: ` or
+    `line L, column C: ` in front of the message."""
+
     exit_code = 1
-
-
-class ParseError(FuzzbitError):
-    """Malformed input text; carries a position when one is known."""
-
-    exit_code = 2
 
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
         self.line = line
@@ -25,6 +22,12 @@ class ParseError(FuzzbitError):
         elif line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class ParseError(FuzzbitError):
+    """Malformed input text."""
+
+    exit_code = 2
 
 
 class MembershipError(FuzzbitError):
@@ -37,12 +40,6 @@ class ValidationError(FuzzbitError):
     """A structurally well-formed circuit failed semantic validation."""
 
     exit_code = 1
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class InternalCheckError(FuzzbitError):

@@ -57,17 +57,21 @@ def state_norm_violation(v: SVector) -> str | None:
     return f"squared norm is {norm_sq!r}, expected 1 within {COMPLEX_TOL}"
 
 
+def _gram(m: SMatrix):
+    """The rows of U†U: entry (i, j) sums conj(m[k][i]) * m[k][j] over k in order."""
+    columns = tuple(zip(*m.entries))
+    for column in columns:
+        left = [x.conjugate() for x in column]
+        yield [sum(map(operator.mul, left, right)) for right in columns]
+
+
 def unitary_violation(m: SMatrix) -> str | None:
     """None if the conjugate transpose inverts `m` within `COMPLEX_TOL`.
 
     `m` is square and complex: the row (`models.gate_violation`) checks both.
-    Entry (i, j) of the Gram matrix sums conj(m[k][i]) * m[k][j] over k in order.
     """
-    columns = tuple(zip(*m.entries))
-    conjugates = [[x.conjugate() for x in column] for column in columns]
-    for i, left in enumerate(conjugates):
-        for j, right in enumerate(columns):
-            acc = sum(map(operator.mul, left, right))
+    for i, row in enumerate(_gram(m)):
+        for j, acc in enumerate(row):
             want = 1.0 if i == j else 0.0
             if abs(acc.real - want) > COMPLEX_TOL or abs(acc.imag) > COMPLEX_TOL:
                 return f"columns {i} and {j} are not orthonormal (deviation {abs(acc - want):.3e})"
@@ -80,11 +84,8 @@ def _deviation(x: SVector | SMatrix) -> float:
     NaN or inf where an entry is not finite."""
     if isinstance(x, SVector):
         return abs(sum(a.real * a.real + a.imag * a.imag for a in x.entries) - 1.0)
-    e, n = x.entries, x.rows
-    gram = [[sum(e[k][i].conjugate() * e[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
     return max(sum(abs(z.real - (i == j)) + abs(z.imag) for j, z in enumerate(row))
-               for i, row in enumerate(gram))
+               for i, row in enumerate(_gram(x)))
 
 
 def compounded(result: SVector | SMatrix, operands: tuple) -> bool:

@@ -17,16 +17,17 @@ check is the lexicographic walk with caps of at least its case count.
 
 The gate and action checks work on columns and rows: column j of AB is A
 applied to column j of B, row i of AB is row i of A times B, and entry i of
-As is row i of A against s.  Each distinct column, row and state gets an id,
-a gate is the ids of its columns and rows, and a table of images comes from
-one kernel call per n vectors packed into an n x n matrix.  A law of the
-form f_A(x ^ y) = f_A(x) ^ f_A(y) (distributivity by columns and by rows,
-linearity by states) holds on a case when it holds on the pair of ids in
-each slot, so a fixed A decides it once per distinct pair of ids, not once
-per case.  `tensor-laws` compares its mixed products column by column.
-Every case is still counted; a case that meets a bad pair or differing ids
-is rechecked with direct kernel calls, so the failures are those of a
-per-case loop, in order.
+As is row i of A against s.  Each distinct column, row and state gets an id
+and a gate is the ids of its columns and rows.  The kernels take operands of
+any shape, so a table of images is one `_mm` call, on the vectors side by
+side or stacked, and a table of rows against states one `_mv` call per
+state.  A law of the form f_A(x ^ y) = f_A(x) ^ f_A(y) (distributivity by
+columns and by rows, linearity by states) holds on a case when it holds on
+the pair of ids in each slot, so a fixed A decides it once per distinct pair
+of ids, not once per case.  `tensor-laws` compares its mixed products column
+by column.  Every case is still counted; a case that meets a bad pair or
+differing ids is rechecked with direct kernel calls, so the failures are
+those of a per-case loop, in order.
 """
 
 from __future__ import annotations
@@ -93,11 +94,13 @@ def _scale_grid(grid) -> tuple[int, tuple[int, ...]]:
 
 
 def _mm(a, b, n, L):
-    """Entrywise product: out[i,j] = min over k of (a[i,k] + b[k,j]), capped at L."""
-    cols = [b[j::n] for j in range(n)]
+    """An m x n `a` times an n x p `b`, m and p read off their lengths:
+    out[i,j] = min over k of (a[i,k] + b[k,j]), capped at L."""
+    p = len(b) // n
+    cols = [b[j::p] for j in range(p)]
     out = []
-    for i in range(n):
-        row = a[i * n:i * n + n]
+    for i in range(0, len(a), n):
+        row = a[i:i + n]
         for col in cols:
             best = min(map(_int_add, row, col))
             out.append(best if best < L else L)
@@ -105,9 +108,10 @@ def _mm(a, b, n, L):
 
 
 def _mv(a, v, n, L):
+    """Each n-entry row of an m x n `a` against `v`, capped at L."""
     out = []
-    for i in range(n):
-        r = min(map(_int_add, a[i * n:i * n + n], v))
+    for i in range(0, len(a), n):
+        r = min(map(_int_add, a[i:i + n], v))
         out.append(r if r < L else L)
     return tuple(out)
 
@@ -168,39 +172,24 @@ def _intern(values, ids: dict) -> list[int]:
     return [ids.setdefault(v, len(ids)) for v in values]
 
 
-def _blocks(vectors, n):
-    """`vectors` n at a time, each block padded to n with its first vector."""
-    for k in range(0, len(vectors), n):
-        block = vectors[k:k + n]
-        yield len(block), block + block[:1] * (n - len(block))
-
-
 def _left_images(a, columns, n, L) -> list[tuple]:
-    """a applied to each n-vector of `columns`: one `_mm(a, packed)` per n."""
-    out = []
-    for m, block in _blocks(columns, n):
-        p = _mm(a, tuple(itertools.chain(*zip(*block))), n, L)
-        out += [p[j::n] for j in range(m)]
-    return out
+    """a applied to each n-vector of `columns`: one `_mm` of a by them side by side."""
+    p = len(columns)
+    prod = _mm(a, tuple(itertools.chain(*zip(*columns))), n, L)
+    return [prod[j::p] for j in range(p)]
 
 
 def _right_images(a, rows, n, L) -> list[tuple]:
-    """Each n-vector of `rows` times a: one `_mm(packed, a)` per n."""
-    out = []
-    for m, block in _blocks(rows, n):
-        p = _mm(tuple(itertools.chain(*block)), a, n, L)
-        out += [p[i:i + n] for i in range(0, n * m, n)]
-    return out
+    """Each n-vector of `rows` times a: one `_mm` of them stacked by a."""
+    prod = _mm(tuple(itertools.chain(*rows)), a, n, L)
+    return [prod[i:i + n] for i in range(0, len(prod), n)]
 
 
 def _dot_table(rows, vectors, n, L) -> list[tuple]:
     """table[q][v] is row q against vector v, as `_mv` reduces it: one
-    `_mv(packed, v)` per vector for each n rows."""
-    table = []
-    for m, block in _blocks(rows, n):
-        packed = tuple(itertools.chain(*block))
-        table += list(zip(*(_mv(packed, v, n, L) for v in vectors)))[:m]
-    return table
+    `_mv` of the rows stacked per vector."""
+    stacked = tuple(itertools.chain(*rows))
+    return list(zip(*(_mv(stacked, v, n, L) for v in vectors)))
 
 
 def _lex_rows(outer, inner: int, cap: int):
