@@ -208,6 +208,14 @@ def format_complex_exact(z: complex) -> str:
     return format_complex(z, "")
 
 
+def _nonneg_ratio(numerator: int, denominator: int) -> Fraction:
+    """The probability scalar numerator/denominator; a negative one is a ValueError."""
+    value = Fraction(numerator, denominator)
+    if value < 0:
+        raise ValueError(f"scalar {value.numerator}/{value.denominator} is negative")
+    return value
+
+
 def _product_rule(add: Callable, mul: Callable) -> Callable:
     """n/a and m/b combine at the scale a * b, where n * m is their product."""
     def scaled(a: int, b: int):
@@ -249,12 +257,14 @@ class SemiringInstance:
     read once when the instance is built.
 
     An exact carrier (every registered one but complex) has a `from_ratio`
-    that builds the scalar n/d; `parse` reads a literal as the pair (n, d)
-    in lowest terms, and `format(n, scale)` and `display(n, scale)` write a
-    numerator over a scale, for files and for the CLI.  Complex has no
-    `from_ratio`: its numerators are its scalars, at scale 1, which `parse`
-    returns and `format` and `display` write.  `tolerance` is the
-    componentwise bound of `linalg.equal` (0 for exact carriers).
+    that builds the scalar n/d and raises ValueError for an n/d outside the
+    carrier (outside [0, 1], or negative for probability); `parse` reads a
+    literal as the pair (n, d) in lowest terms, and `format(n, scale)` and
+    `display(n, scale)` write a numerator over a scale, for files and for
+    the CLI.  Complex has no `from_ratio`: its numerators are its scalars,
+    at scale 1, which `parse` returns and `format` and `display` write.
+    `tolerance` is the componentwise bound of `linalg.equal` (0 for exact
+    carriers).
     """
 
     name: str
@@ -294,7 +304,7 @@ VITERBI = SemiringInstance("viterbi", zero=ZERO, one=ONE,
 BOOLEAN = SemiringInstance("boolean", zero=ZERO, one=ONE, scaled=_MAX_MIN_RULE)
 PROBABILITY = SemiringInstance("probability", zero=Fraction(0), one=Fraction(1),
                                scaled=_product_rule(operator.add, operator.mul),
-                               parse=parse_nonneg_ratio, from_ratio=Fraction)
+                               parse=parse_nonneg_ratio, from_ratio=_nonneg_ratio)
 COMPLEX = SemiringInstance("complex", zero=complex(0), one=complex(1),
                            scaled=_product_rule(operator.add, operator.mul),
                            parse=parse_complex_scalar,

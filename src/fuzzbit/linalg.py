@@ -61,7 +61,8 @@ __all__ = [
 
 class _Dense:
     """The body an `SVector` and an `SMatrix` share: numerators over a scale,
-    entries built from them through `instance.from_ratio`, and equality,
+    entries built from them through `instance.from_ratio`, which also checks
+    that each entry given to the constructor is in the carrier, and equality,
     hash and repr on the instance and entries.  Each subclass gives its
     shape: `_hold` checks and stores its values, `_map` maps a function
     over them and `_flat` yields them in row-major order.
@@ -70,7 +71,10 @@ class _Dense:
     def __init__(self, instance: SemiringInstance, entries: Iterable):
         entries = self._hold(entries)
         self.instance, self.numerators, self.scale = instance, entries, 1
-        if instance.from_ratio is not None:  # over the lcm of the denominators
+        ratio = instance.from_ratio
+        if ratio is not None:  # in the carrier, over the lcm of the denominators
+            for x in self._flat(entries):
+                ratio(x.numerator, x.denominator)  # ValueError outside the carrier
             self.scale = scale = math.lcm(*(x.denominator for x in self._flat(entries)))
             self.numerators = self._map(lambda x: x.numerator * (scale // x.denominator),
                                         entries)

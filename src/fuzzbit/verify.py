@@ -7,7 +7,8 @@ of calling the generic linear algebra; an explicit agreement check
 compares the two routes bit for bit.  Their grid values are mapped to
 integers over the grid's common denominator: min, max and the truncated
 sum of multiples of 1/L stay multiples of 1/L, so integer arithmetic is
-exact.
+exact.  `stochastic-semigroup` multiplies the same numerators, and the
+ordinary product of two matrices over L is a matrix over L * L.
 
 Exhaustion caps follow the harness contract: size-2 enumerations are
 exhaustive; size-4 objects are built as Kronecker products of size-2 grid
@@ -23,11 +24,18 @@ any shape, so a table of images is one `_mm` call, on the vectors side by
 side or stacked, and a table of rows against states one `_mv` call per
 state.  A law of the form f_A(x ^ y) = f_A(x) ^ f_A(y) (distributivity by
 columns and by rows, linearity by states) holds on a case when it holds on
-the pair of ids in each slot, so a fixed A decides it once per distinct pair
-of ids, not once per case.  `tensor-laws` compares its mixed products column
-by column.  Every case is still counted; a case that meets a bad pair or
-differing ids is rechecked with direct kernel calls, so the failures are
-those of a per-case loop, in order.
+the pair of ids in each slot.  Entry (i, j) of a kernel product depends only
+on row i of its left operand and column j of its right one, and `_wedge` is
+entrywise, so one row or column of A decides an entry of each side: entry i
+of Ax is row i of A against x, and entry j of xA is x against column j of A.
+The law then holds for A on a pair when it holds at each of A's rows (or
+columns), and one table of the distinct rows or columns of the gates the
+cap reaches, against every vector and meet, decides each pair once per such
+part, not once per A or per case; A's bad pairs are those of its parts.
+`tensor-laws` compares its mixed products column by column.  Every case is
+still counted; a case that meets a bad pair or differing ids is rechecked
+with direct kernel calls, so the failures are those of a per-case loop, in
+order.
 """
 
 from __future__ import annotations
@@ -180,9 +188,10 @@ def _left_images(a, columns, n, L) -> list[tuple]:
 
 
 def _right_images(a, rows, n, L) -> list[tuple]:
-    """Each n-vector of `rows` times a: one `_mm` of them stacked by a."""
+    """Each n-vector of `rows` times an n x p `a`: one `_mm` of them stacked by a."""
+    p = len(a) // n
     prod = _mm(tuple(itertools.chain(*rows)), a, n, L)
-    return [prod[i:i + n] for i in range(0, len(prod), n)]
+    return [prod[i:i + p] for i in range(0, len(prod), p)]
 
 
 def _dot_table(rows, vectors, n, L) -> list[tuple]:
@@ -267,15 +276,17 @@ def check_semiring_axioms(instance: SemiringInstance, grid) -> CheckReport:
     absorbing zero, on the `scaled` rule the kernels run: mul(x, y) is the
     1x1 `mat_vec` of x by y, add(x, y) the row (x, y) against (one, one),
     each held over the lcm of its entries' denominators, as `SMatrix` holds it.
+    A result outside the carrier, which the instance's `from_ratio` refuses,
+    fails the law that computed it and is no operand of another operation.
     """
     t0 = time.perf_counter()
     report = CheckReport(f"semiring-axioms-{instance.name}", 0)
     zero, one = instance.zero, instance.one
 
     @functools.cache  # each operation once per operand pair
-    def act(row: tuple, vector: tuple) -> Fraction:
+    def act(row: tuple, vector: tuple):
         v = mat_vec(SMatrix(instance, (row,)), SVector(instance, vector))
-        return Fraction(v.numerators[0], v.scale)
+        return instance.from_ratio(v.numerators[0], v.scale)  # ValueError outside the carrier
 
     def mul(x, y):
         return act((x,), (y,))
@@ -283,23 +294,27 @@ def check_semiring_axioms(instance: SemiringInstance, grid) -> CheckReport:
     def add(x, y):
         return act((x, y), (one, one))
 
-    def law(name, ok, ops):
+    def law(name, holds, ops):
         report.cases += 1
+        try:
+            ok = holds()
+        except ValueError:  # a result outside the carrier
+            ok = False
         if not ok:
             report.failures.append((name,) + ops)
 
     for a in grid:
-        law("add-zero", add(zero, a) == a and add(a, zero) == a, (a,))
-        law("mul-one", mul(one, a) == a and mul(a, one) == a, (a,))
-        law("mul-zero-absorbs", mul(zero, a) == zero and mul(a, zero) == zero, (a,))
-        law("add-idempotent", add(a, a) == a, (a,))
+        law("add-zero", lambda: add(zero, a) == a and add(a, zero) == a, (a,))
+        law("mul-one", lambda: mul(one, a) == a and mul(a, one) == a, (a,))
+        law("mul-zero-absorbs", lambda: mul(zero, a) == zero and mul(a, zero) == zero, (a,))
+        law("add-idempotent", lambda: add(a, a) == a, (a,))
     for a, b in itertools.product(grid, repeat=2):
-        law("add-commutes", add(a, b) == add(b, a), (a, b))
+        law("add-commutes", lambda: add(a, b) == add(b, a), (a, b))
     for a, b, c in itertools.product(grid, repeat=3):
-        law("add-assoc", add(add(a, b), c) == add(a, add(b, c)), (a, b, c))
-        law("mul-assoc", mul(mul(a, b), c) == mul(a, mul(b, c)), (a, b, c))
-        law("left-dist", mul(a, add(b, c)) == add(mul(a, b), mul(a, c)), (a, b, c))
-        law("right-dist", mul(add(a, b), c) == add(mul(a, c), mul(b, c)), (a, b, c))
+        law("add-assoc", lambda: add(add(a, b), c) == add(a, add(b, c)), (a, b, c))
+        law("mul-assoc", lambda: mul(mul(a, b), c) == mul(a, mul(b, c)), (a, b, c))
+        law("left-dist", lambda: mul(a, add(b, c)) == add(mul(a, b), mul(a, c)), (a, b, c))
+        law("right-dist", lambda: mul(add(a, b), c) == add(mul(a, c), mul(b, c)), (a, b, c))
     report.elapsed = time.perf_counter() - t0
     return report
 
@@ -389,9 +404,14 @@ def check_mv_gate_laws(grid, size: int = 2) -> CheckReport:
         if _mm(bc, a, n, L) != _wedge(_mm(b, a, n, L), _mm(c, a, n, L)):
             found["distributivity"].append(("right-dist", a, b, c))
 
+    # entry i of Ax is row i of A against x, and entry j of xA is x against
+    # column j of A: one `_mm` of the rows stacked, or of the columns side by
+    # side, with every vector
     _meet_law(report, gates, n_g, triple_cap, distributivity, (
-        (gates.columns, gates.col_ids, lambda a, vs: _left_images(a, vs, n, L)),
-        (gates.rows, gates.row_ids, lambda a, vs: _right_images(a, vs, n, L))))
+        (gates.columns, gates.col_ids, gates.rows, gates.row_ids,
+         lambda rows, vs: _left_images(tuple(itertools.chain(*rows)), vs, n, L)),
+        (gates.rows, gates.row_ids, gates.columns, gates.col_ids,
+         lambda cols, vs: _right_images(tuple(itertools.chain(*zip(*cols))), vs, n, L))))
     for law in order:
         report.failures += found[law]
     report.elapsed = time.perf_counter() - t0
@@ -402,17 +422,23 @@ def _meet_law(report: CheckReport, gates, n_b: int, cap: int, recheck, sides) ->
     """A law f_A(x ^ y) = f_A(x) ^ f_A(y) on the first `cap` triples (A, B, C)
     in lexicographic order, B and C in range(`n_b`).
 
-    Each side (slots, ids, act) has `slots[k]` the ids in `ids` of vectors,
-    each in its slot, that stand for B or C = k, and `act(a, vectors)` the
-    f_A of each.  The law holds on a triple when, for each side, it holds on
-    the ids (x, y) of B and C in each slot.  A decides each such pair that
-    the cap reaches once; only a triple that meets a bad pair goes to
-    `recheck(a, j, k)`, which decides it with direct kernel calls, so
-    failures keep their form and order.  A triple counts once per side.
+    Each side (slots, ids, parts, part_ids, table) has `slots[k]` the ids in
+    `ids` of vectors, each in its slot, that stand for B or C = k, and
+    `parts[i]` the ids in `part_ids` of the parts of gate i that give the
+    entries of f_A(x): entry q of f_A(x) is part q of A against x, and
+    `table(ps, vectors)` is each vector against each part of `ps`.  The law
+    holds on a triple when, for each side, it holds on the ids (x, y) of B
+    and C in each slot, and on a pair when it holds at each part of A.  So
+    one table of the distinct parts of the As the cap reaches decides each
+    pair once, and a pair is bad for A when it is bad at one of A's parts.
+    Only a triple that meets a bad pair goes to `recheck(a, j, k)`, which
+    decides it with direct kernel calls, so failures keep their form and
+    order.  A triple counts once per side.
     """
+    n_a = min(len(gates), -(-cap // (n_b * n_b)))
     bs, cs = range(min(n_b, -(-cap // n_b))), range(min(n_b, cap))
     tables = []
-    for slots, ids, act in sides:
+    for slots, ids, parts, part_ids, table in sides:
         partners: dict = {}  # x -> the ids y that x meets in some slot
         for q in range(len(slots[0])):
             met = {slots[k][q] for k in cs}
@@ -422,25 +448,35 @@ def _meet_law(report: CheckReport, gates, n_b: int, cap: int, recheck, sides) ->
         ys = [y for met in partners.values() for y in met]
         vectors = list(ids).__getitem__
         meets = _intern(map(_wedge, map(vectors, xs), map(vectors, ys)), ids)
-        tables.append((slots, ids, act, xs, ys, meets, {}, {}))
-    for i, a_rows in itertools.groupby(_lex_rows((len(gates), n_b), n_b, cap),
-                                       key=lambda row: row[0][0]):
-        a = gates[i]
-        bad = []  # per side, the pairs (x, y) with f_A(x ^ y) != f_A(x) ^ f_A(y)
-        for slots, ids, act, xs, ys, meets, image_ids, image_meets in tables:
-            image = _intern(act(a, list(ids)), image_ids).__getitem__
-            values = list(image_ids)
-            for u, v in set(zip(map(image, xs), map(image, ys))).difference(image_meets):
-                image_meets[u, v] = _intern([_wedge(values[u], values[v])], image_ids)[0]
-            wants = map(image_meets.__getitem__, zip(map(image, xs), map(image, ys)))
-            bad.append(set(itertools.compress(zip(xs, ys), map(ne, wants, map(image, meets)))))
-        a_rows = list(a_rows)
-        report.cases += len(sides) * sum(count for _, count in a_rows)
-        for (_, j), count in a_rows if any(bad) else ():
-            for k in range(count):
-                if any(pair in pairs for (slots, *_), pairs in zip(tables, bad)
-                       for pair in zip(slots[j], slots[k])):
-                    recheck(a, j, k)
+        # each vector against the parts `used`, as an id in `entry_ids`
+        used = list(dict.fromkeys(itertools.chain(*parts[:n_a])))
+        values = list(part_ids)
+        entry_ids: dict = {}
+        at = _intern(table([values[p] for p in used], list(ids)), entry_ids).__getitem__
+        entries = list(entry_ids)
+        entry_meets = {(u, v): _wedge(entries[u], entries[v])
+                       for u, v in set(zip(map(at, xs), map(at, ys)))}
+        wants = map(entry_meets.__getitem__, zip(map(at, xs), map(at, ys)))
+        gots = map(entries.__getitem__, map(at, meets))
+        bad_at: dict = {}  # part id -> the pairs (x, y) bad at that part
+        for pair, want, got in zip(zip(xs, ys), wants, gots):
+            if want != got:
+                for p in itertools.compress(used, map(ne, want, got)):
+                    bad_at.setdefault(p, set()).add(pair)
+        tables.append((slots, parts, bad_at))
+    for i in range(n_a):
+        count = min(n_b * n_b, cap - i * n_b * n_b)
+        report.cases += len(sides) * count
+        # per side, the pairs (x, y) with f_A(x ^ y) != f_A(x) ^ f_A(y)
+        bad = [set().union(*(bad_at.get(p, ()) for p in parts[i]))
+               for _, parts, bad_at in tables]
+        if any(bad):
+            a = gates[i]
+            for (j,), n_k in _lex_rows((n_b,), n_b, count):
+                for k in range(n_k):
+                    if any(pair in pairs for (slots, *_), pairs in zip(tables, bad)
+                           for pair in zip(slots[j], slots[k])):
+                        recheck(a, j, k)
 
 
 def check_action_laws(grid, size: int = 2) -> CheckReport:
@@ -508,8 +544,12 @@ def check_action_laws(grid, size: int = 2) -> CheckReport:
         if _mv(a, _wedge(s, t), n, L) != _wedge(_mv(a, s, n, L), _mv(a, t, n, L)):
             report.failures.append(("linearity", a, s, t))
 
-    _meet_law(report, gates, n_s, cap, linearity, (
-        ([(x,) for x in sid], vids, lambda a, vs: [_mv(a, v, n, L) for v in vs]),))
+    def against_rows(rows, vs):  # entry i of As is row i of A against s
+        stacked = tuple(itertools.chain(*rows))
+        return [_mv(stacked, v, n, L) for v in vs]
+
+    _meet_law(report, gates, n_s, cap, linearity,
+              (([(x,) for x in sid], vids, gates.rows, gates.row_ids, against_rows),))
 
     # (AB)s = A(Bs) entry by entry: entry i of A(Bs) is row i of A against Bs.
     # So each B decides every state at once for each row r of the A: rB
@@ -637,29 +677,40 @@ def _det2(m) -> Fraction:
 
 
 def _mm2(a, b) -> tuple:
-    """The ordinary product of two 2x2 rational matrices (row tuples)."""
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
-                 for i in range(2))
+    """The ordinary product of two 2x2 matrices (row tuples)."""
+    (a00, a01), (a10, a11) = a
+    (b00, b01), (b10, b11) = b
+    return ((a00 * b00 + a01 * b10, a00 * b01 + a01 * b11),
+            (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11))
 
 
-def _is_stochastic2(m) -> bool:
-    """Whether a 2x2 rational matrix is column-stochastic: entries in [0, 1], columns sum to 1."""
-    return all(0 <= m[i][j] <= 1 for i in range(2) for j in range(2)) and all(
-        m[0][j] + m[1][j] == 1 for j in range(2))
+def _is_stochastic2(m, scale) -> bool:
+    """Whether a 2x2 matrix of numerators over `scale` is column-stochastic:
+    entries in [0, scale], columns sum to scale."""
+    return all(0 <= m[i][j] <= scale for i in range(2) for j in range(2)) and all(
+        m[0][j] + m[1][j] == scale for j in range(2))
 
 
 def check_stochastic_semigroup(grid) -> CheckReport:
-    """Product closure of column-stochastic grid matrices, plus inverse exhibits."""
+    """Product closure of column-stochastic grid matrices, plus inverse exhibits.
+
+    The grid matrices are numerators over the grid denominator L, so their
+    products are integers over L * L; a failure shows its matrices as rationals.
+    """
     t0 = time.perf_counter()
     report = CheckReport("stochastic-semigroup", 0)
-    grid_set = {Fraction(g) for g in grid}
-    columns = [(x, 1 - x) for x in sorted(grid_set) if (1 - x) in grid_set]
+    L, levels = _scale_grid(grid)
+    columns = [(x, L - x) for x in levels if L - x in levels]
     mats = [((c0[0], c1[0]), (c0[1], c1[1])) for c0 in columns for c1 in columns]
+
+    def ratios(m, scale):
+        return tuple(tuple(Fraction(x, scale) for x in row) for row in m)
+
     for m, n in itertools.product(mats, repeat=2):
         report.cases += 1
         prod = _mm2(m, n)
-        if not _is_stochastic2(prod):
-            report.failures.append(("closure", m, n, prod))
+        if not _is_stochastic2(prod, L * L):
+            report.failures.append(("closure", ratios(m, L), ratios(n, L), ratios(prod, L * L)))
 
     # the uniform matrix is singular: no inverse at all
     half = Fraction(1, 2)
@@ -677,7 +728,7 @@ def check_stochastic_semigroup(grid) -> CheckReport:
     report.cases += 2
     if prod != ((1, 0), (0, 1)):
         report.failures.append(("inverse-arithmetic", m, inv, prod))
-    if _is_stochastic2(inv):
+    if _is_stochastic2(inv, 1):
         report.failures.append(("inverse-unexpectedly-stochastic", m, inv))
     report.elapsed = time.perf_counter() - t0
     return report

@@ -244,7 +244,10 @@ def test_criterion_7_documented_counterexamples():
     assert det != 0
     inv_entries = ((m[1][1] / det, -m[0][1] / det), (-m[1][0] / det, m[0][0] / det))
     from fuzzbit.algebra import PROBABILITY
-    inv = SMatrix(PROBABILITY, inv_entries)
+    assert inv_entries == ((Fraction(8, 7), Fraction(-2, 7)), (Fraction(-1, 7), Fraction(9, 7)))
+    with pytest.raises(ValueError):  # negative entries: no probability matrix
+        SMatrix(PROBABILITY, inv_entries)
+    inv = SMatrix.over(PROBABILITY, ((8, -2), (-1, 9)), 7)
     product = mat_mul(SMatrix(PROBABILITY, m), inv)
     assert product.entries == ((1, 0), (0, 1))
     assert stochastic_violation(inv) is not None

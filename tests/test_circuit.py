@@ -385,6 +385,65 @@ def test_synthesized_programs_route_locally(seed):
     assert len(computing) == len(circ.steps) + sum(step.op == "NOT" for step in circ.steps)
 
 
+# What each gate `synth` emits does to the bit on its last listed wire, from the
+# bits on the wires listed before it; SWAP exchanges its two wires.
+_BIT_GATES = {"NOT": lambda: 1, "FANOUT": lambda a: a,
+              "AND": lambda a, b: a & b, "OR": lambda a, b: a | b, "XOR": lambda a, b: a ^ b}
+
+
+def _bit_image(program, x):
+    """The basis index `program` sends index x to, evaluated one wire bit at a time."""
+    bits = [(x >> w) & 1 for w in range(program.wire_count)]
+    for step in program.steps:
+        *args, target = step.wires
+        if step.gate == "SWAP":
+            bits[args[0]], bits[target] = bits[target], bits[args[0]]
+        else:
+            bits[target] ^= _BIT_GATES[step.gate](*(bits[w] for w in args))
+    return sum(b << w for w, b in enumerate(bits))
+
+
+def _input_tags(model, n_inputs):
+    """A distinct value per input index, in `model`'s carrier, that together
+    make a state when every other entry is the carrier's zero."""
+    inputs = 1 << n_inputs
+    if model == "stochastic":
+        return [Fraction(2 * (x + 1), inputs * (inputs + 1)) for x in range(inputs)]
+    if model == "quantum":
+        norm = math.sqrt(sum((x + 1) ** 2 for x in range(inputs)))
+        return [complex((x + 1) / norm) for x in range(inputs)]
+    return [Fraction(x, inputs) for x in range(inputs)]  # fuzzy: 0 is a member's minimum
+
+
+# Every table of up to 2 inputs and a seeded sample of 3-input ones.
+SYNTH_TABLES = [bits for n in (1, 2) for bits in itertools.product((0, 1), repeat=1 << n)] + [
+    tuple(random.Random(seed).choices((0, 1), k=8)) for seed in range(24)]
+
+
+@pytest.mark.parametrize("model", ["stochastic", "quantum", "fuzzy"])
+def test_a_synthesized_program_moves_entries_as_it_moves_bits(tmp_path, model):
+    # each classical gate is a permutation matrix, and so a member gate of
+    # every dense model: rebuilt over the model's carrier, a program moves a
+    # state's entries exactly as the program moves basis indices
+    row = MODELS[model]
+    for name in ("NOT", "SWAP", "FANOUT", "AND", "OR", "XOR"):
+        perm = permutation_from_matrix(builtin_gate("classical", name).matrix)
+        (tmp_path / f"{name}.mat").write_text(
+            serialize_matrix(matrix_from_permutation(perm, row.instance)))
+    for bits in SYNTH_TABLES:
+        n = len(bits).bit_length() - 1
+        program = reversible_circuit_text(synthesize_circuit(TruthTable(n, 1, bits)))
+        size, tags = 1 << program.wire_count, _input_tags(model, n)
+        initial = SVector(row.instance, tags + [row.instance.zero] * (size - len(tags)))
+        expected = [row.instance.zero] * size
+        for x, tag in enumerate(tags):
+            expected[_bit_image(program, x)] = tag
+        dense = CircuitProgram(model, program.wire_count, "vec", initial, tuple(
+            GateStep(f"@{step.gate}.mat", step.wires) for step in program.steps))
+        final = simulate(validate(dense, base_dir=tmp_path)).final
+        assert final.vector.entries == tuple(expected), bits
+
+
 def test_all_ones_quietly_absorbs_through_a_program():
     text = "model fuzzy\nwires 2\ninit vec 1 1 1 1\ngate FNOT 0\ngate FID 1\n"
     trace = simulate(validate(parse_circuit(text)))

@@ -71,6 +71,25 @@ def test_an_empty_vector_or_matrix_is_refused(s):
             make()
 
 
+# Each exact carrier's constructor refuses an entry outside the carrier, just
+# past its bound, and holds one on the bound.
+@pytest.mark.parametrize("s, outside, bound", [
+    (FUZZ_MV, Fraction(3, 2), Fraction(1)),
+    (MAX_MIN, Fraction(-1, 2), Fraction(0)),
+    (VITERBI, Fraction(7, 6), Fraction(1)),
+    (BOOLEAN, Fraction(2), Fraction(1)),
+    (PROBABILITY, Fraction(-1, 3), Fraction(0)),
+], ids=["fuzz-mv", "max-min", "viterbi", "boolean", "probability"])
+def test_the_constructor_refuses_an_entry_outside_the_carrier(s, outside, bound):
+    with pytest.raises(ValueError):
+        SVector(s, (Fraction(1, 2), outside))
+    with pytest.raises(ValueError):
+        SMatrix(s, ((Fraction(1, 2),), (outside,)))
+    held = SVector(s, (Fraction(1, 2), bound))
+    assert (held.numerators, held.scale) == ((1, 2 * bound), 2)
+    assert held.entries == (Fraction(1, 2), bound)
+
+
 def test_identity_is_role_based():
     # fuzz-mv: one = 0 on the diagonal, zero = 1 elsewhere
     assert identity(FUZZ_MV, 2) == fmat([[0, 1], [1, 0]])

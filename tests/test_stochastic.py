@@ -28,7 +28,11 @@ def test_distribution_membership():
     assert distribution_violation(pvec("1/2", "1/2")) is None
     assert distribution_violation(pvec(1, 0, 0, 0)) is None
     assert "sum" in distribution_violation(pvec("1/2", "1/3"))
-    assert distribution_violation(pvec("3/2", "-1/2")) is not None
+    # the constructor refuses a negative entry; a faulty kernel's result, held
+    # `over` its scale, is caught by the predicate
+    with pytest.raises(ValueError):
+        pvec("3/2", "-1/2")
+    assert distribution_violation(SVector.over(PROBABILITY, (3, -1), 2)) is not None
     VectorState("stochastic", pvec("2/3", "1/3"))
     with pytest.raises(MembershipError):
         VectorState("stochastic", pvec("1/2", "1/3"))
@@ -38,7 +42,9 @@ def test_stochastic_violation_reasons():
     assert stochastic_violation(FAULTY_NOT) is None
     bad_sum = pmat([["1/2", "1/2"], ["1/2", 0]])
     assert "column 1" in stochastic_violation(bad_sum)
-    bad_entry = pmat([["3/2", 0], ["-1/2", 1]])
+    with pytest.raises(ValueError):
+        pmat([["3/2", 0], ["-1/2", 1]])
+    bad_entry = SMatrix.over(PROBABILITY, ((3, 0), (-1, 2)), 2)
     assert stochastic_violation(bad_entry) is not None
     non_square = pmat([["1/2", "1/2"]])
     assert gate_violation("stochastic", non_square) == "not square (1x2)"
@@ -65,6 +71,9 @@ def test_semigroup_not_group():
         - uniform.entries[0][1] * uniform.entries[1][0]
     assert det == 0
     # ...and when they do, they can leave the family
-    inv = pmat([["8/7", "-2/7"], ["-1/7", "9/7"]])
+    # (not probabilities: the constructor refuses the negative entries)
+    with pytest.raises(ValueError):
+        pmat([["8/7", "-2/7"], ["-1/7", "9/7"]])
+    inv = SMatrix.over(PROBABILITY, ((8, -2), (-1, 9)), 7)
     assert mat_mul(FAULTY_NOT, inv).entries == ((1, 0), (0, 1))
     assert stochastic_violation(inv) is not None

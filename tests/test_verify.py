@@ -5,6 +5,7 @@ import itertools
 import operator
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -142,7 +143,7 @@ SEMIGROUP_MUTANTS = [
     ("closure", "_mm2", lambda real: lambda a, b: tuple(zip(*real(a, b)))),
     # the range check dropped: the inverse's columns sum to 1 too
     ("inverse-unexpectedly-stochastic", "_is_stochastic2",
-     lambda real: lambda m: all(m[0][j] + m[1][j] == 1 for j in range(2))),
+     lambda real: lambda m, scale: all(m[0][j] + m[1][j] == scale for j in range(2))),
 ]
 
 
@@ -254,12 +255,8 @@ def test_interned_tables_keep_the_per_case_failures(monkeypatch, check, size, na
     assert (report.failures[0], report.failures[-1]) == (first, last)
 
 
-@pytest.mark.parametrize("check, kernel, budget", [
-    (check_mv_gate_laws, "_mm", 400),  # 182,765 calls case by case
-    (check_action_laws, "_mv", 32000),  # 324,336 calls case by case
-    (_tensor_laws, "_mm", 6000),  # 60,000 calls case by case
-], ids=["mv-gate-laws-4", "action-laws-4", "tensor-laws"])
-def test_size4_checks_call_the_kernel_per_distinct_vector(monkeypatch, check, kernel, budget):
+def _kernel_calls(monkeypatch, check, size, kernel) -> int:
+    """How many times a healthy `check` on the coarse grid calls `kernel`."""
     real, calls = getattr(verify, kernel), []
 
     def counted(*args):
@@ -267,8 +264,27 @@ def test_size4_checks_call_the_kernel_per_distinct_vector(monkeypatch, check, ke
         return real(*args)
 
     monkeypatch.setattr(verify, kernel, counted)
-    assert check(grid_values("coarse"), 4).passed
-    assert 0 < len(calls) < budget
+    assert check(grid_values("coarse"), size).passed
+    return len(calls)
+
+
+@pytest.mark.parametrize("check, kernel, budget", [
+    (check_mv_gate_laws, "_mm", 400),  # 182,765 calls case by case
+    (check_action_laws, "_mv", 150),  # 3,952 with a table per gate, 324,336 case by case
+    (_tensor_laws, "_mm", 6000),  # 60,000 calls case by case
+], ids=["mv-gate-laws-4", "action-laws-4", "tensor-laws"])
+def test_size4_checks_call_the_kernel_per_distinct_vector(monkeypatch, check, kernel, budget):
+    assert 0 < _kernel_calls(monkeypatch, check, 4, kernel) < budget
+
+
+# A meet law decided per distinct row or column of the gates, not per gate:
+# a table of images per gate took 83 and 168 calls.
+@pytest.mark.parametrize("check, kernel, budget", [
+    (check_mv_gate_laws, "_mm", 40),
+    (check_action_laws, "_mv", 30),
+], ids=["mv-gate-laws-2", "action-laws-2"])
+def test_size2_checks_call_the_kernel_per_distinct_part(monkeypatch, check, kernel, budget):
+    assert 0 < _kernel_calls(monkeypatch, check, 2, kernel) < budget
 
 
 @pytest.mark.parametrize("m, n, p", [(1, 3, 2), (3, 2, 1), (2, 3, 4), (4, 2, 3), (1, 4, 1)])
@@ -297,6 +313,24 @@ def test_image_tables_are_one_kernel_call_per_vector_loop():
             tuple(verify._mv(r, s, n, L)[0] for s in states) for r in rows]
         assert verify._left_images(gates[0], [], n, L) == []
         assert verify._right_images(gates[0], [], n, L) == []
+
+
+def test_part_tables_give_each_gate_its_images():
+    # entry i of Ax is row i of A against x, and entry j of xA is x against
+    # column j of A: tables of the distinct rows stacked, and of the distinct
+    # columns side by side, against every vector give every gate's images
+    L, levels = verify._scale_grid(grid_values("coarse"))
+    size2 = verify._Gates(verify._gates2(levels, L), 2)
+    for n, gates in ((2, size2), (4, verify._kron4(levels, L)[0])):
+        cols, rows = list(gates.col_ids), list(gates.row_ids)
+        by_rows = verify._left_images(tuple(itertools.chain(*rows)), cols, n, L)
+        by_cols = verify._right_images(tuple(itertools.chain(*zip(*cols))), rows, n, L)
+        for k in (0, 1, len(gates) // 2, len(gates) - 1):
+            a = gates[k]
+            for v, x in enumerate(cols):
+                assert tuple(by_rows[v][r] for r in gates.rows[k]) == verify._mm(a, x, n, L)
+            for v, x in enumerate(rows):
+                assert tuple(by_cols[v][c] for c in gates.columns[k]) == verify._mm(x, a, n, L)
 
 
 def test_kron_gates_read_columns_and_rows_off_their_factors():
@@ -381,6 +415,35 @@ def test_each_tensor_law_family_can_fail(monkeypatch, family, name, mutant):
     monkeypatch.setattr(verify, name, mutant(getattr(verify, name)))
     report = check_tensor_laws(grid_values("coarse"))
     assert family in {failure[0] for failure in report.failures}
+
+
+@pytest.mark.parametrize("grid", ["coarse", "standard"])
+def test_integer_semigroup_products_match_rational_arithmetic(grid):
+    # every product of two column-stochastic grid matrices, and of two
+    # coarse grid matrices of any kind, against Fractions: the integer
+    # product over L * L and its closure verdict
+    values = sorted({Fraction(x) for x in grid_values(grid)})
+    L, _ = verify._scale_grid(grid_values(grid))
+    columns = [(x, 1 - x) for x in values if 1 - x in values]
+    stochastic = [((c0[0], c1[0]), (c0[1], c1[1])) for c0 in columns for c1 in columns]
+    pairs = list(itertools.product(stochastic, repeat=2))
+    if grid == "coarse":
+        every = [((a, b), (c, d)) for a, b, c, d in itertools.product(values, repeat=4)]
+        pairs += list(itertools.product(every, repeat=2))
+    verdicts = Counter()
+    for m, k in pairs:
+        want = tuple(tuple(sum(m[i][t] * k[t][j] for t in range(2)) for j in range(2))
+                     for i in range(2))
+        scaled = [tuple(tuple(int(x * L) for x in row) for row in mat) for mat in (m, k)]
+        got = verify._mm2(*scaled)
+        assert got == tuple(tuple(x * L * L for x in row) for row in want)
+        closed = all(0 <= x <= 1 for row in want for x in row) and all(
+            want[0][j] + want[1][j] == 1 for j in range(2))
+        assert verify._is_stochastic2(got, L * L) == closed
+        verdicts[closed] += 1
+    assert set(verdicts) == ({True, False} if grid == "coarse" else {True})
+    report = check_stochastic_semigroup(grid_values(grid))
+    assert (report.cases, report.failures) == (len(stochastic) ** 2 + 3, [])
 
 
 def test_tensor_and_stochastic_exhibits():
