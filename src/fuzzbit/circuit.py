@@ -28,8 +28,8 @@ scale 1 for quantum).  A step that grows the scale then divides the
 numerators and the scale by their gcd, so the scale stays the least
 common denominator of the state.  Each intermediate state is the kernel's
 own vector, which builds no scalar, and passes the row's state predicate.
-The trace keeps the indices or those vectors and builds a state only when
-one is read, without checking it a second time.
+One generator runs both routes and holds one state at a time; the trace
+keeps the last and replays the run when `states` is first read.
 
 Stochastic and fuzzy requests build no rational scalar from the literal to
 the printed line: `init vec` literals and `@file` matrices parse to integer
@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .algebra import _UINT_RE, _uint
 from .errors import InternalCheckError, MembershipError, ParseError, ValidationError
@@ -81,7 +81,6 @@ from .models import (
     MODEL_NAMES,
     MODELS,
     GateDescriptor,
-    Model,
     VectorState,
     _model,
     builtin_gate,
@@ -153,45 +152,34 @@ class ValidatedCircuit:
 
 @dataclass(frozen=True, eq=False)
 class SimulationTrace:
-    """All intermediate states; states[0] is the initial one.
+    """The final state of a run of `vc`, and its measurement seed.
 
-    `snapshots` holds one entry per gate step: the basis index for
-    classical runs, and the vector over the row's carrier for dense runs,
-    each checked by the run.  Indices become `ClassicalState`s and vectors
-    `VectorState`s when first read, each at most once and without a second
-    membership check: `final` builds the last state only, `states` every one.
-    `measured` is what the row's `measure` draws from `final` with `seed`,
-    or None.  Traces are equal when their states and outcomes are.
+    `states` (states[0] is vc.initial) replays the run on first read and
+    checks no state a second time: the kernels are deterministic, so each is
+    the state the run checked.  `measured` is what the row's `measure` draws
+    from `final` with `seed`, or None.  Traces are equal when their states
+    and outcomes are.
     """
 
-    model: str
-    wire_count: int
-    initial: ModelState
-    snapshots: tuple[Any, ...]
+    vc: ValidatedCircuit
+    final: ModelState
     seed: int | None = None
-
-    def _state(self, snapshot) -> ModelState:
-        if not MODELS[self.model].dense:
-            return ClassicalState(self.wire_count, snapshot)
-        # the run checked this snapshot; its rationals are built on first read
-        return VectorState.known_member(self.model, snapshot)
-
-    @cached_property
-    def final(self) -> ModelState:
-        return self._state(self.snapshots[-1]) if self.snapshots else self.initial
 
     @cached_property
     def states(self) -> tuple[ModelState, ...]:
-        middle = tuple(map(self._state, self.snapshots[:-1]))
-        return (self.initial,) + middle + ((self.final,) if self.snapshots else ())
+        plans = self.vc.plans
+        if not plans:
+            return (self.final,)
+        middle = itertools.islice(_run(self.vc), len(plans) - 1)
+        return (self.vc.initial, *(_state(self.vc, value) for value in middle), self.final)
 
     @cached_property
     def measured(self) -> int | None:
-        measure = MODELS[self.model].measure
+        measure = MODELS[self.vc.program.model].measure
         return None if measure is None or self.seed is None else measure(self.final, self.seed)
 
     def _key(self) -> tuple:
-        return self.model, self.wire_count, self.states, self.measured
+        return self.states, self.measured
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimulationTrace):
@@ -513,35 +501,42 @@ def _step_plan(gate: GateDescriptor, targets: Sequence[int]) -> StepPlan:
     return min(targets), bound.rows - 1, permutation_from_matrix(bound)
 
 
-def _scaled_run(vc: ValidatedCircuit, row: Model) -> list[SVector]:
-    """The state after each step over the row's carrier, each one the row takes.
+def _run(vc: ValidatedCircuit) -> Iterator[int | SVector]:
+    """The unchecked value after each step: a basis index, or a dense row's vector.
 
     A step that grows the scale divides the numerators and the scale by
     their gcd, so a scale that grows by each gate's denominator (or to the
     lcm with it) stays the state's least common denominator.
     """
+    if not MODELS[vc.program.model].dense:
+        index = vc.initial.basis_index
+        for base, mask, perm in vc.plans:
+            window = (index >> base) & mask
+            index ^= (window ^ perm[window]) << base  # rewrite only the window bits
+            yield index
+        return
     vector = vc.initial.vector
-    snapshots = []
-    for k, (step, plan) in enumerate(zip(vc.program.steps, vc.plans), 1):
+    for step, plan in zip(vc.program.steps, vc.plans):
         before = vector
         vector = mat_vec_block(plan, min(step.wires), before)
         if vector.scale > before.scale:
             g = math.gcd(vector.scale, *vector.numerators)
             if g > 1:
-                vector = SVector.over(row.instance, (x // g for x in vector.numerators),
+                vector = SVector.over(vector.instance, (x // g for x in vector.numerators),
                                       vector.scale // g)
-        reason = row.state_violation(vector)
-        if reason is not None:
-            if row.compounded(vector, (plan, before)):
-                raise ValidationError(f"step {k} ({step.gate}) left the state set within "
-                                      f"its operands' accepted deviations: {reason}", step.line)
-            raise InternalCheckError(f"intermediate state failed membership: {reason}")
-        snapshots.append(vector)
-    return snapshots
+        yield vector
+
+
+def _state(vc: ValidatedCircuit, value: int | SVector) -> ModelState:
+    """The state of a value `_run` yields; a vector is not checked a second time."""
+    program = vc.program
+    if not MODELS[program.model].dense:
+        return ClassicalState(program.wire_count, value)
+    return VectorState.known_member(program.model, value)
 
 
 def simulate(vc: ValidatedCircuit, seed: int | None = None) -> SimulationTrace:
-    """Run the program from `vc.initial`, keeping one state snapshot per gate step.
+    """Run the program from `vc.initial`, holding and checking one state at a time.
 
     `seed` measures the final state where the row measures; None takes the
     program's `measure seed`.  Where the row measures, a seed outside
@@ -552,17 +547,22 @@ def simulate(vc: ValidatedCircuit, seed: int | None = None) -> SimulationTrace:
     seed = program.measure_seed if seed is None else seed
     if row.measure is not None and seed is not None:
         checked_seed(seed)
+    value = None
     if not row.dense:
-        index = vc.initial.basis_index
-        snapshots = []
-        for base, mask, perm in vc.plans:
-            window = (index >> base) & mask
-            index ^= (window ^ perm[window]) << base  # rewrite only the window bits
-            snapshots.append(index)
+        for value in _run(vc):
+            pass
     else:
-        snapshots = _scaled_run(vc, row)
-    return SimulationTrace(program.model, program.wire_count, vc.initial, tuple(snapshots),
-                           seed)
+        before = vc.initial.vector
+        for k, (step, plan, value) in enumerate(zip(program.steps, vc.plans, _run(vc)), 1):
+            reason = row.state_violation(value)
+            if reason is not None:
+                if row.compounded(value, (plan, before)):
+                    raise ValidationError(f"step {k} ({step.gate}) left the state set within "
+                                          f"its operands' accepted deviations: {reason}",
+                                          step.line)
+                raise InternalCheckError(f"intermediate state failed membership: {reason}")
+            before = value
+    return SimulationTrace(vc, vc.initial if value is None else _state(vc, value), seed)
 
 
 # --- reversible emission of synthesized circuits --------------------------------

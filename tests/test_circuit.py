@@ -2,11 +2,13 @@
 
 import cmath
 import dataclasses
+import importlib
 import itertools
 import math
 import random
 import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -656,20 +658,43 @@ def test_kept_state_check_still_fails(monkeypatch, text, bad_entry):
         simulate(vc)
 
 
-def test_a_trace_checks_each_quantum_state_once(monkeypatch):
+@pytest.mark.parametrize("text, predicate", [
+    (ONE_PROGRAM_PER_MODEL[1], "distribution_violation"),
+    (ONE_PROGRAM_PER_MODEL[2], "state_norm_violation"),
+    (ONE_PROGRAM_PER_MODEL[3], "fuzzy_state_violation"),
+], ids=["stochastic", "quantum", "fuzzy"])
+def test_a_trace_checks_each_state_once(monkeypatch, text, predicate):
+    program = parse_circuit(text)
+    module = importlib.import_module(f"fuzzbit.models.{program.model}")
     calls = []
-    real = quantum.state_norm_violation
-    monkeypatch.setattr("fuzzbit.models.quantum.state_norm_violation",
-                        lambda v: calls.append(v) or real(v))
-    vc = validate(parse_circuit(ONE_PROGRAM_PER_MODEL[2]))
+    real = getattr(module, predicate)
+    monkeypatch.setattr(module, predicate, lambda v: calls.append(v) or real(v))
+    vc = validate(program)
     assert len(calls) == 1  # the initial state
     trace = simulate(vc)
     steps = len(vc.program.steps)
     assert len(calls) == 1 + steps  # one per step
     assert len(trace.states) == steps + 1 and trace.final is trace.states[-1]
-    assert len(calls) == 1 + steps  # none on read
-    VectorState("quantum", trace.final.vector)  # the public constructor still checks
+    assert len(calls) == 1 + steps  # none on the replay
+    VectorState(program.model, trace.final.vector)  # the public constructor still checks
     assert len(calls) == 2 + steps
+
+
+def _run_peak_bytes(steps: int) -> int:
+    text = ("model quantum\nwires 8\ninit ket 00000000\n"
+            + "".join(f"gate H {k % 8}\n" for k in range(steps)))
+    vc = validate(parse_circuit(text))
+    tracemalloc.start()
+    try:
+        simulate(vc)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_run_holds_one_state_whatever_its_length():
+    # a run that kept every state would peak about ten times higher at 200 steps
+    assert _run_peak_bytes(200) < 2 * _run_peak_bytes(20)
 
 
 # A stochastic gate of denominator 97 with equal columns: every state it makes
@@ -688,14 +713,14 @@ def test_a_long_stochastic_run_keeps_a_small_scale(tmp_path, capsys):
     gate = [[Fraction(30, 97)] * 2, [Fraction(67, 97)] * 2]
     state = [Fraction(1, 3), Fraction(2, 3)]
     lines = ["step 0 init 1/3 2/3"]
-    for k, snapshot in enumerate(trace.snapshots):
+    for k in range(steps):
         state = ([sum(g * x for g, x in zip(row, state)) for row in gate] if k % 2 == 0
                  else state[::-1])
         assert trace.states[k + 1].vector.entries == tuple(state)
         lines.append(f"step {k + 1} {('@g.mat', 'NOT')[k % 2]} {state[0]} {state[1]}")
         # the entries' least common denominator, 97, where the product of the
         # gates' denominators would reach 3 * 97^100
-        assert snapshot.scale.bit_length() <= (97).bit_length()
+        assert trace.states[k + 1].vector.scale.bit_length() <= (97).bit_length()
     lines += ["model stochastic", "wires 1", f"final {state[0]} {state[1]}"]
     assert main(["simulate", "--trace", str(tmp_path / "p.circ")]) == 0
     assert capsys.readouterr() == ("\n".join(lines) + "\n", "")
