@@ -1,14 +1,15 @@
 """Brute-force law checking on rational grids.
 
 The semiring axioms are checked on each carrier's `scaled` rule, through
-`linalg.mat_vec`, the route every kernel runs.  The other checks re-derive
-matrix entries from the scalar definitions (min / truncated sum) instead
-of calling the generic linear algebra; an explicit agreement check
-compares the two routes bit for bit.  Their grid values are mapped to
-integers over the grid's common denominator: min, max and the truncated
-sum of multiples of 1/L stay multiples of 1/L, so integer arithmetic is
-exact.  `stochastic-semigroup` multiplies the same numerators, and the
-ordinary product of two matrices over L is a matrix over L * L.
+`linalg.mat_vec`, the route every kernel runs; values and results are (n, d)
+pairs in lowest terms.  The other checks re-derive matrix entries from the
+scalar definitions (min / truncated sum) instead of calling the generic
+linear algebra; an explicit agreement check compares the two routes bit
+for bit.  Their grid values are mapped to integers over the grid's common
+denominator: min, max and the truncated sum of multiples of 1/L stay
+multiples of 1/L, so integer arithmetic is exact.  `stochastic-semigroup`
+multiplies the same numerators, and the ordinary product of two matrices
+over L is a matrix over L * L.
 
 Exhaustion caps follow the harness contract: size-2 enumerations are
 exhaustive; size-4 objects are built as Kronecker products of size-2 grid
@@ -22,7 +23,8 @@ As is row i of A against s.  Each distinct column, row and state gets an id
 and a gate is the ids of its columns and rows.  The kernels take operands of
 any shape, so a table of images is one `_mm` call, on the vectors side by
 side or stacked, and a table of rows against states one `_mv` call per
-state.  A law of the form f_A(x ^ y) = f_A(x) ^ f_A(y) (distributivity by
+state, which the action checks take once and read wherever a state meets a
+row.  A law of the form f_A(x ^ y) = f_A(x) ^ f_A(y) (distributivity by
 columns and by rows, linearity by states) holds on a case when it holds on
 the pair of ids in each slot.  Entry (i, j) of a kernel product depends only
 on row i of its left operand and column j of its right one, and `_wedge` is
@@ -32,6 +34,8 @@ The law then holds for A on a pair when it holds at each of A's rows (or
 columns), and one table of the distinct rows or columns of the gates the
 cap reaches, against every vector and meet, decides each pair once per such
 part, not once per A or per case; A's bad pairs are those of its parts.
+The meet of two gates is met column by column too, so one table of the
+meets of the distinct columns decides whether each pair's meet is a gate.
 `tensor-laws` compares its mixed products column by column.  Every case is
 still counted; a case that meets a bad pair or differing ids is rechecked
 with direct kernel calls, so the failures are those of a per-case loop, in
@@ -275,18 +279,32 @@ def check_semiring_axioms(instance: SemiringInstance, grid) -> CheckReport:
     """Both monoid laws, commutativity, idempotence, distributivity and an
     absorbing zero, on the `scaled` rule the kernels run: mul(x, y) is the
     1x1 `mat_vec` of x by y, add(x, y) the row (x, y) against (one, one),
-    each held over the lcm of its entries' denominators, as `SMatrix` holds it.
-    A result outside the carrier, which the instance's `from_ratio` refuses,
-    fails the law that computed it and is no operand of another operation.
+    each held `over` the lcm of its entries' denominators, as `SMatrix` holds
+    it.  Values are (n, d) pairs in lowest terms, read through the instance's
+    `from_ratio`, which refuses one outside the carrier: a grid value outside
+    it is a ValueError, and a result outside it fails the law that computed
+    it and is no operand of another operation.  Failures name grid values.
     """
     t0 = time.perf_counter()
     report = CheckReport(f"semiring-axioms-{instance.name}", 0)
-    zero, one = instance.zero, instance.one
+
+    def carried(n: int, d: int) -> tuple[int, int]:  # ValueError outside the carrier
+        x = instance.from_ratio(n, d)
+        return x.numerator, x.denominator
+
+    def over(pairs: tuple) -> tuple[tuple, int]:  # numerators over the lcm of the denominators
+        scale = math.lcm(*(d for _, d in pairs))
+        return tuple(n * (scale // d) for n, d in pairs), scale
 
     @functools.cache  # each operation once per operand pair
     def act(row: tuple, vector: tuple):
-        v = mat_vec(SMatrix(instance, (row,)), SVector(instance, vector))
-        return instance.from_ratio(v.numerators[0], v.scale)  # ValueError outside the carrier
+        numerators, scale = over(row)
+        v = mat_vec(SMatrix.over(instance, (numerators,), scale),
+                    SVector.over(instance, *over(vector)))
+        return carried(v.numerators[0], v.scale)
+
+    zero, one = (carried(x.numerator, x.denominator) for x in (instance.zero, instance.one))
+    held = [(g, carried(g.numerator, g.denominator)) for g in grid]
 
     def mul(x, y):
         return act((x,), (y,))
@@ -303,18 +321,19 @@ def check_semiring_axioms(instance: SemiringInstance, grid) -> CheckReport:
         if not ok:
             report.failures.append((name,) + ops)
 
-    for a in grid:
-        law("add-zero", lambda: add(zero, a) == a and add(a, zero) == a, (a,))
-        law("mul-one", lambda: mul(one, a) == a and mul(a, one) == a, (a,))
-        law("mul-zero-absorbs", lambda: mul(zero, a) == zero and mul(a, zero) == zero, (a,))
-        law("add-idempotent", lambda: add(a, a) == a, (a,))
-    for a, b in itertools.product(grid, repeat=2):
-        law("add-commutes", lambda: add(a, b) == add(b, a), (a, b))
-    for a, b, c in itertools.product(grid, repeat=3):
-        law("add-assoc", lambda: add(add(a, b), c) == add(a, add(b, c)), (a, b, c))
-        law("mul-assoc", lambda: mul(mul(a, b), c) == mul(a, mul(b, c)), (a, b, c))
-        law("left-dist", lambda: mul(a, add(b, c)) == add(mul(a, b), mul(a, c)), (a, b, c))
-        law("right-dist", lambda: mul(add(a, b), c) == add(mul(a, c), mul(b, c)), (a, b, c))
+    # the grid values a, b, c are the pairs x, y, z
+    for a, x in held:
+        law("add-zero", lambda: add(zero, x) == x and add(x, zero) == x, (a,))
+        law("mul-one", lambda: mul(one, x) == x and mul(x, one) == x, (a,))
+        law("mul-zero-absorbs", lambda: mul(zero, x) == zero and mul(x, zero) == zero, (a,))
+        law("add-idempotent", lambda: add(x, x) == x, (a,))
+    for (a, x), (b, y) in itertools.product(held, repeat=2):
+        law("add-commutes", lambda: add(x, y) == add(y, x), (a, b))
+    for (a, x), (b, y), (c, z) in itertools.product(held, repeat=3):
+        law("add-assoc", lambda: add(add(x, y), z) == add(x, add(y, z)), (a, b, c))
+        law("mul-assoc", lambda: mul(mul(x, y), z) == mul(x, mul(y, z)), (a, b, c))
+        law("left-dist", lambda: mul(x, add(y, z)) == add(mul(x, y), mul(x, z)), (a, b, c))
+        law("right-dist", lambda: mul(add(x, y), z) == add(mul(x, z), mul(y, z)), (a, b, c))
     report.elapsed = time.perf_counter() - t0
     return report
 
@@ -388,10 +407,18 @@ def check_mv_gate_laws(grid, size: int = 2) -> CheckReport:
                 if not _is_gate(p, n, L):
                     found["closure"].append(("closure", a, b, p))
 
+    # column q of B ^ C is column q of B met with column q of C, so B ^ C is a
+    # gate when the ids of those meets are some gate's column ids: one table
+    # of the meets of the distinct columns decides every pair
     if "meet-closure" in found:  # counts no cases
-        members = set(gates)
-        found["meet-closure"] = [("meet-closure", b, c, m) for b in gates for c in gates
-                                 if (m := _wedge(b, c)) not in members]
+        meet = [_intern([_wedge(x, y) for y in cols], gates.col_ids) for x in cols]
+        members, slots = set(gates.columns), list(zip(*gates.columns))
+        found["meet-closure"] = [
+            ("meet-closure", gates[j], gates[k], _wedge(gates[j], gates[k]))
+            for j, ids in enumerate(gates.columns)
+            for k, m in enumerate(zip(*(map(meet[x].__getitem__, slot)
+                                        for x, slot in zip(ids, slots))))
+            if m not in members]
 
     # Column q of A(B ^ C) is A applied to column q of B met with column q of
     # C, and column q of AB ^ AC is the meet of their images; rows decide
@@ -408,10 +435,10 @@ def check_mv_gate_laws(grid, size: int = 2) -> CheckReport:
     # column j of A: one `_mm` of the rows stacked, or of the columns side by
     # side, with every vector
     _meet_law(report, gates, n_g, triple_cap, distributivity, (
-        (gates.columns, gates.col_ids, gates.rows, gates.row_ids,
-         lambda rows, vs: _left_images(tuple(itertools.chain(*rows)), vs, n, L)),
-        (gates.rows, gates.row_ids, gates.columns, gates.col_ids,
-         lambda cols, vs: _right_images(tuple(itertools.chain(*zip(*cols))), vs, n, L))))
+        (gates.columns, gates.col_ids, gates.rows, lambda used, vs: _left_images(
+            tuple(itertools.chain(*map(rows.__getitem__, used))), vs, n, L)),
+        (gates.rows, gates.row_ids, gates.columns, lambda used, vs: _right_images(
+            tuple(itertools.chain(*zip(*map(cols.__getitem__, used)))), vs, n, L))))
     for law in order:
         report.failures += found[law]
     report.elapsed = time.perf_counter() - t0
@@ -422,23 +449,23 @@ def _meet_law(report: CheckReport, gates, n_b: int, cap: int, recheck, sides) ->
     """A law f_A(x ^ y) = f_A(x) ^ f_A(y) on the first `cap` triples (A, B, C)
     in lexicographic order, B and C in range(`n_b`).
 
-    Each side (slots, ids, parts, part_ids, table) has `slots[k]` the ids in
-    `ids` of vectors, each in its slot, that stand for B or C = k, and
-    `parts[i]` the ids in `part_ids` of the parts of gate i that give the
-    entries of f_A(x): entry q of f_A(x) is part q of A against x, and
-    `table(ps, vectors)` is each vector against each part of `ps`.  The law
-    holds on a triple when, for each side, it holds on the ids (x, y) of B
-    and C in each slot, and on a pair when it holds at each part of A.  So
-    one table of the distinct parts of the As the cap reaches decides each
-    pair once, and a pair is bad for A when it is bad at one of A's parts.
-    Only a triple that meets a bad pair goes to `recheck(a, j, k)`, which
-    decides it with direct kernel calls, so failures keep their form and
-    order.  A triple counts once per side.
+    Each side (slots, ids, parts, table) has `slots[k]` the ids in `ids` of
+    vectors, each in its slot, that stand for B or C = k, and `parts[i]` the
+    ids of the parts of gate i that give the entries of f_A(x): entry q of
+    f_A(x) is part q of A against x, and `table(ps, vectors)` is each vector
+    against each part whose id is in `ps`.  The law holds on a triple when,
+    for each side, it holds on the ids (x, y) of B and C in each slot, and
+    on a pair when it holds at each part of A.  So one table of the
+    distinct parts of the As the cap reaches decides each pair once, and a
+    pair is bad for A when it is bad at one of A's parts.  Only a triple
+    that meets a bad pair goes to `recheck(a, j, k)`, which decides it with
+    direct kernel calls, so failures keep their form and order.  A triple
+    counts once per side.
     """
     n_a = min(len(gates), -(-cap // (n_b * n_b)))
     bs, cs = range(min(n_b, -(-cap // n_b))), range(min(n_b, cap))
     tables = []
-    for slots, ids, parts, part_ids, table in sides:
+    for slots, ids, parts, table in sides:
         partners: dict = {}  # x -> the ids y that x meets in some slot
         for q in range(len(slots[0])):
             met = {slots[k][q] for k in cs}
@@ -450,9 +477,8 @@ def _meet_law(report: CheckReport, gates, n_b: int, cap: int, recheck, sides) ->
         meets = _intern(map(_wedge, map(vectors, xs), map(vectors, ys)), ids)
         # each vector against the parts `used`, as an id in `entry_ids`
         used = list(dict.fromkeys(itertools.chain(*parts[:n_a])))
-        values = list(part_ids)
         entry_ids: dict = {}
-        at = _intern(table([values[p] for p in used], list(ids)), entry_ids).__getitem__
+        at = _intern(table(used, list(ids)), entry_ids).__getitem__
         entries = list(entry_ids)
         entry_meets = {(u, v): _wedge(entries[u], entries[v])
                        for u, v in set(zip(map(at, xs), map(at, ys)))}
@@ -512,6 +538,7 @@ def check_action_laws(grid, size: int = 2) -> CheckReport:
     n_g, n_s = len(gates), len(states)
     vids: dict = {}
     sid = _intern(states, vids)
+    n_distinct = len(vids)
     at_states = itemgetter(*sid)
     # The state-closure and compatibility instances reach the gates in
     # `reach`, and as A of (AB)s only those in `range(n_a)`.  Entry i of
@@ -535,35 +562,45 @@ def check_action_laws(grid, size: int = 2) -> CheckReport:
     not_states = {v for v, x in enumerate(vectors) if not _is_state(x, L)}
     for (gi,), count in _lex_rows((n_g,), n_s, cap):
         report.cases += count
-        for si, v in zip(range(count), images[gi]):
-            if v in not_states:
-                report.failures.append(("state-closure", gates[gi], states[si], vectors[v]))
+        if not not_states.isdisjoint(images[gi]):
+            for si, v in zip(range(count), images[gi]):
+                if v in not_states:
+                    report.failures.append(("state-closure", gates[gi], states[si], vectors[v]))
 
     def linearity(a, si, ti):  # A(s ^ t) = As ^ At, a state being one slot
         s, t = states[si], states[ti]
         if _mv(a, _wedge(s, t), n, L) != _wedge(_mv(a, s, n, L), _mv(a, t, n, L)):
             report.failures.append(("linearity", a, s, t))
 
-    def against_rows(rows, vs):  # entry i of As is row i of A against s
-        stacked = tuple(itertools.chain(*rows))
-        return [_mv(stacked, v, n, L) for v in vs]
+    def against_rows(rs, vs):
+        """Each vector of `vs` against the rows with ids `rs` (entry i of As is
+        row i of A against s): read from `dots` for a state, by `_mv` otherwise."""
+        known = [dots[r] for r in rs]
+        stacked = tuple(itertools.chain(*map(rows.__getitem__, rs)))
+        return [tuple(d[k] for d in known) if (k := vids.get(v, n_distinct)) < n_distinct
+                else _mv(stacked, v, n, L) for v in vs]
 
     _meet_law(report, gates, n_s, cap, linearity,
-              (([(x,) for x in sid], vids, gates.rows, gates.row_ids, against_rows),))
+              (([(x,) for x in sid], vids, gates.rows, against_rows),))
 
     # (AB)s = A(Bs) entry by entry: entry i of A(Bs) is row i of A against Bs.
     # So each B decides every state at once for each row r of the A: rB
-    # against s, and r against Bs.  An (A, B) with a row that differs is
-    # rechecked state by state.
-    against = dict(zip(a_rows, _dot_table([rows[r] for r in a_rows], vectors, n, L)))
-    ok = set()
+    # against s, and r against Bs.  differs[r] holds the Bs where they differ,
+    # and only an (A, B) with B in differs[r] for a row r of A is rechecked,
+    # state by state.
+    against = dict(zip(a_rows, zip(*against_rows(a_rows, vectors))))
+    differs: dict = {r: set() for r in a_rows}
     for bi in reach:
         at_b = itemgetter(*images[bi])
-        ok.update((r, bi) for r, x in zip(a_rows, rb[bi])
-                  if at_states(dots[x]) == at_b(against[r]))
-    for (ai, bi), count in _lex_rows((n_g, n_g), n_s, cap):
-        report.cases += count
-        if not all((r, bi) in ok for r in gates.rows[ai]):
+        for r, x in zip(a_rows, rb[bi]):
+            if at_states(dots[x]) != at_b(against[r]):
+                differs[r].add(bi)
+    report.cases += min(cap, n_g * n_g * n_s)
+    for ai in range(n_a):
+        for bi in sorted(set().union(*map(differs.__getitem__, gates.rows[ai]))):
+            count = min(n_s, cap - (ai * n_g + bi) * n_s)  # the states the cap reaches
+            if count <= 0:
+                break
             a, b = gates[ai], gates[bi]
             ab = _mm(a, b, n, L)
             for s in states[:count]:

@@ -104,12 +104,23 @@ _T8_TABLE = " ".join(str(_T8.randint(0, 1)) for _ in range(256)) + "\n"
 _T8_KET = ("0010010000000010011001011111010101000000000001001010001100000000001110110100"
            "0110111101101111011101100010100010110111010001010001011010001011010101000000"
            "1010100010100001010110000000")
-_VERIFY_FINE = (
-    "semiring-axioms-fuzz-mv cases 1449", "semiring-axioms-max-min cases 1449",
-    "semiring-axioms-viterbi cases 1449", "semiring-axioms-boolean cases 44",
-    "mv-gate-laws-2 cases 9855241", "mv-gate-laws-4 cases 197801", "action-laws-2 cases 440301",
-    "action-laws-4 cases 300000", "tensor-laws cases 24672", "stochastic-semigroup cases 2404",
-    "oracle-agreement cases 10000")
+# `verify`'s report lines, each followed by " failures 0"; `fine` prints the
+# lines of `standard`
+_VERIFY = {
+    "coarse": (
+        "semiring-axioms-fuzz-mv cases 129", "semiring-axioms-max-min cases 129",
+        "semiring-axioms-viterbi cases 129", "semiring-axioms-boolean cases 44",
+        "mv-gate-laws-2 cases 35881", "mv-gate-laws-4 cases 141353",
+        "action-laws-2 cases 5149", "action-laws-4 cases 224336", "tensor-laws cases 20512",
+        "stochastic-semigroup cases 84", "oracle-agreement cases 4056"),
+    "standard": (
+        "semiring-axioms-fuzz-mv cases 1449", "semiring-axioms-max-min cases 1449",
+        "semiring-axioms-viterbi cases 1449", "semiring-axioms-boolean cases 44",
+        "mv-gate-laws-2 cases 9855241", "mv-gate-laws-4 cases 197801",
+        "action-laws-2 cases 440301", "action-laws-4 cases 300000", "tensor-laws cases 24672",
+        "stochastic-semigroup cases 2404", "oracle-agreement cases 10000"),
+}
+_VERIFY["fine"] = _VERIFY["standard"]
 _TRACE = "simulate --trace p.circ"
 
 CASES = [
@@ -155,8 +166,10 @@ CASES = [
     _error("kron-past-limit", {"c.mat": matrix("probability", ["1/512"] * 512)},
            "kron stochastic c.mat c.mat", 1,
            "kron results take at most 65536 entries, got 262144"),
-    _case("verify-fine", {}, "verify --grid fine",
-          out="".join(f"{line} failures 0\n" for line in _VERIFY_FINE)),
+    # every grid, `standard` being the benchmark's own `verify` request
+    *(_case(f"verify-{grid}", {}, f"verify --grid {grid}",
+            out="".join(f"{line} failures 0\n" for line in lines))
+      for grid, lines in _VERIFY.items()),
 
     # --- requests on integers: no `Fraction` code runs ---------------------------
     # a stochastic and a fuzzy program, each with an `init vec` of the literals

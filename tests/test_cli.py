@@ -645,7 +645,7 @@ def test_program_commands_keep_the_exit_code_contract(command, model, flags, dat
     ("rational/stochastic-one-wire",
      "intermediate state failed membership: entries sum to 1/3, expected exactly 1"),
 ], ids=["numerator-out-of-range", "stochastic-kernel"])
-def test_scaled_run_self_checks_exit_3(tmp_path, monkeypatch, case_id, message):
+def test_dense_run_self_checks_exit_3(tmp_path, monkeypatch, case_id, message):
     # numerators 0 and zero + 1 over the state's scale: 3 over the fuzzy
     # scale 2, where zero is 2, and 1 over the stochastic scale 3, a sum that
     # is not the scale

@@ -1,6 +1,7 @@
 """The brute-force law harness: green on healthy code, red under mutation."""
 
 import dataclasses
+import functools
 import itertools
 import operator
 import random
@@ -13,7 +14,7 @@ import fuzzbit.verify as verify
 from fuzzbit.algebra import (
     FUZZ_MV, SemiringInstance, UnitScalar, _product_rule, _shared_rule)
 from fuzzbit.cli import main
-from fuzzbit.linalg import SVector
+from fuzzbit.linalg import SMatrix, SVector, mat_vec
 from fuzzbit.verify import (
     CheckReport,
     check_action_laws,
@@ -87,11 +88,13 @@ def test_size_argument_is_checked():
         check_action_laws(grid, 8)
 
 
+# fuzz-mv's rule with the truncated sum replaced by a clamped difference
+CORRUPT = SemiringInstance("corrupt", zero=U(1), one=U(0), scaled=_shared_rule(
+    min, lambda scale: lambda x, y: max(x - y, 0)))
+
+
 def test_corrupted_instance_fails_axioms():
-    # fuzz-mv's rule with the truncated sum replaced by a clamped difference
-    corrupt = SemiringInstance("corrupt", zero=U(1), one=U(0), scaled=_shared_rule(
-        min, lambda scale: lambda x, y: max(x - y, 0)))
-    report = check_semiring_axioms(corrupt, grid_values("coarse"))
+    report = check_semiring_axioms(CORRUPT, grid_values("coarse"))
     assert len(report.failures) >= 1
     assert not report.passed
 
@@ -116,6 +119,70 @@ def test_verify_fails_a_broken_scaled_rule(monkeypatch, capsys, name):
     lines = capsys.readouterr().out.splitlines()
     [line] = [x for x in lines if x.startswith(f"semiring-axioms-{name} cases ")]
     assert not line.endswith(" failures 0")
+
+
+def _reference_semiring_failures(instance, grid) -> list:
+    """`check_semiring_axioms`' failures, each operation computed from
+    `UnitScalar` operands by the `SMatrix` and `SVector` constructors and
+    cached on the scalars."""
+    zero, one, failures = instance.zero, instance.one, []
+
+    @functools.cache
+    def act(row, vector):
+        v = mat_vec(SMatrix(instance, (row,)), SVector(instance, vector))
+        return instance.from_ratio(v.numerators[0], v.scale)
+
+    def mul(x, y):
+        return act((x,), (y,))
+
+    def add(x, y):
+        return act((x, y), (one, one))
+
+    def law(name, holds, ops):
+        try:
+            ok = holds()
+        except ValueError:  # a result outside the carrier
+            ok = False
+        if not ok:
+            failures.append((name,) + ops)
+
+    for a in grid:
+        law("add-zero", lambda: add(zero, a) == a and add(a, zero) == a, (a,))
+        law("mul-one", lambda: mul(one, a) == a and mul(a, one) == a, (a,))
+        law("mul-zero-absorbs", lambda: mul(zero, a) == zero and mul(a, zero) == zero, (a,))
+        law("add-idempotent", lambda: add(a, a) == a, (a,))
+    for a, b in itertools.product(grid, repeat=2):
+        law("add-commutes", lambda: add(a, b) == add(b, a), (a, b))
+    for a, b, c in itertools.product(grid, repeat=3):
+        law("add-assoc", lambda: add(add(a, b), c) == add(a, add(b, c)), (a, b, c))
+        law("mul-assoc", lambda: mul(mul(a, b), c) == mul(a, mul(b, c)), (a, b, c))
+        law("left-dist", lambda: mul(a, add(b, c)) == add(mul(a, b), mul(a, c)), (a, b, c))
+        law("right-dist", lambda: mul(add(a, b), c) == add(mul(a, c), mul(b, c)), (a, b, c))
+    return failures
+
+
+@pytest.mark.parametrize("grid", ["coarse", "standard"])
+@pytest.mark.parametrize("name", sorted(SCALED_MUTANTS) + ["corrupt"])
+def test_semiring_failures_match_the_scalar_route(name, grid):
+    # the (n, d) pairs give the failures, in order, of rational operands
+    if name == "corrupt":
+        instance = CORRUPT
+    else:
+        attribute, rule = SCALED_MUTANTS[name]
+        instance = dataclasses.replace(getattr(verify, attribute), scaled=rule)
+    values = grid_values(grid)
+    report = check_semiring_axioms(instance, values)
+    want = _reference_semiring_failures(instance, values)
+    assert want
+    assert report.failures == want
+    assert all(type(x) is U for failure in report.failures for x in failure[1:])
+    n = len(values)
+    assert report.cases == 4 * n + n ** 2 + 4 * n ** 3
+
+
+def test_a_grid_value_outside_the_carrier_is_refused():
+    with pytest.raises(ValueError):
+        check_semiring_axioms(FUZZ_MV, (U(0), Fraction(3, 2)))
 
 
 def _max_reduced_mv(a, v, n, L):
@@ -270,7 +337,9 @@ def _kernel_calls(monkeypatch, check, size, kernel) -> int:
 
 @pytest.mark.parametrize("check, kernel, budget", [
     (check_mv_gate_laws, "_mm", 400),  # 182,765 calls case by case
-    (check_action_laws, "_mv", 150),  # 3,952 with a table per gate, 324,336 case by case
+    # 50 with each row taken against each state once, 102 twice, 3,952 with
+    # a table per gate, 324,336 case by case
+    (check_action_laws, "_mv", 51),
     (_tensor_laws, "_mm", 6000),  # 60,000 calls case by case
 ], ids=["mv-gate-laws-4", "action-laws-4", "tensor-laws"])
 def test_size4_checks_call_the_kernel_per_distinct_vector(monkeypatch, check, kernel, budget):
@@ -367,6 +436,21 @@ def test_meet_outside_the_grid_is_a_failure(monkeypatch):
         if mm(bc, a, 2, L) != meet(mm(b, a, 2, L), mm(c, a, 2, L)):
             per_case.append(("right-dist", a, b, c))
     assert [f for f in report.failures if f[0] != "meet-closure"] == per_case
+
+
+def test_meet_closure_failures_are_the_per_pair_list(monkeypatch):
+    # the table of meets of distinct columns lists, in order, what meeting
+    # every pair of whole gates lists
+    monkeypatch.setattr(verify, "_wedge", _entrywise_max)
+    grid = grid_values("coarse")
+    L, levels = verify._scale_grid(grid)
+    gates = verify._gates2(levels, L)
+    members = set(gates)
+    per_pair = [("meet-closure", b, c, m) for b in gates for c in gates
+                if (m := _entrywise_max(b, c)) not in members]
+    report = check_mv_gate_laws(grid, 2)
+    assert [f for f in report.failures if f[0] == "meet-closure"] == per_pair
+    assert len(per_pair) == 332
 
 
 KERNEL_MUTANTS = {
