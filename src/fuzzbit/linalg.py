@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from typing import Any, Callable, Iterable, Sequence
 
 from .algebra import _UINT_RE, SemiringInstance, _uint, make_instance
@@ -167,21 +167,13 @@ def _combined(a, b) -> tuple:
     return s, scale, add, mul, a._numerators_times(ka), b._numerators_times(kb)
 
 
-def _reduce(add: Callable, terms: Iterable) -> Any:
-    it = iter(terms)
-    acc = next(it)
-    for t in it:
-        acc = add(acc, t)
-    return acc
-
-
 def mat_mul(a: SMatrix, b: SMatrix) -> SMatrix:
     """Semiring matrix product: entry (i, j) is the add-reduction of mul terms."""
     s, scale, add, mul, rows, b_rows = _combined(a, b)
     if a.cols != b.rows:
         raise ValueError(f"inner dimension mismatch: {a.cols} vs {b.rows}")
     columns = tuple(zip(*b_rows))
-    return SMatrix.over(s, (tuple(_reduce(add, map(mul, row, col)) for col in columns)
+    return SMatrix.over(s, (tuple(reduce(add, map(mul, row, col)) for col in columns)
                             for row in rows), scale)
 
 
@@ -189,7 +181,7 @@ def mat_vec(a: SMatrix, v: SVector) -> SVector:
     s, scale, add, mul, rows, values = _combined(a, v)
     if a.cols != len(v):
         raise ValueError(f"dimension mismatch: {a.cols} vs {len(v)}")
-    return SVector.over(s, (_reduce(add, map(mul, row, values)) for row in rows), scale)
+    return SVector.over(s, (reduce(add, map(mul, row, values)) for row in rows), scale)
 
 
 def mat_vec_block(a: SMatrix, base: int, v: SVector) -> SVector:

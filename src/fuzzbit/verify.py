@@ -16,6 +16,9 @@ exhaustive; size-4 objects are built as Kronecker products of size-2 grid
 objects and law instances are sampled in lexicographic order, which every
 report states in its note.  Both sizes run the same code: an exhaustive
 check is the lexicographic walk with caps of at least its case count.
+`run_all` passes one read-only `_Grid` to every check, which builds the
+grid's scale and its size-2 and size-4 families once, on first read; a
+check interns what it derives in its own copy of a family's id table.
 
 The gate and action checks work on columns and rows: column j of AB is A
 applied to column j of B, row i of AB is row i of A times B, and entry i of
@@ -96,15 +99,6 @@ class CheckReport:
 # A grid scalar p/q becomes the integer p*L/q for the grid denominator L.
 # Matrices are flat row-major int tuples; L plays the role of 1.
 
-def _scale_grid(grid) -> tuple[int, tuple[int, ...]]:
-    fracs = sorted({Fraction(g) for g in grid})
-    L = math.lcm(*(f.denominator for f in fracs))
-    levels = tuple(int(f * L) for f in fracs)
-    if levels[0] != 0 or levels[-1] != L:
-        raise ValueError("grids must contain 0 and 1")
-    return L, levels
-
-
 def _mm(a, b, n, L):
     """An m x n `a` times an n x p `b`, m and p read off their lengths:
     out[i,j] = min over k of (a[i,k] + b[k,j]), capped at L."""
@@ -158,16 +152,6 @@ def _is_state(v, L):
     return min(v) == 0 or all(x == L for x in v)
 
 
-def _states2(levels, L):
-    return [(a, b) for a in levels for b in levels if a == 0 or b == 0] + [(L, L)]
-
-
-def _gates2(levels, L):
-    """Two columns of minimum 0 each, or all L."""
-    cols = _states2(levels, L)[:-1]
-    return [(c0[0], c1[0], c0[1], c1[1]) for c0 in cols for c1 in cols] + [(L,) * 4]
-
-
 # --- interned column and row tables ---------------------------------------------
 #
 # The gate checks meet few distinct columns and rows many times over: 14 and 49
@@ -218,8 +202,7 @@ def _lex_rows(outer, inner: int, cap: int):
 
 class _Gates(list):
     """n x n gates in order, with the ids in `col_ids` and `row_ids` of gate
-    k's columns and rows in `columns[k]` and `rows[k]`.  A check may add the
-    vectors it derives to the two id dicts."""
+    k's columns and rows in `columns[k]` and `rows[k]`."""
 
     def __init__(self, gates, n):
         super().__init__(gates)
@@ -265,12 +248,37 @@ class _KronGates:
         return _kron_m(self.base[a], self.base[b], 2, 2, self.L)
 
 
-def _kron4(levels, L):
-    """The size-4 gates and states: Kronecker products of the size-2 grid
-    gates and of the size-2 grid states, in lexicographic order."""
-    base_s = _states2(levels, L)
-    return (_KronGates(_Gates(_gates2(levels, L), 2), L),
-            [_kron_v(u, v, L) for u in base_s for v in base_s])
+class _Grid(tuple):
+    """The grid values, and what the checks read of them (see the module docstring)."""
+
+    def __new__(cls, values):
+        return values if isinstance(values, cls) else super().__new__(cls, values)
+
+    @functools.cached_property
+    def scale(self) -> tuple[int, tuple[int, ...]]:
+        """L, the values' common denominator, and the values as integers over L, in order."""
+        fracs = sorted({Fraction(g) for g in self})
+        L = math.lcm(*(f.denominator for f in fracs))
+        levels = tuple(int(f * L) for f in fracs)
+        if levels[0] != 0 or levels[-1] != L:
+            raise ValueError("grids must contain 0 and 1")
+        return L, levels
+
+    @functools.cached_property
+    def size2(self) -> tuple[_Gates, list]:
+        """The 2x2 grid gates, columns of minimum 0 or all L, and the grid states."""
+        L, levels = self.scale
+        states = [(a, b) for a in levels for b in levels if a == 0 or b == 0] + [(L, L)]
+        cols = states[:-1]
+        gates = [(c0[0], c1[0], c0[1], c1[1]) for c0 in cols for c1 in cols] + [(L,) * 4]
+        return _Gates(gates, 2), states
+
+    @functools.cached_property
+    def size4(self) -> tuple[_KronGates, list]:
+        """The Kronecker products of the size-2 gates and of the states, in lexicographic order."""
+        L, _ = self.scale
+        gates, states = self.size2
+        return _KronGates(gates, L), [_kron_v(u, v, L) for u in states for v in states]
 
 
 # --- checks ---------------------------------------------------------------------
@@ -347,15 +355,16 @@ def check_mv_gate_laws(grid, size: int = 2) -> CheckReport:
     order.
     """
     t0 = time.perf_counter()
-    L, levels = _scale_grid(grid)
+    grid = _Grid(grid)
+    L, _ = grid.scale
     report = CheckReport(f"mv-gate-laws-{size}", 0)
     if size == 2:
-        n, gates = 2, _Gates(_gates2(levels, L), 2)
+        n, (gates, _) = 2, grid.size2
         pair_cap, triple_cap = len(gates) ** 2, len(gates) ** 3
         order = ("closure", "involution", "identity", "meet-closure", "distributivity")
         report.note = "exhaustive"
     elif size == 4:
-        n, (gates, _) = 4, _kron4(levels, L)
+        n, (gates, _) = 4, grid.size4
         pair_cap, triple_cap = 100000, 20000
         order = ("involution", "identity", "closure", "distributivity")
         report.note = (f"Kronecker-built gates; first {pair_cap} pairs and "
@@ -411,7 +420,7 @@ def check_mv_gate_laws(grid, size: int = 2) -> CheckReport:
     # gate when the ids of those meets are some gate's column ids: one table
     # of the meets of the distinct columns decides every pair
     if "meet-closure" in found:  # counts no cases
-        meet = [_intern([_wedge(x, y) for y in cols], gates.col_ids) for x in cols]
+        meet = [[gates.col_ids.get(_wedge(x, y)) for y in cols] for x in cols]
         members, slots = set(gates.columns), list(zip(*gates.columns))
         found["meet-closure"] = [
             ("meet-closure", gates[j], gates[k], _wedge(gates[j], gates[k]))
@@ -466,6 +475,7 @@ def _meet_law(report: CheckReport, gates, n_b: int, cap: int, recheck, sides) ->
     bs, cs = range(min(n_b, -(-cap // n_b))), range(min(n_b, cap))
     tables = []
     for slots, ids, parts, table in sides:
+        ids = dict(ids)  # the meets join a copy, not the family's table
         partners: dict = {}  # x -> the ids y that x meets in some slot
         for q in range(len(slots[0])):
             met = {slots[k][q] for k in cs}
@@ -514,7 +524,8 @@ def check_action_laws(grid, size: int = 2) -> CheckReport:
     rows the gates share against the states.
     """
     t0 = time.perf_counter()
-    L, levels = _scale_grid(grid)
+    grid = _Grid(grid)
+    L, levels = grid.scale
     report = CheckReport(f"action-laws-{size}", 0)
     if size == 2:
         if len(levels) > 2:
@@ -526,11 +537,11 @@ def check_action_laws(grid, size: int = 2) -> CheckReport:
             if _is_state(comp, L):
                 report.failures.append(
                     ("complement-unexpectedly-closed", (0, interior), comp))
-        n, gates, states = 2, _Gates(_gates2(levels, L), 2), _states2(levels, L)
+        n, (gates, states) = 2, grid.size2
         cap = len(gates) ** 2 * len(states) ** 2
         report.note = "exhaustive"
     elif size == 4:
-        n, (gates, states) = 4, _kron4(levels, L)
+        n, (gates, states) = 4, grid.size4
         cap = 100000
         report.note = f"Kronecker-built; first {cap} law instances in lexicographic order"
     else:
@@ -545,12 +556,13 @@ def check_action_laws(grid, size: int = 2) -> CheckReport:
     # (AB)s is (row i of A)B against s, so each row r of those A is taken
     # times each B in `reach`: rb[bi] holds the ids of those rows rB.
     reach, n_a = range(min(n_g, -(-cap // n_s))), min(n_g, -(-cap // (n_g * n_s)))
-    rows = list(gates.row_ids)
+    row_ids = dict(gates.row_ids)  # the rows rB join a copy
+    rows = list(row_ids)
     a_rows = sorted({r for ai in range(n_a) for r in gates.rows[ai]})
-    rb = [_intern(_right_images(gates[bi], [rows[r] for r in a_rows], n, L), gates.row_ids)
+    rb = [_intern(_right_images(gates[bi], [rows[r] for r in a_rows], n, L), row_ids)
           for bi in reach]
     used = list(dict.fromkeys(itertools.chain(*(gates.rows[gi] for gi in reach), *rb)))
-    rows = list(gates.row_ids)  # now with the rows rB
+    rows = list(row_ids)  # now with the rows rB
     # row id -> that row against each distinct state
     dots = dict(zip(used, _dot_table([rows[r] for r in used], list(vids), n, L)))
 
@@ -613,10 +625,10 @@ def check_action_laws(grid, size: int = 2) -> CheckReport:
 def check_tensor_laws(grid) -> CheckReport:
     """Kronecker closure, basis enumeration, symmetry, associativity, mixed product."""
     t0 = time.perf_counter()
-    L, levels = _scale_grid(grid)
+    grid = _Grid(grid)
+    L, _ = grid.scale
     report = CheckReport("tensor-laws", 0)
-    states = _states2(levels, L)
-    gates = _gates2(levels, L)
+    (gates, states), (kron, products) = grid.size2, grid.size4
 
     ket0, ket1 = (0, L), (L, 0)
     expected = {
@@ -639,23 +651,19 @@ def check_tensor_laws(grid) -> CheckReport:
         if got != want:
             report.failures.append(("basis-enumeration", i, j, got))
 
-    products: dict[tuple[int, int], tuple] = {}
-    for i, u in enumerate(states):
-        for j, v in enumerate(states):
-            w = _kron_v(u, v, L)
-            products[(i, j)] = w
-            report.cases += 2
-            if len(w) != len(u) * len(v):
-                report.failures.append(("dimension", u, v))
-            if not _is_state(w, L):
-                report.failures.append(("state-closure", u, v, w))
-    for i in range(len(states)):
-        for j in range(len(states)):
-            report.cases += 1
-            uv, vu = products[(i, j)], products[(j, i)]
-            # entry (a, b) of u(x)v is entry (b, a) of v(x)u
-            if any(uv[2 * a + b] != vu[2 * b + a] for a in range(2) for b in range(2)):
-                report.failures.append(("symmetry", states[i], states[j]))
+    n_s = len(states)  # u (x) v is products[i * n_s + j] for u, v = states[i], states[j]
+    for (u, v), w in zip(itertools.product(states, repeat=2), products):
+        report.cases += 2
+        if len(w) != len(u) * len(v):
+            report.failures.append(("dimension", u, v))
+        if not _is_state(w, L):
+            report.failures.append(("state-closure", u, v, w))
+    for i, j in itertools.product(range(n_s), repeat=2):
+        report.cases += 1
+        uv, vu = products[i * n_s + j], products[j * n_s + i]
+        # entry (a, b) of u(x)v is entry (b, a) of v(x)u
+        if any(uv[2 * a + b] != vu[2 * b + a] for a in range(2) for b in range(2)):
+            report.failures.append(("symmetry", states[i], states[j]))
     for u, v, w in itertools.product(states, repeat=3):
         report.cases += 1
         if _kron_v(_kron_v(u, v, L), w, L) != _kron_v(u, _kron_v(v, w, L), L):
@@ -666,14 +674,14 @@ def check_tensor_laws(grid) -> CheckReport:
     # c (x) d, and of the right side column j of ac (x) column l of bd.  A row
     # of d whose column ids differ is rechecked with direct kernel calls.
     quad_cap = 20000
-    n_gates = len(gates)
-    kron = _KronGates(_Gates(gates, 2), L)  # c (x) d is kron gate ci * n_gates + di
-    targets = list(kron.col_ids)  # every column of every c (x) d
+    n_gates = len(gates)  # c (x) d is kron gate ci * n_gates + di
+    col_ids = dict(kron.col_ids)  # the images and the columns of ac (x) bd join a copy
+    targets = list(col_ids)  # every column of every c (x) d
 
     @functools.cache
     def images(ai: int, bi: int) -> list:  # the id of each target's image under a (x) b
         ab = _kron_m(gates[ai], gates[bi], 2, 2, L)
-        return _intern(_left_images(ab, targets, 4, L), kron.col_ids)
+        return _intern(_left_images(ab, targets, 4, L), col_ids)
 
     @functools.cache
     def columns(i: int, j: int) -> tuple:  # the two columns of gates[i] gates[j]
@@ -682,7 +690,7 @@ def check_tensor_laws(grid) -> CheckReport:
 
     @functools.cache
     def kron_id(u, v) -> int:  # the id of u (x) v
-        return _intern([_kron_v(u, v, L)], kron.col_ids)[0]
+        return _intern([_kron_v(u, v, L)], col_ids)[0]
 
     for (ai, bi, ci), count in _lex_rows((n_gates,) * 3, n_gates, quad_cap):
         report.cases += count
@@ -736,7 +744,7 @@ def check_stochastic_semigroup(grid) -> CheckReport:
     """
     t0 = time.perf_counter()
     report = CheckReport("stochastic-semigroup", 0)
-    L, levels = _scale_grid(grid)
+    L, levels = _Grid(grid).scale
     columns = [(x, L - x) for x in levels if L - x in levels]
     mats = [((c0[0], c1[0]), (c0[1], c1[1])) for c0 in columns for c1 in columns]
 
@@ -785,11 +793,11 @@ def check_oracle_agreement(grid) -> CheckReport:
     pairs, so each comparison runs once per distinct (A, B) or (A, v).
     """
     t0 = time.perf_counter()
-    L, levels = _scale_grid(grid)
+    grid = _Grid(grid)
+    L, _ = grid.scale
     report = CheckReport("oracle-agreement", 0,
                          note=f"first {ORACLE_TRIPLES} (A, B, v) triples in lexicographic order")
-    gates = _gates2(levels, L)
-    states = _states2(levels, L)
+    gates, states = grid.size2
     ident = (0, L, L, 0)
 
     matrices = [SMatrix(FUZZ_MV, ([UnitScalar(x, L) for x in g[:2]],
@@ -834,7 +842,7 @@ def check_oracle_agreement(grid) -> CheckReport:
 
 def run_all(grid_name: str = "standard") -> list[CheckReport]:
     """Every check on the named grid, in a stable order."""
-    grid = grid_values(grid_name)
+    grid = _Grid(grid_values(grid_name))
     bool_grid = (UnitScalar(0), UnitScalar(1))
     return [
         check_semiring_axioms(FUZZ_MV, grid),

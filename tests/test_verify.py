@@ -80,6 +80,25 @@ def test_sampled_checks_say_so(coarse_reports):
     assert coarse_reports["mv-gate-laws-2"].note == "exhaustive"
 
 
+# Each check that reads the grid, as `run_all` calls it.
+GRID_CHECKS = {
+    "mv-gate-laws-2": lambda grid: check_mv_gate_laws(grid, 2),
+    "mv-gate-laws-4": lambda grid: check_mv_gate_laws(grid, 4),
+    "action-laws-2": lambda grid: check_action_laws(grid, 2),
+    "action-laws-4": lambda grid: check_action_laws(grid, 4),
+    "tensor-laws": check_tensor_laws,
+    "stochastic-semigroup": check_stochastic_semigroup,
+    "oracle-agreement": check_oracle_agreement,
+}
+
+
+@pytest.mark.parametrize("values", [(U(1, 2), U(1)), (U(0), U(1, 2))], ids=["no-0", "no-1"])
+@pytest.mark.parametrize("name", GRID_CHECKS)
+def test_a_grid_without_0_or_1_is_refused(name, values):
+    with pytest.raises(ValueError, match="grids must contain 0 and 1"):
+        GRID_CHECKS[name](values)
+
+
 def test_size_argument_is_checked():
     grid = grid_values("coarse")
     with pytest.raises(ValueError):
@@ -199,7 +218,17 @@ def test_mutated_row_reduction_fails_action_laws(monkeypatch):
 def test_mutated_determinant_fails_singular_exhibit(monkeypatch):
     monkeypatch.setattr(verify, "_det2", lambda m: m[0][0] * m[1][1] + m[0][1] * m[1][0])
     report = check_stochastic_semigroup(grid_values("coarse"))
-    assert "singular-exhibit" in {failure[0] for failure in report.failures}
+    # the exhibit's inverse is built with the determinant too
+    assert {"singular-exhibit", "inverse-arithmetic"} <= {failure[0] for failure in report.failures}
+
+
+def test_accepting_every_vector_fails_the_complement_exhibit(monkeypatch):
+    # the complement of (0, 1/2) then counts as a state; no other law of
+    # `action-laws-2` reads the state predicate but state closure, which
+    # such a predicate cannot fail
+    monkeypatch.setattr(verify, "_is_state", lambda v, L: True)
+    report = check_action_laws(grid_values("coarse"), 2)
+    assert report.failures == [("complement-unexpectedly-closed", (0, 1), (2, 1))]
 
 
 # One mutant per remaining `stochastic-semigroup` check, each named by the
@@ -371,9 +400,9 @@ def test_scaled_kernels_take_any_shape(m, n, p, L):
 
 
 def test_image_tables_are_one_kernel_call_per_vector_loop():
-    L, levels = verify._scale_grid(grid_values("coarse"))
-    size2 = verify._Gates(verify._gates2(levels, L), 2), verify._states2(levels, L)
-    for n, (gates, states) in ((2, size2), (4, verify._kron4(levels, L))):
+    grid = verify._Grid(grid_values("coarse"))
+    L, _ = grid.scale
+    for n, (gates, states) in ((2, grid.size2), (4, grid.size4)):
         cols, rows = list(gates.col_ids), list(gates.row_ids)
         for a in (gates[0], gates[len(gates) // 2], gates[len(gates) - 1]):
             assert verify._left_images(a, cols, n, L) == [verify._mm(a, c, n, L) for c in cols]
@@ -388,9 +417,9 @@ def test_part_tables_give_each_gate_its_images():
     # entry i of Ax is row i of A against x, and entry j of xA is x against
     # column j of A: tables of the distinct rows stacked, and of the distinct
     # columns side by side, against every vector give every gate's images
-    L, levels = verify._scale_grid(grid_values("coarse"))
-    size2 = verify._Gates(verify._gates2(levels, L), 2)
-    for n, gates in ((2, size2), (4, verify._kron4(levels, L)[0])):
+    grid = verify._Grid(grid_values("coarse"))
+    L, _ = grid.scale
+    for n, gates in ((2, grid.size2[0]), (4, grid.size4[0])):
         cols, rows = list(gates.col_ids), list(gates.row_ids)
         by_rows = verify._left_images(tuple(itertools.chain(*rows)), cols, n, L)
         by_cols = verify._right_images(tuple(itertools.chain(*zip(*cols))), rows, n, L)
@@ -403,9 +432,9 @@ def test_part_tables_give_each_gate_its_images():
 
 
 def test_kron_gates_read_columns_and_rows_off_their_factors():
-    L, levels = verify._scale_grid(grid_values("coarse"))
-    base = verify._gates2(levels, L)
-    gates, _ = verify._kron4(levels, L)
+    grid = verify._Grid(grid_values("coarse"))
+    L, _ = grid.scale
+    base, gates = grid.size2[0], grid.size4[0]
     cols, rows = list(gates.col_ids), list(gates.row_ids)
     assert len(gates) == len(base) ** 2
     for k, (a, b) in enumerate(itertools.product(base, repeat=2)):
@@ -420,13 +449,12 @@ def test_meet_outside_the_grid_is_a_failure(monkeypatch):
     # a meet-closure failure, and each case that needs such a meet decided
     # by direct products, as a per-case loop decides it
     monkeypatch.setattr(verify, "_wedge", _entrywise_max)
-    grid = grid_values("coarse")
+    grid = verify._Grid(grid_values("coarse"))
     report = check_mv_gate_laws(grid, 2)
     assert report.cases == 35881
     assert Counter(failure[0] for failure in report.failures) == {
         "meet-closure": 332, "left-dist": 6976, "right-dist": 2464}
-    L, levels = verify._scale_grid(grid)
-    gates = verify._gates2(levels, L)
+    L, gates = grid.scale[0], grid.size2[0]
     mm, meet = verify._mm, verify._wedge
     per_case = []
     for a, b, c in itertools.product(gates, repeat=3):
@@ -442,15 +470,52 @@ def test_meet_closure_failures_are_the_per_pair_list(monkeypatch):
     # the table of meets of distinct columns lists, in order, what meeting
     # every pair of whole gates lists
     monkeypatch.setattr(verify, "_wedge", _entrywise_max)
-    grid = grid_values("coarse")
-    L, levels = verify._scale_grid(grid)
-    gates = verify._gates2(levels, L)
+    grid = verify._Grid(grid_values("coarse"))
+    gates = grid.size2[0]
     members = set(gates)
     per_pair = [("meet-closure", b, c, m) for b in gates for c in gates
                 if (m := _entrywise_max(b, c)) not in members]
     report = check_mv_gate_laws(grid, 2)
     assert [f for f in report.failures if f[0] == "meet-closure"] == per_pair
     assert len(per_pair) == 332
+
+
+def _fields(report) -> tuple:
+    return report.name, report.cases, report.failures, report.note
+
+
+def test_run_all_builds_the_size4_family_once(monkeypatch):
+    # under a meet that leaves the gate set, so that a check that wrote what
+    # it derives into a shared family could change what a later check finds
+    monkeypatch.setattr(verify, "_wedge", _entrywise_max)
+    real, builds = verify._KronGates.__init__, []
+
+    def counted(self, *args):
+        builds.append(None)
+        real(self, *args)
+
+    monkeypatch.setattr(verify._KronGates, "__init__", counted)
+    reports = {r.name: r for r in run_all("coarse")}
+    assert len(builds) == 1
+    plain = tuple(grid_values("coarse"))
+    for name, check in GRID_CHECKS.items():
+        assert _fields(reports[name]) == _fields(check(plain)), name
+
+
+# meets, and products past 1, that leave the gate set: what a check derives
+# is then no vector of a family
+@pytest.mark.parametrize("name, mutant", [
+    (None, None), ("_wedge", _entrywise_max), ("_mm", _uncapped_mm),
+], ids=["healthy", "max-meet", "uncapped"])
+def test_checks_leave_a_shared_grid_unchanged(monkeypatch, name, mutant):
+    if name:
+        monkeypatch.setattr(verify, name, mutant)
+    grid = verify._Grid(grid_values("coarse"))
+    tables = [t for gates in (grid.size2[0], grid.size4[0]) for t in (gates.col_ids, gates.row_ids)]
+    before = [list(t.items()) for t in tables]
+    for check_name, check in GRID_CHECKS.items():
+        check(grid)
+        assert [list(t.items()) for t in tables] == before, check_name
 
 
 KERNEL_MUTANTS = {
@@ -507,7 +572,7 @@ def test_integer_semigroup_products_match_rational_arithmetic(grid):
     # coarse grid matrices of any kind, against Fractions: the integer
     # product over L * L and its closure verdict
     values = sorted({Fraction(x) for x in grid_values(grid)})
-    L, _ = verify._scale_grid(grid_values(grid))
+    L, _ = verify._Grid(grid_values(grid)).scale
     columns = [(x, 1 - x) for x in values if 1 - x in values]
     stochastic = [((c0[0], c1[0]), (c0[1], c1[1])) for c0 in columns for c1 in columns]
     pairs = list(itertools.product(stochastic, repeat=2))
