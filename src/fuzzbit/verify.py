@@ -37,7 +37,11 @@ The law then holds for A on a pair when it holds at each of A's rows (or
 columns), and one table of the distinct rows or columns of the gates the
 cap reaches, against every vector and meet, decides each pair once per such
 part, not once per A or per case; A's bad pairs are those of its parts.
-The meet of two gates is met column by column too, so one table of the
+Each meet x ^ y is read column by column off one scalar meet table, a single
+`_wedge` of every pair of the values the vectors hold.  Each vector's row of
+the part table is an entry id, so a pair is decided by comparing two ids:
+that of its meet's row, and that of the meet of its two rows, which `_wedge`
+computes once per distinct pair of rows.  The meet of two gates is met column by column too, so one table of the
 meets of the distinct columns decides whether each pair's meet is a gate.
 `tensor-laws` compares its mixed products column by column.  Every case is
 still counted; a case that meets a bad pair or differing ids is rechecked
@@ -454,6 +458,28 @@ def check_mv_gate_laws(grid, size: int = 2) -> CheckReport:
     return report
 
 
+def _scalar_meets(vectors: list):
+    """`meets(x, ys)`: vector x met with each vector of `ys`, x and `ys` given
+    as indices into `vectors`, in order.
+
+    One `_wedge` of every pair of the values that occur in `vectors` gives a
+    scalar meet table, and each meet is read off it column by column.  It is
+    `_wedge` of the whole vectors when `_wedge` is entrywise, as the module
+    docstring assumes; a `_wedge` whose result depends on an entry's
+    position is out of its reach.
+    """
+    values = sorted(set(itertools.chain(*vectors)))
+    m = len(values)
+    flat = _wedge(tuple(u for u in values for _ in values), tuple(values) * m)
+    scalar = {u: dict(zip(values, flat[i * m:i * m + m])).__getitem__
+              for i, u in enumerate(values)}
+
+    def meets(x, ys):
+        columns = zip(*map(vectors.__getitem__, ys))
+        return zip(*(map(scalar[u], column) for u, column in zip(vectors[x], columns)))
+    return meets
+
+
 def _meet_law(report: CheckReport, gates, n_b: int, cap: int, recheck, sides) -> None:
     """A law f_A(x ^ y) = f_A(x) ^ f_A(y) on the first `cap` triples (A, B, C)
     in lexicographic order, B and C in range(`n_b`).
@@ -470,35 +496,47 @@ def _meet_law(report: CheckReport, gates, n_b: int, cap: int, recheck, sides) ->
     that meets a bad pair goes to `recheck(a, j, k)`, which decides it with
     direct kernel calls, so failures keep their form and order.  A triple
     counts once per side.
+
+    The meets x ^ y come from `_scalar_meets`, one `_wedge` per side.  Each
+    vector's row of the table is interned as an entry id, so f_A(x ^ y) is
+    the id of the meet's row, and f_A(x) ^ f_A(y) the id of the meet of
+    the rows of x and y, which `_wedge` computes once per distinct pair of
+    entry ids.  A pair is compared as those two ids; only a bad one is
+    compared part by part.
     """
     n_a = min(len(gates), -(-cap // (n_b * n_b)))
     bs, cs = range(min(n_b, -(-cap // n_b))), range(min(n_b, cap))
     tables = []
     for slots, ids, parts, table in sides:
+        meets_of = _scalar_meets(list(ids))
         ids = dict(ids)  # the meets join a copy, not the family's table
         partners: dict = {}  # x -> the ids y that x meets in some slot
         for q in range(len(slots[0])):
             met = {slots[k][q] for k in cs}
             for x in {slots[j][q] for j in bs}:
                 partners[x] = partners[x] | met if x in partners else met
-        xs = [x for x, met in partners.items() for _ in met]
-        ys = [y for met in partners.values() for y in met]
-        vectors = list(ids).__getitem__
-        meets = _intern(map(_wedge, map(vectors, xs), map(vectors, ys)), ids)
+        partners = {x: tuple(met) for x, met in partners.items()}
+        meets = {x: _intern(meets_of(x, ys), ids) for x, ys in partners.items()}
         # each vector against the parts `used`, as an id in `entry_ids`
         used = list(dict.fromkeys(itertools.chain(*parts[:n_a])))
         entry_ids: dict = {}
-        at = _intern(table(used, list(ids)), entry_ids).__getitem__
+        at = _intern(table(used, list(ids)), entry_ids)
         entries = list(entry_ids)
-        entry_meets = {(u, v): _wedge(entries[u], entries[v])
-                       for u, v in set(zip(map(at, xs), map(at, ys)))}
-        wants = map(entry_meets.__getitem__, zip(map(at, xs), map(at, ys)))
-        gots = map(entries.__getitem__, map(at, meets))
+        wanted: dict = {}  # u -> v -> the entry id of entries[u] ^ entries[v]
         bad_at: dict = {}  # part id -> the pairs (x, y) bad at that part
-        for pair, want, got in zip(zip(xs, ys), wants, gots):
-            if want != got:
-                for p in itertools.compress(used, map(ne, want, got)):
-                    bad_at.setdefault(p, set()).add(pair)
+        for x, ys in partners.items():
+            vs = [at[y] for y in ys]
+            row = wanted.setdefault(at[x], {})
+            new = [v for v in dict.fromkeys(vs) if v not in row]
+            if new:
+                own = entries[at[x]]
+                row.update(zip(new, _intern([_wedge(own, entries[v]) for v in new], entry_ids)))
+                entries = list(entry_ids)
+            wants = list(map(row.__getitem__, vs))
+            gots = [at[m] for m in meets[x]]
+            for y, want, got in itertools.compress(zip(ys, wants, gots), map(ne, wants, gots)):
+                for p in itertools.compress(used, map(ne, entries[want], entries[got])):
+                    bad_at.setdefault(p, set()).add((x, y))
         tables.append((slots, parts, bad_at))
     for i in range(n_a):
         count = min(n_b * n_b, cap - i * n_b * n_b)
@@ -664,10 +702,11 @@ def check_tensor_laws(grid) -> CheckReport:
         # entry (a, b) of u(x)v is entry (b, a) of v(x)u
         if any(uv[2 * a + b] != vu[2 * b + a] for a in range(2) for b in range(2)):
             report.failures.append(("symmetry", states[i], states[j]))
-    for u, v, w in itertools.product(states, repeat=3):
+    for i, j, k in itertools.product(range(n_s), repeat=3):
         report.cases += 1
-        if _kron_v(_kron_v(u, v, L), w, L) != _kron_v(u, _kron_v(v, w, L), L):
-            report.failures.append(("associativity", u, v, w))
+        u, w = states[i], states[k]
+        if _kron_v(products[i * n_s + j], w, L) != _kron_v(u, products[j * n_s + k], L):
+            report.failures.append(("associativity", u, states[j], w))
 
     # Mixed product (a (x) b)(c (x) d) = ac (x) bd, compared column by column:
     # column (j, l) of the left side is a (x) b applied to column (j, l) of
