@@ -29,7 +29,9 @@ numerators and the scale by their gcd, so the scale stays the least
 common denominator of the state.  Each intermediate state is the kernel's
 own vector, which builds no scalar, and passes the row's state predicate.
 One generator runs both routes and holds one state at a time; the trace
-keeps the last and replays the run when `states` is first read.
+keeps the last and replays the run when `states` is first read, and a
+caller that wants every state as the run makes it passes `simulate` a
+per-state consumer instead.
 
 Stochastic and fuzzy requests build no rational scalar from the literal to
 the printed line: `init vec` literals and `@file` matrices parse to integer
@@ -59,7 +61,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from .algebra import _UINT_RE, _uint
 from .errors import InternalCheckError, MembershipError, ParseError, ValidationError
@@ -535,12 +537,14 @@ def _state(vc: ValidatedCircuit, value: int | SVector) -> ModelState:
     return VectorState.known_member(program.model, value)
 
 
-def simulate(vc: ValidatedCircuit, seed: int | None = None) -> SimulationTrace:
+def simulate(vc: ValidatedCircuit, seed: int | None = None,
+             each: Callable[[ModelState], None] | None = None) -> SimulationTrace:
     """Run the program from `vc.initial`, holding and checking one state at a time.
 
     `seed` measures the final state where the row measures; None takes the
     program's `measure seed`.  Where the row measures, a seed outside
-    [0, 2^64) is a ValueError here, before the run.
+    [0, 2^64) is a ValueError here, before the run.  `each`, if given, is
+    called with every state in order, `vc.initial` first, once it is checked.
     """
     program = vc.program
     row = MODELS[program.model]
@@ -548,9 +552,12 @@ def simulate(vc: ValidatedCircuit, seed: int | None = None) -> SimulationTrace:
     if row.measure is not None and seed is not None:
         checked_seed(seed)
     value = None
+    if each is not None:
+        each(vc.initial)
     if not row.dense:
         for value in _run(vc):
-            pass
+            if each is not None:
+                each(_state(vc, value))
     else:
         before = vc.initial.vector
         for k, (step, plan, value) in enumerate(zip(program.steps, vc.plans, _run(vc)), 1):
@@ -562,6 +569,8 @@ def simulate(vc: ValidatedCircuit, seed: int | None = None) -> SimulationTrace:
                                           step.line)
                 raise InternalCheckError(f"intermediate state failed membership: {reason}")
             before = value
+            if each is not None:
+                each(_state(vc, value))
     return SimulationTrace(vc, vc.initial if value is None else _state(vc, value), seed)
 
 

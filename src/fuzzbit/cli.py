@@ -153,12 +153,8 @@ def cmd_kron(args) -> int:
     return _print_checked(args.model, "tensor", _tensor, a, b)
 
 
-def _print_trace(program, trace: SimulationTrace, show_steps: bool) -> None:
-    lines = []
-    if show_steps:
-        labels = ["init"] + [step.gate for step in program.steps]
-        for k, (label, state) in enumerate(zip(labels, trace.states)):
-            lines.append(f"step {k} {label} {_render_state(state)}")
+def _print_trace(program, trace: SimulationTrace, lines: list[str]) -> None:
+    """Print `lines`, the step lines of `--trace` or none, and the run's summary, at once."""
     lines.append(f"model {program.model}")
     lines.append(f"wires {program.wire_count}")
     lines.append(f"final {_render_state(trace.final)}")
@@ -179,8 +175,13 @@ def cmd_simulate(args, force_measure: bool = False) -> int:
     seed = args.seed
     if seed is None and force_measure:
         seed = program.measure_seed or 0  # the program's seed, else 0
-    trace = simulate(vc, seed)
-    _print_trace(program, trace, getattr(args, "trace", False))
+    lines: list[str] = []  # the step lines, rendered as the run checks each state
+    labels = ["init"] + [step.gate for step in program.steps]
+
+    def step_line(state) -> None:
+        lines.append(f"step {len(lines)} {labels[len(lines)]} {_render_state(state)}")
+    trace = simulate(vc, seed, step_line if getattr(args, "trace", False) else None)
+    _print_trace(program, trace, lines)
     return 0
 
 

@@ -26,27 +26,17 @@ As is row i of A against s.  Each distinct column, row and state gets an id
 and a gate is the ids of its columns and rows.  The kernels take operands of
 any shape, so a table of images is one `_mm` call, on the vectors side by
 side or stacked, and a table of rows against states one `_mv` call per
-state, which the action checks take once and read wherever a state meets a
-row.  A law of the form f_A(x ^ y) = f_A(x) ^ f_A(y) (distributivity by
-columns and by rows, linearity by states) holds on a case when it holds on
-the pair of ids in each slot.  Entry (i, j) of a kernel product depends only
-on row i of its left operand and column j of its right one, and `_wedge` is
-entrywise, so one row or column of A decides an entry of each side: entry i
-of Ax is row i of A against x, and entry j of xA is x against column j of A.
-The law then holds for A on a pair when it holds at each of A's rows (or
-columns), and one table of the distinct rows or columns of the gates the
-cap reaches, against every vector and meet, decides each pair once per such
-part, not once per A or per case; A's bad pairs are those of its parts.
-Each meet x ^ y is read column by column off one scalar meet table, a single
-`_wedge` of every pair of the values the vectors hold.  Each vector's row of
-the part table is an entry id, so a pair is decided by comparing two ids:
-that of its meet's row, and that of the meet of its two rows, which `_wedge`
-computes once per distinct pair of rows.  The meet of two gates is met column by column too, so one table of the
-meets of the distinct columns decides whether each pair's meet is a gate.
-`tensor-laws` compares its mixed products column by column.  Every case is
-still counted; a case that meets a bad pair or differing ids is rechecked
-with direct kernel calls, so the failures are those of a per-case loop, in
-order.
+state.  A Kronecker-built gate is read by its factors: column (j, l) of
+a (x) b has the id `col_table[x][y]` for x column j of a and y column l of
+b, so the closure walk names the gates with a column id in a set per base
+column x, and `tensor-laws` decides a mixed-product row (a, b, c) per
+column y of d.  A law f_A(x ^ y) = f_A(x) ^ f_A(y) (distributivity by
+columns and by rows, linearity by states) is decided once per pair of ids
+in a slot and per distinct row or column of A (see `_meet_law`), its meets
+read off one scalar meet table (`_scalar_meets`), as are the column meets
+of the meet closure.  Every case is still counted; a case, or mixed-product
+row, that meets a bad pair or id is rechecked with direct kernel calls, so
+the failures are those of a per-case loop, in order.
 """
 
 from __future__ import annotations
@@ -58,7 +48,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add as _int_add
-from operator import itemgetter, ne
+from operator import itemgetter, ne, or_
 
 from .algebra import (
     BOOLEAN,
@@ -147,9 +137,9 @@ def _kron_m(a, b, na, nb, L):
 
 
 def _is_gate(m, n, L):
-    if all(x == L for x in m):
+    if m.count(L) == len(m):
         return True
-    return all(min(m[i * n + j] for i in range(n)) == 0 for j in range(n))
+    return all(min(m[j:n * n:n]) == 0 for j in range(n))
 
 
 def _is_state(v, L):
@@ -204,6 +194,12 @@ def _lex_rows(outer, inner: int, cap: int):
         cap -= inner
 
 
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of `mask`, in increasing order."""
+    low_first = bin(mask)[:1:-1]
+    return list(itertools.compress(range(len(low_first)), map("1".__eq__, low_first)))
+
+
 class _Gates(list):
     """n x n gates in order, with the ids in `col_ids` and `row_ids` of gate
     k's columns and rows in `columns[k]` and `rows[k]`."""
@@ -216,33 +212,49 @@ class _Gates(list):
                         for g in gates]
         self.rows = [tuple(_intern([g[i:i + n] for i in range(0, n * n, n)], self.row_ids))
                      for g in gates]
+        self._holders = [sum(1 << k for k, ids in enumerate(self.columns) if c in ids)
+                         for c in range(len(self.col_ids))]
+
+    def holding(self, ids) -> int:
+        """The gates with a column id in `ids`, as a bit mask: bit k for gate k."""
+        return functools.reduce(or_, map(self._holders.__getitem__, ids), 0)
 
 
 class _KronGates:
     """The gates a (x) b for a, b in a size-2 `_Gates` base, in lexicographic
-    order, with the attributes of `_Gates`.
+    order, with the attributes and `holding` of `_Gates`.
 
     Gate k is built by `_kron_m` when it is indexed.  Column (j, l) of a (x) b
     is column j of a (x) column l of b, and row (i, k) is row i of a (x) row k
     of b, so `columns` and `rows` come from Kronecker tables on the base's
-    columns and rows.
+    columns and rows; `col_table[x][y]` is the id of x (x) y for the base's
+    column ids x and y.
     """
 
     def __init__(self, base: _Gates, L):
         self.base, self.L = base, L
         self.col_ids: dict = {}
         self.row_ids: dict = {}
-        self.columns = self._ids(base.columns, base.col_ids, self.col_ids)
-        self.rows = self._ids(base.rows, base.row_ids, self.row_ids)
+        self.col_table, self.columns = self._ids(base.columns, base.col_ids, self.col_ids)
+        self.rows = self._ids(base.rows, base.row_ids, self.row_ids)[1]
 
-    def _ids(self, pair_ids, factor_ids, ids) -> list[tuple]:
-        """Per gate a (x) b, the ids in `ids` of u (x) v for u in a's pair of
-        2-vectors and v in b's, `pair_ids` holding each base gate's pair as
-        ids in `factor_ids`."""
+    def _ids(self, pair_ids, factor_ids, ids) -> tuple[list, list]:
+        """The table of the ids in `ids` of u (x) v for u, v with ids in
+        `factor_ids`, and per gate a (x) b those of u (x) v for u in a's pair
+        and v in b's, `pair_ids` holding each base gate's pair."""
         values = list(factor_ids)
         table = [_intern([_kron_v(u, v, self.L) for v in values], ids) for u in values]
-        return [(table[x0][y0], table[x0][y1], table[x1][y0], table[x1][y1])
-                for x0, x1 in pair_ids for y0, y1 in pair_ids]
+        return table, [(table[x0][y0], table[x0][y1], table[x1][y0], table[x1][y1])
+                       for x0, x1 in pair_ids for y0, y1 in pair_ids]
+
+    def holding(self, ids) -> int:
+        """`_Gates.holding`, read off the factors: gate (p, q) has a column id in
+        `ids` when some column x of p and y of q have `col_table[x][y]` in it,
+        so one base mask per x names the qs for every p."""
+        base, n_b = self.base, len(self.base)
+        per_x = [base.holding([y for y, c in enumerate(row) if c in ids]) for row in self.col_table]
+        return sum(functools.reduce(or_, map(per_x.__getitem__, xs)) << p * n_b
+                   for p, xs in enumerate(base.columns))
 
     def __len__(self) -> int:
         return len(self.base) ** 2
@@ -361,20 +373,17 @@ def check_mv_gate_laws(grid, size: int = 2) -> CheckReport:
     t0 = time.perf_counter()
     grid = _Grid(grid)
     L, _ = grid.scale
-    report = CheckReport(f"mv-gate-laws-{size}", 0)
-    if size == 2:
-        n, (gates, _) = 2, grid.size2
-        pair_cap, triple_cap = len(gates) ** 2, len(gates) ** 3
-        order = ("closure", "involution", "identity", "meet-closure", "distributivity")
-        report.note = "exhaustive"
-    elif size == 4:
-        n, (gates, _) = 4, grid.size4
+    if size not in (2, 4):
+        raise ValueError("size must be 2 or 4")
+    n, (gates, _) = size, grid.size2 if size == 2 else grid.size4
+    report = CheckReport(f"mv-gate-laws-{size}", 0, note="exhaustive")
+    pair_cap, triple_cap = len(gates) ** 2, len(gates) ** 3
+    order = ("closure", "involution", "identity", "meet-closure", "distributivity")
+    if size == 4:
         pair_cap, triple_cap = 100000, 20000
         order = ("involution", "identity", "closure", "distributivity")
         report.note = (f"Kronecker-built gates; first {pair_cap} pairs and "
                        f"{triple_cap} triples in lexicographic order")
-    else:
-        raise ValueError("size must be 2 or 4")
     n_g, found = len(gates), {law: [] for law in order}
     ident = tuple(0 if i == j else L for i in range(n) for j in range(n))
     jmat = tuple(0 if i + j == n - 1 else L for i in range(n) for j in range(n))
@@ -406,25 +415,26 @@ def check_mv_gate_laws(grid, size: int = 2) -> CheckReport:
                     found["identity"].append(("zero-absorbs", g))
 
     # AB is a gate when A maps each of B's columns to a column of minimum 0,
-    # or each to the all-L column
+    # or each to the all-L column: only a B holding a column of `not_gate` and
+    # one of `not_zero` is rechecked
     for (i,), count in _lex_rows((n_g,), n_g, pair_cap):
         a = gates[i]
         images = _left_images(a, cols, n, L)
-        to_gate = {c for c, v in enumerate(images) if min(v) == 0}
-        to_zero = {c for c, v in enumerate(images) if v == line}
+        not_gate = {c for c, v in enumerate(images) if min(v) != 0}
+        not_zero = {c for c, v in enumerate(images) if v != line}
         report.cases += count
-        for j, cs in zip(range(count), gates.columns):
-            if not (to_gate.issuperset(cs) or to_zero.issuperset(cs)):
-                b = gates[j]
-                p = _mm(a, b, n, L)
-                if not _is_gate(p, n, L):
-                    found["closure"].append(("closure", a, b, p))
+        for j in _bits(gates.holding(not_gate) & gates.holding(not_zero) & ((1 << count) - 1)):
+            b = gates[j]
+            p = _mm(a, b, n, L)
+            if not _is_gate(p, n, L):
+                found["closure"].append(("closure", a, b, p))
 
     # column q of B ^ C is column q of B met with column q of C, so B ^ C is a
     # gate when the ids of those meets are some gate's column ids: one table
     # of the meets of the distinct columns decides every pair
     if "meet-closure" in found:  # counts no cases
-        meet = [[gates.col_ids.get(_wedge(x, y)) for y in cols] for x in cols]
+        every, meets_of = range(len(cols)), _scalar_meets(cols)
+        meet = [[gates.col_ids.get(m) for m in meets_of(x, every)] for x in every]
         members, slots = set(gates.columns), list(zip(*gates.columns))
         found["meet-closure"] = [
             ("meet-closure", gates[j], gates[k], _wedge(gates[j], gates[k]))
@@ -505,14 +515,15 @@ def _meet_law(report: CheckReport, gates, n_b: int, cap: int, recheck, sides) ->
     compared part by part.
     """
     n_a = min(len(gates), -(-cap // (n_b * n_b)))
-    bs, cs = range(min(n_b, -(-cap // n_b))), range(min(n_b, cap))
+    bs = range(min(n_b, -(-cap // n_b)))
     tables = []
     for slots, ids, parts, table in sides:
         meets_of = _scalar_meets(list(ids))
         ids = dict(ids)  # the meets join a copy, not the family's table
         partners: dict = {}  # x -> the ids y that x meets in some slot
+        reached = slots[:cap]  # the Cs the cap reaches
         for q in range(len(slots[0])):
-            met = {slots[k][q] for k in cs}
+            met = set(map(itemgetter(q), reached))
             for x in {slots[j][q] for j in bs}:
                 partners[x] = partners[x] | met if x in partners else met
         partners = {x: tuple(met) for x, met in partners.items()}
@@ -564,8 +575,15 @@ def check_action_laws(grid, size: int = 2) -> CheckReport:
     t0 = time.perf_counter()
     grid = _Grid(grid)
     L, levels = grid.scale
-    report = CheckReport(f"action-laws-{size}", 0)
-    if size == 2:
+    if size not in (2, 4):
+        raise ValueError("size must be 2 or 4")
+    n, (gates, states) = size, grid.size2 if size == 2 else grid.size4
+    report = CheckReport(f"action-laws-{size}", 0, note="exhaustive")
+    if size == 4:
+        cap = 100000
+        report.note = f"Kronecker-built; first {cap} law instances in lexicographic order"
+    else:
+        cap = len(gates) ** 2 * len(states) ** 2
         if len(levels) > 2:
             # documented counterexample: the complement is NOT an operation on
             # the state set; (0, interior) maps to a vector with nonzero minimum
@@ -573,17 +591,7 @@ def check_action_laws(grid, size: int = 2) -> CheckReport:
             comp = (L - 0, L - interior)
             report.cases += 1
             if _is_state(comp, L):
-                report.failures.append(
-                    ("complement-unexpectedly-closed", (0, interior), comp))
-        n, (gates, states) = 2, grid.size2
-        cap = len(gates) ** 2 * len(states) ** 2
-        report.note = "exhaustive"
-    elif size == 4:
-        n, (gates, states) = 4, grid.size4
-        cap = 100000
-        report.note = f"Kronecker-built; first {cap} law instances in lexicographic order"
-    else:
-        raise ValueError("size must be 2 or 4")
+                report.failures.append(("complement-unexpectedly-closed", (0, interior), comp))
     n_g, n_s = len(gates), len(states)
     vids: dict = {}
     sid = _intern(states, vids)
@@ -669,12 +677,8 @@ def check_tensor_laws(grid) -> CheckReport:
     (gates, states), (kron, products) = grid.size2, grid.size4
 
     ket0, ket1 = (0, L), (L, 0)
-    expected = {
-        (0, 0): (0, L, L, L),
-        (0, 1): (L, 0, L, L),
-        (1, 0): (L, L, 0, L),
-        (1, 1): (L, L, L, 0),
-    }
+    expected = {(0, 0): (0, L, L, L), (0, 1): (L, 0, L, L),
+                (1, 0): (L, L, 0, L), (1, 1): (L, L, L, 0)}
     for (b1, b2), want in expected.items():
         report.cases += 1
         got = _kron_v(ket1 if b1 else ket0, ket1 if b2 else ket0, L)
@@ -708,24 +712,22 @@ def check_tensor_laws(grid) -> CheckReport:
         if _kron_v(products[i * n_s + j], w, L) != _kron_v(u, products[j * n_s + k], L):
             report.failures.append(("associativity", u, states[j], w))
 
-    # Mixed product (a (x) b)(c (x) d) = ac (x) bd, compared column by column:
-    # column (j, l) of the left side is a (x) b applied to column (j, l) of
-    # c (x) d, and of the right side column j of ac (x) column l of bd.  A row
-    # of d whose column ids differ is rechecked with direct kernel calls.
+    # Mixed product (a (x) b)(c (x) d) = ac (x) bd, column by column: for x
+    # column p of c and y column q of d, column (p, q) of the left side is
+    # a (x) b applied to x (x) y, and of the right side column p of ac (x) by.
+    # A row (a, b, c) is rechecked, d by d, when some d the cap reaches has a
+    # column y where the two differ.
     quad_cap = 20000
     n_gates = len(gates)  # c (x) d is kron gate ci * n_gates + di
-    col_ids = dict(kron.col_ids)  # the images and the columns of ac (x) bd join a copy
-    targets = list(col_ids)  # every column of every c (x) d
+    col_ids = dict(kron.col_ids)  # the images and the columns of ac (x) by join a copy
+    targets, base_cols = list(col_ids), list(gates.col_ids)
 
     @functools.cache
-    def images(ai: int, bi: int) -> list:  # the id of each target's image under a (x) b
+    def images(ai: int, bi: int) -> tuple[list, list]:
+        """The id of each target's image under a (x) b, and b applied to each base column."""
         ab = _kron_m(gates[ai], gates[bi], 2, 2, L)
-        return _intern(_left_images(ab, targets, 4, L), col_ids)
-
-    @functools.cache
-    def columns(i: int, j: int) -> tuple:  # the two columns of gates[i] gates[j]
-        p = _mm(gates[i], gates[j], 2, L)
-        return p[0::2], p[1::2]
+        return (_intern(_left_images(ab, targets, 4, L), col_ids),
+                _left_images(gates[bi], base_cols, 2, L))
 
     @functools.cache
     def kron_id(u, v) -> int:  # the id of u (x) v
@@ -733,13 +735,11 @@ def check_tensor_laws(grid) -> CheckReport:
 
     for (ai, bi, ci), count in _lex_rows((n_gates,) * 3, n_gates, quad_cap):
         report.cases += count
-        image = images(ai, bi).__getitem__
-        first = ci * n_gates
-        left = [tuple(map(image, ids)) for ids in kron.columns[first:first + count]]
-        u0, u1 = columns(ai, ci)
-        right = [(kron_id(u0, v0), kron_id(u0, v1), kron_id(u1, v0), kron_id(u1, v1))
-                 for v0, v1 in (columns(bi, di) for di in range(count))]
-        if left != right:
+        (image, by), ac = images(ai, bi), _mm(gates[ai], gates[ci], 2, L)
+        sides = list(zip(gates.columns[ci], (ac[0::2], ac[1::2])))
+        bad = [y for y, v in enumerate(by)
+               if any(image[kron.col_table[x][y]] != kron_id(u, v) for x, u in sides)]
+        if gates.holding(bad) & ((1 << count) - 1):
             a, b, c = gates[ai], gates[bi], gates[ci]
             ab = _kron_m(a, b, 2, 2, L)
             for d in gates[:count]:

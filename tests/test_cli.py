@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fuzzbit.circuit
 import fuzzbit.cli as cli
 from cli_corpus import CASE, CASES, PRIMES, Case, Request, failures, matrix, run
 from fuzzbit.algebra import FUZZ_MV
@@ -236,6 +237,28 @@ def test_simulate_summary_and_trace(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "step 0 init 1 0 0 0\nstep 1 H 0.707106781187 0.707106781187 0 0\n"
         "step 2 CNOT 0.707106781187 0 0 0.707106781187\n" + summary)
+
+
+@pytest.mark.parametrize("model, init, gate", [
+    ("stochastic", "vec 1/2 1/4 1/4 0", "NOT"),
+    ("fuzzy", "vec 0 1/2 1 1", "FNOT"),
+    ("quantum", "ket 00", "H"),
+])
+def test_a_traced_run_runs_each_step_once(monkeypatch, tmp_path, capsys, model, init, gate):
+    # the step lines come from the run itself: replaying it for them took
+    # 2k - 1 block products for k steps
+    steps = 5
+    circ = write(tmp_path, "p.circ", f"model {model}\nwires 2\ninit {init}\n"
+                 + "".join(f"gate {gate} {k % 2}\n" for k in range(steps)))
+    real, calls = fuzzbit.circuit.mat_vec_block, []
+    monkeypatch.setattr(fuzzbit.circuit, "mat_vec_block",
+                        lambda *args: calls.append(None) or real(*args))
+    assert main(["simulate", "--trace", circ]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(calls) == steps
+    assert [line.split()[:3] for line in lines[:steps + 1]] == [
+        ["step", str(k), "init" if k == 0 else gate] for k in range(steps + 1)]
+    assert lines[steps + 1:steps + 3] == [f"model {model}", "wires 2"]
 
 
 def test_simulate_classical_output(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import itertools
 import operator
 import random
@@ -543,6 +544,63 @@ def test_checks_leave_a_shared_grid_unchanged(monkeypatch, name, mutant):
         assert [list(t.items()) for t in tables] == before, check_name
 
 
+class _CountedReads(list):
+    """A list that counts into `reads` each item read by index, slice or iteration."""
+
+    def __init__(self, items, reads: list):
+        super().__init__(items)
+        self.reads = reads
+
+    def __getitem__(self, k):
+        item = super().__getitem__(k)
+        self.reads.append(len(item) if isinstance(k, slice) else 1)
+        return item
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.reads.append(1)
+            yield item
+
+
+def test_size4_walks_read_gates_by_their_factors(monkeypatch):
+    # the closure walk names its gates per base column and the mixed product
+    # decides a row per column of d: reading each gate's column ids, they
+    # read 100,000 and 20,000 of them on `standard`
+    reads, real = [], verify._KronGates.__init__
+
+    def counted(self, *args):
+        real(self, *args)
+        self.columns = _CountedReads(self.columns, reads)
+
+    monkeypatch.setattr(verify._KronGates, "__init__", counted)
+    grid = verify._Grid(grid_values("standard"))
+    assert check_tensor_laws(grid).passed
+    assert sum(reads) == 0
+    assert check_mv_gate_laws(grid, 4).passed
+    # the distributivity walk reads the column ids of each C its 20,000 triples reach once
+    assert 20000 <= sum(reads) < 21000
+
+
+@pytest.mark.parametrize("grid", ["coarse", "standard"])
+@pytest.mark.parametrize("size", [2, 4])
+def test_families_name_the_gates_holding_a_column_id(grid, size):
+    # the size-2 inverted index and the size-4 factor reading against a scan
+    # of each gate's column ids
+    grid = verify._Grid(grid_values(grid))
+    gates = (grid.size2 if size == 2 else grid.size4)[0]
+    rng, every = random.Random(size), range(len(gates.col_ids))
+    for k in (0, 1, 2, len(every) // 2, len(every) - 1, len(every)):
+        ids = set(rng.sample(every, k))
+        want = [g for g, cs in enumerate(gates.columns) if not ids.isdisjoint(cs)]
+        assert verify._bits(gates.holding(ids)) == want
+
+
+def test_bits_lists_the_set_bits_in_order():
+    rng = random.Random(3)
+    for mask in [0, 1, 2, 5, 1 << 200, (1 << 300) - 1] + [rng.getrandbits(500) for _ in range(20)]:
+        assert verify._bits(mask) == [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+
 KERNEL_MUTANTS = {
     "kron_mat": lambda real: lambda a, b: real(b, a),  # factors swapped
     "kron_vec": lambda real: lambda u, v: real(v, u),
@@ -589,6 +647,58 @@ def test_each_tensor_law_family_can_fail(monkeypatch, family, name, mutant):
     monkeypatch.setattr(verify, name, mutant(getattr(verify, name)))
     report = check_tensor_laws(grid_values("coarse"))
     assert family in {failure[0] for failure in report.failures}
+
+
+# The checks that read Kronecker-built gates by their factors, pinned by one
+# sha256 over their full reports: on `coarse` under each mutant of the
+# kernels and predicates they read (`basis-enumeration` is `basis-ket`'s
+# mutant), and on `standard` healthy.  Both caps end mid-block there: on
+# `coarse` the 148th A of the closure walk stops after 628 of 676 gates, on
+# `standard` the 4th after 13,300, and the mixed product's last row (a, b, c)
+# stops short of the last d.
+FACTOR_READ_MUTANTS = {
+    "healthy": None,
+    "uncapped": ("_mm", lambda real: _uncapped_mm),
+    "max-plus": ("_mm", lambda real: _capped_max_plus_mm),
+    "max-meet": ("_wedge", lambda real: _entrywise_max),
+    **{family: (name, mutant) for family, name, mutant in TENSOR_MUTANTS
+       if name in ("_kron_v", "_is_gate") and family != "basis-enumeration"},
+}
+FACTOR_READ_DIGESTS = {
+    ("coarse", "healthy"):
+        "6166a9761ea6f9c9a568000335c1b0a8a63ec2a1fefcbd05427359012269685f",
+    ("coarse", "uncapped"):
+        "b261bc6dae41a0515f1daa59f522b2d630d4daf28f1ad58e3b976b0cfbb43c53",
+    ("coarse", "max-plus"):
+        "5de4ac647111c9d571f66f1df89c8a8f709afe52bf9f8c1138d164f745a3c243",
+    ("coarse", "max-meet"):
+        "8375b6ddfa72bcfe1fbd0f302148ce233c91e77f82dddb9e31a7b86145bd32cc",
+    ("coarse", "basis-ket"):
+        "2f97f1e1c6b026c1d515fcc88688f89bf7608d58c762812e7ae0942bb108ab0a",
+    ("coarse", "dimension"):
+        "3002c1ebf504c97fdeb3dc8732d8c0bfcb6eff718928cf3851475eccaeaa509a",
+    ("coarse", "symmetry"):
+        "26b029d01535e12ecde6f033513a768d64b9f3c8fc2f352917764578821f65ee",
+    ("coarse", "associativity"):
+        "fcfc28f23a0618f4150f8b7e710b4ffede95b342c57976861dff2998a0c9eb63",
+    ("coarse", "gate-closure"):
+        "93c545d7d24544220d728fa14b9ef54b499027a7fc5156017d12200d0a0f6606",
+    ("standard", "healthy"):
+        "ea0760463acabca31ec5ce20c52e45b9dd2a4e3f146fc88bd09cecd40e846a49",
+}
+
+
+@pytest.mark.parametrize("grid, mutant", list(FACTOR_READ_DIGESTS),
+                         ids=[f"{grid}-{mutant}" for grid, mutant in FACTOR_READ_DIGESTS])
+def test_factor_read_reports_keep_their_digest(monkeypatch, grid, mutant):
+    if FACTOR_READ_MUTANTS[mutant]:
+        name, make = FACTOR_READ_MUTANTS[mutant]
+        monkeypatch.setattr(verify, name, make(getattr(verify, name)))
+    values = verify._Grid(grid_values(grid))
+    reports = [check_mv_gate_laws(values, 2), check_mv_gate_laws(values, 4),
+               check_tensor_laws(values)]
+    digest = hashlib.sha256(repr([_fields(r) for r in reports]).encode()).hexdigest()
+    assert digest == FACTOR_READ_DIGESTS[grid, mutant]
 
 
 @pytest.mark.parametrize("grid", ["coarse", "standard"])
