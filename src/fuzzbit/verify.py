@@ -26,17 +26,18 @@ As is row i of A against s.  Each distinct column, row and state gets an id
 and a gate is the ids of its columns and rows.  The kernels take operands of
 any shape, so a table of images is one `_mm` call, on the vectors side by
 side or stacked, and a table of rows against states one `_mv` call per
-state.  A Kronecker-built gate is read by its factors: column (j, l) of
-a (x) b has the id `col_table[x][y]` for x column j of a and y column l of
-b, so the closure walk names the gates with a column id in a set per base
-column x, and `tensor-laws` decides a mixed-product row (a, b, c) per
-column y of d.  A law f_A(x ^ y) = f_A(x) ^ f_A(y) (distributivity by
-columns and by rows, linearity by states) is decided once per pair of ids
-in a slot and per distinct row or column of A (see `_meet_law`), its meets
-read off one scalar meet table (`_scalar_meets`), as are the column meets
-of the meet closure.  Every case is still counted; a case, or mixed-product
-row, that meets a bad pair or id is rechecked with direct kernel calls, so
-the failures are those of a per-case loop, in order.
+state; the action checks build images per class of states that each of its
+rows meets alike.  A Kronecker-built gate is read by its factors: column
+(j, l) of a (x) b has the id `col_table[x][y]` for x column j of a and y
+column l of b, so the closure walk names the gates with a column id in a set
+per base column x, and `tensor-laws` decides a mixed-product row (a, b, c)
+per column y of d.  A law f_A(x ^ y) = f_A(x) ^ f_A(y) (distributivity by
+columns and by rows, linearity by states) is decided once per pair of ids in
+a slot and per distinct row or column of A (see `_meet_law`), its meets read
+off one scalar meet table (`_scalar_meets`), as are the column meets of the
+meet closure.  Every case is still counted; a case, or mixed-product row,
+that meets a bad pair or id is rechecked with direct kernel calls, so the
+failures are those of a per-case loop, in order.
 """
 
 from __future__ import annotations
@@ -570,7 +571,8 @@ def check_action_laws(grid, size: int = 2) -> CheckReport:
     Size 2 walks every instance of each law on 2x2 grid gates and states;
     size 4 walks the first `cap` instances on Kronecker-built ones.  Entry i
     of As is row i of A against s, so images are read from a table of the
-    rows the gates share against the states.
+    rows the gates share against the states, per class of states that each
+    row of the table meets alike.
     """
     t0 = time.perf_counter()
     grid = _Grid(grid)
@@ -586,17 +588,14 @@ def check_action_laws(grid, size: int = 2) -> CheckReport:
         cap = len(gates) ** 2 * len(states) ** 2
         if len(levels) > 2:
             # documented counterexample: the complement is NOT an operation on
-            # the state set; (0, interior) maps to a vector with nonzero minimum
-            interior = levels[1]
-            comp = (L - 0, L - interior)
+            # the state set; (0, levels[1]) maps to a vector with nonzero minimum
+            comp = (L - 0, L - levels[1])
             report.cases += 1
             if _is_state(comp, L):
-                report.failures.append(("complement-unexpectedly-closed", (0, interior), comp))
+                report.failures.append(("complement-unexpectedly-closed", (0, levels[1]), comp))
     n_g, n_s = len(gates), len(states)
     vids: dict = {}
     sid = _intern(states, vids)
-    n_distinct = len(vids)
-    at_states = itemgetter(*sid)
     # The state-closure and compatibility instances reach the gates in
     # `reach`, and as A of (AB)s only those in `range(n_a)`.  Entry i of
     # (AB)s is (row i of A)B against s, so each row r of those A is taken
@@ -611,17 +610,20 @@ def check_action_laws(grid, size: int = 2) -> CheckReport:
     rows = list(row_ids)  # now with the rows rB
     # row id -> that row against each distinct state
     dots = dict(zip(used, _dot_table([rows[r] for r in used], list(vids), n, L)))
+    class_ids: dict = {}  # a column of `dots` -> the id of its class of states
+    of_state = itemgetter(*sid)(_intern(zip(*dots.values()), class_ids))
+    by_class = dict(zip(dots, zip(*class_ids)))  # row id -> that row against each class
 
-    # As for each state s, as ids in `image_ids`, for each gate A in `reach`
+    # As for each class of states, as ids in `image_ids`, for each gate A in `reach`
     image_ids: dict = {}
-    images = [_intern(zip(*(at_states(dots[r]) for r in gates.rows[gi])), image_ids)
+    images = [_intern(zip(*map(by_class.__getitem__, gates.rows[gi])), image_ids)
               for gi in reach]
     vectors = list(image_ids)
     not_states = {v for v, x in enumerate(vectors) if not _is_state(x, L)}
     for (gi,), count in _lex_rows((n_g,), n_s, cap):
         report.cases += count
         if not not_states.isdisjoint(images[gi]):
-            for si, v in zip(range(count), images[gi]):
+            for si, v in zip(range(count), map(images[gi].__getitem__, of_state)):
                 if v in not_states:
                     report.failures.append(("state-closure", gates[gi], states[si], vectors[v]))
 
@@ -635,23 +637,21 @@ def check_action_laws(grid, size: int = 2) -> CheckReport:
         row i of A against s): read from `dots` for a state, by `_mv` otherwise."""
         known = [dots[r] for r in rs]
         stacked = tuple(itertools.chain(*map(rows.__getitem__, rs)))
-        return [tuple(d[k] for d in known) if (k := vids.get(v, n_distinct)) < n_distinct
+        return [tuple(d[k] for d in known) if (k := vids.get(v)) is not None
                 else _mv(stacked, v, n, L) for v in vs]
 
     _meet_law(report, gates, n_s, cap, linearity,
               (([(x,) for x in sid], vids, gates.rows, against_rows),))
 
     # (AB)s = A(Bs) entry by entry: entry i of A(Bs) is row i of A against Bs.
-    # So each B decides every state at once for each row r of the A: rB
-    # against s, and r against Bs.  differs[r] holds the Bs where they differ,
-    # and only an (A, B) with B in differs[r] for a row r of A is rechecked,
-    # state by state.
-    against = dict(zip(a_rows, zip(*against_rows(a_rows, vectors))))
+    # So each B decides every class at once for each row r of the A: rB
+    # against s, and r against Bs.  differs[r] holds the Bs where they differ;
+    # only an (A, B) with B in differs[r] for a row r of A is rechecked.
+    against = against_rows(a_rows, vectors)  # per image, a tuple over a_rows
     differs: dict = {r: set() for r in a_rows}
-    for bi in reach:
-        at_b = itemgetter(*images[bi])
-        for r, x in zip(a_rows, rb[bi]):
-            if at_states(dots[x]) != at_b(against[r]):
+    for bi in reach:  # got: r against Bs, for each class
+        for r, x, got in zip(a_rows, rb[bi], zip(*map(against.__getitem__, images[bi]))):
+            if by_class[x] != got:
                 differs[r].add(bi)
     report.cases += min(cap, n_g * n_g * n_s)
     for ai in range(n_a):

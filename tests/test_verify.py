@@ -701,6 +701,68 @@ def test_factor_read_reports_keep_their_digest(monkeypatch, grid, mutant):
     assert digest == FACTOR_READ_DIGESTS[grid, mutant]
 
 
+# `action-laws` reads states by class, those that each row it reaches meets
+# alike, pinned by one sha256 over both sizes' full reports: on `coarse`
+# under each mutant of the kernels and predicates it reads, and on
+# `standard` healthy.  A constant `_mv` puts every state in one class.
+ACTION_READ_MUTANTS = {
+    "healthy": None,
+    "max-reduced": ("_mv", lambda real: _max_reduced_mv),
+    "max-meet": ("_wedge", lambda real: _entrywise_max),
+    "state-closure": next((name, mutant) for family, name, mutant in TENSOR_MUTANTS
+                          if family == "state-closure"),
+    "accept-all": ("_is_state", lambda real: lambda v, L: True),
+    "constant": ("_mv", lambda real: lambda a, v, n, L: (0,) * (len(a) // n)),
+}
+ACTION_READ_DIGESTS = {
+    ("coarse", "healthy"):
+        "5764489432d325ddc03d1faa5968f3077703f76f64e2ed62a640a4119a7e2ceb",
+    ("coarse", "max-reduced"):
+        "537d2fa81c28d5a582fbb7415fbffc889368c88aa509144aa27ceb6852867553",
+    ("coarse", "max-meet"):
+        "58ff7e493e56a0dc129f6d5a660cbe03a9e9ae066bd740c5a269f8099b093ac6",
+    ("coarse", "state-closure"):
+        "882743847639a658a64d65765ce157288e39056da14fb40a64100a565f9f338d",
+    ("coarse", "accept-all"):
+        "f919c2a746208b192255374fb047de592479b0512f3a02cc04c8ca21b9764bc0",
+    # the healthy reports: no law fails when every product is 0
+    ("coarse", "constant"):
+        "5764489432d325ddc03d1faa5968f3077703f76f64e2ed62a640a4119a7e2ceb",
+    ("standard", "healthy"):
+        "00057efc240f79db468edfe45469412b09e6eeda680d43d7b0172068769289ff",
+}
+
+
+@pytest.mark.parametrize("grid, mutant", list(ACTION_READ_DIGESTS),
+                         ids=[f"{grid}-{mutant}" for grid, mutant in ACTION_READ_DIGESTS])
+def test_action_read_reports_keep_their_digest(monkeypatch, grid, mutant):
+    if ACTION_READ_MUTANTS[mutant]:
+        name, make = ACTION_READ_MUTANTS[mutant]
+        monkeypatch.setattr(verify, name, make(getattr(verify, name)))
+    values = verify._Grid(grid_values(grid))
+    reports = [check_action_laws(values, 2), check_action_laws(values, 4)]
+    digest = hashlib.sha256(repr([_fields(r) for r in reports]).encode()).hexdigest()
+    assert digest == ACTION_READ_DIGESTS[grid, mutant]
+
+
+def test_action_laws_intern_images_per_class_of_states(monkeypatch):
+    # on `standard` the 170 distinct size-4 states fall into 53 classes:
+    # images of each state under the 511 gates the walks reach took 130,317
+    # values through `_intern`, images per class about 57,000
+    grid = verify._Grid(grid_values("standard"))
+    grid.size4  # the family's own tables are built before counting
+    real, interned = verify._intern, []
+
+    def counted(values, ids):
+        values = list(values)
+        interned.append(len(values))
+        return real(values, ids)
+
+    monkeypatch.setattr(verify, "_intern", counted)
+    assert check_action_laws(grid, 4).passed
+    assert 0 < sum(interned) < 70000
+
+
 @pytest.mark.parametrize("grid", ["coarse", "standard"])
 def test_integer_semigroup_products_match_rational_arithmetic(grid):
     # every product of two column-stochastic grid matrices, and of two
