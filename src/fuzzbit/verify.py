@@ -31,13 +31,16 @@ rows meets alike.  A Kronecker-built gate is read by its factors: column
 (j, l) of a (x) b has the id `col_table[x][y]` for x column j of a and y
 column l of b, so the closure walk names the gates with a column id in a set
 per base column x, and `tensor-laws` decides a mixed-product row (a, b, c)
-per column y of d.  A law f_A(x ^ y) = f_A(x) ^ f_A(y) (distributivity by
-columns and by rows, linearity by states) is decided once per pair of ids in
-a slot and per distinct row or column of A (see `_meet_law`), its meets read
-off one scalar meet table (`_scalar_meets`), as are the column meets of the
-meet closure.  Every case is still counted; a case, or mixed-product row,
-that meets a bad pair or id is rechecked with direct kernel calls, so the
-failures are those of a per-case loop, in order.
+per column y of d.  The family's gate ids, and the ids a slot holds among
+its first c gates, are read off those tables when asked, and `action-laws`
+takes every row rB from one `_mm` of the rows r by the Bs' distinct columns.
+A law f_A(x ^ y) = f_A(x) ^ f_A(y) (distributivity by columns and by rows,
+linearity by states) is decided once per pair of ids in a slot and per
+distinct row or column of A (see `_meet_law`), its meets read off one scalar
+meet table (`_scalar_meets`), as are the column meets of the meet closure.
+Every case is still counted; a case, or mixed-product row, that meets a bad
+pair or id is rechecked with direct kernel calls, so the failures are those
+of a per-case loop, in order.
 """
 
 from __future__ import annotations
@@ -201,6 +204,47 @@ def _bits(mask: int) -> list[int]:
     return list(itertools.compress(range(len(low_first)), map("1".__eq__, low_first)))
 
 
+class _Ids(list):
+    """Per gate (or state) in order, the ids of its vectors, one per slot."""
+
+    def held(self, cap: int) -> list[set]:
+        """Per slot, the ids that the first `cap` entries hold there: a scan."""
+        reached = self[:cap]
+        return [set(map(itemgetter(q), reached)) for q in range(len(self[0]))]
+
+
+class _FactorIds:
+    """`_Ids` of the gates p (x) q, read off a factor table when indexed.
+
+    `table[x][y]` is the id in `ids` of u (x) v for the vectors u and v with
+    ids x and y in `factor_ids`, and slot (s, t) of gate (p, q) holds
+    `table[x][y]` for x slot s of p and y slot t of q, `pairs` holding each
+    base gate's two slots.
+    """
+
+    def __init__(self, pairs: list, factor_ids: dict, ids: dict, L):
+        values, self.pairs = list(factor_ids), pairs
+        self.table = [_intern([_kron_v(u, v, L) for v in values], ids) for u in values]
+
+    def __len__(self) -> int:
+        return len(self.pairs) ** 2
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        (x0, x1), (y0, y1) = map(self.pairs.__getitem__, divmod(k, len(self.pairs)))
+        return self.table[x0][y0], self.table[x0][y1], self.table[x1][y0], self.table[x1][y1]
+
+    def held(self, cap: int) -> list[set]:
+        """`_Ids.held` off the table: the ps the cap reaches with every q, then
+        the partial block, each slot's ids met once per distinct pair."""
+        full, part = divmod(min(cap, len(self)), len(self.pairs))
+        blocks = ((self.pairs[:full], self.pairs), (self.pairs[full:full + 1], self.pairs[:part]))
+        return [{self.table[x][y] for ps, qs in blocks
+                 for x in {p[s] for p in ps} for y in {q[t] for q in qs}}
+                for s in (0, 1) for t in (0, 1)]
+
+
 class _Gates(list):
     """n x n gates in order, with the ids in `col_ids` and `row_ids` of gate
     k's columns and rows in `columns[k]` and `rows[k]`."""
@@ -209,10 +253,10 @@ class _Gates(list):
         super().__init__(gates)
         self.col_ids: dict = {}
         self.row_ids: dict = {}
-        self.columns = [tuple(_intern([g[j::n] for j in range(n)], self.col_ids))
-                        for g in gates]
-        self.rows = [tuple(_intern([g[i:i + n] for i in range(0, n * n, n)], self.row_ids))
-                     for g in gates]
+        self.columns = _Ids(tuple(_intern([g[j::n] for j in range(n)], self.col_ids))
+                            for g in gates)
+        self.rows = _Ids(tuple(_intern([g[i:i + n] for i in range(0, n * n, n)], self.row_ids))
+                         for g in gates)
         self._holders = [sum(1 << k for k, ids in enumerate(self.columns) if c in ids)
                          for c in range(len(self.col_ids))]
 
@@ -227,26 +271,18 @@ class _KronGates:
 
     Gate k is built by `_kron_m` when it is indexed.  Column (j, l) of a (x) b
     is column j of a (x) column l of b, and row (i, k) is row i of a (x) row k
-    of b, so `columns` and `rows` come from Kronecker tables on the base's
-    columns and rows; `col_table[x][y]` is the id of x (x) y for the base's
-    column ids x and y.
+    of b, so `columns` and `rows` are `_FactorIds` on Kronecker tables of the
+    base's columns and rows; `col_table[x][y]` is the id of x (x) y for the
+    base's column ids x and y.
     """
 
     def __init__(self, base: _Gates, L):
         self.base, self.L = base, L
         self.col_ids: dict = {}
         self.row_ids: dict = {}
-        self.col_table, self.columns = self._ids(base.columns, base.col_ids, self.col_ids)
-        self.rows = self._ids(base.rows, base.row_ids, self.row_ids)[1]
-
-    def _ids(self, pair_ids, factor_ids, ids) -> tuple[list, list]:
-        """The table of the ids in `ids` of u (x) v for u, v with ids in
-        `factor_ids`, and per gate a (x) b those of u (x) v for u in a's pair
-        and v in b's, `pair_ids` holding each base gate's pair."""
-        values = list(factor_ids)
-        table = [_intern([_kron_v(u, v, self.L) for v in values], ids) for u in values]
-        return table, [(table[x0][y0], table[x0][y1], table[x1][y0], table[x1][y1])
-                       for x0, x1 in pair_ids for y0, y1 in pair_ids]
+        self.columns = _FactorIds(base.columns, base.col_ids, self.col_ids, L)
+        self.rows = _FactorIds(base.rows, base.row_ids, self.row_ids, L)
+        self.col_table = self.columns.table
 
     def holding(self, ids) -> int:
         """`_Gates.holding`, read off the factors: gate (p, q) has a column id in
@@ -496,7 +532,8 @@ def _meet_law(report: CheckReport, gates, n_b: int, cap: int, recheck, sides) ->
     in lexicographic order, B and C in range(`n_b`).
 
     Each side (slots, ids, parts, table) has `slots[k]` the ids in `ids` of
-    vectors, each in its slot, that stand for B or C = k, and `parts[i]` the
+    vectors, each in its slot, that stand for B or C = k, `slots.held(c)`
+    per slot the ids that the first c of them hold there, and `parts[i]` the
     ids of the parts of gate i that give the entries of f_A(x): entry q of
     f_A(x) is part q of A against x, and `table(ps, vectors)` is each vector
     against each part whose id is in `ps`.  The law holds on a triple when,
@@ -516,16 +553,14 @@ def _meet_law(report: CheckReport, gates, n_b: int, cap: int, recheck, sides) ->
     compared part by part.
     """
     n_a = min(len(gates), -(-cap // (n_b * n_b)))
-    bs = range(min(n_b, -(-cap // n_b)))
+    n_bs = min(n_b, -(-cap // n_b))  # the Bs the cap reaches
     tables = []
     for slots, ids, parts, table in sides:
         meets_of = _scalar_meets(list(ids))
         ids = dict(ids)  # the meets join a copy, not the family's table
         partners: dict = {}  # x -> the ids y that x meets in some slot
-        reached = slots[:cap]  # the Cs the cap reaches
-        for q in range(len(slots[0])):
-            met = set(map(itemgetter(q), reached))
-            for x in {slots[j][q] for j in bs}:
+        for xs, met in zip(slots.held(n_bs), slots.held(cap)):  # per slot, the Bs' ids and the Cs'
+            for x in xs:
                 partners[x] = partners[x] | met if x in partners else met
         partners = {x: tuple(met) for x, met in partners.items()}
         meets = {x: _intern(meets_of(x, ys), ids) for x, ys in partners.items()}
@@ -599,14 +634,21 @@ def check_action_laws(grid, size: int = 2) -> CheckReport:
     # The state-closure and compatibility instances reach the gates in
     # `reach`, and as A of (AB)s only those in `range(n_a)`.  Entry i of
     # (AB)s is (row i of A)B against s, so each row r of those A is taken
-    # times each B in `reach`: rb[bi] holds the ids of those rows rB.
+    # times each B in `reach`: rb[bi] holds the ids of those rows rB.  Entry
+    # j of rB is r against column j of B, so one `_mm` of the rows by the
+    # distinct columns of the built Bs, each read as `_mm` reads it, gives
+    # every rB.
     reach, n_a = range(min(n_g, -(-cap // n_s))), min(n_g, -(-cap // (n_g * n_s)))
-    row_ids = dict(gates.row_ids)  # the rows rB join a copy
+    g_rows = gates.rows[:len(reach)]
+    row_ids, b_col_ids = dict(gates.row_ids), {}  # rB joins a copy, B's columns a new table
     rows = list(row_ids)
-    a_rows = sorted({r for ai in range(n_a) for r in gates.rows[ai]})
-    rb = [_intern(_right_images(gates[bi], [rows[r] for r in a_rows], n, L), row_ids)
-          for bi in reach]
-    used = list(dict.fromkeys(itertools.chain(*(gates.rows[gi] for gi in reach), *rb)))
+    a_rows = sorted({r for ai in range(n_a) for r in g_rows[ai]})
+    b_cols = [_intern([b[j::len(b) // n] for j in range(len(b) // n)], b_col_ids)
+              for b in map(gates.__getitem__, reach)]
+    by_col = _right_images(tuple(itertools.chain(*zip(*b_col_ids))),
+                           [rows[r] for r in a_rows], n, L)
+    rb = [_intern(map(itemgetter(*cs), by_col), row_ids) for cs in b_cols]
+    used = list(dict.fromkeys(itertools.chain(*g_rows, *rb)))
     rows = list(row_ids)  # now with the rows rB
     # row id -> that row against each distinct state
     dots = dict(zip(used, _dot_table([rows[r] for r in used], list(vids), n, L)))
@@ -616,8 +658,7 @@ def check_action_laws(grid, size: int = 2) -> CheckReport:
 
     # As for each class of states, as ids in `image_ids`, for each gate A in `reach`
     image_ids: dict = {}
-    images = [_intern(zip(*map(by_class.__getitem__, gates.rows[gi])), image_ids)
-              for gi in reach]
+    images = [_intern(zip(*map(by_class.__getitem__, r)), image_ids) for r in g_rows]
     vectors = list(image_ids)
     not_states = {v for v, x in enumerate(vectors) if not _is_state(x, L)}
     for (gi,), count in _lex_rows((n_g,), n_s, cap):
@@ -641,7 +682,7 @@ def check_action_laws(grid, size: int = 2) -> CheckReport:
                 else _mv(stacked, v, n, L) for v in vs]
 
     _meet_law(report, gates, n_s, cap, linearity,
-              (([(x,) for x in sid], vids, gates.rows, against_rows),))
+              ((_Ids((x,) for x in sid), vids, g_rows, against_rows),))
 
     # (AB)s = A(Bs) entry by entry: entry i of A(Bs) is row i of A against Bs.
     # So each B decides every class at once for each row r of the A: rB
@@ -655,7 +696,7 @@ def check_action_laws(grid, size: int = 2) -> CheckReport:
                 differs[r].add(bi)
     report.cases += min(cap, n_g * n_g * n_s)
     for ai in range(n_a):
-        for bi in sorted(set().union(*map(differs.__getitem__, gates.rows[ai]))):
+        for bi in sorted(set().union(*map(differs.__getitem__, g_rows[ai]))):
             count = min(n_s, cap - (ai * n_g + bi) * n_s)  # the states the cap reaches
             if count <= 0:
                 break

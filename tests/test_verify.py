@@ -544,28 +544,30 @@ def test_checks_leave_a_shared_grid_unchanged(monkeypatch, name, mutant):
         assert [list(t.items()) for t in tables] == before, check_name
 
 
-class _CountedReads(list):
-    """A list that counts into `reads` each item read by index, slice or iteration."""
+class _CountedReads:
+    """A sequence that counts into `reads` each item of `items` read by index,
+    slice or iteration; any other attribute is `items`' own, uncounted."""
 
     def __init__(self, items, reads: list):
-        super().__init__(items)
-        self.reads = reads
+        self.items, self.reads = items, reads
+
+    def __len__(self) -> int:
+        return len(self.items)
 
     def __getitem__(self, k):
-        item = super().__getitem__(k)
+        item = self.items[k]
         self.reads.append(len(item) if isinstance(k, slice) else 1)
         return item
 
-    def __iter__(self):
-        for item in super().__iter__():
-            self.reads.append(1)
-            yield item
+    def __getattr__(self, name):
+        return getattr(self.items, name)
 
 
 def test_size4_walks_read_gates_by_their_factors(monkeypatch):
-    # the closure walk names its gates per base column and the mixed product
-    # decides a row per column of d: reading each gate's column ids, they
-    # read 100,000 and 20,000 of them on `standard`
+    # the closure walk names its gates per base column, the mixed product
+    # decides a row per column of d and the meet law asks the factor table
+    # which ids each slot holds: reading each gate's column ids, they read
+    # 100,000, 20,000 and 20,000 of them on `standard`
     reads, real = [], verify._KronGates.__init__
 
     def counted(self, *args):
@@ -577,8 +579,9 @@ def test_size4_walks_read_gates_by_their_factors(monkeypatch):
     assert check_tensor_laws(grid).passed
     assert sum(reads) == 0
     assert check_mv_gate_laws(grid, 4).passed
-    # the distributivity walk reads the column ids of each C its 20,000 triples reach once
-    assert 20000 <= sum(reads) < 21000
+    # the distributivity walk's 20,000 triples reach one A, whose column ids
+    # its row side reads as parts: once for the table and once for the bad pairs
+    assert sum(reads) <= 2
 
 
 @pytest.mark.parametrize("grid", ["coarse", "standard"])
@@ -593,6 +596,30 @@ def test_families_name_the_gates_holding_a_column_id(grid, size):
         ids = set(rng.sample(every, k))
         want = [g for g, cs in enumerate(gates.columns) if not ids.isdisjoint(cs)]
         assert verify._bits(gates.holding(ids)) == want
+
+
+@pytest.mark.parametrize("grid", ["coarse", "standard"])
+@pytest.mark.parametrize("size", [2, 4])
+def test_id_views_and_held_slots_match_a_scan_of_built_gates(grid, size):
+    # each gate's column and row ids looked up from the built gate, and per
+    # slot the ids that the first `cap` of them hold, against the family's
+    # ids by index and slice and its `held`
+    grid = verify._Grid(grid_values(grid))
+    gates, n = (grid.size2 if size == 2 else grid.size4)[0], size
+    built = [(tuple(gates.col_ids[g[j::n]] for j in range(n)),
+              tuple(gates.row_ids[g[i:i + n]] for i in range(0, n * n, n))) for g in gates]
+    block = len(grid.size2[0]) if size == 4 else len(gates) // 2
+    caps = (0, 1, block // 2, block, block + block // 2 + 1, len(gates) - 1, len(gates))
+    for want, ids in zip(zip(*built), (gates.columns, gates.rows)):
+        want = list(want)
+        assert len(ids) == len(want)
+        assert [ids[k] for k in range(len(ids))] == want
+        assert ids[-1] == want[-1]
+        for cap in caps:
+            assert ids[:cap] == want[:cap]
+            assert ids[cap:cap + 3] == want[cap:cap + 3]
+            assert ids.held(cap) == [{w[q] for w in want[:cap]} for q in range(n)], cap
+        assert ids.held(len(want) + 5) == ids.held(len(want))
 
 
 def test_bits_lists_the_set_bits_in_order():
@@ -713,6 +740,9 @@ ACTION_READ_MUTANTS = {
                           if family == "state-closure"),
     "accept-all": ("_is_state", lambda real: lambda v, L: True),
     "constant": ("_mv", lambda real: lambda a, v, n, L: (0,) * (len(a) // n)),
+    # the rows rB come from one product table against the Bs' columns
+    **{name: FACTOR_READ_MUTANTS[name]
+       for name in ("uncapped", "max-plus", "dimension", "basis-ket")},
 }
 ACTION_READ_DIGESTS = {
     ("coarse", "healthy"):
@@ -730,6 +760,18 @@ ACTION_READ_DIGESTS = {
         "5764489432d325ddc03d1faa5968f3077703f76f64e2ed62a640a4119a7e2ceb",
     ("standard", "healthy"):
         "00057efc240f79db468edfe45469412b09e6eeda680d43d7b0172068769289ff",
+    # the healthy reports: the `_mv` that reads a row rB caps what an uncapped
+    # product leaves past 1, and swapped factors give the same laws
+    ("coarse", "uncapped"):
+        "5764489432d325ddc03d1faa5968f3077703f76f64e2ed62a640a4119a7e2ceb",
+    ("coarse", "basis-ket"):
+        "5764489432d325ddc03d1faa5968f3077703f76f64e2ed62a640a4119a7e2ceb",
+    ("coarse", "max-plus"):
+        "50b1d673461cc2115f700074ea6f52fa5575535dcf5f8da339f0e111c83f6a09",
+    # a Kronecker-built B of 20 entries: its rows rB take the five columns
+    # that `_mm` reads, not its factors' four
+    ("coarse", "dimension"):
+        "49533bd96d4c375478bc2d9568bac466e0ce334a59ddceba7967b9ce0eb7441c",
 }
 
 
@@ -743,6 +785,28 @@ def test_action_read_reports_keep_their_digest(monkeypatch, grid, mutant):
     reports = [check_action_laws(values, 2), check_action_laws(values, 4)]
     digest = hashlib.sha256(repr([_fields(r) for r in reports]).encode()).hexdigest()
     assert digest == ACTION_READ_DIGESTS[grid, mutant]
+
+
+# Every row rB is read off one product of the A rows by the Bs' distinct
+# columns: one `_mm` per B made 26 and 676 calls.
+@pytest.mark.parametrize("size", [2, 4])
+def test_action_laws_take_every_rb_from_one_product(monkeypatch, size):
+    assert _kernel_calls(monkeypatch, check_action_laws, size, "_mm") == 1
+
+
+# The full reports of one `run_all` request per grid.  `standard` and `fine`
+# both have seven values, and the healthy reports count their cases by the
+# grid's size, so those two digests agree.
+RUN_ALL_DIGESTS = {
+    "coarse": "ed00f8002238a498fe176fcd5c4123da4448990e7bf99230db63787adaf50bdc",
+    "standard": "074f40ebc2a0bdc3bc832119c9ae95ab32c846844dc295fdc076b3191621fe51",
+    "fine": "074f40ebc2a0bdc3bc832119c9ae95ab32c846844dc295fdc076b3191621fe51",
+}
+
+
+def test_run_all_reports_keep_their_digest():
+    assert {grid: hashlib.sha256(repr([_fields(r) for r in run_all(grid)]).encode()).hexdigest()
+            for grid in RUN_ALL_DIGESTS} == RUN_ALL_DIGESTS
 
 
 def test_action_laws_intern_images_per_class_of_states(monkeypatch):
