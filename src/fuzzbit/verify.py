@@ -11,36 +11,27 @@ multiples of 1/L, so integer arithmetic is exact.  `stochastic-semigroup`
 multiplies the same numerators, and the ordinary product of two matrices
 over L is a matrix over L * L.
 
-Exhaustion caps follow the harness contract: size-2 enumerations are
-exhaustive; size-4 objects are built as Kronecker products of size-2 grid
-objects and law instances are sampled in lexicographic order, which every
-report states in its note.  Both sizes run the same code: an exhaustive
-check is the lexicographic walk with caps of at least its case count.
-`run_all` passes one read-only `_Grid` to every check, which builds the
-grid's scale and its size-2 and size-4 families once, on first read; a
-check interns what it derives in its own copy of a family's id table.
+Size-2 enumerations are exhaustive; size-4 objects are Kronecker products
+of size-2 grid objects, and their law instances are sampled in
+lexicographic order, which each report's note states.  Both sizes run the
+same code: an exhaustive check is the walk with caps of at least its case
+count.  `run_all` passes one read-only `_Grid` to every check, which builds
+the grid's scale and both families once, on first read; a check interns
+what it derives in its own copy of a family's id table.
 
 The gate and action checks work on columns and rows: column j of AB is A
 applied to column j of B, row i of AB is row i of A times B, and entry i of
-As is row i of A against s.  Each distinct column, row and state gets an id
-and a gate is the ids of its columns and rows.  The kernels take operands of
-any shape, so a table of images is one `_mm` call, on the vectors side by
-side or stacked, and a table of rows against states one `_mv` call per
-state; the action checks build images per class of states that each of its
-rows meets alike.  A Kronecker-built gate is read by its factors: column
-(j, l) of a (x) b has the id `col_table[x][y]` for x column j of a and y
-column l of b, so the closure walk names the gates with a column id in a set
-per base column x, and `tensor-laws` decides a mixed-product row (a, b, c)
-per column y of d.  The family's gate ids, and the ids a slot holds among
-its first c gates, are read off those tables when asked, and `action-laws`
-takes every row rB from one `_mm` of the rows r by the Bs' distinct columns.
-A law f_A(x ^ y) = f_A(x) ^ f_A(y) (distributivity by columns and by rows,
-linearity by states) is decided once per pair of ids in a slot and per
-distinct row or column of A (see `_meet_law`), its meets read off one scalar
-meet table (`_scalar_meets`), as are the column meets of the meet closure.
-Every case is still counted; a case, or mixed-product row, that meets a bad
-pair or id is rechecked with direct kernel calls, so the failures are those
-of a per-case loop, in order.
+As is row i of A against s.  Each distinct column, row and state gets an
+id, and a gate is the ids of its columns and rows, which a Kronecker-built
+gate reads off a table of its factors' ids.  A table of images is one `_mm`
+call on the vectors side by side or stacked, and a table of rows against
+states one `_mv` call per state.  A law f_A(x ^ y) = f_A(x) ^ f_A(y)
+(distributivity by columns and by rows, linearity by states) is decided
+once per pair of ids and per distinct row or column of A (see
+`_meet_law`), its meets read off one scalar meet table (`_scalar_meets`),
+as are the column meets of the meet closure.  Every case is still counted;
+a case, or mixed-product row, that meets a bad pair or id is rechecked with
+direct kernel calls, so the failures are those of a per-case loop, in order.
 """
 
 from __future__ import annotations
@@ -141,9 +132,7 @@ def _kron_m(a, b, na, nb, L):
 
 
 def _is_gate(m, n, L):
-    if m.count(L) == len(m):
-        return True
-    return all(min(m[j:n * n:n]) == 0 for j in range(n))
+    return m.count(L) == len(m) or all(min(m[j:n * n:n]) == 0 for j in range(n))
 
 
 def _is_state(v, L):
@@ -152,17 +141,13 @@ def _is_state(v, L):
 
 # --- interned column and row tables ---------------------------------------------
 #
-# The gate checks meet few distinct columns and rows many times over: 14 and 49
-# among the 170 gates of the standard size-2 grid, 170 and 834 among its 28,900
-# Kronecker-built size-4 gates.  Products and the action work column by column
-# and row by row (see the module docstring), so a table on those ids takes the
-# place of a kernel call per case.
+# The 170 gates of the standard size-2 grid have 14 distinct columns and 49
+# rows, and its 28,900 size-4 ones 170 and 834: a table on their ids takes
+# the place of a kernel call per case.
 
 def _intern(values, ids: dict) -> list[int]:
-    """The id of each value, adding unseen values to `ids` in order of first appearance.
-
-    Ids are dense, so `list(ids)[k]` is the value with id k.
-    """
+    """The id of each value, adding unseen values to `ids` in order of first
+    appearance: ids are dense, so `list(ids)[k]` is the value with id k."""
     return [ids.setdefault(v, len(ids)) for v in values]
 
 
@@ -204,23 +189,12 @@ def _bits(mask: int) -> list[int]:
     return list(itertools.compress(range(len(low_first)), map("1".__eq__, low_first)))
 
 
-class _Ids(list):
-    """Per gate (or state) in order, the ids of its vectors, one per slot."""
-
-    def held(self, cap: int) -> list[set]:
-        """Per slot, the ids that the first `cap` entries hold there: a scan."""
-        reached = self[:cap]
-        return [set(map(itemgetter(q), reached)) for q in range(len(self[0]))]
-
-
 class _FactorIds:
-    """`_Ids` of the gates p (x) q, read off a factor table when indexed.
-
-    `table[x][y]` is the id in `ids` of u (x) v for the vectors u and v with
-    ids x and y in `factor_ids`, and slot (s, t) of gate (p, q) holds
-    `table[x][y]` for x slot s of p and y slot t of q, `pairs` holding each
-    base gate's two slots.
-    """
+    """Per gate p (x) q in order, the ids of its vectors, one per slot, read
+    off a factor table when indexed (ints and slices).  `table[x][y]` is the
+    id in `ids` of u (x) v for the vectors with ids x and y in `factor_ids`,
+    and slot (s, t) of (p, q) holds it for x slot s of p and y slot t of q,
+    `pairs` holding each base gate's two slots."""
 
     def __init__(self, pairs: list, factor_ids: dict, ids: dict, L):
         values, self.pairs = list(factor_ids), pairs
@@ -235,15 +209,6 @@ class _FactorIds:
         (x0, x1), (y0, y1) = map(self.pairs.__getitem__, divmod(k, len(self.pairs)))
         return self.table[x0][y0], self.table[x0][y1], self.table[x1][y0], self.table[x1][y1]
 
-    def held(self, cap: int) -> list[set]:
-        """`_Ids.held` off the table: the ps the cap reaches with every q, then
-        the partial block, each slot's ids met once per distinct pair."""
-        full, part = divmod(min(cap, len(self)), len(self.pairs))
-        blocks = ((self.pairs[:full], self.pairs), (self.pairs[full:full + 1], self.pairs[:part]))
-        return [{self.table[x][y] for ps, qs in blocks
-                 for x in {p[s] for p in ps} for y in {q[t] for q in qs}}
-                for s in (0, 1) for t in (0, 1)]
-
 
 class _Gates(list):
     """n x n gates in order, with the ids in `col_ids` and `row_ids` of gate
@@ -251,12 +216,10 @@ class _Gates(list):
 
     def __init__(self, gates, n):
         super().__init__(gates)
-        self.col_ids: dict = {}
-        self.row_ids: dict = {}
-        self.columns = _Ids(tuple(_intern([g[j::n] for j in range(n)], self.col_ids))
-                            for g in gates)
-        self.rows = _Ids(tuple(_intern([g[i:i + n] for i in range(0, n * n, n)], self.row_ids))
-                         for g in gates)
+        self.col_ids, self.row_ids = {}, {}
+        self.columns = [tuple(_intern([g[j::n] for j in range(n)], self.col_ids)) for g in gates]
+        self.rows = [tuple(_intern([g[i:i + n] for i in range(0, n * n, n)], self.row_ids))
+                     for g in gates]
         self._holders = [sum(1 << k for k, ids in enumerate(self.columns) if c in ids)
                          for c in range(len(self.col_ids))]
 
@@ -267,29 +230,24 @@ class _Gates(list):
 
 class _KronGates:
     """The gates a (x) b for a, b in a size-2 `_Gates` base, in lexicographic
-    order, with the attributes and `holding` of `_Gates`.
-
-    Gate k is built by `_kron_m` when it is indexed.  Column (j, l) of a (x) b
-    is column j of a (x) column l of b, and row (i, k) is row i of a (x) row k
-    of b, so `columns` and `rows` are `_FactorIds` on Kronecker tables of the
-    base's columns and rows; `col_table[x][y]` is the id of x (x) y for the
-    base's column ids x and y.
-    """
+    order, each built by `_kron_m` when indexed, with the attributes and
+    `holding` of `_Gates`.  Column (j, l) of a (x) b is column j of a (x)
+    column l of b, and row (i, k) is row i of a (x) row k of b, so `columns`
+    and `rows` are `_FactorIds` of the base's columns and rows."""
 
     def __init__(self, base: _Gates, L):
         self.base, self.L = base, L
-        self.col_ids: dict = {}
-        self.row_ids: dict = {}
+        self.col_ids, self.row_ids = {}, {}
         self.columns = _FactorIds(base.columns, base.col_ids, self.col_ids, L)
         self.rows = _FactorIds(base.rows, base.row_ids, self.row_ids, L)
-        self.col_table = self.columns.table
 
     def holding(self, ids) -> int:
         """`_Gates.holding`, read off the factors: gate (p, q) has a column id in
-        `ids` when some column x of p and y of q have `col_table[x][y]` in it,
+        `ids` when some column x of p and y of q have `columns.table[x][y]` in it,
         so one base mask per x names the qs for every p."""
         base, n_b = self.base, len(self.base)
-        per_x = [base.holding([y for y, c in enumerate(row) if c in ids]) for row in self.col_table]
+        per_x = [base.holding([y for y, c in enumerate(row) if c in ids])
+                 for row in self.columns.table]
         return sum(functools.reduce(or_, map(per_x.__getitem__, xs)) << p * n_b
                    for p, xs in enumerate(base.columns))
 
@@ -532,65 +490,60 @@ def _meet_law(report: CheckReport, gates, n_b: int, cap: int, recheck, sides) ->
     in lexicographic order, B and C in range(`n_b`).
 
     Each side (slots, ids, parts, table) has `slots[k]` the ids in `ids` of
-    vectors, each in its slot, that stand for B or C = k, `slots.held(c)`
-    per slot the ids that the first c of them hold there, and `parts[i]` the
+    vectors, each in its slot, that stand for B or C = k, and `parts[i]` the
     ids of the parts of gate i that give the entries of f_A(x): entry q of
     f_A(x) is part q of A against x, and `table(ps, vectors)` is each vector
     against each part whose id is in `ps`.  The law holds on a triple when,
     for each side, it holds on the ids (x, y) of B and C in each slot, and
-    on a pair when it holds at each part of A.  So one table of the
-    distinct parts of the As the cap reaches decides each pair once, and a
-    pair is bad for A when it is bad at one of A's parts.  Only a triple
-    that meets a bad pair goes to `recheck(a, j, k)`, which decides it with
-    direct kernel calls, so failures keep their form and order.  A triple
-    counts once per side.
+    on a pair when it holds at each part of A.  Each id x that a B the cap
+    reaches holds is paired with every id y of `ids`, and one table of the
+    distinct parts of the As the cap reaches decides each pair once: a pair
+    is bad for A when it is bad at one of A's parts.  Only a triple that
+    meets a bad pair goes to `recheck(a, j, k)`, which decides it with direct
+    kernel calls, so failures keep their form and order; a bad pair that no
+    reached triple holds rechecks nothing.  A triple counts once per side.
 
     The meets x ^ y come from `_scalar_meets`, one `_wedge` per side.  Each
     vector's row of the table is interned as an entry id, so f_A(x ^ y) is
-    the id of the meet's row, and f_A(x) ^ f_A(y) the id of the meet of
-    the rows of x and y, which `_wedge` computes once per distinct pair of
-    entry ids.  A pair is compared as those two ids; only a bad one is
-    compared part by part.
+    the id of the meet's row, and f_A(x) ^ f_A(y) the id of the meet of the
+    rows of x and y, which `_wedge` computes once per distinct pair of entry
+    ids.  Only a pair whose two ids differ is compared part by part.
     """
     n_a = min(len(gates), -(-cap // (n_b * n_b)))
     n_bs = min(n_b, -(-cap // n_b))  # the Bs the cap reaches
     tables = []
     for slots, ids, parts, table in sides:
+        every = range(len(ids))
         meets_of = _scalar_meets(list(ids))
         ids = dict(ids)  # the meets join a copy, not the family's table
-        partners: dict = {}  # x -> the ids y that x meets in some slot
-        for xs, met in zip(slots.held(n_bs), slots.held(cap)):  # per slot, the Bs' ids and the Cs'
-            for x in xs:
-                partners[x] = partners[x] | met if x in partners else met
-        partners = {x: tuple(met) for x, met in partners.items()}
-        meets = {x: _intern(meets_of(x, ys), ids) for x, ys in partners.items()}
+        meets = {x: _intern(meets_of(x, every), ids)
+                 for x in dict.fromkeys(itertools.chain(*slots[:n_bs]))}
         # each vector against the parts `used`, as an id in `entry_ids`
-        used = list(dict.fromkeys(itertools.chain(*parts[:n_a])))
+        a_parts = parts[:n_a]
+        used = list(dict.fromkeys(itertools.chain(*a_parts)))
         entry_ids: dict = {}
         at = _intern(table(used, list(ids)), entry_ids)
-        entries = list(entry_ids)
-        wanted: dict = {}  # u -> v -> the entry id of entries[u] ^ entries[v]
+        vs, entries = at[:len(every)], list(entry_ids)
+        distinct = list(dict.fromkeys(vs))
+        wanted: dict = {}  # u -> per id y, the entry id of entries[u] ^ entries[at[y]]
         bad_at: dict = {}  # part id -> the pairs (x, y) bad at that part
-        for x, ys in partners.items():
-            vs = [at[y] for y in ys]
-            row = wanted.setdefault(at[x], {})
-            new = [v for v in dict.fromkeys(vs) if v not in row]
-            if new:
+        for x, met in meets.items():
+            if at[x] not in wanted:
                 own = entries[at[x]]
-                row.update(zip(new, _intern([_wedge(own, entries[v]) for v in new], entry_ids)))
-                entries = list(entry_ids)
-            wants = list(map(row.__getitem__, vs))
-            gots = [at[m] for m in meets[x]]
-            for y, want, got in itertools.compress(zip(ys, wants, gots), map(ne, wants, gots)):
+                row = dict(zip(distinct, _intern([_wedge(own, entries[v]) for v in distinct],
+                                                 entry_ids)))
+                wanted[at[x]], entries = list(map(row.__getitem__, vs)), list(entry_ids)
+            wants, gots = wanted[at[x]], [at[m] for m in met]
+            for y, want, got in itertools.compress(zip(every, wants, gots), map(ne, wants, gots)):
                 for p in itertools.compress(used, map(ne, entries[want], entries[got])):
                     bad_at.setdefault(p, set()).add((x, y))
-        tables.append((slots, parts, bad_at))
+        tables.append((slots, a_parts, bad_at))
     for i in range(n_a):
         count = min(n_b * n_b, cap - i * n_b * n_b)
         report.cases += len(sides) * count
         # per side, the pairs (x, y) with f_A(x ^ y) != f_A(x) ^ f_A(y)
-        bad = [set().union(*(bad_at.get(p, ()) for p in parts[i]))
-               for _, parts, bad_at in tables]
+        bad = [set().union(*(bad_at.get(p, ()) for p in a_parts[i]))
+               for _, a_parts, bad_at in tables]
         if any(bad):
             a = gates[i]
             for (j,), n_k in _lex_rows((n_b,), n_b, count):
@@ -633,11 +586,10 @@ def check_action_laws(grid, size: int = 2) -> CheckReport:
     sid = _intern(states, vids)
     # The state-closure and compatibility instances reach the gates in
     # `reach`, and as A of (AB)s only those in `range(n_a)`.  Entry i of
-    # (AB)s is (row i of A)B against s, so each row r of those A is taken
-    # times each B in `reach`: rb[bi] holds the ids of those rows rB.  Entry
-    # j of rB is r against column j of B, so one `_mm` of the rows by the
-    # distinct columns of the built Bs, each read as `_mm` reads it, gives
-    # every rB.
+    # (AB)s is (row i of A)B against s, and entry j of rB is r against column
+    # j of B, so one `_mm` of those As' rows r by the distinct columns of the
+    # built Bs in `reach`, each read as `_mm` reads it, gives every rB: rb[bi]
+    # holds their ids.
     reach, n_a = range(min(n_g, -(-cap // n_s))), min(n_g, -(-cap // (n_g * n_s)))
     g_rows = gates.rows[:len(reach)]
     row_ids, b_col_ids = dict(gates.row_ids), {}  # rB joins a copy, B's columns a new table
@@ -682,7 +634,7 @@ def check_action_laws(grid, size: int = 2) -> CheckReport:
                 else _mv(stacked, v, n, L) for v in vs]
 
     _meet_law(report, gates, n_s, cap, linearity,
-              ((_Ids((x,) for x in sid), vids, g_rows, against_rows),))
+              (([(x,) for x in sid], vids, g_rows, against_rows),))
 
     # (AB)s = A(Bs) entry by entry: entry i of A(Bs) is row i of A against Bs.
     # So each B decides every class at once for each row r of the A: rB
@@ -717,22 +669,13 @@ def check_tensor_laws(grid) -> CheckReport:
     report = CheckReport("tensor-laws", 0)
     (gates, states), (kron, products) = grid.size2, grid.size4
 
-    ket0, ket1 = (0, L), (L, 0)
-    expected = {(0, 0): (0, L, L, L), (0, 1): (L, 0, L, L),
-                (1, 0): (L, L, 0, L), (1, 1): (L, L, L, 0)}
-    for (b1, b2), want in expected.items():
-        report.cases += 1
-        got = _kron_v(ket1 if b1 else ket0, ket1 if b2 else ket0, L)
-        if got != want:
-            report.failures.append(("basis-ket", (b1, b2), got, want))
-    # generic basis enumeration: e_i (x) e_j = e_{2i+j}
-    basis = [tuple(0 if k == i else L for k in range(2)) for i in range(2)]
-    for i, j in itertools.product(range(2), repeat=2):
-        report.cases += 1
-        got = _kron_v(basis[i], basis[j], L)
-        want = tuple(0 if k == 2 * i + j else L for k in range(4))
-        if got != want:
-            report.failures.append(("basis-enumeration", i, j, got))
+    # e_i (x) e_j, the ket |i>|j>, is e_{2i+j}: reported as basis-ket and basis-enumeration
+    e2, e4 = ([tuple(0 if k == i else L for k in range(n)) for i in range(n)] for n in (2, 4))
+    kets = [(i, j, _kron_v(e2[i], e2[j], L), e4[2 * i + j])
+            for i, j in itertools.product(range(2), repeat=2)]
+    report.cases += 2 * len(kets)
+    report.failures += [("basis-ket", (i, j), got, want) for i, j, got, want in kets if got != want]
+    report.failures += [("basis-enumeration", i, j, got) for i, j, got, want in kets if got != want]
 
     n_s = len(states)  # u (x) v is products[i * n_s + j] for u, v = states[i], states[j]
     for (u, v), w in zip(itertools.product(states, repeat=2), products):
@@ -761,7 +704,7 @@ def check_tensor_laws(grid) -> CheckReport:
     quad_cap = 20000
     n_gates = len(gates)  # c (x) d is kron gate ci * n_gates + di
     col_ids = dict(kron.col_ids)  # the images and the columns of ac (x) by join a copy
-    targets, base_cols = list(col_ids), list(gates.col_ids)
+    targets, base_cols, table = list(col_ids), list(gates.col_ids), kron.columns.table
 
     @functools.cache
     def images(ai: int, bi: int) -> tuple[list, list]:
@@ -779,7 +722,7 @@ def check_tensor_laws(grid) -> CheckReport:
         (image, by), ac = images(ai, bi), _mm(gates[ai], gates[ci], 2, L)
         sides = list(zip(gates.columns[ci], (ac[0::2], ac[1::2])))
         bad = [y for y, v in enumerate(by)
-               if any(image[kron.col_table[x][y]] != kron_id(u, v) for x, u in sides)]
+               if any(image[table[x][y]] != kron_id(u, v) for x, u in sides)]
         if gates.holding(bad) & ((1 << count) - 1):
             a, b, c = gates[ai], gates[bi], gates[ci]
             ab = _kron_m(a, b, 2, 2, L)
@@ -900,18 +843,14 @@ def check_oracle_agreement(grid) -> CheckReport:
     def vector_agrees(ai: int, si: int) -> bool:
         av = _mv(gates[ai], states[si], 2, L)
         lib_av = mat_vec(matrices[ai], vectors[si])
-        if not agrees(av, lib_av):
-            return False
-        x = _kron_v(states[si], av, L)
-        lib_x = kron_vec(vectors[si], lib_av)
-        if not agrees(x, lib_x):
-            return False
-        padded = (_kron_m(ident, gates[ai], 2, 2, L), _kron_m(gates[ai], ident, 2, 2, L))
-        return all(agrees(_mv(op, x, 4, L), mat_vec_block(matrices[ai], base, lib_x))
-                   for base, op in enumerate(padded))
+        padded = (ident, gates[ai]), (gates[ai], ident)
+        return (agrees(av, lib_av)
+                and agrees(x := _kron_v(states[si], av, L), lib_x := kron_vec(vectors[si], lib_av))
+                and all(agrees(_mv(_kron_m(*op, 2, 2, L), x, 4, L),
+                               mat_vec_block(matrices[ai], base, lib_x))
+                        for base, op in enumerate(padded)))
 
-    triples = itertools.product(range(len(gates)), range(len(gates)),
-                                range(len(states)))
+    triples = itertools.product(range(len(gates)), range(len(gates)), range(len(states)))
     for ai, bi, si in itertools.islice(triples, ORACLE_TRIPLES):
         report.cases += 1
         if not (pair_agrees(ai, bi) and vector_agrees(ai, si)):
