@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import operator
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -295,7 +296,9 @@ def _tensor_laws(grid, size):
 # Each expected failure list, by kind and by its first and last tuple, is the
 # one a per-case loop over the law instances finds under the same mutant
 # (every instance at size 2, the sampled ones at size 4): the interned tables
-# must find the same failures, in the same order.
+# must find the same failures, in the same order.  `verify` reads them off
+# its tables; the per-case loop now lives only in the tests
+# (`_per_case_walk` compares whole size-2 lists).
 @pytest.mark.parametrize("check, size, name, mutant, cases, kinds, first, last", [
     (check_mv_gate_laws, 2, "_mm", _capped_max_plus_mm, 35881,
      {"left-dist": 6976, "right-dist": 2464, "closure": 446, "identity": 25,
@@ -473,23 +476,53 @@ def test_kron_gates_read_columns_and_rows_off_their_factors():
 def test_meet_outside_the_grid_is_a_failure(monkeypatch):
     # an entrywise max in place of the meet leaves the gate set: no KeyError,
     # a meet-closure failure, and each case that needs such a meet decided
-    # by direct products, as a per-case loop decides it
+    # as a per-case loop decides it
     monkeypatch.setattr(verify, "_wedge", _entrywise_max)
-    grid = verify._Grid(grid_values("coarse"))
-    report = check_mv_gate_laws(grid, 2)
+    values = grid_values("coarse")
+    report = check_mv_gate_laws(values, 2)
     assert report.cases == 35881
     assert Counter(failure[0] for failure in report.failures) == {
         "meet-closure": 332, "left-dist": 6976, "right-dist": 2464}
-    L, gates = grid.scale[0], grid.size2[0]
-    mm, meet = verify._mm, verify._wedge
-    per_case = []
+    assert [f for f in report.failures if f[0] != "meet-closure"] == _per_case_walk(values)[0]
+
+
+def _per_case_walk(values) -> tuple[list, list]:
+    """The distributivity failures, and the linearity then (AB)s = A(Bs)
+    failures, of every size-2 law instance on `values`, each case decided by
+    direct calls of the kernels `verify` holds when it runs, in order."""
+    grid = verify._Grid(values)
+    L, (gates, states) = grid.scale[0], grid.size2
+    mm, mv, meet = verify._mm, verify._mv, verify._wedge
+    dist, action = [], []
     for a, b, c in itertools.product(gates, repeat=3):
         bc = meet(b, c)
         if mm(a, bc, 2, L) != meet(mm(a, b, 2, L), mm(a, c, 2, L)):
-            per_case.append(("left-dist", a, b, c))
+            dist.append(("left-dist", a, b, c))
         if mm(bc, a, 2, L) != meet(mm(b, a, 2, L), mm(c, a, 2, L)):
-            per_case.append(("right-dist", a, b, c))
-    assert [f for f in report.failures if f[0] != "meet-closure"] == per_case
+            dist.append(("right-dist", a, b, c))
+    for a, s, t in itertools.product(gates, states, states):
+        if mv(a, meet(s, t), 2, L) != meet(mv(a, s, 2, L), mv(a, t, 2, L)):
+            action.append(("linearity", a, s, t))
+    for a, b, s in itertools.product(gates, gates, states):
+        if mv(mm(a, b, 2, L), s, 2, L) != mv(a, mv(b, s, 2, L), 2, L):
+            action.append(("compatibility", a, b, s))
+    return dist, action
+
+
+@pytest.mark.parametrize("name, mutant", [
+    ("_mm", _capped_max_plus_mm), ("_wedge", _entrywise_max), ("_mv", _max_reduced_mv),
+], ids=["max-plus", "max-meet", "max-reduced"])
+def test_tables_read_the_failures_of_a_per_case_walk(monkeypatch, name, mutant):
+    # the full lists of the laws whose failures are read off the tables, against
+    # the per-case loop `verify` no longer runs
+    monkeypatch.setattr(verify, name, mutant)
+    values = grid_values("coarse")
+    dist, action = _per_case_walk(values)
+    assert dist or action
+    laws = ("left-dist", "right-dist", "linearity", "compatibility")
+    for report, want in ((check_mv_gate_laws(values, 2), dist),
+                         (check_action_laws(values, 2), action)):
+        assert [f for f in report.failures if f[0] in laws] == want
 
 
 def test_meet_closure_failures_are_the_per_pair_list(monkeypatch):
@@ -723,6 +756,17 @@ def test_factor_read_reports_keep_their_digest(monkeypatch, grid, mutant):
                check_tensor_laws(values)]
     digest = hashlib.sha256(repr([_fields(r) for r in reports]).encode()).hexdigest()
     assert digest == FACTOR_READ_DIGESTS[grid, mutant]
+    _assert_failures_are_read_alike(monkeypatch, reports)
+
+
+def _assert_failures_are_read_alike(monkeypatch, reports):
+    """Each report's count is the number of failures it lists, and, the
+    kernels restored, it lists the same failures again: reading them runs
+    no kernel."""
+    listed = [list(r.failures) for r in reports]
+    assert [len(r.failures) for r in reports] == list(map(len, listed))
+    monkeypatch.undo()
+    assert [list(r.failures) for r in reports] == listed
 
 
 # `action-laws` reads states by class, those that each row it reaches meets
@@ -782,6 +826,7 @@ def test_action_read_reports_keep_their_digest(monkeypatch, grid, mutant):
     reports = [check_action_laws(values, 2), check_action_laws(values, 4)]
     digest = hashlib.sha256(repr([_fields(r) for r in reports]).encode()).hexdigest()
     assert digest == ACTION_READ_DIGESTS[grid, mutant]
+    _assert_failures_are_read_alike(monkeypatch, reports)
 
 
 # Every row rB is read off one product of the A rows by the Bs' distinct
@@ -826,6 +871,36 @@ def test_run_all_reports_under_a_mutant_tell_the_grids_apart(monkeypatch):
     digests = {grid: _run_all_digest(grid) for grid in STATE_CLOSURE_RUN_ALL_DIGESTS}
     assert digests == STATE_CLOSURE_RUN_ALL_DIGESTS
     assert digests["standard"] != digests["fine"]
+
+
+# `verify --grid coarse` under the max meet: the count of each line.
+MAX_MEET_COARSE_FAILURES = {"mv-gate-laws-2": 9772, "mv-gate-laws-4": 14165,
+                            "action-laws-2": 164, "action-laws-4": 23148}
+
+
+def _verify_coarse(capsys) -> tuple[int, list, int]:
+    """`verify --grid coarse` through `main`: its exit code, its output lines
+    and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--grid", "coarse"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, capsys.readouterr().out.splitlines(), peak
+
+
+def test_a_request_that_counts_builds_no_failure_tuple(monkeypatch, capsys, coarse_reports):
+    # it prints one count per report: under the max meet its peak stays within
+    # twice a healthy request's; holding each failure tuple took about nine times
+    healthy_code, healthy_lines, healthy_peak = _verify_coarse(capsys)
+    monkeypatch.setattr(verify, "_wedge", _entrywise_max)
+    code, lines, peak = _verify_coarse(capsys)
+    assert (healthy_code, code) == (0, 1)
+    assert lines == [f"{name} cases {r.cases} failures {MAX_MEET_COARSE_FAILURES.get(name, 0)}"
+                     for name, r in coarse_reports.items()]
+    assert healthy_lines == [line.rsplit(" ", 1)[0] + " 0" for line in lines]
+    assert peak < 2 * healthy_peak
 
 
 def test_action_laws_intern_images_per_class_of_states(monkeypatch):

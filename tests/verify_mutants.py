@@ -1,7 +1,8 @@
 """The `standard` mutant sweep of `verify`: one sha256 per mutant, against a pinned table.
 
 Run from the repository root as `PYTHONPATH=src python tests/verify_mutants.py`
-(pytest does not collect it: it takes about two minutes).  Healthy and under
+(pytest does not collect it: it takes about a minute, 52 s on a shared
+2-vCPU host with Python 3.11, half of it `max-plus`).  Healthy and under
 each mutant of the kernels and predicates that tier 1 patches in
 `tests/test_verify.py` (`_mm`, `_mv`, `_wedge`, `_kron_v`, `_is_state` and
 `_is_gate`), it runs `mv-gate-laws-2` and `-4`, `action-laws-2` and `-4`,
