@@ -25,7 +25,8 @@ As is row i of A against s.  Each distinct column, row and state gets an
 id, and a gate is the ids of its columns and rows, which a Kronecker-built
 gate reads off a table of its factors' ids.  A table of images is one `_mm`
 call on the vectors side by side or stacked, and a table of rows against
-states one `_mv` call per state.  A law f_A(x ^ y) = f_A(x) ^ f_A(y)
+states one `_mv` call per state, which reduces the stacked rows a whole
+column at a time.  A law f_A(x ^ y) = f_A(x) ^ f_A(y)
 (distributivity by columns and by rows, linearity by states) is decided
 once per pair of ids and per distinct row or column of A (see
 `_meet_law`), its meets read off one scalar meet table (`_scalar_meets`),
@@ -38,16 +39,18 @@ or row of a Kronecker-built gate is the product of its factors' columns
 or rows, and `_wedge` is entrywise.  A case then fails exactly when one of
 its ids, or pairs of ids, does.  Every case is counted, and each failure
 of distributivity, linearity, (AB)s = A(Bs) and the meet closure is read
-off the tables: a report keeps a count, and builds the failure tuples a
-per-case loop finds, in its order, from ids each time they are read, so a
-request that only counts builds none.  Direct kernel calls still decide
-what the tables mark where a verdict reads whole gates: identity, zero and
-product closure (`_mm` of whole gates, `_is_gate`), and the mixed product,
-whose `_kron_m` a `_kron_v` that swaps its factors lays out otherwise than
-the column table.  A Kronecker family whose gates are not n x n (a
-`_kron_v` that adds an entry) breaks the assumption: each distributivity
-failure its tables read is confirmed by direct products, and each case of
-a pair (A, B) that (AB)s = A(Bs) marks is decided by direct calls.
+off the tables, as are identity and zero, per law from the columns and
+rows it does not fix or absorb: a report keeps a count, and builds the
+failure tuples a per-case loop finds, in its order, from ids each time
+they are read, so a request that only counts builds none.  Direct kernel
+calls still decide what the tables mark where a verdict reads whole
+gates: product closure (`_is_gate` of the `_mm` of whole gates, of which
+it keeps ids), and the mixed product, whose `_kron_m` a `_kron_v` that
+swaps its factors lays out otherwise than the column table.  A Kronecker
+family whose gates are not n x n (a `_kron_v` that adds an entry) breaks
+the assumption: each gate the identity and zero tables mark and each
+distributivity failure its tables read are decided by direct products,
+and each case of a pair (A, B) that (AB)s = A(Bs) marks by direct calls.
 """
 
 from __future__ import annotations
@@ -159,12 +162,15 @@ def _mm(a, b, n, L):
 
 
 def _mv(a, v, n, L):
-    """Each n-entry row of an m x n `a` against `v`, capped at L."""
-    out = []
-    for i in range(0, len(a), n):
-        r = min(map(_int_add, a[i:i + n], v))
-        out.append(r if r < L else L)
-    return tuple(out)
+    """Each n-entry row of an m x n `a` against `v`, capped at L: column k of
+    the rows shifted by v[k], the columns and L reduced entrywise by `min`."""
+    m, ragged = divmod(len(a), n)
+    columns = [[x + s for x in a[k:m * n:n]] for k, s in zip(range(n), v)]
+    out = tuple(map(min, *columns, itertools.repeat(L, m)))
+    if ragged:  # a last row shorter than n
+        r = min(map(_int_add, a[m * n:], v))
+        out += (r if r < L else L,)
+    return out
 
 
 def _wedge(a, b):
@@ -313,6 +319,9 @@ class _KronGates:
         return len(self.base) ** 2
 
     def __getitem__(self, k: int) -> tuple:
+        """Gate k, a (x) b for a, b = base[k // len(base)], base[k % len(base)],
+        as `_kron_m(a, b, 2, 2, L)` builds it: what the walks, the mixed
+        product, tensor-laws' gate closure and the oracle read of a (x) b."""
         return tuple(itertools.chain(*map(self.row_values.__getitem__, self.rows[k])))
 
 
@@ -445,48 +454,66 @@ def check_mv_gate_laws(grid, size: int = 2) -> CheckReport:
     if jj != ident:
         found["involution"].append(("involution", jmat, jj))
 
-    # ident and zero fix or absorb a gate exactly when they fix or absorb
-    # each of its columns (on the left) and each of its rows (on the right);
-    # only a gate with a column or row that they do not is rechecked
+    # ident fixes, and zero absorbs, a gate exactly when it fixes, or absorbs,
+    # each of its columns on the left and each of its rows on the right:
+    # per law, the ids of the columns and of the rows where it does not
     cols, rows = list(gates.col_ids), list(gates.row_ids)
-    bad_cols = {c for c, (v, iv, zv) in enumerate(zip(
-        cols, _left_images(ident, cols, n, L), _left_images(zero, cols, n, L)))
-        if iv != v or zv != line}
-    bad_rows = {r for r, (v, iv, zv) in enumerate(zip(
-        rows, _right_images(ident, rows, n, L), _right_images(zero, rows, n, L)))
-        if iv != v or zv != line}
+    misses = [(law, {c for c, (v, w) in enumerate(zip(cols, _left_images(m, cols, n, L)))
+                     if w != want(v)},
+               {r for r, (v, w) in enumerate(zip(rows, _right_images(m, rows, n, L)))
+                if w != want(v)})
+              for law, m, want in (("identity", ident, lambda v: v),
+                                   ("zero-absorbs", zero, lambda v: line))]
     report.cases += 2 * n_g
-    if bad_cols or bad_rows:
-        for k in range(n_g):
-            if not (bad_cols.isdisjoint(gates.columns[k])
-                    and bad_rows.isdisjoint(gates.rows[k])):
-                g = gates[k]
-                if _mm(ident, g, n, L) != g or _mm(g, ident, n, L) != g:
-                    found["identity"].append(("identity", g))
-                if _mm(zero, g, n, L) != zero or _mm(g, zero, n, L) != zero:
-                    found["identity"].append(("zero-absorbs", g))
+
+    def unfixed():  # (law, k) per law that misses a column or row of gate k
+        for k in range(n_g) if any(c or r for _, c, r in misses) else ():
+            cs, rs = gates.columns[k], gates.rows[k]
+            yield from ((law, k) for law, c, r in misses
+                        if not (c.isdisjoint(cs) and r.isdisjoint(rs)))
+    if len(gates[0]) != n * n:  # a misbuilt family (see the module docstring)
+        def fails(law, g) -> bool:  # by direct products
+            m, want = (ident, g) if law == "identity" else (zero, zero)
+            return _mm(m, g, n, L) != want or _mm(g, m, n, L) != want
+        unfixed = [(law, k) for k in dict.fromkeys(k for _, k in unfixed())
+                   for law in ("identity", "zero-absorbs") if fails(law, gates[k])].__iter__
+    found["identity"] = _read_off(unfixed, lambda law, k: (law, gates[k]))
 
     # AB is a gate when A maps each of B's columns to a column of minimum 0,
-    # or each to the all-L column: only a B holding a column of `not_gate` and
-    # one of `not_zero` is rechecked
+    # or each to the all-L column: only a B holding a column of `not_gate`
+    # and one of `not_zero` is a candidate, and `_is_gate` decides AB.  Per
+    # A, `open_at` keeps the Bs with AB not a gate, as a bit mask, and the
+    # ids of those ABs in `products`, in order.
+    products: dict = {}
+    open_at = []
     for (i,), count in _lex_rows((n_g,), n_g, pair_cap):
         a = gates[i]
         images = _left_images(a, cols, n, L)
         not_gate = {c for c, v in enumerate(images) if min(v) != 0}
         not_zero = {c for c, v in enumerate(images) if v != line}
         report.cases += count
+        mask, held = 0, []
         for j in _bits(gates.holding(not_gate) & gates.holding(not_zero) & ((1 << count) - 1)):
-            b = gates[j]
-            p = _mm(a, b, n, L)
+            p = _mm(a, gates[j], n, L)
             if not _is_gate(p, n, L):
-                found["closure"].append(("closure", a, b, p))
+                mask |= 1 << j
+                held += _intern([p], products)
+        if mask:
+            open_at.append((i, mask, held))
+
+    def closure():
+        ps = list(products)
+        for i, mask, ids in open_at:
+            a = gates[i]
+            yield from (("closure", a, gates[j], ps[p]) for j, p in zip(_bits(mask), ids))
+    found["closure"] = _lazy(sum(len(ids) for *_, ids in open_at), closure)
 
     # column q of B ^ C is column q of B met with column q of C, so B ^ C is a
     # gate when the ids of those meets are some gate's column ids: one table
     # of the meets of the distinct columns decides every pair, and gives B ^ C
     if "meet-closure" in found:  # counts no cases
-        every, meets_of = range(len(cols)), _scalar_meets(cols)
-        met = [list(meets_of(x, every)) for x in every]  # met[x][y]: columns x ^ y
+        meets_of = _scalar_meets(cols)
+        met = [list(meets_of(x)) for x in range(len(cols))]  # met[x][y]: columns x ^ y
         meet = [[gates.col_ids.get(m) for m in row] for row in met]
         members, slots = set(gates.columns), list(zip(*gates.columns))
 
@@ -523,8 +550,8 @@ def check_mv_gate_laws(grid, size: int = 2) -> CheckReport:
 
 
 def _scalar_meets(vectors: list):
-    """`meets(x, ys)`: vector x met with each vector of `ys`, x and `ys` given
-    as indices into `vectors`, in order.
+    """`meets(x)`: vector x, given as its index into `vectors`, met with each
+    vector of `vectors`, in order.
 
     One `_wedge` of every pair of the values that occur in `vectors` gives a
     scalar meet table, and each meet is read off it column by column.  It is
@@ -537,9 +564,9 @@ def _scalar_meets(vectors: list):
     flat = _wedge(tuple(u for u in values for _ in values), tuple(values) * m)
     scalar = {u: dict(zip(values, flat[i * m:i * m + m])).__getitem__
               for i, u in enumerate(values)}
+    columns = list(zip(*vectors))  # entry q of every vector
 
-    def meets(x, ys):
-        columns = zip(*map(vectors.__getitem__, ys))
+    def meets(x):
         return zip(*(map(scalar[u], column) for u, column in zip(vectors[x], columns)))
     return meets
 
@@ -579,7 +606,7 @@ def _meet_law(report: CheckReport, gates, items, cap: int, sides) -> _Failures:
         every = range(len(ids))
         meets_of = _scalar_meets(list(ids))
         ids = dict(ids)  # the meets join a copy, not the family's table
-        meets = {x: _intern(meets_of(x, every), ids)
+        meets = {x: _intern(meets_of(x), ids)
                  for x in dict.fromkeys(itertools.chain(*slots[:n_bs]))}
         # each vector against the parts `used`, as an id in `entry_ids`
         a_parts = parts[:n_a]
@@ -799,8 +826,7 @@ def check_tensor_laws(grid) -> CheckReport:
     @functools.cache
     def images(ai: int, bi: int) -> tuple[list, list]:
         """The id of each target's image under a (x) b, and b applied to each base column."""
-        ab = _kron_m(gates[ai], gates[bi], 2, 2, L)
-        return (_intern(_left_images(ab, targets, 4, L), col_ids),
+        return (_intern(_left_images(kron[ai * n_gates + bi], targets, 4, L), col_ids),
                 _left_images(gates[bi], base_cols, 2, L))
 
     @functools.cache
@@ -815,17 +841,16 @@ def check_tensor_laws(grid) -> CheckReport:
         bad = [y for y, v in enumerate(by)
                if any(image[table[x][y]] != kron_id(u, v) for x, u in sides)]
         if gates.holding(bad) & ((1 << count) - 1):
-            a, b, c = gates[ai], gates[bi], gates[ci]
-            ab = _kron_m(a, b, 2, 2, L)
+            b, ab = gates[bi], kron[ai * n_gates + bi]
             mixed.append((ai, bi, ci, [di for di, d in enumerate(gates[:count])
-                                       if _mm(ab, _kron_m(c, d, 2, 2, L), 4, L)
-                                       != _kron_m(_mm(a, c, 2, L), _mm(b, d, 2, L), 2, 2, L)]))
+                                       if _mm(ab, kron[ci * n_gates + di], 4, L)
+                                       != _kron_m(ac, _mm(b, d, 2, L), 2, 2, L)]))
     closure = []
     for i, a in enumerate(gates):
-        for b in gates[i:i + 8]:  # gate Kronecker closure, strided sample
+        for j in range(i, min(i + 8, n_gates)):  # gate Kronecker closure, strided sample
             report.cases += 1
-            if not _is_gate(_kron_m(a, b, 2, 2, L), 4, L):
-                closure.append(("gate-closure", a, b))
+            if not _is_gate(kron[i * n_gates + j], 4, L):
+                closure.append(("gate-closure", a, gates[j]))
     report.failures = _joined(report.failures, _read_off(
         lambda: ((*row, d) for *row, ds in mixed for d in ds),
         lambda *quad: ("mixed-product", *map(gates.__getitem__, quad))), closure)
@@ -914,7 +939,7 @@ def check_oracle_agreement(grid) -> CheckReport:
     L, _ = grid.scale
     report = CheckReport("oracle-agreement", 0,
                          note=f"first {ORACLE_TRIPLES} (A, B, v) triples in lexicographic order")
-    gates, states = grid.size2
+    (gates, states), kron = grid.size2, grid.size4[0]
     ident = (0, L, L, 0)
 
     matrices = [SMatrix(FUZZ_MV, ([UnitScalar(x, L) for x in g[:2]],
@@ -928,12 +953,6 @@ def check_oracle_agreement(grid) -> CheckReport:
             o * value.scale == x * L for o, x in zip(oracle, held))
 
     @functools.cache
-    def pair_agrees(ai: int, bi: int) -> bool:
-        a, b = matrices[ai], matrices[bi]
-        return (agrees(_mm(gates[ai], gates[bi], 2, L), mat_mul(a, b))
-                and agrees(_kron_m(gates[ai], gates[bi], 2, 2, L), kron_mat(a, b)))
-
-    @functools.cache
     def vector_agrees(ai: int, si: int) -> bool:
         av = _mv(gates[ai], states[si], 2, L)
         lib_av = mat_vec(matrices[ai], vectors[si])
@@ -944,11 +963,14 @@ def check_oracle_agreement(grid) -> CheckReport:
                                mat_vec_block(matrices[ai], base, lib_x))
                         for base, op in enumerate(padded)))
 
-    triples = itertools.product(range(len(gates)), range(len(gates)), range(len(states)))
-    for ai, bi, si in itertools.islice(triples, ORACLE_TRIPLES):
-        report.cases += 1
-        if not (pair_agrees(ai, bi) and vector_agrees(ai, si)):
-            report.failures.append(("agreement", gates[ai], gates[bi], states[si]))
+    n_g = len(gates)  # a (x) b is kron gate ai * n_g + bi
+    for (ai, bi), count in _lex_rows((n_g, n_g), len(states), ORACLE_TRIPLES):
+        report.cases += count
+        a, b = matrices[ai], matrices[bi]
+        pair = (agrees(_mm(gates[ai], gates[bi], 2, L), mat_mul(a, b))
+                and agrees(kron[ai * n_g + bi], kron_mat(a, b)))
+        report.failures += [("agreement", gates[ai], gates[bi], states[si]) for si in range(count)
+                            if not (pair and vector_agrees(ai, si))]
     report.elapsed = time.perf_counter() - t0
     return report
 

@@ -409,9 +409,8 @@ def test_scalar_meet_table_gives_each_whole_vector_meet(grid):
     families = [list(gates.col_ids), list(gates.row_ids), list(dict.fromkeys(grid.size4[1]))]
     for vectors in families:
         meets = verify._scalar_meets(vectors)
-        every = range(len(vectors))
-        for x in every:
-            assert list(meets(x, every)) == [verify._wedge(vectors[x], y) for y in vectors]
+        for x in range(len(vectors)):
+            assert list(meets(x)) == [verify._wedge(vectors[x], y) for y in vectors]
 
 
 @pytest.mark.parametrize("m, n, p", [(1, 3, 2), (3, 2, 1), (2, 3, 4), (4, 2, 3), (1, 4, 1)])
@@ -426,6 +425,36 @@ def test_scaled_kernels_take_any_shape(m, n, p, L):
         mv = [min(min(a[i * n + k] + v[k] for k in range(n)), L) for i in range(m)]
         assert verify._mm(tuple(a), tuple(b), n, L) == tuple(mm)
         assert verify._mv(tuple(a), tuple(v), n, L) == tuple(mv)
+
+
+def _entrywise_mv(a, v, n, L):
+    """Each n-entry row of `a`, the last one possibly shorter, against `v`,
+    entry by entry: the least row[k] + v[k] over the k both reach, capped at L."""
+    out = []
+    for i in range(0, len(a), n):
+        row = a[i:i + n]
+        best = row[0] + v[0]
+        for k in range(1, min(len(row), len(v))):
+            best = min(best, row[k] + v[k])
+        out.append(min(best, L))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("m", [1, 2, 49, 143])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_mv_reduces_columns_as_an_entrywise_loop(m, n):
+    # `_mv` reduces whole columns: against a loop over rows and entries, on
+    # m full rows and a shorter last one (as a gate of 20 entries read as
+    # rows of 4 leaves), vectors of fewer, n and more entries, and entries
+    # past L, as an uncapped product leaves them
+    assert verify._mv((1, 2, 3), (0,), 1, 12) == (1, 2, 3)
+    rng = random.Random(10 * m + n)
+    for L in (1, 2, 12):
+        for ragged in range(n):  # the entries of a shorter last row, if any
+            a = tuple(rng.randint(0, 2 * L) for _ in range(m * n + ragged))
+            for size in sorted({1, n - 1, n, n + 2} - {0}):
+                v = tuple(rng.randint(0, 2 * L) for _ in range(size))
+                assert verify._mv(a, v, n, L) == _entrywise_mv(a, v, n, L)
 
 
 def test_image_tables_are_one_kernel_call_per_vector_loop():

@@ -1,14 +1,15 @@
 """The `standard` mutant sweep of `verify`: one sha256 per mutant, against a pinned table.
 
 Run from the repository root as `PYTHONPATH=src python tests/verify_mutants.py`
-(pytest does not collect it: it takes about a minute, 52 s on a shared
-2-vCPU host with Python 3.11, half of it `max-plus`).  Healthy and under
-each mutant of the kernels and predicates that tier 1 patches in
-`tests/test_verify.py` (`_mm`, `_mv`, `_wedge`, `_kron_v`, `_is_state` and
-`_is_gate`), it runs `mv-gate-laws-2` and `-4`, `action-laws-2` and `-4`,
-`tensor-laws` and `oracle-agreement` on one `standard` grid, prints the sha256
-of their full reports (name, cases, failures, note) and exits 1 if one differs
-from `DIGESTS`.
+(pytest does not collect it: it takes about a minute, 49 s on a shared
+2-vCPU host with Python 3.11, most of it `max-plus` and `max-meet`).
+Healthy and under each mutant of the kernels and predicates that tier 1
+patches in `tests/test_verify.py` (`_mm`, `_mv`, `_wedge`, `_kron_v`,
+`_is_state` and `_is_gate`), it runs `mv-gate-laws-2` and `-4`,
+`action-laws-2` and `-4`, `tensor-laws` and `oracle-agreement` on one
+`standard` grid, prints the sha256 of their full reports (name, cases,
+failures, note) with the time each took, then the total time, and exits 1
+if one differs from `DIGESTS`.
 """
 
 import hashlib
@@ -69,7 +70,7 @@ def digest(mutant: str) -> str:
 
 
 def main() -> int:
-    changed = []
+    changed, start = [], time.perf_counter()
     for mutant in MUTANTS:
         t0 = time.perf_counter()
         got = digest(mutant)
@@ -77,6 +78,7 @@ def main() -> int:
         print(f"{mutant:15} {got} {verdict} {time.perf_counter() - t0:.1f}s", flush=True)
         if verdict != "ok":
             changed.append(mutant)
+    print(f"{'total':15} {time.perf_counter() - start:.1f}s")
     if changed:
         print(f"digests changed: {', '.join(changed)}")
     return 1 if changed else 0
