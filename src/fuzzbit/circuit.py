@@ -99,6 +99,7 @@ __all__ = [
     "parse_circuit",
     "serialize_circuit",
     "validate",
+    "read_utf8",
     "lift_gate",
     "composed_operator",
     "simulate",
@@ -330,11 +331,26 @@ def serialize_circuit(program: CircuitProgram) -> str:
 
 # --- validation ---------------------------------------------------------------
 
+def read_utf8(path: str | Path) -> str:
+    """The UTF-8 text of the file at `path`, its CRLF and lone CR line ends
+    read as LF: what pathlib's UTF-8 text read returns.  The file is decoded
+    whole, so a UnicodeDecodeError's `start` is its byte offset in the file.
+    The path is opened as given and, only where that fails, as pathlib
+    normalizes it (`a.mat/` as `a.mat`, `""` as `.`), so an error names the
+    file as pathlib does."""
+    try:
+        file = open(path, "rb")
+    except OSError:
+        file = open(Path(path), "rb")
+    with file:
+        text = file.read().decode("utf-8")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _resolve_gate(program: CircuitProgram, step: GateStep, base_dir: Path) -> GateDescriptor:
     if step.gate.startswith("@"):
-        path = base_dir / step.gate[1:]
         try:
-            matrix = parse_matrix_text(path.read_text(encoding="utf-8"))
+            matrix = parse_matrix_text(read_utf8(base_dir / step.gate[1:]))
         except OSError as exc:
             raise ValidationError(f"cannot read gate file {step.gate[1:]!r}: {exc}",
                                   step.line) from None

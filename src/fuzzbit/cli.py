@@ -20,6 +20,7 @@ from .circuit import (
     MAX_DENSE_WIRES,
     SimulationTrace,
     parse_circuit,
+    read_utf8,
     reversible_circuit_text,
     serialize_circuit,
     simulate,
@@ -56,20 +57,16 @@ __all__ = ["main", "entry"]
 MAX_SYNTH_INPUTS = 8
 
 
-def _read_text(path: str) -> tuple[str, Path]:
-    """File contents plus the directory used to resolve @file gate references."""
+def _read_input(path: str) -> str:
+    """The text of the file at `path`, or of standard input for `-`."""
     try:
-        if path == "-":
-            return sys.stdin.read(), Path(".")
-        p = Path(path)
-        return p.read_text(encoding="utf-8"), p.parent
+        return sys.stdin.read() if path == "-" else read_utf8(path)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
 def _read_matrix(path: str) -> SMatrix:
-    text, _ = _read_text(path)
-    return parse_matrix_text(text)
+    return parse_matrix_text(_read_input(path))
 
 
 def _read_operand(path: str) -> SMatrix | SVector:
@@ -164,14 +161,13 @@ def _print_trace(program, trace: SimulationTrace, lines: list[str]) -> None:
 
 
 def cmd_simulate(args, force_measure: bool = False) -> int:
-    text, base = _read_text(args.circuit)
-    program = parse_circuit(text)
+    program = parse_circuit(_read_input(args.circuit))
     if MODELS[program.model].measure is None:
         if args.seed is not None:
             raise ValidationError("--seed applies to quantum circuits only")
         if force_measure:
             raise ValidationError("sample requires a quantum circuit")
-    vc = validate(program, base_dir=base)
+    vc = validate(program, base_dir=Path(args.circuit).parent)  # `-` resolves from "."
     seed = args.seed
     if seed is None and force_measure:
         seed = program.measure_seed or 0  # the program's seed, else 0
@@ -190,8 +186,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    text, _ = _read_text(args.table)
-    tokens = text.split()
+    tokens = _read_input(args.table).split()
     if not tokens or any(t not in ("0", "1") for t in tokens):
         raise ParseError("truth table file must contain only 0/1 entries")
     size = len(tokens)

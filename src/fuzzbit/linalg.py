@@ -326,13 +326,10 @@ def parse_matrix_text(text: str) -> SMatrix:
         tokens = line.split()
         if len(tokens) != cols:
             raise ParseError(f"expected {cols} entries, found {len(tokens)}", line=line_no)
-        row = []
-        for tok in tokens:
-            try:
-                row.append(s.parse(tok))
-            except ParseError as exc:
-                raise ParseError(str(exc), line=line_no) from None
-        grid.append(row)
+        try:
+            grid.append(list(map(s.parse, tokens)))
+        except ParseError as exc:
+            raise ParseError(str(exc), line=line_no) from None
     return literal_matrix(s, grid)
 
 

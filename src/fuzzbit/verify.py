@@ -381,44 +381,57 @@ def check_semiring_axioms(instance: SemiringInstance, grid) -> CheckReport:
         scale = math.lcm(*(d for _, d in pairs))
         return tuple(n * (scale // d) for n, d in pairs), scale
 
-    @functools.cache  # each operation once per operand pair
-    def act(row: tuple, vector: tuple):
-        numerators, scale = over(row)
-        v = mat_vec(SMatrix.over(instance, (numerators,), scale),
-                    SVector.over(instance, *over(vector)))
-        return carried(v.numerators[0], v.scale)
+    def act(row: tuple, vector: tuple):  # None outside the carrier
+        try:
+            numerators, scale = over(row)
+            v = mat_vec(SMatrix.over(instance, (numerators,), scale),
+                        SVector.over(instance, *over(vector)))
+            return carried(v.numerators[0], v.scale)
+        except ValueError:
+            return None
 
     zero, one = (carried(x.numerator, x.denominator) for x in (instance.zero, instance.one))
     held = [(g, carried(g.numerator, g.denominator)) for g in grid]
 
+    # each operation once per operand pair; None of a None operand, so a
+    # result outside the carrier fails every law that reaches it
+    @functools.cache
     def mul(x, y):
-        return act((x,), (y,))
+        return None if x is None or y is None else act((x,), (y,))
 
+    @functools.cache
     def add(x, y):
-        return act((x, y), (one, one))
+        return None if x is None or y is None else act((x, y), (one, one))
 
-    def law(name, holds, ops):
-        report.cases += 1
-        try:
-            ok = holds()
-        except ValueError:  # a result outside the carrier
-            ok = False
-        if not ok:
-            report.failures.append((name,) + ops)
+    def same(left, right) -> bool:
+        return left is not None and left == right
 
     # the grid values a, b, c are the pairs x, y, z
+    fail = report.failures.append
     for a, x in held:
-        law("add-zero", lambda: add(zero, x) == x and add(x, zero) == x, (a,))
-        law("mul-one", lambda: mul(one, x) == x and mul(x, one) == x, (a,))
-        law("mul-zero-absorbs", lambda: mul(zero, x) == zero and mul(x, zero) == zero, (a,))
-        law("add-idempotent", lambda: add(x, x) == x, (a,))
+        if not (add(zero, x) == x and add(x, zero) == x):
+            fail(("add-zero", a))
+        if not (mul(one, x) == x and mul(x, one) == x):
+            fail(("mul-one", a))
+        if not (mul(zero, x) == zero and mul(x, zero) == zero):
+            fail(("mul-zero-absorbs", a))
+        if add(x, x) != x:
+            fail(("add-idempotent", a))
     for (a, x), (b, y) in itertools.product(held, repeat=2):
-        law("add-commutes", lambda: add(x, y) == add(y, x), (a, b))
+        if not same(add(x, y), add(y, x)):
+            fail(("add-commutes", a, b))
     for (a, x), (b, y), (c, z) in itertools.product(held, repeat=3):
-        law("add-assoc", lambda: add(add(x, y), z) == add(x, add(y, z)), (a, b, c))
-        law("mul-assoc", lambda: mul(mul(x, y), z) == mul(x, mul(y, z)), (a, b, c))
-        law("left-dist", lambda: mul(x, add(y, z)) == add(mul(x, y), mul(x, z)), (a, b, c))
-        law("right-dist", lambda: mul(add(x, y), z) == add(mul(x, z), mul(y, z)), (a, b, c))
+        xy, yz = add(x, y), add(y, z)
+        if not same(add(xy, z), add(x, yz)):
+            fail(("add-assoc", a, b, c))
+        if not same(mul(mul(x, y), z), mul(x, mul(y, z))):
+            fail(("mul-assoc", a, b, c))
+        if not same(mul(x, yz), add(mul(x, y), mul(x, z))):
+            fail(("left-dist", a, b, c))
+        if not same(mul(xy, z), add(mul(x, z), mul(y, z))):
+            fail(("right-dist", a, b, c))
+    n = len(held)
+    report.cases = 4 * n + n ** 2 + 4 * n ** 3  # the instances of each law, as walked
     report.elapsed = time.perf_counter() - t0
     return report
 

@@ -85,6 +85,7 @@ _PAST_BOUND = [f"1/{p}" for p in PRIMES]
 _PAST_256 = ("the common denominator of 256 exact literals passes 859 bits, "
              "64 times their mean size")
 _ONE_WIRE = "model {}\nwires 1\ninit {}\ngate {} 0\n"
+_FID = "instance fuzz-mv 2 2\n0 1\n1 0\n"
 _CNOT_TEXT = "instance boolean 4 4\n1 0 0 0\n0 1 0 0\n0 0 0 1\n0 0 1 0\n"
 _BELL = "model quantum\nwires 2\ninit ket 00\ngate H 0\ngate CNOT 0 1\n"
 _BELL_FINAL = "model quantum\nwires 2\nfinal 0.707106781187 0 0 0.707106781187\n"
@@ -483,6 +484,27 @@ CASES = [
          f"error: tensor left the state set {_WITHIN}: {_NORM}\n"),
         ("apply quantum g.mat s.mat", 1, "",
          f"error: result left the state set {_WITHIN}: {_NORM}\n"))],
+
+    # --- how a path names its file, and the line ends a file may use ---------------
+    # pathlib's forms: `./nope.mat` is named `nope.mat`, `a.mat/` reads a.mat
+    *[_error(f"io/{name}", {}, argv, 2, message) for name, argv, message in (
+        ("missing", "check fuzzy nope.mat",
+         "[Errno 2] No such file or directory: 'nope.mat'"),
+        ("missing-dot-slash", "check fuzzy ./nope.mat",
+         "[Errno 2] No such file or directory: 'nope.mat'"),
+        ("directory", "check fuzzy .", "[Errno 21] Is a directory: '.'"))],
+    _case("io/trailing-slash", {"a.mat": _FID}, "check fuzzy a.mat/", out="ok\n"),
+    # CRLF and lone CR line ends read as LF
+    _case("io/crlf-matrix", {"a.mat": _FID.replace("\n", "\r\n")}, "check fuzzy a.mat",
+          out="ok\n"),
+    _case("io/cr-matrix", {"a.mat": _FID.replace("\n", "\r")}, "check fuzzy a.mat", out="ok\n"),
+    _case("io/crlf-program", {"p.circ": _ONE_WIRE.format("fuzzy", "ket 0", "FNOT")
+                              .replace("\n", "\r\n")}, _TRACE, out=(
+        "step 0 init 0 1\nstep 1 FNOT 1 0\nmodel fuzzy\nwires 1\nfinal 1 0\n")),
+    _error("io/missing-gate-file", {"p.circ": _ONE_WIRE.format("fuzzy", "ket 0", "@nope.mat")},
+           "simulate p.circ", 1,
+           "line 4: cannot read gate file 'nope.mat': [Errno 2] No such file or directory: "
+           "'nope.mat'"),
 ]
 CASE = {case.id: case for case in CASES}
 

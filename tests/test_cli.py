@@ -22,7 +22,7 @@ import fuzzbit.circuit
 import fuzzbit.cli as cli
 from cli_corpus import CASE, CASES, PRIMES, Case, Request, failures, matrix, run
 from fuzzbit.algebra import FUZZ_MV
-from fuzzbit.circuit import MAX_DENSE_WIRES, parse_circuit
+from fuzzbit.circuit import MAX_DENSE_WIRES, parse_circuit, read_utf8
 from fuzzbit.cli import MAX_SYNTH_INPUTS, main
 from fuzzbit.linalg import (
     SMatrix,
@@ -92,6 +92,7 @@ test_oversized_sums_in_membership_messages_are_domain_errors = corpus_test("long
 test_each_circuit_parse_error = corpus_test("parse-error")
 test_products_of_near_unit_quantum_operands_are_domain_errors = corpus_test("near-unit")
 test_each_rejection_prints_what_the_rational_route_printed = corpus_test("rejection")
+test_each_path_form_and_line_end_reads_as_pathlib_reads_it = corpus_test("io")
 
 
 def test_each_corpus_case_runs_under_one_test():
@@ -545,6 +546,68 @@ def test_non_utf8_input_exits_2(tmp_path, capsys):
     assert main(["simulate", uses_gate]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: line 4: gate file 'g.mat' is not UTF-8")
+
+
+# Past 8 KiB, where a reader that decoded in chunks would count from the chunk
+PAST_8_KIB = 8192 + 100
+READER_FILES = {
+    "lf": b"a\nb\n",
+    "crlf": b"a\r\nb\r\n",
+    "cr": b"a\rb\r",
+    "cr-crlf": b"a\r\r\nb",
+    "mixed": b"a\nb\r\nc\rd\r\r\n\n\re",
+    "bom": b"\xef\xbb\xbfinstance\r\n",
+    "empty": b"",
+    "invalid-at-0": b"\xff\nrest\n",
+    "invalid-past-8-kib": b"x" * PAST_8_KIB + b"\xff\n",
+    "truncated-at-eof": b"a\r\n\xe2\x82",
+}
+
+
+def _read_outcome(read, path):
+    try:
+        return read(path)
+    except (OSError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_read_utf8_reads_what_pathlib_reads(tmp_path, monkeypatch):
+    # the same text, or the same exception type and message, for each file
+    # and path form, relative paths from the files' directory
+    monkeypatch.chdir(tmp_path)
+    for name, body in READER_FILES.items():
+        (tmp_path / name).write_bytes(body)
+    (tmp_path / "a.mat").write_text(FID_TEXT)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "dir" / "a.mat").write_text(FID_TEXT)
+    paths = [*READER_FILES, *(str(tmp_path / name) for name in READER_FILES),
+             "missing", "./missing", "dir", "", ".", "a.mat/", "a.mat/.", "dir//a.mat",
+             "./dir/./a.mat", "a.mat//", "missing/", str(tmp_path / "a.mat") + "/"]
+    for path in paths:
+        want = _read_outcome(lambda p: Path(p).read_text(encoding="utf-8"), path)
+        assert _read_outcome(read_utf8, path) == want, path
+    assert read_utf8("mixed") == "a\nb\nc\nd\n\n\n\ne"
+    assert _read_outcome(read_utf8, "invalid-past-8-kib") == (
+        UnicodeDecodeError,
+        f"'utf-8' codec can't decode byte 0xff in position {PAST_8_KIB}: invalid start byte")
+
+
+def test_a_non_utf8_byte_past_8_kib_is_named_at_its_file_offset(tmp_path, capsys):
+    # a long line puts the bad byte past 8 KiB, in a program and in a gate file
+    program = b"model fuzzy\nwires 1\n# " + b"x" * PAST_8_KIB + b"\ninit ket 0\n"
+    circ = tmp_path / "bad.circ"
+    circ.write_bytes(program + b"gate FNOT \xff 0\n")
+    assert main(["simulate", str(circ)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {circ} is not UTF-8: invalid start byte at byte {len(program) + 10}\n")
+
+    gate = b"# " + b"x" * PAST_8_KIB + b"\ninstance fuzz-mv 2 2\n0 1\n1 0"
+    (tmp_path / "g.mat").write_bytes(gate + b"\xff\n")
+    uses_gate = write(tmp_path, "uses.circ", "model fuzzy\nwires 1\ninit ket 0\ngate @g.mat 0\n")
+    assert main(["simulate", uses_gate]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: line 4: gate file 'g.mat' is not UTF-8: invalid start byte "
+            f"at byte {len(gate)}\n")
 
 
 # --- the exit-code contract over generated input -------------------------------
