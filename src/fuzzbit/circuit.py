@@ -99,6 +99,7 @@ __all__ = [
     "parse_circuit",
     "serialize_circuit",
     "validate",
+    "utf8_text",
     "read_utf8",
     "lift_gate",
     "composed_operator",
@@ -331,20 +332,28 @@ def serialize_circuit(program: CircuitProgram) -> str:
 
 # --- validation ---------------------------------------------------------------
 
+def utf8_text(data: bytes) -> str:
+    """`data` decoded as UTF-8, its CRLF and lone CR line ends read as LF.
+    The bytes are decoded whole, so a UnicodeDecodeError's `start` is its
+    offset in `data`."""
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
 def read_utf8(path: str | Path) -> str:
-    """The UTF-8 text of the file at `path`, its CRLF and lone CR line ends
-    read as LF: what pathlib's UTF-8 text read returns.  The file is decoded
-    whole, so a UnicodeDecodeError's `start` is its byte offset in the file.
-    The path is opened as given and, only where that fails, as pathlib
-    normalizes it (`a.mat/` as `a.mat`, `""` as `.`), so an error names the
-    file as pathlib does."""
+    """The `utf8_text` of the file at `path`: what pathlib's UTF-8 text read
+    returns.  The path is opened as given and, only where that fails, as
+    pathlib normalizes it (`a.mat/` as `a.mat`, `""` as `.`), so an error
+    names the file as pathlib does.  A NUL byte in the path, which `open`
+    rejects with ValueError, raises OSError with the same message: the file
+    cannot be read, like any other."""
     try:
         file = open(path, "rb")
     except OSError:
         file = open(Path(path), "rb")
+    except ValueError as exc:
+        raise OSError(str(exc)) from None
     with file:
-        text = file.read().decode("utf-8")
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+        return utf8_text(file.read())
 
 
 def _resolve_gate(program: CircuitProgram, step: GateStep, base_dir: Path) -> GateDescriptor:

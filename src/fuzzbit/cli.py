@@ -24,6 +24,7 @@ from .circuit import (
     reversible_circuit_text,
     serialize_circuit,
     simulate,
+    utf8_text,
     validate,
 )
 from .algebra import GRID_NAMES
@@ -60,7 +61,7 @@ MAX_SYNTH_INPUTS = 8
 def _read_input(path: str) -> str:
     """The text of the file at `path`, or of standard input for `-`."""
     try:
-        return sys.stdin.read() if path == "-" else read_utf8(path)
+        return utf8_text(sys.stdin.buffer.read()) if path == "-" else read_utf8(path)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
 
@@ -233,59 +234,104 @@ def _seed_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+_TRACE = {"action": "store_true", "help": "print every intermediate state"}
+# Each command: its function, its help line, its positionals as (name, choices
+# or None) and its options as `add_argument` takes them.  `_build_parser` and
+# `_read_argv` are both built from this table.
+COMMANDS = {
+    "check": (cmd_check, "membership verdict for a gate or state file",
+              (("model", MODEL_NAMES), ("file", None)), {}),
+    "apply": (cmd_apply, "apply a gate file to a state file",
+              (("model", MODEL_NAMES), ("gate", None), ("state", None)), {}),
+    "kron": (cmd_kron, "Kronecker product of two states or two gates",
+             (("model", MODEL_NAMES), ("a", None), ("b", None)), {}),
+    "simulate": (cmd_simulate, "run a .circ program", (("circuit", None),), {
+        "--trace": _TRACE,
+        "--seed": {"type": _seed_arg, "help": "measurement seed override (quantum)"}}),
+    "sample": (cmd_sample, "simulate with a terminal measurement", (("circuit", None),), {
+        "--trace": _TRACE,
+        "--seed": {"type": _seed_arg, "help": "measurement seed (default 0)"}}),
+    "synth": (cmd_synth, "synthesize a classical circuit from a truth table",
+              (("table", None),), {}),
+    "verify": (cmd_verify, "run the brute-force law checks", (),
+               {"--grid": {"choices": GRID_NAMES, "default": "standard"}}),
+}
+
+
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
-    # built once per process: parse_args leaves the parser unchanged
+    # built once per process, and only for an argv `_read_argv` declines:
+    # parse_args leaves the parser unchanged
     parser = argparse.ArgumentParser(
         prog="fuzzbit",
         description="Fuzzy, classical, stochastic and quantum circuit toolkit.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p = sub.add_parser("check", help="membership verdict for a gate or state file")
-    p.add_argument("model", choices=MODEL_NAMES)
-    p.add_argument("file")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("apply", help="apply a gate file to a state file")
-    p.add_argument("model", choices=MODEL_NAMES)
-    p.add_argument("gate")
-    p.add_argument("state")
-    p.set_defaults(func=cmd_apply)
-
-    p = sub.add_parser("kron", help="Kronecker product of two states or two gates")
-    p.add_argument("model", choices=MODEL_NAMES)
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=cmd_kron)
-
-    p = sub.add_parser("simulate", help="run a .circ program")
-    p.add_argument("circuit")
-    p.add_argument("--trace", action="store_true", help="print every intermediate state")
-    p.add_argument("--seed", type=_seed_arg, help="measurement seed override (quantum)")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("sample", help="simulate with a terminal measurement")
-    p.add_argument("circuit")
-    p.add_argument("--trace", action="store_true", help="print every intermediate state")
-    p.add_argument("--seed", type=_seed_arg, help="measurement seed (default 0)")
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("synth", help="synthesize a classical circuit from a truth table")
-    p.add_argument("table")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("verify", help="run the brute-force law checks")
-    p.add_argument("--grid", choices=GRID_NAMES, default="standard")
-    p.set_defaults(func=cmd_verify)
+    for name, (func, summary, positionals, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for dest, choices in positionals:
+            p.add_argument(dest, choices=choices)
+        for flag, spec in options.items():
+            p.add_argument(flag, **spec)
+        p.set_defaults(func=func)
     return parser
 
 
+def _read_argv(argv) -> argparse.Namespace | None:
+    """The namespace `_build_parser().parse_args(argv)` returns, where argv
+    names a command and then holds only that command's exact option strings,
+    each value option followed by a value its type and choices accept, and
+    the right number of positionals, none starting with `-` but `-` itself,
+    each in its choices.  None for every other argv."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, positionals, options = COMMANDS[argv[0]]
+    values = {"command": argv[0], "func": func}
+    for flag, spec in options.items():
+        values[flag[2:]] = spec.get("default", False if "action" in spec else None)
+    given = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        spec = options.get(token)
+        if spec is None:
+            if token.startswith("-") and token != "-":
+                return None
+            given.append(token)
+        elif "action" in spec:  # store_true
+            values[token[2:]] = True
+        else:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+            try:
+                value = spec.get("type", str)(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if "choices" in spec and value not in spec["choices"]:
+                return None
+            values[token[2:]] = value
+    if len(given) != len(positionals):
+        return None
+    for (name, choices), token in zip(positionals, given):
+        if choices is not None and token not in choices:
+            return None
+        values[name] = token
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    """Run one request and return its exit code.
+
+    `_read_argv` accepts only an argv that argparse reads in one way, and
+    gives the namespace argparse would; every other argv goes to argparse
+    unchanged, so each usage, help and error line is argparse's own."""
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         return args.func(args)
     except FuzzbitError as exc:

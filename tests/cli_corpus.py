@@ -29,7 +29,7 @@ class Request:
     code: int = 0
     out: str = ""
     err: str = ""
-    stdin: str | None = None
+    stdin: str | bytes | None = None  # text is given as its UTF-8 bytes
     save: str | None = None  # a file that receives stdout, for a later request to read
     size_below: int | None = None  # in place of `out`: stdout is shorter, in bytes
 
@@ -505,6 +505,45 @@ CASES = [
            "simulate p.circ", 1,
            "line 4: cannot read gate file 'nope.mat': [Errno 2] No such file or directory: "
            "'nope.mat'"),
+    _error("io/nul-in-gate-file-name",
+           {"p.circ": _ONE_WIRE.format("fuzzy", "ket 0", "@a\0b")}, "simulate p.circ", 1,
+           "line 4: cannot read gate file 'a\\x00b': embedded null byte"),
+    # standard input is held to the UTF-8 rule of a named file, in every locale
+    Case("io/stdin-not-utf8", {}, (Request(
+        "simulate -", stdin=_ONE_WIRE.format("fuzzy", "ket 0", "F\xffNOT").encode("latin-1"),
+        code=2, err="error: - is not UTF-8: invalid start byte at byte 37\n"),)),
+    Case("io/crlf-stdin", {}, (Request(
+        "simulate --trace -",
+        stdin=_ONE_WIRE.format("fuzzy", "ket 0", "FNOT").replace("\n", "\r\n"),
+        out="step 0 init 0 1\nstep 1 FNOT 1 0\nmodel fuzzy\nwires 1\nfinal 1 0\n"),)),
+
+    # --- what argparse prints for an argv the CLI's own reader declines ---------------
+    *[_case(f"usage/{name}", {"p.circ": _ONE_WIRE.format("fuzzy", "ket 0", "FNOT"),
+                              "q.circ": _ONE_WIRE.format("quantum", "ket 0", "H"),
+                              "a.mat": _FID}, argv, code, out, err)
+      for name, argv, code, out, err in (
+          ("no-command", "", 2, "", "usage: fuzzbit [-h] command ...\n"
+           "fuzzbit: error: the following arguments are required: command\n"),
+          ("bad-model", "check bogus a.mat", 2, "",
+           "usage: fuzzbit check [-h] {classical,stochastic,quantum,fuzzy} file\n"
+           "fuzzbit check: error: argument model: invalid choice: 'bogus' "
+           "(choose from 'classical', 'stochastic', 'quantum', 'fuzzy')\n"),
+          # an extra positional is reported by the top-level parser
+          ("extra-positional", "simulate p.circ extra", 2, "",
+           "usage: fuzzbit [-h] command ...\nfuzzbit: error: unrecognized arguments: extra\n"),
+          ("negative-seed", "sample p.circ --seed -1", 2, "",
+           "usage: fuzzbit sample [-h] [--trace] [--seed SEED] circuit\n"
+           "fuzzbit sample: error: argument --seed: seed must fit in an unsigned 64-bit "
+           "integer\n"),
+          ("grid-without-value", "verify --grid", 2, "",
+           "usage: fuzzbit verify [-h] [--grid {coarse,standard,fine}]\n"
+           "fuzzbit verify: error: argument --grid: expected one argument\n"),
+          # argparse accepts an abbreviated option and an attached value
+          ("abbreviated-option", "simulate --tr p.circ", 0,
+           "step 0 init 0 1\nstep 1 FNOT 1 0\nmodel fuzzy\nwires 1\nfinal 1 0\n", ""),
+          ("attached-value", "simulate q.circ --seed=0", 0,
+           "model quantum\nwires 1\nfinal 0.707106781187 0.707106781187\nmeasured 1\n", ""),
+      )],
 ]
 CASE = {case.id: case for case in CASES}
 
@@ -548,11 +587,16 @@ def failures(case: Case, directory, call) -> list[str]:
     return found
 
 
+def stdin_bytes(stdin: str | bytes | None) -> bytes:
+    """A request's standard input as the bytes a process reads."""
+    return stdin if isinstance(stdin, bytes) else (stdin or "").encode()
+
+
 def call_script(argv, stdin, cwd):
     """The `fuzzbit` on PATH, run on argv in `cwd`: (exit code, stdout, stderr)."""
     try:
         done = subprocess.run(["fuzzbit", *argv], cwd=cwd, capture_output=True,
-                              input=(stdin or "").encode(), timeout=TIMEOUT_S)
+                              input=stdin_bytes(stdin), timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return None, "", f"no exit within {TIMEOUT_S} s"
     return (done.returncode, done.stdout.decode(errors="replace"),

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 import fuzzbit.circuit
 import fuzzbit.cli as cli
-from cli_corpus import CASE, CASES, PRIMES, Case, Request, failures, matrix, run
+import cli_argv_sweep
+from cli_corpus import CASE, CASES, PRIMES, Case, Request, failures, matrix, run, stdin_bytes
 from fuzzbit.algebra import FUZZ_MV
 from fuzzbit.circuit import MAX_DENSE_WIRES, parse_circuit, read_utf8
 from fuzzbit.cli import MAX_SYNTH_INPUTS, main
@@ -45,13 +46,18 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def stdin_of(data: bytes) -> io.TextIOWrapper:
+    """A standard input that holds `data`, with the byte layer `main` reads."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
 def call_main(argv, stdin, cwd):
     """`main(argv)` run in `cwd` with `stdin` as standard input: (exit code, stdout, stderr)."""
     out, err, home = io.StringIO(), io.StringIO(), os.getcwd()
     os.chdir(cwd)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                mock.patch("sys.stdin", io.StringIO(stdin or "")):
+                mock.patch("sys.stdin", stdin_of(stdin_bytes(stdin))):
             code = main(argv)
     finally:
         os.chdir(home)
@@ -93,6 +99,7 @@ test_each_circuit_parse_error = corpus_test("parse-error")
 test_products_of_near_unit_quantum_operands_are_domain_errors = corpus_test("near-unit")
 test_each_rejection_prints_what_the_rational_route_printed = corpus_test("rejection")
 test_each_path_form_and_line_end_reads_as_pathlib_reads_it = corpus_test("io")
+test_each_argv_the_reader_declines_prints_what_argparse_prints = corpus_test("usage")
 
 
 def test_each_corpus_case_runs_under_one_test():
@@ -126,7 +133,7 @@ def test_check_ok_and_fail(tmp_path, capsys):
 
 
 def test_check_reads_stdin(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO(FID_TEXT))
+    monkeypatch.setattr("sys.stdin", stdin_of(FID_TEXT.encode()))
     assert main(["check", "fuzzy", "-"]) == 0
     assert capsys.readouterr().out.strip() == "ok"
 
@@ -483,6 +490,58 @@ def test_parser_reuse_after_usage_error(tmp_path, capsys):
     capsys.readouterr()
     assert run_all() == fresh
     assert fresh[1][1].out.splitlines()[-1] == "measured 0"  # no --seed carried over
+
+
+def test_the_argv_reader_agrees_with_argparse_on_every_short_argv():
+    tried, accepted, found = cli_argv_sweep.sweep()
+    assert found == []
+    assert tried == sum(len(cli_argv_sweep.ALPHABET) ** n
+                        for n in range(cli_argv_sweep.LENGTH + 1))
+    assert set(accepted) == set(cli.COMMANDS)  # each command is read some way
+
+
+_ARGV_TOKENS = st.sampled_from(cli_argv_sweep.ALPHABET)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.lists(_ARGV_TOKENS, min_size=5, max_size=6),
+    st.builds(lambda command, rest: [command, *rest],
+              st.sampled_from(cli_argv_sweep.COMMAND_NAMES),
+              st.lists(_ARGV_TOKENS, min_size=4, max_size=5))))
+def test_the_argv_reader_agrees_with_argparse_on_longer_argv(argv):
+    assert cli_argv_sweep.mismatch(argv) is None
+
+
+def test_a_well_formed_request_builds_no_parser(tmp_path, capsys):
+    fid = write(tmp_path, "fid.mat", FID_TEXT)
+    ket = write(tmp_path, "ket.mat", "instance fuzz-mv 2 1\n0\n1\n")
+    bell = write(tmp_path, "bell.circ", BELL_TEXT)
+    table = write(tmp_path, "xor.tbl", "0 1 1 0\n")
+    cli._build_parser.cache_clear()
+    for argv in (["check", "fuzzy", fid], ["apply", "fuzzy", fid, ket],
+                 ["kron", "fuzzy", fid, fid], ["simulate", "--trace", bell, "--seed", "3"],
+                 ["sample", bell], ["synth", table]):
+        assert main(argv) == 0, argv
+    assert cli._build_parser.cache_info().misses == 0
+    capsys.readouterr()
+
+
+def test_a_nul_byte_in_a_file_argument_is_an_io_error(capsys):
+    assert main(["check", "fuzzy", "a\0b"]) == 2
+    assert capsys.readouterr() == ("", "error: embedded null byte\n")
+
+
+@pytest.mark.parametrize("env", [{"LC_ALL": "C"}, {"LC_ALL": "C", "PYTHONUTF8": "1"},
+                                 {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "0"}])
+def test_standard_input_is_held_to_the_utf8_rule_in_every_locale(env):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", "import fuzzbit.cli; fuzzbit.cli.entry()", "simulate", "-"],
+        input=b"model fuzzy\nwires 1\ninit ket 0\ngate F\xffNOT 0\n", capture_output=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": src, **env})
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, b"", b"error: - is not UTF-8: invalid start byte at byte 37\n")
 
 
 @pytest.mark.parametrize("seed, message", [
