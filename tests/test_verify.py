@@ -18,7 +18,6 @@ from fuzzbit.algebra import (
 from fuzzbit.cli import main
 from fuzzbit.linalg import SMatrix, SVector, mat_vec
 from fuzzbit.verify import (
-    CheckReport,
     check_action_laws,
     check_mv_gate_laws,
     check_oracle_agreement,
@@ -55,9 +54,9 @@ def test_grid_values():
 
 
 @pytest.fixture(scope="module")
-def coarse_reports():
-    """One healthy `run_all("coarse")`, shared: its size-4 checks take seconds."""
-    return {r.name: r for r in run_all("coarse")}
+def coarse_reports(runs):
+    """The healthy `run_all("coarse")` reports by name, run once (see `runs`)."""
+    return runs("coarse", "healthy")
 
 
 def test_run_all_coarse_green(coarse_reports):
@@ -120,26 +119,266 @@ def test_corrupted_instance_fails_axioms():
     assert not report.passed
 
 
-# One broken `scaled` rule per instance that `verify` checks: max-min and
-# boolean adding by min, viterbi adding by +, and fuzz-mv's truncated sum
-# left uncapped.
-SCALED_MUTANTS = {
-    "max-min": ("MAX_MIN", _shared_rule(min, lambda scale: min)),
-    "boolean": ("BOOLEAN", _shared_rule(min, lambda scale: min)),
-    "viterbi": ("VITERBI", _product_rule(operator.add, operator.mul)),
-    "fuzz-mv": ("FUZZ_MV", _shared_rule(min, lambda scale: operator.add)),
+def _max_reduced_mv(a, v, n, L):
+    """`_mv` with max in place of min as the row reduction."""
+    return tuple(min(max(map(operator.add, a[i:i + n], v)), L) for i in range(0, len(a), n))
+
+
+def _uncapped_mm(a, b, n, L):
+    """`_mm` without the cap at L: a sum past 1 stays past 1."""
+    p = len(b) // n
+    cols = [b[j::p] for j in range(p)]
+    return tuple(min(x + y for x, y in zip(a[i:i + n], col))
+                 for i in range(0, len(a), n) for col in cols)
+
+
+def _capped_max_plus_mm(a, b, n, L):
+    """`_mm` with max in place of min, capped at L: the meet no longer distributes."""
+    p = len(b) // n
+    cols = [b[j::p] for j in range(p)]
+    return tuple(min(max(x + y for x, y in zip(a[i:i + n], col)), L)
+                 for i in range(0, len(a), n) for col in cols)
+
+
+def _local_mm(real):
+    """`real` with entry (i, j) one more, capped at L, at inner dimension 4
+    where row i starts with an interior value and column j holds one: each
+    entry still reads only row i and column j."""
+    def mm(a, b, n, L):
+        out = real(a, b, n, L)
+        if n != 4:
+            return out
+        p = len(b) // n
+        inner = [any(0 < x < L for x in b[j::p]) for j in range(p)]
+        return tuple(min(x + 1, L) if 0 < a[k // p * n] < L and inner[k % p] else x
+                     for k, x in enumerate(out))
+    return mm
+
+
+def _entrywise_max(a, b):
+    """`_wedge` with max in place of min: the meet of two gates may leave the set."""
+    return tuple(map(max, a, b))
+
+
+def _scaled(rule):
+    """A semiring instance's mutant: `rule` in place of its `scaled` rule."""
+    return lambda real: dataclasses.replace(real, scaled=rule)
+
+
+# Every mutant the tests patch into `fuzzbit.verify`, by name: the attribute
+# it replaces and how the replacement is made from the real one, or None for
+# the healthy code.  `tests/verify_mutants.py` takes its mutants from here.
+MUTANTS = {
+    "healthy": None,
+    # one broken `scaled` rule per instance that `verify` checks: max-min
+    # and boolean adding by min, viterbi adding by +, fuzz-mv's truncated
+    # sum left uncapped, and max-min multiplying below 1
+    "max-min": ("MAX_MIN", _scaled(_shared_rule(min, lambda scale: min))),
+    "boolean": ("BOOLEAN", _scaled(_shared_rule(min, lambda scale: min))),
+    "viterbi": ("VITERBI", _scaled(_product_rule(operator.add, operator.mul))),
+    "fuzz-mv": ("FUZZ_MV", _scaled(_shared_rule(min, lambda scale: operator.add))),
+    "mul-below-one": ("MAX_MIN", _scaled(_shared_rule(
+        max, lambda scale: lambda x, y: min(x, y, scale - 1)))),
+    # the scaled kernels and the meet
+    "uncapped": ("_mm", lambda real: _uncapped_mm),
+    "max-plus": ("_mm", lambda real: _capped_max_plus_mm),
+    # no failure on `standard`: the size-4 caps there reach no A whose rows
+    # start with an interior value (ROADMAP item 21)
+    "local-mm": ("_mm", _local_mm),
+    "max-meet": ("_wedge", lambda real: _entrywise_max),
+    "max-reduced": ("_mv", lambda real: _max_reduced_mv),
+    "constant": ("_mv", lambda real: lambda a, v, n, L: (0,) * (len(a) // n)),
+    # the factors swapped: a basis ket lands on the mirrored index
+    "basis-ket": ("_kron_v", lambda real: lambda u, v, L: real(v, u, L)),
+    # one entry too many
+    "dimension": ("_kron_v", lambda real: lambda u, v, L: real(u, v, L) + (L,)),
+    # the first factor counted twice: u (x) v and v (x) u no longer mirror
+    "symmetry": ("_kron_v",
+                 lambda real: lambda u, v, L: tuple(min(2 * x + y, L) for x in u for y in v)),
+    # a truncated difference in place of the truncated sum, which is not associative
+    "associativity": ("_kron_v",
+                      lambda real: lambda u, v, L: tuple(max(x - y, 0) for x in u for y in v)),
+    # a zero demanded in every row, not in every column
+    "gate-closure": ("_is_gate", lambda real: lambda m, n, L: min(m) == L or all(
+        min(m[i * n:i * n + n]) == 0 for i in range(n))),
+    # a zero demanded in the first entry, not in any entry
+    "state-closure": ("_is_state", lambda real: lambda v, L: v[0] == 0 or min(v) == L),
+    "accept-all": ("_is_state", lambda real: lambda v, L: True),
+    # the product transposed: a product of column-stochastic matrices is
+    # then row-stochastic, which it need not be
+    "transposed-mm2": ("_mm2", lambda real: lambda a, b: tuple(zip(*real(a, b)))),
+    # the range check dropped: the inverse's columns sum to 1 too
+    "sums-only": ("_is_stochastic2", lambda real: lambda m, scale: all(
+        m[0][j] + m[1][j] == scale for j in range(2))),
+    # the exhibit's inverse is built with the determinant too
+    "plus-det": ("_det2", lambda real: lambda m: m[0][0] * m[1][1] + m[0][1] * m[1][0]),
+    # the linear algebra `oracle-agreement` compares: factors swapped, the
+    # state's entries reversed, the wrong bit
+    "swapped-kron_mat": ("kron_mat", lambda real: lambda a, b: real(b, a)),
+    "swapped-kron_vec": ("kron_vec", lambda real: lambda u, v: real(v, u)),
+    "swapped-mat_mul": ("mat_mul", lambda real: lambda a, b: real(b, a)),
+    "reversed-mat_vec": ("mat_vec", lambda real: lambda a, v: real(
+        a, SVector(v.instance, v.entries[::-1]))),
+    "flipped-mat_vec_block": ("mat_vec_block",
+                              lambda real: lambda a, base, v: real(a, 1 - base, v)),
 }
 
 
-@pytest.mark.parametrize("name", sorted(SCALED_MUTANTS))
-def test_verify_fails_a_broken_scaled_rule(monkeypatch, capsys, name):
-    attribute, rule = SCALED_MUTANTS[name]
-    broken = dataclasses.replace(getattr(verify, attribute), scaled=rule)
-    monkeypatch.setattr(verify, attribute, broken)
-    assert main(["verify", "--grid", "coarse"]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    [line] = [x for x in lines if x.startswith(f"semiring-axioms-{name} cases ")]
-    assert not line.endswith(" failures 0")
+def _patch(monkeypatch, mutant: str) -> None:
+    if MUTANTS[mutant]:
+        attribute, make = MUTANTS[mutant]
+        monkeypatch.setattr(verify, attribute, make(getattr(verify, attribute)))
+
+
+def _run(grid: str, mutant: str) -> dict:
+    """`run_all(grid)` under `mutant`, which builds one size-4 family: its
+    reports by name, each holding the failures it listed while the mutant
+    was patched.  Each lists the same failures again once the mutant is
+    removed: reading them runs no kernel."""
+    real, builds = verify._KronGates.__init__, []
+
+    def counted(self, *args):
+        builds.append(None)
+        real(self, *args)
+
+    with pytest.MonkeyPatch.context() as m:
+        _patch(m, mutant)
+        m.setattr(verify._KronGates, "__init__", counted)
+        reports = run_all(grid)
+        listed = [list(r.failures) for r in reports]
+    assert [len(r.failures) for r in reports] == list(map(len, listed))
+    assert [list(r.failures) for r in reports] == listed
+    assert len(builds) == 1
+    return {r.name: dataclasses.replace(r, failures=f) for r, f in zip(reports, listed)}
+
+
+@pytest.fixture(scope="module")
+def runs():
+    """`_run`, each grid and mutant run once per module."""
+    return functools.cache(_run)
+
+
+# Every law name that a `verify` report can list.
+LAWS = {
+    # semiring-axioms-*
+    "add-zero", "mul-one", "mul-zero-absorbs", "add-idempotent", "add-commutes",
+    "add-assoc", "mul-assoc", "left-dist", "right-dist",
+    # mv-gate-laws-*, and stochastic-semigroup's closure
+    "closure", "involution", "identity", "zero-absorbs", "meet-closure",
+    # action-laws-*
+    "complement-unexpectedly-closed", "linearity", "state-closure", "compatibility",
+    # tensor-laws
+    "basis-ket", "basis-enumeration", "dimension", "symmetry", "associativity",
+    "gate-closure", "mixed-product",
+    # stochastic-semigroup
+    "singular-exhibit", "inverse-arithmetic", "inverse-unexpectedly-stochastic",
+    # oracle-agreement
+    "agreement",
+}
+
+# The kill matrix on `coarse`: the `run_all` lines each mutant fails.
+COARSE_KILLS = {
+    "healthy": set(),
+    "max-min": {"semiring-axioms-max-min"},
+    "boolean": {"semiring-axioms-boolean"},
+    "viterbi": {"semiring-axioms-viterbi"},
+    # the oracle's matrices are fuzz-mv's
+    "fuzz-mv": {"semiring-axioms-fuzz-mv", "oracle-agreement"},
+    "mul-below-one": {"semiring-axioms-max-min"},
+    "uncapped": {"mv-gate-laws-2", "mv-gate-laws-4", "tensor-laws", "oracle-agreement"},
+    "max-plus": {"mv-gate-laws-2", "mv-gate-laws-4", "action-laws-2", "action-laws-4",
+                 "oracle-agreement"},
+    "local-mm": {"mv-gate-laws-4", "tensor-laws"},
+    "max-meet": {"mv-gate-laws-2", "mv-gate-laws-4", "action-laws-2", "action-laws-4"},
+    "max-reduced": {"action-laws-2", "action-laws-4", "oracle-agreement"},
+    "constant": {"oracle-agreement"},
+    "basis-ket": {"tensor-laws", "oracle-agreement"},
+    "dimension": {"mv-gate-laws-4", "action-laws-4", "tensor-laws", "oracle-agreement"},
+    "symmetry": {"tensor-laws", "oracle-agreement"},
+    "associativity": {"mv-gate-laws-4", "action-laws-4", "tensor-laws", "oracle-agreement"},
+    "gate-closure": {"tensor-laws"},
+    "state-closure": {"action-laws-2", "action-laws-4", "tensor-laws"},
+    "accept-all": {"action-laws-2"},
+    "transposed-mm2": {"stochastic-semigroup"},
+    "sums-only": {"stochastic-semigroup"},
+    "plus-det": {"stochastic-semigroup"},
+    "swapped-kron_mat": {"oracle-agreement"},
+    "swapped-kron_vec": {"oracle-agreement"},
+    "swapped-mat_mul": {"oracle-agreement"},
+    "reversed-mat_vec": {"oracle-agreement"},
+    "flipped-mat_vec_block": {"oracle-agreement"},
+}
+
+
+def test_every_line_and_law_fails_under_some_mutant(runs):
+    # every line fails under some mutant and every law name is reported;
+    # every mutant but `healthy` fails a line, and none moves a case count
+    reports = {mutant: runs("coarse", mutant) for mutant in MUTANTS}
+    kills = {mutant: {name for name, r in by_name.items() if r.failures}
+             for mutant, by_name in reports.items()}
+    assert kills == COARSE_KILLS
+    assert set().union(*kills.values()) == set(EXPECTED_NAMES)
+    assert {f[0] for by_name in reports.values() for r in by_name.values()
+            for f in r.failures} == LAWS
+    assert [mutant for mutant, lines in kills.items() if not lines] == ["healthy"]
+    cases = {name: r.cases for name, r in reports["healthy"].items()}
+    for mutant, by_name in reports.items():
+        assert {name: r.cases for name, r in by_name.items()} == cases, mutant
+
+
+def _laws(runs, mutant: str, line: str) -> set:
+    """The law names `line` reports on `coarse` under `mutant`."""
+    return {failure[0] for failure in runs("coarse", mutant)[line].failures}
+
+
+@pytest.mark.parametrize("name", ["boolean", "fuzz-mv", "max-min", "viterbi"])
+def test_verify_fails_a_broken_scaled_rule(runs, name):
+    assert _laws(runs, name, f"semiring-axioms-{name}")
+
+
+def test_mutated_row_reduction_fails_action_laws(runs):
+    assert _laws(runs, "max-reduced", "action-laws-2")
+
+
+def test_mutated_determinant_fails_singular_exhibit(runs):
+    assert {"singular-exhibit", "inverse-arithmetic"} <= _laws(
+        runs, "plus-det", "stochastic-semigroup")
+
+
+@pytest.mark.parametrize("check, mutant", [
+    ("closure", "transposed-mm2"), ("inverse-unexpectedly-stochastic", "sums-only"),
+], ids=["closure", "inverse-unexpectedly-stochastic"])
+def test_each_stochastic_semigroup_check_can_fail(runs, check, mutant):
+    assert check in _laws(runs, mutant, "stochastic-semigroup")
+
+
+# swapping _kron_m's factors would not show in mixed-product: both sides swap
+@pytest.mark.parametrize("line, kind", [
+    ("mv-gate-laws-2", "zero-absorbs"), ("mv-gate-laws-4", "zero-absorbs"),
+    ("tensor-laws", "mixed-product"),
+], ids=["mv-gate-laws-2", "mv-gate-laws-4", "tensor-laws"])
+def test_uncapped_product_fails_gate_and_tensor_laws(runs, line, kind):
+    assert kind in _laws(runs, "uncapped", line)
+
+
+@pytest.mark.parametrize("kernel, mutant", [
+    ("kron_mat", "swapped-kron_mat"), ("kron_vec", "swapped-kron_vec"),
+    ("mat_mul", "swapped-mat_mul"), ("mat_vec", "reversed-mat_vec"),
+    ("mat_vec_block", "flipped-mat_vec_block"),
+], ids=["kron_mat", "kron_vec", "mat_mul", "mat_vec", "mat_vec_block"])
+def test_mutated_kernel_fails_oracle_agreement(runs, kernel, mutant):
+    report = runs("coarse", mutant)["oracle-agreement"]
+    assert report.cases == 4056
+    assert report.failures
+
+
+# each `tensor-laws` family under its mutant; `basis-enumeration` is basis-ket's
+@pytest.mark.parametrize("family", ["basis-ket", "basis-enumeration", "dimension",
+                                    "state-closure", "symmetry", "associativity",
+                                    "gate-closure"])
+def test_each_tensor_law_family_can_fail(runs, family):
+    mutant = "basis-ket" if family == "basis-enumeration" else family
+    assert family in _laws(runs, mutant, "tensor-laws")
 
 
 def _reference_semiring_failures(instance, grid) -> list:
@@ -183,14 +422,15 @@ def _reference_semiring_failures(instance, grid) -> list:
 
 
 @pytest.mark.parametrize("grid", ["coarse", "standard"])
-@pytest.mark.parametrize("name", sorted(SCALED_MUTANTS) + ["corrupt"])
+@pytest.mark.parametrize("name", [name for name, patch in MUTANTS.items() if patch and isinstance(
+    getattr(verify, patch[0]), SemiringInstance)] + ["corrupt"])
 def test_semiring_failures_match_the_scalar_route(name, grid):
     # the (n, d) pairs give the failures, in order, of rational operands
     if name == "corrupt":
         instance = CORRUPT
     else:
-        attribute, rule = SCALED_MUTANTS[name]
-        instance = dataclasses.replace(getattr(verify, attribute), scaled=rule)
+        attribute, make = MUTANTS[name]
+        instance = make(getattr(verify, attribute))
     values = grid_values(grid)
     report = check_semiring_axioms(instance, values)
     want = _reference_semiring_failures(instance, values)
@@ -206,86 +446,12 @@ def test_a_grid_value_outside_the_carrier_is_refused():
         check_semiring_axioms(FUZZ_MV, (U(0), Fraction(3, 2)))
 
 
-def _max_reduced_mv(a, v, n, L):
-    """`_mv` with max in place of min as the row reduction."""
-    return tuple(min(max(map(operator.add, a[i:i + n], v)), L) for i in range(0, len(a), n))
-
-
-def test_mutated_row_reduction_fails_action_laws(monkeypatch):
-    monkeypatch.setattr(verify, "_mv", _max_reduced_mv)
-    report = check_action_laws(grid_values("coarse"), 2)
-    assert len(report.failures) >= 1
-
-
-def test_mutated_determinant_fails_singular_exhibit(monkeypatch):
-    monkeypatch.setattr(verify, "_det2", lambda m: m[0][0] * m[1][1] + m[0][1] * m[1][0])
-    report = check_stochastic_semigroup(grid_values("coarse"))
-    # the exhibit's inverse is built with the determinant too
-    assert {"singular-exhibit", "inverse-arithmetic"} <= {failure[0] for failure in report.failures}
-
-
-def test_accepting_every_vector_fails_the_complement_exhibit(monkeypatch):
+def test_accepting_every_vector_fails_the_complement_exhibit(runs):
     # the complement of (0, 1/2) then counts as a state; no other law of
     # `action-laws-2` reads the state predicate but state closure, which
     # such a predicate cannot fail
-    monkeypatch.setattr(verify, "_is_state", lambda v, L: True)
-    report = check_action_laws(grid_values("coarse"), 2)
+    report = runs("coarse", "accept-all")["action-laws-2"]
     assert report.failures == [("complement-unexpectedly-closed", (0, 1), (2, 1))]
-
-
-# One mutant per remaining `stochastic-semigroup` check, each named by the
-# check it must make fail.
-SEMIGROUP_MUTANTS = [
-    # the product transposed: a product of column-stochastic matrices is
-    # then row-stochastic, which it need not be
-    ("closure", "_mm2", lambda real: lambda a, b: tuple(zip(*real(a, b)))),
-    # the range check dropped: the inverse's columns sum to 1 too
-    ("inverse-unexpectedly-stochastic", "_is_stochastic2",
-     lambda real: lambda m, scale: all(m[0][j] + m[1][j] == scale for j in range(2))),
-]
-
-
-@pytest.mark.parametrize("check, name, mutant", SEMIGROUP_MUTANTS,
-                         ids=[check for check, _, _ in SEMIGROUP_MUTANTS])
-def test_each_stochastic_semigroup_check_can_fail(monkeypatch, check, name, mutant):
-    healthy = check_stochastic_semigroup(grid_values("coarse"))
-    monkeypatch.setattr(verify, name, mutant(getattr(verify, name)))
-    report = check_stochastic_semigroup(grid_values("coarse"))
-    assert report.cases == healthy.cases
-    assert check in {failure[0] for failure in report.failures}
-
-
-def _uncapped_mm(a, b, n, L):
-    """`_mm` without the cap at L: a sum past 1 stays past 1."""
-    p = len(b) // n
-    cols = [b[j::p] for j in range(p)]
-    return tuple(min(x + y for x, y in zip(a[i:i + n], col))
-                 for i in range(0, len(a), n) for col in cols)
-
-
-@pytest.mark.parametrize("check, kind", [
-    (lambda grid: check_mv_gate_laws(grid, 2), "zero-absorbs"),
-    (lambda grid: check_mv_gate_laws(grid, 4), "zero-absorbs"),
-    # swapping _kron_m's factors would not show here: both sides swap
-    (check_tensor_laws, "mixed-product"),
-], ids=["mv-gate-laws-2", "mv-gate-laws-4", "tensor-laws"])
-def test_uncapped_product_fails_gate_and_tensor_laws(monkeypatch, check, kind):
-    monkeypatch.setattr(verify, "_mm", _uncapped_mm)
-    report = check(grid_values("coarse"))
-    assert kind in {failure[0] for failure in report.failures}
-
-
-def _capped_max_plus_mm(a, b, n, L):
-    """`_mm` with max in place of min, capped at L: the meet no longer distributes."""
-    p = len(b) // n
-    cols = [b[j::p] for j in range(p)]
-    return tuple(min(max(x + y for x, y in zip(a[i:i + n], col)), L)
-                 for i in range(0, len(a), n) for col in cols)
-
-
-def _entrywise_max(a, b):
-    """`_wedge` with max in place of min: the meet of two gates may leave the set."""
-    return tuple(map(max, a, b))
 
 
 def _tensor_laws(grid, size):
@@ -299,57 +465,56 @@ def _tensor_laws(grid, size):
 # must find the same failures, in the same order.  `verify` reads them off
 # its tables; the per-case loop now lives only in the tests
 # (`_per_case_walk` compares whole size-2 lists).
-@pytest.mark.parametrize("check, size, name, mutant, cases, kinds, first, last", [
-    (check_mv_gate_laws, 2, "_mm", _capped_max_plus_mm, 35881,
+@pytest.mark.parametrize("line, mutant, cases, kinds, first, last", [
+    ("mv-gate-laws-2", "max-plus", 35881,
      {"left-dist": 6976, "right-dist": 2464, "closure": 446, "identity": 25,
       "involution": 1},
      ("closure", (0, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 1)),
      ("left-dist", (2, 2, 0, 0), (2, 2, 0, 0), (2, 0, 0, 2))),
-    (check_action_laws, 2, "_mv", _max_reduced_mv, 5149,
+    ("action-laws-2", "max-reduced", 5149,
      {"compatibility": 1780, "linearity": 164, "state-closure": 48},
      ("state-closure", (0, 0, 0, 0), (0, 1), (1, 1)),
      ("compatibility", (2, 2, 0, 0), (2, 2, 0, 0), (1, 0))),
-    (check_mv_gate_laws, 2, "_mm", _uncapped_mm, 35881,
+    ("mv-gate-laws-2", "uncapped", 35881,
      {"closure": 9, "zero-absorbs": 9},
      ("closure", (0, 0, 1, 1), (2, 2, 2, 2), (2, 2, 3, 3)),
      ("zero-absorbs", (2, 2, 2, 2))),
-    (check_action_laws, 2, "_wedge", _entrywise_max, 5149,
+    ("action-laws-2", "max-meet", 5149,
      {"linearity": 164},
      ("linearity", (0, 0, 0, 0), (0, 1), (1, 0)),
      ("linearity", (2, 2, 0, 0), (2, 0), (0, 2))),
-    (check_mv_gate_laws, 4, "_mm", _capped_max_plus_mm, 141353,
+    ("mv-gate-laws-4", "max-plus", 141353,
      {"involution": 1, "identity": 625, "closure": 34292, "left-dist": 6011,
       "right-dist": 3648},
      ("involution", (2, 2, 2, 0, 2, 2, 0, 2, 2, 0, 2, 2, 0, 2, 2, 2), (2,) * 16),
      ("left-dist", (0,) * 16, (0, 1, 0, 1, 0, 0, 0, 0, 0, 1, 1, 2, 0, 0, 1, 1),
       (1, 1, 0, 0, 1, 2, 0, 2, 0, 0, 0, 0, 0, 2, 0, 2))),
-    (check_action_laws, 4, "_mv", _max_reduced_mv, 224336,
+    ("action-laws-4", "max-reduced", 224336,
      {"state-closure": 1632, "linearity": 7780, "compatibility": 12847},
      ("state-closure", (0,) * 16, (0, 1, 0, 1), (1, 1, 1, 1)),
      ("compatibility", (0, 2, 0, 2, 0, 0, 0, 0, 0, 2, 0, 2, 0, 0, 0, 0),
       (2, 0, 2, 0, 0, 1, 0, 1, 2, 0, 2, 2, 0, 1, 2, 2), (1, 1, 0, 0))),
-    (check_mv_gate_laws, 4, "_wedge", _entrywise_max, 141353,
+    ("mv-gate-laws-4", "max-meet", 141353,
      {"left-dist": 9692, "right-dist": 4473},
      ("left-dist", (0,) * 16, (0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1, 0, 1),
       (0, 1, 0, 1, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0)),
      ("left-dist", (0,) * 16, (0, 1, 0, 1, 0, 0, 0, 0, 0, 1, 1, 2, 0, 0, 1, 1),
       (1, 1, 0, 0, 1, 2, 0, 2, 0, 0, 0, 0, 0, 2, 0, 2))),
-    (check_action_laws, 4, "_wedge", _entrywise_max, 224336,
+    ("action-laws-4", "max-meet", 224336,
      {"linearity": 23148},
      ("linearity", (0,) * 16, (0, 1, 0, 1), (1, 0, 1, 0)),
      ("linearity", (2, 2, 2, 2, 0, 0, 0, 0, 2, 2, 2, 2, 0, 0, 2, 2), (2, 2, 2, 0),
       (2, 2, 0, 2))),
-    (_tensor_laws, 4, "_mm", _uncapped_mm, 20512,
+    ("tensor-laws", "uncapped", 20512,
      {"mixed-product": 459},
      ("mixed-product", (0, 0, 0, 0), (0, 0, 1, 1), (0, 0, 0, 0), (2, 2, 2, 2)),
      ("mixed-product", (0, 0, 0, 0), (2, 2, 2, 2), (2, 2, 2, 2), (2, 2, 2, 2))),
 ], ids=["mv-gate-laws-2", "action-laws-2", "mv-gate-laws-2-uncapped",
         "action-laws-2-max-meet", "mv-gate-laws-4", "action-laws-4",
         "mv-gate-laws-4-max-meet", "action-laws-4-max-meet", "tensor-laws"])
-def test_interned_tables_keep_the_per_case_failures(monkeypatch, check, size, name, mutant,
-                                                    cases, kinds, first, last):
-    monkeypatch.setattr(verify, name, mutant)
-    report = check(grid_values("coarse"), size)
+def test_interned_tables_keep_the_per_case_failures(runs, line, mutant, cases, kinds, first,
+                                                    last):
+    report = runs("coarse", mutant)[line]
     assert report.cases == cases
     assert Counter(failure[0] for failure in report.failures) == kinds
     assert (report.failures[0], report.failures[-1]) == (first, last)
@@ -502,17 +667,17 @@ def test_kron_gates_read_columns_and_rows_off_their_factors():
         assert [rows[r] for r in gates.rows[k]] == [g[i:i + 4] for i in range(0, 16, 4)]
 
 
-def test_meet_outside_the_grid_is_a_failure(monkeypatch):
+def test_meet_outside_the_grid_is_a_failure(monkeypatch, runs):
     # an entrywise max in place of the meet leaves the gate set: no KeyError,
     # a meet-closure failure, and each case that needs such a meet decided
     # as a per-case loop decides it
-    monkeypatch.setattr(verify, "_wedge", _entrywise_max)
-    values = grid_values("coarse")
-    report = check_mv_gate_laws(values, 2)
+    report = runs("coarse", "max-meet")["mv-gate-laws-2"]
     assert report.cases == 35881
     assert Counter(failure[0] for failure in report.failures) == {
         "meet-closure": 332, "left-dist": 6976, "right-dist": 2464}
-    assert [f for f in report.failures if f[0] != "meet-closure"] == _per_case_walk(values)[0]
+    _patch(monkeypatch, "max-meet")
+    want = _per_case_walk(grid_values("coarse"))[0]
+    assert [f for f in report.failures if f[0] != "meet-closure"] == want
 
 
 def _per_case_walk(values) -> tuple[list, list]:
@@ -538,32 +703,27 @@ def _per_case_walk(values) -> tuple[list, list]:
     return dist, action
 
 
-@pytest.mark.parametrize("name, mutant", [
-    ("_mm", _capped_max_plus_mm), ("_wedge", _entrywise_max), ("_mv", _max_reduced_mv),
-], ids=["max-plus", "max-meet", "max-reduced"])
-def test_tables_read_the_failures_of_a_per_case_walk(monkeypatch, name, mutant):
+@pytest.mark.parametrize("mutant", ["max-plus", "max-meet", "max-reduced"])
+def test_tables_read_the_failures_of_a_per_case_walk(monkeypatch, runs, mutant):
     # the full lists of the laws whose failures are read off the tables, against
     # the per-case loop `verify` no longer runs
-    monkeypatch.setattr(verify, name, mutant)
-    values = grid_values("coarse")
-    dist, action = _per_case_walk(values)
+    reports = runs("coarse", mutant)
+    _patch(monkeypatch, mutant)
+    dist, action = _per_case_walk(grid_values("coarse"))
     assert dist or action
     laws = ("left-dist", "right-dist", "linearity", "compatibility")
-    for report, want in ((check_mv_gate_laws(values, 2), dist),
-                         (check_action_laws(values, 2), action)):
-        assert [f for f in report.failures if f[0] in laws] == want
+    for line, want in (("mv-gate-laws-2", dist), ("action-laws-2", action)):
+        assert [f for f in reports[line].failures if f[0] in laws] == want
 
 
-def test_meet_closure_failures_are_the_per_pair_list(monkeypatch):
+def test_meet_closure_failures_are_the_per_pair_list(runs):
     # the table of meets of distinct columns lists, in order, what meeting
-    # every pair of whole gates lists
-    monkeypatch.setattr(verify, "_wedge", _entrywise_max)
-    grid = verify._Grid(grid_values("coarse"))
-    gates = grid.size2[0]
+    # every pair of whole gates under the `max-meet` mutant lists
+    gates = verify._Grid(grid_values("coarse")).size2[0]
     members = set(gates)
     per_pair = [("meet-closure", b, c, m) for b in gates for c in gates
                 if (m := _entrywise_max(b, c)) not in members]
-    report = check_mv_gate_laws(grid, 2)
+    report = runs("coarse", "max-meet")["mv-gate-laws-2"]
     assert [f for f in report.failures if f[0] == "meet-closure"] == per_pair
     assert len(per_pair) == 332
 
@@ -572,19 +732,15 @@ def _fields(report) -> tuple:
     return report.name, report.cases, report.failures, report.note
 
 
-def test_run_all_builds_the_size4_family_once(monkeypatch):
-    # under a meet that leaves the gate set, so that a check that wrote what
-    # it derives into a shared family could change what a later check finds
-    monkeypatch.setattr(verify, "_wedge", _entrywise_max)
-    real, builds = verify._KronGates.__init__, []
-
-    def counted(self, *args):
-        builds.append(None)
-        real(self, *args)
-
-    monkeypatch.setattr(verify._KronGates, "__init__", counted)
-    reports = {r.name: r for r in run_all("coarse")}
-    assert len(builds) == 1
+def test_run_all_builds_the_size4_family_once(monkeypatch, runs):
+    # `_run` counts the builds, here under every mutant; and under a meet
+    # that leaves the gate set, so that a check that wrote what it derives
+    # into a shared family could change what a later check finds, each
+    # report is the one its check gives alone
+    for mutant in MUTANTS:
+        runs("coarse", mutant)
+    reports = runs("coarse", "max-meet")
+    _patch(monkeypatch, "max-meet")
     plain = tuple(grid_values("coarse"))
     for name, check in GRID_CHECKS.items():
         assert _fields(reports[name]) == _fields(check(plain)), name
@@ -592,12 +748,9 @@ def test_run_all_builds_the_size4_family_once(monkeypatch):
 
 # meets, and products past 1, that leave the gate set: what a check derives
 # is then no vector of a family
-@pytest.mark.parametrize("name, mutant", [
-    (None, None), ("_wedge", _entrywise_max), ("_mm", _uncapped_mm),
-], ids=["healthy", "max-meet", "uncapped"])
-def test_checks_leave_a_shared_grid_unchanged(monkeypatch, name, mutant):
-    if name:
-        monkeypatch.setattr(verify, name, mutant)
+@pytest.mark.parametrize("mutant", ["healthy", "max-meet", "uncapped"])
+def test_checks_leave_a_shared_grid_unchanged(monkeypatch, mutant):
+    _patch(monkeypatch, mutant)
     grid = verify._Grid(grid_values("coarse"))
     tables = [t for gates in (grid.size2[0], grid.size4[0]) for t in (gates.col_ids, gates.row_ids)]
     before = [list(t.items()) for t in tables]
@@ -687,69 +840,18 @@ def test_bits_lists_the_set_bits_in_order():
         assert verify._bits(mask) == [k for k in range(mask.bit_length()) if mask >> k & 1]
 
 
-KERNEL_MUTANTS = {
-    "kron_mat": lambda real: lambda a, b: real(b, a),  # factors swapped
-    "kron_vec": lambda real: lambda u, v: real(v, u),
-    "mat_mul": lambda real: lambda a, b: real(b, a),
-    # the state's entries reversed
-    "mat_vec": lambda real: lambda a, v: real(a, SVector(v.instance, v.entries[::-1])),
-    "mat_vec_block": lambda real: lambda a, base, v: real(a, 1 - base, v),  # wrong bit
-}
-
-
-@pytest.mark.parametrize("kernel", sorted(KERNEL_MUTANTS))
-def test_mutated_kernel_fails_oracle_agreement(monkeypatch, kernel):
-    monkeypatch.setattr(verify, kernel, KERNEL_MUTANTS[kernel](getattr(verify, kernel)))
-    report = check_oracle_agreement(grid_values("coarse"))
-    assert report.cases == 4056
-    assert len(report.failures) >= 1
-
-
-# One kernel or predicate mutant per `tensor-laws` family, each named by the
-# family it must make fail; a mutant may make others fail too.
-TENSOR_MUTANTS = [
-    # the factors swapped: a basis ket lands on the mirrored index
-    ("basis-ket", "_kron_v", lambda real: lambda u, v, L: real(v, u, L)),
-    ("basis-enumeration", "_kron_v", lambda real: lambda u, v, L: real(v, u, L)),
-    # one entry too many
-    ("dimension", "_kron_v", lambda real: lambda u, v, L: real(u, v, L) + (L,)),
-    # a zero demanded in the first entry, not in any entry
-    ("state-closure", "_is_state", lambda real: lambda v, L: v[0] == 0 or min(v) == L),
-    # the first factor counted twice: u (x) v and v (x) u no longer mirror
-    ("symmetry", "_kron_v",
-     lambda real: lambda u, v, L: tuple(min(2 * x + y, L) for x in u for y in v)),
-    # a truncated difference in place of the truncated sum, which is not associative
-    ("associativity", "_kron_v",
-     lambda real: lambda u, v, L: tuple(max(x - y, 0) for x in u for y in v)),
-    # a zero demanded in every row, not in every column
-    ("gate-closure", "_is_gate", lambda real: lambda m, n, L: min(m) == L or all(
-        min(m[i * n:i * n + n]) == 0 for i in range(n))),
-]
-
-
-@pytest.mark.parametrize("family, name, mutant", TENSOR_MUTANTS,
-                         ids=[family for family, _, _ in TENSOR_MUTANTS])
-def test_each_tensor_law_family_can_fail(monkeypatch, family, name, mutant):
-    monkeypatch.setattr(verify, name, mutant(getattr(verify, name)))
-    report = check_tensor_laws(grid_values("coarse"))
-    assert family in {failure[0] for failure in report.failures}
+def _digest(reports) -> str:
+    """One sha256 over the full reports."""
+    return hashlib.sha256(repr([_fields(r) for r in reports]).encode()).hexdigest()
 
 
 # The checks that read Kronecker-built gates by their factors, pinned by one
 # sha256 over their full reports: on `coarse` under each mutant of the
-# kernels and predicates they read (`basis-enumeration` is `basis-ket`'s
-# mutant), and on `standard` healthy.  Both caps end mid-block there: on
+# kernels and predicates they read, and on `standard` healthy.  Both caps
+# end mid-block there: on
 # `coarse` the 148th A of the closure walk stops after 628 of 676 gates, on
 # `standard` the 4th after 13,300, and the mixed product's last row (a, b, c)
 # stops short of the last d.
-FACTOR_READ_MUTANTS = {
-    "healthy": None,
-    "uncapped": ("_mm", lambda real: _uncapped_mm),
-    "max-plus": ("_mm", lambda real: _capped_max_plus_mm),
-    "max-meet": ("_wedge", lambda real: _entrywise_max),
-    **{family: (name, mutant) for family, name, mutant in TENSOR_MUTANTS
-       if name in ("_kron_v", "_is_gate") and family != "basis-enumeration"},
-}
 FACTOR_READ_DIGESTS = {
     ("coarse", "healthy"):
         "6166a9761ea6f9c9a568000335c1b0a8a63ec2a1fefcbd05427359012269685f",
@@ -776,44 +878,16 @@ FACTOR_READ_DIGESTS = {
 
 @pytest.mark.parametrize("grid, mutant", list(FACTOR_READ_DIGESTS),
                          ids=[f"{grid}-{mutant}" for grid, mutant in FACTOR_READ_DIGESTS])
-def test_factor_read_reports_keep_their_digest(monkeypatch, grid, mutant):
-    if FACTOR_READ_MUTANTS[mutant]:
-        name, make = FACTOR_READ_MUTANTS[mutant]
-        monkeypatch.setattr(verify, name, make(getattr(verify, name)))
-    values = verify._Grid(grid_values(grid))
-    reports = [check_mv_gate_laws(values, 2), check_mv_gate_laws(values, 4),
-               check_tensor_laws(values)]
-    digest = hashlib.sha256(repr([_fields(r) for r in reports]).encode()).hexdigest()
-    assert digest == FACTOR_READ_DIGESTS[grid, mutant]
-    _assert_failures_are_read_alike(monkeypatch, reports)
-
-
-def _assert_failures_are_read_alike(monkeypatch, reports):
-    """Each report's count is the number of failures it lists, and, the
-    kernels restored, it lists the same failures again: reading them runs
-    no kernel."""
-    listed = [list(r.failures) for r in reports]
-    assert [len(r.failures) for r in reports] == list(map(len, listed))
-    monkeypatch.undo()
-    assert [list(r.failures) for r in reports] == listed
+def test_factor_read_reports_keep_their_digest(runs, grid, mutant):
+    reports = runs(grid, mutant)
+    lines = ("mv-gate-laws-2", "mv-gate-laws-4", "tensor-laws")
+    assert _digest(map(reports.get, lines)) == FACTOR_READ_DIGESTS[grid, mutant]
 
 
 # `action-laws` reads states by class, those that each row it reaches meets
 # alike, pinned by one sha256 over both sizes' full reports: on `coarse`
 # under each mutant of the kernels and predicates it reads, and on
 # `standard` healthy.  A constant `_mv` puts every state in one class.
-ACTION_READ_MUTANTS = {
-    "healthy": None,
-    "max-reduced": ("_mv", lambda real: _max_reduced_mv),
-    "max-meet": ("_wedge", lambda real: _entrywise_max),
-    "state-closure": next((name, mutant) for family, name, mutant in TENSOR_MUTANTS
-                          if family == "state-closure"),
-    "accept-all": ("_is_state", lambda real: lambda v, L: True),
-    "constant": ("_mv", lambda real: lambda a, v, n, L: (0,) * (len(a) // n)),
-    # the rows rB come from one product table against the Bs' columns
-    **{name: FACTOR_READ_MUTANTS[name]
-       for name in ("uncapped", "max-plus", "dimension", "basis-ket")},
-}
 ACTION_READ_DIGESTS = {
     ("coarse", "healthy"):
         "5764489432d325ddc03d1faa5968f3077703f76f64e2ed62a640a4119a7e2ceb",
@@ -847,15 +921,10 @@ ACTION_READ_DIGESTS = {
 
 @pytest.mark.parametrize("grid, mutant", list(ACTION_READ_DIGESTS),
                          ids=[f"{grid}-{mutant}" for grid, mutant in ACTION_READ_DIGESTS])
-def test_action_read_reports_keep_their_digest(monkeypatch, grid, mutant):
-    if ACTION_READ_MUTANTS[mutant]:
-        name, make = ACTION_READ_MUTANTS[mutant]
-        monkeypatch.setattr(verify, name, make(getattr(verify, name)))
-    values = verify._Grid(grid_values(grid))
-    reports = [check_action_laws(values, 2), check_action_laws(values, 4)]
-    digest = hashlib.sha256(repr([_fields(r) for r in reports]).encode()).hexdigest()
-    assert digest == ACTION_READ_DIGESTS[grid, mutant]
-    _assert_failures_are_read_alike(monkeypatch, reports)
+def test_action_read_reports_keep_their_digest(runs, grid, mutant):
+    reports = runs(grid, mutant)
+    lines = ("action-laws-2", "action-laws-4")
+    assert _digest(map(reports.get, lines)) == ACTION_READ_DIGESTS[grid, mutant]
 
 
 # Every row rB is read off one product of the A rows by the Bs' distinct
@@ -863,10 +932,6 @@ def test_action_read_reports_keep_their_digest(monkeypatch, grid, mutant):
 @pytest.mark.parametrize("size", [2, 4])
 def test_action_laws_take_every_rb_from_one_product(monkeypatch, size):
     assert _kernel_calls(monkeypatch, check_action_laws, size, "_mm") == 1
-
-
-def _run_all_digest(grid: str) -> str:
-    return hashlib.sha256(repr([_fields(r) for r in run_all(grid)]).encode()).hexdigest()
 
 
 # The full reports of one `run_all` request per grid.  `standard` and `fine`
@@ -880,8 +945,9 @@ RUN_ALL_DIGESTS = {
 }
 
 
-def test_run_all_reports_keep_their_digest():
-    assert {grid: _run_all_digest(grid) for grid in RUN_ALL_DIGESTS} == RUN_ALL_DIGESTS
+def test_run_all_reports_keep_their_digest(runs):
+    digests = {grid: _digest(runs(grid, "healthy").values()) for grid in RUN_ALL_DIGESTS}
+    assert digests == RUN_ALL_DIGESTS
 
 
 # The same under the `state-closure` mutant of `_is_state`, whose failures
@@ -894,10 +960,9 @@ STATE_CLOSURE_RUN_ALL_DIGESTS = {
 }
 
 
-def test_run_all_reports_under_a_mutant_tell_the_grids_apart(monkeypatch):
-    name, make = ACTION_READ_MUTANTS["state-closure"]
-    monkeypatch.setattr(verify, name, make(getattr(verify, name)))
-    digests = {grid: _run_all_digest(grid) for grid in STATE_CLOSURE_RUN_ALL_DIGESTS}
+def test_run_all_reports_under_a_mutant_tell_the_grids_apart(runs):
+    digests = {grid: _digest(runs(grid, "state-closure").values())
+               for grid in STATE_CLOSURE_RUN_ALL_DIGESTS}
     assert digests == STATE_CLOSURE_RUN_ALL_DIGESTS
     assert digests["standard"] != digests["fine"]
 
@@ -923,7 +988,7 @@ def test_a_request_that_counts_builds_no_failure_tuple(monkeypatch, capsys, coar
     # it prints one count per report: under the max meet its peak stays within
     # twice a healthy request's; holding each failure tuple took about nine times
     healthy_code, healthy_lines, healthy_peak = _verify_coarse(capsys)
-    monkeypatch.setattr(verify, "_wedge", _entrywise_max)
+    _patch(monkeypatch, "max-meet")
     code, lines, peak = _verify_coarse(capsys)
     assert (healthy_code, code) == (0, 1)
     assert lines == [f"{name} cases {r.cases} failures {MAX_MEET_COARSE_FAILURES.get(name, 0)}"
@@ -987,10 +1052,3 @@ def test_tensor_and_stochastic_exhibits():
     assert stoch.passed
     # the two inverse exhibits count as cases even though they cannot fail here
     assert stoch.cases > len(grid) ** 4
-
-
-def test_semiring_axioms_all_instances_standard():
-    grid = grid_values("standard")
-    assert check_semiring_axioms(FUZZ_MV, grid).passed
-    report = CheckReport("adhoc", 0)
-    assert report.passed

@@ -1,25 +1,23 @@
 """The `standard` mutant sweep of `verify`: one sha256 per mutant, against a pinned table.
 
 Run from the repository root as `PYTHONPATH=src python tests/verify_mutants.py`
-(pytest does not collect it: it takes about a minute, 49 s on a shared
+(pytest does not collect it: it takes under a minute, 42-46 s on a shared
 2-vCPU host with Python 3.11, most of it `max-plus` and `max-meet`).
-Healthy and under each mutant of the kernels and predicates that tier 1
-patches in `tests/test_verify.py` (`_mm`, `_mv`, `_wedge`, `_kron_v`,
-`_is_state` and `_is_gate`), it runs `mv-gate-laws-2` and `-4`,
+Under each mutant that `DIGESTS` names, taken by name from the `MUTANTS`
+table of `tests/test_verify.py`, it runs `mv-gate-laws-2` and `-4`,
 `action-laws-2` and `-4`, `tensor-laws` and `oracle-agreement` on one
 `standard` grid, prints the sha256 of their full reports (name, cases,
 failures, note) with the time each took, then the total time, and exits 1
 if one differs from `DIGESTS`.
 """
 
-import hashlib
 import sys
 import time
 
-import fuzzbit.verify as verify
-from test_verify import ACTION_READ_MUTANTS, FACTOR_READ_MUTANTS, _fields
+import pytest
 
-MUTANTS = {**FACTOR_READ_MUTANTS, **ACTION_READ_MUTANTS}
+import fuzzbit.verify as verify
+from test_verify import MUTANTS, _digest
 
 DIGESTS = {
     "healthy":
@@ -53,28 +51,23 @@ DIGESTS = {
 
 def digest(mutant: str) -> str:
     """The sha256 of the six reports on `standard` with `mutant` patched in."""
-    patch, saved = MUTANTS[mutant], None
-    if patch:
-        name, make = patch
-        saved = getattr(verify, name)
-        setattr(verify, name, make(saved))
-    try:
+    with pytest.MonkeyPatch.context() as m:
+        if MUTANTS[mutant]:
+            name, make = MUTANTS[mutant]
+            m.setattr(verify, name, make(getattr(verify, name)))
         grid = verify._Grid(verify.grid_values("standard"))
         reports = [verify.check_mv_gate_laws(grid, 2), verify.check_mv_gate_laws(grid, 4),
                    verify.check_action_laws(grid, 2), verify.check_action_laws(grid, 4),
                    verify.check_tensor_laws(grid), verify.check_oracle_agreement(grid)]
-    finally:
-        if patch:
-            setattr(verify, name, saved)
-    return hashlib.sha256(repr([_fields(r) for r in reports]).encode()).hexdigest()
+    return _digest(reports)
 
 
 def main() -> int:
     changed, start = [], time.perf_counter()
-    for mutant in MUTANTS:
+    for mutant, want in DIGESTS.items():
         t0 = time.perf_counter()
         got = digest(mutant)
-        verdict = "ok" if got == DIGESTS.get(mutant) else "CHANGED"
+        verdict = "ok" if got == want else "CHANGED"
         print(f"{mutant:15} {got} {verdict} {time.perf_counter() - t0:.1f}s", flush=True)
         if verdict != "ok":
             changed.append(mutant)
