@@ -29,16 +29,15 @@ numerators and the scale by their gcd, so the scale stays the least
 common denominator of the state.  Each intermediate state is the kernel's
 own vector, which builds no scalar, and passes the row's state predicate.
 One generator runs both routes and holds one state at a time; the trace
-keeps the last and replays the run when `states` is first read, and a
-caller that wants every state as the run makes it passes `simulate` a
-per-state consumer instead.
+keeps the last, and a caller that wants every state passes `simulate` a
+per-state consumer, `each`.
 
 Stochastic and fuzzy requests build no rational scalar from the literal to
 the printed line: `init vec` literals and `@file` matrices parse to integer
 numerators over a common scale (`linalg.literal_matrix`), builtins and
 basis kets are numerators at scale 1, the row's predicates read gates and
-states as numerators, plans are bound numerator matrices, and the trace's
-states keep their numerators for the CLI to print.  Each is an `SVector` or
+states as numerators, plans are bound numerator matrices, and each run
+state keeps its numerators for the CLI to print.  Each is an `SVector` or
 `SMatrix` held over its numerators, whose rationals are built only when
 the public API reads its `entries`.  An error inside an `@file` gate is
 raised at the step's line and names the file.
@@ -158,11 +157,9 @@ class ValidatedCircuit:
 class SimulationTrace:
     """The final state of a run of `vc`, and its measurement seed.
 
-    `states` (states[0] is vc.initial) replays the run on first read and
-    checks no state a second time: the kernels are deterministic, so each is
-    the state the run checked.  `measured` is what the row's `measure` draws
-    from `final` with `seed`, or None.  Traces are equal when their states
-    and outcomes are.
+    `measured` is what the row's `measure` draws from `final` with `seed`,
+    or None.  The trace keeps no other state: a caller that wants each one
+    passes `simulate` its `each` consumer.
     """
 
     vc: ValidatedCircuit
@@ -170,28 +167,9 @@ class SimulationTrace:
     seed: int | None = None
 
     @cached_property
-    def states(self) -> tuple[ModelState, ...]:
-        plans = self.vc.plans
-        if not plans:
-            return (self.final,)
-        middle = itertools.islice(_run(self.vc), len(plans) - 1)
-        return (self.vc.initial, *(_state(self.vc, value) for value in middle), self.final)
-
-    @cached_property
     def measured(self) -> int | None:
         measure = MODELS[self.vc.program.model].measure
         return None if measure is None or self.seed is None else measure(self.final, self.seed)
-
-    def _key(self) -> tuple:
-        return self.states, self.measured
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SimulationTrace):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
 
 # --- parsing ------------------------------------------------------------------

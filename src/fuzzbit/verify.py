@@ -38,19 +38,16 @@ row of the left operand and one column or vector of the right), a column
 or row of a Kronecker-built gate is the product of its factors' columns
 or rows, and `_wedge` is entrywise.  A case then fails exactly when one of
 its ids, or pairs of ids, does.  Every case is counted, and each failure
-of distributivity, linearity, (AB)s = A(Bs) and the meet closure is read
-off the tables, as are identity and zero, per law from the columns and
-rows it does not fix or absorb: a report keeps a count, and builds the
-failure tuples a per-case loop finds, in its order, from ids each time
-they are read, so a request that only counts builds none.  Direct kernel
-calls still decide what the tables mark where a verdict reads whole
-gates: product closure (`_is_gate` of the `_mm` of whole gates, of which
-it keeps ids), and the mixed product, whose `_kron_m` a `_kron_v` that
-swaps its factors lays out otherwise than the column table.  A Kronecker
-family whose gates are not n x n (a `_kron_v` that adds an entry) breaks
-the assumption: each gate the identity and zero tables mark and each
-distributivity failure its tables read are decided by direct products,
-and each case of a pair (A, B) that (AB)s = A(Bs) marks by direct calls.
+of distributivity, linearity, (AB)s = A(Bs), the meet closure and the
+mixed product is read off the tables, as are identity and zero, per law
+from the columns and rows it does not fix or absorb: a report keeps a
+count, and builds the failure tuples a per-case loop finds, in its order,
+from ids each time they are read, so a request that only counts builds
+none.  Product closure alone is decided by direct kernel calls (`_is_gate`
+of the `_mm` of whole gates, of which it keeps ids).  A family that breaks
+the assumption (gates that are not n x n, or a `_kron_v` that lays
+factors out differently) is named by tensor-laws' own `dimension` and
+`basis-ket` laws; every other line reports what its tables read.
 """
 
 from __future__ import annotations
@@ -484,12 +481,6 @@ def check_mv_gate_laws(grid, size: int = 2) -> CheckReport:
             cs, rs = gates.columns[k], gates.rows[k]
             yield from ((law, k) for law, c, r in misses
                         if not (c.isdisjoint(cs) and r.isdisjoint(rs)))
-    if len(gates[0]) != n * n:  # a misbuilt family (see the module docstring)
-        def fails(law, g) -> bool:  # by direct products
-            m, want = (ident, g) if law == "identity" else (zero, zero)
-            return _mm(m, g, n, L) != want or _mm(g, m, n, L) != want
-        unfixed = [(law, k) for k in dict.fromkeys(k for _, k in unfixed())
-                   for law in ("identity", "zero-absorbs") if fails(law, gates[k])].__iter__
     found["identity"] = _read_off(unfixed, lambda law, k: (law, gates[k]))
 
     # AB is a gate when A maps each of B's columns to a column of minimum 0,
@@ -551,12 +542,6 @@ def check_mv_gate_laws(grid, size: int = 2) -> CheckReport:
             tuple(itertools.chain(*map(rows.__getitem__, used))), vs, n, L)),
         ("right-dist", gates.rows, gates.row_ids, gates.columns, lambda used, vs: _right_images(
             tuple(itertools.chain(*zip(*map(cols.__getitem__, used)))), vs, n, L))))
-    if len(gates[0]) != n * n:  # a misbuilt family (see the module docstring)
-        def fails(law, a, b, c) -> bool:  # by direct products, right-dist's the other way round
-            def mm(x, y):
-                return _mm(*((x, y) if law == "left-dist" else (y, x)), n, L)
-            return mm(a, _wedge(b, c)) != _wedge(mm(a, b), mm(a, c))
-        found["distributivity"] = [f for f in found["distributivity"] if fails(*f)]
     report.failures = _joined(*map(found.__getitem__, order))
     report.elapsed = time.perf_counter() - t0
     return report
@@ -767,25 +752,19 @@ def check_action_laws(grid, size: int = 2) -> CheckReport:
                 differs[r][bi] = sum(1 << c for c, d in enumerate(map(ne, by_class[x], got)) if d)
     report.cases += min(cap, n_g * n_g * n_s)
 
-    def incompatible(every: bool):  # (A, B, s) with s in a class that marks (A, B), or any s
+    def incompatible():  # (A, B, s) with s in a class that marks (A, B)
         for ai in range(n_a):
             for bi in sorted(set().union(*map(differs.__getitem__, g_rows[ai]))):
                 classes = functools.reduce(or_, (differs[r].get(bi, 0) for r in g_rows[ai]))
                 count = min(n_s, cap - (ai * n_g + bi) * n_s)  # the states the cap reaches
-                yield from ((ai, bi, si) for si in range(count)
-                            if every or classes >> of_state[si] & 1)
-    ids = functools.partial(incompatible, False)
-    if len(gates[0]) != n * n:  # a misbuilt family (see the module docstring)
-        def fails(ai, bi, si) -> bool:  # by direct kernel calls
-            a, b, s = gates[ai], gates[bi], states[si]
-            return _mv(_mm(a, b, n, L), s, n, L) != _mv(a, _mv(b, s, n, L), n, L)
-        ids = [t for t in incompatible(True) if fails(*t)].__iter__
+                yield from ((ai, bi, si) for si in range(count) if classes >> of_state[si] & 1)
 
     report.failures = _joined(
         report.failures,
         _read_off(leaving, lambda gi, si, v: ("state-closure", gates[gi], states[si], vectors[v])),
         linearity,
-        _read_off(ids, lambda ai, bi, si: ("compatibility", gates[ai], gates[bi], states[si])))
+        _read_off(incompatible,
+                  lambda ai, bi, si: ("compatibility", gates[ai], gates[bi], states[si])))
     report.elapsed = time.perf_counter() - t0
     return report
 
@@ -828,9 +807,8 @@ def check_tensor_laws(grid) -> CheckReport:
     # Mixed product (a (x) b)(c (x) d) = ac (x) bd, column by column: for x
     # column p of c and y column q of d, column (p, q) of the left side is
     # a (x) b applied to x (x) y, and of the right side column p of ac (x) by.
-    # A row (a, b, c) is rechecked, d by d, when some d the cap reaches has a
-    # column y where the two differ (see the module docstring for why the
-    # table alone does not decide), and `mixed` holds it with its failing ds.
+    # A quadruple fails when d, among the ds the cap reaches, has a column y
+    # where the two differ, and `mixed` holds each row (a, b, c) with its failing ds.
     quad_cap = 20000
     n_gates = len(gates)  # c (x) d is kron gate ci * n_gates + di
     col_ids = dict(kron.col_ids)  # the images and the columns of ac (x) by join a copy
@@ -853,11 +831,8 @@ def check_tensor_laws(grid) -> CheckReport:
         sides = list(zip(gates.columns[ci], (ac[0::2], ac[1::2])))
         bad = [y for y, v in enumerate(by)
                if any(image[table[x][y]] != kron_id(u, v) for x, u in sides)]
-        if gates.holding(bad) & ((1 << count) - 1):
-            b, ab = gates[bi], kron[ai * n_gates + bi]
-            mixed.append((ai, bi, ci, [di for di, d in enumerate(gates[:count])
-                                       if _mm(ab, kron[ci * n_gates + di], 4, L)
-                                       != _kron_m(ac, _mm(b, d, 2, L), 2, 2, L)]))
+        if ds := _bits(gates.holding(bad) & ((1 << count) - 1)):
+            mixed.append((ai, bi, ci, ds))
     closure = []
     for i, a in enumerate(gates):
         for j in range(i, min(i + 8, n_gates)):  # gate Kronecker closure, strided sample

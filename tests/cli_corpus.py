@@ -305,6 +305,16 @@ CASES = [
          "line 3: initial state rejected: squared norm is 2.0, expected 1 within 1e-09"),
         ("fuzzy", "fuzzy", "1/4 3/4", "FNOT",
          "line 3: initial state rejected: minimum entry is 1/4, expected 0 (or all entries 1)"))],
+    # each wire-list rule of `validate`, and a gate name the row does not build
+    *[_error(f"rejection/step-{name}",
+             {"p.circ": f"model quantum\nwires {wires}\ninit ket {'0' * wires}\ngate {gate}\n"},
+             "simulate p.circ", 1, message) for name, wires, gate, message in (
+        ("arity", 2, "CNOT 0", "line 4: gate CNOT expects 2 wires, got 1"),
+        ("repeated-wire", 2, "CNOT 0 0", "line 4: gate CNOT lists a wire twice"),
+        ("out-of-range", 2, "H 2", "line 4: wire 2 out of range for 2 wires"),
+        ("not-contiguous", 3, "CNOT 0 2",
+         "line 4: gate CNOT wires (0, 2) must form a contiguous block"),
+        ("unknown-gate", 2, "FOO 0", "line 4: unknown gate 'FOO' for model quantum"))],
     _error("rejection/zero-denominator-init",
            {"p.circ": _ONE_WIRE.format("stochastic", "vec 1/0 1", "NOT")},
            "simulate p.circ", 2, "line 3, column 10: zero denominator in '1/0'"),

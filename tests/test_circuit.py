@@ -201,13 +201,15 @@ def test_lift_conventions():
 
 
 def test_bell_simulation():
-    trace = simulate(validate(parse_circuit(BELL)))
+    states = []
+    trace = simulate(validate(parse_circuit(BELL)), None, states.append)
     r2 = 1.0 / math.sqrt(2.0)
     amps = trace.final.vector.entries
     assert abs(amps[0] - r2) < 1e-12 and abs(amps[3] - r2) < 1e-12
     assert abs(amps[1]) < 1e-12 and abs(amps[2]) < 1e-12
     assert trace.measured in (0, 3)
-    assert len(trace.states) == 3  # init + two gates
+    assert len(states) == 3  # init + two gates
+    assert states[-1] == trace.final
 
 
 def test_measure_seed_override_and_force():
@@ -308,7 +310,7 @@ def test_a_repeated_step_reports_the_first_failing_line():
         validate(parse_circuit(text))
 
 
-def test_classical_trace_builds_states_on_read():
+def test_classical_run_passes_each_state():
     text = ("model classical\nwires 4\ninit ket 0110\n"
             "gate AND 3 2 1\ngate SWAP 0 1\ngate FANOUT 2 1\ngate NOT 3\ngate CNOT 0 1\n")
     vc = validate(parse_circuit(text))
@@ -317,13 +319,16 @@ def test_classical_trace_builds_states_on_read():
     for step, gate in zip(vc.program.steps, vc.gates):
         index = permutation_from_matrix(lift_gate(gate, step.wires, n))[index]
         expected.append(ClassicalState(n, index))
-    trace = simulate(vc)
+    states = []
+    trace = simulate(vc, None, states.append)
     assert trace.final == expected[-1] and isinstance(trace.final, ClassicalState)
-    assert list(trace.states) == expected
-    assert all(isinstance(state, ClassicalState) for state in trace.states)
-    again = simulate(vc)
-    assert again == trace and hash(again) == hash(trace)
-    assert simulate(dataclasses.replace(vc, initial=ClassicalState(n, 0))) != trace
+    assert states == expected
+    assert all(isinstance(state, ClassicalState) for state in states)
+    again = []
+    assert simulate(vc, None, again.append).measured == trace.measured and again == states
+    other = []
+    simulate(dataclasses.replace(vc, initial=ClassicalState(n, 0)), None, other.append)
+    assert other != states
 
 
 def test_gate_from_file(tmp_path):
@@ -540,9 +545,9 @@ def test_every_step_matches_the_lifted_gate(case):
     def basis(index):
         return basis_vector(instance, 1 << n, index)
 
-    trace = simulate(vc)
-    for step, gate, before, after in zip(program.steps, vc.gates, trace.states,
-                                         trace.states[1:]):
+    states = []
+    simulate(vc, None, states.append)
+    for step, gate, before, after in zip(program.steps, vc.gates, states, states[1:]):
         lifted = lift_gate(gate, step.wires, n)
         if program.model == "classical":
             assert mat_vec(lifted, basis(before.basis_index)) == basis(after.basis_index)
@@ -599,21 +604,22 @@ def test_integer_route_matches_the_rational_route(case):
     program = vc.program
     if initial is not None:
         vc = dataclasses.replace(vc, initial=initial)
-    trace = simulate(vc)
+    states = []
+    trace = simulate(vc, None, states.append)
     state = vc.initial
-    assert len(trace.states) == len(program.steps) + 1
-    assert trace.states[0] is state
+    assert len(states) == len(program.steps) + 1
+    assert states[0] is state
     vector = state.vector
     s = vector.instance
     for k, (step, gate, plan) in enumerate(zip(program.steps, vc.gates, vc.plans), 1):
         lifted = mat_vec(lift_gate(gate, step.wires, program.wire_count), vector)
         vector = SVector(s, entrywise_block(s, plan.entries, min(step.wires), vector.entries))
         assert vector == lifted
-        decoded = trace.states[k]
+        decoded = states[k]
         assert isinstance(decoded, VectorState) and decoded.model == program.model
         assert decoded.vector == vector
         assert list(map(type, decoded.vector.entries)) == list(map(type, vector.entries))
-    assert trace.final == trace.states[-1]
+    assert trace.final == states[-1]
 
 
 ONE_PROGRAM_PER_MODEL = (
@@ -628,7 +634,8 @@ ONE_PROGRAM_PER_MODEL = (
 @pytest.mark.parametrize("text", ONE_PROGRAM_PER_MODEL)
 def test_simulate_neither_lifts_nor_checks_gates(monkeypatch, text):
     vc = validate(parse_circuit(text))
-    expected = simulate(vc)
+    expected = []
+    measured = simulate(vc, None, expected.append).measured
 
     def boom(*args, **kwargs):
         raise AssertionError("simulate must not lift or re-check a gate")
@@ -639,7 +646,8 @@ def test_simulate_neither_lifts_nor_checks_gates(monkeypatch, text):
                    "fuzzbit.models.quantum.unitary_violation",
                    "fuzzbit.models.fuzzy.fuzzy_gate_violation"):
         monkeypatch.setattr(target, boom)
-    assert simulate(vc) == expected
+    states = []
+    assert simulate(vc, None, states.append).measured == measured and states == expected
 
 
 # A kernel mutant returns numerators over the state's own carrier and scale:
@@ -671,11 +679,11 @@ def test_a_trace_checks_each_state_once(monkeypatch, text, predicate):
     monkeypatch.setattr(module, predicate, lambda v: calls.append(v) or real(v))
     vc = validate(program)
     assert len(calls) == 1  # the initial state
-    trace = simulate(vc)
+    states = []
+    trace = simulate(vc, None, states.append)
     steps = len(vc.program.steps)
     assert len(calls) == 1 + steps  # one per step
-    assert len(trace.states) == steps + 1 and trace.final is trace.states[-1]
-    assert len(calls) == 1 + steps  # none on the replay
+    assert len(states) == steps + 1 and trace.final == states[-1]
     VectorState(program.model, trace.final.vector)  # the public constructor still checks
     assert len(calls) == 2 + steps
 
@@ -709,18 +717,19 @@ def test_a_long_stochastic_run_keeps_a_small_scale(tmp_path, capsys):
     text = ("model stochastic\nwires 1\ninit vec 1/3 2/3\n"
             + "gate @g.mat 0\ngate NOT 0\n" * (steps // 2))
     (tmp_path / "p.circ").write_text(text)
-    trace = simulate(validate(parse_circuit(text), base_dir=tmp_path))
+    states = []
+    simulate(validate(parse_circuit(text), base_dir=tmp_path), None, states.append)
     gate = [[Fraction(30, 97)] * 2, [Fraction(67, 97)] * 2]
     state = [Fraction(1, 3), Fraction(2, 3)]
     lines = ["step 0 init 1/3 2/3"]
     for k in range(steps):
         state = ([sum(g * x for g, x in zip(row, state)) for row in gate] if k % 2 == 0
                  else state[::-1])
-        assert trace.states[k + 1].vector.entries == tuple(state)
+        assert states[k + 1].vector.entries == tuple(state)
         lines.append(f"step {k + 1} {('@g.mat', 'NOT')[k % 2]} {state[0]} {state[1]}")
         # the entries' least common denominator, 97, where the product of the
         # gates' denominators would reach 3 * 97^100
-        assert trace.states[k + 1].vector.scale.bit_length() <= (97).bit_length()
+        assert states[k + 1].vector.scale.bit_length() <= (97).bit_length()
     lines += ["model stochastic", "wires 1", f"final {state[0]} {state[1]}"]
     assert main(["simulate", "--trace", str(tmp_path / "p.circ")]) == 0
     assert capsys.readouterr() == ("\n".join(lines) + "\n", "")

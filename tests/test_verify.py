@@ -861,10 +861,11 @@ FACTOR_READ_DIGESTS = {
         "5de4ac647111c9d571f66f1df89c8a8f709afe52bf9f8c1138d164f745a3c243",
     ("coarse", "max-meet"):
         "8375b6ddfa72bcfe1fbd0f302148ce233c91e77f82dddb9e31a7b86145bd32cc",
+    # a family that breaks locality: the tables decide alone
     ("coarse", "basis-ket"):
-        "2f97f1e1c6b026c1d515fcc88688f89bf7608d58c762812e7ae0942bb108ab0a",
+        "667b2b2bbef25f26591fab175071aeca47fe690512d0b89a2938c7979c9053aa",
     ("coarse", "dimension"):
-        "3002c1ebf504c97fdeb3dc8732d8c0bfcb6eff718928cf3851475eccaeaa509a",
+        "52e1292fe29650731eeba04fd0a3450b13e8585b75f3c9b2295f59732ce68ced",
     ("coarse", "symmetry"):
         "26b029d01535e12ecde6f033513a768d64b9f3c8fc2f352917764578821f65ee",
     ("coarse", "associativity"):
@@ -913,9 +914,9 @@ ACTION_READ_DIGESTS = {
     ("coarse", "max-plus"):
         "50b1d673461cc2115f700074ea6f52fa5575535dcf5f8da339f0e111c83f6a09",
     # a Kronecker-built B of 20 entries: its rows rB take the five columns
-    # that `_mm` reads, not its factors' four
+    # that `_mm` reads, not its factors' four, and the tables decide alone
     ("coarse", "dimension"):
-        "49533bd96d4c375478bc2d9568bac466e0ce334a59ddceba7967b9ce0eb7441c",
+        "79dc0b5847e4509a68c4a09c71e038d70b70e17d330562a4b7212536db5f609a",
 }
 
 

@@ -1,7 +1,7 @@
 """The `standard` mutant sweep of `verify`: one sha256 per mutant, against a pinned table.
 
 Run from the repository root as `PYTHONPATH=src python tests/verify_mutants.py`
-(pytest does not collect it: it takes under a minute, 42-46 s on a shared
+(pytest does not collect it: it takes under a minute, 37-50 s on a shared
 2-vCPU host with Python 3.11, most of it `max-plus` and `max-meet`).
 Under each mutant that `DIGESTS` names, taken by name from the `MUTANTS`
 table of `tests/test_verify.py`, it runs `mv-gate-laws-2` and `-4`,
@@ -31,7 +31,7 @@ DIGESTS = {
     "basis-ket":
         "5e866ef78d6b317bc8c5aa6f7428d3bf23209f0e35603861aca8ce7d403171d7",
     "dimension":
-        "19410fab9c2e9f5c0900c94c166536d339cef09f25b537ac405ff90393f5946a",
+        "8efcc1b126acdf5d7925752aa8d64df0a2b3e0fe998b74b0726523fff8aaf2e2",
     "symmetry":
         "ccb06ba31ce4c2728b0c8c59036468d1d5ac5a6fe192df7b666712f2a6a9525d",
     "associativity":
