@@ -547,20 +547,21 @@ def simulate(vc: ValidatedCircuit, seed: int | None = None,
     `seed` measures the final state where the row measures; None takes the
     program's `measure seed`.  Where the row measures, a seed outside
     [0, 2^64) is a ValueError here, before the run.  `each`, if given, is
-    called with every state in order, `vc.initial` first, once it is checked.
+    called with every state in order, `vc.initial` first, once it is checked;
+    the trace's `final` is then the last state it received.
     """
     program = vc.program
     row = MODELS[program.model]
     seed = program.measure_seed if seed is None else seed
     if row.measure is not None and seed is not None:
         checked_seed(seed)
-    value = None
+    value = state = None  # `state`: the last one `each` received
     if each is not None:
         each(vc.initial)
     if not row.dense:
         for value in _run(vc):
             if each is not None:
-                each(_state(vc, value))
+                each(state := _state(vc, value))
     else:
         before = vc.initial.vector
         for k, (step, plan, value) in enumerate(zip(program.steps, vc.plans, _run(vc)), 1):
@@ -573,8 +574,10 @@ def simulate(vc: ValidatedCircuit, seed: int | None = None,
                 raise InternalCheckError(f"intermediate state failed membership: {reason}")
             before = value
             if each is not None:
-                each(_state(vc, value))
-    return SimulationTrace(vc, vc.initial if value is None else _state(vc, value), seed)
+                each(state := _state(vc, value))
+    if state is None:
+        state = vc.initial if value is None else _state(vc, value)
+    return SimulationTrace(vc, state, seed)
 
 
 # --- reversible emission of synthesized circuits --------------------------------

@@ -17,7 +17,9 @@ lexicographic order, which each report's note states.  Both sizes run the
 same code: an exhaustive check is the walk with caps of at least its case
 count.  `run_all` passes one read-only `_Grid` to every check, which builds
 the grid's scale and both families once, on first read; a check interns
-what it derives in its own copy of a family's id table.
+what it derives in its own copy of a family's id table.  `count_all`, the
+route `fuzzbit verify` takes, counts the same checks in up to one process
+per usable CPU, each forked after the families are built.
 
 The gate and action checks work on columns and rows: column j of AB is A
 applied to column j of B, row i of AB is row i of A times B, and entry i of
@@ -55,6 +57,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
+import pickle
+import signal
+import threading
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -72,6 +78,7 @@ from .algebra import (
     UnitScalar,
     grid_values,
 )
+from .errors import InternalCheckError
 from .linalg import SMatrix, SVector, kron_mat, kron_vec, mat_mul, mat_vec, mat_vec_block
 
 __all__ = [
@@ -85,6 +92,7 @@ __all__ = [
     "check_stochastic_semigroup",
     "check_oracle_agreement",
     "run_all",
+    "count_all",
 ]
 
 class _Failures(Sequence):
@@ -963,20 +971,121 @@ def check_oracle_agreement(grid) -> CheckReport:
     return report
 
 
+# Each check `run_all` makes, in its order, with its cost on `standard` in ms
+# (in-process medians of 21 runs on a prebuilt `_Grid`, Python 3.11, a
+# shared 2-vCPU host), which `_shares` balances.  The table is read at call
+# time, so a check or instance patched into this module is the one that runs.
+_CHECKS = (
+    (2.7, lambda grid: check_semiring_axioms(FUZZ_MV, grid)),
+    (1.8, lambda grid: check_semiring_axioms(MAX_MIN, grid)),
+    (4.1, lambda grid: check_semiring_axioms(VITERBI, grid)),
+    (0.1, lambda grid: check_semiring_axioms(BOOLEAN, (UnitScalar(0), UnitScalar(1)))),
+    (16.0, lambda grid: check_mv_gate_laws(grid, 2)),
+    (8.8, lambda grid: check_mv_gate_laws(grid, 4)),
+    (6.1, lambda grid: check_action_laws(grid, 2)),
+    (26.6, lambda grid: check_action_laws(grid, 4)),
+    (10.3, lambda grid: check_tensor_laws(grid)),
+    (4.3, lambda grid: check_stochastic_semigroup(grid)),
+    (24.9, lambda grid: check_oracle_agreement(grid)),
+)
+
+
 def run_all(grid_name: str = "standard") -> list[CheckReport]:
     """Every check on the named grid, in a stable order."""
     grid = _Grid(grid_values(grid_name))
-    bool_grid = (UnitScalar(0), UnitScalar(1))
-    return [
-        check_semiring_axioms(FUZZ_MV, grid),
-        check_semiring_axioms(MAX_MIN, grid),
-        check_semiring_axioms(VITERBI, grid),
-        check_semiring_axioms(BOOLEAN, bool_grid),
-        check_mv_gate_laws(grid, 2),
-        check_mv_gate_laws(grid, 4),
-        check_action_laws(grid, 2),
-        check_action_laws(grid, 4),
-        check_tensor_laws(grid),
-        check_stochastic_semigroup(grid),
-        check_oracle_agreement(grid),
-    ]
+    return [check(grid) for _, check in _CHECKS]
+
+
+def _workers() -> int:
+    """W, the processes `count_all` shares the checks among: one per usable
+    CPU, at most one per check.  One where `os.fork` is missing or another
+    thread runs, since forking a threaded process can deadlock the child
+    (and Python 3.12+ warns of it)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, len(_CHECKS)))
+
+
+def _shares(workers: int) -> list[list[int]]:
+    """The indices of the checks each of `workers` processes counts, this
+    one's first: list scheduling, longest first (Graham 1969, "Bounds on
+    multiprocessing timing anomalies"), each check to the process with the
+    least cost so far."""
+    loads, shares = [0.0] * workers, [[] for _ in range(workers)]
+    for k in sorted(range(len(_CHECKS)), key=lambda k: -_CHECKS[k][0]):
+        w = loads.index(min(loads))
+        shares[w].append(k)
+        loads[w] += _CHECKS[k][0]
+    return shares
+
+
+def _count(k: int, grid) -> tuple[str, int, int] | Exception:
+    """(name, cases, failure count) of check k on `grid`, or what it raised."""
+    try:
+        report = _CHECKS[k][1](grid)
+    except Exception as exc:
+        return exc
+    return report.name, report.cases, len(report.failures)
+
+
+def count_all(grid_name: str = "standard") -> list[tuple[str, int, int]]:
+    """(name, cases, failure count) of each report `run_all` gives, in its
+    order, as `verify` prints them.
+
+    This process builds the grid's families, then forks one child per share
+    of `_shares(_workers())` but its own; each inherits the families, and
+    whatever this module holds patched, and sends back only its counts,
+    pickled, through its own pipe, and writes nothing else.  What a check
+    raised, here or in a child, is raised again here, the first in
+    `run_all`'s order; a child that ends without its counts is an
+    `InternalCheckError`.  Every child is reaped before this returns or
+    raises, and killed first if it still runs.  A report's failures are
+    only counted: `_Failures` cannot cross a process, so `run_all` stays
+    in-process.
+    """
+    grid = _Grid(grid_values(grid_name))
+    grid.size2, grid.size4  # built once, here, for every worker
+    own, *others = _shares(_workers())
+    got: dict = {}
+    pids, pipes = [], []
+    try:
+        for share in others:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: this one counts the share too
+                os.close(r)
+                os.close(w)
+                own += share
+                continue
+            if pid == 0:
+                try:
+                    os.close(r)
+                    with open(w, "wb") as out:
+                        pickle.dump([_count(k, grid) for k in share], out)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            pids.append(pid)
+            pipes.append((share, open(r, "rb")))
+        got.update((k, _count(k, grid)) for k in own)
+        for share, pipe in pipes:
+            try:
+                got.update(zip(share, pickle.load(pipe)))
+            except (EOFError, pickle.UnpicklingError):  # the child ended without its counts
+                pass
+    finally:
+        for _, pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            if os.waitpid(pid, os.WNOHANG)[0] == 0:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    counts = [got.get(k) for k in range(len(_CHECKS))]
+    for counted in counts:  # the first failure in `run_all`'s order
+        if counted is None:
+            raise InternalCheckError("a verify worker ended without its counts")
+        if isinstance(counted, Exception):
+            raise counted
+    return counts

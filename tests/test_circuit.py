@@ -619,7 +619,7 @@ def test_integer_route_matches_the_rational_route(case):
         assert isinstance(decoded, VectorState) and decoded.model == program.model
         assert decoded.vector == vector
         assert list(map(type, decoded.vector.entries)) == list(map(type, vector.entries))
-    assert trace.final == states[-1]
+    assert trace.final is states[-1]
 
 
 ONE_PROGRAM_PER_MODEL = (
@@ -683,7 +683,7 @@ def test_a_trace_checks_each_state_once(monkeypatch, text, predicate):
     trace = simulate(vc, None, states.append)
     steps = len(vc.program.steps)
     assert len(calls) == 1 + steps  # one per step
-    assert len(states) == steps + 1 and trace.final == states[-1]
+    assert len(states) == steps + 1 and trace.final is states[-1]
     VectorState(program.model, trace.final.vector)  # the public constructor still checks
     assert len(calls) == 2 + steps
 

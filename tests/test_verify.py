@@ -5,7 +5,11 @@ import functools
 import hashlib
 import itertools
 import operator
+import os
 import random
+import signal
+import threading
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -987,7 +991,9 @@ def _verify_coarse(capsys) -> tuple[int, list, int]:
 
 def test_a_request_that_counts_builds_no_failure_tuple(monkeypatch, capsys, coarse_reports):
     # it prints one count per report: under the max meet its peak stays within
-    # twice a healthy request's; holding each failure tuple took about nine times
+    # twice a healthy request's; holding each failure tuple took about nine times.
+    # `tracemalloc` sees only this process, so the request counts every check here
+    _usable_cpus(monkeypatch, 1)
     healthy_code, healthy_lines, healthy_peak = _verify_coarse(capsys)
     _patch(monkeypatch, "max-meet")
     code, lines, peak = _verify_coarse(capsys)
@@ -996,6 +1002,152 @@ def test_a_request_that_counts_builds_no_failure_tuple(monkeypatch, capsys, coar
                      for name, r in coarse_reports.items()]
     assert healthy_lines == [line.rsplit(" ", 1)[0] + " 0" for line in lines]
     assert peak < 2 * healthy_peak
+
+
+def _usable_cpus(monkeypatch, count: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _forks(monkeypatch) -> list:
+    """The pids of the children `os.fork` makes from here on."""
+    real, pids = os.fork, []
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _verify(capsys, grid: str = "coarse") -> tuple[int, list, str]:
+    """`verify --grid <grid>` through `main`: exit code, stdout lines and stderr."""
+    code = main(["verify", "--grid", grid])
+    out, err = capsys.readouterr()
+    return code, out.splitlines(), err
+
+
+def _lines(reports) -> tuple[int, list, str]:
+    """What `_verify` reads for these `run_all` reports."""
+    lines = [f"{r.name} cases {r.cases} failures {len(r.failures)}" for r in reports.values()]
+    return int(any(r.failures for r in reports.values())), lines, ""
+
+
+def _no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# the forked children inherit each patched mutant; every check in its own process too
+@pytest.mark.parametrize("grid, mutant, cpus", [
+    *(("coarse", mutant, 2) for mutant in MUTANTS),
+    ("standard", "healthy", 2), ("coarse", "healthy", len(EXPECTED_NAMES))])
+def test_the_counting_route_agrees_with_run_all(monkeypatch, capsys, runs, grid, mutant, cpus):
+    expected = _lines(runs(grid, mutant))
+    _patch(monkeypatch, mutant)
+    _usable_cpus(monkeypatch, cpus)
+    forked = _forks(monkeypatch)
+    assert _verify(capsys, grid) == expected
+    assert len(forked) == cpus - 1
+    _no_child_left()
+
+
+def _in_a_child(monkeypatch, act) -> None:
+    """Every check runs `act()` first where it runs in a forked child."""
+    parent = os.getpid()
+
+    def wrapped(check):
+        return lambda grid: (act() if os.getpid() != parent else None) or check(grid)
+    monkeypatch.setattr(verify, "_CHECKS", [(cost, wrapped(check))
+                                            for cost, check in verify._CHECKS])
+
+
+def test_a_check_that_raises_in_a_worker_raises_from_main(monkeypatch, capsys):
+    _usable_cpus(monkeypatch, 2)
+
+    def fail():
+        raise ZeroDivisionError("in a worker")
+    _in_a_child(monkeypatch, fail)
+    with pytest.raises(ZeroDivisionError, match="in a worker"):
+        main(["verify", "--grid", "coarse"])
+    assert capsys.readouterr().out == ""
+    _no_child_left()
+
+
+def test_a_worker_killed_before_it_reports_is_an_internal_error(monkeypatch, capsys):
+    _usable_cpus(monkeypatch, 2)
+    _in_a_child(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    code, lines, err = _verify(capsys)
+    assert (code, lines) == (3, [])
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    _no_child_left()
+
+
+class _Stop(BaseException):
+    pass
+
+
+def test_an_early_exit_kills_and_reaps_every_worker(monkeypatch):
+    # the children would sleep a minute; this process stops at its first check
+    _usable_cpus(monkeypatch, 3)
+    _in_a_child(monkeypatch, lambda: time.sleep(60))
+    parent, real = os.getpid(), verify._count
+
+    def count(k, grid):
+        if os.getpid() == parent:
+            raise _Stop
+        return real(k, grid)
+    monkeypatch.setattr(verify, "_count", count)
+    start = time.monotonic()
+    with pytest.raises(_Stop):
+        main(["verify", "--grid", "coarse"])
+    assert time.monotonic() - start < 30
+    _no_child_left()
+
+
+def _no_fork():
+    raise AssertionError("forked")
+
+
+@pytest.mark.parametrize("route", ["one-cpu", "no-fork", "a-thread"])
+def test_one_process_counts_every_check_with_no_fork(monkeypatch, capsys, coarse_reports, route):
+    _usable_cpus(monkeypatch, 1 if route == "one-cpu" else 2)
+    if route == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", _no_fork)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if route == "a-thread":
+        thread.start()
+    try:
+        assert _verify(capsys) == _lines(coarse_reports)
+    finally:
+        stop.set()
+        if route == "a-thread":
+            thread.join()
+
+
+def test_a_fork_that_fails_leaves_its_share_to_this_process(monkeypatch, capsys, coarse_reports):
+    _usable_cpus(monkeypatch, 3)
+    real = os.fork
+    failing = iter([False, True])
+
+    def fork():  # the second fork fails, as for want of a process
+        if next(failing):
+            raise BlockingIOError("no process to spare")
+        return real()
+    monkeypatch.setattr(os, "fork", fork)
+    assert _verify(capsys) == _lines(coarse_reports)
+    _no_child_left()
+
+
+def test_shares_give_each_check_to_one_process():
+    for workers in range(1, len(EXPECTED_NAMES) + 1):
+        shares = verify._shares(workers)
+        assert len(shares) == workers and all(shares)
+        assert sorted(itertools.chain(*shares)) == list(range(len(EXPECTED_NAMES)))
 
 
 def test_action_laws_intern_images_per_class_of_states(monkeypatch):
