@@ -18,8 +18,8 @@ same code: an exhaustive check is the walk with caps of at least its case
 count.  `run_all` passes one read-only `_Grid` to every check, which builds
 the grid's scale and both families once, on first read; a check interns
 what it derives in its own copy of a family's id table.  `count_all`, the
-route `fuzzbit verify` takes, counts the same checks in up to one process
-per usable CPU, each forked after the families are built.
+route `fuzzbit verify` takes, counts the same checks in two processes where
+two CPUs are usable, the child forked after the families are built.
 
 The gate and action checks work on columns and rows: column j of AB is A
 applied to column j of B, row i of AB is row i of A times B, and entry i of
@@ -55,6 +55,7 @@ factors out differently) is named by tensor-laws' own `dimension` and
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import math
 import os
@@ -62,6 +63,7 @@ import pickle
 import signal
 import threading
 import time
+import traceback
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -971,22 +973,25 @@ def check_oracle_agreement(grid) -> CheckReport:
     return report
 
 
-# Each check `run_all` makes, in its order, with its cost on `standard` in ms
-# (in-process medians of 21 runs on a prebuilt `_Grid`, Python 3.11, a
-# shared 2-vCPU host), which `_shares` balances.  The table is read at call
-# time, so a check or instance patched into this module is the one that runs.
+# Each check `run_all` makes, in its order, and whether a forked child counts
+# it where `count_all` runs in two processes.  The child takes the two
+# costliest, `action-laws-4` and `oracle-agreement`, 26.6 and 24.9 ms on
+# `standard`, against 54.2 ms for the other nine (in-process medians of 21
+# runs on a prebuilt `_Grid`, Python 3.11, a shared 2-vCPU host).  The table
+# is read at call time, so a check or instance patched into this module is
+# the one that runs.
 _CHECKS = (
-    (2.7, lambda grid: check_semiring_axioms(FUZZ_MV, grid)),
-    (1.8, lambda grid: check_semiring_axioms(MAX_MIN, grid)),
-    (4.1, lambda grid: check_semiring_axioms(VITERBI, grid)),
-    (0.1, lambda grid: check_semiring_axioms(BOOLEAN, (UnitScalar(0), UnitScalar(1)))),
-    (16.0, lambda grid: check_mv_gate_laws(grid, 2)),
-    (8.8, lambda grid: check_mv_gate_laws(grid, 4)),
-    (6.1, lambda grid: check_action_laws(grid, 2)),
-    (26.6, lambda grid: check_action_laws(grid, 4)),
-    (10.3, lambda grid: check_tensor_laws(grid)),
-    (4.3, lambda grid: check_stochastic_semigroup(grid)),
-    (24.9, lambda grid: check_oracle_agreement(grid)),
+    (False, lambda grid: check_semiring_axioms(FUZZ_MV, grid)),
+    (False, lambda grid: check_semiring_axioms(MAX_MIN, grid)),
+    (False, lambda grid: check_semiring_axioms(VITERBI, grid)),
+    (False, lambda grid: check_semiring_axioms(BOOLEAN, (UnitScalar(0), UnitScalar(1)))),
+    (False, lambda grid: check_mv_gate_laws(grid, 2)),
+    (False, lambda grid: check_mv_gate_laws(grid, 4)),
+    (False, lambda grid: check_action_laws(grid, 2)),
+    (True, lambda grid: check_action_laws(grid, 4)),
+    (False, lambda grid: check_tensor_laws(grid)),
+    (False, lambda grid: check_stochastic_semigroup(grid)),
+    (True, lambda grid: check_oracle_agreement(grid)),
 )
 
 
@@ -996,28 +1001,30 @@ def run_all(grid_name: str = "standard") -> list[CheckReport]:
     return [check(grid) for _, check in _CHECKS]
 
 
-def _workers() -> int:
-    """W, the processes `count_all` shares the checks among: one per usable
-    CPU, at most one per check.  One where `os.fork` is missing or another
-    thread runs, since forking a threaded process can deadlock the child
-    (and Python 3.12+ warns of it)."""
+def _forks() -> bool:
+    """Whether `count_all` forks a child for the child's share of `_CHECKS`:
+    where two CPUs are usable (`os.sched_getaffinity`, else
+    `os.cpu_count()`) and `os.fork` exists.  Not while another thread runs,
+    since forking a threaded process can deadlock the child (and Python
+    3.12+ warns of it), nor while a check is wrapped (`functools.wraps`
+    leaves `__wrapped__`), as a tracer or profiler wraps one to see its
+    calls, which it would not see in a child.  One child at most: one and
+    two processes are the only counts measured, on a 2-vCPU host."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
+        return False
+    checks = [globals()[name] for name in __all__ if name.startswith("check_")]
+    if any(hasattr(check, "__wrapped__") for check in checks):
+        return False
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(cpus or 1, len(_CHECKS)))
+    return (cpus or 1) > 1
 
 
-def _shares(workers: int) -> list[list[int]]:
-    """The indices of the checks each of `workers` processes counts, this
-    one's first: list scheduling, longest first (Graham 1969, "Bounds on
-    multiprocessing timing anomalies"), each check to the process with the
-    least cost so far."""
-    loads, shares = [0.0] * workers, [[] for _ in range(workers)]
-    for k in sorted(range(len(_CHECKS)), key=lambda k: -_CHECKS[k][0]):
-        w = loads.index(min(loads))
-        shares[w].append(k)
-        loads[w] += _CHECKS[k][0]
-    return shares
+class _ChildTraceback(Exception):
+    """Where a check raised in the child, as text: the cause of the
+    exception raised again here, whose own traceback pickling drops."""
+
+    def __str__(self):
+        return f'\n"""\n{self.args[0]}"""'
 
 
 def _count(k: int, grid) -> tuple[str, int, int] | Exception:
@@ -1033,59 +1040,71 @@ def count_all(grid_name: str = "standard") -> list[tuple[str, int, int]]:
     """(name, cases, failure count) of each report `run_all` gives, in its
     order, as `verify` prints them.
 
-    This process builds the grid's families, then forks one child per share
-    of `_shares(_workers())` but its own; each inherits the families, and
+    This process builds the grid's families, then, where `_forks()`, forks
+    one child for the checks `_CHECKS` marks; it inherits the families, and
     whatever this module holds patched, and sends back only its counts,
     pickled, through its own pipe, and writes nothing else.  What a check
-    raised, here or in a child, is raised again here, the first in
-    `run_all`'s order; a child that ends without its counts is an
-    `InternalCheckError`.  Every child is reaped before this returns or
-    raises, and killed first if it still runs.  A report's failures are
-    only counted: `_Failures` cannot cross a process, so `run_all` stays
-    in-process.
+    raised, here or in the child, is raised again here, the first in
+    `run_all`'s order, and the child's traceback is its cause; a child that
+    ends without its counts is an `InternalCheckError`.  The child is
+    reaped before this returns or raises, and killed first if it still
+    runs.  A report's failures are only counted: `_Failures` cannot cross a
+    process, so `run_all` stays in-process.
     """
     grid = _Grid(grid_values(grid_name))
-    grid.size2, grid.size4  # built once, here, for every worker
-    own, *others = _shares(_workers())
+    grid.size2, grid.size4  # built once, here, for the child too
+    forks = _forks()
+    ours = [k for k, (child, _) in enumerate(_CHECKS) if not (child and forks)]
+    theirs = [k for k in range(len(_CHECKS)) if k not in ours]
     got: dict = {}
-    pids, pipes = [], []
+    pid, pipe = 0, None
     try:
-        for share in others:
+        if theirs:
             r, w = os.pipe()
+            gc.freeze()  # the child's collections then leave the pages it shares unwritten
             try:
                 pid = os.fork()
-            except OSError:  # no process to spare: this one counts the share too
+            except OSError:  # no process to spare: this one counts every check
                 os.close(r)
                 os.close(w)
-                own += share
-                continue
-            if pid == 0:
-                try:
-                    os.close(r)
-                    with open(w, "wb") as out:
-                        pickle.dump([_count(k, grid) for k in share], out)
-                finally:
-                    os._exit(0)
-            os.close(w)
-            pids.append(pid)
-            pipes.append((share, open(r, "rb")))
-        got.update((k, _count(k, grid)) for k in own)
-        for share, pipe in pipes:
+                ours += theirs
+            else:
+                if pid == 0:
+                    try:
+                        os.close(r)
+                        sent = []
+                        for k in theirs:
+                            counted = _count(k, grid)
+                            sent.append((counted, isinstance(counted, Exception) and "".join(
+                                traceback.format_exception(
+                                    type(counted), counted, counted.__traceback__))))
+                        with open(w, "wb") as out:
+                            pickle.dump(sent, out)
+                    finally:
+                        os._exit(0)
+                os.close(w)
+                pipe = open(r, "rb")
+            finally:
+                gc.unfreeze()
+        got.update((k, _count(k, grid)) for k in ours)
+        if pipe:
             try:
-                got.update(zip(share, pickle.load(pipe)))
+                for k, (counted, text) in zip(theirs, pickle.load(pipe)):
+                    if text:
+                        counted.__cause__ = _ChildTraceback(text)
+                    got[k] = counted
             except (EOFError, pickle.UnpicklingError):  # the child ended without its counts
                 pass
     finally:
-        for _, pipe in pipes:
+        if pipe:
             pipe.close()
-        for pid in pids:
-            if os.waitpid(pid, os.WNOHANG)[0] == 0:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        if pid and os.waitpid(pid, os.WNOHANG)[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     counts = [got.get(k) for k in range(len(_CHECKS))]
     for counted in counts:  # the first failure in `run_all`'s order
         if counted is None:
-            raise InternalCheckError("a verify worker ended without its counts")
+            raise InternalCheckError("the verify child ended without its counts")
         if isinstance(counted, Exception):
             raise counted
     return counts
