@@ -363,8 +363,7 @@ def _resolve_gate(program: CircuitProgram, step: GateStep, base_dir: Path) -> Ga
 
 
 def _initial_state(program: CircuitProgram) -> ModelState:
-    n = program.wire_count
-    size = 1 << n
+    n = program.wire_count  # 1 << n only on the dense route: a classical n has no bound
     row = MODELS[program.model]
     if program.init_kind == "ket":
         bits = program.init_values
@@ -375,15 +374,15 @@ def _initial_state(program: CircuitProgram) -> ModelState:
         index = int("".join(str(b) for b in bits), 2)
         if not row.dense:
             return ClassicalState(n, index)
-        vector = basis_vector(row.instance, size, index)
+        vector = basis_vector(row.instance, 1 << n, index)
     else:
         if not row.dense:
             raise ValidationError("classical programs take ket initial states",
                                   program.init_line)
         vector = program.init_values
-        if len(vector) != size:
+        if len(vector) != 1 << n:
             raise ValidationError(
-                f"init vec has {len(vector)} entries, expected {size}", program.init_line)
+                f"init vec has {len(vector)} entries, expected {1 << n}", program.init_line)
     try:
         return VectorState(program.model, vector)
     except MembershipError as exc:

@@ -19,7 +19,8 @@ count.  `run_all` passes one read-only `_Grid` to every check, which builds
 the grid's scale and both families once, on first read; a check interns
 what it derives in its own copy of a family's id table.  `count_all`, the
 route `fuzzbit verify` takes, counts the same checks in two processes where
-two CPUs are usable, the child forked after the families are built.
+two CPUs are usable: a child forked after the families are built sends back
+only counts, and a share whose counts do not arrive is counted in the parent.
 
 The gate and action checks work on columns and rows: column j of AB is A
 applied to column j of B, row i of AB is row i of A times B, and entry i of
@@ -54,6 +55,7 @@ factors out differently) is named by tensor-laws' own `dimension` and
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import gc
 import itertools
@@ -63,7 +65,6 @@ import pickle
 import signal
 import threading
 import time
-import traceback
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -80,7 +81,6 @@ from .algebra import (
     UnitScalar,
     grid_values,
 )
-from .errors import InternalCheckError
 from .linalg import SMatrix, SVector, kron_mat, kron_vec, mat_mul, mat_vec, mat_vec_block
 
 __all__ = [
@@ -1019,20 +1019,9 @@ def _forks() -> bool:
     return (cpus or 1) > 1
 
 
-class _ChildTraceback(Exception):
-    """Where a check raised in the child, as text: the cause of the
-    exception raised again here, whose own traceback pickling drops."""
-
-    def __str__(self):
-        return f'\n"""\n{self.args[0]}"""'
-
-
-def _count(k: int, grid) -> tuple[str, int, int] | Exception:
-    """(name, cases, failure count) of check k on `grid`, or what it raised."""
-    try:
-        report = _CHECKS[k][1](grid)
-    except Exception as exc:
-        return exc
+def _count(k: int, grid) -> tuple[str, int, int]:
+    """(name, cases, failure count) of check k on `grid`."""
+    report = _CHECKS[k][1](grid)
     return report.name, report.cases, len(report.failures)
 
 
@@ -1043,68 +1032,48 @@ def count_all(grid_name: str = "standard") -> list[tuple[str, int, int]]:
     This process builds the grid's families, then, where `_forks()`, forks
     one child for the checks `_CHECKS` marks; it inherits the families, and
     whatever this module holds patched, and sends back only its counts,
-    pickled, through its own pipe, and writes nothing else.  What a check
-    raised, here or in the child, is raised again here, the first in
-    `run_all`'s order, and the child's traceback is its cause; a child that
-    ends without its counts is an `InternalCheckError`.  The child is
-    reaped before this returns or raises, and killed first if it still
-    runs.  A report's failures are only counted: `_Failures` cannot cross a
-    process, so `run_all` stays in-process.
+    pickled, through its own pipe, and writes nothing else.  The child is
+    reaped, and killed first if it still runs, before this process counts
+    itself a share whose counts did not arrive, for want of a pipe or a
+    process, or as a check raised in the child or it ended.  No exception
+    crosses a process: the first check to raise here raises from its own
+    count (this process's share first, then the child's, each in
+    `run_all`'s order).  A report's failures are only counted: `_Failures`
+    cannot cross a process, so `run_all` stays in-process.
     """
     grid = _Grid(grid_values(grid_name))
     grid.size2, grid.size4  # built once, here, for the child too
     forks = _forks()
     ours = [k for k, (child, _) in enumerate(_CHECKS) if not (child and forks)]
     theirs = [k for k in range(len(_CHECKS)) if k not in ours]
-    got: dict = {}
-    pid, pipe = 0, None
+    got, pid, pipe, fds = {}, 0, None, ()
     try:
         if theirs:
-            r, w = os.pipe()
             gc.freeze()  # the child's collections then leave the pages it shares unwritten
             try:
+                fds = os.pipe()
                 pid = os.fork()
-            except OSError:  # no process to spare: this one counts every check
-                os.close(r)
-                os.close(w)
-                ours += theirs
+            except OSError:  # no pipe or no process to spare: the share is counted here
+                for fd in fds:
+                    os.close(fd)
             else:
                 if pid == 0:
-                    try:
-                        os.close(r)
-                        sent = []
-                        for k in theirs:
-                            counted = _count(k, grid)
-                            sent.append((counted, isinstance(counted, Exception) and "".join(
-                                traceback.format_exception(
-                                    type(counted), counted, counted.__traceback__))))
-                        with open(w, "wb") as out:
-                            pickle.dump(sent, out)
+                    try:  # one write of less than PIPE_BUF bytes, so the pipe takes it whole
+                        os.write(fds[1], pickle.dumps([_count(k, grid) for k in theirs]))
                     finally:
                         os._exit(0)
-                os.close(w)
-                pipe = open(r, "rb")
+                os.close(fds[1])
+                pipe = open(fds[0], "rb")
             finally:
                 gc.unfreeze()
         got.update((k, _count(k, grid)) for k in ours)
         if pipe:
-            try:
-                for k, (counted, text) in zip(theirs, pickle.load(pipe)):
-                    if text:
-                        counted.__cause__ = _ChildTraceback(text)
-                    got[k] = counted
-            except (EOFError, pickle.UnpicklingError):  # the child ended without its counts
-                pass
+            with contextlib.suppress(EOFError, pickle.UnpicklingError):  # no counts came
+                got.update(zip(theirs, pickle.load(pipe)))
     finally:
         if pipe:
             pipe.close()
         if pid and os.waitpid(pid, os.WNOHANG)[0] == 0:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    counts = [got.get(k) for k in range(len(_CHECKS))]
-    for counted in counts:  # the first failure in `run_all`'s order
-        if counted is None:
-            raise InternalCheckError("the verify child ended without its counts")
-        if isinstance(counted, Exception):
-            raise counted
-    return counts
+    return [got.get(k) or _count(k, grid) for k in range(len(_CHECKS))]

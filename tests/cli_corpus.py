@@ -305,6 +305,15 @@ CASES = [
          "line 3: initial state rejected: squared norm is 2.0, expected 1 within 1e-09"),
         ("fuzzy", "fuzzy", "1/4 3/4", "FNOT",
          "line 3: initial state rejected: minimum entry is 1/4, expected 0 (or all entries 1)"))],
+    # a classical wire count has no bound, so its state's size 2^n is never built
+    *[_error(f"rejection/classical-wires-{name}",
+             {"p.circ": f"model classical\nwires {wires}\ninit {init}\n"},
+             "simulate p.circ", 1, message) for name, wires, init, message in (
+        ("googol-ket", 10 ** 100, "ket 0",
+         f"line 3: init ket has 1 bits, program has {10 ** 100} wires"),
+        ("googol-vec", 10 ** 100, "vec 1 0", "line 3: classical programs take ket initial states"),
+        ("5-gb-ket", 40_000_000_000, "ket 0",
+         "line 3: init ket has 1 bits, program has 40000000000 wires"))],
     # each wire-list rule of `validate`, and a gate name the row does not build
     *[_error(f"rejection/step-{name}",
              {"p.circ": f"model quantum\nwires {wires}\ninit ket {'0' * wires}\ngate {gate}\n"},

@@ -1,6 +1,7 @@
 """The brute-force law harness: green on healthy code, red under mutation."""
 
 import dataclasses
+import errno
 import functools
 import hashlib
 import itertools
@@ -1042,7 +1043,7 @@ def _no_child_left() -> None:
 # the forked child inherits each patched mutant; more usable CPUs still fork one child
 @pytest.mark.parametrize("grid, mutant, cpus", [
     *(("coarse", mutant, 2) for mutant in MUTANTS),
-    ("standard", "healthy", 2), ("coarse", "healthy", 4)])
+    ("standard", "healthy", 2), ("fine", "healthy", 2), ("coarse", "healthy", 4)])
 def test_the_counting_route_agrees_with_run_all(monkeypatch, capsys, runs, grid, mutant, cpus):
     expected = _lines(runs(grid, mutant))
     _patch(monkeypatch, mutant)
@@ -1063,28 +1064,75 @@ def _in_a_child(monkeypatch, act) -> None:
                                             for child, check in verify._CHECKS])
 
 
-def test_a_check_that_raises_in_a_worker_raises_from_main(monkeypatch, capsys):
-    _usable_cpus(monkeypatch, 2)
+def _in_this_process(monkeypatch) -> list:
+    """The index of each check, in the order this process counts them."""
+    parent, real, counted = os.getpid(), verify._count, []
 
-    def fail():
-        raise ZeroDivisionError("in a worker")
-    _in_a_child(monkeypatch, fail)
-    with pytest.raises(ZeroDivisionError, match="in a worker") as raised:
-        main(["verify", "--grid", "coarse"])
-    assert capsys.readouterr().out == ""
+    def count(k, grid):
+        if os.getpid() == parent:
+            counted.append(k)
+        return real(k, grid)
+    monkeypatch.setattr(verify, "_count", count)
+    return counted
+
+
+def _killed():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _raises():
+    raise ZeroDivisionError("in the child")
+
+
+# the child's share is counted again here, after the child is reaped
+@pytest.mark.parametrize("fault", [_raises, _killed], ids=["raises", "killed"])
+def test_a_fault_only_in_the_child_leaves_its_share_to_this_process(
+        monkeypatch, capsys, coarse_reports, fault):
+    _usable_cpus(monkeypatch, 2)
+    _in_a_child(monkeypatch, fault)
+    forked, counted = _forks(monkeypatch), _in_this_process(monkeypatch)
+    assert _verify(capsys) == _lines(coarse_reports)
+    assert len(forked) == 1
+    theirs = [k for k, (child, _) in enumerate(verify._CHECKS) if child]
+    assert counted == [k for k in range(len(verify._CHECKS)) if k not in theirs] + theirs
     _no_child_left()
-    # its cause is the child's traceback, which ends at the line that raised
-    cause = str(raised.value.__cause__).splitlines()
-    assert cause[-3:-1] == ['    raise ZeroDivisionError("in a worker")',
-                            "ZeroDivisionError: in a worker"]
 
 
-def test_a_worker_killed_before_it_reports_is_an_internal_error(monkeypatch, capsys):
+class _Unrebuildable(Exception):
+    """Its class cannot be called with its `args` alone, as unpickling calls it."""
+
+    def __init__(self, message, detail):
+        super().__init__(message)
+        self.detail = detail
+
+
+def _zero_division(grid):
+    raise ZeroDivisionError("in every process")
+
+
+def _unrebuildable(grid):
+    raise _Unrebuildable("in every process", grid)
+
+
+def _unpicklable(grid):
+    raise ValueError("in every process", lambda: grid)
+
+
+@pytest.mark.parametrize("check, kind", [(_zero_division, ZeroDivisionError),
+                                         (_unrebuildable, _Unrebuildable),
+                                         (_unpicklable, ValueError)],
+                         ids=["zero-division", "unrebuildable", "unpicklable"])
+def test_a_check_that_raises_in_every_process_raises_its_own_exception(
+        monkeypatch, capsys, check, kind):
+    # oracle-agreement is in the child's share; here it raises as it would anywhere
     _usable_cpus(monkeypatch, 2)
-    _in_a_child(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
-    code, lines, err = _verify(capsys)
-    assert (code, lines) == (3, [])
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    monkeypatch.setattr(verify, "check_oracle_agreement", check)
+    forked = _forks(monkeypatch)
+    with pytest.raises(kind, match="in every process") as raised:
+        main(["verify", "--grid", "coarse"])
+    assert raised.traceback[-1].name == check.__name__
+    assert capsys.readouterr() == ("", "")
+    assert len(forked) == 1
     _no_child_left()
 
 
@@ -1137,12 +1185,21 @@ def test_one_process_counts_every_check_with_no_fork(monkeypatch, capsys, coarse
             thread.join()
 
 
-def test_a_fork_that_fails_leaves_its_share_to_this_process(monkeypatch, capsys, coarse_reports):
-    _usable_cpus(monkeypatch, 2)
+def _no_process():
+    raise BlockingIOError("no process to spare")
 
-    def fork():  # as for want of a process
-        raise BlockingIOError("no process to spare")
-    monkeypatch.setattr(os, "fork", fork)
+
+def _no_pipe():
+    raise OSError(errno.EMFILE, "Too many open files")
+
+
+# as for want of a process, or of a file descriptor for the pipe
+@pytest.mark.parametrize("call, fails", [("fork", _no_process), ("pipe", _no_pipe)],
+                         ids=["fork", "pipe"])
+def test_a_fork_that_fails_leaves_its_share_to_this_process(
+        monkeypatch, capsys, coarse_reports, call, fails):
+    _usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, call, fails)
     assert _verify(capsys) == _lines(coarse_reports)
     _no_child_left()
 
