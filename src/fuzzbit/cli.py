@@ -81,8 +81,14 @@ def _render_vector(v: SVector) -> str:
 
 
 def _render_state(state) -> str:
+    """A classical index past the int-string digit limit is a FuzzbitError
+    (exit 1), as `algebra.format_ratio` makes a scalar past it."""
     if isinstance(state, ClassicalState):
-        return f"index {state.basis_index} ket {state.ket()}"
+        try:
+            return f"index {state.basis_index} ket {state.ket()}"
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise FuzzbitError(f"basis index has more than {sys.get_int_max_str_digits()} "
+                               "digits") from None
     return _render_vector(state.vector)
 
 

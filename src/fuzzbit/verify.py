@@ -69,7 +69,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add as _int_add
-from operator import itemgetter, ne, or_
+from operator import itemgetter, ne, not_, or_
 
 from .algebra import (
     BOOLEAN,
@@ -201,11 +201,23 @@ def _kron_m(a, b, na, nb, L):
 
 
 def _is_gate(m, n, L):
-    return m.count(L) == len(m) or all(min(m[j:n * n:n]) == 0 for j in range(n))
+    """Every entry is L, or each column of the first n * n entries has minimum 0."""
+    if m.count(L) == len(m):
+        return True
+    for j in range(n):
+        if min(m[j:n * n:n]) != 0:
+            return False
+    return True
 
 
 def _is_state(v, L):
     return min(v) == 0 or all(x == L for x in v)
+
+
+def _mirrors(uv, vu) -> bool:
+    """Whether entry (a, b) of the product u (x) v of two 2-vectors, at 2a + b,
+    is entry (b, a) of v (x) u."""
+    return uv[:4] == (vu[0], vu[2], vu[1], vu[3])
 
 
 # --- interned column and row tables ---------------------------------------------
@@ -232,13 +244,6 @@ def _right_images(a, rows, n, L) -> list[tuple]:
     p = len(a) // n
     prod = _mm(tuple(itertools.chain(*rows)), a, n, L)
     return [prod[i:i + p] for i in range(0, len(prod), p)]
-
-
-def _dot_table(rows, vectors, n, L) -> list[tuple]:
-    """table[q][v] is row q against vector v, as `_mv` reduces it: one
-    `_mv` of the rows stacked per vector."""
-    stacked = tuple(itertools.chain(*rows))
-    return list(zip(*(_mv(stacked, v, n, L) for v in vectors)))
 
 
 def _lex_rows(outer, inner: int, cap: int):
@@ -329,7 +334,7 @@ class _KronGates:
         """Gate k, a (x) b for a, b = base[k // len(base)], base[k % len(base)],
         as `_kron_m(a, b, 2, 2, L)` builds it: what the walks, the mixed
         product, tensor-laws' gate closure and the oracle read of a (x) b."""
-        return tuple(itertools.chain(*map(self.row_values.__getitem__, self.rows[k])))
+        return sum(map(self.row_values.__getitem__, self.rows[k]), ())
 
 
 class _Grid(tuple):
@@ -531,16 +536,19 @@ def check_mv_gate_laws(grid, size: int = 2) -> CheckReport:
         meet = [[gates.col_ids.get(m) for m in row] for row in met]
         members, slots = set(gates.columns), list(zip(*gates.columns))
 
+        def gates_met(j):  # per C, whether the column ids of B ^ C, for B = gate j, are a gate's
+            return map(members.__contains__, zip(*(
+                map(meet[x].__getitem__, slot) for x, slot in zip(gates.columns[j], slots))))
+
         def outside():  # (B, C) with B ^ C not a gate
-            for j, ids in enumerate(gates.columns):
-                yield from ((j, k) for k, m in enumerate(zip(*(
-                    map(meet[x].__getitem__, slot) for x, slot in zip(ids, slots))))
-                            if m not in members)
+            for j in range(n_g):
+                yield from ((j, k) for k in itertools.compress(range(n_g), map(not_, gates_met(j))))
 
         def meet_closure(j, k):  # B ^ C from its columns, laid out row by row
             bc = zip(*(met[x][y] for x, y in zip(gates.columns[j], gates.columns[k])))
             return "meet-closure", gates[j], gates[k], tuple(itertools.chain(*bc))
-        found["meet-closure"] = _read_off(outside, meet_closure)
+        found["meet-closure"] = _lazy(n_g * n_g - sum(map(sum, map(gates_met, range(n_g)))),
+                                      lambda: itertools.starmap(meet_closure, outside()))
 
     # Column q of A(B ^ C) is A applied to column q of B met with column q of
     # C, and column q of AB ^ AC is the meet of their images; rows decide
@@ -631,7 +639,7 @@ def _meet_law(report: CheckReport, gates, items, cap: int, sides) -> _Failures:
                 row = dict(zip(distinct, _intern([_wedge(own, entries[v]) for v in distinct],
                                                  entry_ids)))
                 wanted[at[x]], entries = list(map(row.__getitem__, vs)), list(entry_ids)
-            wants, gots = wanted[at[x]], [at[m] for m in met]
+            wants, gots = wanted[at[x]], list(map(at.__getitem__, met))
             for y, want, got in itertools.compress(zip(every, wants, gots), map(ne, wants, gots)):
                 for p in itertools.compress(used, map(ne, entries[want], entries[got])):
                     masks = bad_at.setdefault(p, {})
@@ -709,19 +717,23 @@ def check_action_laws(grid, size: int = 2) -> CheckReport:
     g_rows = gates.rows[:len(reach)]
     row_ids, b_col_ids = dict(gates.row_ids), {}  # rB joins a copy, B's columns a new table
     rows = list(row_ids)
-    a_rows = sorted({r for ai in range(n_a) for r in g_rows[ai]})
+    a_rows = list(dict.fromkeys(itertools.chain(*g_rows[:n_a])))
     b_cols = [_intern([b[j::len(b) // n] for j in range(len(b) // n)], b_col_ids)
               for b in map(gates.__getitem__, reach)]
     by_col = _right_images(tuple(itertools.chain(*zip(*b_col_ids))),
                            [rows[r] for r in a_rows], n, L)
     rb = [_intern(map(itemgetter(*cs), by_col), row_ids) for cs in b_cols]
+    # The gates' rows, then the rows rB, in order of first appearance: the
+    # distinct rows of the first k gates are a prefix of `used` for every k,
+    # as `a_rows` and the rows `_meet_law` reads are.  dots[v] is each row of
+    # `used` against state v: one `_mv` of them stacked per state.
     used = list(dict.fromkeys(itertools.chain(*g_rows, *rb)))
     rows = list(row_ids)  # now with the rows rB
-    # row id -> that row against each distinct state
-    dots = dict(zip(used, _dot_table([rows[r] for r in used], list(vids), n, L)))
-    class_ids: dict = {}  # a column of `dots` -> the id of its class of states
-    of_state = itemgetter(*sid)(_intern(zip(*dots.values()), class_ids))
-    by_class = dict(zip(dots, zip(*class_ids)))  # row id -> that row against each class
+    stacked = tuple(itertools.chain(*map(rows.__getitem__, used)))
+    dots = [_mv(stacked, v, n, L) for v in vids]
+    class_ids: dict = {}  # the rows against a state -> the id of its class of states
+    of_state = itemgetter(*sid)(_intern(dots, class_ids))
+    by_class = dict(zip(used, zip(*class_ids)))  # row id -> that row against each class
 
     # As for each class of states, as ids in `image_ids`, for each gate A in `reach`
     image_ids: dict = {}
@@ -731,19 +743,19 @@ def check_action_laws(grid, size: int = 2) -> CheckReport:
     report.cases += min(cap, n_g * n_s)
 
     def leaving():  # (A, s, As) with As not a state
-        for (gi,), count in _lex_rows((n_g,), n_s, cap):
+        for (gi,), count in _lex_rows((n_g,), n_s, cap) if not_states else ():
             if not not_states.isdisjoint(images[gi]):
                 yield from ((gi, si, v) for si, v in enumerate(map(images[gi].__getitem__,
                                                                    of_state[:count]))
                             if v in not_states)
 
     def against_rows(rs, vs):
-        """Each vector of `vs` against the rows with ids `rs` (entry i of As is
-        row i of A against s): read from `dots` for a state, by `_mv` otherwise."""
-        known = [dots[r] for r in rs]
-        stacked = tuple(itertools.chain(*map(rows.__getitem__, rs)))
-        return [tuple(d[k] for d in known) if (k := vids.get(v)) is not None
-                else _mv(stacked, v, n, L) for v in vs]
+        """Each vector of `vs` against the rows with ids `rs`, a prefix of `used`
+        (entry i of As is row i of A against s): read from `dots` for a
+        state, by `_mv` otherwise."""
+        m, stacked = len(rs), tuple(itertools.chain(*map(rows.__getitem__, rs)))
+        return [dots[k][:m] if (k := vids.get(v)) is not None else _mv(stacked, v, n, L)
+                for v in vs]
 
     # A(s ^ t) = As ^ At, a state being one slot
     linearity = _meet_law(report, gates, states, cap,
@@ -796,23 +808,20 @@ def check_tensor_laws(grid) -> CheckReport:
     report.failures += [("basis-enumeration", i, j, got) for i, j, got, want in kets if got != want]
 
     n_s = len(states)  # u (x) v is products[i * n_s + j] for u, v = states[i], states[j]
+    report.cases += 3 * n_s ** 2 + n_s ** 3  # two laws per product, symmetry, associativity
     for (u, v), w in zip(itertools.product(states, repeat=2), products):
-        report.cases += 2
         if len(w) != len(u) * len(v):
             report.failures.append(("dimension", u, v))
         if not _is_state(w, L):
             report.failures.append(("state-closure", u, v, w))
     for i, j in itertools.product(range(n_s), repeat=2):
-        report.cases += 1
-        uv, vu = products[i * n_s + j], products[j * n_s + i]
-        # entry (a, b) of u(x)v is entry (b, a) of v(x)u
-        if any(uv[2 * a + b] != vu[2 * b + a] for a in range(2) for b in range(2)):
+        if not _mirrors(products[i * n_s + j], products[j * n_s + i]):
             report.failures.append(("symmetry", states[i], states[j]))
-    for i, j, k in itertools.product(range(n_s), repeat=3):
-        report.cases += 1
-        u, w = states[i], states[k]
-        if _kron_v(products[i * n_s + j], w, L) != _kron_v(u, products[j * n_s + k], L):
-            report.failures.append(("associativity", u, states[j], w))
+    for (i, u), (j, v) in itertools.product(enumerate(states), repeat=2):
+        uv = products[i * n_s + j]
+        for k, w in enumerate(states):
+            if _kron_v(uv, w, L) != _kron_v(u, products[j * n_s + k], L):
+                report.failures.append(("associativity", u, v, w))
 
     # Mixed product (a (x) b)(c (x) d) = ac (x) bd, column by column: for x
     # column p of c and y column q of d, column (p, q) of the left side is
@@ -838,17 +847,17 @@ def check_tensor_laws(grid) -> CheckReport:
     for (ai, bi, ci), count in _lex_rows((n_gates,) * 3, n_gates, quad_cap):
         report.cases += count
         (image, by), ac = images(ai, bi), _mm(gates[ai], gates[ci], 2, L)
-        sides = list(zip(gates.columns[ci], (ac[0::2], ac[1::2])))
+        x0, x1 = map(table.__getitem__, gates.columns[ci])  # xq[y]: the id of c's column q (x) y
+        u0, u1 = ac[0::2], ac[1::2]
         bad = [y for y, v in enumerate(by)
-               if any(image[table[x][y]] != kron_id(u, v) for x, u in sides)]
+               if image[x0[y]] != kron_id(u0, v) or image[x1[y]] != kron_id(u1, v)]
         if ds := _bits(gates.holding(bad) & ((1 << count) - 1)):
             mixed.append((ai, bi, ci, ds))
-    closure = []
-    for i, a in enumerate(gates):
-        for j in range(i, min(i + 8, n_gates)):  # gate Kronecker closure, strided sample
-            report.cases += 1
-            if not _is_gate(kron[i * n_gates + j], 4, L):
-                closure.append(("gate-closure", a, gates[j]))
+    # gate Kronecker closure, strided sample
+    sample = [(i, j) for i in range(n_gates) for j in range(i, min(i + 8, n_gates))]
+    report.cases += len(sample)
+    closure = [("gate-closure", gates[i], gates[j]) for i, j in sample
+               if not _is_gate(kron[i * n_gates + j], 4, L)]
     report.failures = _joined(report.failures, _read_off(
         lambda: ((*row, d) for *row, ds in mixed for d in ds),
         lambda *quad: ("mixed-product", *map(gates.__getitem__, quad))), closure)
@@ -872,8 +881,9 @@ def _mm2(a, b) -> tuple:
 def _is_stochastic2(m, scale) -> bool:
     """Whether a 2x2 matrix of numerators over `scale` is column-stochastic:
     entries in [0, scale], columns sum to scale."""
-    return all(0 <= m[i][j] <= scale for i in range(2) for j in range(2)) and all(
-        m[0][j] + m[1][j] == scale for j in range(2))
+    (a, b), (c, d) = m
+    return (0 <= a <= scale and 0 <= b <= scale and 0 <= c <= scale and 0 <= d <= scale
+            and a + c == scale and b + d == scale)
 
 
 def check_stochastic_semigroup(grid) -> CheckReport:
@@ -891,8 +901,8 @@ def check_stochastic_semigroup(grid) -> CheckReport:
     def ratios(m, scale):
         return tuple(tuple(Fraction(x, scale) for x in row) for row in m)
 
+    report.cases += len(mats) ** 2
     for m, n in itertools.product(mats, repeat=2):
-        report.cases += 1
         prod = _mm2(m, n)
         if not _is_stochastic2(prod, L * L):
             report.failures.append(("closure", ratios(m, L), ratios(n, L), ratios(prod, L * L)))
@@ -923,6 +933,20 @@ def check_stochastic_semigroup(grid) -> CheckReport:
 ORACLE_TRIPLES = 10000
 
 
+def _oracle_operands(gates, states, L) -> tuple[list[SMatrix], list[SVector]]:
+    """Each 2x2 grid gate and grid state over fuzz-mv, held as the constructor
+    holds the `UnitScalar`s x / L of its entries: the numerators x // g over
+    the scale L // g, for g the gcd of L and every x."""
+    def held(xs) -> tuple[list[int], int]:
+        g = math.gcd(L, *xs)
+        return [x // g for x in xs], L // g
+
+    def matrix(xs) -> SMatrix:
+        numerators, scale = held(xs)
+        return SMatrix.over(FUZZ_MV, (numerators[:2], numerators[2:]), scale)
+    return [matrix(g) for g in gates], [SVector.over(FUZZ_MV, *held(s)) for s in states]
+
+
 def check_oracle_agreement(grid) -> CheckReport:
     """Entrywise kernels versus the generic linear algebra, bit for bit.
 
@@ -940,15 +964,12 @@ def check_oracle_agreement(grid) -> CheckReport:
     (gates, states), kron = grid.size2, grid.size4[0]
     ident = (0, L, L, 0)
 
-    matrices = [SMatrix(FUZZ_MV, ([UnitScalar(x, L) for x in g[:2]],
-                                  [UnitScalar(x, L) for x in g[2:]])) for g in gates]
-    vectors = [SVector(FUZZ_MV, [UnitScalar(x, L) for x in s]) for s in states]
+    matrices, vectors = _oracle_operands(gates, states, L)
 
     def agrees(oracle, value: SMatrix | SVector) -> bool:
         # on numerators, as rationals: an entry past 1 disagrees, and builds no scalar
         held = value.numerators if isinstance(value, SVector) else sum(value.numerators, ())
-        return len(oracle) == len(held) and all(
-            o * value.scale == x * L for o, x in zip(oracle, held))
+        return [o * value.scale for o in oracle] == [x * L for x in held]
 
     @functools.cache
     def vector_agrees(ai: int, si: int) -> bool:
@@ -961,22 +982,26 @@ def check_oracle_agreement(grid) -> CheckReport:
                                mat_vec_block(matrices[ai], base, lib_x))
                         for base, op in enumerate(padded)))
 
+    @functools.cache
+    def disagreeing(ai: int, count: int) -> list[int]:  # the si < count where (A, v) fails
+        return [si for si in range(count) if not vector_agrees(ai, si)]
+
     n_g = len(gates)  # a (x) b is kron gate ai * n_g + bi
     for (ai, bi), count in _lex_rows((n_g, n_g), len(states), ORACLE_TRIPLES):
         report.cases += count
         a, b = matrices[ai], matrices[bi]
         pair = (agrees(_mm(gates[ai], gates[bi], 2, L), mat_mul(a, b))
                 and agrees(kron[ai * n_g + bi], kron_mat(a, b)))
-        report.failures += [("agreement", gates[ai], gates[bi], states[si]) for si in range(count)
-                            if not (pair and vector_agrees(ai, si))]
+        report.failures += [("agreement", gates[ai], gates[bi], states[si])
+                            for si in (disagreeing(ai, count) if pair else range(count))]
     report.elapsed = time.perf_counter() - t0
     return report
 
 
 # Each check `run_all` makes, in its order, and whether a forked child counts
 # it where `count_all` runs in two processes.  The child takes the two
-# costliest, `action-laws-4` and `oracle-agreement`, 26.6 and 24.9 ms on
-# `standard`, against 54.2 ms for the other nine (in-process medians of 21
+# costliest, `action-laws-4` and `oracle-agreement`, 28.0 and 21.6 ms on
+# `standard`, against 52.4 ms for the other nine (in-process medians of 21
 # runs on a prebuilt `_Grid`, Python 3.11, a shared 2-vCPU host).  The table
 # is read at call time, so a check or instance patched into this module is
 # the one that runs.

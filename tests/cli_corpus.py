@@ -314,6 +314,11 @@ CASES = [
         ("googol-vec", 10 ** 100, "vec 1 0", "line 3: classical programs take ket initial states"),
         ("5-gb-ket", 40_000_000_000, "ket 0",
          "line 3: init ket has 1 bits, program has 40000000000 wires"))],
+    # a classical index of 15,000 bits has more decimal digits than the int-string limit
+    Case("rejection/classical-index-past-digit-limit",
+         {"p.circ": f"model classical\nwires 15000\ninit ket {'1' * 15000}\ngate NOT 0\n"},
+         tuple(Request(argv, 1, err=f"error: basis index has more than {_DIGITS} digits\n")
+               for argv in ("simulate p.circ", _TRACE))),
     # each wire-list rule of `validate`, and a gate name the row does not build
     *[_error(f"rejection/step-{name}",
              {"p.circ": f"model quantum\nwires {wires}\ninit ket {'0' * wires}\ngate {gate}\n"},

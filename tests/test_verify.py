@@ -635,8 +635,9 @@ def test_image_tables_are_one_kernel_call_per_vector_loop():
         for a in (gates[0], gates[len(gates) // 2], gates[len(gates) - 1]):
             assert verify._left_images(a, cols, n, L) == [verify._mm(a, c, n, L) for c in cols]
             assert verify._right_images(a, rows, n, L) == [verify._mm(r, a, n, L) for r in rows]
-        assert verify._dot_table(rows, states, n, L) == [
-            tuple(verify._mv(r, s, n, L)[0] for s in states) for r in rows]
+        stacked = tuple(itertools.chain(*rows))  # one `_mv` per state of the rows stacked
+        assert [verify._mv(stacked, s, n, L) for s in states] == [
+            tuple(verify._mv(r, s, n, L)[0] for r in rows) for s in states]
         assert verify._left_images(gates[0], [], n, L) == []
         assert verify._right_images(gates[0], [], n, L) == []
 
@@ -1259,3 +1260,76 @@ def test_tensor_and_stochastic_exhibits():
     assert stoch.passed
     # the two inverse exhibits count as cases even though they cannot fail here
     assert stoch.cases > len(grid) ** 4
+
+
+@pytest.mark.parametrize("grid", ["coarse", "standard", "fine"])
+def test_oracle_operands_are_the_checking_constructors(grid):
+    # the oracle's gates and states, held `over` a reduced scale, against the
+    # constructor that checks and reduces each `UnitScalar` entry x / L
+    grid = verify._Grid(grid_values(grid))
+    L, (gates, states) = grid.scale[0], grid.size2
+    matrices, vectors = verify._oracle_operands(gates, states, L)
+    want = [SMatrix(FUZZ_MV, ([U(x, L) for x in g[:2]], [U(x, L) for x in g[2:]]))
+            for g in gates] + [SVector(FUZZ_MV, [U(x, L) for x in s]) for s in states]
+    got = matrices + vectors
+    assert [(type(x), x.instance, x.numerators, x.scale) for x in got] == [
+        (type(x), x.instance, x.numerators, x.scale) for x in want]
+
+
+def _generator_is_gate(m, n, L):
+    """`_is_gate` with a generator over the columns: the reference for its loop."""
+    return m.count(L) == len(m) or all(min(m[j:n * n:n]) == 0 for j in range(n))
+
+
+# healthy, and under products that leave the gate set
+@pytest.mark.parametrize("mutant", ["healthy", "uncapped", "max-plus"])
+def test_is_gate_agrees_with_its_generator_form(monkeypatch, mutant):
+    # on every size-4 Kronecker gate, and every product whose closure the
+    # coarse checks decide
+    grid = verify._Grid(grid_values("coarse"))
+    L, kron = grid.scale[0], grid.size4[0]
+    real, met = verify._is_gate, [(kron[k], 4, L) for k in range(len(kron))]
+
+    def recorded(*args):
+        met.append(args)
+        return real(*args)
+    _patch(monkeypatch, mutant)
+    monkeypatch.setattr(verify, "_is_gate", recorded)
+    check_mv_gate_laws(grid, 2)
+    check_mv_gate_laws(grid, 4)
+    check_tensor_laws(grid)
+    assert len(met) > len(kron)
+    verdicts = Counter()
+    for args in met:
+        verdicts[real(*args)] += 1
+        assert real(*args) == _generator_is_gate(*args), args
+    assert set(verdicts) == ({True} if mutant == "healthy" else {True, False})
+
+
+def test_is_stochastic2_agrees_with_its_generator_form():
+    # every 2x2 integer matrix with entries in [-1, L^2 + 1] at the coarse L
+    L, _ = verify._Grid(grid_values("coarse")).scale
+    scale, verdicts = L * L, Counter()
+    for a, b, c, d in itertools.product(range(-1, L * L + 2), repeat=4):
+        m = ((a, b), (c, d))
+        want = all(0 <= m[i][j] <= scale for i in range(2) for j in range(2)) and all(
+            m[0][j] + m[1][j] == scale for j in range(2))
+        assert verify._is_stochastic2(m, scale) == want, m
+        verdicts[want] += 1
+    assert set(verdicts) == {True, False}
+
+
+@pytest.mark.parametrize("grid", ["coarse", "standard"])
+def test_mirrors_agrees_with_its_generator_form(grid):
+    # tensor-laws' symmetry test on every pair of state products, healthy and
+    # with the first factor counted twice
+    grid = verify._Grid(grid_values(grid))
+    L, states = grid.scale[0], grid.size2[1]
+    verdicts = Counter()
+    for kron_v in (verify._kron_v, MUTANTS["symmetry"][1](verify._kron_v)):
+        products = [kron_v(u, v, L) for u in states for v in states]
+        for uv, vu in itertools.product(products, repeat=2):
+            want = not any(uv[2 * a + b] != vu[2 * b + a] for a in range(2) for b in range(2))
+            assert verify._mirrors(uv, vu) == want, (uv, vu)
+            verdicts[want] += 1
+    assert set(verdicts) == {True, False}

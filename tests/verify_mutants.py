@@ -1,7 +1,7 @@
 """The `standard` mutant sweep of `verify`: one sha256 per mutant, against a pinned table.
 
 Run from the repository root as `PYTHONPATH=src python tests/verify_mutants.py`
-(pytest does not collect it: it takes under a minute, 37-50 s on a shared
+(pytest does not collect it: it takes under a minute, 41-46 s on a shared
 2-vCPU host with Python 3.11, most of it `max-plus` and `max-meet`).
 Under each mutant that `DIGESTS` names, taken by name from the `MUTANTS`
 table of `tests/test_verify.py`, it runs `mv-gate-laws-2` and `-4`,
