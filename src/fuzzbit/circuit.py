@@ -585,16 +585,17 @@ def reversible_circuit_text(circ: SynthCircuit) -> CircuitProgram:
     """A straight-line synthesis as a classical circuit program.
 
     Every assignment becomes its reversible embedding on a zero wire.  A
-    wire that no assignment has taken still holds 0, so the free zero wire
-    nearest the operands stands for the fresh target: relabelling it costs
-    no gate.  SWAPs then carry the operands to the wires next to it, nearest
-    first; a gate's wires need only form a contiguous set, in any order.
-    The target stays where it stands, so results and the values they read
-    gather where the free wires begin, and values no step reads again are
-    left behind.  The function value moves to wire 0 once, at the end;
-    inputs are wires 0..n-1 of the initial ket.  Steps with the same (gate,
-    wires) share one `GateStep`; the program's text is `serialize_circuit`
-    of it.
+    wire that no assignment has taken still holds 0, so the lowest free wire
+    stands for the fresh target: relabelling it costs no gate.  No wire is
+    ever freed, and SWAPs move values only among taken wires, so the free
+    wires are always the top ones and every operand lies below the target.
+    SWAPs carry the operands to the wires just below it, nearest first; a
+    gate's wires need only form a contiguous set, in any order.  The target
+    stays where it stands, so results and the values they read gather where
+    the free wires begin, and values no step reads again are left behind.
+    The function value moves to wire 0 once, at the end; inputs are wires
+    0..n-1 of the initial ket.  Steps with the same (gate, wires) share one
+    `GateStep`; the program's text is `serialize_circuit` of it.
     """
     total = circ.n_wires
     # at[wire] = the value on it, None while it is free; pos[value] = its wire
@@ -612,34 +613,16 @@ def reversible_circuit_text(circ: SynthCircuit) -> CircuitProgram:
         else:
             at[target:wire + 1] = [value] + at[target:wire]
             steps.extend(gate_step("SWAP", (w - 1, w)) for w in range(wire, target, -1))
-        for w in range(min(wire, target), max(wire, target) + 1):
-            if at[w] is not None:
-                pos[at[w]] = w
-
-    def free_wire(low: int, high: int) -> int:
-        """The free wire nearest the wires low..high, the higher one on a tie."""
-        for w in range(low, high + 1):
-            if at[w] is None:
-                return w
-        for d in range(1, total):
-            for w in (high + d, low - d):
-                if 0 <= w < total and at[w] is None:
-                    return w
-        raise AssertionError("every wire is taken")
+        for w in range(min(wire, target), max(wire, target) + 1):  # every one taken
+            pos[at[w]] = w
 
     for step in circ.steps:
-        span = [pos[a] for a in step.args] or [0]
-        target = free_wire(min(span), max(span))
+        target = below = at.index(None)  # the lowest free wire, and the block gathered below it
         at[target] = step.target
         pos[step.target] = target
-        below = above = target  # the block gathered so far
         for a in sorted(step.args, key=lambda a: abs(pos[a] - target)):
-            if pos[a] < target:
-                below -= 1
-                move(a, below)
-            else:
-                above += 1
-                move(a, above)
+            below -= 1
+            move(a, below)
         wires = tuple(pos[a] for a in step.args) + (target,)
         if step.op == "CONST":
             if step.value:

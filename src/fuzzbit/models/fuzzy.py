@@ -46,7 +46,8 @@ def fuzzy_state_violation(v: SVector) -> str | None:
 def fuzzy_gate_violation(m: SMatrix) -> str | None:
     """None for column-wise vanishing minima or the all-ones matrix.
 
-    `m` is square and fuzz-mv: the row (`models.gate_violation`) checks both.
+    `m` is square and fuzz-mv, as the row (`models.gate_violation`) checks; a
+    non-member has an entry past 1 or a column minimum not 0, where a loop below returns.
     """
     rows, scale = m.numerators, m.scale
     lows = [min(column) for column in zip(*rows)]
@@ -60,7 +61,6 @@ def fuzzy_gate_violation(m: SMatrix) -> str | None:
         if low != 0:
             return (f"column {j} has minimum {format_ratio(low, scale, 'a column minimum')}, "
                     "expected 0")
-    return None
 
 
 def complement(v: SVector) -> SVector:

@@ -49,7 +49,8 @@ def stochastic_violation(m: SMatrix) -> str | None:
 
     `m` is square and probability: the row (`models.gate_violation`) checks
     both.  As for states, nonnegative numerators whose every column sums to
-    the scale decide a member without a rational.
+    the scale decide a member without a rational; a non-member has a negative
+    entry or a column that does not, at which one of the loops below returns.
     """
     rows, scale = m.numerators, m.scale
     columns = list(zip(*rows))
@@ -64,5 +65,4 @@ def stochastic_violation(m: SMatrix) -> str | None:
         if total != scale:
             return (f"column {j} sums to {format_ratio(total, scale, f'the sum of column {j}')}, "
                     "expected exactly 1")
-    return None
 

@@ -14,12 +14,13 @@ over L is a matrix over L * L.
 Size-2 enumerations are exhaustive; size-4 objects are Kronecker products
 of size-2 grid objects, and their law instances are sampled in
 lexicographic order, which each report's note states.  Both sizes run the
-same code: an exhaustive check is the walk with caps of at least its case
-count.  `run_all` passes one read-only `_Grid` to every check, which builds
-the grid's scale and both families once, on first read; a check interns
-what it derives in its own copy of a family's id table.  `count_all`, the
-route `fuzzbit verify` takes, counts the same checks in two processes where
-two CPUs are usable: a child forked after the families are built sends back
+same code: a sampled law's walk, case count and note read one `_Reach`,
+the first `cap` tuples of a product of ranges, all of it if exhaustive.
+`run_all` passes one read-only `_Grid` to every check, which builds the
+grid's scale and both families once, on first read; a check interns what
+it derives in its own copy of a family's id table.  `count_all`, the route
+`fuzzbit verify` takes, counts the same checks in two processes where two
+CPUs are usable: a child forked after the families are built sends back
 only counts, and a share whose counts do not arrive is counted in the parent.
 
 The gate and action checks work on columns and rows: column j of AB is A
@@ -70,6 +71,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add as _int_add
 from operator import itemgetter, ne, not_, or_
+from typing import NamedTuple
 
 from .algebra import (
     BOOLEAN,
@@ -246,15 +248,34 @@ def _right_images(a, rows, n, L) -> list[tuple]:
     return [prod[i:i + p] for i in range(0, len(prod), p)]
 
 
-def _lex_rows(outer, inner: int, cap: int):
-    """The first `cap` tuples of the product of `outer` ranges and range(`inner`)
-    in lexicographic order, a row at a time: (prefix, count) stands for the
-    tuples prefix + (k,) with k < count."""
-    for prefix in itertools.product(*map(range, outer)):
-        if cap <= 0:
-            return
-        yield prefix, min(inner, cap)
-        cap -= inner
+class _Reach(NamedTuple):
+    """The instances a sampled law visits: the first `cap` tuples of the
+    product of range(size) for each of `sizes`, in lexicographic order."""
+
+    sizes: tuple
+    cap: int
+
+    @property
+    def cases(self) -> int:
+        return self.count()
+
+    def span(self, k: int) -> int:
+        """The values coordinate k takes, range(span(k))."""
+        return min(self.sizes[k], -(-self.cap // math.prod(self.sizes[k + 1:])))
+
+    def count(self, *prefix) -> int:
+        """How many of the tuples begin with `prefix`."""
+        before = sum(k * math.prod(self.sizes[m + 1:]) for m, k in enumerate(prefix))
+        return max(0, min(math.prod(self.sizes[len(prefix):]), self.cap - before))
+
+    def rows(self, *prefix):
+        """(row, count) per row that begins with `prefix`: prefix + row + (k,) for k < count."""
+        left, last = self.count(*prefix), self.sizes[-1]
+        for row in itertools.product(*map(range, self.sizes[len(prefix):-1])):
+            if left <= 0:
+                return
+            yield row, min(last, left)
+            left -= last
 
 
 def _bits(mask: int) -> list[int]:
@@ -463,14 +484,15 @@ def check_mv_gate_laws(grid, size: int = 2) -> CheckReport:
         raise ValueError("size must be 2 or 4")
     n, (gates, _) = size, grid.size2 if size == 2 else grid.size4
     report = CheckReport(f"mv-gate-laws-{size}", 0, note="exhaustive")
-    pair_cap, triple_cap = len(gates) ** 2, len(gates) ** 3
+    n_g = len(gates)
+    pairs, triples = _Reach((n_g,) * 2, n_g ** 2), _Reach((n_g,) * 3, n_g ** 3)
     order = ("closure", "involution", "identity", "meet-closure", "distributivity")
     if size == 4:
-        pair_cap, triple_cap = 100000, 20000
+        pairs, triples = pairs._replace(cap=100000), triples._replace(cap=20000)
         order = ("involution", "identity", "closure", "distributivity")
-        report.note = (f"Kronecker-built gates; first {pair_cap} pairs and "
-                       f"{triple_cap} triples in lexicographic order")
-    n_g, found = len(gates), {law: [] for law in order}
+        report.note = (f"Kronecker-built gates; first {pairs.cap} pairs and "
+                       f"{triples.cap} triples in lexicographic order")
+    found = {law: [] for law in order}
     ident = tuple(0 if i == j else L for i in range(n) for j in range(n))
     jmat = tuple(0 if i + j == n - 1 else L for i in range(n) for j in range(n))
     zero, line = (L,) * (n * n), (L,) * n
@@ -505,12 +527,12 @@ def check_mv_gate_laws(grid, size: int = 2) -> CheckReport:
     # ids of those ABs in `products`, in order.
     products: dict = {}
     open_at = []
-    for (i,), count in _lex_rows((n_g,), n_g, pair_cap):
+    report.cases += pairs.cases
+    for (i,), count in pairs.rows():
         a = gates[i]
         images = _left_images(a, cols, n, L)
         not_gate = {c for c, v in enumerate(images) if min(v) != 0}
         not_zero = {c for c, v in enumerate(images) if v != line}
-        report.cases += count
         mask, held = 0, []
         for j in _bits(gates.holding(not_gate) & gates.holding(not_zero) & ((1 << count) - 1)):
             p = _mm(a, gates[j], n, L)
@@ -555,7 +577,7 @@ def check_mv_gate_laws(grid, size: int = 2) -> CheckReport:
     # (B ^ C)A = BA ^ CA the same way.  Entry i of Ax is row i of A against
     # x, and entry j of xA is x against column j of A: one `_mm` of the rows
     # stacked, or of the columns side by side, with every vector.
-    found["distributivity"] = _meet_law(report, gates, gates, triple_cap, (
+    found["distributivity"] = _meet_law(report, gates, gates, triples, (
         ("left-dist", gates.columns, gates.col_ids, gates.rows, lambda used, vs: _left_images(
             tuple(itertools.chain(*map(rows.__getitem__, used))), vs, n, L)),
         ("right-dist", gates.rows, gates.row_ids, gates.columns, lambda used, vs: _right_images(
@@ -587,10 +609,10 @@ def _scalar_meets(vectors: list):
     return meets
 
 
-def _meet_law(report: CheckReport, gates, items, cap: int, sides) -> _Failures:
-    """The failures of a law f_A(x ^ y) = f_A(x) ^ f_A(y) on the first `cap`
-    triples (A, B, C) in lexicographic order, A in `gates` and B and C in
-    `items`.
+def _meet_law(report: CheckReport, gates, items, reach: _Reach, sides) -> _Failures:
+    """The failures of a law f_A(x ^ y) = f_A(x) ^ f_A(y) on the triples
+    (A, B, C) that `reach` holds, as indices: A into `gates` and B and C
+    into `items`.
 
     Each side (name, slots, ids, parts, table) has `slots[k]` the ids in
     `ids` of vectors, each in its slot, that stand for B or C = k, and
@@ -599,8 +621,8 @@ def _meet_law(report: CheckReport, gates, items, cap: int, sides) -> _Failures:
     vectors)` is each vector against each part whose id is in `ps`.  The
     law fails on a triple when, for some side, it fails on the ids (x, y) of
     B and C in some slot, and on a pair when it fails at some part of A.
-    Each id x that a B the cap reaches holds is paired with every id y of
-    `ids`, and one table of the distinct parts of the As the cap reaches
+    Each id x that a B in the reach holds is paired with every id y of
+    `ids`, and one table of the distinct parts of the As in the reach
     decides each pair once: a pair is bad for A when it is bad at one of
     A's parts.  A triple counts once per side, and fails each side on which
     it meets a bad pair, as (name, A, B, C), its sides in order: the
@@ -614,9 +636,7 @@ def _meet_law(report: CheckReport, gates, items, cap: int, sides) -> _Failures:
     rows of x and y, which `_wedge` computes once per distinct pair of entry
     ids.  Only a pair whose two ids differ is compared part by part.
     """
-    n_b = len(items)
-    n_a = min(len(gates), -(-cap // (n_b * n_b)))
-    n_bs = min(n_b, -(-cap // n_b))  # the Bs the cap reaches
+    n_a, n_bs = reach.span(0), reach.span(1)  # the As and the Bs in the reach
     tables = []
     for name, slots, ids, parts, table in sides:
         every = range(len(ids))
@@ -645,7 +665,7 @@ def _meet_law(report: CheckReport, gates, items, cap: int, sides) -> _Failures:
                     masks = bad_at.setdefault(p, {})
                     masks[x] = masks.get(x, 0) | 1 << y
         tables.append((name, slots, a_parts, bad_at))
-    report.cases += len(sides) * min(cap, n_a * n_b * n_b)
+    report.cases += len(sides) * reach.cases
 
     def failing():
         """(i, j, flags) per A = i and B = j with a failing triple: flags[s][k]
@@ -656,12 +676,11 @@ def _meet_law(report: CheckReport, gates, items, cap: int, sides) -> _Failures:
                 for x, ys in itertools.chain(*(bad_at.get(p, {}).items() for p in a_parts[i])):
                     per_x[x] = per_x.get(x, 0) | ys
             if any(bad):
-                count = min(n_b * n_b, cap - i * n_b * n_b)
-                # per side and slot, the id each C the cap reaches holds there
-                held = [list(zip(*slots[:min(n_b, count)])) for _, slots, *_ in tables]
+                # per side and slot, the id each C in the reach holds there
+                held = [list(zip(*slots[:reach.count(i, 0)])) for _, slots, *_ in tables]
                 hits = functools.cache(lambda s, q, x: bytes(map(  # 1 where (x, C's id) is bad
                     set(_bits(bad[s].get(x, 0))).__contains__, held[s][q])))
-                for (j,), n_k in _lex_rows((n_b,), n_b, count):
+                for (j,), n_k in reach.rows(i):
                     flags = [bytes(map(any, zip(*(hits(s, q, x)[:n_k]
                                                   for q, x in enumerate(slots[j])))))
                              for s, (_, slots, *_) in enumerate(tables)]
@@ -679,11 +698,11 @@ def _meet_law(report: CheckReport, gates, items, cap: int, sides) -> _Failures:
 def check_action_laws(grid, size: int = 2) -> CheckReport:
     """State closure, linearity over the meet, and action/product compatibility.
 
-    Size 2 walks every instance of each law on 2x2 grid gates and states;
-    size 4 walks the first `cap` instances on Kronecker-built ones.  Entry i
-    of As is row i of A against s, so images are read from a table of the
-    rows the gates share against the states, per class of states that each
-    row of the table meets alike.
+    Each law walks its reach: every instance on 2x2 grid gates and states,
+    or the first 100000 on Kronecker-built ones.  Entry i of As is row i of
+    A against s, so images are read from a table of the rows the gates share
+    against the states, per class of states that each row of the table meets
+    alike.
     """
     t0 = time.perf_counter()
     grid = _Grid(grid)
@@ -692,28 +711,28 @@ def check_action_laws(grid, size: int = 2) -> CheckReport:
         raise ValueError("size must be 2 or 4")
     n, (gates, states) = size, grid.size2 if size == 2 else grid.size4
     report = CheckReport(f"action-laws-{size}", 0, note="exhaustive")
-    if size == 4:
-        cap = 100000
-        report.note = f"Kronecker-built; first {cap} law instances in lexicographic order"
-    else:
-        cap = len(gates) ** 2 * len(states) ** 2
-        if len(levels) > 2:
-            # documented counterexample: the complement is NOT an operation on
-            # the state set; (0, levels[1]) maps to a vector with nonzero minimum
-            comp = (L - 0, L - levels[1])
-            report.cases += 1
-            if _is_state(comp, L):
-                report.failures.append(("complement-unexpectedly-closed", (0, levels[1]), comp))
     n_g, n_s = len(gates), len(states)
+    # (A, s) of state closure, (A, s, t) of linearity and (A, B, s) of compatibility
+    closing, linear, compat = (_Reach(sizes, math.prod(sizes) if size == 2 else 100000)
+                               for sizes in ((n_g, n_s), (n_g, n_s, n_s), (n_g, n_g, n_s)))
+    if size == 4:
+        report.note = f"Kronecker-built; first {closing.cap} law instances in lexicographic order"
+    elif len(levels) > 2:
+        # documented counterexample: the complement is NOT an operation on
+        # the state set; (0, levels[1]) maps to a vector with nonzero minimum
+        comp = (L - 0, L - levels[1])
+        report.cases += 1
+        if _is_state(comp, L):
+            report.failures.append(("complement-unexpectedly-closed", (0, levels[1]), comp))
     vids: dict = {}
     sid = _intern(states, vids)
-    # The state-closure and compatibility instances reach the gates in
-    # `reach`, and as A of (AB)s only those in `range(n_a)`.  Entry i of
+    # State closure reaches the gates in `reach` as A, and compatibility as
+    # B, and as A of (AB)s only those in `range(n_a)`.  Entry i of
     # (AB)s is (row i of A)B against s, and entry j of rB is r against column
     # j of B, so one `_mm` of those As' rows r by the distinct columns of the
     # built Bs in `reach`, each read as `_mm` reads it, gives every rB: rb[bi]
     # holds their ids.
-    reach, n_a = range(min(n_g, -(-cap // n_s))), min(n_g, -(-cap // (n_g * n_s)))
+    reach, n_a = range(max(closing.span(0), compat.span(1))), compat.span(0)
     g_rows = gates.rows[:len(reach)]
     row_ids, b_col_ids = dict(gates.row_ids), {}  # rB joins a copy, B's columns a new table
     rows = list(row_ids)
@@ -740,10 +759,10 @@ def check_action_laws(grid, size: int = 2) -> CheckReport:
     images = [_intern(zip(*map(by_class.__getitem__, r)), image_ids) for r in g_rows]
     vectors = list(image_ids)
     not_states = {v for v, x in enumerate(vectors) if not _is_state(x, L)}
-    report.cases += min(cap, n_g * n_s)
+    report.cases += closing.cases
 
     def leaving():  # (A, s, As) with As not a state
-        for (gi,), count in _lex_rows((n_g,), n_s, cap) if not_states else ():
+        for (gi,), count in closing.rows() if not_states else ():
             if not not_states.isdisjoint(images[gi]):
                 yield from ((gi, si, v) for si, v in enumerate(map(images[gi].__getitem__,
                                                                    of_state[:count]))
@@ -758,7 +777,7 @@ def check_action_laws(grid, size: int = 2) -> CheckReport:
                 for v in vs]
 
     # A(s ^ t) = As ^ At, a state being one slot
-    linearity = _meet_law(report, gates, states, cap,
+    linearity = _meet_law(report, gates, states, linear,
                           (("linearity", [(x,) for x in sid], vids, g_rows, against_rows),))
 
     # (AB)s = A(Bs) entry by entry: entry i of A(Bs) is row i of A against Bs.
@@ -772,14 +791,14 @@ def check_action_laws(grid, size: int = 2) -> CheckReport:
         for r, x, got in zip(a_rows, rb[bi], zip(*map(against.__getitem__, images[bi]))):
             if by_class[x] != got:
                 differs[r][bi] = sum(1 << c for c, d in enumerate(map(ne, by_class[x], got)) if d)
-    report.cases += min(cap, n_g * n_g * n_s)
+    report.cases += compat.cases
 
     def incompatible():  # (A, B, s) with s in a class that marks (A, B)
         for ai in range(n_a):
             for bi in sorted(set().union(*map(differs.__getitem__, g_rows[ai]))):
                 classes = functools.reduce(or_, (differs[r].get(bi, 0) for r in g_rows[ai]))
-                count = min(n_s, cap - (ai * n_g + bi) * n_s)  # the states the cap reaches
-                yield from ((ai, bi, si) for si in range(count) if classes >> of_state[si] & 1)
+                yield from ((ai, bi, si) for si in range(compat.count(ai, bi))
+                            if classes >> of_state[si] & 1)
 
     report.failures = _joined(
         report.failures,
@@ -826,10 +845,10 @@ def check_tensor_laws(grid) -> CheckReport:
     # Mixed product (a (x) b)(c (x) d) = ac (x) bd, column by column: for x
     # column p of c and y column q of d, column (p, q) of the left side is
     # a (x) b applied to x (x) y, and of the right side column p of ac (x) by.
-    # A quadruple fails when d, among the ds the cap reaches, has a column y
+    # A quadruple fails when d, among the ds in the reach, has a column y
     # where the two differ, and `mixed` holds each row (a, b, c) with its failing ds.
-    quad_cap = 20000
     n_gates = len(gates)  # c (x) d is kron gate ci * n_gates + di
+    quads = _Reach((n_gates,) * 4, 20000)
     col_ids = dict(kron.col_ids)  # the images and the columns of ac (x) by join a copy
     targets, base_cols, table = list(col_ids), list(gates.col_ids), kron.columns.table
 
@@ -844,8 +863,8 @@ def check_tensor_laws(grid) -> CheckReport:
         return _intern([_kron_v(u, v, L)], col_ids)[0]
 
     mixed = []
-    for (ai, bi, ci), count in _lex_rows((n_gates,) * 3, n_gates, quad_cap):
-        report.cases += count
+    report.cases += quads.cases
+    for (ai, bi, ci), count in quads.rows():
         (image, by), ac = images(ai, bi), _mm(gates[ai], gates[ci], 2, L)
         x0, x1 = map(table.__getitem__, gates.columns[ci])  # xq[y]: the id of c's column q (x) y
         u0, u1 = ac[0::2], ac[1::2]
@@ -861,7 +880,7 @@ def check_tensor_laws(grid) -> CheckReport:
     report.failures = _joined(report.failures, _read_off(
         lambda: ((*row, d) for *row, ds in mixed for d in ds),
         lambda *quad: ("mixed-product", *map(gates.__getitem__, quad))), closure)
-    report.note = f"mixed product: first {quad_cap} quadruples in lexicographic order"
+    report.note = f"mixed product: first {quads.cap} quadruples in lexicographic order"
     report.elapsed = time.perf_counter() - t0
     return report
 
@@ -929,10 +948,6 @@ def check_stochastic_semigroup(grid) -> CheckReport:
     return report
 
 
-# The (A, B, v) triples `check_oracle_agreement` compares, in lexicographic order.
-ORACLE_TRIPLES = 10000
-
-
 def _oracle_operands(gates, states, L) -> tuple[list[SMatrix], list[SVector]]:
     """Each 2x2 grid gate and grid state over fuzz-mv, held as the constructor
     holds the `UnitScalar`s x / L of its entries: the numerators x // g over
@@ -959,9 +974,11 @@ def check_oracle_agreement(grid) -> CheckReport:
     t0 = time.perf_counter()
     grid = _Grid(grid)
     L, _ = grid.scale
-    report = CheckReport("oracle-agreement", 0,
-                         note=f"first {ORACLE_TRIPLES} (A, B, v) triples in lexicographic order")
     (gates, states), kron = grid.size2, grid.size4[0]
+    n_g = len(gates)  # a (x) b is kron gate ai * n_g + bi
+    triples = _Reach((n_g, n_g, len(states)), 10000)
+    report = CheckReport("oracle-agreement", 0,
+                         note=f"first {triples.cap} (A, B, v) triples in lexicographic order")
     ident = (0, L, L, 0)
 
     matrices, vectors = _oracle_operands(gates, states, L)
@@ -986,9 +1003,8 @@ def check_oracle_agreement(grid) -> CheckReport:
     def disagreeing(ai: int, count: int) -> list[int]:  # the si < count where (A, v) fails
         return [si for si in range(count) if not vector_agrees(ai, si)]
 
-    n_g = len(gates)  # a (x) b is kron gate ai * n_g + bi
-    for (ai, bi), count in _lex_rows((n_g, n_g), len(states), ORACLE_TRIPLES):
-        report.cases += count
+    report.cases += triples.cases
+    for (ai, bi), count in triples.rows():
         a, b = matrices[ai], matrices[bi]
         pair = (agrees(_mm(gates[ai], gates[bi], 2, L), mat_mul(a, b))
                 and agrees(kron[ai * n_g + bi], kron_mat(a, b)))

@@ -451,6 +451,33 @@ def test_a_synthesized_program_moves_entries_as_it_moves_bits(tmp_path, model):
         assert final.vector.entries == tuple(expected), bits
 
 
+def _free_wires_stay_on_top(circ, program) -> bool:
+    """Whether step k of `circ` targets wire n_inputs + k, the lowest free
+    wire while no wire is freed, with every operand below it, and every SWAP
+    up to its gates stays below that target: the free wires are the top ones."""
+    emitted = iter(program.steps)
+    for k, step in enumerate(circ.steps):
+        target = circ.n_inputs + k
+        for gate in {"CONST": ("NOT",) * step.value, "NOT": ("FANOUT", "NOT")}.get(
+                step.op, (step.op,)):
+            got = next(emitted)
+            while got.gate == "SWAP" and max(got.wires) < target:
+                got = next(emitted)
+            if (got.gate, got.wires[-1]) != (gate, target) or any(
+                    w >= target for w in got.wires[:-1]):
+                return False
+    return all(step.gate == "SWAP" for step in emitted)  # the function value's move to wire 0
+
+
+def test_synthesis_keeps_the_free_wires_on_top():
+    # the tables the tests above synthesize: no wire is ever freed, so every
+    # target is the lowest free wire and every operand lies below it
+    for bits in SYNTH_TABLES + [(0, 1, 1, 0), (1, 0, 0, 0, 0, 0, 0, 1)] + [
+            tuple(random.Random(seed).randint(0, 1) for _ in range(256)) for seed in range(4)]:
+        circ = synthesize_circuit(TruthTable(len(bits).bit_length() - 1, 1, bits))
+        assert _free_wires_stay_on_top(circ, reversible_circuit_text(circ)), bits
+
+
 def test_all_ones_quietly_absorbs_through_a_program():
     text = "model fuzzy\nwires 2\ninit vec 1 1 1 1\ngate FNOT 0\ngate FID 1\n"
     trace = simulate(validate(parse_circuit(text)))

@@ -21,6 +21,7 @@ from fuzzbit.errors import ParseError
 from fuzzbit.linalg import (
     SMatrix,
     SVector,
+    _require_same_instance,
     as_vector,
     basis_vector,
     equal,
@@ -198,6 +199,39 @@ def test_equal_tolerance_is_complex_only():
     assert equal(a, b)
     assert not equal(a, c)
     assert not equal(fmat([[0, 1], [1, 0]]), fmat([[0, 1], [1, "1/2"]]))
+
+
+def test_equal_refuses_another_instance_kind_or_shape():
+    v = fvec(0, 1)
+    assert equal(v, fvec(0, 1))
+    assert not equal(v, SVector(MAX_MIN, (U(0), U(1))))
+    assert not equal(v, fmat([[0, 1]]))
+    # the entries agree as far as both go: only the shape tells them apart
+    assert not equal(v, fvec(0, 1, 1))
+    assert not equal(fmat([[0, 1]]), fmat([[0], [1]]))
+
+
+def test_values_compare_only_with_their_own_kind_and_show_their_entries():
+    v, m = fvec(0, "1/2"), fmat([[0, "1/2"]])
+    assert v.__eq__(m) is NotImplemented and m.__eq__(v) is NotImplemented
+    assert v != m and v != (U(0), U("1/2"))
+    assert repr(v) == "SVector(SemiringInstance('fuzz-mv'), (UnitScalar(0, 1), UnitScalar(1, 2)))"
+    assert repr(m) == ("SMatrix(SemiringInstance('fuzz-mv'), "
+                       "((UnitScalar(0, 1), UnitScalar(1, 2)),))")
+
+
+def test_the_kernels_refuse_operands_that_do_not_fit():
+    a = fmat([[0, 1], [1, 0]])
+    assert _require_same_instance(a, fvec(0, 1)) is FUZZ_MV
+    with pytest.raises(ValueError, match="^instance mismatch: fuzz-mv vs probability$"):
+        _require_same_instance(a, identity(PROBABILITY, 2))
+    with pytest.raises(ValueError, match="^inner dimension mismatch: 2 vs 1$"):
+        mat_mul(a, fmat([[0, 1]]))
+    with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 3$"):
+        mat_vec(a, fvec(0, 1, 1))
+    for perm in ([0, 0], [1, 2], [2, 0, 2]):
+        with pytest.raises(ValueError, match="^not a permutation$"):
+            matrix_from_permutation(perm, FUZZ_MV)
 
 
 def test_parse_matrix_text():

@@ -846,6 +846,70 @@ def test_bits_lists_the_set_bits_in_order():
         assert verify._bits(mask) == [k for k in range(mask.bit_length()) if mask >> k & 1]
 
 
+def _reach_reference(sizes, cap) -> list:
+    """(row, count) per row of the first `cap` tuples of the product of the
+    ranges, in lexicographic order: the tuples row + (k,) with k < count."""
+    tuples = itertools.islice(itertools.product(*map(range, sizes)), cap)
+    return [(row, len(list(ks))) for row, ks in
+            itertools.groupby(tuples, key=operator.itemgetter(slice(0, -1)))]
+
+
+def _reaches_the_checks_use() -> set:
+    """(sizes, cap) of every reach that `run_all` reads on each grid."""
+    seen = set()
+
+    class Recorded(verify._Reach):
+        @property
+        def cases(self):
+            seen.add(tuple(self))
+            return super().cases
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(verify, "_Reach", Recorded)
+        for grid in ("coarse", "standard", "fine"):
+            run_all(grid)
+    return seen
+
+
+# (3, 4, 5) has 60 tuples in rows of 5 and blocks of 20: caps of none, one,
+# mid-row, a row's and a block's edge, mid-block, the whole product and past it
+REACH_EDGES = [((3, 4, 5), cap) for cap in (0, 1, 3, 5, 20, 27, 59, 60, 61, 1000)] + [
+    ((7,), 0), ((7,), 4), ((7,), 9), ((2, 3, 2, 2), 13), ((2, 3, 2, 2), 24)]
+
+
+def test_a_reach_is_a_lexicographic_prefix_of_the_product():
+    used = _reaches_the_checks_use()
+    assert ((28900, 28900, 196), 100000) in used and len(used) >= 20
+    for sizes, cap in sorted(used) + REACH_EDGES:
+        reach, rows = verify._Reach(sizes, cap), _reach_reference(sizes, cap)
+        assert list(reach.rows()) == rows, (sizes, cap)
+        assert reach.cases == sum(n for _, n in rows)
+        # coordinate k takes the values range(span(k)), the last one range(its longest row)
+        for k in range(len(sizes) - 1):
+            assert {row[k] for row, _ in rows} == set(range(reach.span(k))), (sizes, cap, k)
+        assert reach.span(len(sizes) - 1) == max((n for _, n in rows), default=0)
+        # the count and the rows under each prefix, and none under the first one past the reach
+        for m in range(len(sizes)):
+            under: dict = {} if m else {(): []}
+            for row, n in rows:
+                under.setdefault(row[:m], []).append((row[m:], n))
+            if rows and m and rows[-1][0][m - 1] + 1 < sizes[m - 1]:
+                under[rows[-1][0][:m - 1] + (rows[-1][0][m - 1] + 1,)] = []
+            for prefix, below in under.items():
+                assert reach.count(*prefix) == sum(n for _, n in below), (sizes, cap, prefix)
+                assert list(reach.rows(*prefix)) == below, (sizes, cap, prefix)
+
+
+def test_read_off_failures_index_and_show_as_their_list(monkeypatch):
+    _patch(monkeypatch, "uncapped")
+    failures = check_mv_gate_laws(grid_values("coarse"), 2).failures
+    listed = list(failures)
+    assert isinstance(failures, verify._Failures) and len(listed) > 3
+    assert failures[0] == listed[0] and failures[-1] == listed[-1]
+    assert failures[1:3] == listed[1:3] and failures[::-2] == listed[::-2]
+    assert repr(failures) == repr(listed)
+
+
 def _digest(reports) -> str:
     """One sha256 over the full reports."""
     return hashlib.sha256(repr([_fields(r) for r in reports]).encode()).hexdigest()
